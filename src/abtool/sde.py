@@ -7,18 +7,43 @@ where v is the current velocity and u = (hbar/2M) grad(rho)/rho the osmotic
 velocity; |psi|^2 is its stationary density.  Integration is Cartesian (no
 polar drift corrections), trajectories carry their own independent variate
 streams, and runs are bit-reproducible for a fixed configuration.
+
+Step kernel.  For a separable state R(r) e^{i m theta} the drift is
+b = (hbar/M) [(R'/R) e_r + (m/r) e_theta] and a proposal is valid when
+a < r < b and R^2 > RHO_FLOOR.  Both come from one lookup of the state's
+radial table (`numerics.BesselLogTable`, built on the first `simulate` of a
+state): log|R| decides validity and R'/R gives the drift, with the poles of
+R'/R at the wall and at the nodes in closed form.  Against the exact series
+route (`ABState.radial_parts`) the drift agrees to 1e-9 (hbar/M)(k + |R'/R|)
+wherever that route is itself accurate to this level; next to a node where
+the series carries rounding (x = k (r-a) near 10 and beyond), the two routes
+differ by that rounding.  Any other `WaveField` is sampled through its
+decomposition (`_drift_field`) and its density.
+
+Start.  Radii are drawn from the |psi|^2 radial marginal by inverse CDF with
+the `init` stream (angles uniform from the same stream); a start point that
+fails the validity test is redrawn from that stream.
+
+Cascade.  A proposal that fails validity is redrawn from the trajectory's
+retry stream up to `max_retries` times, then the step is halved and the
+retries start again.  After 64 halvings (dt 2^-64 ~ 5e-20 dt) the trajectory
+is declared aborted and frozen; that depth lets a proposal one rounding unit
+from the inner wall, where the osmotic drift ~ nu/(r-a) throws any longer
+step out of the annulus, recover.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .madelung import RHO_FLOOR, decompose
-from .numerics import RandomStream, chi2_sf
+from .numerics import NonConvergenceError, RandomStream, bessel_log_table, chi2_sf
 
-_HALVING_LIMIT = 8
-_NOISE_CHUNK = 4096
+_HALVING_LIMIT = 64
+_NOISE_CHUNK = 256
+_START_REDRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -83,7 +108,7 @@ def drifts(psi, A, cfg, p):
 
 def _drift_field(state, cfg, pts):
     """Vectorized b = v + u for valid points (no floor checks here)."""
-    amp, grad = state.value_and_gradient(pts)
+    amp, grad = state.amplitude(pts), state.gradient(pts)
     rho = (amp * np.conj(amp)).real
     cross = np.conj(amp)[..., None] * grad
     rho_col = rho[..., None]
@@ -101,56 +126,75 @@ def _valid_mask(state, cfg, pts):
     return ok & (rho > RHO_FLOOR)
 
 
+# A kernel maps complex positions z = x + i y to (ok, step): ok is the
+# validity of each point and step = 1 + dt b(z)/z, so the Euler-Maruyama
+# proposal from z is z * step + sigma * xi.  step is meaningful where ok.
+
 class _SeparableStepKernel:
-    """Drift/validity kernel for separable annulus states R(r) e^{i m theta}.
+    """Validity and drift for a separable annulus state R(r) e^{i m theta}
+    from one lookup of its radial table (see the module docstring)."""
 
-    The proposal-validity pass evaluates the radial pair (R, R'), which is
-    exactly what the next drift needs, so each step costs one radial
-    evaluation instead of three.  The drift it produces is b = v + u with
-    v = (m hbar / M r) e_theta and u = (hbar / M) (R'/R) e_r, identical to
-    the generic decomposition route for these states.
-    """
+    def __init__(self, state, cfg, dt):
+        self.table = bessel_log_table(state.nu, state.n)
+        self.a, self.b, self.k = cfg.a, cfg.b, state.k
+        self.log_floor = 0.5 * math.log(RHO_FLOOR) - math.log(state.norm)
+        coef = cfg.hbar / cfg.mass * dt
+        self.radial = coef * state.k     # dt u_r = radial * J'/J
+        self.angular = coef * state.m    # dt v_theta = angular / r
 
-    def __init__(self, state, cfg):
-        self.state = state
-        self.cfg = cfg
-        self.coef = cfg.hbar / cfg.mass
-        self._r = None
-        self._ratio = None   # R'/R at the current positions
+    def __call__(self, z):
+        r = np.abs(z)
+        log_j, dlog_j = self.table((r - self.a) * self.k)
+        ok = (r > self.a) & (r < self.b) & (log_j > self.log_floor)
+        inv_r = 1.0 / r
+        step = (self.radial * dlog_j + 1j * self.angular * inv_r) * inv_r
+        step += 1.0
+        return ok, step
 
-    def seed(self, pos):
-        r = np.hypot(pos[:, 0], pos[:, 1])
-        rr, drr = self.state.radial_parts(r)
-        self._r = r
-        self._ratio = drr / rr
 
-    def drift(self, pos):
-        r = self._r
-        u_r = self.coef * self._ratio
-        v_t = self.coef * self.state.m / r
-        x, y = pos[:, 0], pos[:, 1]
-        bx = (u_r * x - v_t * y) / r
-        by = (u_r * y + v_t * x) / r
-        return np.stack([bx, by], axis=1)
+class _FieldKernel:
+    """Validity and drift for any WaveField over the annulus, from its
+    density and its decomposition."""
 
-    def validity(self, pts, idx=None):
-        """Validity of proposals; caches (r, R'/R) for the accepted ones."""
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        cfg = self.cfg
-        ok = (r > cfg.a) & (r < cfg.b)
-        rr, drr = self.state.radial_parts(r)
-        ok &= rr * rr > RHO_FLOOR
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(ok, drr / np.where(rr != 0.0, rr, 1.0), 0.0)
-        if idx is None:
-            keep = ok
-            self._r = np.where(keep, r, self._r)
-            self._ratio = np.where(keep, ratio, self._ratio)
-        else:
-            good = idx[ok]
-            self._r[good] = r[ok]
-            self._ratio[good] = ratio[ok]
-        return ok
+    def __init__(self, state, cfg, dt):
+        self.state, self.cfg, self.dt = state, cfg, dt
+
+    def __call__(self, z):
+        pts = np.stack([z.real, z.imag], axis=1)
+        ok = _valid_mask(self.state, self.cfg, pts)
+        step = np.ones(z.shape, dtype=complex)
+        if ok.any():
+            b = _drift_field(self.state, self.cfg, pts[ok])
+            step[ok] += self.dt * (b[:, 0] + 1j * b[:, 1]) / z[ok]
+        return ok, step
+
+
+def _start_radii(state, cfg, stream, count):
+    """Inverse-CDF draws from the radial marginal of |psi|^2 (angle-averaged
+    on a polar grid for a field without a radial profile)."""
+    if hasattr(state, "radial_density"):
+        return target_radial_sampler(state, stream, count)
+    rg = np.linspace(cfg.a, cfg.b, 1025)
+    th = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
+    pts = np.stack([np.outer(rg, np.cos(th)), np.outer(rg, np.sin(th))], axis=-1)
+    pdf = rg * state.density(pts).mean(axis=1)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(rg))])
+    return np.interp(stream.uniforms(count), cdf / cdf[-1], rg)
+
+
+def _start_positions(state, cfg, kernel, stream, count):
+    """Uniform angles and marginal radii from `stream`; a point the kernel
+    finds invalid (on a node, or r = a) is redrawn from the same stream."""
+    theta = 2.0 * np.pi * stream.uniforms(count)
+    z = _start_radii(state, cfg, stream, count) * np.exp(1j * theta)
+    for _ in range(_START_REDRAWS):
+        ok, _ = kernel(z)
+        if ok.all():
+            return z
+        bad = np.nonzero(~ok)[0]
+        z[bad] = _start_radii(state, cfg, stream, bad.size) * np.exp(1j * theta[bad])
+    raise NonConvergenceError(
+        f"no valid start point after {_START_REDRAWS} redraws")
 
 
 def simulate(state, sde_cfg, geometry=None):
@@ -158,106 +202,102 @@ def simulate(state, sde_cfg, geometry=None):
 
     Proposals landing outside the annulus or below the density floor are
     resampled with fresh noise up to max_retries, after which the step size
-    is halved (cascade depth 8) before the trajectory is declared aborted.
+    is halved (cascade depth 64) before the trajectory is declared aborted.
     Every trajectory owns two variate streams (main and retry), so results
     are reproducible and independent of how the work is scheduled.
 
     `geometry` (constants plus annulus walls) defaults to the state's own
     configuration; pass it explicitly for a bare WaveField over the annulus.
+    The trajectories' retained positions are views into one
+    (n_trajectories, retained, 2) array.
     """
     cfg = geometry if geometry is not None else state.cfg
     n_traj = sde_cfg.n_trajectories
     dt = sde_cfg.dt
     sigma = np.sqrt(2.0 * cfg.beta_sq * dt)
+    separable = hasattr(state, "radial_parts") and hasattr(state, "m")
+    kernel = (_SeparableStepKernel if separable else _FieldKernel)(state, cfg, dt)
 
     main = [RandomStream(sde_cfg.seed, 2 * i) for i in range(n_traj)]
     retry = [RandomStream(sde_cfg.seed, 2 * i + 1) for i in range(n_traj)]
     init = RandomStream(sde_cfg.seed, 2 * n_traj)
 
-    r0 = 0.5 * (cfg.a + cfg.b)
-    th0 = 2.0 * np.pi * init.uniforms(n_traj)
-    pos = np.stack([r0 * np.cos(th0), r0 * np.sin(th0)], axis=1)
-
-    kernel = None
-    if hasattr(state, "radial_parts") and hasattr(state, "m"):
-        kernel = _SeparableStepKernel(state, cfg)
-        kernel.seed(pos)
-
-    def drift_at(p):
-        return kernel.drift(p) if kernel else _drift_field(state, cfg, p)
-
-    def valid(pts, idx=None):
-        if kernel is not None:
-            return kernel.validity(pts, idx)
-        return _valid_mask(state, cfg, pts)
-
-    kept = np.empty((sde_cfg.steps - sde_cfg.burn_in, n_traj, 2))
+    kept = np.empty((n_traj, sde_cfg.steps - sde_cfg.burn_in), dtype=complex)
     rejected = np.zeros(n_traj, dtype=int)
     aborted = np.zeros(n_traj, dtype=bool)
     diagnostics = [""] * n_traj
 
-    step = 0
-    while step < sde_cfg.steps:
-        block = min(_NOISE_CHUNK, sde_cfg.steps - step)
-        noise = np.empty((block, n_traj, 2))
-        for i, stream in enumerate(main):
-            noise[:, i, :] = stream.normals(2 * block).reshape(block, 2)
-        for s in range(block):
-            b = drift_at(pos)
-            prop = pos + b * dt + sigma * noise[s]
-            if aborted.any():
-                prop[aborted] = pos[aborted]
-                alive = np.nonzero(~aborted)[0]
-                ok = np.ones(n_traj, dtype=bool)
-                ok[alive] = valid(prop[alive], alive)
-            else:
-                ok = valid(prop)
-            if not ok.all():
-                tries = np.zeros(n_traj, dtype=int)
-                halvings = np.zeros(n_traj, dtype=int)
-                dt_loc = np.full(n_traj, dt)
-                while not ok.all():
-                    bad = np.nonzero(~ok)[0]
-                    rejected[bad] += 1
-                    tries[bad] += 1
-                    exhausted = bad[tries[bad] > sde_cfg.max_retries]
-                    if exhausted.size:
-                        tries[exhausted] = 0
-                        halvings[exhausted] += 1
-                        dt_loc[exhausted] *= 0.5
-                        dead = exhausted[halvings[exhausted] > _HALVING_LIMIT]
-                        if dead.size:
-                            for i in dead:
-                                aborted[i] = True
-                                diagnostics[i] = (
-                                    f"step {step + s}: no valid proposal after "
-                                    f"{sde_cfg.max_retries} retries and "
-                                    f"{_HALVING_LIMIT} halvings")
-                            ok[dead] = True
-                            prop[dead] = pos[dead]
-                            bad = np.setdiff1d(bad, dead)
-                            if bad.size == 0:
-                                break
-                    xi = np.stack([retry[i].normals(2) for i in bad])
-                    dtb = dt_loc[bad, None]
-                    prop[bad] = (pos[bad] + b[bad] * dtb
-                                 + np.sqrt(2.0 * cfg.beta_sq * dtb) * xi)
-                    ok2 = valid(prop[bad], bad)
-                    ok[bad[ok2]] = True
-            pos = prop
-            if step + s >= sde_cfg.burn_in:
-                kept[step + s - sde_cfg.burn_in] = pos
-        step += block
+    def resample(step_no, z, step, prop, new_step, ok):
+        """Redraw the invalid proposals in place: fresh retry-stream noise up
+        to max_retries, then halve that trajectory's step and retry again;
+        after _HALVING_LIMIT halvings freeze it at z and mark it aborted."""
+        tries = np.zeros(n_traj, dtype=int)
+        halvings = np.zeros(n_traj, dtype=int)
+        frac = np.ones(n_traj)          # local dt over dt
+        while not ok.all():
+            bad = np.nonzero(~ok)[0]
+            rejected[bad] += 1
+            tries[bad] += 1
+            exhausted = bad[tries[bad] > sde_cfg.max_retries]
+            if exhausted.size:
+                tries[exhausted] = 0
+                halvings[exhausted] += 1
+                frac[exhausted] *= 0.5
+                dead = exhausted[halvings[exhausted] > _HALVING_LIMIT]
+                if dead.size:
+                    for i in dead:
+                        aborted[i] = True
+                        diagnostics[i] = (
+                            f"step {step_no}: no valid proposal after "
+                            f"{sde_cfg.max_retries} retries and "
+                            f"{_HALVING_LIMIT} halvings")
+                    ok[dead] = True
+                    prop[dead] = z[dead]
+                    new_step[dead] = step[dead]
+                    bad = np.setdiff1d(bad, dead)
+                    if bad.size == 0:
+                        break
+            xi = np.array([retry[i].normals(2).view(complex)[0] for i in bad])
+            fb = frac[bad]
+            prop[bad] = (z[bad] * (1.0 + (step[bad] - 1.0) * fb)
+                         + sigma * np.sqrt(fb) * xi)
+            ok_b, step_b = kernel(prop[bad])
+            good = bad[ok_b]
+            ok[good] = True
+            new_step[good] = step_b[ok_b]
 
-    out = []
-    for i in range(n_traj):
-        out.append(Trajectory(positions=kept[:, i, :].copy(), dt=dt,
-                              seed=sde_cfg.seed, stream_id=2 * i,
-                              retry_stream_id=2 * i + 1,
-                              rejected_steps=int(rejected[i]),
-                              aborted=bool(aborted[i]),
-                              diagnostic=diagnostics[i]))
-    return out
+    # outside the annulus x = k (r - a) can be negative and log|J| or R'/R
+    # undefined; such points are invalid whatever those values are
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        z = _start_positions(state, cfg, kernel, init, n_traj)
+        _, step = kernel(z)
+        frozen = False                  # any trajectory aborted so far
+        for lo in range(0, sde_cfg.steps, _NOISE_CHUNK):
+            block = min(_NOISE_CHUNK, sde_cfg.steps - lo)
+            noise = np.empty((block, n_traj), dtype=complex)
+            for i, stream in enumerate(main):
+                noise[:, i] = stream.normals(2 * block).view(complex)
+            noise *= sigma
+            for s in range(block):
+                prop = z * step + noise[s]
+                ok, new_step = kernel(prop)
+                if frozen:
+                    ok[aborted] = True
+                    prop[aborted] = z[aborted]
+                    new_step[aborted] = step[aborted]
+                if not ok.all():
+                    resample(lo + s, z, step, prop, new_step, ok)
+                    frozen = bool(aborted.any())
+                z, step = prop, new_step
+                if lo + s >= sde_cfg.burn_in:
+                    kept[:, lo + s - sde_cfg.burn_in] = z
+
+    positions = kept.view(np.float64).reshape(n_traj, -1, 2)
+    return [Trajectory(positions=positions[i], dt=dt, seed=sde_cfg.seed,
+                       stream_id=2 * i, retry_stream_id=2 * i + 1,
+                       rejected_steps=int(rejected[i]), aborted=bool(aborted[i]),
+                       diagnostic=diagnostics[i])
+            for i in range(n_traj)]
 
 
 def rejection_fraction(trajectories, sde_cfg):
@@ -294,16 +334,16 @@ def _pooled_radii(trajectories):
     return np.concatenate([t.radii() for t in trajectories])
 
 
-def ks_distance(samples, state):
+def ks_distance(samples, state, target=None):
     """Kolmogorov-Smirnov sup distance between the sample radii and the
-    radial target CDF."""
-    rg, _, cdf = radial_target(state)
+    radial target CDF (`target`, from radial_target, is built if omitted)."""
+    rg, _, cdf = radial_target(state) if target is None else target
     xs = np.sort(np.asarray(samples, dtype=float))
     f = np.interp(xs, rg, cdf)
     n = xs.size
-    emp_hi = np.arange(1, n + 1) / n
-    emp_lo = np.arange(0, n) / n
-    return float(max(np.abs(emp_hi - f).max(), np.abs(f - emp_lo).max()))
+    above = np.abs(np.arange(1, n + 1) / n - f).max()
+    below = np.abs(f - np.arange(0, n) / n).max()
+    return float(max(above, below))
 
 
 def stationarity_test(trajectories, state, bins=40, thin=1):
@@ -317,12 +357,13 @@ def stationarity_test(trajectories, state, bins=40, thin=1):
     radii = _pooled_radii(trajectories)
     if radii.size < 10_000:
         raise ValueError("need at least 1e4 pooled samples")
-    ks = ks_distance(radii, state)
+    target = radial_target(state)
+    ks = ks_distance(radii, state, target)
     thinned = radii[::thin]
     nbins = int(min(bins, thinned.size // 20))
     if nbins < 2:
         raise ValueError("too few thinned samples for a chi-square")
-    rg, _, cdf = radial_target(state)
+    rg, _, cdf = target
     edges = np.interp(np.linspace(0.0, 1.0, nbins + 1), cdf, rg)
     counts, _ = np.histogram(thinned, bins=edges)
     expected = thinned.size / nbins

@@ -150,6 +150,17 @@ class TestTrajectories:
         assert table[0] == "trajectory,step,x,y"
         assert len(table) > 8
 
+    def test_state_with_node_at_mid_radius(self, tmp_path):
+        # nu = 1/2, n = 2: R vanishes at r = (a + b)/2
+        config = {"state": {"m": 1, "n": 2},
+                  "sde": {"steps": 3000, "burn_in": 500, "n_trajectories": 16,
+                          "seed": 8}}
+        assert run_cli(["trajectories"], tmp_path, config=config) == EXIT_OK
+        manifest = json.loads(
+            (tmp_path / "manifest_trajectories.json").read_text())
+        assert manifest["stationarity"]["aborted"] == 0
+        assert manifest["stationarity"]["rejection_fraction"] < 0.01
+
     def test_seed_override_recorded(self, tmp_path):
         config = {"sde": {"steps": 2000, "burn_in": 200, "n_trajectories": 4}}
         run_cli(["trajectories", "--seed", "99"], tmp_path, config=config)

@@ -3,13 +3,15 @@ statistics.  Full-budget sampling lives in the acceptance suite; these runs
 are sized for seconds, with the statistics calibrated on iid draws from the
 inverse-CDF oracle sampler."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from abtool import sde
 from abtool.annulus import AnnulusConfig, eigenstate, solenoid_potential
-from abtool.madelung import WaveField
-from abtool.numerics import RandomStream
+from abtool.madelung import RHO_FLOOR, WaveField
+from abtool.numerics import RandomStream, bessel_j, bessel_j_zero, bessel_log_table
 from abtool.sde import (SdeConfig, Trajectory, angular_uniformity_test,
                         drifts, ergodic_angular_momentum, ks_distance,
                         radial_target, rejection_fraction, simulate,
@@ -232,3 +234,208 @@ class TestErgodicAverage:
         full = ergodic_angular_momentum(out, STATE, thin=1)
         thin = ergodic_angular_momentum(out, STATE, thin=7)
         assert thin["value"] == pytest.approx(full["value"], rel=1e-9)
+
+
+# (m, B) giving each order nu = |m + lambda| with lambda = -B/2 (a = 1)
+ORDER_STATES = {0.0: (0, 0.0), 0.25: (1, 1.5), 0.5: (1, 1.0), 1.5: (2, 1.0),
+                3.5: (-3, 1.0)}
+TABLE_CASES = [(nu, n) for nu in ORDER_STATES for n in (1, 2, 5)]
+
+
+def order_state(nu, n):
+    m, B = ORDER_STATES[nu]
+    state = eigenstate(AnnulusConfig(B=B), m, n)
+    assert state.nu == pytest.approx(nu, abs=1e-15)
+    return state
+
+
+def series_rounding(state, r, zeros):
+    """Rounding of |R| that either route inherits from the series J.
+
+    The exact route evaluates the series at x = k (r - a): error e(x).  The
+    table puts its pole at the series' zero j, which sits e(j) / |J'(j)|
+    from the true one, so its |J| is off by |J(x)| e(j) / (|J'(j)| |x - j|)
+    (e(j) next to the node).  e is measured against mpmath."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+
+    def err(x):
+        exact = np.array([float(mp.besselj(state.nu, mp.mpf(float(v)))) for v in x])
+        return np.abs(bessel_j(state.nu, x) - exact)
+
+    x = np.clip(state.k * (r - state.cfg.a), 0.0, state.tau)
+    j = zeros[np.abs(x[:, None] - zeros).argmin(axis=1)]
+    slope = np.abs(bessel_j(state.nu + 1.0, j))          # |J'(j)|
+    gap = np.abs(x - j)
+    shift = np.full_like(x, np.inf)       # on the series' zero: no bound
+    off = gap > 0.0
+    shift[off] = (np.abs(bessel_j(state.nu, x[off])) * err(j[off])
+                  / (slope[off] * gap[off]))
+    return state.norm * (err(x) + shift)
+
+
+def near_wall_and_nodes(state, rel_offsets, rng, uniform=200):
+    """Radii: uniform in (a, b) plus both sides of the inner wall and of
+    every node r = a + j_k / k at the given offsets (fractions of d)."""
+    cfg = state.cfg
+    nodes = np.array([cfg.a] + [cfg.a + bessel_j_zero(state.nu, i) / state.k
+                                for i in range(1, state.n + 1)])
+    off = cfg.d * np.asarray(rel_offsets)
+    r = np.concatenate([rng.uniform(cfg.a, cfg.b, uniform)]
+                       + [node + sign * off for node in nodes for sign in (-1, 1)])
+    return r, nodes
+
+
+class TestSeparableKernel:
+    """The table kernel against the exact series route `radial_parts`."""
+
+    @pytest.mark.parametrize("nu,n", TABLE_CASES)
+    def test_drift_matches_exact_route(self, nu, n):
+        state = order_state(nu, n)
+        cfg = state.cfg
+        rng = np.random.default_rng(int(40 * nu) + n)
+        r, nodes = near_wall_and_nodes(state, np.logspace(-6, -1, 16) * 1.0001, rng)
+        r = r[(r > cfg.a) & (r < cfg.b)]
+        r = r[np.abs(r[:, None] - nodes).min(axis=1) > 1e-6 * cfg.d]
+        z = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, r.size))
+        kernel = sde._SeparableStepKernel(state, cfg, dt=1.0)
+        ok, step = kernel(z)
+        rr, drr = state.radial_parts(r)
+        valid = rr * rr > 10.0 * RHO_FLOOR    # nu = 7/2 dips below it at the wall
+        assert ok[valid].all()
+        drift = (step - 1.0) * z
+        ratio = drr / rr
+        coef = cfg.hbar / cfg.mass
+        exact = coef * (ratio + 1j * state.m / r) * z / r
+        # where the series carries rounding (next to a node, x ~ 10 and
+        # beyond) each route inherits it, |R'/R| times the relative rounding
+        # of R; the factor 2 covers the second-order terms
+        inherited = series_rounding(state, r, kernel.table.zeros) / np.abs(rr)
+        tol = (1e-9 * coef * (state.k + np.abs(ratio))
+               + 2.0 * coef * np.abs(ratio) * inherited)
+        assert np.all((np.abs(drift - exact) <= tol)[valid])
+
+    @pytest.mark.parametrize("nu,n", TABLE_CASES)
+    def test_validity_matches_density_floor(self, nu, n):
+        state = order_state(nu, n)
+        cfg = state.cfg
+        rng = np.random.default_rng(int(40 * nu) + n + 100)
+        r, _ = near_wall_and_nodes(state, np.logspace(-16, -1, 46), rng)
+        r = r[(r > cfg.a - 0.1) & (r < cfg.b + 0.1)]
+        kernel = sde._SeparableStepKernel(state, cfg, dt=1e-3)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok, _ = kernel(r.astype(complex))
+        rho = state.radial(r) ** 2
+        inside = (r > cfg.a) & (r < cfg.b)
+        exact = inside & (rho > RHO_FLOOR)
+        # where the exact rho is within 1e-6 of the floor, or within the
+        # series rounding of either route (twice, as above) of it, the
+        # decision itself is uncertain
+        err = 2.0 * series_rounding(state, r[inside], kernel.table.zeros)
+        rho_in = rho[inside]
+        rho_err = err * (2.0 * np.sqrt(rho_in) + err)
+        decided = ~inside
+        decided[inside] = np.abs(rho_in - RHO_FLOOR) > 1e-6 * RHO_FLOOR + rho_err
+        assert np.array_equal(ok[decided], exact[decided])
+        if nu == 3.5:
+            # (r - a)^{7/2} falls below the floor well inside the annulus
+            assert np.count_nonzero(inside & ~exact & decided) >= 5
+
+    def test_generic_kernel_agrees(self):
+        rng = np.random.default_rng(3)
+        r = rng.uniform(CFG.a + 1e-3 * CFG.d, CFG.b - 1e-3 * CFG.d, 300)
+        z = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, r.size))
+        ok_t, step_t = sde._SeparableStepKernel(STATE, CFG, 1e-3)(z)
+        ok_f, step_f = sde._FieldKernel(STATE.as_wavefield(), CFG, 1e-3)(z)
+        assert ok_t.all() and ok_f.all()
+        assert np.abs(step_t - step_f).max() <= 1e-9 * np.abs(step_t - 1.0).max()
+
+
+def start_at(monkeypatch, z0):
+    """Make simulate start from the complex points z0 instead of its draws."""
+    monkeypatch.setattr(sde, "_start_positions",
+                        lambda *args: np.array(z0, dtype=complex))
+
+
+class TestGenericPath:
+    def test_wavefield_run_follows_table_run(self, monkeypatch):
+        cfg = SdeConfig(dt=1e-3, steps=600, burn_in=100, n_trajectories=4, seed=13)
+        start_at(monkeypatch, 1.9 * np.exp(2j * np.pi * np.arange(4) / 4))
+        field = simulate(STATE.as_wavefield(), cfg, geometry=CFG)
+        table = simulate(STATE, cfg)
+        for f, t in zip(field, table):
+            assert not f.aborted
+            assert np.abs(f.positions - t.positions).max() <= 1e-8
+
+    def test_wavefield_default_start(self):
+        cfg = SdeConfig(dt=1e-3, steps=400, burn_in=100, n_trajectories=4, seed=14)
+        out = simulate(STATE.as_wavefield(), cfg, geometry=CFG)
+        for t in out:
+            assert not t.aborted
+            r = t.radii()
+            assert np.all((r > CFG.a) & (r < CFG.b))
+
+
+class TestStartAndCascade:
+    @pytest.mark.parametrize("gap", [7e-8, 1e-12, 0.0])
+    def test_start_next_to_inner_wall_recovers(self, monkeypatch, gap):
+        # gap 0 means one rounding unit above r = a
+        r0 = CFG.a + gap if gap else np.nextafter(CFG.a, np.inf)
+        start = r0 * np.exp(2j * np.pi * np.arange(16) / 16)
+        start[0] = r0                     # exactly r0 from the wall
+        start_at(monkeypatch, start)
+        cfg = SdeConfig(dt=1e-3, steps=60, burn_in=10, n_trajectories=16, seed=4)
+        out = simulate(STATE, cfg)
+        assert not any(t.aborted for t in out)
+        for t in out:
+            r = t.radii()
+            assert np.all((r > CFG.a) & (r < CFG.b))
+
+    def test_start_off_the_mid_radius_node(self):
+        # nu = 1/2, n = 2 has a node at r = (a + b)/2; a start there costs
+        # each trajectory a deep halving cascade on its first step
+        state = eigenstate(CFG, 1, 2)
+        cfg = SdeConfig(dt=1e-3, steps=200, burn_in=100, n_trajectories=16, seed=4)
+        out = simulate(state, cfg)
+        assert not any(t.aborted for t in out)
+        assert rejection_fraction(out, cfg) < 0.01
+
+
+class TestSamplerMemory:
+    def test_retained_positions_held_once(self):
+        cfg = SdeConfig(dt=1e-3, steps=2000, burn_in=1000, n_trajectories=64, seed=6)
+        retained = 64 * 1000 * 2 * 8
+        # the radial table is a per-state cache, not memory of the run
+        bessel_log_table(STATE.nu, STATE.n)
+        tracemalloc.start()
+        try:
+            out = simulate(STATE, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(t.positions.nbytes for t in out) == retained
+        assert peak < 2 * retained
+
+
+class TestStationaritySingleTarget:
+    def test_one_target_build_same_bits(self, monkeypatch):
+        samples = target_radial_sampler(STATE, RandomStream(31), 20_000)
+        builds = []
+        real = sde.radial_target
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sde, "radial_target", counting)
+        out = stationarity_test(samples, STATE, bins=40, thin=3)
+        monkeypatch.undo()
+        assert len(builds) == 1
+        # the same figures from targets built separately for each statistic
+        assert out["ks_distance"] == ks_distance(samples, STATE)
+        rg, _, cdf = radial_target(STATE)
+        thinned = samples[::3]
+        edges = np.interp(np.linspace(0.0, 1.0, 41), cdf, rg)
+        counts, _ = np.histogram(thinned, bins=edges)
+        expected = thinned.size / 40
+        assert out["chi2"] == float(((counts - expected) ** 2 / expected).sum())

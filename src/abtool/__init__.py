@@ -19,7 +19,7 @@ from .models import (HydrogenState, ScalingModel, box_energy,
 from .numerics import (NonConvergenceError, QuadratureSpec, RandomStream,
                        airy_ai, airy_ai_zero, assoc_laguerre, assoc_legendre,
                        bessel_j, bessel_j_zero, central_diff, central_diff_2nd,
-                       integrate_1d, integrate_annulus, normal_variates)
+                       integrate_1d)
 from .sde import (SdeConfig, Trajectory, drifts, ergodic_angular_momentum,
                   simulate, stationarity_test, target_radial_sampler)
 from .wavepackets import (AiryPacketConfig, GaussianPacketConfig, airy_fields,

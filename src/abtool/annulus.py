@@ -19,7 +19,7 @@ import numpy as np
 from . import madelung
 from .madelung import AnnulusDomain, VectorPotentialSpec, decompose
 from .numerics import (NonConvergenceError, QuadratureSpec, bessel_j,
-                       bessel_j_pair, bessel_j_zero, central_diff,
+                       bessel_j_pair, bessel_j_zero, curl_z_fd, gradient_fd,
                        integrate_1d)
 
 
@@ -115,37 +115,11 @@ def solenoid_current_check(cfg, lam, p, h=1e-2):
 
     def a_prime(q):
         base = vector_potential(cfg, q)
-        if lam is None:
-            return base
-        gl = np.empty(2)
-        for ax in range(2):
-            def li(t, ax=ax):
-                s = q.copy()
-                s[ax] = t
-                return lam(s)
-            gl[ax] = central_diff(li, q[ax], h)
-        return base + gl
-
-    def curl_scalar(q):
-        def ay(t):
-            s = q.copy()
-            s[0] = t
-            return a_prime(s)[1]
-        def ax_(t):
-            s = q.copy()
-            s[1] = t
-            return a_prime(s)[0]
-        return central_diff(ay, q[0], h) - central_diff(ax_, q[1], h)
-
-    def d_curl(axis):
-        def along(t):
-            q = p.copy()
-            q[axis] = t
-            return curl_scalar(q)
-        return central_diff(along, p[axis], h)
+        return base if lam is None else base + gradient_fd(lam, q, h)
 
     # curl of (w e_z) in the plane: (dw/dy, -dw/dx)
-    return np.array([d_curl(1), -d_curl(0)])
+    dw = gradient_fd(lambda q: curl_z_fd(a_prime, q, h), p, h)
+    return np.array([dw[1], -dw[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +189,10 @@ class ABState:
 
     def gradient(self, p):
         return self.value_and_gradient(p)[1]
+
+    def sample_density(self, p, amp):
+        """rho at p from the amplitude amp there: |amp|^2."""
+        return (amp * np.conj(amp)).real
 
     def density(self, p):
         p = np.asarray(p, dtype=float)

@@ -18,7 +18,7 @@ from .annulus import (AnnulusConfig, CircleLoop, circulation,
                       gauge_family, magnetic_force, solenoid_current_check,
                       solenoid_potential)
 from .madelung import decompose, gauge_transform
-from .numerics import RandomStream, bessel_j_zero, central_diff, integrate_1d
+from .numerics import RandomStream, bessel_j_zero, curl_z_fd, integrate_1d
 from .sde import (SdeConfig, angular_uniformity_test,
                   ergodic_angular_momentum, simulate, stationarity_test)
 from .wavepackets import (AiryPacketConfig, GaussianPacketConfig, airy_fields,
@@ -114,18 +114,6 @@ def check_orthogonality():
                         "worst_hydrogen": worst_hyd})
 
 
-def _curl_z_fd(fieldfn, p, h=1e-2):
-    def fy(t):
-        q = p.copy()
-        q[0] = t
-        return fieldfn(q)[1]
-    def fx(t):
-        q = p.copy()
-        q[1] = t
-        return fieldfn(q)[0]
-    return central_diff(fy, p[0], h) - central_diff(fx, p[1], h)
-
-
 def check_circulation_vorticity():
     """Circulation of the outside diffusion velocity is 2 pi lambda hbar / M
     on any enclosing loop (three radii, 1e-9), zero on a non-enclosing loop,
@@ -145,8 +133,8 @@ def check_circulation_vorticity():
         return diffusion_velocity(cfg, p[None, :])[0]
 
     omega = -cfg.charge * cfg.B / (cfg.mass * cfg.c)
-    curl_out = abs(_curl_z_fd(dv_single, np.array([1.3, 1.1])))
-    curl_in = abs(_curl_z_fd(dv_single, np.array([0.3, 0.2])) - omega)
+    curl_out = abs(curl_z_fd(dv_single, np.array([1.3, 1.1]), 1e-2))
+    curl_in = abs(curl_z_fd(dv_single, np.array([0.3, 0.2]), 1e-2) - omega)
     passed = (spread <= 1e-9 and non_enclosing <= 1e-9
               and curl_out <= 1e-6 and curl_in <= 1e-6)
     return CheckResult("circulation and vorticity", passed,

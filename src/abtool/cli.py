@@ -6,8 +6,9 @@
 
 Every run writes a machine-readable manifest next to its outputs; re-running
 with the manifest's echoed configuration reproduces all numbers exactly.
-Exit codes: 0 success, 2 configuration error, 3 numerical non-convergence,
-4 verification failure.
+Exit codes: 0 success, 2 configuration error (including a state outside the
+supported window), 3 numerical failure (non-convergence, or a density below
+the floor where an observable divides by it), 4 verification failure.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__, annulus, checks, models, sde, wavepackets
 from ._svg import line_chart
 from .annulus import AnnulusConfig, eigenstate, flux_parameter, solenoid_potential
-from .madelung import decompose
+from .madelung import DensityFloorError, decompose
 from .numerics import NonConvergenceError, RandomStream
 from .sde import SdeConfig
 
@@ -46,7 +47,6 @@ class RunConfig:
     ntheta: int
     sde: SdeConfig
     out_format: str
-    out_path: str | None
 
     def echo(self):
         return {
@@ -57,7 +57,7 @@ class RunConfig:
             "state": {"m": self.m, "n": self.n},
             "grid": {"nr": self.nr, "ntheta": self.ntheta},
             "sde": asdict(self.sde),
-            "output": {"format": self.out_format, "path": self.out_path},
+            "output": {"format": self.out_format},
         }
 
 
@@ -67,8 +67,8 @@ _SCHEMA = {
     "state": {"m": int, "n": int},
     "grid": {"nr": int, "ntheta": int},
     "sde": {"dt": float, "steps": int, "burn_in": int, "n_trajectories": int,
-            "seed": int, "boundary_policy": str, "max_retries": int},
-    "output": {"format": str, "path": str},
+            "seed": int, "max_retries": int},
+    "output": {"format": str},
 }
 
 _DEFAULTS = {
@@ -77,9 +77,8 @@ _DEFAULTS = {
     "state": {"m": 1, "n": 1},
     "grid": {"nr": 64, "ntheta": 16},
     "sde": {"dt": 1e-3, "steps": 200_000, "burn_in": 20_000,
-            "n_trajectories": 64, "seed": 20240801,
-            "boundary_policy": "reject_resample", "max_retries": 4},
-    "output": {"format": "csv", "path": None},
+            "n_trajectories": 64, "seed": 20240801, "max_retries": 4},
+    "output": {"format": "csv"},
 }
 
 
@@ -119,9 +118,6 @@ def parse_config(text):
         for key, value in content.items():
             if key not in _SCHEMA[block]:
                 raise ConfigError(f"unknown key {block}.{key}")
-            if block == "output" and key == "path" and value is None:
-                merged[block][key] = None
-                continue
             merged[block][key] = _coerce(block, key, value, _SCHEMA[block][key])
     g = merged["geometry"]
     if not g["a"] < g["b"]:
@@ -137,8 +133,7 @@ def parse_config(text):
         raise ConfigError(str(exc)) from exc
     return RunConfig(annulus=ann, m=merged["state"]["m"], n=merged["state"]["n"],
                      nr=merged["grid"]["nr"], ntheta=merged["grid"]["ntheta"],
-                     sde=sde_cfg, out_format=merged["output"]["format"],
-                     out_path=merged["output"]["path"])
+                     sde=sde_cfg, out_format=merged["output"]["format"])
 
 
 # ---------------------------------------------------------------------------
@@ -398,17 +393,19 @@ _SUBCOMMANDS = {
 }
 
 
-def _round_floats(obj):
+def _json_types(obj):
+    """obj with numpy scalars and arrays turned into the Python types json
+    writes (values unchanged)."""
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        return {k: _json_types(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
+        return [_json_types(v) for v in obj]
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
-        return [_round_floats(v) for v in obj.tolist()]
+        return [_json_types(v) for v in obj.tolist()]
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     return obj
@@ -430,15 +427,6 @@ def main(argv=None):
                         help="also render SVG line plots where supported")
     args = parser.parse_args(argv)
 
-    threads = os.environ.get("ABTOOL_THREADS")
-    if threads is not None:
-        try:
-            threads = max(1, int(threads))
-        except ValueError:
-            print(f"abtool: ignoring malformed ABTOOL_THREADS={threads!r}",
-                  file=sys.stderr)
-            threads = None
-
     try:
         text = "{}"
         if args.config is not None:
@@ -451,8 +439,7 @@ def main(argv=None):
                 sde_cfg = SdeConfig(**{**asdict(sde_cfg), "seed": args.seed})
             cfg = RunConfig(annulus=cfg.annulus, m=cfg.m, n=cfg.n, nr=cfg.nr,
                             ntheta=cfg.ntheta, sde=sde_cfg,
-                            out_format=args.format or cfg.out_format,
-                            out_path=cfg.out_path)
+                            out_format=args.format or cfg.out_format)
     except (ConfigError, OSError) as exc:
         print(f"abtool: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -464,16 +451,22 @@ def main(argv=None):
     except NonConvergenceError as exc:
         print(f"abtool: numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
+    except DensityFloorError as exc:      # a ValueError: caught before it
+        print(f"abtool: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICS
+    except ValueError as exc:
+        # arguments the configuration chose, e.g. a state outside the
+        # supported window of eigenstate
+        print(f"abtool: configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     elapsed = time.perf_counter() - started
 
     # The check manifest is the determinism contract (two runs with the same
     # seed must be byte-identical), so it carries no timing; other runs do.
     manifest["wall_clock_seconds"] = (None if args.subcommand == "check"
                                       else round(elapsed, 3))
-    if threads is not None:
-        manifest["threads"] = threads
     _write_manifest(args.out, f"manifest_{args.subcommand}.json",
-                    _round_floats(manifest))
+                    _json_types(manifest))
 
     if args.subcommand == "check" and not manifest["all_passed"]:
         return EXIT_CHECK

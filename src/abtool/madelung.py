@@ -9,6 +9,12 @@ Bohm quantum potential/force.  Phase is never unwrapped: every phase-derived
 quantity comes from Im(psi* grad psi)/rho, so multivalued e^{i m theta}
 phases are handled without branch cuts.
 
+Every field quantity starts from one field sample (`field_sample`): the
+amplitude, its gradient, rho and psi* grad psi from a single
+`value_and_gradient` call.  The field decides how rho is formed: |psi|^2 of
+the sampled amplitude, unless a WaveField was given its own density (a gauge
+transform passes the base field's density through unchanged).
+
 Points are numpy arrays whose last axis is the spatial dimension: shape
 (dim,) for one point or (N, dim) for a batch.  All returned vectors follow
 the shape of the input.
@@ -20,7 +26,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import QuadratureSpec, central_diff, central_diff_2nd, integrate_1d
+from .numerics import (QuadratureSpec, central_diff_2nd, gradient_fd,
+                       integrate_1d)
 
 RHO_FLOOR = 1e-30
 
@@ -57,7 +64,7 @@ class WaveField:
     """A complex-valued wavefunction with point evaluation and gradient.
 
     `amplitude` maps points to complex values; `gradient`, when omitted, is
-    produced by Richardson-extrapolated central differences of `amplitude`.
+    `numerics.gradient_fd` of `amplitude` with step `fd_step`.
     `density` defaults to |amplitude|^2 but may be supplied separately (a
     gauge transform reuses the base field's density, which is unchanged by
     construction).  `d_dt` is the time derivative for time-dependent
@@ -81,30 +88,22 @@ class WaveField:
         p = np.asarray(p, dtype=float)
         if self._grad is not None:
             return self._grad(p)
-        return self._fd_gradient(p)
+        return gradient_fd(self._amp, p, self.fd_step)
 
-    def _fd_gradient(self, p):
-        h = self.fd_step
-        batched = p.ndim > 1
-        pts = p if batched else p[None, :]
-        out = np.empty(pts.shape, dtype=complex)
-        for ax in range(self.dimension):
-            shift = np.zeros(self.dimension)
-            shift[ax] = h
-            fp = self._amp(pts + shift)
-            fm = self._amp(pts - shift)
-            fp2 = self._amp(pts + 2 * shift)
-            fm2 = self._amp(pts - 2 * shift)
-            d_h = (fp - fm) / (2 * h)
-            d_2h = (fp2 - fm2) / (4 * h)
-            out[:, ax] = (4.0 * d_h - d_2h) / 3.0
-        return out if batched else out[0]
+    def value_and_gradient(self, p):
+        return self.amplitude(p), self.gradient(p)
 
     def density(self, p):
         if self._rho is not None:
             return self._rho(np.asarray(p, dtype=float))
-        a = self.amplitude(p)
-        return (a * np.conj(a)).real
+        return self.sample_density(p, self.amplitude(p))
+
+    def sample_density(self, p, amp):
+        """rho at p, where amp is the amplitude at p: the density given at
+        construction, else |amp|^2."""
+        if self._rho is not None:
+            return self._rho(np.asarray(p, dtype=float))
+        return (amp * np.conj(amp)).real
 
 
 @dataclass(frozen=True)
@@ -151,6 +150,20 @@ def _check_floor(rho):
             "exclude near-nodal points before decomposing")
 
 
+def field_sample(psi, p):
+    """(amp, grad, rho, psi* grad psi) of the field psi at point(s) p.
+
+    One `psi.value_and_gradient(p)` call; rho comes from
+    `psi.sample_density`, so the field decides how it is formed.
+    """
+    p = np.asarray(p, dtype=float)
+    amp, grad = psi.value_and_gradient(p)
+    amp, grad = np.asarray(amp), np.asarray(grad)
+    rho = np.asarray(psi.sample_density(p, amp))
+    cross = np.conj(amp)[..., None] * grad
+    return amp, grad, rho, cross
+
+
 def decompose(psi, A, cfg, p):
     """Full velocity decomposition of psi at point(s) p.
 
@@ -158,17 +171,9 @@ def decompose(psi, A, cfg, p):
     dispersive fields.  Raises DensityFloorError at near-nodal points.
     """
     p = np.asarray(p, dtype=float)
-    amp = np.asarray(psi.amplitude(p))
-    grad = np.asarray(psi.gradient(p))
-    # honor a custom density callable (a gauge transform passes the base
-    # field's density through, keeping rho preserved exactly)
-    if getattr(psi, "_rho", None) is not None:
-        rho = np.asarray(psi.density(p))
-    else:
-        rho = (amp * np.conj(amp)).real
+    _, _, rho, cross = field_sample(psi, p)
     _check_floor(rho)
     hbar, m = cfg.hbar, cfg.mass
-    cross = np.conj(amp)[..., None] * grad               # psi* grad psi
     rho_col = rho[..., None] if rho.ndim else rho
     eta = (hbar / m) * cross.imag / rho_col
     grad_rho = 2.0 * cross.real
@@ -192,12 +197,9 @@ def quasi_currents(psi, A, cfg, p):
     computed directly from the gauge-covariant momentum density
     (i hbar / 2M)(psi grad psi* - psi* grad psi) - (q/Mc) A rho."""
     p = np.asarray(p, dtype=float)
-    amp = np.asarray(psi.amplitude(p))
-    grad = np.asarray(psi.gradient(p))
-    rho = (amp * np.conj(amp)).real
+    _, _, rho, cross = field_sample(psi, p)
     _check_floor(rho)
     hbar, m = cfg.hbar, cfg.mass
-    cross = np.conj(amp)[..., None] * grad
     rho_col = rho[..., None] if rho.ndim else rho
     gamma = (hbar / m) * cross.imag                      # (i hbar/2M)(psi grad psi* - c.c.)
     if A is not None:
@@ -225,17 +227,9 @@ def quantum_potential(psi, cfg, p, h=1e-3):
 
 def quantum_force(psi, cfg, p, h=1e-3, h_outer=None):
     """Quantum force -grad Q by central differences of quantum_potential."""
-    p = np.asarray(p, dtype=float)
     if h_outer is None:
         h_outer = 10.0 * h
-    out = np.empty(psi.dimension)
-    for ax in range(psi.dimension):
-        def q_along(t, ax=ax):
-            q = p.copy()
-            q[ax] = t
-            return quantum_potential(psi, cfg, q, h=h)
-        out[ax] = -central_diff(q_along, p[ax], h_outer)
-    return out
+    return -gradient_fd(lambda q: quantum_potential(psi, cfg, q, h=h), p, h_outer)
 
 
 def gauge_transform(psi, lam, cfg, grad_lam=None):
@@ -249,26 +243,16 @@ def gauge_transform(psi, lam, cfg, grad_lam=None):
 
     def grad_of_lambda(p):
         if grad_lam is not None:
-            return np.asarray(grad_lam(p), dtype=float)
-        batched = p.ndim > 1
-        pts = p if batched else p[None, :]
-        out = np.empty(pts.shape)
-        h = 1e-6
-        for ax in range(psi.dimension):
-            shift = np.zeros(psi.dimension)
-            shift[ax] = h
-            d_h = (lam(pts + shift) - lam(pts - shift)) / (2 * h)
-            d_2h = (lam(pts + 2 * shift) - lam(pts - 2 * shift)) / (4 * h)
-            out[:, ax] = (4.0 * d_h - d_2h) / 3.0
-        return out if batched else out[0]
+            return grad_lam(p)
+        return gradient_fd(lam, p, 1e-6)
 
     def amplitude(p):
         return np.exp(1j * coef * np.asarray(lam(p))) * psi.amplitude(p)
 
     def gradient(p):
         phase = np.asarray(np.exp(1j * coef * np.asarray(lam(p))))
-        base = np.asarray(psi.gradient(p))
-        amp = np.asarray(psi.amplitude(p))
+        amp, base = psi.value_and_gradient(p)
+        amp, base = np.asarray(amp), np.asarray(base)
         gl = np.asarray(grad_of_lambda(p), dtype=float)
         extra = 1j * coef * gl * (amp[..., None] if amp.ndim else amp)
         return (phase[..., None] if phase.ndim else phase) * (base + extra)
@@ -351,8 +335,7 @@ def kinetic_energy_density(psi, A, cfg, p):
 
 def _momentum_density(psi, A, cfg, pts):
     """|(P - (q/c)A) psi|^2 evaluated from amplitude and gradient."""
-    amp = np.asarray(psi.amplitude(pts))
-    grad = np.asarray(psi.gradient(pts))
+    amp, grad, _, _ = field_sample(psi, pts)
     pop = -1j * cfg.hbar * grad
     if A is not None:
         a_val = np.asarray(A(pts), dtype=float)
@@ -389,8 +372,7 @@ def energy_density_operator_residual(psi, A, cfg, p, h=1e-4):
             q[ax] = t
             return psi.amplitude(q)
         lap += central_diff_2nd(along, p[ax], h)
-    amp = psi.amplitude(p)
-    grad = psi.gradient(p)
+    amp, grad, _, _ = field_sample(psi, p)
     op = -hbar ** 2 * lap
     if A is not None:
         a_val = np.asarray(A(p), dtype=float)

@@ -3,6 +3,12 @@ finite differences and reproducible random streams.
 
 Everything here is plain numpy and deterministic: same inputs, same bits.
 Scalar arguments return scalars, array arguments return arrays.
+
+Finite differences have one first-derivative stencil, `central_diff`
+(central differences with one Richardson step).  `gradient_fd` applies it
+along each axis of a point or a point batch, and `curl_z_fd` reads the plane
+curl off that Jacobian; the package's numerical gradients all go through
+these two.
 """
 from __future__ import annotations
 
@@ -105,19 +111,26 @@ def _series_coeffs(order):
     return c
 
 
-def _bessel_series(order, x):
-    """Ascending series; x is a 1-d array with 0 <= x <= seam."""
-    half = 0.5 * x
-    y = half * half
+def _series_terms(order, y):
+    """Truncation of the ascending series for the arguments y = (x/2)^2: the
+    smallest where the next term is below 1e-20 at the largest y (the series
+    alternates, so the next term bounds the remainder)."""
     c = _series_coeffs(order)
     ymax = float(y.max()) if y.size else 0.0
-    # Smallest truncation where the remaining terms are below 1e-18 in the
-    # partial-sum scale; the series alternates so the bound is the next term.
     nterms = 8
     t = abs(c[nterms]) * ymax ** nterms if ymax > 0 else 0.0
     while nterms < _SERIES_TERMS - 1 and t > 1e-20:
         nterms += 1
         t *= ymax / (nterms * (order + nterms))
+    return nterms
+
+
+def _bessel_series(order, x):
+    """Ascending series; x is a 1-d array with 0 <= x <= seam."""
+    half = 0.5 * x
+    y = half * half
+    c = _series_coeffs(order)
+    nterms = _series_terms(order, y)
     s = np.full_like(x, c[nterms])
     for k in range(nterms - 1, -1, -1):
         s = s * y + c[k]
@@ -186,12 +199,7 @@ def bessel_j_pair(order, x):
     y = half * half
     c0 = _series_coeffs(order)
     c1 = _series_coeffs(order + 1.0)
-    ymax = float(y.max()) if y.size else 0.0
-    nterms = 8
-    t = abs(c0[nterms]) * ymax ** nterms if ymax > 0 else 0.0
-    while nterms < _SERIES_TERMS - 1 and t > 1e-20:
-        nterms += 1
-        t *= ymax / (nterms * (order + nterms))
+    nterms = _series_terms(order, y)
     s0 = np.full_like(xv, c0[nterms])
     s1 = np.full_like(xv, c1[nterms])
     for k in range(nterms - 1, -1, -1):
@@ -199,29 +207,6 @@ def bessel_j_pair(order, x):
         s1 = s1 * y + c1[k]
     pref = half ** order if order != 0.0 else 1.0
     return s0 * pref, s1 * pref * half
-
-
-def bessel_j_prime(order, x):
-    """d/dx J_order(x) via J'_0 = -J_1 and J'_v = J_{v-1} - (v/x) J_v."""
-    if order == 0.0:
-        return -bessel_j(1.0, x)
-    xa = np.asarray(x, dtype=float)
-    j = bessel_j(order, xa)
-    jm = bessel_j(order - 1.0, xa) if order >= 1.0 else _bessel_jm(order, xa)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = jm - (order / xa) * j
-    return out
-
-
-def _bessel_jm(order, x):
-    """J_{order-1} for 0 < order < 1 (negative order via the two-term formula).
-
-    J_{-v}(x) = J_v(x) cos(v pi) - Y_v(x) sin(v pi) would need Y; instead use
-    the recurrence J_{v-1} = (2v/x) J_v - J_{v+1}, valid for all real v.
-    """
-    xa = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (2.0 * order / xa) * bessel_j(order, xa) - bessel_j(order + 1.0, xa)
 
 
 _zero_cache: dict[float, list[float]] = {}
@@ -707,25 +692,6 @@ def integrate_1d(f, lo, hi, spec=QuadratureSpec()):
         count += 1
 
 
-def integrate_annulus(f, cfg, spec=QuadratureSpec()):
-    """Integral of f(r, theta) over the annulus [cfg.a, cfg.b] x [0, 2pi)
-    with the polar measure r dr dtheta.
-
-    f is called with broadcastable arrays and must evaluate elementwise.
-    """
-    two_pi = 2.0 * np.pi
-
-    def radial(rv):
-        out = np.empty_like(rv)
-        for i, r in enumerate(rv):
-            inner = integrate_1d(lambda th: np.asarray(f(np.full_like(th, r), th), dtype=float),
-                                 0.0, two_pi, spec)
-            out[i] = inner * r
-        return out
-
-    return integrate_1d(radial, cfg.a, cfg.b, spec)
-
-
 # ---------------------------------------------------------------------------
 # Central differences with one Richardson extrapolation step (O(h^4)).
 # ---------------------------------------------------------------------------
@@ -749,19 +715,30 @@ def central_diff_2nd(f, x, h):
     return (4.0 * s_h - s_2h) / 3.0
 
 
-def gradient_fd(f, p, h=1e-5):
-    """Gradient of scalar f at point p (1-d array), one axis at a time."""
+def gradient_fd(f, p, h):
+    """Gradient of f at p by `central_diff` along each axis.
+
+    p is one point (dim,) or a batch (N, dim) and f maps points of that
+    shape to values; the result has p's shape and f's dtype.  For a vector
+    field f (values of shape (..., k)) it is the Jacobian, shape (..., k, dim).
+    """
     p = np.asarray(p, dtype=float)
-    out = np.empty(p.shape[-1], dtype=complex)
-    for i in range(p.shape[-1]):
-        def fi(t, i=i):
+
+    def along(ax):
+        def f_ax(t):
             q = p.copy()
-            q[i] = t
+            q[..., ax] = t
             return f(q)
-        out[i] = central_diff(fi, p[i], h)
-    if np.all(out.imag == 0.0):
-        return out.real
-    return out
+        return central_diff(f_ax, p[..., ax], h)
+
+    return np.stack([along(ax) for ax in range(p.shape[-1])], axis=-1)
+
+
+def curl_z_fd(field, p, h):
+    """z component dF_y/dx - dF_x/dy of the curl of a plane vector field,
+    from its `gradient_fd` Jacobian."""
+    jac = gradient_fd(field, p, h)
+    return jac[..., 1, 0] - jac[..., 0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -822,10 +799,6 @@ class RandomStream:
             raise ValueError("count must be >= 1")
         self.counter += count
         return self._gen.random(count)
-
-
-def normal_variates(stream, count):
-    return stream.normals(count)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ R'/R at the wall and at the nodes in closed form.  Against the exact series
 route (`ABState.radial_parts`) the drift agrees to 1e-9 (hbar/M)(k + |R'/R|)
 wherever that route is itself accurate to this level; next to a node where
 the series carries rounding (x = k (r-a) near 10 and beyond), the two routes
-differ by that rounding.  Any other `WaveField` is sampled through its
-decomposition (`_drift_field`) and its density.
+differ by that rounding.  Any other `WaveField` takes validity and drift
+from one field sample per proposal batch (`madelung.field_sample`): rho for
+the floor test and b = (hbar/M) (Im + Re)(psi* grad psi)/rho for the drift.
 
 Start.  Radii are drawn from the |psi|^2 radial marginal by inverse CDF with
 the `init` stream (angles uniform from the same stream); a start point that
@@ -38,12 +39,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .madelung import RHO_FLOOR, decompose
+from .madelung import RHO_FLOOR, decompose, field_sample
 from .numerics import NonConvergenceError, RandomStream, bessel_log_table, chi2_sf
 
 _HALVING_LIMIT = 64
 _NOISE_CHUNK = 256
 _START_REDRAWS = 100
+# points per decompose call in the L_z average: decompose holds about 240
+# bytes a point, so a chunk stays far below the retained positions' size
+_ERGODIC_CHUNK = 1_024
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,6 @@ class SdeConfig:
     burn_in: int = 20_000
     n_trajectories: int = 64
     seed: int = 20240801
-    boundary_policy: str = "reject_resample"
     max_retries: int = 4
 
     def __post_init__(self):
@@ -63,8 +66,6 @@ class SdeConfig:
             raise ValueError("need 0 <= burn_in < steps")
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be >= 1")
-        if self.boundary_policy != "reject_resample":
-            raise ValueError(f"unknown boundary policy {self.boundary_policy!r}")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
 
@@ -106,26 +107,6 @@ def drifts(psi, A, cfg, p):
     }
 
 
-def _drift_field(state, cfg, pts):
-    """Vectorized b = v + u for valid points (no floor checks here)."""
-    amp, grad = state.amplitude(pts), state.gradient(pts)
-    rho = (amp * np.conj(amp)).real
-    cross = np.conj(amp)[..., None] * grad
-    rho_col = rho[..., None]
-    eta = (cfg.hbar / cfg.mass) * cross.imag / rho_col
-    u = (cfg.hbar / cfg.mass) * cross.real / rho_col   # (hbar/2M) grad rho / rho
-    return eta + u
-
-
-def _valid_mask(state, cfg, pts):
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    ok = (r > cfg.a) & (r < cfg.b)
-    rho = np.zeros_like(r)
-    if ok.any():
-        rho[ok] = state.density(pts[ok])
-    return ok & (rho > RHO_FLOOR)
-
-
 # A kernel maps complex positions z = x + i y to (ok, step): ok is the
 # validity of each point and step = 1 + dt b(z)/z, so the Euler-Maruyama
 # proposal from z is z * step + sigma * xi.  step is meaningful where ok.
@@ -153,19 +134,26 @@ class _SeparableStepKernel:
 
 
 class _FieldKernel:
-    """Validity and drift for any WaveField over the annulus, from its
-    density and its decomposition."""
+    """Validity and drift for any WaveField over the annulus, from one field
+    sample of the points inside the walls."""
 
     def __init__(self, state, cfg, dt):
-        self.state, self.cfg, self.dt = state, cfg, dt
+        self.state, self.a, self.b = state, cfg.a, cfg.b
+        self.coef = cfg.hbar / cfg.mass * dt
 
     def __call__(self, z):
-        pts = np.stack([z.real, z.imag], axis=1)
-        ok = _valid_mask(self.state, self.cfg, pts)
+        r = np.abs(z)
+        ok = (r > self.a) & (r < self.b)
         step = np.ones(z.shape, dtype=complex)
         if ok.any():
-            b = _drift_field(self.state, self.cfg, pts[ok])
-            step[ok] += self.dt * (b[:, 0] + 1j * b[:, 1]) / z[ok]
+            inside = np.nonzero(ok)[0]
+            pts = np.stack([z.real[inside], z.imag[inside]], axis=1)
+            _, _, rho, cross = field_sample(self.state, pts)
+            live = rho > RHO_FLOOR
+            ok[inside] = live
+            # dt (v + u) with v = (hbar/M) Im(cross)/rho, u = (hbar/M) Re(cross)/rho
+            b = self.coef * (cross.imag + cross.real)[live] / rho[live, None]
+            step[inside[live]] += (b[:, 0] + 1j * b[:, 1]) / z[inside[live]]
         return ok, step
 
 
@@ -392,34 +380,34 @@ def angular_uniformity_test(trajectories, bins=16, thin=1):
             "n_samples": int(thinned.size)}
 
 
-def ergodic_angular_momentum(trajectories, state, block=500_000, thin=1):
+def ergodic_angular_momentum(trajectories, state, thin=1):
     """Ensemble/time average of M r v_quasi,theta over retained samples,
     with the standard error across trajectory means.
 
     `thin` strides the retained samples before averaging; consecutive
     positions are strongly correlated, so moderate thinning changes the
     estimate only at the noise level while cutting the evaluation cost.
+    The thinned positions of all trajectories are decomposed together, in
+    chunks of _ERGODIC_CHUNK points, and each trajectory's mean is taken
+    over its slice.
     """
     from .annulus import solenoid_potential
     cfg = state.cfg
     A = solenoid_potential(cfg)
-
-    def mean_for(all_positions):
-        positions = all_positions[::thin]
-        total = 0.0
-        count = 0
-        for lo in range(0, len(positions), block):
-            pts = positions[lo:lo + block]
-            dec = decompose(state, A, cfg, pts)
-            r = np.hypot(pts[:, 0], pts[:, 1])
-            e_th_x = -pts[:, 1] / r
-            e_th_y = pts[:, 0] / r
-            v_th = dec.v_quasi[:, 0] * e_th_x + dec.v_quasi[:, 1] * e_th_y
-            total += float(np.sum(cfg.mass * r * v_th))
-            count += len(pts)
-        return total / count
-
-    means = np.array([mean_for(t.positions) for t in trajectories])
+    thinned = [t.positions[::thin] for t in trajectories]
+    pts = np.concatenate(thinned)
+    lz = np.empty(len(pts))
+    for lo in range(0, len(pts), _ERGODIC_CHUNK):
+        chunk = pts[lo:lo + _ERGODIC_CHUNK]
+        dec = decompose(state, A, cfg, chunk)
+        r = np.hypot(chunk[:, 0], chunk[:, 1])
+        e_th_x = -chunk[:, 1] / r
+        e_th_y = chunk[:, 0] / r
+        v_th = dec.v_quasi[:, 0] * e_th_x + dec.v_quasi[:, 1] * e_th_y
+        lz[lo:lo + len(chunk)] = cfg.mass * r * v_th
+    bounds = np.cumsum([0] + [len(x) for x in thinned])
+    means = np.array([float(np.sum(lz[lo:hi])) / (hi - lo)
+                      for lo, hi in zip(bounds[:-1], bounds[1:])])
     value = float(means.mean())
     stderr = float(means.std(ddof=1) / np.sqrt(len(means))) if len(means) > 1 else 0.0
     return {"value": value, "stderr": stderr}

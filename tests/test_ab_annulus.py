@@ -14,7 +14,7 @@ from abtool.annulus import (AnnulusConfig, CircleLoop, circulation,
                             system_b_equivalence, vector_potential,
                             vortex_fields)
 from abtool.madelung import decompose
-from abtool.numerics import QuadratureSpec, integrate_annulus
+from abtool.numerics import QuadratureSpec
 
 CFG = AnnulusConfig()                    # natural units, a=1, b=3, B=1
 STATE = eigenstate(CFG, 1, 1)
@@ -131,8 +131,8 @@ class TestEigenstate:
     def test_normalization_round_trip_by_annulus_quadrature(self):
         for (m, n) in ((1, 1), (0, 1), (2, 2), (-1, 1)):
             state = eigenstate(CFG, m, n)
-            val = integrate_annulus(
-                lambda r, th: state.radial_density(r), CFG,
+            val = CFG.domain().integrate(
+                lambda pts: state.radial_density(np.hypot(pts[..., 0], pts[..., 1])),
                 QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
             assert val == pytest.approx(1.0, abs=1e-8)
 
@@ -368,8 +368,9 @@ class TestGaugeFamily:
         fam = gauge_family(STATE, (0.2,))
         rho_plus, rho_minus = fam["members"][0.2]
         for rho in (rho_plus, rho_minus):
-            val = integrate_annulus(lambda r, th: rho(r), CFG,
-                                    QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
+            val = CFG.domain().integrate(
+                lambda pts: rho(np.hypot(pts[..., 0], pts[..., 1])),
+                QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
             assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_negative_order_rejected(self):

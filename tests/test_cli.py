@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from abtool.cli import (EXIT_CONFIG, EXIT_OK, ConfigError, main, parse_config)
+from abtool.cli import (EXIT_CONFIG, EXIT_NUMERICS, EXIT_OK, ConfigError, main,
+                        parse_config)
 
 FIELDS_HEADER = ("r,theta,rho,eta_r,eta_t,xi_re_r,xi_re_t,xi_im_r,xi_im_t,"
                  "gamma_r,gamma_t,delta_r,delta_t,v_r,v_t,w_r,w_t,Q,F_r")
@@ -25,11 +26,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="a < b"):
             parse_config('{"geometry": {"a": 3, "b": 1}}')
 
-    def test_unknown_keys_rejected(self):
+    def test_unknown_keys_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key state.q"):
             parse_config('{"state": {"q": 2}}')
         with pytest.raises(ConfigError, match="unknown configuration block"):
             parse_config('{"states": {}}')
+        for block, key, value in (("output", "path", "out.csv"),
+                                  ("sde", "boundary_policy", "reject_resample")):
+            config = {block: {key: value}}
+            with pytest.raises(ConfigError, match=f"unknown key {block}.{key}"):
+                parse_config(json.dumps(config))
+            assert run_cli(["spectrum"], tmp_path, config=config) == EXIT_CONFIG
 
     def test_types_checked_with_path(self):
         with pytest.raises(ConfigError, match="state.m"):
@@ -181,6 +188,21 @@ class TestExitCodes:
         assert main(["spectrum", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    def test_state_outside_window_is_2(self, tmp_path, capsys):
+        # nu = |m + lambda| = 59.5 > 50
+        assert run_cli(["fields"], tmp_path,
+                       config={"state": {"m": 60}}) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "supported window" in err
+
+    def test_density_below_floor_is_3(self, tmp_path, capsys):
+        # nu = 3.5: rho at the first grid radius, 1e-6 d from the wall,
+        # is below the floor decompose divides by
+        assert run_cli(["fields"], tmp_path,
+                       config={"state": {"m": 4}}) == EXIT_NUMERICS
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "density below floor" in err
+
     def test_unknown_subcommand_is_argparse_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["rotate", "--out", str(tmp_path)])
@@ -192,9 +214,3 @@ class TestManifestDeterminism:
         run_cli(["spectrum"], tmp_path)
         manifest = json.loads((tmp_path / "manifest_spectrum.json").read_text())
         assert manifest["wall_clock_seconds"] is not None
-
-    def test_threads_env_recorded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ABTOOL_THREADS", "2")
-        run_cli(["spectrum"], tmp_path)
-        manifest = json.loads((tmp_path / "manifest_spectrum.json").read_text())
-        assert manifest["threads"] == 2

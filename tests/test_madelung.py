@@ -89,6 +89,38 @@ class TestDecompose:
         assert dec.rho.shape == (2,)
         assert dec.eta.shape == (2, 2)
 
+    def test_one_radial_evaluation_per_point(self, monkeypatch):
+        import abtool.annulus as annulus
+        points = {"bessel_j": 0, "bessel_j_pair": 0}
+
+        def counted(name):
+            fn = getattr(annulus, name)
+
+            def wrapper(order, x):
+                points[name] += np.size(x)
+                return fn(order, x)
+            return wrapper
+
+        for name in points:
+            monkeypatch.setattr(annulus, name, counted(name))
+        rng = np.random.default_rng(11)
+        r = 1.05 + 1.9 * rng.random(400)
+        th = 2 * np.pi * rng.random(400)
+        pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+        dec = decompose(STATE, A_SPEC, CFG, pts)
+        assert points == {"bessel_j": 0, "bessel_j_pair": 400}
+
+        # the fields are the explicit psi* grad psi formulas, bit for bit
+        amp, grad = STATE.value_and_gradient(pts)
+        rho = (amp * np.conj(amp)).real
+        cross = np.conj(amp)[:, None] * grad
+        hbar, m = CFG.hbar, CFG.mass
+        assert np.array_equal(dec.rho, rho)
+        assert np.array_equal(dec.eta, (hbar / m) * cross.imag / rho[:, None])
+        assert np.array_equal(dec.xi_real,
+                              -(hbar / (2.0 * m)) * (2.0 * cross.real) / rho[:, None])
+        assert np.array_equal(dec.gamma, rho[:, None] * dec.v_quasi)
+
 
 class TestQuasiCurrents:
     def test_orthogonality_at_point(self):

@@ -34,8 +34,6 @@ class TestSdeConfig:
         with pytest.raises(ValueError):
             SdeConfig(burn_in=10, steps=10)
         with pytest.raises(ValueError):
-            SdeConfig(boundary_policy="reflect")
-        with pytest.raises(ValueError):
             SdeConfig(n_trajectories=0)
 
 

@@ -11,10 +11,10 @@ import pytest
 
 from abtool.numerics import (NonConvergenceError, QuadratureSpec, RandomStream,
                              airy_ai, airy_ai_zero, assoc_laguerre,
-                             assoc_legendre, bessel_j, bessel_j_prime,
-                             bessel_j_zero, central_diff, central_diff_2nd,
-                             chi2_sf, gamma, integrate_1d, integrate_annulus,
-                             normal_variates)
+                             assoc_legendre, bessel_j, bessel_j_zero,
+                             central_diff, central_diff_2nd, chi2_sf, curl_z_fd,
+                             gamma, gradient_fd, integrate_1d)
+from abtool.madelung import AnnulusDomain
 from abtool.numerics import _bessel_series, _bessel_hankel
 
 
@@ -121,12 +121,6 @@ class TestBesselJ:
         b = bessel_j(1.25, np.linspace(0.1, 40, 50))
         assert np.array_equal(a, b)
 
-    def test_derivative_identity(self):
-        # J_0' = -J_1
-        for x in (0.3, 1.0, 5.0, 14.0):
-            assert bessel_j_prime(0.0, x) == pytest.approx(-bessel_j(1.0, x),
-                                                           abs=1e-12)
-
 
 class TestBesselZeros:
     def test_half_integer_zeros_are_n_pi(self):
@@ -224,9 +218,7 @@ class TestQuadrature:
         assert integrate_1d(lambda x: x, 0.0, 1.0) == pytest.approx(0.5, abs=1e-14)
 
     def test_annulus_area(self):
-        class Geo:
-            a, b = 1.0, 3.0
-        val = integrate_annulus(lambda r, th: np.ones_like(r), Geo())
+        val = AnnulusDomain(1.0, 3.0).integrate(lambda pts: np.ones(pts.shape[:-1]))
         assert val == pytest.approx(8.0 * math.pi, rel=1e-12)
 
     def test_airy_squared_integral_against_trapezoid_oracle(self):
@@ -274,6 +266,54 @@ class TestCentralDiff:
             central_diff(math.sin, 0.0, 0.0)
 
 
+def _real_field(q):
+    return np.sin(q[..., 0]) * q[..., 1] ** 2
+
+
+def _real_gradient(q):
+    return np.stack([np.cos(q[..., 0]) * q[..., 1] ** 2,
+                     2.0 * np.sin(q[..., 0]) * q[..., 1]], axis=-1)
+
+
+def _complex_field(q):
+    return np.exp(1j * (1.3 * q[..., 0] - 0.4 * q[..., 1])) * q[..., 0]
+
+
+def _complex_gradient(q):
+    f = _complex_field(q)
+    return np.stack([1.3j * f + f / q[..., 0], -0.4j * f], axis=-1)
+
+
+class TestGradientFd:
+    POINTS = np.array([[0.7, -1.2], [1.9, 0.4], [2.6, 2.2], [-0.5, 1.1]])
+
+    @pytest.mark.parametrize("field, grad, dtype", [
+        (_real_field, _real_gradient, np.float64),
+        (_complex_field, _complex_gradient, np.complex128)])
+    def test_batch_and_single_point(self, field, grad, dtype):
+        batch = gradient_fd(field, self.POINTS, 1e-3)
+        assert batch.shape == self.POINTS.shape and batch.dtype == dtype
+        assert np.abs(batch - grad(self.POINTS)).max() <= 1e-9
+        for i, p in enumerate(self.POINTS):
+            single = gradient_fd(field, p, 1e-3)
+            assert single.shape == (2,) and single.dtype == dtype
+            assert np.array_equal(single, batch[i])
+
+    def test_axis_values_are_central_diff(self):
+        p = self.POINTS[1]
+        got = gradient_fd(_complex_field, p, 1e-3)
+        want = central_diff(lambda t: _complex_field(np.array([p[0], t])), p[1], 1e-3)
+        assert got[1] == want
+
+    def test_curl_of_rotation(self):
+        # F = x^2 (-y, x): dF_y/dx - dF_x/dy = 3 x^2 + x^2
+        def field(q):
+            return np.stack([-q[..., 1], q[..., 0]], axis=-1) * q[..., :1] ** 2
+        for p in self.POINTS:
+            want = 3.0 * p[0] ** 2 + p[0] ** 2
+            assert curl_z_fd(field, p, 1e-3) == pytest.approx(want, abs=1e-9)
+
+
 class TestRandomStream:
     def test_determinism(self):
         a = RandomStream(123, 5).normals(1000)
@@ -288,7 +328,7 @@ class TestRandomStream:
         assert np.array_equal(left, right)
 
     def test_mean_bound(self):
-        z = normal_variates(RandomStream(2024, 0), 100_000)
+        z = RandomStream(2024, 0).normals(100_000)
         assert abs(z.mean()) <= 4.0 / math.sqrt(100_000)
 
     def test_variance_bound(self):

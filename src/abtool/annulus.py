@@ -17,10 +17,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import madelung
-from .madelung import AnnulusDomain, VectorPotentialSpec, decompose
-from .numerics import (NonConvergenceError, QuadratureSpec, bessel_j,
-                       bessel_j_pair, bessel_j_zero, curl_z_fd, gradient_fd,
-                       integrate_1d)
+from .madelung import (AnnulusDomain, VectorPotentialSpec, _moment_z,
+                       decompose)  # noqa: F401 (benchmark/spans.py wraps it here)
+from .numerics import (QuadratureSpec, bessel_j, bessel_j_pair, bessel_j_zero,
+                       curl_z_fd, gradient_fd, integrate_1d, integrate_periodic)
 
 
 @dataclass(frozen=True)
@@ -196,9 +196,7 @@ class ABState:
 
     def density(self, p):
         p = np.asarray(p, dtype=float)
-        r = np.hypot(p[..., 0], p[..., 1])
-        rr = self.radial(r)
-        return rr * rr
+        return self.radial_density(np.hypot(p[..., 0], p[..., 1]))
 
     def radial_density(self, r):
         rr = self.radial(r)
@@ -257,43 +255,33 @@ def helmholtz_residual(state, r):
 # Observables by quadrature.
 # ---------------------------------------------------------------------------
 
-def _theta_component(vec, pts):
-    r = np.hypot(pts[..., 0], pts[..., 1])
-    e_th = np.stack([-pts[..., 1] / r, pts[..., 0] / r], axis=-1)
-    return np.sum(vec * e_th, axis=-1)
-
-
 def angular_momenta(state, spec=QuadratureSpec()):
     """{total, canonical, osmotic} z angular momenta by quadrature.
 
-    total  = integral of rho M r v_quasi,theta;
-    osmotic = integral of rho M r Im(-xi)_theta;
+    total  = integral of M r Gamma_theta, Gamma = rho v_quasi
+             = (hbar/M) Im(psi* grad psi) - (q/Mc) A rho;
+    osmotic = integral of M r rho Im(-xi)_theta = M r rho (-(q/Mc) A)_theta;
     canonical = total - osmotic.  No formula substitution: the integrands
-    come from the pointwise velocity decomposition.
+    come pointwise from one field sample and never divide by rho.
     """
     cfg = state.cfg
     A = solenoid_potential(cfg)
-    dom = cfg.domain()
 
-    def total_integrand(pts):
-        dec = decompose(state, A, cfg, pts)
-        r = np.hypot(pts[..., 0], pts[..., 1])
-        return dec.rho * cfg.mass * r * _theta_component(dec.v_quasi, pts)
+    def moments(pts):
+        _, _, rho, cross = madelung.field_sample(state, pts)
+        diffusion = -(cfg.charge / (cfg.mass * cfg.c)) * A(pts) * rho[:, None]
+        gamma = (cfg.hbar / cfg.mass) * cross.imag + diffusion
+        return cfg.mass * np.stack([_moment_z(gamma, pts),
+                                    _moment_z(diffusion, pts)], axis=-1)
 
-    def osmotic_integrand(pts):
-        dec = decompose(state, A, cfg, pts)
-        r = np.hypot(pts[..., 0], pts[..., 1])
-        return dec.rho * cfg.mass * r * _theta_component(-dec.xi_imag, pts)
-
-    total = dom.integrate(total_integrand, spec)
-    osmotic = dom.integrate(osmotic_integrand, spec)
+    total, osmotic = map(float, cfg.domain().integrate(moments, spec))
     return {"total": total, "canonical": total - osmotic, "osmotic": osmotic}
 
 
 WALL_MARGIN_FRACTION = 1e-7
 
 
-def _energy_domain(cfg, wall_margin):
+def _energy_domain(cfg):
     """Annulus inset by a small wall margin for energy integrals.
 
     The bound-state ansatz goes like (r-a)^nu at the inner wall, so its
@@ -303,35 +291,23 @@ def _energy_domain(cfg, wall_margin):
     common domain; the inset only regularizes the absolute values, and the
     reported residual is insensitive to it.
     """
-    margin = (WALL_MARGIN_FRACTION if wall_margin is None else wall_margin) * cfg.d
+    margin = WALL_MARGIN_FRACTION * cfg.d
     return AnnulusDomain(cfg.a + margin, cfg.b - margin)
 
 
-def energy_decomposition(state, spec=QuadratureSpec(), wall_margin=None):
+def energy_decomposition(state, spec=QuadratureSpec()):
     """{rotational, radial, total, residual}: kinetic energy split into the
     quasi-current (rotational) and dispersive (radial) parts, with the total
     from the raw momentum density as an independent route.
 
     Integrals run over the wall-inset annulus (see _energy_domain): for
     nu <= 1/2 the ansatz's radial energy is not integrable up to the inner
-    wall, so only the identity between the routes is contractual."""
+    wall, so only the identity between the routes is contractual.  The
+    split divides by rho: DensityFloorError where rho underflows."""
     cfg = state.cfg
     A = solenoid_potential(cfg)
-    dom = _energy_domain(cfg, wall_margin)
-
-    def rotational_integrand(pts):
-        dec = decompose(state, A, cfg, pts)
-        return 0.5 * cfg.mass * dec.rho * np.sum(dec.v_quasi ** 2, axis=-1)
-
-    def radial_integrand(pts):
-        dec = decompose(state, A, cfg, pts)
-        return 0.5 * cfg.mass * dec.rho * np.sum(dec.xi_real ** 2, axis=-1)
-
-    rotational = dom.integrate(rotational_integrand, spec)
-    radial = dom.integrate(radial_integrand, spec)
-    total = dom.integrate(
-        lambda pts: madelung._momentum_density(state, A, cfg, pts) / (2.0 * cfg.mass),
-        spec)
+    rotational, radial, total = map(float, _energy_domain(cfg).integrate(
+        lambda pts: madelung._energy_densities(state, A, cfg, pts), spec))
     residual = abs(total - rotational - radial) / abs(total)
     return {"rotational": rotational, "radial": radial, "total": total,
             "residual": residual}
@@ -401,28 +377,16 @@ class CircleLoop:
     radius: float
 
 
-def circulation(field, loop, segments=32, rel_tol=1e-9, max_doublings=16):
-    """Line integral of a vector field around a circle, composite trapezoid
-    with Richardson-style doubling until the estimate stops moving."""
-    cx, cy = loop.center
-    rad = loop.radius
+def circulation(field, loop):
+    """Line integral of a vector field counter-clockwise around a circle, by
+    the periodic trapezoid rule (`numerics.integrate_periodic`)."""
+    center = np.asarray(loop.center, dtype=float)
 
-    def estimate(nseg):
-        th = np.linspace(0.0, 2.0 * np.pi, nseg, endpoint=False)
-        pts = np.stack([cx + rad * np.cos(th), cy + rad * np.sin(th)], axis=-1)
-        t_hat = np.stack([-np.sin(th), np.cos(th)], axis=-1)
-        vals = np.asarray(field(pts), dtype=float)
-        return float(np.sum(vals * t_hat, axis=-1).mean() * 2.0 * np.pi * rad)
+    def tangential(th):
+        arm = loop.radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
+        return _moment_z(np.asarray(field(center + arm), dtype=float), arm)
 
-    prev = estimate(segments)
-    for _ in range(max_doublings):
-        segments *= 2
-        cur = estimate(segments)
-        if abs(cur - prev) <= max(rel_tol * abs(cur), 1e-12):
-            return cur
-        prev = cur
-    raise NonConvergenceError("circulation did not settle",
-                              best_estimate=prev)
+    return float(integrate_periodic(tangential))
 
 
 def system_b_equivalence(cfg, m, radii=None):

@@ -129,12 +129,9 @@ def check_circulation_vorticity():
     spread = max(circ_errs)
     non_enclosing = abs(circulation(dv, CircleLoop((2.0, 0.0), 0.3)))
 
-    def dv_single(p):
-        return diffusion_velocity(cfg, p[None, :])[0]
-
     omega = -cfg.charge * cfg.B / (cfg.mass * cfg.c)
-    curl_out = abs(curl_z_fd(dv_single, np.array([1.3, 1.1]), 1e-2))
-    curl_in = abs(curl_z_fd(dv_single, np.array([0.3, 0.2]), 1e-2) - omega)
+    curl_out = abs(curl_z_fd(dv, np.array([1.3, 1.1]), 1e-2))
+    curl_in = abs(curl_z_fd(dv, np.array([0.3, 0.2]), 1e-2) - omega)
     passed = (spread <= 1e-9 and non_enclosing <= 1e-9
               and curl_out <= 1e-6 and curl_in <= 1e-6)
     return CheckResult("circulation and vorticity", passed,

@@ -61,16 +61,8 @@ class RunConfig:
         }
 
 
-_SCHEMA = {
-    "constants": {"hbar": float, "mass": float, "charge": float, "c": float},
-    "geometry": {"a": float, "b": float, "B": float},
-    "state": {"m": int, "n": int},
-    "grid": {"nr": int, "ntheta": int},
-    "sde": {"dt": float, "steps": int, "burn_in": int, "n_trajectories": int,
-            "seed": int, "max_retries": int},
-    "output": {"format": str},
-}
-
+# every configuration key with its default; the default's type (float, int
+# or str) is the type the key accepts
 _DEFAULTS = {
     "constants": {"hbar": 1.0, "mass": 1.0, "charge": 1.0, "c": 1.0},
     "geometry": {"a": 1.0, "b": 3.0, "B": 1.0},
@@ -107,18 +99,17 @@ def parse_config(text):
                           f"{exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a JSON object")
-    merged = {}
-    for block, defaults in _DEFAULTS.items():
-        merged[block] = dict(defaults)
+    merged = {block: dict(defaults) for block, defaults in _DEFAULTS.items()}
     for block, content in raw.items():
-        if block not in _SCHEMA:
+        if block not in _DEFAULTS:
             raise ConfigError(f"unknown configuration block {block!r}")
         if not isinstance(content, dict):
             raise ConfigError(f"{block}: expected an object")
         for key, value in content.items():
-            if key not in _SCHEMA[block]:
+            if key not in _DEFAULTS[block]:
                 raise ConfigError(f"unknown key {block}.{key}")
-            merged[block][key] = _coerce(block, key, value, _SCHEMA[block][key])
+            merged[block][key] = _coerce(block, key, value,
+                                         type(_DEFAULTS[block][key]))
     g = merged["geometry"]
     if not g["a"] < g["b"]:
         raise ConfigError("geometry: a < b required")

@@ -26,8 +26,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import (QuadratureSpec, central_diff_2nd, gradient_fd,
-                       integrate_1d)
+from .numerics import (QuadratureSpec, gradient_fd, integrate_1d,
+                       integrate_periodic, laplacian_fd)
 
 RHO_FLOOR = 1e-30
 
@@ -172,6 +172,16 @@ def decompose(psi, A, cfg, p):
     """
     p = np.asarray(p, dtype=float)
     _, _, rho, cross = field_sample(psi, p)
+    return _velocities(rho, cross, A, cfg, p)
+
+
+def _moment_z(vec, arm):
+    """(arm x vec)_z: |arm| times vec's e_theta component about arm's origin."""
+    return arm[..., 0] * vec[..., 1] - arm[..., 1] * vec[..., 0]
+
+
+def _velocities(rho, cross, A, cfg, p):
+    """The VelocityDecomposition from rho and psi* grad psi at p."""
     _check_floor(rho)
     hbar, m = cfg.hbar, cfg.mass
     rho_col = rho[..., None] if rho.ndim else rho
@@ -214,15 +224,8 @@ def quantum_potential(psi, cfg, p, h=1e-3):
     p = np.asarray(p, dtype=float)
     rho0 = psi.density(p)
     _check_floor(rho0)
-    sqrt_rho0 = np.sqrt(rho0)
-    lap = 0.0
-    for ax in range(psi.dimension):
-        def along(t, ax=ax):
-            q = p.copy()
-            q[..., ax] = t
-            return np.sqrt(psi.density(q))
-        lap = lap + central_diff_2nd(along, p[..., ax], h)
-    return -(cfg.hbar ** 2 / (2.0 * cfg.mass)) * lap / sqrt_rho0
+    lap = laplacian_fd(lambda q: np.sqrt(psi.density(q)), p, h)
+    return -(cfg.hbar ** 2 / (2.0 * cfg.mass)) * lap / np.sqrt(rho0)
 
 
 def quantum_force(psi, cfg, p, h=1e-3, h_outer=None):
@@ -272,8 +275,7 @@ class LineDomain:
     hi: float
 
     def integrate(self, g, spec=QuadratureSpec()):
-        return integrate_1d(lambda x: np.asarray(g(x[:, None]), dtype=float),
-                            self.lo, self.hi, spec)
+        return integrate_1d(lambda x: g(x[:, None]), self.lo, self.hi, spec)
 
 
 @dataclass(frozen=True)
@@ -282,16 +284,17 @@ class AnnulusDomain:
     b: float
 
     def integrate(self, g, spec=QuadratureSpec()):
-        two_pi = 2.0 * np.pi
-
+        """Integral of g, (M, 2) points -> (M,) or (M, k) values, in the
+        measure r dr dtheta: GK15 in r (`integrate_1d`), and per radial panel
+        the periodic trapezoid in theta on its whole 15 x N_theta node grid,
+        one g call per theta level."""
         def radial(rv):
-            out = np.empty_like(rv)
-            for i, r in enumerate(rv):
-                def ring(th, r=r):
-                    pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
-                    return np.asarray(g(pts), dtype=float)
-                out[i] = integrate_1d(ring, 0.0, two_pi, spec) * r
-            return out
+            def rings(th):
+                pts = np.stack([np.multiply.outer(np.cos(th), rv),
+                                np.multiply.outer(np.sin(th), rv)], axis=-1)
+                vals = np.asarray(g(pts.reshape(-1, 2)), dtype=float)
+                return vals.reshape(th.size, rv.size, *vals.shape[1:])
+            return (integrate_periodic(rings, spec).T * rv).T
 
         return integrate_1d(radial, self.a, self.b, spec)
 
@@ -306,23 +309,19 @@ def osmotic_expectation(psi, A, cfg, domain, spec=QuadratureSpec()):
     """
     dim = psi.dimension
 
-    def real_component(ax):
-        def g(pts):
-            dec = decompose(psi, None, cfg, pts)
-            return dec.rho * (-dec.xi_real[..., ax])     # rho * Re(zeta)
-        return domain.integrate(g, spec)
-
-    real_part = np.array([real_component(ax) for ax in range(dim)])
-    directional = 0.0
-    if A is not None:
-        def g_dir(pts):
+    def g(pts):
+        _, _, rho, cross = field_sample(psi, pts)
+        cols = [(cfg.hbar / cfg.mass) * cross.real]      # rho Re(zeta)
+        if A is not None:
             r = np.hypot(pts[..., 0], pts[..., 1])
-            e_th = np.stack([-pts[..., 1] / r, pts[..., 0] / r], axis=-1)
-            a_val = np.asarray(A(pts), dtype=float)
-            rho = psi.density(pts)
-            return rho * np.sum(a_val * e_th, axis=-1)
-        directional = (cfg.charge / (cfg.mass * cfg.c)) * domain.integrate(g_dir, spec)
-    return {"real_part": real_part, "directional_theta": directional}
+            a_theta = _moment_z(np.asarray(A(pts), dtype=float), pts) / r
+            cols.append((rho * a_theta)[..., None])
+        return np.concatenate(cols, axis=-1)
+
+    out = domain.integrate(g, spec)
+    directional = (0.0 if A is None
+                   else (cfg.charge / (cfg.mass * cfg.c)) * float(out[dim]))
+    return {"real_part": out[:dim], "directional_theta": directional}
 
 
 def kinetic_energy_density(psi, A, cfg, p):
@@ -333,14 +332,25 @@ def kinetic_energy_density(psi, A, cfg, p):
     return 0.5 * cfg.mass * dec.rho * (v2 + w2)
 
 
-def _momentum_density(psi, A, cfg, pts):
-    """|(P - (q/c)A) psi|^2 evaluated from amplitude and gradient."""
-    amp, grad, _, _ = field_sample(psi, pts)
+def _momentum_density(amp, grad, A, cfg, pts):
+    """|(P - (q/c)A) psi|^2 from the amplitude and gradient at pts."""
     pop = -1j * cfg.hbar * grad
     if A is not None:
         a_val = np.asarray(A(pts), dtype=float)
         pop = pop - (cfg.charge / cfg.c) * a_val * (amp[..., None] if amp.ndim else amp)
     return np.sum((pop * np.conj(pop)).real, axis=-1)
+
+
+def _energy_densities(psi, A, cfg, pts):
+    """Columns (1/2) M rho v_quasi^2, (1/2) M rho w_quasi^2 (decomposition
+    route) and |P' psi|^2 / 2M (raw route) at pts from one field sample."""
+    amp, grad, rho, cross = field_sample(psi, pts)
+    dec = _velocities(rho, cross, A, cfg, pts)
+    half_m_rho = 0.5 * cfg.mass * dec.rho
+    return np.stack([half_m_rho * np.sum(dec.v_quasi ** 2, axis=-1),
+                     half_m_rho * np.sum(dec.w_quasi ** 2, axis=-1),
+                     _momentum_density(amp, grad, A, cfg, pts) / (2.0 * cfg.mass)],
+                    axis=-1)
 
 
 def integrated_energy_identity(psi, A, cfg, domain, spec=QuadratureSpec()):
@@ -350,9 +360,9 @@ def integrated_energy_identity(psi, A, cfg, domain, spec=QuadratureSpec()):
     the quadratic form used here; the two sides follow independent code
     paths (raw momentum density vs. the velocity decomposition).
     """
-    lhs = domain.integrate(lambda pts: _momentum_density(psi, A, cfg, pts) / (2.0 * cfg.mass),
-                           spec)
-    rhs = domain.integrate(lambda pts: kinetic_energy_density(psi, A, cfg, pts), spec)
+    rotational, radial, lhs = domain.integrate(
+        lambda pts: _energy_densities(psi, A, cfg, pts), spec)
+    lhs, rhs = float(lhs), float(rotational + radial)
     residual = abs(lhs - rhs) / abs(lhs)
     return lhs, rhs, residual
 
@@ -365,15 +375,8 @@ def energy_density_operator_residual(psi, A, cfg, p, h=1e-4):
     """
     p = np.asarray(p, dtype=float)
     hbar, m = cfg.hbar, cfg.mass
-    lap = 0.0 + 0.0j
-    for ax in range(psi.dimension):
-        def along(t, ax=ax):
-            q = p.copy()
-            q[ax] = t
-            return psi.amplitude(q)
-        lap += central_diff_2nd(along, p[ax], h)
     amp, grad, _, _ = field_sample(psi, p)
-    op = -hbar ** 2 * lap
+    op = -hbar ** 2 * laplacian_fd(psi.amplitude, p, h)
     if A is not None:
         a_val = np.asarray(A(p), dtype=float)
         a_dot_grad = np.sum(a_val * grad)
@@ -386,14 +389,12 @@ def energy_density_operator_residual(psi, A, cfg, p, h=1e-4):
     return operator_form - float(kinetic_energy_density(psi, A, cfg, p))
 
 
-def phase_winding(psi, cfg, radius, center=(0.0, 0.0), segments=1024):
-    """Loop integral of eta . dl / (hbar/M) around a circle: 2 pi times the
-    integer phase winding for any curve avoiding nodes."""
-    th = np.linspace(0.0, 2.0 * np.pi, segments, endpoint=False)
-    pts = np.stack([center[0] + radius * np.cos(th),
-                    center[1] + radius * np.sin(th)], axis=-1)
-    dec = decompose(psi, None, cfg, pts)
-    t_hat = np.stack([-np.sin(th), np.cos(th)], axis=-1)
-    integrand = np.sum(dec.eta * t_hat, axis=-1) * radius
-    total = integrand.mean() * 2.0 * np.pi
-    return total / (cfg.hbar / cfg.mass)
+def phase_winding(psi, cfg, radius):
+    """Loop integral of eta . dl / (hbar/M) around the circle of the given
+    radius about the origin: 2 pi times the integer phase winding for any
+    curve avoiding nodes."""
+    def tangential(th):
+        pts = radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
+        return _moment_z(decompose(psi, None, cfg, pts).eta, pts)
+
+    return float(integrate_periodic(tangential)) / (cfg.hbar / cfg.mass)

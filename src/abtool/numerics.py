@@ -4,11 +4,12 @@ finite differences and reproducible random streams.
 Everything here is plain numpy and deterministic: same inputs, same bits.
 Scalar arguments return scalars, array arguments return arrays.
 
-Finite differences have one first-derivative stencil, `central_diff`
-(central differences with one Richardson step).  `gradient_fd` applies it
-along each axis of a point or a point batch, and `curl_z_fd` reads the plane
-curl off that Jacobian; the package's numerical gradients all go through
-these two.
+Finite differences have one first- and one second-derivative stencil,
+`central_diff` and `central_diff_2nd` (central differences with one
+Richardson step).  `gradient_fd` and `laplacian_fd` apply them along each
+axis of a point or a point batch, and `curl_z_fd` reads the plane curl off
+the `gradient_fd` Jacobian; the package's numerical derivatives all go
+through these.
 """
 from __future__ import annotations
 
@@ -606,8 +607,9 @@ def assoc_legendre_deriv(l, m, x):
 
 
 # ---------------------------------------------------------------------------
-# Adaptive quadrature: Gauss(7)/Kronrod(15) pairs refined worst-first until a
-# global tolerance is met (QUADPACK-style heap strategy).
+# Quadrature: Gauss(7)/Kronrod(15) pairs refined worst-first until a global
+# tolerance is met (QUADPACK-style heap strategy), and a doubling periodic
+# trapezoid.  Vector integrands converge when every component does.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -623,6 +625,10 @@ class QuadratureSpec:
             raise ValueError("abs_tol must be >= 0")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
+
+    def tolerance(self, estimate):
+        """max(abs_tol, rel_tol |estimate|), per component."""
+        return np.maximum(self.abs_tol, self.rel_tol * np.abs(estimate))
 
 
 _XGK = np.array([
@@ -652,44 +658,67 @@ def _gk15(f, a, b):
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fv = np.asarray(f(c + h * _GK_NODES), dtype=float)
-    if fv.shape != (15,):
-        raise ValueError("quadrature integrand must map a node array to an array")
-    kron = h * float(_GK_WK @ fv)
-    gauss = h * float(_GK_WG @ fv)
-    return kron, abs(kron - gauss)
+    if fv.ndim not in (1, 2) or fv.shape[0] != 15:
+        raise ValueError("quadrature integrand must map 15 nodes to (15,) or (15, k)")
+    kron = h * (_GK_WK @ fv)
+    return kron, np.abs(kron - h * (_GK_WG @ fv))
 
 
 def integrate_1d(f, lo, hi, spec=QuadratureSpec()):
     """Integral of f over [lo, hi].
 
-    The integrand is called with node arrays (shape (15,)) and must return an
-    array of the same shape; endpoint values are never requested, so
-    integrable endpoint behaviour is tolerated.
+    The integrand is called with node arrays (shape (15,)) and returns values
+    of shape (15,) (a float result) or (15, k) (a length-k array, converged
+    when every component is within its own tolerance); endpoint values are
+    never requested, so integrable endpoint behaviour is tolerated.
     """
     if hi == lo:
         return 0.0
     val, err = _gk15(f, lo, hi)
-    heap = [(-err, lo, hi, val, err, 0)]
+    heap = [(-np.max(err), lo, hi, val, err, 0)]       # worst component first
     total, toterr = val, err
     count = 1
     while True:
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if toterr <= tol:
-            return total
+        if np.all(toterr <= spec.tolerance(total)):
+            return float(total) if np.ndim(total) == 0 else total
         neg, a, b, v, e, depth = heapq.heappop(heap)
         if depth >= spec.max_depth or count >= _MAX_INTERVALS:
             raise NonConvergenceError(
-                f"integrate_1d: tolerance not met (estimate {total!r}, "
-                f"error bound {toterr:.3e})",
+                f"integrate_1d: tolerance not met (estimate {total}, "
+                f"error bound {np.max(toterr):.3e})",
                 best_estimate=total, error_bound=toterr)
         m = 0.5 * (a + b)
         v1, e1 = _gk15(f, a, m)
         v2, e2 = _gk15(f, m, b)
-        total += v1 + v2 - v
-        toterr += e1 + e2 - e
-        heapq.heappush(heap, (-e1, a, m, v1, e1, depth + 1))
-        heapq.heappush(heap, (-e2, m, b, v2, e2, depth + 1))
+        total = total + (v1 + v2 - v)
+        toterr = toterr + (e1 + e2 - e)
+        heapq.heappush(heap, (-np.max(e1), a, m, v1, e1, depth + 1))
+        heapq.heappush(heap, (-np.max(e2), m, b, v2, e2, depth + 1))
         count += 1
+
+
+_PERIODIC_START_NODES = 16
+_PERIODIC_MAX_NODES = 8192
+
+
+def integrate_periodic(f, spec=QuadratureSpec()):
+    """Integral over [0, 2 pi) of a 2 pi-periodic f by the trapezoid rule,
+    exponentially convergent for smooth f (Trefethen & Weideman, SIAM Review
+    56, 2014).  f maps N angles to values of shape (N, ...); the node count
+    doubles (f sees only the new midpoints) until two successive estimates
+    agree within spec's tolerance in every element, else NonConvergenceError.
+    """
+    n, step = _PERIODIC_START_NODES, 2.0 * np.pi / _PERIODIC_START_NODES
+    est = step * np.asarray(f(step * np.arange(n)), dtype=float).sum(axis=0)
+    while n < _PERIODIC_MAX_NODES:
+        mids = step * (np.arange(n) + 0.5)
+        new = 0.5 * (est + step * np.asarray(f(mids), dtype=float).sum(axis=0))
+        gap, est, n, step = np.abs(new - est), new, 2 * n, 0.5 * step
+        if np.all(gap <= spec.tolerance(est)):
+            return est
+    raise NonConvergenceError(
+        f"integrate_periodic: estimates still differ by {float(np.max(gap)):.3e} "
+        f"at {n} nodes", best_estimate=est, error_bound=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -715,13 +744,8 @@ def central_diff_2nd(f, x, h):
     return (4.0 * s_h - s_2h) / 3.0
 
 
-def gradient_fd(f, p, h):
-    """Gradient of f at p by `central_diff` along each axis.
-
-    p is one point (dim,) or a batch (N, dim) and f maps points of that
-    shape to values; the result has p's shape and f's dtype.  For a vector
-    field f (values of shape (..., k)) it is the Jacobian, shape (..., k, dim).
-    """
+def _along_axes(stencil, f, p, h):
+    """[stencil of f along axis 0, along axis 1, ...] at the point(s) p."""
     p = np.asarray(p, dtype=float)
 
     def along(ax):
@@ -729,9 +753,25 @@ def gradient_fd(f, p, h):
             q = p.copy()
             q[..., ax] = t
             return f(q)
-        return central_diff(f_ax, p[..., ax], h)
+        return stencil(f_ax, p[..., ax], h)
 
-    return np.stack([along(ax) for ax in range(p.shape[-1])], axis=-1)
+    return [along(ax) for ax in range(p.shape[-1])]
+
+
+def gradient_fd(f, p, h):
+    """Gradient of f at p by `central_diff` along each axis.
+
+    p is one point (dim,) or a batch (N, dim) and f maps points of that
+    shape to values; the result has p's shape and f's dtype.  For a vector
+    field f (values of shape (..., k)) it is the Jacobian, shape (..., k, dim).
+    """
+    return np.stack(_along_axes(central_diff, f, p, h), axis=-1)
+
+
+def laplacian_fd(f, p, h):
+    """Laplacian of f at p (shapes as in `gradient_fd`): `central_diff_2nd`
+    summed over the axes."""
+    return sum(_along_axes(central_diff_2nd, f, p, h))
 
 
 def curl_z_fd(field, p, h):

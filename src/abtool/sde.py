@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -297,14 +298,17 @@ def rejection_fraction(trajectories, sde_cfg):
 # Radial target distribution and goodness-of-fit statistics.
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def radial_target(state, grid_points=8193):
-    """(r grid, pdf, cdf) for the radial marginal p(r) = 2 pi r rho(r)."""
+    """(r grid, pdf, cdf) for the radial marginal p(r) = 2 pi r rho(r);
+    built once per state and read-only."""
     cfg = state.cfg
     rg = np.linspace(cfg.a, cfg.b, grid_points)
     pdf = 2.0 * np.pi * rg * state.radial_density(rg)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(rg))])
     pdf = pdf / cdf[-1]
     cdf = cdf / cdf[-1]
+    rg.flags.writeable = pdf.flags.writeable = cdf.flags.writeable = False
     return rg, pdf, cdf
 
 

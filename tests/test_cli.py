@@ -87,6 +87,19 @@ class TestSpectrum:
         manifest = json.loads((tmp_path / "manifest_spectrum.json").read_text())
         assert manifest["lambda"] == -0.5
 
+    def test_states_with_underflowing_density(self, tmp_path):
+        # nu up to 6.5: rho underflows the 1e-30 floor at the GK nodes next
+        # to r = a; the angular momenta divide by nothing, so they still
+        # come out, and equal hbar (m + lambda)
+        code = run_cli(["spectrum"], tmp_path, config={"state": {"m": 6}})
+        assert code == EXIT_OK
+        rows = (tmp_path / "spectrum.csv").read_text().strip().split("\n")
+        header = rows[0].split(",")
+        assert len(rows) == 1 + 13 * 2
+        for line in rows[1:]:
+            entry = dict(zip(header, line.split(",")))
+            assert abs(float(entry["Lz_total"]) - (int(entry["m"]) - 0.5)) <= 1e-8
+
     def test_table_reproducible(self, tmp_path):
         run_cli(["spectrum"], tmp_path / "one")
         run_cli(["spectrum"], tmp_path / "two")

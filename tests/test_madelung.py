@@ -13,7 +13,8 @@ from abtool.madelung import (AnnulusDomain, Constants, DensityFloorError,
                              kinetic_energy_density, osmotic_expectation,
                              phase_winding, quantum_force, quantum_potential,
                              quasi_currents)
-from abtool.numerics import QuadratureSpec
+from abtool import numerics
+from abtool.numerics import NonConvergenceError, QuadratureSpec
 from abtool.wavepackets import GaussianPacketConfig, gaussian_wavefield
 
 CONSTS = Constants()
@@ -296,7 +297,7 @@ class TestEnergyIdentity:
     def test_annulus_state(self):
         from abtool.annulus import _energy_domain
         lhs, rhs, res = integrated_energy_identity(
-            STATE, A_SPEC, CFG, _energy_domain(CFG, None))
+            STATE, A_SPEC, CFG, _energy_domain(CFG))
         assert res <= 1e-6
 
     def test_operator_residual_is_reported_not_bounded(self):
@@ -340,3 +341,41 @@ class TestDomains:
         dom = AnnulusDomain(1.0, 3.0)
         val = dom.integrate(lambda pts: np.ones(pts.shape[0]))
         assert val == pytest.approx(8.0 * np.pi, rel=1e-12)
+
+    def test_annulus_theta_dependent_closed_form(self):
+        # r^2 cos^2(3 theta) r dr dtheta over 1 < r < 3: (80 / 4) pi
+        val = AnnulusDomain(1.0, 3.0).integrate(
+            lambda pts: np.hypot(pts[:, 0], pts[:, 1]) ** 2
+            * np.cos(3.0 * np.arctan2(pts[:, 1], pts[:, 0])) ** 2)
+        assert val == pytest.approx(20.0 * np.pi, rel=1e-12)
+
+    def test_annulus_vector_integrand(self):
+        def g(pts):
+            r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
+            return np.stack([np.ones_like(r2), r2, pts[:, 0]], axis=-1)
+        area, second, first = AnnulusDomain(1.0, 3.0).integrate(g)
+        assert area == pytest.approx(8.0 * np.pi, rel=1e-12)
+        assert second == pytest.approx(40.0 * np.pi, rel=1e-12)
+        assert abs(first) <= 1e-12
+
+    def test_annulus_one_batch_per_theta_level(self):
+        # a theta-independent integrand: every call is a whole 15 x N_theta
+        # node grid of one radial panel, at most two calls (two theta
+        # levels) per panel
+        radii = []
+
+        def g(pts):
+            r = np.hypot(pts[:, 0], pts[:, 1])
+            radii.append(r)
+            return np.sqrt(r - 1.0)
+        AnnulusDomain(1.0, 3.0).integrate(g)
+        panels = {tuple(np.unique(np.round(r, 9))) for r in radii}
+        assert all(len(p) == 15 for p in panels)
+        assert min(r.size for r in radii) >= 15 * numerics._PERIODIC_START_NODES
+        assert len(radii) <= 2 * len(panels)
+
+    def test_annulus_theta_discontinuity_raises(self):
+        with pytest.raises(NonConvergenceError) as err:
+            AnnulusDomain(1.0, 3.0).integrate(
+                lambda pts: np.arctan2(pts[:, 1], pts[:, 0]))
+        assert err.value.best_estimate is not None

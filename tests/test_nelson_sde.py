@@ -437,3 +437,26 @@ class TestStationaritySingleTarget:
         counts, _ = np.histogram(thinned, bins=edges)
         expected = thinned.size / 40
         assert out["chi2"] == float(((counts - expected) ** 2 / expected).sum())
+
+
+class TestRadialTargetCache:
+    def test_built_once_per_state(self, monkeypatch):
+        # a state no other test uses, so its target is not cached yet
+        state = eigenstate(AnnulusConfig(b=3.5), 1, 1)
+        grids = []
+        real = type(state).radial_density
+
+        def counting(self, r):
+            grids.append(np.size(r))
+            return real(self, r)
+
+        monkeypatch.setattr(type(state), "radial_density", counting)
+        out = simulate(state, SdeConfig(dt=1e-3, steps=1200, burn_in=200,
+                                        n_trajectories=16, seed=3))
+        stationarity_test(out, state, bins=20)
+        assert grids.count(8193) == 1
+
+    def test_read_only(self):
+        for arr in radial_target(STATE):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0

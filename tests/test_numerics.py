@@ -13,7 +13,8 @@ from abtool.numerics import (NonConvergenceError, QuadratureSpec, RandomStream,
                              airy_ai, airy_ai_zero, assoc_laguerre,
                              assoc_legendre, bessel_j, bessel_j_zero,
                              central_diff, central_diff_2nd, chi2_sf, curl_z_fd,
-                             gamma, gradient_fd, integrate_1d)
+                             gamma, gradient_fd, integrate_1d,
+                             integrate_periodic)
 from abtool.madelung import AnnulusDomain
 from abtool.numerics import _bessel_series, _bessel_hankel
 
@@ -229,6 +230,45 @@ class TestQuadrature:
         val = integrate_1d(lambda x: airy_ai(x + z1) ** 2, 0.0, 20.0)
         assert val == pytest.approx(oracle, abs=1e-8)
         assert val == pytest.approx(0.4917, abs=5e-4)
+
+    def test_vector_integrand_matches_components(self):
+        parts = (lambda x: np.exp(-x), lambda x: np.sqrt(x),
+                 lambda x: np.sin(5.0 * x))
+        vec = integrate_1d(lambda x: np.stack([f(x) for f in parts], axis=-1),
+                           0.0, 2.0)
+        assert vec.shape == (3,)
+        for f, v in zip(parts, vec):
+            assert v == pytest.approx(integrate_1d(f, 0.0, 2.0), rel=1e-10)
+        assert isinstance(integrate_1d(lambda x: x, 0.0, 1.0), float)
+
+    def test_periodic_closed_form(self):
+        # integral of exp(cos t) over a period is 2 pi I_0(1)
+        i0_1 = sum(0.25 ** k / math.factorial(k) ** 2 for k in range(30))
+        got = integrate_periodic(lambda t: np.exp(np.cos(t)))
+        assert got == pytest.approx(2.0 * math.pi * i0_1, rel=1e-14)
+
+    def test_periodic_rows_and_components(self):
+        # values (N, 2, 2): each of the four entries is its own integral
+        def f(t):
+            c = np.cos(t)
+            return np.stack([np.stack([c * c, np.ones_like(c)], axis=-1),
+                             np.stack([np.exp(c), c], axis=-1)], axis=1)
+        got = integrate_periodic(f)
+        i0_1 = sum(0.25 ** k / math.factorial(k) ** 2 for k in range(30))
+        assert got.shape == (2, 2)
+        assert got[0, 0] == pytest.approx(math.pi, rel=1e-14)
+        assert got[0, 1] == pytest.approx(2.0 * math.pi, rel=1e-14)
+        assert got[1, 0] == pytest.approx(2.0 * math.pi * i0_1, rel=1e-14)
+        assert abs(got[1, 1]) <= 1e-14
+
+    def test_periodic_discontinuity_does_not_settle(self):
+        # t itself jumps by 2 pi where the period wraps: the trapezoid
+        # estimates 2 pi^2 (1 - 1/N) never agree to 1e-10
+        with pytest.raises(NonConvergenceError) as err:
+            integrate_periodic(lambda t: t)
+        assert err.value.best_estimate == pytest.approx(2.0 * math.pi ** 2,
+                                                        rel=1e-3)
+        assert err.value.error_bound > 0.0
 
     def test_nonconvergence_carries_best_estimate(self):
         with pytest.raises(NonConvergenceError) as err:

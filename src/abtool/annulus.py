@@ -298,19 +298,17 @@ def _energy_domain(cfg):
 def energy_decomposition(state, spec=QuadratureSpec()):
     """{rotational, radial, total, residual}: kinetic energy split into the
     quasi-current (rotational) and dispersive (radial) parts, with the total
-    from the raw momentum density as an independent route.
+    from the raw momentum density as an independent route
+    (`madelung.integrated_energy_identity`).
 
     Integrals run over the wall-inset annulus (see _energy_domain): for
     nu <= 1/2 the ansatz's radial energy is not integrable up to the inner
     wall, so only the identity between the routes is contractual.  The
-    split divides by rho: DensityFloorError where rho underflows."""
+    split never divides by rho, so it holds where rho underflows next to
+    the walls."""
     cfg = state.cfg
-    A = solenoid_potential(cfg)
-    rotational, radial, total = map(float, _energy_domain(cfg).integrate(
-        lambda pts: madelung._energy_densities(state, A, cfg, pts), spec))
-    residual = abs(total - rotational - radial) / abs(total)
-    return {"rotational": rotational, "radial": radial, "total": total,
-            "residual": residual}
+    return madelung.integrated_energy_identity(
+        state, solenoid_potential(cfg), cfg, _energy_domain(cfg), spec)
 
 
 def rotational_energy_density_profile(state, r):

@@ -8,7 +8,8 @@ Every run writes a machine-readable manifest next to its outputs; re-running
 with the manifest's echoed configuration reproduces all numbers exactly.
 Exit codes: 0 success, 2 configuration error (including a state outside the
 supported window), 3 numerical failure (non-convergence, or a density below
-the floor where an observable divides by it), 4 verification failure.
+the floor where a velocity field divides by it, as `fields` does next to a
+wall), 4 verification failure.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -163,6 +164,16 @@ def _base_manifest(subcommand, cfg):
     }
 
 
+def _table_run(subcommand, cfg, out_dir, header, rows):
+    """Write the subcommand's table as <subcommand>.<format> in out_dir and
+    return (manifest listing it, its path)."""
+    table = os.path.join(out_dir, f"{subcommand}.{cfg.out_format}")
+    _write_table(table, header, rows, cfg.out_format)
+    manifest = _base_manifest(subcommand, cfg)
+    manifest["outputs"] = [os.path.basename(table)]
+    return manifest, table
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
@@ -180,11 +191,7 @@ def run_spectrum(cfg, out_dir, want_svg):
             mom = annulus.angular_momenta(state)
             rows.append([m, n, state.nu, state.tau, state.k, state.energy,
                          mom["total"], mom["canonical"], mom["osmotic"]])
-    ext = "csv" if cfg.out_format == "csv" else "json"
-    table = os.path.join(out_dir, f"spectrum.{ext}")
-    _write_table(table, header, rows, cfg.out_format)
-    manifest = _base_manifest("spectrum", cfg)
-    manifest["outputs"] = [os.path.basename(table)]
+    manifest, table = _table_run("spectrum", cfg, out_dir, header, rows)
     manifest["rows"] = len(rows)
     return manifest, [table]
 
@@ -226,10 +233,7 @@ def run_fields(cfg, out_dir, want_svg):
                          float(v_r[j]), float(v_t[j]),
                          float(w_r[j]), float(w_t[j]),
                          float(qf["Q"]), float(qf["F_r"])])
-    ext = "csv" if cfg.out_format == "csv" else "json"
-    table = os.path.join(out_dir, f"fields.{ext}")
-    _write_table(table, header, rows, cfg.out_format)
-    outputs = [os.path.basename(table)]
+    manifest, _ = _table_run("fields", cfg, out_dir, header, rows)
     if want_svg:
         rho_line = state.radial_density(rs)
         v_line = (state.m + state.lam) * ann.hbar / (ann.mass * rs)
@@ -240,11 +244,9 @@ def run_fields(cfg, out_dir, want_svg):
             ([v_line], ["v_quasi_theta(r)"], "quasi-current velocity"),
             ([q_line], ["Q(r)"], "quantum potential"),
         ])
-        outputs.append(os.path.basename(svg))
-    manifest = _base_manifest("fields", cfg)
-    manifest["outputs"] = outputs
+        manifest["outputs"].append(os.path.basename(svg))
     manifest["state"] = {"nu": state.nu, "tau": state.tau, "E": state.energy}
-    return manifest, [os.path.join(out_dir, o) for o in outputs]
+    return manifest, [os.path.join(out_dir, o) for o in manifest["outputs"]]
 
 
 def run_trajectories(cfg, out_dir, want_svg):
@@ -267,11 +269,7 @@ def run_trajectories(cfg, out_dir, want_svg):
     for i, t in enumerate(trajectories[:8]):
         for s in range(0, len(t.positions), stride):
             rows.append([i, s, float(t.positions[s, 0]), float(t.positions[s, 1])])
-    ext = "csv" if cfg.out_format == "csv" else "json"
-    table = os.path.join(out_dir, f"trajectories.{ext}")
-    _write_table(table, header, rows, cfg.out_format)
-    manifest = _base_manifest("trajectories", cfg)
-    manifest["outputs"] = [os.path.basename(table)]
+    manifest, table = _table_run("trajectories", cfg, out_dir, header, rows)
     manifest["stationarity"] = {
         "ergodic_Lz": erg["value"], "ergodic_Lz_stderr": erg["stderr"],
         "rejection_fraction": sde.rejection_fraction(trajectories, cfg.sde),
@@ -312,11 +310,7 @@ def run_packets(cfg, out_dir, want_svg):
                      float(fa["eta"][i]), "", float(fa["F_Q"][i]), ""])
     residuals["airy_force_max_rel_err"] = float(
         np.abs(fa["F_Q"] - a.k).max() / a.k)
-    ext = "csv" if cfg.out_format == "csv" else "json"
-    table = os.path.join(out_dir, f"packets.{ext}")
-    _write_table(table, header, rows, cfg.out_format)
-    manifest = _base_manifest("packets", cfg)
-    manifest["outputs"] = [os.path.basename(table)]
+    manifest, table = _table_run("packets", cfg, out_dir, header, rows)
     manifest["residuals"] = residuals
     return manifest, [table]
 
@@ -347,11 +341,7 @@ def run_models(cfg, out_dir, want_svg):
               for kind in ("linear_airy", "half_harmonic", "box")}
     for kind, slope in slopes.items():
         rows.append([kind, 1, "mass_scaling_slope", float(slope)])
-    ext = "csv" if cfg.out_format == "csv" else "json"
-    table = os.path.join(out_dir, f"models.{ext}")
-    _write_table(table, header, rows, cfg.out_format)
-    manifest = _base_manifest("models", cfg)
-    manifest["outputs"] = [os.path.basename(table)]
+    manifest, table = _table_run("models", cfg, out_dir, header, rows)
     manifest["hydrogen_max_JdotD"] = worst_jd
     manifest["mass_scaling_slopes"] = slopes
     return manifest, [table]
@@ -424,13 +414,10 @@ def main(argv=None):
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
         cfg = parse_config(text)
-        if args.seed is not None or args.format is not None:
-            sde_cfg = cfg.sde
-            if args.seed is not None:
-                sde_cfg = SdeConfig(**{**asdict(sde_cfg), "seed": args.seed})
-            cfg = RunConfig(annulus=cfg.annulus, m=cfg.m, n=cfg.n, nr=cfg.nr,
-                            ntheta=cfg.ntheta, sde=sde_cfg,
-                            out_format=args.format or cfg.out_format)
+        if args.seed is not None:
+            cfg = replace(cfg, sde=replace(cfg.sde, seed=args.seed))
+        if args.format is not None:
+            cfg = replace(cfg, out_format=args.format)
     except (ConfigError, OSError) as exc:
         print(f"abtool: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -172,16 +172,6 @@ def decompose(psi, A, cfg, p):
     """
     p = np.asarray(p, dtype=float)
     _, _, rho, cross = field_sample(psi, p)
-    return _velocities(rho, cross, A, cfg, p)
-
-
-def _moment_z(vec, arm):
-    """(arm x vec)_z: |arm| times vec's e_theta component about arm's origin."""
-    return arm[..., 0] * vec[..., 1] - arm[..., 1] * vec[..., 0]
-
-
-def _velocities(rho, cross, A, cfg, p):
-    """The VelocityDecomposition from rho and psi* grad psi at p."""
     _check_floor(rho)
     hbar, m = cfg.hbar, cfg.mass
     rho_col = rho[..., None] if rho.ndim else rho
@@ -202,13 +192,17 @@ def _velocities(rho, cross, A, cfg, p):
                                  v_quasi=v_quasi, w_quasi=w_quasi)
 
 
+def _moment_z(vec, arm):
+    """(arm x vec)_z: |arm| times vec's e_theta component about arm's origin."""
+    return arm[..., 0] * vec[..., 1] - arm[..., 1] * vec[..., 0]
+
+
 def quasi_currents(psi, A, cfg, p):
     """Quasi-probability and quasi-diffusion currents (Gamma, Delta) at p,
     computed directly from the gauge-covariant momentum density
     (i hbar / 2M)(psi grad psi* - psi* grad psi) - (q/Mc) A rho."""
     p = np.asarray(p, dtype=float)
     _, _, rho, cross = field_sample(psi, p)
-    _check_floor(rho)
     hbar, m = cfg.hbar, cfg.mass
     rho_col = rho[..., None] if rho.ndim else rho
     gamma = (hbar / m) * cross.imag                      # (i hbar/2M)(psi grad psi* - c.c.)
@@ -326,10 +320,8 @@ def osmotic_expectation(psi, A, cfg, domain, spec=QuadratureSpec()):
 
 def kinetic_energy_density(psi, A, cfg, p):
     """(1/2) M rho (v_quasi^2 + w_quasi^2) at p."""
-    dec = decompose(psi, A, cfg, p)
-    v2 = np.sum(dec.v_quasi ** 2, axis=-1)
-    w2 = np.sum(dec.w_quasi ** 2, axis=-1)
-    return 0.5 * cfg.mass * dec.rho * (v2 + w2)
+    cols = _energy_densities(psi, A, cfg, np.asarray(p, dtype=float))
+    return cols[..., 0] + cols[..., 1]
 
 
 def _momentum_density(amp, grad, A, cfg, pts):
@@ -342,51 +334,40 @@ def _momentum_density(amp, grad, A, cfg, pts):
 
 
 def _energy_densities(psi, A, cfg, pts):
-    """Columns (1/2) M rho v_quasi^2, (1/2) M rho w_quasi^2 (decomposition
-    route) and |P' psi|^2 / 2M (raw route) at pts from one field sample."""
-    amp, grad, rho, cross = field_sample(psi, pts)
-    dec = _velocities(rho, cross, A, cfg, pts)
-    half_m_rho = 0.5 * cfg.mass * dec.rho
-    return np.stack([half_m_rho * np.sum(dec.v_quasi ** 2, axis=-1),
-                     half_m_rho * np.sum(dec.w_quasi ** 2, axis=-1),
+    """Columns (1/2) M rho v_quasi^2, (1/2) M rho w_quasi^2 and the raw
+    |P' psi|^2 / 2M at pts from one field sample.
+
+    The split uses the unit phase u = psi*/|psi|, so nothing divides by rho:
+    (1/2) M rho v_quasi^2 = (hbar^2/2M) |Im(u grad psi) - (q/hbar c) A |psi||^2
+    and (1/2) M rho w_quasi^2 = (hbar^2/2M) (Re u grad psi)^2.  The raw
+    column is a separate route through the momentum operator.
+    """
+    amp, grad, _, cross = field_sample(psi, pts)
+    modulus = np.abs(amp)[..., None]
+    u_grad = cross / modulus                             # u grad psi
+    rotation = u_grad.imag
+    if A is not None:
+        coef = cfg.charge / (cfg.hbar * cfg.c)
+        rotation = rotation - coef * np.asarray(A(pts), dtype=float) * modulus
+    scale = cfg.hbar ** 2 / (2.0 * cfg.mass)
+    return np.stack([scale * np.sum(rotation ** 2, axis=-1),
+                     scale * np.sum(u_grad.real ** 2, axis=-1),
                      _momentum_density(amp, grad, A, cfg, pts) / (2.0 * cfg.mass)],
                     axis=-1)
 
 
 def integrated_energy_identity(psi, A, cfg, domain, spec=QuadratureSpec()):
-    """Check integral |P' psi|^2 / 2M == integral (1/2) M rho (v^2 + w^2).
-
-    Returns (lhs, rhs, relative residual).  The identity holds pointwise for
-    the quadratic form used here; the two sides follow independent code
-    paths (raw momentum density vs. the velocity decomposition).
+    """{rotational, radial, total, residual}: the kinetic energy over the
+    domain split into its quasi-current (rotational) and dispersive (radial)
+    parts, the total from the raw momentum density |P' psi|^2 / 2M, and the
+    relative residual |total - rotational - radial| / |total|.  The identity
+    holds pointwise; the split and the total follow independent code paths.
     """
-    rotational, radial, lhs = domain.integrate(
-        lambda pts: _energy_densities(psi, A, cfg, pts), spec)
-    lhs, rhs = float(lhs), float(rotational + radial)
-    residual = abs(lhs - rhs) / abs(lhs)
-    return lhs, rhs, residual
-
-
-def energy_density_operator_residual(psi, A, cfg, p, h=1e-4):
-    """Diagnostic: pointwise difference between the operator-form energy
-    density Re[psi* (P')^2 psi]/2M (second derivatives by finite differences)
-    and (1/2) M rho (v^2 + w^2).  The two differ by a total divergence, so
-    no pass/fail bound applies; the integrated identity is the contract.
-    """
-    p = np.asarray(p, dtype=float)
-    hbar, m = cfg.hbar, cfg.mass
-    amp, grad, _, _ = field_sample(psi, p)
-    op = -hbar ** 2 * laplacian_fd(psi.amplitude, p, h)
-    if A is not None:
-        a_val = np.asarray(A(p), dtype=float)
-        a_dot_grad = np.sum(a_val * grad)
-        a_sq = np.sum(a_val * a_val)
-        q_c = cfg.charge / cfg.c
-        # (P - qA/c)^2 = P^2 - (q/c)(P.A + A.P) + (q/c)^2 A^2; div A = 0 for
-        # the solenoid form, handled exactly when A carries zero divergence
-        op = op + 2j * hbar * q_c * a_dot_grad + q_c ** 2 * a_sq * amp
-    operator_form = (np.conj(amp) * op).real / (2.0 * m)
-    return operator_form - float(kinetic_energy_density(psi, A, cfg, p))
+    rotational, radial, total = map(float, domain.integrate(
+        lambda pts: _energy_densities(psi, A, cfg, pts), spec))
+    residual = abs(total - rotational - radial) / abs(total)
+    return {"rotational": rotational, "radial": radial, "total": total,
+            "residual": residual}
 
 
 def phase_winding(psi, cfg, radius):

@@ -320,10 +320,28 @@ def target_radial_sampler(state, stream, count):
     return np.interp(u, cdf, rg)
 
 
-def _pooled_radii(trajectories):
+def _pooled(trajectories, per_trajectory):
+    """Samples pooled over trajectories: an ndarray is the samples
+    themselves, otherwise per_trajectory(t) of each Trajectory, concatenated."""
     if isinstance(trajectories, np.ndarray):
         return np.asarray(trajectories, dtype=float).ravel()
-    return np.concatenate([t.radii() for t in trajectories])
+    return np.concatenate([per_trajectory(t) for t in trajectories])
+
+
+def _chi2_on_counts(samples, bins, thin, edges):
+    """({chi2, p_value, dof}, sample count) of the samples thinned by `thin`
+    against equal expected counts in the bins edges(nbins) delimits, where
+    nbins is `bins` shrunk until every bin expects at least 20 samples."""
+    thinned = samples[::thin]
+    nbins = int(min(bins, thinned.size // 20))
+    if nbins < 2:
+        raise ValueError("too few thinned samples for a chi-square")
+    counts, _ = np.histogram(thinned, bins=edges(nbins))
+    expected = thinned.size / nbins
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    dof = nbins - 1
+    return ({"chi2": chi2, "p_value": chi2_sf(chi2, dof), "dof": dof},
+            int(thinned.size))
 
 
 def ks_distance(samples, state, target=None):
@@ -346,42 +364,25 @@ def stationarity_test(trajectories, state, bins=40, thin=1):
     thinned by `thin`; for Markov-chain input choose `thin` near the chain's
     correlation time, otherwise the chi-square calibration is meaningless.
     """
-    radii = _pooled_radii(trajectories)
+    radii = _pooled(trajectories, Trajectory.radii)
     if radii.size < 10_000:
         raise ValueError("need at least 1e4 pooled samples")
     target = radial_target(state)
     ks = ks_distance(radii, state, target)
-    thinned = radii[::thin]
-    nbins = int(min(bins, thinned.size // 20))
-    if nbins < 2:
-        raise ValueError("too few thinned samples for a chi-square")
     rg, _, cdf = target
-    edges = np.interp(np.linspace(0.0, 1.0, nbins + 1), cdf, rg)
-    counts, _ = np.histogram(thinned, bins=edges)
-    expected = thinned.size / nbins
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
-    dof = nbins - 1
-    return {"ks_distance": ks, "chi2": chi2, "p_value": chi2_sf(chi2, dof),
-            "dof": dof, "n_samples": int(radii.size),
-            "n_chi2_samples": int(thinned.size)}
+    chi2, n_chi2 = _chi2_on_counts(
+        radii, bins, thin,
+        lambda nbins: np.interp(np.linspace(0.0, 1.0, nbins + 1), cdf, rg))
+    return {"ks_distance": ks, **chi2, "n_samples": int(radii.size),
+            "n_chi2_samples": n_chi2}
 
 
 def angular_uniformity_test(trajectories, bins=16, thin=1):
     """Chi-square of the pooled (thinned) angles against the uniform law."""
-    if isinstance(trajectories, np.ndarray):
-        angles = np.asarray(trajectories, dtype=float).ravel()
-    else:
-        angles = np.concatenate([t.angles() for t in trajectories])
-    thinned = angles[::thin]
-    nbins = int(min(bins, thinned.size // 20))
-    if nbins < 2:
-        raise ValueError("too few thinned samples for a chi-square")
-    counts, _ = np.histogram(thinned, bins=nbins, range=(-np.pi, np.pi))
-    expected = thinned.size / nbins
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
-    dof = nbins - 1
-    return {"chi2": chi2, "p_value": chi2_sf(chi2, dof), "dof": dof,
-            "n_samples": int(thinned.size)}
+    chi2, n = _chi2_on_counts(
+        _pooled(trajectories, Trajectory.angles), bins, thin,
+        lambda nbins: np.linspace(-np.pi, np.pi, nbins + 1))
+    return {**chi2, "n_samples": n}
 
 
 def ergodic_angular_momentum(trajectories, state, thin=1):

@@ -8,6 +8,7 @@ import pytest
 from abtool.annulus import (AnnulusConfig, CircleLoop, circulation,
                             closed_form_q_and_force, diffusion_velocity,
                             eigenstate, energy_decomposition, flux_parameter,
+                            _energy_domain,
                             gauge_family, helmholtz_residual, magnetic_force,
                             angular_momenta, rotational_energy_density_profile,
                             solenoid_current_check, solenoid_potential,
@@ -197,6 +198,24 @@ class TestEnergyDecomposition:
         cfg0 = AnnulusConfig(B=0.0)
         dec = energy_decomposition(eigenstate(cfg0, 0, 1))
         assert dec["rotational"] <= 1e-12 * dec["total"]
+
+    @pytest.mark.parametrize("m", range(13))
+    def test_default_window_has_no_density_floor(self, m):
+        # the split never divides by rho, which underflows next to r = a
+        for n in (1, 2):
+            assert energy_decomposition(eigenstate(CFG, m, n))["residual"] <= 1e-6
+
+    @pytest.mark.parametrize("m", [6, 10])
+    def test_rotational_closed_form(self, m):
+        # integral of hbar^2 (m + lambda)^2 rho / (2 M r^2) dA over the same
+        # inset annulus, by an independent trapezoid in r
+        state = eigenstate(CFG, m, 1)
+        dom = _energy_domain(CFG)
+        rg = np.linspace(dom.a, dom.b, 200_001)
+        expected = 2.0 * math.pi * CFG.hbar ** 2 * (m + state.lam) ** 2 \
+            / (2.0 * CFG.mass) * np.trapezoid(state.radial_density(rg) / rg, rg)
+        got = energy_decomposition(state)["rotational"]
+        assert got == pytest.approx(expected, rel=1e-8)
 
     def test_flux_profile_integral(self):
         # integral of T_{m,lambda} equals (lambda^2 + 2 m lambda) hbar^2/(2M)

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from abtool.annulus import AnnulusConfig, eigenstate, solenoid_potential
-from abtool.madelung import (AnnulusDomain, Constants, DensityFloorError,
-                             LineDomain, VectorPotentialSpec, WaveField,
-                             decompose, energy_density_operator_residual,
-                             gauge_transform, integrated_energy_identity,
-                             kinetic_energy_density, osmotic_expectation,
-                             phase_winding, quantum_force, quantum_potential,
-                             quasi_currents)
+from abtool.madelung import (RHO_FLOOR, AnnulusDomain, Constants,
+                             DensityFloorError, LineDomain, VectorPotentialSpec,
+                             WaveField, decompose, gauge_transform,
+                             integrated_energy_identity, kinetic_energy_density,
+                             osmotic_expectation, phase_winding, quantum_force,
+                             quantum_potential, quasi_currents)
 from abtool import numerics
 from abtool.numerics import NonConvergenceError, QuadratureSpec
 from abtool.wavepackets import GaussianPacketConfig, gaussian_wavefield
@@ -148,6 +147,23 @@ class TestQuasiCurrents:
 
         expected = -(CFG.hbar / (2 * CFG.mass)) * fd_derivative(rho_of_x, r, 1e-8)
         assert delta[0] == pytest.approx(expected, rel=1e-5)
+
+    def test_below_density_floor(self):
+        # Gamma and Delta divide by nothing, so they stay defined where rho
+        # underflows the decomposition's floor next to the inner wall
+        state = eigenstate(CFG, 6, 1)
+        p = np.array([[1.0 + 1e-4, 0.0], [0.0, -1.0 - 2e-4]])
+        amp, grad = state.value_and_gradient(p)
+        rho = np.abs(amp) ** 2
+        assert np.all((0.0 < rho) & (rho < RHO_FLOOR))
+        cross = np.conj(amp)[:, None] * grad
+        gamma, delta = quasi_currents(state, A_SPEC, CFG, p)
+        np.testing.assert_allclose(
+            gamma, (CFG.hbar / CFG.mass) * cross.imag
+            - (CFG.charge / (CFG.mass * CFG.c)) * A_SPEC(p) * rho[:, None],
+            rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            delta, -(CFG.hbar / CFG.mass) * cross.real, rtol=1e-12, atol=0.0)
 
     def test_two_routes_agree_over_sample(self):
         rng = np.random.default_rng(3)
@@ -287,24 +303,16 @@ class TestEnergyIdentity:
     def test_gaussian_moment_oracle(self):
         cfg = GaussianPacketConfig(alpha=1.0, k0=1.0)
         field = gaussian_wavefield(cfg, 0.0)
-        lhs, rhs, res = integrated_energy_identity(field, None, CONSTS,
-                                                   LineDomain(-5.8, 5.8))
+        out = integrated_energy_identity(field, None, CONSTS, LineDomain(-5.8, 5.8))
         expected = cfg.hbar ** 2 / (2 * cfg.mass * cfg.alpha ** 2) \
             * (1.0 + cfg.k0 ** 2 * cfg.alpha ** 2)
-        assert res <= 1e-12
-        assert lhs == pytest.approx(expected, rel=1e-10)
+        assert out["residual"] <= 1e-12
+        assert out["total"] == pytest.approx(expected, rel=1e-10)
 
     def test_annulus_state(self):
         from abtool.annulus import _energy_domain
-        lhs, rhs, res = integrated_energy_identity(
-            STATE, A_SPEC, CFG, _energy_domain(CFG))
-        assert res <= 1e-6
-
-    def test_operator_residual_is_reported_not_bounded(self):
-        # the operator-form density differs pointwise by a total divergence
-        val = energy_density_operator_residual(STATE, A_SPEC, CFG,
-                                               np.array([1.9, 0.4]))
-        assert np.isfinite(val)
+        out = integrated_energy_identity(STATE, A_SPEC, CFG, _energy_domain(CFG))
+        assert out["residual"] <= 1e-6
 
 
 class TestPhaseWinding:

@@ -11,7 +11,7 @@ lambda = -q B a^2 / (2 hbar c).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -217,15 +217,23 @@ def _radial_profile(cfg, nu, n, spec=QuadratureSpec()):
     return tau, k, 1.0 / math.sqrt(2.0 * math.pi * radial_int)
 
 
+# Largest order whose zeros `bessel_j_zero` meets to 1e-9 relative against
+# scipy for n <= 100 (tests/test_numerics.py); beyond about 15 the Bessel
+# kernel's large-argument branch runs where it needs x >> nu^2 and fails.
+MAX_ORDER = 12.0
+
+
 @lru_cache(maxsize=256)
 def eigenstate(cfg, m, n):
-    """Bound state (m, n): nu = |m + lambda|, tau the n-th zero of J_nu."""
+    """Bound state (m, n): nu = |m + lambda| <= MAX_ORDER, n <= 100, and
+    tau the n-th zero of J_nu."""
     if n < 1:
         raise ValueError("n must be >= 1")
     lam = flux_parameter(cfg)
     nu = abs(m + lam)
-    if nu > 50.0:
-        raise ValueError(f"order nu={nu} outside the supported window")
+    if nu > MAX_ORDER:
+        raise ValueError(f"order nu={nu} outside the supported window "
+                         f"nu <= {MAX_ORDER:g}")
     if n > 100:
         raise ValueError("n > 100 outside the supported window")
     tau, k, norm = _radial_profile(cfg, nu, n)
@@ -235,20 +243,18 @@ def eigenstate(cfg, m, n):
 
 def helmholtz_residual(state, r):
     """Pointwise residual of (covariant laplacian + k^2) applied to the
-    bound-state ansatz, divided by the angular phase.
+    bound-state ansatz, divided by the angular phase, for a < r < b.
 
     The ansatz J_nu(k (r-a)) is not an exact eigenfunction of the radial
     operator with the nu^2/r^2 centrifugal term, so this is nonzero; the
     integrated identities used elsewhere hold regardless.  Diagnostic only.
+    With R, R' from `radial_parts` and s = r - a, Bessel's equation for
+    J_nu(k s) leaves R' (1/r - 1/s) + nu^2 R (1/s^2 - 1/r^2).
     """
     r = np.asarray(r, dtype=float)
-    x = state.k * (r - state.cfg.a)
-    nu, k = state.nu, state.k
-    j = bessel_j(nu, x)
-    jp = (nu / x) * j - bessel_j(nu + 1.0, x)
-    jpp = -jp / x + (nu ** 2 / x ** 2 - 1.0) * j
-    res = k ** 2 * jpp + k * jp / r - (nu ** 2 / r ** 2) * j + k ** 2 * j
-    return state.norm * res
+    rr, drr = state.radial_parts(r)
+    s = r - state.cfg.a
+    return drr * (1.0 / r - 1.0 / s) + state.nu ** 2 * rr * (1.0 / s ** 2 - 1.0 / r ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +445,8 @@ def system_b_equivalence(cfg, m, radii=None):
 def gauge_family(state, deltas, grid_points=801, spec=QuadratureSpec()):
     """Densities rho_{nu +- delta, n}(r) for each delta, each normalized,
     with the mean-deviation report max_r |(rho_+ + rho_-)/2 - rho_nu| and
-    the deviation ratios across successive deltas.
+    the deviation ratios across successive deltas.  members[delta] is the
+    pair of ABStates of order nu +- delta (the base state's m, n, lambda).
     """
     cfg = state.cfg
     for d in deltas:
@@ -450,22 +457,17 @@ def gauge_family(state, deltas, grid_points=801, spec=QuadratureSpec()):
 
     def member(nu):
         tau, k, norm = _radial_profile(cfg, nu, state.n, spec)
-        def rho(r, k=k, norm=norm, nu=nu):
-            r = np.asarray(r, dtype=float)
-            j = bessel_j(nu, k * (r - cfg.a))
-            return (norm * j) ** 2
-        return rho
+        return replace(state, nu=nu, tau=tau, k=k, norm=norm)
 
     members = {}
     deviations = []
     for d in deltas:
         if d == 0.0:
-            rho_p = rho_m = state.radial_density
+            plus = minus = state
         else:
-            rho_p = member(state.nu + d)
-            rho_m = member(state.nu - d)
-        members[d] = (rho_p, rho_m)
-        mean = 0.5 * (rho_p(rg) + rho_m(rg))
+            plus, minus = member(state.nu + d), member(state.nu - d)
+        members[d] = (plus, minus)
+        mean = 0.5 * (plus.radial_density(rg) + minus.radial_density(rg))
         deviations.append(float(np.abs(mean - base).max()))
     ratios = [deviations[i] / deviations[i + 1] if deviations[i + 1] > 0 else math.inf
               for i in range(len(deltas) - 1)]

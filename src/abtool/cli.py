@@ -205,34 +205,22 @@ def run_fields(cfg, out_dir, want_svg):
     ths = np.linspace(0.0, 2.0 * np.pi, cfg.ntheta, endpoint=False)
     header = ("r,theta,rho,eta_r,eta_t,xi_re_r,xi_re_t,xi_im_r,xi_im_t,"
               "gamma_r,gamma_t,delta_r,delta_t,v_r,v_t,w_r,w_t,Q,F_r").split(",")
-    rows = []
+    e_r = np.stack([np.cos(ths), np.sin(ths)], axis=-1)
+    e_t = np.stack([-np.sin(ths), np.cos(ths)], axis=-1)
+    blocks = []
     for r in rs:
         pts = np.stack([r * np.cos(ths), r * np.sin(ths)], axis=-1)
         dec = decompose(state, a_spec, ann, pts)
         qf = annulus.closed_form_q_and_force(state, r)
-        e_r = np.stack([np.cos(ths), np.sin(ths)], axis=-1)
-        e_t = np.stack([-np.sin(ths), np.cos(ths)], axis=-1)
-
-        def proj(vec):
-            return np.sum(vec * e_r, axis=-1), np.sum(vec * e_t, axis=-1)
-
-        eta_r, eta_t = proj(dec.eta)
-        xr_r, xr_t = proj(dec.xi_real)
-        xi_r, xi_t = proj(dec.xi_imag)
-        g_r, g_t = proj(dec.gamma)
-        d_r, d_t = proj(dec.delta)
-        v_r, v_t = proj(dec.v_quasi)
-        w_r, w_t = proj(dec.w_quasi)
-        for j, th in enumerate(ths):
-            rows.append([float(r), float(th), float(dec.rho[j]),
-                         float(eta_r[j]), float(eta_t[j]),
-                         float(xr_r[j]), float(xr_t[j]),
-                         float(xi_r[j]), float(xi_t[j]),
-                         float(g_r[j]), float(g_t[j]),
-                         float(d_r[j]), float(d_t[j]),
-                         float(v_r[j]), float(v_t[j]),
-                         float(w_r[j]), float(w_t[j]),
-                         float(qf["Q"]), float(qf["F_r"])])
+        vecs = np.stack([dec.eta, dec.xi_real, dec.xi_imag, dec.gamma,
+                         dec.delta, dec.v_quasi, dec.w_quasi])
+        # (field, r/theta component, point) -> eta_r, eta_t, xi_re_r, ...
+        comps = np.stack([np.sum(vecs * e_r, axis=-1),
+                          np.sum(vecs * e_t, axis=-1)], axis=1).reshape(14, -1)
+        ones = np.ones_like(ths)
+        blocks.append(np.column_stack([r * ones, ths, dec.rho, *comps,
+                                       qf["Q"] * ones, qf["F_r"] * ones]))
+    rows = np.concatenate(blocks).tolist()
     manifest, _ = _table_run("fields", cfg, out_dir, header, rows)
     if want_svg:
         rho_line = state.radial_density(rs)

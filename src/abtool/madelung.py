@@ -344,7 +344,10 @@ def _energy_densities(psi, A, cfg, pts):
     """
     amp, grad, _, cross = field_sample(psi, pts)
     modulus = np.abs(amp)[..., None]
-    u_grad = cross / modulus                             # u grad psi
+    # u grad psi; where psi is exactly 0, its limit across the nodal line:
+    # real, with components |d psi / dx_i|
+    node = modulus == 0.0
+    u_grad = np.where(node, np.abs(grad), cross / np.where(node, 1.0, modulus))
     rotation = u_grad.imag
     if A is not None:
         coef = cfg.charge / (cfg.hbar * cfg.c)

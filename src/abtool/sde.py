@@ -166,8 +166,7 @@ def _start_radii(state, cfg, stream, count):
     rg = np.linspace(cfg.a, cfg.b, 1025)
     th = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
     pts = np.stack([np.outer(rg, np.cos(th)), np.outer(rg, np.sin(th))], axis=-1)
-    pdf = rg * state.density(pts).mean(axis=1)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(rg))])
+    cdf = _trapezoid_cdf(rg, rg * state.density(pts).mean(axis=1))
     return np.interp(stream.uniforms(count), cdf / cdf[-1], rg)
 
 
@@ -298,6 +297,12 @@ def rejection_fraction(trajectories, sde_cfg):
 # Radial target distribution and goodness-of-fit statistics.
 # ---------------------------------------------------------------------------
 
+def _trapezoid_cdf(r, pdf):
+    """Running trapezoid integral of pdf over the grid r, from 0 (not
+    normalized)."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(r))])
+
+
 @lru_cache(maxsize=64)
 def radial_target(state, grid_points=8193):
     """(r grid, pdf, cdf) for the radial marginal p(r) = 2 pi r rho(r);
@@ -305,7 +310,7 @@ def radial_target(state, grid_points=8193):
     cfg = state.cfg
     rg = np.linspace(cfg.a, cfg.b, grid_points)
     pdf = 2.0 * np.pi * rg * state.radial_density(rg)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(rg))])
+    cdf = _trapezoid_cdf(rg, pdf)
     pdf = pdf / cdf[-1]
     cdf = cdf / cdf[-1]
     rg.flags.writeable = pdf.flags.writeable = cdf.flags.writeable = False

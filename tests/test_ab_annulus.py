@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from abtool.annulus import (AnnulusConfig, CircleLoop, circulation,
+from abtool.annulus import (MAX_ORDER, ABState, AnnulusConfig, CircleLoop,
+                            circulation,
                             closed_form_q_and_force, diffusion_velocity,
                             eigenstate, energy_decomposition, flux_parameter,
                             _energy_domain,
@@ -15,7 +16,8 @@ from abtool.annulus import (AnnulusConfig, CircleLoop, circulation,
                             system_b_equivalence, vector_potential,
                             vortex_fields)
 from abtool.madelung import decompose
-from abtool.numerics import QuadratureSpec
+from abtool.checks import _grid_states
+from abtool.numerics import QuadratureSpec, bessel_j, bessel_j_zero
 
 CFG = AnnulusConfig()                    # natural units, a=1, b=3, B=1
 STATE = eigenstate(CFG, 1, 1)
@@ -149,6 +151,20 @@ class TestEigenstate:
         with pytest.raises(ValueError):
             eigenstate(CFG, 1, 101)
 
+    def test_order_window(self):
+        # lambda = -1/2: nu = |m - 1/2|, so m = 12 gives 11.5, m = 13 and
+        # m = -12 give 12.5; lambda = 0 reaches nu = 12 itself
+        assert eigenstate(CFG, 12, 100).nu == 11.5
+        assert eigenstate(AnnulusConfig(B=0.0), 12, 100).nu == MAX_ORDER == 12.0
+        for m in (13, -12, 60):
+            with pytest.raises(ValueError, match="supported window"):
+                eigenstate(CFG, m, 1)
+
+    def test_tau_is_the_one_cached_zero(self):
+        states = list(_grid_states()) + [eigenstate(CFG, 1, 100)]
+        for state in states:
+            assert state.tau == bessel_j_zero(state.nu, state.n)
+
     def test_gradient_matches_finite_differences(self):
         p = np.array([1.9, 0.8])
         h = 1e-6
@@ -167,6 +183,20 @@ class TestEigenstate:
         res = helmholtz_residual(STATE, rg)
         assert np.all(np.isfinite(res))
         assert np.abs(res).max() > 0.0
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (0, 1), (5, 3)])
+    def test_helmholtz_residual_against_the_bessel_route(self, m, n):
+        # k^2 J'' + k J'/r - nu^2 J/r^2 + k^2 J with J'' from Bessel's equation
+        state = eigenstate(CFG, m, n)
+        r = np.linspace(1.05, 2.95, 9)
+        nu, k = state.nu, state.k
+        x = k * (r - CFG.a)
+        j = bessel_j(nu, x)
+        jp = (nu / x) * j - bessel_j(nu + 1.0, x)
+        jpp = -jp / x + (nu ** 2 / x ** 2 - 1.0) * j
+        ref = state.norm * (k ** 2 * (jpp + j) + k * jp / r - (nu ** 2 / r ** 2) * j)
+        res = helmholtz_residual(state, r)
+        assert np.abs(res - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestAngularMomenta:
@@ -385,12 +415,19 @@ class TestGaugeFamily:
 
     def test_members_normalized(self):
         fam = gauge_family(STATE, (0.2,))
-        rho_plus, rho_minus = fam["members"][0.2]
-        for rho in (rho_plus, rho_minus):
+        for member in fam["members"][0.2]:
             val = CFG.domain().integrate(
-                lambda pts: rho(np.hypot(pts[..., 0], pts[..., 1])),
-                QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
+                member.density, QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
             assert val == pytest.approx(1.0, abs=1e-8)
+
+    def test_members_are_states_of_the_shifted_order(self):
+        fam = gauge_family(STATE, (0.0, 0.2))
+        assert fam["members"][0.0] == (STATE, STATE)
+        for member, nu in zip(fam["members"][0.2], (0.7, 0.3)):
+            assert isinstance(member, ABState)
+            assert (member.m, member.n, member.lam) == (STATE.m, STATE.n, STATE.lam)
+            assert member.nu == pytest.approx(nu, abs=1e-15)
+            assert member.tau == bessel_j_zero(member.nu, STATE.n)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):

@@ -202,9 +202,16 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == EXIT_CONFIG
 
     def test_state_outside_window_is_2(self, tmp_path, capsys):
-        # nu = |m + lambda| = 59.5 > 50
+        # nu = |m + lambda| = 59.5 > 12
         assert run_cli(["fields"], tmp_path,
                        config={"state": {"m": 60}}) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "supported window" in err
+
+    def test_spectrum_past_the_order_window_is_2(self, tmp_path, capsys):
+        # the spectrum's m = +-13 rows have nu = 12.5 and 13.5 > 12
+        assert run_cli(["spectrum"], tmp_path,
+                       config={"state": {"m": 13}}) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "supported window" in err
 

@@ -8,8 +8,8 @@ import pytest
 from abtool.annulus import AnnulusConfig, eigenstate, solenoid_potential
 from abtool.madelung import (RHO_FLOOR, AnnulusDomain, Constants,
                              DensityFloorError, LineDomain, VectorPotentialSpec,
-                             WaveField, decompose, gauge_transform,
-                             integrated_energy_identity, kinetic_energy_density,
+                             WaveField, _energy_densities, decompose,
+                             gauge_transform, integrated_energy_identity, kinetic_energy_density,
                              osmotic_expectation, phase_winding, quantum_force,
                              quantum_potential, quasi_currents)
 from abtool import numerics
@@ -299,6 +299,25 @@ class TestEnergyIdentity:
         got = kinetic_energy_density(ring, None, CONSTS, p)
         assert got == pytest.approx(CONSTS.hbar ** 2 * m ** 2 / (2 * CONSTS.mass * r2),
                                     rel=1e-12)
+
+    def test_exact_node(self):
+        # psi = x e^{i y} vanishes on x = 0; across that line u grad psi is
+        # real, so the density is all radial and equals the raw route
+        def amplitude(p):
+            return p[..., 0] * np.exp(1j * p[..., 1])
+
+        def gradient(p):
+            x, y = p[..., 0], p[..., 1]
+            return np.stack([np.exp(1j * y), 1j * x * np.exp(1j * y)], axis=-1)
+
+        line = WaveField(amplitude, gradient, dimension=2)
+        p = np.array([[0.0, 0.7], [0.3, 0.7]])
+        cols = _energy_densities(line, None, CONSTS, p)
+        assert np.all(np.isfinite(cols))
+        assert cols[0, 0] == 0.0
+        assert cols[0, 1] == pytest.approx(cols[0, 2], rel=1e-15)
+        assert cols[0, 1] == pytest.approx(CONSTS.hbar ** 2 / (2 * CONSTS.mass), rel=1e-15)
+        assert cols[1, 0] + cols[1, 1] == pytest.approx(cols[1, 2], rel=1e-14)
 
     def test_gaussian_moment_oracle(self):
         cfg = GaussianPacketConfig(alpha=1.0, k0=1.0)

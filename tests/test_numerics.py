@@ -12,9 +12,10 @@ import pytest
 from abtool.numerics import (NonConvergenceError, QuadratureSpec, RandomStream,
                              airy_ai, airy_ai_zero, assoc_laguerre,
                              assoc_legendre, bessel_j, bessel_j_zero,
-                             central_diff, central_diff_2nd, chi2_sf, curl_z_fd,
-                             gamma, gradient_fd, integrate_1d,
-                             integrate_periodic)
+                             bessel_j_pair, bessel_log_table, central_diff,
+                             central_diff_2nd, chi2_sf, curl_z_fd, gradient_fd,
+                             integrate_1d, integrate_periodic)
+from abtool import numerics
 from abtool.madelung import AnnulusDomain
 from abtool.numerics import _bessel_series, _bessel_hankel
 
@@ -56,20 +57,6 @@ def oracle_bisect(f, a, b, iters=120):
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
-
-
-class TestGamma:
-    def test_integers_exact(self):
-        for k in range(1, 10):
-            assert gamma(k) == math.factorial(k - 1)
-
-    def test_half_integer(self):
-        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-        assert gamma(2.5) == pytest.approx(1.5 * 0.5 * math.sqrt(math.pi), rel=1e-14)
-
-    def test_pole(self):
-        with pytest.raises(ValueError):
-            gamma(0.0)
 
 
 class TestBesselJ:
@@ -122,6 +109,17 @@ class TestBesselJ:
         b = bessel_j(1.25, np.linspace(0.1, 40, 50))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.25, 3.0, 12.0])
+    def test_pair_shares_the_series(self, nu):
+        # one Horner routine: the pair's J_nu is bessel_j's, bit for bit, and
+        # its J_{nu+1} (truncated where J_nu's series is) matches bessel_j to
+        # the series' rounding, eps times its terms' magnitudes, I_{nu+1} <= e^x
+        x = np.linspace(0.0, max(12.0, 2.0 * nu), 60).reshape(4, 15)
+        j0, j1 = bessel_j_pair(nu, x)
+        assert j0.shape == j1.shape == x.shape
+        assert np.array_equal(j0, bessel_j(nu, x))
+        assert np.all(np.abs(j1 - bessel_j(nu + 1.0, x)) <= 1e-15 * np.exp(x))
+
 
 class TestBesselZeros:
     def test_half_integer_zeros_are_n_pi(self):
@@ -147,6 +145,36 @@ class TestBesselZeros:
     def test_high_index(self):
         # zero number 100 of J_{1/2} is exactly 100 pi
         assert bessel_j_zero(0.5, 100) == pytest.approx(100 * math.pi, abs=1e-9)
+
+    def test_half_integer_zeros_to_rounding(self):
+        for n in range(1, 101):
+            assert abs(bessel_j_zero(0.5, n) - n * math.pi) <= 1e-12
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 2.25, 7.0, 12.0])
+    def test_bits_do_not_depend_on_request_order(self, nu):
+        fresh = []
+        for k in range(1, 6):
+            numerics._zero_block.cache_clear()
+            fresh.append(bessel_j_zero(nu, k))
+        numerics._zero_block.cache_clear()
+        bessel_j_zero(nu, 100)
+        assert [bessel_j_zero(nu, k) for k in range(1, 6)] == fresh
+
+    def test_against_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        optimize = pytest.importorskip("scipy.optimize")
+        for k in range(25):
+            nu = k / 2
+            for n in (1, 2, 5, 100):
+                z = bessel_j_zero(nu, n)
+                root = optimize.brentq(lambda x: special.jv(nu, x), z - 0.3, z + 0.3,
+                                       xtol=1e-15, rtol=8.9e-16)
+                assert abs(z - root) <= 1e-9 * root, (nu, n)
+
+    def test_table_reads_the_same_zeros(self):
+        for nu, n in ((0.5, 100), (0.0, 2), (2.25, 5)):
+            zeros = bessel_log_table(nu, n).zeros
+            assert all(zeros[k - 1] == bessel_j_zero(nu, k) for k in range(1, n + 1))
 
     def test_bad_args(self):
         with pytest.raises(ValueError):

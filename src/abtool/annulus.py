@@ -217,9 +217,9 @@ def _radial_profile(cfg, nu, n, spec=QuadratureSpec()):
     return tau, k, 1.0 / math.sqrt(2.0 * math.pi * radial_int)
 
 
-# Largest order whose zeros `bessel_j_zero` meets to 1e-9 relative against
-# scipy for n <= 100 (tests/test_numerics.py); beyond about 15 the Bessel
-# kernel's large-argument branch runs where it needs x >> nu^2 and fails.
+# Largest order whose zeros `bessel_j_zero` meets to 1e-12 relative against
+# scipy for n <= 100 (tests/test_numerics.py); the Bessel kernel is measured
+# to hold up to about 25 and fails next to its seam from about 28.
 MAX_ORDER = 12.0
 
 
@@ -446,12 +446,16 @@ def gauge_family(state, deltas, grid_points=801, spec=QuadratureSpec()):
     """Densities rho_{nu +- delta, n}(r) for each delta, each normalized,
     with the mean-deviation report max_r |(rho_+ + rho_-)/2 - rho_nu| and
     the deviation ratios across successive deltas.  members[delta] is the
-    pair of ABStates of order nu +- delta (the base state's m, n, lambda).
+    pair of ABStates of order nu +- delta with the base state's m, n and
+    lambda, so nu != |m + lambda| for them: only their radial parts
+    (radial_density, radial_parts) are meaningful.
     """
     cfg = state.cfg
     for d in deltas:
         if d < 0.0 or state.nu - d < 0.0:
             raise ValueError(f"delta {d} drives the order negative")
+        if state.nu + d > MAX_ORDER:
+            raise ValueError(f"delta {d} drives the order past nu = {MAX_ORDER:g}")
     rg = np.linspace(cfg.a, cfg.b, grid_points)
     base = state.radial_density(rg)
 

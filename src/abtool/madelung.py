@@ -347,7 +347,9 @@ def _energy_densities(psi, A, cfg, pts):
     # u grad psi; where psi is exactly 0, its limit across the nodal line:
     # real, with components |d psi / dx_i|
     node = modulus == 0.0
-    u_grad = np.where(node, np.abs(grad), cross / np.where(node, 1.0, modulus))
+    u_grad = cross / np.where(node, 1.0, modulus)
+    if node.any():
+        u_grad = np.where(node, np.abs(grad), u_grad)
     rotation = u_grad.imag
     if A is not None:
         coef = cfg.charge / (cfg.hbar * cfg.c)

@@ -42,60 +42,100 @@ class NonConvergenceError(RuntimeError):
 # and for the pair J_order, J_{order+1}) below the seam x = max(12, 2*order);
 # Hankel large-argument expansion above it.  The two branches are asserted to
 # agree at the seam by the test suite.  Verified for order <= 12, the bound
-# `annulus.eigenstate` enforces: against scipy on 0 <= x <= 340 the largest
-# error is 1e-10 for order <= 10 and 4.7e-9 at order 12 (both next to the
-# seam).  Beyond about order 15 the Hankel branch runs where it needs
-# x >> order^2 and fails (2e-4 at order 15).
+# `annulus.eigenstate` enforces: against mpmath on 0 < x <= 340 the largest
+# error is 8.5e-11 for order <= 6 (the Hankel branch just above x = 12; the
+# series is 3e-13 off just below) and 3e-15 for 6 < order <= 12, whose series
+# is compensated past x = 12.  Above the window it holds to 1e-15 up to about
+# order 25 and breaks next to the seam from about 28 (4e-11 at 30, 8 at 33).
 # ---------------------------------------------------------------------------
 
 _SERIES_TERMS = 120
-_series_coeff_cache: dict[float, np.ndarray] = {}
+_series_coeff_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+_COMPENSATED_Y = 36.0      # (x/2)^2 at x = 12
 
 
 def _series_coeffs(order):
-    c = _series_coeff_cache.get(order)
-    if c is None:
-        c = np.empty(_SERIES_TERMS)
+    """(c, lo): c[k] = (-1)^k / (k! Gamma(order + k + 1)) by the float
+    recurrence from c[0], and lo[k] its rounding against the same recurrence
+    carried out exactly on integers (order = p / q; int / int is correctly
+    rounded)."""
+    cached = _series_coeff_cache.get(order)
+    if cached is None:
+        c, lo = np.empty(_SERIES_TERMS), np.zeros(_SERIES_TERMS)
         c[0] = 1.0 / math.gamma(order + 1.0)
+        p, q = float(order).as_integer_ratio()
+        num, den = c[0].as_integer_ratio()
         for k in range(1, _SERIES_TERMS):
             c[k] = -c[k - 1] / (k * (order + k))
-        _series_coeff_cache[order] = c
-    return c
+            num, den = -num * q, den * k * (p + k * q)
+            a, b = c[k].as_integer_ratio()
+            lo[k] = (num * b - a * den) / (den * b)
+        cached = _series_coeff_cache[order] = (c, lo)
+    return cached
 
 
-def _series_terms(order, y):
-    """Truncation of the ascending series for the arguments y = (x/2)^2: the
-    smallest where the next term is below 1e-20 at the largest y (the series
+def _series_terms(order, ymax, tol=1e-20):
+    """Truncation of the ascending series for the arguments y = (x/2)^2 <=
+    ymax: the smallest where the next term is below tol at ymax (the series
     alternates, so the next term bounds the remainder)."""
-    c = _series_coeffs(order)
-    ymax = float(y.max()) if y.size else 0.0
+    c = _series_coeffs(order)[0]
     nterms = 8
     t = abs(c[nterms]) * ymax ** nterms if ymax > 0 else 0.0
-    while nterms < _SERIES_TERMS - 1 and t > 1e-20:
+    while nterms < _SERIES_TERMS - 1 and t > tol:
         nterms += 1
         t *= ymax / (nterms * (order + nterms))
     return nterms
 
 
-def _horner_series(order, y, *coeffs):
-    """For each coefficient row c, sum_k c[k] y^k by Horner at y = (x/2)^2,
-    truncated where the series of J_order is (`_series_terms`); the row
-    `_series_coeffs(order)` sums to J_order(x) / (x/2)^order.  y is the
-    caller's and outlives the sums: on 1e5-point batches, freeing it here
-    let the products that follow reuse its block and raised peak RSS 1 MB."""
-    nterms = _series_terms(order, y)
+def _split(a):
+    """a = hi + lo with 26-bit halves (Dekker), so products of halves are exact."""
+    t = 134217729.0 * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _horner_series(order, y, *orders, compensated=False):
+    """J_o(x) / (x/2)^o for each order o of `orders`: sum_k c_o[k] y^k by
+    Horner at y = (x/2)^2, truncated where the series of J_order is.  y is
+    the caller's: freeing it here raised peak RSS 1 MB on 1e5-point batches.
+    Past x = 12 (orders above 6), or when asked, Horner is compensated
+    (Graillat, Langlois & Louvet 2005): a second sum carries the rounding of
+    every step and coefficient, so J is right to about 1e-16 absolute, not
+    1e-16 I_o(x) (at x = 24 the sum cancels by I_o / |J_o| ~ 1e9)."""
+    coeffs, lows = zip(*(_series_coeffs(o) for o in orders))
+    ymax = float(y.max()) if y.size else 0.0
+    if not compensated and ymax <= _COMPENSATED_Y:
+        nterms = _series_terms(order, ymax)
+        sums = [np.full_like(y, c[nterms]) for c in coeffs]
+        for k in range(nterms - 1, -1, -1):
+            for s, c in zip(sums, coeffs):
+                s *= y
+                s += c[k]
+        return sums
+    # truncated where the terms of J itself, not of J / (x/2)^order, drop
+    # below 1e-20
+    nterms = _series_terms(order, ymax, 1e-20 / max(ymax, 1.0) ** (0.5 * order))
     sums = [np.full_like(y, c[nterms]) for c in coeffs]
+    y_hi, y_lo = _split(y)
+    errs = [np.full_like(y, lo[nterms]) for lo in lows]
     for k in range(nterms - 1, -1, -1):
-        for i, c in enumerate(coeffs):
-            sums[i] = sums[i] * y + c[k]
-    return sums
+        for i, (c, lo) in enumerate(zip(coeffs, lows)):
+            s = sums[i]
+            p = s * y
+            s_hi, s_lo = _split(s)
+            p_err = ((s_hi * y_hi - p) + s_hi * y_lo + s_lo * y_hi) + s_lo * y_lo
+            sums[i] = p + c[k]
+            back = sums[i] - p
+            sum_err = (p - (sums[i] - back)) + (c[k] - back)
+            errs[i] = errs[i] * y + (p_err + sum_err + lo[k])
+    return [s + e for s, e in zip(sums, errs)]
 
 
 def _bessel_series(order, x):
     """Ascending series; x is a 1-d array with 0 <= x <= seam."""
     half = 0.5 * x
     y = half * half
-    (s,) = _horner_series(order, y, _series_coeffs(order))
+    (s,) = _horner_series(order, y, order)
     return s if order == 0.0 else s * half ** order
 
 
@@ -156,9 +196,13 @@ def bessel_j_pair(order, x):
     seam = max(12.0, 2.0 * order)
     if xv.max(initial=0.0) > seam:
         return bessel_j(order, xv), bessel_j(order + 1.0, xv)
-    half = 0.5 * xv
+    return _series_pair(order, xv)
+
+
+def _series_pair(order, x, compensated=False):
+    half = 0.5 * x
     y = half * half
-    s0, s1 = _horner_series(order, y, _series_coeffs(order), _series_coeffs(order + 1.0))
+    s0, s1 = _horner_series(order, y, order, order + 1.0, compensated=compensated)
     pref = half ** order if order != 0.0 else 1.0
     return s0 * pref, s1 * pref * half
 
@@ -166,7 +210,11 @@ def bessel_j_pair(order, x):
 # Zeros: sign changes of J on the cells of the grid x_i = order + 1e-9 + i pi/4
 # (the first zero exceeds the order, and pi/4 is below half the zero
 # spacing), scanned in blocks that double in size, then safeguarded Newton on
-# every bracket of a block at once.  A zero's bits depend on its block alone.
+# every bracket of a block at once.  The zeros inside the series window then
+# take one Newton step on the compensated series, which makes them the true
+# zeros to rounding (the plain sum is 1e-12 off at x = 12 for order 0, and
+# `BesselLogTable` puts its closed-form poles at the zeros); past the seam
+# they are the Hankel branch's zeros.  A zero's bits depend on its block alone.
 _ZERO_SCAN_STEP = np.pi / 4.0
 _ZERO_FIRST_CELLS = 16     # block b holds cells [16 (2^b - 1), 16 (2^(b+1) - 1))
 _ZERO_MAX_BLOCKS = 8       # 4080 cells, x up to about 3200
@@ -190,6 +238,9 @@ def _zero_block(order, block):
     todo = np.arange(z.size)
     for _ in range(_ZERO_MAX_ITER):
         if todo.size == 0:
+            inner = out <= max(12.0, 2.0 * order)
+            jv, jv1 = _series_pair(order, out[inner], compensated=True)
+            out[inner] -= jv / (order / out[inner] * jv - jv1)
             out.flags.writeable = False
             return out
         jv, jv1 = bessel_j_pair(order, z)

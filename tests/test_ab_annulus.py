@@ -432,3 +432,7 @@ class TestGaugeFamily:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             gauge_family(STATE, (0.6,))
+
+    def test_order_past_the_window_rejected(self):
+        with pytest.raises(ValueError, match="past nu = 12"):
+            gauge_family(eigenstate(AnnulusConfig(B=0.0), 12, 1), (0.5,))

@@ -208,10 +208,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "supported window" in err
 
-    def test_spectrum_past_the_order_window_is_2(self, tmp_path, capsys):
-        # the spectrum's m = +-13 rows have nu = 12.5 and 13.5 > 12
+    @pytest.mark.parametrize("m", [12, 13])
+    def test_spectrum_past_the_order_window_is_2(self, tmp_path, capsys, m):
+        # the spectrum's m = -12 row has nu = 12.5 > 12 (and m = 13 has 12.5)
         assert run_cli(["spectrum"], tmp_path,
-                       config={"state": {"m": 13}}) == EXIT_CONFIG
+                       config={"state": {"m": m}}) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "supported window" in err
 

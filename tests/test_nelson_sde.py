@@ -251,9 +251,9 @@ def series_rounding(state, r, zeros):
     """Rounding of |R| that either route inherits from the series J.
 
     The exact route evaluates the series at x = k (r - a): error e(x).  The
-    table puts its pole at the computed zero j, which sits |j - j_true| from
-    the true one, so its |J| is off by |J(x)| |j - j_true| / |x - j|.  e and
-    j_true are measured against mpmath."""
+    table puts its pole at the series' zero j, which sits e(j) / |J'(j)|
+    from the true one, so its |J| is off by |J(x)| e(j) / (|J'(j)| |x - j|)
+    (e(j) next to the node).  e is measured against mpmath."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
 
@@ -262,19 +262,14 @@ def series_rounding(state, r, zeros):
         return np.abs(bessel_j(state.nu, x) - exact)
 
     x = np.clip(state.k * (r - state.cfg.a), 0.0, state.tau)
-    near = np.abs(x[:, None] - zeros).argmin(axis=1)
-    shift_j = np.abs(zeros - true_zeros(state.nu, zeros.size))[near]
-    gap = np.abs(x - zeros[near])
-    shift = np.full_like(x, np.inf)       # on the computed zero: no bound
+    j = zeros[np.abs(x[:, None] - zeros).argmin(axis=1)]
+    slope = np.abs(bessel_j(state.nu + 1.0, j))          # |J'(j)|
+    gap = np.abs(x - j)
+    shift = np.full_like(x, np.inf)       # on the series' zero: no bound
     off = gap > 0.0
-    shift[off] = np.abs(bessel_j(state.nu, x[off])) * shift_j[off] / gap[off]
+    shift[off] = (np.abs(bessel_j(state.nu, x[off])) * err(j[off])
+                  / (slope[off] * gap[off]))
     return state.norm * (err(x) + shift)
-
-
-def true_zeros(nu, n):
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 30
-    return np.array([float(mp.besseljzero(mp.mpf(nu), k)) for k in range(1, n + 1)])
 
 
 def near_wall_and_nodes(state, rel_offsets, rng, uniform=200):
@@ -317,15 +312,6 @@ class TestSeparableKernel:
         tol = (1e-9 * coef * (state.k + np.abs(ratio))
                + 2.0 * coef * np.abs(ratio) * inherited)
         assert np.all((np.abs(drift - exact) <= tol)[valid])
-
-    @pytest.mark.parametrize("nu", ORDER_STATES)
-    def test_table_zeros_against_mpmath(self, nu):
-        # the pole shifts that series_rounding allows for stay below 1e-12
-        # relative (the worst here is 1.7e-13, at nu = 0, j_4 = 11.79, where
-        # the series' own rounding is 7.9e-13 absolute)
-        zeros = bessel_log_table(nu, 5).zeros
-        true = true_zeros(nu, 5)
-        assert np.all(np.abs(zeros - true) <= 1e-12 * true)
 
     @pytest.mark.parametrize("nu,n", TABLE_CASES)
     def test_validity_matches_density_floor(self, nu, n):

@@ -120,6 +120,21 @@ class TestBesselJ:
         assert np.array_equal(j0, bessel_j(nu, x))
         assert np.all(np.abs(j1 - bessel_j(nu + 1.0, x)) <= 1e-15 * np.exp(x))
 
+    @pytest.mark.parametrize("nu", [6.5, 8.0, 10.0, 11.5, 12.0])
+    def test_compensated_window_against_mpmath(self, nu):
+        # past x = 12 the series of an order above 6 cancels by up to 1e9
+        # (plain Horner was 2.8e-9 off at nu = 12); the compensated pass keeps
+        # J and the pair to rounding
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        x = np.linspace(0.0, 2.0 * nu, 97)
+        exact = [np.array([float(mp.besselj(mp.mpf(o), mp.mpf(float(v)))) for v in x])
+                 for o in (nu, nu + 1.0)]
+        j0, j1 = bessel_j_pair(nu, x)
+        assert np.abs(bessel_j(nu, x) - exact[0]).max() <= 1e-14
+        assert np.abs(j0 - exact[0]).max() <= 1e-14
+        assert np.abs(j1 - exact[1]).max() <= 1e-14
+
 
 class TestBesselZeros:
     def test_half_integer_zeros_are_n_pi(self):
@@ -169,7 +184,20 @@ class TestBesselZeros:
                 z = bessel_j_zero(nu, n)
                 root = optimize.brentq(lambda x: special.jv(nu, x), z - 0.3, z + 0.3,
                                        xtol=1e-15, rtol=8.9e-16)
-                assert abs(z - root) <= 1e-9 * root, (nu, n)
+                assert abs(z - root) <= 1e-12 * root, (nu, n)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.25, 1.5, 3.5, 11.5])
+    def test_series_window_zeros_are_true_zeros(self, nu):
+        # inside x <= max(12, 2 nu) a zero is the true one to rounding, though
+        # the float series of nu = 0 is 1e-12 off next to x = 12
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        seam, n = max(12.0, 2.0 * nu), 1
+        while (z := bessel_j_zero(nu, n)) <= seam:
+            true = float(mp.besseljzero(mp.mpf(nu), n))
+            assert abs(z - true) <= np.spacing(true), (nu, n)
+            n += 1
+        assert n > 1
 
     def test_table_reads_the_same_zeros(self):
         for nu, n in ((0.5, 100), (0.0, 2), (2.25, 5)):

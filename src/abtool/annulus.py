@@ -19,26 +19,21 @@ import numpy as np
 from . import madelung
 from .madelung import (AnnulusDomain, VectorPotentialSpec, _moment_z,
                        decompose)  # noqa: F401 (benchmark/spans.py wraps it here)
-from .numerics import (QuadratureSpec, bessel_j, bessel_j_pair, bessel_j_zero,
-                       curl_z_fd, gradient_fd, integrate_1d, integrate_periodic)
+from .numerics import (MAX_ORDER,  # noqa: F401 (the state window, read here too)
+                       bessel_j, bessel_j_pair, bessel_j_zero, curl_z_fd,
+                       gradient_fd, integrate_1d, integrate_periodic)
 
 
 @dataclass(frozen=True)
-class AnnulusConfig:
+class AnnulusConfig(madelung.Constants):
     """Physical constants plus solenoid/annulus geometry (natural units by
     default).  B may carry either sign; 0 < a < b."""
-    hbar: float = 1.0
-    mass: float = 1.0
-    charge: float = 1.0
-    c: float = 1.0
     B: float = 1.0
     a: float = 1.0
     b: float = 3.0
 
     def __post_init__(self):
-        for name in ("hbar", "mass", "c"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
+        super().__post_init__()
         if not (0.0 < self.a < self.b):
             raise ValueError("need 0 < a < b")
 
@@ -50,10 +45,6 @@ class AnnulusConfig:
     def flux(self):
         """Magnetic flux through the solenoid, B pi a^2."""
         return self.B * math.pi * self.a ** 2
-
-    @property
-    def beta_sq(self):
-        return self.hbar / (2.0 * self.mass)
 
     def domain(self):
         return AnnulusDomain(self.a, self.b)
@@ -150,11 +141,7 @@ class ABState:
     def radial(self, r):
         """Normalized radial profile R(r); identically zero at r = b and
         outside the walls (the state is confined)."""
-        r = np.asarray(r, dtype=float)
-        inside = (r >= self.cfg.a) & (r < self.cfg.b)
-        x = np.where(inside, self.k * (r - self.cfg.a), 0.0)
-        val = self.norm * bessel_j(self.nu, x)
-        return np.where(inside, val, 0.0)
+        return self.radial_parts(r)[0]
 
     def radial_parts(self, r):
         """(R, R') sharing the Bessel evaluations; J' = (nu/x) J - J_{nu+1}.
@@ -207,35 +194,23 @@ class ABState:
                                   density=self.density)
 
 
-def _radial_profile(cfg, nu, n, spec=QuadratureSpec()):
+def _radial_profile(cfg, nu, n):
     """(tau, k, N) for order nu: N normalizes the 2-d polar integral of
     N^2 J^2 to one (the angular factor contributes 2 pi exactly)."""
     tau = bessel_j_zero(nu, n)
     k = tau / cfg.d
     radial_int = integrate_1d(lambda r: bessel_j(nu, k * (r - cfg.a)) ** 2 * r,
-                              cfg.a, cfg.b, spec)
+                              cfg.a, cfg.b)
     return tau, k, 1.0 / math.sqrt(2.0 * math.pi * radial_int)
-
-
-# Largest order whose zeros `bessel_j_zero` meets to 1e-12 relative against
-# scipy for n <= 100 (tests/test_numerics.py); the Bessel kernel is measured
-# to hold up to about 25 and fails next to its seam from about 28.
-MAX_ORDER = 12.0
 
 
 @lru_cache(maxsize=256)
 def eigenstate(cfg, m, n):
-    """Bound state (m, n): nu = |m + lambda| <= MAX_ORDER, n <= 100, and
-    tau the n-th zero of J_nu."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """Bound state (m, n): nu = |m + lambda| and tau the n-th zero of J_nu.
+    `bessel_j_zero` raises ValueError outside its supported window,
+    nu <= MAX_ORDER and 1 <= n <= 100."""
     lam = flux_parameter(cfg)
     nu = abs(m + lam)
-    if nu > MAX_ORDER:
-        raise ValueError(f"order nu={nu} outside the supported window "
-                         f"nu <= {MAX_ORDER:g}")
-    if n > 100:
-        raise ValueError("n > 100 outside the supported window")
     tau, k, norm = _radial_profile(cfg, nu, n)
     return ABState(cfg=cfg, m=int(m), n=int(n), lam=lam, nu=nu, tau=tau,
                    k=k, norm=norm)
@@ -261,7 +236,7 @@ def helmholtz_residual(state, r):
 # Observables by quadrature.
 # ---------------------------------------------------------------------------
 
-def angular_momenta(state, spec=QuadratureSpec()):
+def angular_momenta(state):
     """{total, canonical, osmotic} z angular momenta by quadrature.
 
     total  = integral of M r Gamma_theta, Gamma = rho v_quasi
@@ -280,7 +255,7 @@ def angular_momenta(state, spec=QuadratureSpec()):
         return cfg.mass * np.stack([_moment_z(gamma, pts),
                                     _moment_z(diffusion, pts)], axis=-1)
 
-    total, osmotic = map(float, cfg.domain().integrate(moments, spec))
+    total, osmotic = map(float, cfg.domain().integrate(moments))
     return {"total": total, "canonical": total - osmotic, "osmotic": osmotic}
 
 
@@ -301,7 +276,7 @@ def _energy_domain(cfg):
     return AnnulusDomain(cfg.a + margin, cfg.b - margin)
 
 
-def energy_decomposition(state, spec=QuadratureSpec()):
+def energy_decomposition(state):
     """{rotational, radial, total, residual}: kinetic energy split into the
     quasi-current (rotational) and dispersive (radial) parts, with the total
     from the raw momentum density as an independent route
@@ -314,7 +289,7 @@ def energy_decomposition(state, spec=QuadratureSpec()):
     the walls."""
     cfg = state.cfg
     return madelung.integrated_energy_identity(
-        state, solenoid_potential(cfg), cfg, _energy_domain(cfg), spec)
+        state, solenoid_potential(cfg), cfg, _energy_domain(cfg))
 
 
 def rotational_energy_density_profile(state, r):
@@ -442,25 +417,24 @@ def system_b_equivalence(cfg, m, radii=None):
             "F_velocity_form": f_velocity_form, "report": report}
 
 
-def gauge_family(state, deltas, grid_points=801, spec=QuadratureSpec()):
+def gauge_family(state, deltas):
     """Densities rho_{nu +- delta, n}(r) for each delta, each normalized,
     with the mean-deviation report max_r |(rho_+ + rho_-)/2 - rho_nu| and
     the deviation ratios across successive deltas.  members[delta] is the
     pair of ABStates of order nu +- delta with the base state's m, n and
     lambda, so nu != |m + lambda| for them: only their radial parts
-    (radial_density, radial_parts) are meaningful.
+    (radial_density, radial_parts) are meaningful.  An order past
+    MAX_ORDER raises ValueError from `bessel_j_zero`.
     """
     cfg = state.cfg
     for d in deltas:
         if d < 0.0 or state.nu - d < 0.0:
             raise ValueError(f"delta {d} drives the order negative")
-        if state.nu + d > MAX_ORDER:
-            raise ValueError(f"delta {d} drives the order past nu = {MAX_ORDER:g}")
-    rg = np.linspace(cfg.a, cfg.b, grid_points)
+    rg = np.linspace(cfg.a, cfg.b, 801)
     base = state.radial_density(rg)
 
     def member(nu):
-        tau, k, norm = _radial_profile(cfg, nu, state.n, spec)
+        tau, k, norm = _radial_profile(cfg, nu, state.n)
         return replace(state, nu=nu, tau=tau, k=k, norm=norm)
 
     members = {}

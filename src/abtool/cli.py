@@ -132,6 +132,14 @@ def parse_config(text):
 # Output helpers.
 # ---------------------------------------------------------------------------
 
+def _write_json(path, obj):
+    """obj as indented, key-sorted JSON; numpy scalars and arrays are written
+    as the Python values their tolist() gives."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, default=lambda o: o.tolist())
+        fh.write("\n")
+
+
 def _write_table(path, header, rows, out_format):
     if out_format == "csv":
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -140,17 +148,12 @@ def _write_table(path, header, rows, out_format):
                 fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
                                   for v in row) + "\n")
     else:
-        payload = [dict(zip(header, row)) for row in rows]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, [dict(zip(header, row)) for row in rows])
 
 
 def _write_manifest(out_dir, name, manifest):
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, manifest)
     return path
 
 
@@ -362,24 +365,6 @@ _SUBCOMMANDS = {
 }
 
 
-def _json_types(obj):
-    """obj with numpy scalars and arrays turned into the Python types json
-    writes (values unchanged)."""
-    if isinstance(obj, dict):
-        return {k: _json_types(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_types(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_json_types(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="abtool",
@@ -431,8 +416,7 @@ def main(argv=None):
     # seed must be byte-identical), so it carries no timing; other runs do.
     manifest["wall_clock_seconds"] = (None if args.subcommand == "check"
                                       else round(elapsed, 3))
-    _write_manifest(args.out, f"manifest_{args.subcommand}.json",
-                    _json_types(manifest))
+    _write_manifest(args.out, f"manifest_{args.subcommand}.json", manifest)
 
     if args.subcommand == "check" and not manifest["all_passed"]:
         return EXIT_CHECK

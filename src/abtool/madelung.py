@@ -222,11 +222,10 @@ def quantum_potential(psi, cfg, p, h=1e-3):
     return -(cfg.hbar ** 2 / (2.0 * cfg.mass)) * lap / np.sqrt(rho0)
 
 
-def quantum_force(psi, cfg, p, h=1e-3, h_outer=None):
-    """Quantum force -grad Q by central differences of quantum_potential."""
-    if h_outer is None:
-        h_outer = 10.0 * h
-    return -gradient_fd(lambda q: quantum_potential(psi, cfg, q, h=h), p, h_outer)
+def quantum_force(psi, cfg, p, h=1e-3):
+    """Quantum force -grad Q by central differences (step 10 h) of
+    quantum_potential (step h)."""
+    return -gradient_fd(lambda q: quantum_potential(psi, cfg, q, h=h), p, 10.0 * h)
 
 
 def gauge_transform(psi, lam, cfg, grad_lam=None):

@@ -36,18 +36,25 @@ class NonConvergenceError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Bessel J of real non-negative order.
+# Bessel J of real order 0 <= order <= MAX_ORDER + 1 (the pair's upper row at
+# MAX_ORDER) and its zeros for order <= MAX_ORDER.
 #
-# Ascending series (coefficients cached per order, one Horner routine for J
-# and for the pair J_order, J_{order+1}) below the seam x = max(12, 2*order);
-# Hankel large-argument expansion above it.  The two branches are asserted to
-# agree at the seam by the test suite.  Verified for order <= 12, the bound
-# `annulus.eigenstate` enforces: against mpmath on 0 < x <= 340 the largest
-# error is 8.5e-11 for order <= 6 (the Hankel branch just above x = 12; the
-# series is 3e-13 off just below) and 3e-15 for 6 < order <= 12, whose series
-# is compensated past x = 12.  Above the window it holds to 1e-15 up to about
-# order 25 and breaks next to the seam from about 28 (4e-11 at 30, 8 at 33).
+# One router, `_bessel`, serves J, the pair J_order, J_{order+1} and the zero
+# polish: the ascending series (coefficients cached per order, one Horner pass
+# over the rows) up to the seam x = max(12, 2*order), the Hankel
+# large-argument expansion of each row past it, each element stopping at its
+# own smallest term.  The two branches are asserted to agree at the seam by
+# the test suite.  Against mpmath on 0 < x <= 340 the largest error of J is
+# 3.4e-12 for order <= 6 and 5.4e-13 for 6 < order <= 12, both on the Hankel
+# branch just past the seam (the series is up to 6e-13 off just below x = 12,
+# and compensated past it); the pair's upper row shares its order's seam and
+# carries up to 5e-12 there (J_7 next to x = 12).  Larger orders are
+# rejected: the Hankel branch needs x >> order^2, and next to the seam it
+# fails from about order 28 (4e-11 at 30, 8 at 33).
 # ---------------------------------------------------------------------------
+
+MAX_ORDER = 12.0           # largest order of a zero, hence of a state
+MAX_ZERO_INDEX = 100       # largest n of a zero j_{order,n}
 
 _SERIES_TERMS = 120
 _series_coeff_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
@@ -131,90 +138,102 @@ def _horner_series(order, y, *orders, compensated=False):
     return [s + e for s, e in zip(sums, errs)]
 
 
-def _bessel_series(order, x):
-    """Ascending series; x is a 1-d array with 0 <= x <= seam."""
-    half = 0.5 * x
+def _bessel(order, x, rows, compensated=False):
+    """[J_order(x)] (rows = 1) or [J_order(x), J_{order+1}(x)] (rows = 2) for
+    a 1-d array x >= 0: one Horner pass over the rows where x <= max(12,
+    2 order), compensated past x = 12 or when asked (`_horner_series`); the
+    Hankel expansion of each row past that seam."""
+    seam = max(12.0, 2.0 * order)
+    inner = None if x.max(initial=0.0) <= seam else x <= seam
+    xs = x if inner is None else x[inner]
+    half = 0.5 * xs
+    # y lives to the return: freed right after Horner, it raised the peak RSS
+    # of 1e5-point batches by 0.8 MB (the allocator's reuse changes)
     y = half * half
-    (s,) = _horner_series(order, y, order)
-    return s if order == 0.0 else s * half ** order
+    sums = _horner_series(order, y, *(order, order + 1.0)[:rows],
+                          compensated=compensated)
+    pref = half ** order if order != 0.0 else 1.0
+    out = [s * pref for s in sums]
+    if rows == 2:
+        out[1] *= half
+    if inner is None:
+        return out
+    past = ~inner
+    full = [np.empty_like(x) for _ in out]
+    for i, (j, series) in enumerate(zip(full, out)):
+        j[inner] = series
+        j[past] = _bessel_hankel(order + i, x[past])
+    return full
 
 
 def _bessel_hankel(order, x):
-    """Large-argument (Hankel) expansion; x is a 1-d array, x >= seam."""
+    """Large-argument (Hankel) expansion; x is a 1-d array past the seam.
+    Each element stops at its own smallest term (the series is asymptotic)
+    or once a term is below 1e-18, so its value depends on its x alone."""
     mu = 4.0 * order * order
     p = np.ones_like(x)
     q = np.zeros_like(x)
     term = np.ones_like(x)
+    live = np.ones(x.shape, dtype=bool)
     for k in range(40):
         fac = (mu - (2 * k + 1) ** 2) / (8.0 * (k + 1) * x)
         new = term * fac
-        if k > 2 and np.all(np.abs(new) >= np.abs(term)):
-            break  # asymptotic series started diverging; stop at best term
+        if k > 2:
+            live &= np.abs(new) < np.abs(term)
+        new[~live] = 0.0
         if k % 2 == 0:
             q += new * (-1.0) ** (k // 2)
         else:
             p += new * (-1.0) ** ((k + 1) // 2)
-        term = new
-        if np.all(np.abs(new) <= 1e-18):
+        live &= np.abs(new) > 1e-18
+        if not live.any():
             break
+        term = new
     chi = x - (0.5 * order + 0.25) * np.pi
     return np.sqrt(2.0 / (np.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
 
 
-def bessel_j(order, x):
-    """Bessel function of the first kind, real order >= 0, x >= 0."""
+def _check_order(name, order, top):
     if order < 0.0:
-        raise ValueError(f"bessel_j: order must be >= 0, got {order}")
+        raise ValueError(f"{name}: order must be >= 0, got {order}")
+    if order > top:
+        raise ValueError(f"{name}: order {order:g} is past nu = {top:g}, "
+                         f"outside the supported window")
+
+
+def _bessel_call(name, order, x, rows):
+    """`_bessel` for any x: scalars give floats, arrays keep their shape."""
+    _check_order(name, order, MAX_ORDER + 1.0)
     xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xv = np.atleast_1d(xa).ravel()
-    if np.any(xv < 0.0):
+    out = _bessel(float(order), xa.ravel(), rows)
+    return [float(j[0]) if xa.ndim == 0 else j.reshape(xa.shape) for j in out]
+
+
+def bessel_j(order, x):
+    """Bessel function of the first kind J_order(x), 0 <= order <= 13
+    (MAX_ORDER + 1), x >= 0."""
+    if np.min(x, initial=0.0) < 0.0:
         raise ValueError("bessel_j: x must be >= 0")
-    order = float(order)
-    seam = max(12.0, 2.0 * order)
-    if xv.max(initial=0.0) <= seam:          # hot path: pure series window
-        out = _bessel_series(order, xv)
-        return float(out[0]) if scalar else out.reshape(xa.shape)
-    out = np.empty_like(xv)
-    lo = xv <= seam
-    if lo.any():
-        out[lo] = _bessel_series(order, xv[lo])
-    hi = ~lo
-    if hi.any():
-        out[hi] = _bessel_hankel(order, xv[hi])
-    return float(out[0]) if scalar else out.reshape(xa.shape)
+    return _bessel_call("bessel_j", order, x, 1)[0]
 
 
 def bessel_j_pair(order, x):
-    """(J_order(x), J_{order+1}(x)) from one Horner pass over both series.
-
-    Used by hot loops that need a value/derivative pair via
-    J' = (v/x) J - J_{v+1}; arguments past the seam max(12, 2 order) go
-    through `bessel_j` twice.
-    """
-    xv = np.asarray(x, dtype=float)
-    seam = max(12.0, 2.0 * order)
-    if xv.max(initial=0.0) > seam:
-        return bessel_j(order, xv), bessel_j(order + 1.0, xv)
-    return _series_pair(order, xv)
-
-
-def _series_pair(order, x, compensated=False):
-    half = 0.5 * x
-    y = half * half
-    s0, s1 = _horner_series(order, y, order, order + 1.0, compensated=compensated)
-    pref = half ** order if order != 0.0 else 1.0
-    return s0 * pref, s1 * pref * half
+    """(J_order(x), J_{order+1}(x)) from one Horner pass over both series,
+    for the value/derivative pair J' = (v/x) J - J_{v+1} of the hot loops,
+    whose x >= 0 is not checked again; J_order is `bessel_j`'s, bit for bit."""
+    return tuple(_bessel_call("bessel_j_pair", order, x, 2))
 
 
 # Zeros: sign changes of J on the cells of the grid x_i = order + 1e-9 + i pi/4
 # (the first zero exceeds the order, and pi/4 is below half the zero
 # spacing), scanned in blocks that double in size, then safeguarded Newton on
-# every bracket of a block at once.  The zeros inside the series window then
-# take one Newton step on the compensated series, which makes them the true
-# zeros to rounding (the plain sum is 1e-12 off at x = 12 for order 0, and
-# `BesselLogTable` puts its closed-form poles at the zeros); past the seam
-# they are the Hankel branch's zeros.  A zero's bits depend on its block alone.
+# every bracket of a block at once.  Every zero then takes one Newton step on
+# `_bessel` with the series compensated, which makes the zeros inside the
+# series window the true zeros to rounding (the plain sum is 1e-12 off at
+# x = 12 for order 0, and `BesselLogTable` puts its closed-form poles at the
+# zeros); past the seam they are the Hankel branch's zeros.  The plain series
+# truncates at its batch's largest argument, so a zero's bits depend on its
+# block alone.
 _ZERO_SCAN_STEP = np.pi / 4.0
 _ZERO_FIRST_CELLS = 16     # block b holds cells [16 (2^b - 1), 16 (2^(b+1) - 1))
 _ZERO_MAX_BLOCKS = 8       # 4080 cells, x up to about 3200
@@ -238,9 +257,8 @@ def _zero_block(order, block):
     todo = np.arange(z.size)
     for _ in range(_ZERO_MAX_ITER):
         if todo.size == 0:
-            inner = out <= max(12.0, 2.0 * order)
-            jv, jv1 = _series_pair(order, out[inner], compensated=True)
-            out[inner] -= jv / (order / out[inner] * jv - jv1)
+            jv, jv1 = _bessel(order, out, 2, compensated=True)
+            out -= jv / (order / out * jv - jv1)
             out.flags.writeable = False
             return out
         jv, jv1 = bessel_j_pair(order, z)
@@ -260,11 +278,12 @@ def _zero_block(order, block):
 
 
 def bessel_j_zero(order, n):
-    """n-th positive zero of J_order (n >= 1), cached per block of zeros."""
-    if order < 0.0:
-        raise ValueError("bessel_j_zero: order must be >= 0")
-    if n < 1:
-        raise ValueError("bessel_j_zero: n must be >= 1")
+    """n-th positive zero of J_order, 0 <= order <= MAX_ORDER and
+    1 <= n <= MAX_ZERO_INDEX, cached per block of zeros."""
+    _check_order("bessel_j_zero", order, MAX_ORDER)
+    if not 1 <= n <= MAX_ZERO_INDEX:
+        raise ValueError(f"bessel_j_zero: n = {n} outside the supported "
+                         f"window 1 <= n <= {MAX_ZERO_INDEX}")
     order = float(order)
     for block in range(_ZERO_MAX_BLOCKS):
         zeros = _zero_block(order, block)

@@ -216,37 +216,34 @@ def simulate(state, sde_cfg, geometry=None):
     diagnostics = [""] * n_traj
 
     def resample(step_no, z, step, prop, new_step, ok):
-        """Redraw the invalid proposals in place: fresh retry-stream noise up
-        to max_retries, then halve that trajectory's step and retry again;
-        after _HALVING_LIMIT halvings freeze it at z and mark it aborted."""
-        tries = np.zeros(n_traj, dtype=int)
-        halvings = np.zeros(n_traj, dtype=int)
-        frac = np.ones(n_traj)          # local dt over dt
+        """Redraw the invalid proposals in place from the retry stream: after
+        `fails` failures in this step a trajectory redraws at the step
+        fraction 0.5 ** (fails // (max_retries + 1)), so each halving gets
+        max_retries redraws; past _HALVING_LIMIT halvings it is frozen at z
+        and marked aborted."""
+        fails = np.zeros(n_traj, dtype=int)
         while not ok.all():
             bad = np.nonzero(~ok)[0]
             rejected[bad] += 1
-            tries[bad] += 1
-            exhausted = bad[tries[bad] > sde_cfg.max_retries]
-            if exhausted.size:
-                tries[exhausted] = 0
-                halvings[exhausted] += 1
-                frac[exhausted] *= 0.5
-                dead = exhausted[halvings[exhausted] > _HALVING_LIMIT]
-                if dead.size:
-                    for i in dead:
-                        aborted[i] = True
-                        diagnostics[i] = (
-                            f"step {step_no}: no valid proposal after "
-                            f"{sde_cfg.max_retries} retries and "
-                            f"{_HALVING_LIMIT} halvings")
-                    ok[dead] = True
-                    prop[dead] = z[dead]
-                    new_step[dead] = step[dead]
-                    bad = np.setdiff1d(bad, dead)
-                    if bad.size == 0:
-                        break
+            fails[bad] += 1
+            level = fails[bad] // (sde_cfg.max_retries + 1)
+            dead = level > _HALVING_LIMIT
+            if dead.any():
+                gone = bad[dead]
+                for i in gone:
+                    aborted[i] = True
+                    diagnostics[i] = (
+                        f"step {step_no}: no valid proposal after "
+                        f"{sde_cfg.max_retries} retries and "
+                        f"{_HALVING_LIMIT} halvings")
+                ok[gone] = True
+                prop[gone] = z[gone]
+                new_step[gone] = step[gone]
+                bad, level = bad[~dead], level[~dead]
+                if bad.size == 0:
+                    break
             xi = np.array([retry[i].normals(2).view(complex)[0] for i in bad])
-            fb = frac[bad]
+            fb = 0.5 ** level
             prop[bad] = (z[bad] * (1.0 + (step[bad] - 1.0) * fb)
                          + sigma * np.sqrt(fb) * xi)
             ok_b, step_b = kernel(prop[bad])
@@ -304,11 +301,11 @@ def _trapezoid_cdf(r, pdf):
 
 
 @lru_cache(maxsize=64)
-def radial_target(state, grid_points=8193):
-    """(r grid, pdf, cdf) for the radial marginal p(r) = 2 pi r rho(r);
-    built once per state and read-only."""
+def radial_target(state):
+    """(r grid, pdf, cdf) for the radial marginal p(r) = 2 pi r rho(r) on
+    8193 points; built once per state and read-only."""
     cfg = state.cfg
-    rg = np.linspace(cfg.a, cfg.b, grid_points)
+    rg = np.linspace(cfg.a, cfg.b, 8193)
     pdf = 2.0 * np.pi * rg * state.radial_density(rg)
     cdf = _trapezoid_cdf(rg, pdf)
     pdf = pdf / cdf[-1]

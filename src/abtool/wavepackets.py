@@ -172,7 +172,7 @@ def airy_force_probe_points(cfg, t, count=20, lo=-1.8, hi=3.8):
     return u / cfg.scale + cfg.k * t ** 2 / (2.0 * cfg.mass)
 
 
-def airy_fields(cfg, x, t, constants=None, force_step=5e-3):
+def airy_fields(cfg, x, t):
     """{psi, rho, eta, F_Q} for the Airy packet at (x, t).
 
     eta = k t / m is the exact phase-gradient velocity; F_Q is evaluated
@@ -185,9 +185,8 @@ def airy_fields(cfg, x, t, constants=None, force_step=5e-3):
     psi = field.amplitude(x[:, None])
     rho = (psi * np.conj(psi)).real
     eta = np.full_like(x, cfg.k * t / cfg.mass)
-    consts = constants if constants is not None else Constants(hbar=cfg.hbar,
-                                                               mass=cfg.mass)
-    f_q = np.array([quantum_force(field, consts, np.array([xi]), h=force_step)[0]
+    consts = Constants(hbar=cfg.hbar, mass=cfg.mass)
+    f_q = np.array([quantum_force(field, consts, np.array([xi]), h=5e-3)[0]
                     for xi in x])
     return {"psi": psi, "rho": rho, "eta": eta, "F_Q": f_q}
 

@@ -17,7 +17,7 @@ from abtool.numerics import (NonConvergenceError, QuadratureSpec, RandomStream,
                              integrate_1d, integrate_periodic)
 from abtool import numerics
 from abtool.madelung import AnnulusDomain
-from abtool.numerics import _bessel_series, _bessel_hankel
+from abtool.numerics import _bessel
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +87,33 @@ class TestBesselJ:
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.5, 2.5, 4.0])
     def test_seam_agreement(self, nu):
+        # the router's series at the seam against its Hankel branch one
+        # rounding unit past it, for both rows of the pair
         seam = max(12.0, 2.0 * nu)
-        a = _bessel_series(nu, np.array([seam]))[0]
-        b = _bessel_hankel(nu, np.array([seam]))[0]
-        assert abs(a - b) <= 1e-10
+        for a, b in _bessel(nu, np.array([seam, np.nextafter(seam, np.inf)]), 2):
+            assert abs(a - b) <= 1e-10
+
+    def test_value_past_the_seam_depends_on_its_argument_alone(self):
+        x = np.array([14.93, 40.0])
+        assert bessel_j(0, x)[0] == bessel_j(0, 14.93)
+        for row, alone in zip(bessel_j_pair(0, x), bessel_j_pair(0, 14.93)):
+            assert row[0] == alone
+
+    @pytest.mark.parametrize("nu", [0, 1, 3, 5, 6])
+    def test_hankel_branch_batched_against_mpmath(self, nu):
+        # each element stops at its own smallest term: a batch spanning
+        # 12 < x <= 20 is as accurate as its points taken one at a time
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        x = np.linspace(12.0001, 20.0, 200)
+        exact = np.array([float(mp.besselj(nu, mp.mpf(float(v)))) for v in x])
+        assert np.abs(bessel_j(nu, x) - exact).max() <= 5e-12
+
+    @pytest.mark.parametrize("fn,order", [(bessel_j, 33.0), (bessel_j_pair, 13.5)])
+    def test_order_past_the_window_rejected(self, fn, order):
+        # the Hankel branch gave J_33(67.2) = 8.35 (true -0.068)
+        with pytest.raises(ValueError, match="supported window"):
+            fn(order, 67.2)
 
     def test_large_argument_half_integer(self):
         # Hankel branch is exact for order 1/2
@@ -174,6 +197,14 @@ class TestBesselZeros:
         numerics._zero_block.cache_clear()
         bessel_j_zero(nu, 100)
         assert [bessel_j_zero(nu, k) for k in range(1, 6)] == fresh
+
+    @pytest.mark.parametrize("order,n", [(30, 3), (36, 15), (50, 7), (12.5, 1),
+                                         (0.5, 101), (0.5, 0)])
+    def test_outside_the_window_rejected(self, order, n):
+        # past order 12 the Hankel branch is silently wrong next to its seam
+        # (36, 15 gave 92.331 for 96.061) or Newton fails (30, 3)
+        with pytest.raises(ValueError, match="supported window"):
+            bessel_j_zero(order, n)
 
     def test_against_scipy(self):
         special = pytest.importorskip("scipy.special")

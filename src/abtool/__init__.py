@@ -9,10 +9,9 @@ from .annulus import (ABState, AnnulusConfig, CircleLoop, circulation,
                       gauge_family, magnetic_force, solenoid_current_check,
                       solenoid_potential, system_b_equivalence,
                       vector_potential, vortex_fields)
-from .madelung import (Constants, DensityFloorError, VectorPotentialSpec,
-                       VelocityDecomposition, WaveField, decompose,
-                       gauge_transform, quantum_force, quantum_potential,
-                       quasi_currents)
+from .madelung import (Constants, DensityFloorError, VelocityDecomposition,
+                       WaveField, decompose, gauge_transform, quantum_force,
+                       quantum_potential, quasi_currents)
 from .models import (HydrogenState, ScalingModel, box_energy,
                      half_harmonic_energy, hydrogen_fields, linear_airy_model,
                      mass_scaling_fit)

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import madelung
-from .madelung import (AnnulusDomain, VectorPotentialSpec, _moment_z,
+from .madelung import (AnnulusDomain, _moment_z,
                        decompose)  # noqa: F401 (benchmark/spans.py wraps it here)
 from .numerics import (MAX_ORDER,  # noqa: F401 (the state window, read here too)
                        bessel_j, bessel_j_pair, bessel_j_zero, curl_z_fd,
@@ -71,16 +71,9 @@ def vector_potential(cfg, p):
     return np.stack([-coef * y, coef * x], axis=-1)
 
 
-def _curl_z(cfg, p):
-    p = np.asarray(p, dtype=float)
-    r = np.hypot(p[..., 0], p[..., 1])
-    return np.where(r < cfg.a, cfg.B, 0.0)
-
-
 def solenoid_potential(cfg):
-    """The solenoid A as a VectorPotentialSpec with its analytic curl."""
-    return VectorPotentialSpec(a_field=lambda p: vector_potential(cfg, p),
-                               curl=lambda p: _curl_z(cfg, p))
+    """The solenoid A as a callable p -> A(p) (`vector_potential` of cfg)."""
+    return lambda p: vector_potential(cfg, p)
 
 
 def diffusion_velocity(cfg, p):
@@ -130,8 +123,6 @@ class ABState:
     norm: float
 
     dimension = 2
-    time_dependent = False
-    d_dt = None
 
     @property
     def energy(self):
@@ -188,10 +179,6 @@ class ABState:
     def radial_density(self, r):
         rr = self.radial(r)
         return rr * rr
-
-    def as_wavefield(self):
-        return madelung.WaveField(self.amplitude, self.gradient, dimension=2,
-                                  density=self.density)
 
 
 def _radial_profile(cfg, nu, n):
@@ -368,14 +355,15 @@ def circulation(field, loop):
     return float(integrate_periodic(tangential))
 
 
-def system_b_equivalence(cfg, m, radii=None):
+def system_b_equivalence(cfg, m):
     """Evaluate the three printed expressions for the scalar-potential twin
     system: V_ext = hbar^2 m (m+2 lambda)/(2 M r^2), the force in the same
     form, and the force rebuilt from the velocities,
     M (dv^2 + dv . v_i)/r with dv the outside diffusion velocity and
     v_i = m hbar/(M r).
 
-    The report compares the two force expressions pointwise and the
+    The report compares the two force expressions at nine radii from
+    1.1 a to 0.96 b and the
     effective angular order implied by V_ext against nu = |m + lambda|,
     without altering any of the printed formulas.
     """
@@ -394,9 +382,7 @@ def system_b_equivalence(cfg, m, radii=None):
         v_i = m * hbar / (mass * r)
         return (mass * dv ** 2 + mass * dv * v_i) / r
 
-    if radii is None:
-        radii = np.linspace(cfg.a * 1.1, cfg.b * 0.96, 9)
-    radii = np.asarray(radii, dtype=float)
+    radii = np.linspace(cfg.a * 1.1, cfg.b * 0.96, 9)
     fp = f_printed(radii)
     fv = f_velocity_form(radii)
     gap = np.abs(fp - fv)

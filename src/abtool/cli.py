@@ -70,7 +70,7 @@ _DEFAULTS = {
     "state": {"m": 1, "n": 1},
     "grid": {"nr": 64, "ntheta": 16},
     "sde": {"dt": 1e-3, "steps": 200_000, "burn_in": 20_000,
-            "n_trajectories": 64, "seed": 20240801, "max_retries": 4},
+            "n_trajectories": 64, "seed": 20240801},
     "output": {"format": "csv"},
 }
 
@@ -111,9 +111,6 @@ def parse_config(text):
                 raise ConfigError(f"unknown key {block}.{key}")
             merged[block][key] = _coerce(block, key, value,
                                          type(_DEFAULTS[block][key]))
-    g = merged["geometry"]
-    if not g["a"] < g["b"]:
-        raise ConfigError("geometry: a < b required")
     if merged["output"]["format"] not in ("csv", "json"):
         raise ConfigError("output.format must be 'csv' or 'json'")
     if merged["grid"]["nr"] < 2 or merged["grid"]["ntheta"] < 1:
@@ -151,12 +148,6 @@ def _write_table(path, header, rows, out_format):
         _write_json(path, [dict(zip(header, row)) for row in rows])
 
 
-def _write_manifest(out_dir, name, manifest):
-    path = os.path.join(out_dir, name)
-    _write_json(path, manifest)
-    return path
-
-
 def _base_manifest(subcommand, cfg):
     return {
         "artifact": {"name": "abtool", "version": __version__},
@@ -169,12 +160,12 @@ def _base_manifest(subcommand, cfg):
 
 def _table_run(subcommand, cfg, out_dir, header, rows):
     """Write the subcommand's table as <subcommand>.<format> in out_dir and
-    return (manifest listing it, its path)."""
-    table = os.path.join(out_dir, f"{subcommand}.{cfg.out_format}")
-    _write_table(table, header, rows, cfg.out_format)
+    return the manifest listing it."""
+    table = f"{subcommand}.{cfg.out_format}"
+    _write_table(os.path.join(out_dir, table), header, rows, cfg.out_format)
     manifest = _base_manifest(subcommand, cfg)
-    manifest["outputs"] = [os.path.basename(table)]
-    return manifest, table
+    manifest["outputs"] = [table]
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +185,9 @@ def run_spectrum(cfg, out_dir, want_svg):
             mom = annulus.angular_momenta(state)
             rows.append([m, n, state.nu, state.tau, state.k, state.energy,
                          mom["total"], mom["canonical"], mom["osmotic"]])
-    manifest, table = _table_run("spectrum", cfg, out_dir, header, rows)
+    manifest = _table_run("spectrum", cfg, out_dir, header, rows)
     manifest["rows"] = len(rows)
-    return manifest, [table]
+    return manifest
 
 
 def run_fields(cfg, out_dir, want_svg):
@@ -224,20 +215,19 @@ def run_fields(cfg, out_dir, want_svg):
         blocks.append(np.column_stack([r * ones, ths, dec.rho, *comps,
                                        qf["Q"] * ones, qf["F_r"] * ones]))
     rows = np.concatenate(blocks).tolist()
-    manifest, _ = _table_run("fields", cfg, out_dir, header, rows)
+    manifest = _table_run("fields", cfg, out_dir, header, rows)
     if want_svg:
         rho_line = state.radial_density(rs)
         v_line = (state.m + state.lam) * ann.hbar / (ann.mass * rs)
         q_line = annulus.closed_form_q_and_force(state, rs)["Q"]
-        svg = os.path.join(out_dir, "fields.svg")
-        line_chart(svg, rs, [
+        line_chart(os.path.join(out_dir, "fields.svg"), rs, [
             ([rho_line], ["rho(r)"], "probability density"),
             ([v_line], ["v_quasi_theta(r)"], "quasi-current velocity"),
             ([q_line], ["Q(r)"], "quantum potential"),
         ])
-        manifest["outputs"].append(os.path.basename(svg))
+        manifest["outputs"].append("fields.svg")
     manifest["state"] = {"nu": state.nu, "tau": state.tau, "E": state.energy}
-    return manifest, [os.path.join(out_dir, o) for o in manifest["outputs"]]
+    return manifest
 
 
 def run_trajectories(cfg, out_dir, want_svg):
@@ -260,7 +250,7 @@ def run_trajectories(cfg, out_dir, want_svg):
     for i, t in enumerate(trajectories[:8]):
         for s in range(0, len(t.positions), stride):
             rows.append([i, s, float(t.positions[s, 0]), float(t.positions[s, 1])])
-    manifest, table = _table_run("trajectories", cfg, out_dir, header, rows)
+    manifest = _table_run("trajectories", cfg, out_dir, header, rows)
     manifest["stationarity"] = {
         "ergodic_Lz": erg["value"], "ergodic_Lz_stderr": erg["stderr"],
         "rejection_fraction": sde.rejection_fraction(trajectories, cfg.sde),
@@ -275,7 +265,7 @@ def run_trajectories(cfg, out_dir, want_svg):
     else:
         manifest["stationarity"]["skipped"] = \
             "fewer than 1e4 pooled samples; goodness-of-fit not meaningful"
-    return manifest, [table]
+    return manifest
 
 
 def run_packets(cfg, out_dir, want_svg):
@@ -301,9 +291,9 @@ def run_packets(cfg, out_dir, want_svg):
                      float(fa["eta"][i]), "", float(fa["F_Q"][i]), ""])
     residuals["airy_force_max_rel_err"] = float(
         np.abs(fa["F_Q"] - a.k).max() / a.k)
-    manifest, table = _table_run("packets", cfg, out_dir, header, rows)
+    manifest = _table_run("packets", cfg, out_dir, header, rows)
     manifest["residuals"] = residuals
-    return manifest, [table]
+    return manifest
 
 
 def run_models(cfg, out_dir, want_svg):
@@ -332,10 +322,10 @@ def run_models(cfg, out_dir, want_svg):
               for kind in ("linear_airy", "half_harmonic", "box")}
     for kind, slope in slopes.items():
         rows.append([kind, 1, "mass_scaling_slope", float(slope)])
-    manifest, table = _table_run("models", cfg, out_dir, header, rows)
+    manifest = _table_run("models", cfg, out_dir, header, rows)
     manifest["hydrogen_max_JdotD"] = worst_jd
     manifest["mass_scaling_slopes"] = slopes
-    return manifest, [table]
+    return manifest
 
 
 def run_check(cfg, out_dir, want_svg):
@@ -343,16 +333,10 @@ def run_check(cfg, out_dir, want_svg):
     for res in results:
         print(res.line())
     manifest = _base_manifest("check", cfg)
-    # the check manifest is byte-reproducible for a fixed seed: timing is
-    # printed, not persisted
-    manifest["checks"] = [
-        {"name": r.name, "passed": r.passed,
-         "details": {k: v for k, v in r.details.items()
-                     if k != "elapsed_seconds"}}
-        for r in results
-    ]
+    manifest["checks"] = [{"name": r.name, "passed": r.passed, "details": r.details}
+                          for r in results]
     manifest["all_passed"] = all(r.passed for r in results)
-    return manifest, []
+    return manifest
 
 
 _SUBCOMMANDS = {
@@ -398,7 +382,7 @@ def main(argv=None):
     os.makedirs(args.out, exist_ok=True)
     started = time.perf_counter()
     try:
-        manifest, _files = _SUBCOMMANDS[args.subcommand](cfg, args.out, args.svg)
+        manifest = _SUBCOMMANDS[args.subcommand](cfg, args.out, args.svg)
     except NonConvergenceError as exc:
         print(f"abtool: numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
@@ -416,7 +400,7 @@ def main(argv=None):
     # seed must be byte-identical), so it carries no timing; other runs do.
     manifest["wall_clock_seconds"] = (None if args.subcommand == "check"
                                       else round(elapsed, 3))
-    _write_manifest(args.out, f"manifest_{args.subcommand}.json", manifest)
+    _write_json(os.path.join(args.out, f"manifest_{args.subcommand}.json"), manifest)
 
     if args.subcommand == "check" and not manifest["all_passed"]:
         return EXIT_CHECK

@@ -1,7 +1,7 @@
 """Hydrodynamic decomposition of a wavefunction into velocity fields.
 
-Given a complex field psi and an optional vector potential A, this module
-extracts the probability density rho = |psi|^2, the current velocity
+Given a complex field psi and an optional vector potential A (any callable
+p -> A(p) on point arrays, in units of B*length), this module extracts the probability density rho = |psi|^2, the current velocity
 eta = (hbar/M) Im(psi* grad psi)/rho, the dispersive velocity
 xi = -(hbar/2M) grad(rho)/rho + i (q/Mc) A, the osmotic velocity zeta = -xi,
 the quasi-currents Gamma = rho v and Delta = -(hbar/2M) grad rho, and the
@@ -21,8 +21,7 @@ the shape of the input.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,18 +66,15 @@ class WaveField:
     `numerics.gradient_fd` of `amplitude` with step `fd_step`.
     `density` defaults to |amplitude|^2 but may be supplied separately (a
     gauge transform reuses the base field's density, which is unchanged by
-    construction).  `d_dt` is the time derivative for time-dependent
-    snapshots, when defined.
+    construction).
     """
 
     def __init__(self, amplitude, gradient=None, dimension=2, density=None,
-                 d_dt=None, time_dependent=False, fd_step=1e-6):
+                 fd_step=1e-6):
         self._amp = amplitude
         self._grad = gradient
         self.dimension = int(dimension)
         self._rho = density
-        self.d_dt = d_dt
-        self.time_dependent = bool(time_dependent)
         self.fd_step = float(fd_step)
 
     def amplitude(self, p):
@@ -104,17 +100,6 @@ class WaveField:
         if self._rho is not None:
             return self._rho(np.asarray(p, dtype=float))
         return (amp * np.conj(amp)).real
-
-
-@dataclass(frozen=True)
-class VectorPotentialSpec:
-    """Vector potential A(p) in units of B*length, with an optional analytic
-    curl (returned as the z component in two dimensions)."""
-    a_field: Callable[[np.ndarray], np.ndarray]
-    curl: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __call__(self, p):
-        return self.a_field(np.asarray(p, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -254,7 +239,7 @@ def gauge_transform(psi, lam, cfg, grad_lam=None):
         return (phase[..., None] if phase.ndim else phase) * (base + extra)
 
     return WaveField(amplitude, gradient, dimension=psi.dimension,
-                     density=psi.density, time_dependent=psi.time_dependent)
+                     density=psi.density)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +345,7 @@ def _energy_densities(psi, A, cfg, pts):
                     axis=-1)
 
 
-def integrated_energy_identity(psi, A, cfg, domain, spec=QuadratureSpec()):
+def integrated_energy_identity(psi, A, cfg, domain):
     """{rotational, radial, total, residual}: the kinetic energy over the
     domain split into its quasi-current (rotational) and dispersive (radial)
     parts, the total from the raw momentum density |P' psi|^2 / 2M, and the
@@ -368,7 +353,7 @@ def integrated_energy_identity(psi, A, cfg, domain, spec=QuadratureSpec()):
     holds pointwise; the split and the total follow independent code paths.
     """
     rotational, radial, total = map(float, domain.integrate(
-        lambda pts: _energy_densities(psi, A, cfg, pts), spec))
+        lambda pts: _energy_densities(psi, A, cfg, pts)))
     residual = abs(total - rotational - radial) / abs(total)
     return {"rotational": rotational, "radial": radial, "total": total,
             "residual": residual}

@@ -209,8 +209,9 @@ class ScalingModel:
         return box_energy(self.parameter, mass, self.level, self.hbar)
 
 
-def mass_scaling_fit(model_kind, n, masses, parameter=1.0, hbar=1.0):
-    """Least-squares slope of log E_n against log m.
+def mass_scaling_fit(model_kind, n, masses):
+    """Least-squares slope of log E_n against log m, at model parameter 1
+    and hbar = 1.
 
     The closed-form levels are exact power laws in the mass, so the fit
     recovers -1/3 (linear/Airy), -1/2 (half-harmonic) or -1 (box) to
@@ -221,7 +222,7 @@ def mass_scaling_fit(model_kind, n, masses, parameter=1.0, hbar=1.0):
         raise ValueError("need at least 3 masses")
     if np.unique(masses).size < 2:
         raise ValueError("degenerate mass list")
-    model = ScalingModel(kind=model_kind, parameter=parameter, level=n, hbar=hbar)
+    model = ScalingModel(kind=model_kind, parameter=1.0, level=n)
     log_m = np.log(masses)
     log_e = np.log([model.energy(m) for m in masses])
     lm = log_m - log_m.mean()

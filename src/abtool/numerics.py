@@ -41,16 +41,16 @@ class NonConvergenceError(RuntimeError):
 #
 # One router, `_bessel`, serves J, the pair J_order, J_{order+1} and the zero
 # polish: the ascending series (coefficients cached per order, one Horner pass
-# over the rows) up to the seam x = max(12, 2*order), the Hankel
-# large-argument expansion of each row past it, each element stopping at its
-# own smallest term.  The two branches are asserted to agree at the seam by
-# the test suite.  Against mpmath on 0 < x <= 340 the largest error of J is
-# 3.4e-12 for order <= 6 and 5.4e-13 for 6 < order <= 12, both on the Hankel
-# branch just past the seam (the series is up to 6e-13 off just below x = 12,
-# and compensated past it); the pair's upper row shares its order's seam and
-# carries up to 5e-12 there (J_7 next to x = 12).  Larger orders are
-# rejected: the Hankel branch needs x >> order^2, and next to the seam it
-# fails from about order 28 (4e-11 at 30, 8 at 33).
+# over the rows) up to the seam x = max(12, 2*order + 2), which is also the
+# upper row's own, the Hankel large-argument expansion of each row past it,
+# each element stopping at its own smallest term.  The two branches are
+# asserted to agree at the seam by the test suite.  Against mpmath on
+# 0 < x <= 340 the largest error of J is 2.3e-12 for order <= 5 (3.5e-12 for
+# the pair's upper row), 6.4e-13 for 5 < order <= 6 and 1.5e-14 for
+# 6 < order <= 12, all on the Hankel branch just past the seam (the series
+# is up to 6e-13 off just below x = 12, and compensated past it).  Larger
+# orders are rejected: the Hankel branch needs x >> order^2, and next to the
+# seam it fails from about order 28 (4e-11 at 30, 8 at 33).
 # ---------------------------------------------------------------------------
 
 MAX_ORDER = 12.0           # largest order of a zero, hence of a state
@@ -105,10 +105,12 @@ def _horner_series(order, y, *orders, compensated=False):
     """J_o(x) / (x/2)^o for each order o of `orders`: sum_k c_o[k] y^k by
     Horner at y = (x/2)^2, truncated where the series of J_order is.  y is
     the caller's: freeing it here raised peak RSS 1 MB on 1e5-point batches.
-    Past x = 12 (orders above 6), or when asked, Horner is compensated
+    Past x = 12 (orders above 5), or when asked, Horner is compensated
     (Graillat, Langlois & Louvet 2005): a second sum carries the rounding of
     every step and coefficient, so J is right to about 1e-16 absolute, not
-    1e-16 I_o(x) (at x = 24 the sum cancels by I_o / |J_o| ~ 1e9)."""
+    1e-16 I_o(x) (at x = 24 the sum cancels by I_o / |J_o| ~ 1e9).  Against
+    mpmath both rows of the pair are within 8e-14 on [seam - 1, seam + 8]
+    for orders 5.5 to 7."""
     coeffs, lows = zip(*(_series_coeffs(o) for o in orders))
     ymax = float(y.max()) if y.size else 0.0
     if not compensated and ymax <= _COMPENSATED_Y:
@@ -141,9 +143,9 @@ def _horner_series(order, y, *orders, compensated=False):
 def _bessel(order, x, rows, compensated=False):
     """[J_order(x)] (rows = 1) or [J_order(x), J_{order+1}(x)] (rows = 2) for
     a 1-d array x >= 0: one Horner pass over the rows where x <= max(12,
-    2 order), compensated past x = 12 or when asked (`_horner_series`); the
-    Hankel expansion of each row past that seam."""
-    seam = max(12.0, 2.0 * order)
+    2 order + 2), the upper row's own seam, compensated past x = 12 or when
+    asked (`_horner_series`); the Hankel expansion of each row past it."""
+    seam = max(12.0, 2.0 * order + 2.0)
     inner = None if x.max(initial=0.0) <= seam else x <= seam
     xs = x if inner is None else x[inner]
     half = 0.5 * xs
@@ -462,10 +464,10 @@ AIRY_AI_PRIME_0 = -0.2588194037928067984051836  # -3^(-1/3) / Gamma(1/3)
 _AIRY_SEAM = 7.5
 
 
-def _airy_u_coeffs(nterms=26):
-    u = np.empty(nterms)
+def _airy_u_coeffs():
+    u = np.empty(26)
     u[0] = 1.0
-    for k in range(1, nterms):
+    for k in range(1, u.size):
         u[k] = u[k - 1] * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
     return u
 
@@ -541,7 +543,7 @@ def airy_ai(x):
     return float(out[0]) if scalar else out.reshape(xa.shape)
 
 
-def _bisect(f, a, b, xtol=1e-13, max_iter=200):
+def _bisect(f, a, b):
     fa = f(a)
     fb = f(b)
     if fa == 0.0:
@@ -550,9 +552,9 @@ def _bisect(f, a, b, xtol=1e-13, max_iter=200):
         return b
     if fa * fb > 0.0:
         raise ValueError("bisect: endpoints do not bracket a root")
-    for _ in range(max_iter):
+    for _ in range(200):
         m = 0.5 * (a + b)
-        if (b - a) <= xtol:
+        if (b - a) <= 1e-13:
             return m
         fm = f(m)
         if fm == 0.0:
@@ -838,7 +840,6 @@ class RandomStream:
     def __init__(self, seed, stream_id=0):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        self.counter = 0
         self._gen = Generator(Philox(key=[self.seed & (2**64 - 1),
                                           self.stream_id & (2**64 - 1)]))
         self._spare = None
@@ -870,14 +871,12 @@ class RandomStream:
             out[k:] = z[:need]
             if 2 * pairs > need:
                 self._spare = float(z[need])
-        self.counter += count
         return out
 
     def uniforms(self, count):
         """`count` uniforms on [0, 1)."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        self.counter += count
         return self._gen.random(count)
 
 

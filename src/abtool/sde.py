@@ -26,7 +26,7 @@ the `init` stream (angles uniform from the same stream); a start point that
 fails the validity test is redrawn from that stream.
 
 Cascade.  A proposal that fails validity is redrawn from the trajectory's
-retry stream up to `max_retries` times, then the step is halved and the
+retry stream up to _MAX_RETRIES = 4 times, then the step is halved and the
 retries start again.  After 64 halvings (dt 2^-64 ~ 5e-20 dt) the trajectory
 is declared aborted and frozen; that depth lets a proposal one rounding unit
 from the inner wall, where the osmotic drift ~ nu/(r-a) throws any longer
@@ -40,9 +40,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .annulus import ABState, solenoid_potential
 from .madelung import RHO_FLOOR, decompose, field_sample
 from .numerics import NonConvergenceError, RandomStream, bessel_log_table, chi2_sf
 
+_MAX_RETRIES = 4
 _HALVING_LIMIT = 64
 _NOISE_CHUNK = 256
 _START_REDRAWS = 100
@@ -58,7 +60,6 @@ class SdeConfig:
     burn_in: int = 20_000
     n_trajectories: int = 64
     seed: int = 20240801
-    max_retries: int = 4
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -67,8 +68,6 @@ class SdeConfig:
             raise ValueError("need 0 <= burn_in < steps")
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be >= 1")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
 
 
 @dataclass
@@ -158,10 +157,10 @@ class _FieldKernel:
         return ok, step
 
 
-def _start_radii(state, cfg, stream, count):
+def _start_radii(state, cfg, separable, stream, count):
     """Inverse-CDF draws from the radial marginal of |psi|^2 (angle-averaged
-    on a polar grid for a field without a radial profile)."""
-    if hasattr(state, "radial_density"):
+    on a polar grid unless the state is separable)."""
+    if separable:
         return target_radial_sampler(state, stream, count)
     rg = np.linspace(cfg.a, cfg.b, 1025)
     th = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
@@ -170,17 +169,18 @@ def _start_radii(state, cfg, stream, count):
     return np.interp(stream.uniforms(count), cdf / cdf[-1], rg)
 
 
-def _start_positions(state, cfg, kernel, stream, count):
+def _start_positions(state, cfg, separable, kernel, stream, count):
     """Uniform angles and marginal radii from `stream`; a point the kernel
     finds invalid (on a node, or r = a) is redrawn from the same stream."""
     theta = 2.0 * np.pi * stream.uniforms(count)
-    z = _start_radii(state, cfg, stream, count) * np.exp(1j * theta)
+    z = _start_radii(state, cfg, separable, stream, count) * np.exp(1j * theta)
     for _ in range(_START_REDRAWS):
         ok, _ = kernel(z)
         if ok.all():
             return z
         bad = np.nonzero(~ok)[0]
-        z[bad] = _start_radii(state, cfg, stream, bad.size) * np.exp(1j * theta[bad])
+        z[bad] = (_start_radii(state, cfg, separable, stream, bad.size)
+                  * np.exp(1j * theta[bad]))
     raise NonConvergenceError(
         f"no valid start point after {_START_REDRAWS} redraws")
 
@@ -189,8 +189,9 @@ def simulate(state, sde_cfg, geometry=None):
     """Euler-Maruyama sampling of the stationary state's diffusion process.
 
     Proposals landing outside the annulus or below the density floor are
-    resampled with fresh noise up to max_retries, after which the step size
-    is halved (cascade depth 64) before the trajectory is declared aborted.
+    resampled with fresh noise up to _MAX_RETRIES times, after which the step
+    size is halved (cascade depth 64) before the trajectory is declared
+    aborted.  Only an `ABState` takes the tabulated separable kernel.
     Every trajectory owns two variate streams (main and retry), so results
     are reproducible and independent of how the work is scheduled.
 
@@ -203,7 +204,7 @@ def simulate(state, sde_cfg, geometry=None):
     n_traj = sde_cfg.n_trajectories
     dt = sde_cfg.dt
     sigma = np.sqrt(2.0 * cfg.beta_sq * dt)
-    separable = hasattr(state, "radial_parts") and hasattr(state, "m")
+    separable = isinstance(state, ABState)
     kernel = (_SeparableStepKernel if separable else _FieldKernel)(state, cfg, dt)
 
     main = [RandomStream(sde_cfg.seed, 2 * i) for i in range(n_traj)]
@@ -218,15 +219,15 @@ def simulate(state, sde_cfg, geometry=None):
     def resample(step_no, z, step, prop, new_step, ok):
         """Redraw the invalid proposals in place from the retry stream: after
         `fails` failures in this step a trajectory redraws at the step
-        fraction 0.5 ** (fails // (max_retries + 1)), so each halving gets
-        max_retries redraws; past _HALVING_LIMIT halvings it is frozen at z
+        fraction 0.5 ** (fails // (_MAX_RETRIES + 1)), so each halving gets
+        _MAX_RETRIES redraws; past _HALVING_LIMIT halvings it is frozen at z
         and marked aborted."""
         fails = np.zeros(n_traj, dtype=int)
         while not ok.all():
             bad = np.nonzero(~ok)[0]
             rejected[bad] += 1
             fails[bad] += 1
-            level = fails[bad] // (sde_cfg.max_retries + 1)
+            level = fails[bad] // (_MAX_RETRIES + 1)
             dead = level > _HALVING_LIMIT
             if dead.any():
                 gone = bad[dead]
@@ -234,7 +235,7 @@ def simulate(state, sde_cfg, geometry=None):
                     aborted[i] = True
                     diagnostics[i] = (
                         f"step {step_no}: no valid proposal after "
-                        f"{sde_cfg.max_retries} retries and "
+                        f"{_MAX_RETRIES} retries and "
                         f"{_HALVING_LIMIT} halvings")
                 ok[gone] = True
                 prop[gone] = z[gone]
@@ -254,7 +255,7 @@ def simulate(state, sde_cfg, geometry=None):
     # outside the annulus x = k (r - a) can be negative and log|J| or R'/R
     # undefined; such points are invalid whatever those values are
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        z = _start_positions(state, cfg, kernel, init, n_traj)
+        z = _start_positions(state, cfg, separable, kernel, init, n_traj)
         _, step = kernel(z)
         frozen = False                  # any trajectory aborted so far
         for lo in range(0, sde_cfg.steps, _NOISE_CHUNK):
@@ -346,10 +347,15 @@ def _chi2_on_counts(samples, bins, thin, edges):
             int(thinned.size))
 
 
-def ks_distance(samples, state, target=None):
+def ks_distance(samples, state):
     """Kolmogorov-Smirnov sup distance between the sample radii and the
-    radial target CDF (`target`, from radial_target, is built if omitted)."""
-    rg, _, cdf = radial_target(state) if target is None else target
+    radial target CDF (the state's cached `radial_target`)."""
+    rg, _, cdf = radial_target(state)
+    return _ks_sup(samples, rg, cdf)
+
+
+def _ks_sup(samples, rg, cdf):
+    """KS sup distance of the samples from the CDF tabulated on rg."""
     xs = np.sort(np.asarray(samples, dtype=float))
     f = np.interp(xs, rg, cdf)
     n = xs.size
@@ -369,9 +375,8 @@ def stationarity_test(trajectories, state, bins=40, thin=1):
     radii = _pooled(trajectories, Trajectory.radii)
     if radii.size < 10_000:
         raise ValueError("need at least 1e4 pooled samples")
-    target = radial_target(state)
-    ks = ks_distance(radii, state, target)
-    rg, _, cdf = target
+    rg, _, cdf = radial_target(state)
+    ks = _ks_sup(radii, rg, cdf)
     chi2, n_chi2 = _chi2_on_counts(
         radii, bins, thin,
         lambda nbins: np.interp(np.linspace(0.0, 1.0, nbins + 1), cdf, rg))
@@ -398,7 +403,6 @@ def ergodic_angular_momentum(trajectories, state, thin=1):
     chunks of _ERGODIC_CHUNK points, and each trajectory's mean is taken
     over its slice.
     """
-    from .annulus import solenoid_potential
     cfg = state.cfg
     A = solenoid_potential(cfg)
     thinned = [t.positions[::thin] for t in trajectories]

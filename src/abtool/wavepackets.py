@@ -90,13 +90,7 @@ def gaussian_wavefield(cfg, t):
         d = amp * (-2.0 * y / eps ** 2 + 1j * (cfg.k0 + ddelta))
         return d[..., None]
 
-    def d_dt(p, h=1e-6):
-        lo = gaussian_wavefield(cfg, t - h)
-        hi = gaussian_wavefield(cfg, t + h)
-        return (hi.amplitude(p) - lo.amplitude(p)) / (2.0 * h)
-
-    return WaveField(amplitude, gradient, dimension=1, d_dt=d_dt,
-                     time_dependent=True)
+    return WaveField(amplitude, gradient, dimension=1)
 
 
 def gaussian_consistency(cfg, grid, t, h=1e-4):
@@ -160,15 +154,14 @@ def airy_wavefield(cfg, t):
         phase = (cfg.k * t / cfg.hbar) * (xv - cfg.k * t ** 2 / (3.0 * cfg.mass))
         return env * np.exp(1j * phase)
 
-    return WaveField(amplitude, None, dimension=1, time_dependent=True,
-                     fd_step=1e-5)
+    return WaveField(amplitude, None, dimension=1, fd_step=1e-5)
 
 
-def airy_force_probe_points(cfg, t, count=20, lo=-1.8, hi=3.8):
-    """Points x whose scaled envelope argument stays in [lo, hi], clear of
-    the envelope zeros (the leftmost zero sits at about -2.338); quantum
+def airy_force_probe_points(cfg, t, count=20):
+    """Points x whose scaled envelope argument stays in [-1.8, 3.8], clear
+    of the envelope zeros (the leftmost zero sits at about -2.338); quantum
     force stencils need that clearance because |Ai| has kinks at its zeros."""
-    u = np.linspace(lo, hi, count)
+    u = np.linspace(-1.8, 3.8, count)
     return u / cfg.scale + cfg.k * t ** 2 / (2.0 * cfg.mass)
 
 

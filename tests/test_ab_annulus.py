@@ -87,11 +87,6 @@ class TestVectorPotential:
         with pytest.raises(ValueError):
             vector_potential(CFG, np.array([0.0, 0.0]))
 
-    def test_analytic_curl_spec(self):
-        spec = solenoid_potential(CFG)
-        pts = np.array([[0.4, 0.1], [1.8, -0.3]])
-        assert np.allclose(spec.curl(pts), [CFG.B, 0.0])
-
 
 class TestSolenoidCurrentCheck:
     def test_zero_outside(self):

@@ -7,6 +7,7 @@ subcommand twice and compares manifests byte for byte.
 """
 import json
 import math
+import time
 
 import pytest
 
@@ -32,8 +33,9 @@ class TestAcceptance:
         mom = angular_momenta(eigenstate(CFG, 1, 1))
         assert mom["total"] == pytest.approx(0.5, abs=1e-8)
         assert mom["osmotic"] == pytest.approx(-0.5, abs=1e-8)
+        t0 = time.perf_counter()
         result = checks.check_angular_momentum()
-        assert result.details["elapsed_seconds"] < 10.0
+        assert time.perf_counter() - t0 < 10.0
         report(result)
 
     def test_02_orthogonality(self):
@@ -59,14 +61,17 @@ class TestAcceptance:
         report(checks.check_airy_packet())
 
     def test_08_nelson_sampler(self):
+        t0 = time.perf_counter()
         result = checks.check_nelson_sampler()
+        elapsed = time.perf_counter() - t0
         assert result.details["ks_distance"] <= 0.02
         assert result.details["angular_p_value"] > 0.01
         assert result.details["ergodic_rel_error"] <= 0.02
         assert result.details["rejection_fraction"] < 0.01
         # the stated budget targets < 60 s on a 4-core laptop; allow 2x for
         # slower single-core environments, and report the measured value
-        assert result.details["elapsed_seconds"] < 120.0
+        print(f"\n    elapsed_seconds = {elapsed:.3f}")
+        assert elapsed < 120.0
         report(result)
 
     def test_09_gauge_family(self):

@@ -1,11 +1,15 @@
 """Configuration parsing, subcommand outputs, manifests and exit codes."""
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from abtool.cli import (EXIT_CONFIG, EXIT_NUMERICS, EXIT_OK, ConfigError, main,
-                        parse_config)
+from abtool.cli import (_DEFAULTS, EXIT_CONFIG, EXIT_NUMERICS, EXIT_OK,
+                        ConfigError, main, parse_config)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 FIELDS_HEADER = ("r,theta,rho,eta_r,eta_t,xi_re_r,xi_re_t,xi_im_r,xi_im_t,"
                  "gamma_r,gamma_t,delta_r,delta_t,v_r,v_t,w_r,w_t,Q,F_r")
@@ -32,7 +36,8 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown configuration block"):
             parse_config('{"states": {}}')
         for block, key, value in (("output", "path", "out.csv"),
-                                  ("sde", "boundary_policy", "reject_resample")):
+                                  ("sde", "boundary_policy", "reject_resample"),
+                                  ("sde", "max_retries", 4)):
             config = {block: {key: value}}
             with pytest.raises(ConfigError, match=f"unknown key {block}.{key}"):
                 parse_config(json.dumps(config))
@@ -49,6 +54,30 @@ class TestParseConfig:
     def test_sde_validation_propagates(self):
         with pytest.raises(ConfigError):
             parse_config('{"sde": {"dt": -0.5}}')
+
+
+class TestConfigDoc:
+    def test_readme_table_lists_every_key_and_default(self):
+        # README's "The N keys are:" table, one row per block with cells
+        # `key` (default); a string key's default is its first listed value
+        text = README.read_text(encoding="utf-8")
+        found = re.search(r"The (\d+) keys are:\n\n\| block \| keys \(default\) \|\n"
+                          r"\|---\|---\|\n((?:\|.*\|\n)+)", text)
+        assert found, "config table not found in README.md"
+        table = {}
+        for line in found.group(2).splitlines():
+            block, keys = (cell.strip() for cell in line.strip("|").split("|"))
+            table[block.strip("`")] = dict(re.findall(r"`(\w+)` \(([^)]*)\)", keys))
+        assert table.keys() == _DEFAULTS.keys()
+        for block, defaults in _DEFAULTS.items():
+            assert table[block].keys() == defaults.keys(), block
+            for key, default in defaults.items():
+                doc = table[block][key]
+                if isinstance(default, str):
+                    assert doc.split()[0].strip("`") == default, (block, key)
+                else:
+                    assert float(doc) == default, (block, key)
+        assert int(found.group(1)) == sum(map(len, _DEFAULTS.values()))
 
 
 def run_cli(args, tmp_path, config=None):

@@ -7,8 +7,7 @@ import pytest
 
 from abtool.annulus import AnnulusConfig, eigenstate, solenoid_potential
 from abtool.madelung import (RHO_FLOOR, AnnulusDomain, Constants,
-                             DensityFloorError, LineDomain, VectorPotentialSpec,
-                             WaveField, _energy_densities, decompose,
+                             DensityFloorError, LineDomain, WaveField, _energy_densities, decompose,
                              gauge_transform, integrated_energy_identity, kinetic_energy_density,
                              osmotic_expectation, phase_winding, quantum_force,
                              quantum_potential, quasi_currents)
@@ -354,8 +353,11 @@ class TestWaveField:
             Constants(hbar=0.0)
 
     def test_vector_potential_spec_callable(self):
-        spec = VectorPotentialSpec(a_field=lambda p: 0.5 * p)
-        assert np.allclose(spec(np.array([2.0, 0.0])), [1.0, 0.0])
+        # a vector potential is any callable p -> A(p); xi_imag = (q/Mc) A
+        cfg = Constants(mass=2.0, charge=3.0, c=0.5)
+        p = np.array([[2.0, 0.0], [1.5, -1.0]])
+        dec = decompose(STATE, lambda q: 0.5 * q, cfg, p)
+        assert np.allclose(dec.xi_imag, 3.0 / (2.0 * 0.5) * 0.5 * p, rtol=1e-15)
 
 
 class TestDomains:

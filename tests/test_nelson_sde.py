@@ -20,6 +20,9 @@ from abtool.sde import (SdeConfig, Trajectory, angular_uniformity_test,
 CFG = AnnulusConfig()
 STATE = eigenstate(CFG, 1, 1)
 A_SPEC = solenoid_potential(CFG)
+# the same state as a bare WaveField, which takes the generic field kernel
+FIELD = WaveField(STATE.amplitude, STATE.gradient, dimension=2,
+                  density=STATE.density)
 
 
 def small_run(seed=7, steps=4000, n_traj=8, burn_in=500):
@@ -344,7 +347,7 @@ class TestSeparableKernel:
         r = rng.uniform(CFG.a + 1e-3 * CFG.d, CFG.b - 1e-3 * CFG.d, 300)
         z = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, r.size))
         ok_t, step_t = sde._SeparableStepKernel(STATE, CFG, 1e-3)(z)
-        ok_f, step_f = sde._FieldKernel(STATE.as_wavefield(), CFG, 1e-3)(z)
+        ok_f, step_f = sde._FieldKernel(FIELD, CFG, 1e-3)(z)
         assert ok_t.all() and ok_f.all()
         assert np.abs(step_t - step_f).max() <= 1e-9 * np.abs(step_t - 1.0).max()
 
@@ -359,7 +362,7 @@ class TestGenericPath:
     def test_wavefield_run_follows_table_run(self, monkeypatch):
         cfg = SdeConfig(dt=1e-3, steps=600, burn_in=100, n_trajectories=4, seed=13)
         start_at(monkeypatch, 1.9 * np.exp(2j * np.pi * np.arange(4) / 4))
-        field = simulate(STATE.as_wavefield(), cfg, geometry=CFG)
+        field = simulate(FIELD, cfg, geometry=CFG)
         table = simulate(STATE, cfg)
         for f, t in zip(field, table):
             assert not f.aborted
@@ -367,7 +370,7 @@ class TestGenericPath:
 
     def test_wavefield_default_start(self):
         cfg = SdeConfig(dt=1e-3, steps=400, burn_in=100, n_trajectories=4, seed=14)
-        out = simulate(STATE.as_wavefield(), cfg, geometry=CFG)
+        out = simulate(FIELD, cfg, geometry=CFG)
         for t in out:
             assert not t.aborted
             r = t.radii()

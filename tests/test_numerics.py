@@ -158,6 +158,20 @@ class TestBesselJ:
         assert np.abs(j0 - exact[0]).max() <= 1e-14
         assert np.abs(j1 - exact[1]).max() <= 1e-14
 
+    @pytest.mark.parametrize("nu", [5.5, 6.0, 6.25, 6.75, 7.0])
+    def test_pair_rows_around_the_seam_against_mpmath(self, nu):
+        # the seam max(12, 2 nu + 2) is the upper row's own: at max(12, 2 nu)
+        # J_7 came from the Hankel branch below its seam (5e-12 off at
+        # x = 12.1), and the Hankel branch just past the seam was 3.4e-12 off
+        # at nu = 6, where the compensated series now holds
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        seam = max(12.0, 2.0 * nu + 2.0)
+        x = np.linspace(seam - 1.0, seam + 8.0, 181)
+        for row, o in zip(bessel_j_pair(nu, x), (nu, nu + 1.0)):
+            exact = np.array([float(mp.besselj(mp.mpf(o), mp.mpf(float(v)))) for v in x])
+            assert np.abs(row - exact).max() <= 2e-13, o
+
 
 class TestBesselZeros:
     def test_half_integer_zeros_are_n_pi(self):
@@ -229,6 +243,16 @@ class TestBesselZeros:
             assert abs(z - true) <= np.spacing(true), (nu, n)
             n += 1
         assert n > 1
+
+    def test_zeros_above_order_five_to_rounding(self):
+        # with the seam at max(12, 2 nu + 2) these zeros come from the
+        # compensated series, not from the Hankel branch (4e-14 before)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        for nu in np.arange(5.5, 12.01, 0.5):
+            for n in (1, 2, 5, 100):
+                true = float(mp.besseljzero(mp.mpf(float(nu)), n))
+                assert abs(bessel_j_zero(nu, n) - true) <= 1e-15 * true, (nu, n)
 
     def test_table_reads_the_same_zeros(self):
         for nu, n in ((0.5, 100), (0.0, 2), (2.25, 5)):
@@ -467,11 +491,6 @@ class TestRandomStream:
         b = RandomStream(31, 1).normals(10_000)
         r = np.corrcoef(a, b)[0, 1]
         assert abs(r) <= 0.02
-
-    def test_counter_tracks_draws(self):
-        s = RandomStream(1, 0)
-        s.normals(7)
-        assert s.counter == 7
 
     def test_count_validation(self):
         with pytest.raises(ValueError):

@@ -153,13 +153,6 @@ class TestGaussianWaveField:
         assert dec.eta[0] == pytest.approx(closed["eta"], rel=1e-12)
         assert dec.xi_real[0] == pytest.approx(closed["xi"], rel=1e-12)
 
-    def test_time_derivative_callable(self):
-        cfg = GaussianPacketConfig()
-        field = gaussian_wavefield(cfg, 0.5)
-        assert field.time_dependent
-        val = field.d_dt(np.array([[0.2]]))
-        assert np.isfinite(val).all()
-
     def test_spreading_ratio_doubles_late(self):
         cfg = GaussianPacketConfig(alpha=1.0, k0=0.0)
         t = 2000.0 * cfg.T

@@ -362,10 +362,9 @@ def system_b_equivalence(cfg, m):
     M (dv^2 + dv . v_i)/r with dv the outside diffusion velocity and
     v_i = m hbar/(M r).
 
-    The report compares the two force expressions at nine radii from
-    1.1 a to 0.96 b and the
-    effective angular order implied by V_ext against nu = |m + lambda|,
-    without altering any of the printed formulas.
+    The report compares the two force expressions at nine radii from 1.1 a
+    to 0.96 b and the effective angular order implied by V_ext against
+    nu = |m + lambda|, without altering any of the printed formulas.
     """
     lam = flux_parameter(cfg)
     hbar, mass = cfg.hbar, cfg.mass

@@ -333,8 +333,10 @@ def run_check(cfg, out_dir, want_svg):
     for res in results:
         print(res.line())
     manifest = _base_manifest("check", cfg)
-    manifest["checks"] = [{"name": r.name, "passed": r.passed, "details": r.details}
-                          for r in results]
+    manifest["checks"] = [
+        {"name": r.name, "passed": r.passed, "details": r.details}
+        for r in results
+    ]
     manifest["all_passed"] = all(r.passed for r in results)
     return manifest
 
@@ -400,7 +402,8 @@ def main(argv=None):
     # seed must be byte-identical), so it carries no timing; other runs do.
     manifest["wall_clock_seconds"] = (None if args.subcommand == "check"
                                       else round(elapsed, 3))
-    _write_json(os.path.join(args.out, f"manifest_{args.subcommand}.json"), manifest)
+    _write_json(os.path.join(args.out, f"manifest_{args.subcommand}.json"),
+                manifest)
 
     if args.subcommand == "check" and not manifest["all_passed"]:
         return EXIT_CHECK

@@ -1,7 +1,8 @@
 """Hydrodynamic decomposition of a wavefunction into velocity fields.
 
 Given a complex field psi and an optional vector potential A (any callable
-p -> A(p) on point arrays, in units of B*length), this module extracts the probability density rho = |psi|^2, the current velocity
+p -> A(p) on point arrays, in units of B*length), this module extracts the
+probability density rho = |psi|^2, the current velocity
 eta = (hbar/M) Im(psi* grad psi)/rho, the dispersive velocity
 xi = -(hbar/2M) grad(rho)/rho + i (q/Mc) A, the osmotic velocity zeta = -xi,
 the quasi-currents Gamma = rho v and Delta = -(hbar/2M) grad rho, and the

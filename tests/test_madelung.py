@@ -7,8 +7,9 @@ import pytest
 
 from abtool.annulus import AnnulusConfig, eigenstate, solenoid_potential
 from abtool.madelung import (RHO_FLOOR, AnnulusDomain, Constants,
-                             DensityFloorError, LineDomain, WaveField, _energy_densities, decompose,
-                             gauge_transform, integrated_energy_identity, kinetic_energy_density,
+                             DensityFloorError, LineDomain, WaveField,
+                             _energy_densities, decompose, gauge_transform,
+                             integrated_energy_identity, kinetic_energy_density,
                              osmotic_expectation, phase_winding, quantum_force,
                              quantum_potential, quasi_currents)
 from abtool import numerics

@@ -39,53 +39,58 @@ class NonConvergenceError(RuntimeError):
 # Bessel J of real order 0 <= order <= MAX_ORDER + 1 (the pair's upper row at
 # MAX_ORDER) and its zeros for order <= MAX_ORDER.
 #
-# One router, `_bessel`, serves J, the pair J_order, J_{order+1} and the zero
-# polish: the ascending series (coefficients cached per order, one Horner pass
-# over the rows) up to the seam x = max(12, 2*order + 2), which is also the
-# upper row's own, the Hankel large-argument expansion of each row past it,
-# each element stopping at its own smallest term.  The two branches are
-# asserted to agree at the seam by the test suite.  Against mpmath on
-# 0 < x <= 340 the largest error of J is 2.3e-12 for order <= 5 (3.5e-12 for
-# the pair's upper row), 6.4e-13 for 5 < order <= 6 and 1.5e-14 for
-# 6 < order <= 12, all on the Hankel branch just past the seam (the series
-# is up to 6e-13 off just below x = 12, and compensated past it).  Larger
-# orders are rejected: the Hankel branch needs x >> order^2, and next to the
-# seam it fails from about order 28 (4e-11 at 30, 8 at 33).
+# One router, `_bessel`, serves J and the pair J_order, J_{order+1} with one
+# split, x <= 10 for every order:
+# - at or below it, the ascending series (coefficients cached per order, one
+#   Horner pass over the rows, truncated at the batch's largest argument);
+# - past it, Miller's backward recurrence (Gautschi, SIAM Review 9 (1967) 24),
+#   normalized by the Neumann sum (A&S 9.1.87), which gives both rows from one
+#   pass; each element starts at its own order and rescales on its own, so its
+#   bits do not depend on the rest of the batch.
+# Largest error of either row against mpmath, 0 <= order <= 51:
+#   0 < x <= 5      series  8.9e-16
+#   5 < x <= 9.5    series  9.2e-14   (rounding: the terms cancel by ~e^x)
+#   9.5 < x <= 10   series  1.6e-13
+#   10 < x <= 400   Miller  7.3e-16
+# Cost per 1e5 points (a 2-core machine): the series 7-11 ms; Miller 60 ms on
+# (10, 40] and 240 ms on (10, 400], since its passes grow with x.  Every hot
+# path reads x <= 9.1 and stays on the series.
 # ---------------------------------------------------------------------------
 
-MAX_ORDER = 12.0           # largest order of a zero, hence of a state
+MAX_ORDER = 50.0           # largest order of a zero, hence of a state
 MAX_ZERO_INDEX = 100       # largest n of a zero j_{order,n}
 
+_SERIES_MAX_X = 10.0
 _SERIES_TERMS = 120
-_series_coeff_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-_COMPENSATED_Y = 36.0      # (x/2)^2 at x = 12
+# The first term 1/Gamma(order + 1) shrinks fast with the order, so 1e-20 on
+# the sum alone would let J's truncation error grow as (x/2)^order (3e-9 at
+# order 18, x = 10).  The bound relative to the first term equals 1e-20 at
+# order 12, so up to order 12 the absolute bound alone decides; J is then
+# truncated to within 7.8e-14 at x <= 10 for every order.
+_SERIES_REL_TOL = 1e-20 * math.gamma(13.0)
+_series_coeff_cache: dict[float, np.ndarray] = {}
+_MILLER_BIG = 2.0 ** 600   # an element past it is scaled down by exactly 2^-600
 
 
 def _series_coeffs(order):
-    """(c, lo): c[k] = (-1)^k / (k! Gamma(order + k + 1)) by the float
-    recurrence from c[0], and lo[k] its rounding against the same recurrence
-    carried out exactly on integers (order = p / q; int / int is correctly
-    rounded)."""
-    cached = _series_coeff_cache.get(order)
-    if cached is None:
-        c, lo = np.empty(_SERIES_TERMS), np.zeros(_SERIES_TERMS)
+    """c[k] = (-1)^k / (k! Gamma(order + k + 1)) by the float recurrence."""
+    c = _series_coeff_cache.get(order)
+    if c is None:
+        c = np.empty(_SERIES_TERMS)
         c[0] = 1.0 / math.gamma(order + 1.0)
-        p, q = float(order).as_integer_ratio()
-        num, den = c[0].as_integer_ratio()
         for k in range(1, _SERIES_TERMS):
             c[k] = -c[k - 1] / (k * (order + k))
-            num, den = -num * q, den * k * (p + k * q)
-            a, b = c[k].as_integer_ratio()
-            lo[k] = (num * b - a * den) / (den * b)
-        cached = _series_coeff_cache[order] = (c, lo)
-    return cached
+        _series_coeff_cache[order] = c
+    return c
 
 
-def _series_terms(order, ymax, tol=1e-20):
+def _series_terms(order, ymax):
     """Truncation of the ascending series for the arguments y = (x/2)^2 <=
-    ymax: the smallest where the next term is below tol at ymax (the series
-    alternates, so the next term bounds the remainder)."""
-    c = _series_coeffs(order)[0]
+    ymax: the smallest where the next term is below 1e-20 and below
+    _SERIES_REL_TOL times the first at ymax (the series alternates, so the
+    next term bounds the remainder)."""
+    c = _series_coeffs(order)
+    tol = min(1e-20, _SERIES_REL_TOL * c[0])
     nterms = 8
     t = abs(c[nterms]) * ymax ** nterms if ymax > 0 else 0.0
     while nterms < _SERIES_TERMS - 1 and t > tol:
@@ -94,66 +99,64 @@ def _series_terms(order, ymax, tol=1e-20):
     return nterms
 
 
-def _split(a):
-    """a = hi + lo with 26-bit halves (Dekker), so products of halves are exact."""
-    t = 134217729.0 * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _horner_series(order, y, *orders, compensated=False):
+def _horner_series(order, y, *orders):
     """J_o(x) / (x/2)^o for each order o of `orders`: sum_k c_o[k] y^k by
     Horner at y = (x/2)^2, truncated where the series of J_order is.  y is
-    the caller's: freeing it here raised peak RSS 1 MB on 1e5-point batches.
-    Past x = 12 (orders above 5), or when asked, Horner is compensated
-    (Graillat, Langlois & Louvet 2005): a second sum carries the rounding of
-    every step and coefficient, so J is right to about 1e-16 absolute, not
-    1e-16 I_o(x) (at x = 24 the sum cancels by I_o / |J_o| ~ 1e9).  Against
-    mpmath both rows of the pair are within 8e-14 on [seam - 1, seam + 8]
-    for orders 5.5 to 7."""
-    coeffs, lows = zip(*(_series_coeffs(o) for o in orders))
-    ymax = float(y.max()) if y.size else 0.0
-    if not compensated and ymax <= _COMPENSATED_Y:
-        nterms = _series_terms(order, ymax)
-        sums = [np.full_like(y, c[nterms]) for c in coeffs]
-        for k in range(nterms - 1, -1, -1):
-            for s, c in zip(sums, coeffs):
-                s *= y
-                s += c[k]
-        return sums
-    # truncated where the terms of J itself, not of J / (x/2)^order, drop
-    # below 1e-20
-    nterms = _series_terms(order, ymax, 1e-20 / max(ymax, 1.0) ** (0.5 * order))
+    the caller's: freeing it here raised peak RSS 1 MB on 1e5-point batches."""
+    coeffs = [_series_coeffs(o) for o in orders]
+    nterms = _series_terms(order, float(y.max()) if y.size else 0.0)
     sums = [np.full_like(y, c[nterms]) for c in coeffs]
-    y_hi, y_lo = _split(y)
-    errs = [np.full_like(y, lo[nterms]) for lo in lows]
     for k in range(nterms - 1, -1, -1):
-        for i, (c, lo) in enumerate(zip(coeffs, lows)):
-            s = sums[i]
-            p = s * y
-            s_hi, s_lo = _split(s)
-            p_err = ((s_hi * y_hi - p) + s_hi * y_lo + s_lo * y_hi) + s_lo * y_lo
-            sums[i] = p + c[k]
-            back = sums[i] - p
-            sum_err = (p - (sums[i] - back)) + (c[k] - back)
-            errs[i] = errs[i] * y + (p_err + sum_err + lo[k])
-    return [s + e for s, e in zip(sums, errs)]
+        for s, c in zip(sums, coeffs):
+            s *= y
+            s += c[k]
+    return sums
 
 
-def _bessel(order, x, rows, compensated=False):
+def _miller(order, x):
+    """[J_order(x), J_{order+1}(x)] for a 1-d array x > 0: the recurrence
+    f_{k-1} = 2 (order + k) / x f_k - f_{k+1} run down from f = 1 at the
+    element's own even offset N = x + 12 x^(1/3) + 30 (rounded up), then
+    scaled by the Neumann sum
+        (x/2)^order / Gamma(order + 1) = sum_j a_j J_{order+2j}(x),
+        a_0 = 1, a_j = (order + 2j) Gamma(order + j) / (j! Gamma(order + 1)).
+    Before its start an element holds f = 0, which the recurrence and the sum
+    keep exactly.  The coefficient is divided afresh at every step: with 2/x
+    rounded once, the whole pass follows a shifted x (2e-15 off at x = 400)."""
+    start = 2.0 * np.ceil(0.5 * (x + 12.0 * np.cbrt(x) + 30.0))
+    starts = set(start.tolist())
+    top = int(start.max())
+    j = np.arange(1.0, top // 2 + 1)
+    g = np.cumprod(np.concatenate(([1.0], (order + j[:-1]) / (j[:-1] + 1.0))))
+    a = np.concatenate(([1.0], (order + 2.0 * j) * g))
+    f_up, f, s = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
+    for k in range(top, 0, -1):
+        if k % 2 == 0:
+            if k in starts:
+                f[start == k] = 1.0
+            s += a[k // 2] * f
+            if np.abs(f).max() > _MILLER_BIG:
+                scale = np.where(np.abs(f) > _MILLER_BIG, 1.0 / _MILLER_BIG, 1.0)
+                f *= scale
+                f_up *= scale
+                s *= scale
+        f, f_up = (2.0 * (order + k)) / x * f - f_up, f
+    s += f
+    norm = _series_coeffs(order)[0] * (0.5 * x) ** order / s
+    return [f * norm, f_up * norm]
+
+
+def _bessel(order, x, rows):
     """[J_order(x)] (rows = 1) or [J_order(x), J_{order+1}(x)] (rows = 2) for
-    a 1-d array x >= 0: one Horner pass over the rows where x <= max(12,
-    2 order + 2), the upper row's own seam, compensated past x = 12 or when
-    asked (`_horner_series`); the Hankel expansion of each row past it."""
-    seam = max(12.0, 2.0 * order + 2.0)
-    inner = None if x.max(initial=0.0) <= seam else x <= seam
+    a 1-d array x >= 0: one Horner pass over the rows where x <= 10, Miller's
+    recurrence past it."""
+    inner = None if x.max(initial=0.0) <= _SERIES_MAX_X else x <= _SERIES_MAX_X
     xs = x if inner is None else x[inner]
     half = 0.5 * xs
     # y lives to the return: freed right after Horner, it raised the peak RSS
     # of 1e5-point batches by 0.8 MB (the allocator's reuse changes)
     y = half * half
-    sums = _horner_series(order, y, *(order, order + 1.0)[:rows],
-                          compensated=compensated)
+    sums = _horner_series(order, y, *(order, order + 1.0)[:rows])
     pref = half ** order if order != 0.0 else 1.0
     out = [s * pref for s in sums]
     if rows == 2:
@@ -162,37 +165,10 @@ def _bessel(order, x, rows, compensated=False):
         return out
     past = ~inner
     full = [np.empty_like(x) for _ in out]
-    for i, (j, series) in enumerate(zip(full, out)):
+    for j, series, miller in zip(full, out, _miller(order, x[past])):
         j[inner] = series
-        j[past] = _bessel_hankel(order + i, x[past])
+        j[past] = miller
     return full
-
-
-def _bessel_hankel(order, x):
-    """Large-argument (Hankel) expansion; x is a 1-d array past the seam.
-    Each element stops at its own smallest term (the series is asymptotic)
-    or once a term is below 1e-18, so its value depends on its x alone."""
-    mu = 4.0 * order * order
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    term = np.ones_like(x)
-    live = np.ones(x.shape, dtype=bool)
-    for k in range(40):
-        fac = (mu - (2 * k + 1) ** 2) / (8.0 * (k + 1) * x)
-        new = term * fac
-        if k > 2:
-            live &= np.abs(new) < np.abs(term)
-        new[~live] = 0.0
-        if k % 2 == 0:
-            q += new * (-1.0) ** (k // 2)
-        else:
-            p += new * (-1.0) ** ((k + 1) // 2)
-        live &= np.abs(new) > 1e-18
-        if not live.any():
-            break
-        term = new
-    chi = x - (0.5 * order + 0.25) * np.pi
-    return np.sqrt(2.0 / (np.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
 
 
 def _check_order(name, order, top):
@@ -212,7 +188,7 @@ def _bessel_call(name, order, x, rows):
 
 
 def bessel_j(order, x):
-    """Bessel function of the first kind J_order(x), 0 <= order <= 13
+    """Bessel function of the first kind J_order(x), 0 <= order <= 51
     (MAX_ORDER + 1), x >= 0."""
     if np.min(x, initial=0.0) < 0.0:
         raise ValueError("bessel_j: x must be >= 0")
@@ -220,79 +196,92 @@ def bessel_j(order, x):
 
 
 def bessel_j_pair(order, x):
-    """(J_order(x), J_{order+1}(x)) from one Horner pass over both series,
-    for the value/derivative pair J' = (v/x) J - J_{v+1} of the hot loops,
-    whose x >= 0 is not checked again; J_order is `bessel_j`'s, bit for bit."""
+    """(J_order(x), J_{order+1}(x)) from one pass over both rows, for the
+    value/derivative pair J' = (v/x) J - J_{v+1} of the hot loops, whose
+    x >= 0 is not checked again; J_order is `bessel_j`'s, bit for bit."""
     return tuple(_bessel_call("bessel_j_pair", order, x, 2))
 
 
-# Zeros: sign changes of J on the cells of the grid x_i = order + 1e-9 + i pi/4
-# (the first zero exceeds the order, and pi/4 is below half the zero
-# spacing), scanned in blocks that double in size, then safeguarded Newton on
-# every bracket of a block at once.  Every zero then takes one Newton step on
-# `_bessel` with the series compensated, which makes the zeros inside the
-# series window the true zeros to rounding (the plain sum is 1e-12 off at
-# x = 12 for order 0, and `BesselLogTable` puts its closed-form poles at the
-# zeros); past the seam they are the Hankel branch's zeros.  The plain series
-# truncates at its batch's largest argument, so a zero's bits depend on its
-# block alone.
-_ZERO_SCAN_STEP = np.pi / 4.0
-_ZERO_FIRST_CELLS = 16     # block b holds cells [16 (2^b - 1), 16 (2^(b+1) - 1))
-_ZERO_MAX_BLOCKS = 8       # 4080 cells, x up to about 3200
+# Zeros: one scalar Newton solve per (order, n), cached.  It starts from
+# McMahon's expansion (DLMF 10.21.19) where n >= order, and from the
+# Airy-type form order z(zeta) + f_1(zeta) / order (DLMF 10.21.43) below it;
+# on 0 <= order <= 50, n <= 100 both starts are within 2e-3 of the zero.
+# Left of j_n, J has the sign (-1)^(n-1), right of it the opposite one, so
+# every iterate narrows a bracket of half-width 1 around the start; zeros of
+# J_order are at least 3.1 apart, so the bracket holds j_n and no neighbour,
+# and an iterate that leaves it is replaced by the bracket's midpoint.  The
+# settled zero takes one more Newton step on Miller's recurrence, which is
+# right to rounding at every x, not only past the split.
+_ZERO_REACH = 1.0
 _ZERO_STEP_TOL = 1e-8      # one more Newton step is then exact to rounding
 _ZERO_MAX_ITER = 40
 
 
-@lru_cache(maxsize=1024)
-def _zero_block(order, block):
-    """The zeros of J_order in scan block `block`, ascending and read-only.
-    Newton takes J' = (order/x) J - J_{order+1} from `bessel_j_pair`; an
-    iterate that leaves its shrinking bracket is replaced by the bracket's
-    midpoint."""
-    first = _ZERO_FIRST_CELLS * (2 ** block - 1)
-    x = order + 1e-9 + _ZERO_SCAN_STEP * np.arange(first, 2 * first + _ZERO_FIRST_CELLS + 1)
-    f = bessel_j(order, x)
-    cell = np.nonzero((f[:-1] * f[1:] < 0.0) | (f[1:] == 0.0))[0]
-    lo, hi, f_lo = x[cell], x[cell + 1], f[cell]
-    z = lo - f_lo * (hi - lo) / (f[cell + 1] - f_lo)      # secant start
-    out = np.empty_like(z)
-    todo = np.arange(z.size)
+def _airy_type_z(zeta):
+    """z > 1 with sqrt(z^2 - 1) - arcsec z = (2/3) (-zeta)^(3/2), zeta < 0
+    (DLMF 10.20.3): Newton from z = rhs + pi/2, right of the root, where the
+    left side is convex and increasing."""
+    rhs = (2.0 / 3.0) * (-zeta) ** 1.5
+    z = rhs + 0.5 * math.pi
     for _ in range(_ZERO_MAX_ITER):
-        if todo.size == 0:
-            jv, jv1 = _bessel(order, out, 2, compensated=True)
-            out -= jv / (order / out * jv - jv1)
-            out.flags.writeable = False
-            return out
-        jv, jv1 = bessel_j_pair(order, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = jv / (order / z * jv - jv1)
-        left = (jv > 0.0) == (f_lo > 0.0)
-        lo, hi = np.where(left, z, lo), np.where(left, hi, z)
-        done = np.abs(step) <= _ZERO_STEP_TOL * z
-        z_new = z - step
-        z = np.where(done | ((lo < z_new) & (z_new < hi)), z_new, 0.5 * (lo + hi))
-        out[todo[done]] = z[done]
-        keep = ~done
-        todo, z, lo, hi, f_lo = todo[keep], z[keep], lo[keep], hi[keep], f_lo[keep]
+        w = math.sqrt(z * z - 1.0)
+        step = (w - math.acos(1.0 / z) - rhs) * z / w
+        z -= step
+        if step <= 1e-15 * z:
+            return z
+    raise NonConvergenceError(f"bessel_j_zero: no z(zeta) for zeta={zeta}")
+
+
+def _zero_start(order, n):
+    """McMahon's j_{order,n} for n >= order, else the Airy-type one."""
+    if n >= order:
+        b = (n + 0.5 * order - 0.25) * math.pi
+        mu = 4.0 * order * order
+        e = 1.0 / (8.0 * b)
+        return b - (mu - 1.0) * e * (1.0 + 4.0 * (7.0 * mu - 31.0) * e * e / 3.0
+                                     + 32.0 * (83.0 * mu * mu - 982.0 * mu + 3779.0)
+                                     * e ** 4 / 15.0)
+    zeta = order ** (-2.0 / 3.0) * airy_ai_zero(n)
+    z = _airy_type_z(zeta)
+    w = z * z - 1.0
+    h2 = math.sqrt(4.0 * zeta / (1.0 - z * z))
+    b0 = -5.0 / (48.0 * zeta * zeta) + (5.0 / (24.0 * w ** 1.5)
+                                        + 1.0 / (8.0 * math.sqrt(w))) / math.sqrt(-zeta)
+    return order * z + 0.5 * z * h2 * b0 / order
+
+
+@lru_cache(maxsize=4096)
+def _zero(order, n):
+    """j_{order,n}; Newton takes J' = (order/x) J - J_{order+1} from the
+    pair."""
+    z = _zero_start(order, n)
+    lo, hi = z - _ZERO_REACH, z + _ZERO_REACH
+    left = 1.0 if n % 2 else -1.0
+    for _ in range(_ZERO_MAX_ITER):
+        jv, jv1 = (float(r[0]) for r in _bessel(order, np.array([z]), 2))
+        step = jv / (order / z * jv - jv1)
+        if abs(step) <= _ZERO_STEP_TOL * z:
+            z -= step
+            jv, jv1 = (float(r[0]) for r in _miller(order, np.array([z])))
+            return z - jv / (order / z * jv - jv1)
+        if jv * left > 0.0:
+            lo = z
+        else:
+            hi = z
+        z = z - step if lo < z - step < hi else 0.5 * (lo + hi)
     raise NonConvergenceError(
-        f"bessel_j_zero: Newton did not settle for order={order} near x={z[0]}",
-        best_estimate=z[0], error_bound=float(hi[0] - lo[0]))
+        f"bessel_j_zero: Newton did not settle for order={order}, n={n}",
+        best_estimate=z, error_bound=hi - lo)
 
 
 def bessel_j_zero(order, n):
     """n-th positive zero of J_order, 0 <= order <= MAX_ORDER and
-    1 <= n <= MAX_ZERO_INDEX, cached per block of zeros."""
+    1 <= n <= MAX_ZERO_INDEX, cached per (order, n)."""
     _check_order("bessel_j_zero", order, MAX_ORDER)
     if not 1 <= n <= MAX_ZERO_INDEX:
         raise ValueError(f"bessel_j_zero: n = {n} outside the supported "
                          f"window 1 <= n <= {MAX_ZERO_INDEX}")
-    order = float(order)
-    for block in range(_ZERO_MAX_BLOCKS):
-        zeros = _zero_block(order, block)
-        if n <= zeros.size:
-            return float(zeros[n - 1])
-        n -= zeros.size
-    raise NonConvergenceError(f"bessel_j_zero: no bracket for order={order}")
+    return _zero(float(order), int(n))
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +350,9 @@ def _hermite_cells(f, df, h):
 class BesselLogTable:
     """log|J_order(x)| and J_order'(x)/J_order(x) on 0 <= x <= j_n.
 
-    Built once from the series/Hankel `bessel_j_pair`; a lookup is a fixed
-    handful of numpy calls whatever the order.  Against that exact route the
+    Built once from `bessel_j_pair` (the series up to x = 10, Miller's
+    recurrence past it); a lookup is a fixed handful of numpy calls whatever
+    the order.  Against that exact route the
     log-derivative agrees to about 1e-11 (1 + |J'/J|) away from the zeros;
     next to a zero both routes carry the exact route's own rounding, which
     the table inherits through the zero's position.  Arguments outside

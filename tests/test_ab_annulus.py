@@ -147,13 +147,25 @@ class TestEigenstate:
             eigenstate(CFG, 1, 101)
 
     def test_order_window(self):
-        # lambda = -1/2: nu = |m - 1/2|, so m = 12 gives 11.5, m = 13 and
-        # m = -12 give 12.5; lambda = 0 reaches nu = 12 itself
-        assert eigenstate(CFG, 12, 100).nu == 11.5
-        assert eigenstate(AnnulusConfig(B=0.0), 12, 100).nu == MAX_ORDER == 12.0
-        for m in (13, -12, 60):
+        # lambda = -1/2: nu = |m - 1/2|, so m = 50 gives 49.5, m = 51 and
+        # m = -50 give 50.5; lambda = 0 reaches nu = 50 itself
+        assert eigenstate(CFG, 50, 100).nu == 49.5
+        assert eigenstate(AnnulusConfig(B=0.0), 50, 100).nu == MAX_ORDER == 50.0
+        for m in (51, -50, 60):
             with pytest.raises(ValueError, match="supported window"):
                 eigenstate(CFG, m, 1)
+
+    @pytest.mark.parametrize("m, n", [(1, 100), (13, 1), (31, 1), (50, 1), (50, 100)])
+    def test_tau_and_energy_against_mpmath(self, m, n):
+        # tau = j_{nu,n} and E = hbar^2 tau^2 / (2 M d^2), checked directly:
+        # the L_z theorem holds for any separable profile
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        state = eigenstate(CFG, m, n)
+        tau = mp.besseljzero(mp.mpf(state.nu), n)
+        energy = CFG.hbar ** 2 * (tau / CFG.d) ** 2 / (2 * CFG.mass)
+        assert state.tau == pytest.approx(float(tau), rel=1e-12, abs=0.0)
+        assert state.energy == pytest.approx(float(energy), rel=1e-12, abs=0.0)
 
     def test_tau_is_the_one_cached_zero(self):
         states = list(_grid_states()) + [eigenstate(CFG, 1, 100)]
@@ -429,5 +441,5 @@ class TestGaugeFamily:
             gauge_family(STATE, (0.6,))
 
     def test_order_past_the_window_rejected(self):
-        with pytest.raises(ValueError, match="past nu = 12"):
-            gauge_family(eigenstate(AnnulusConfig(B=0.0), 12, 1), (0.5,))
+        with pytest.raises(ValueError, match="past nu = 50"):
+            gauge_family(eigenstate(AnnulusConfig(B=0.0), 50, 1), (0.5,))

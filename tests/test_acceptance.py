@@ -3,21 +3,26 @@ printed pass/fail line per criterion (run with -s to see them).
 
 Criteria 1-11 drive the library through the shared check implementations
 plus independent frozen anchors; criterion 12 runs the CLI `check`
-subcommand twice and compares manifests byte for byte.
+subcommand in two concurrent fresh processes and compares manifests byte
+for byte.
 """
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from abtool import checks
 from abtool.annulus import (AnnulusConfig, CircleLoop, circulation,
                             diffusion_velocity, eigenstate, angular_momenta)
-from abtool.cli import main
 from abtool.numerics import bessel_j_zero
 
 CFG = AnnulusConfig()
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def report(result):
@@ -86,12 +91,25 @@ class TestAcceptance:
         report(checks.check_gauge_invariance())
 
     def test_12_check_determinism(self, tmp_path):
+        # two fresh processes at once: each runs the full check with its own
+        # caches, and the two finish in about the time of one
         one = tmp_path / "one"
         two = tmp_path / "two"
-        code_one = main(["check", "--out", str(one), "--seed", "20240801"])
-        code_two = main(["check", "--out", str(two), "--seed", "20240801"])
-        assert code_one == 0
-        assert code_two == 0
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        runs = [subprocess.Popen([sys.executable, "-m", "abtool.cli", "check",
+                                  "--out", str(out), "--seed", "20240801"],
+                                 env=env, stdout=subprocess.DEVNULL,
+                                 stderr=subprocess.PIPE)
+                for out in (one, two)]
+        try:
+            for run in runs:
+                err = run.communicate(timeout=600)[1]
+                assert run.returncode == 0, err.decode()
+        finally:
+            for run in runs:
+                run.kill()
+                run.wait()
         bytes_one = (one / "manifest_check.json").read_bytes()
         bytes_two = (two / "manifest_check.json").read_bytes()
         identical = bytes_one == bytes_two

@@ -1,0 +1,67 @@
+"""Property tests of the Bessel kernel over its whole window, 0 <= nu <= 50
+and 0 < x <= 400, against mpmath: both rows of the pair on each side of the
+split x = 10, the three-term recurrence, and the bits of an argument alone
+and inside a batch."""
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+mp = pytest.importorskip("mpmath")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from abtool.numerics import bessel_j, bessel_j_pair  # noqa: E402
+
+SPLIT = 10.0
+MILLER_BOUND = 2e-15     # Miller's recurrence, past the split
+SERIES_BOUND = 2e-13     # the series' rounding, up to 1.6e-13 just below x = 10
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+orders = st.floats(0.0, 50.0)
+past = st.floats(SPLIT, 400.0, exclude_min=True)
+# normal floats: below 2.2e-308, x/2 is rounded and (x/2)^nu with it
+below = st.floats(np.finfo(float).tiny, SPLIT)
+
+
+def exact(nu, x):
+    with mp.workdps(40):
+        return float(mp.besselj(mp.mpf(nu), mp.mpf(x)))
+
+
+def rows_within(nu, x, bound):
+    for row, o in zip(bessel_j_pair(nu, x), (nu, nu + 1.0)):
+        assert abs(row - exact(o, x)) <= bound, (o, x)
+
+
+@SETTINGS
+@given(orders, past)
+def test_pair_past_the_split(nu, x):
+    rows_within(nu, x, MILLER_BOUND)
+
+
+@SETTINGS
+@given(orders, below)
+def test_pair_below_the_split(nu, x):
+    rows_within(nu, x, SERIES_BOUND)
+
+
+@SETTINGS
+@given(orders, st.floats(0.0, 400.0, exclude_min=True))
+def test_three_term_recurrence(nu, x):
+    # x (J_nu + J_{nu+2}) = 2 (nu + 1) J_{nu+1} from two pairs, to the
+    # values' own accuracy
+    j0, j1 = bessel_j_pair(nu, x)
+    j2 = bessel_j_pair(nu + 1.0, x)[1]
+    bound = (MILLER_BOUND if x > SPLIT else SERIES_BOUND) * (2.0 * x + 2.0 * (nu + 1.0))
+    assert abs(x * (j0 + j2) - 2.0 * (nu + 1.0) * j1) <= bound
+
+
+@SETTINGS
+@given(orders, past, st.lists(st.floats(0.0, 400.0), max_size=20), st.integers(0, 20))
+def test_bits_alone_and_inside_a_batch(nu, x, others, at):
+    at = min(at, len(others))
+    batch = np.array(others[:at] + [x] + others[at:])
+    assert bessel_j(nu, batch)[at] == bessel_j(nu, x)
+    for row, alone in zip(bessel_j_pair(nu, batch), bessel_j_pair(nu, x)):
+        assert row[at] == alone

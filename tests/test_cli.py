@@ -129,6 +129,17 @@ class TestSpectrum:
             entry = dict(zip(header, line.split(",")))
             assert abs(float(entry["Lz_total"]) - (int(entry["m"]) - 0.5)) <= 1e-8
 
+    def test_orders_up_to_twenty(self, tmp_path):
+        # rows m = -20..20 reach nu = 20.5, with zeros past the split x = 10
+        code = run_cli(["spectrum"], tmp_path, config={"state": {"m": 20}})
+        assert code == EXIT_OK
+        rows = (tmp_path / "spectrum.csv").read_text().strip().split("\n")
+        header = rows[0].split(",")
+        assert len(rows) == 1 + 41 * 2
+        for line in rows[1:]:
+            entry = dict(zip(header, line.split(",")))
+            assert abs(float(entry["Lz_total"]) - (int(entry["m"]) - 0.5)) <= 1e-8
+
     def test_table_reproducible(self, tmp_path):
         run_cli(["spectrum"], tmp_path / "one")
         run_cli(["spectrum"], tmp_path / "two")
@@ -231,15 +242,15 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == EXIT_CONFIG
 
     def test_state_outside_window_is_2(self, tmp_path, capsys):
-        # nu = |m + lambda| = 59.5 > 12
+        # nu = |m + lambda| = 59.5 > 50
         assert run_cli(["fields"], tmp_path,
                        config={"state": {"m": 60}}) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "supported window" in err
 
-    @pytest.mark.parametrize("m", [12, 13])
+    @pytest.mark.parametrize("m", [50, 51])
     def test_spectrum_past_the_order_window_is_2(self, tmp_path, capsys, m):
-        # the spectrum's m = -12 row has nu = 12.5 > 12 (and m = 13 has 12.5)
+        # the spectrum's m = -50 row has nu = 50.5 > 50 (and m = 51 has 50.5)
         assert run_cli(["spectrum"], tmp_path,
                        config={"state": {"m": m}}) == EXIT_CONFIG
         err = capsys.readouterr().err

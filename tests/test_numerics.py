@@ -87,10 +87,9 @@ class TestBesselJ:
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.5, 2.5, 4.0])
     def test_seam_agreement(self, nu):
-        # the router's series at the seam against its Hankel branch one
-        # rounding unit past it, for both rows of the pair
-        seam = max(12.0, 2.0 * nu)
-        for a, b in _bessel(nu, np.array([seam, np.nextafter(seam, np.inf)]), 2):
+        # the router's series at the split x = 10 against Miller's recurrence
+        # one rounding unit past it, for both rows of the pair
+        for a, b in _bessel(nu, np.array([10.0, np.nextafter(10.0, np.inf)]), 2):
             assert abs(a - b) <= 1e-10
 
     def test_value_past_the_seam_depends_on_its_argument_alone(self):
@@ -101,22 +100,34 @@ class TestBesselJ:
 
     @pytest.mark.parametrize("nu", [0, 1, 3, 5, 6])
     def test_hankel_branch_batched_against_mpmath(self, nu):
-        # each element stops at its own smallest term: a batch spanning
-        # 12 < x <= 20 is as accurate as its points taken one at a time
+        # the large-argument branch, Miller's recurrence, batched: each
+        # element starts its own recurrence, so a batch spanning 10 < x <= 20
+        # is as accurate as its points taken one at a time
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
-        x = np.linspace(12.0001, 20.0, 200)
+        x = np.linspace(10.0001, 20.0, 200)
         exact = np.array([float(mp.besselj(nu, mp.mpf(float(v)))) for v in x])
-        assert np.abs(bessel_j(nu, x) - exact).max() <= 5e-12
+        assert np.abs(bessel_j(nu, x) - exact).max() <= 1e-15
 
-    @pytest.mark.parametrize("fn,order", [(bessel_j, 33.0), (bessel_j_pair, 13.5)])
+    def test_miller_rescales_each_element_alone(self):
+        # at x = 1e-9 the recurrence grows past 1e308 on its way down and is
+        # rescaled; x = 20 in the same batch is not, and keeps its bits
+        x = np.array([1e-9, 20.0])
+        rows = numerics._miller(0.5, x)
+        for row, series in zip(rows, _bessel(0.5, x[:1], 2)):
+            assert row[0] == pytest.approx(series[0], rel=1e-15)
+        for row, alone in zip(rows, numerics._miller(0.5, x[1:])):
+            assert row[1] == alone[0]
+
+    @pytest.mark.parametrize("fn,order", [(bessel_j, 51.5), (bessel_j_pair, 51.5)])
     def test_order_past_the_window_rejected(self, fn, order):
-        # the Hankel branch gave J_33(67.2) = 8.35 (true -0.068)
+        # both take orders up to 51, the pair's upper row of a state at 50
+        fn(51.0, 67.2)
         with pytest.raises(ValueError, match="supported window"):
             fn(order, 67.2)
 
     def test_large_argument_half_integer(self):
-        # Hankel branch is exact for order 1/2
+        # Miller's recurrence far past the split (9280 steps at x = 9000)
         for x in (50.0, 400.0, 9000.0):
             assert bessel_j(0.5, x) == pytest.approx(
                 math.sqrt(2.0 / (math.pi * x)) * math.sin(x), abs=1e-13)
@@ -145,29 +156,26 @@ class TestBesselJ:
 
     @pytest.mark.parametrize("nu", [6.5, 8.0, 10.0, 11.5, 12.0])
     def test_compensated_window_against_mpmath(self, nu):
-        # past x = 12 the series of an order above 6 cancels by up to 1e9
-        # (plain Horner was 2.8e-9 off at nu = 12); the compensated pass keeps
-        # J and the pair to rounding
+        # from the split to x = 10 + 2 nu, where a series of these orders
+        # cancels by up to 1e9, J and both rows of the pair come from Miller's
+        # recurrence and are right to rounding
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
-        x = np.linspace(0.0, 2.0 * nu, 97)
+        x = np.linspace(10.0, 10.0 + 2.0 * nu, 97)[1:]
         exact = [np.array([float(mp.besselj(mp.mpf(o), mp.mpf(float(v)))) for v in x])
                  for o in (nu, nu + 1.0)]
         j0, j1 = bessel_j_pair(nu, x)
-        assert np.abs(bessel_j(nu, x) - exact[0]).max() <= 1e-14
-        assert np.abs(j0 - exact[0]).max() <= 1e-14
-        assert np.abs(j1 - exact[1]).max() <= 1e-14
+        assert np.abs(bessel_j(nu, x) - exact[0]).max() <= 1e-15
+        assert np.abs(j0 - exact[0]).max() <= 1e-15
+        assert np.abs(j1 - exact[1]).max() <= 1e-15
 
     @pytest.mark.parametrize("nu", [5.5, 6.0, 6.25, 6.75, 7.0])
     def test_pair_rows_around_the_seam_against_mpmath(self, nu):
-        # the seam max(12, 2 nu + 2) is the upper row's own: at max(12, 2 nu)
-        # J_7 came from the Hankel branch below its seam (5e-12 off at
-        # x = 12.1), and the Hankel branch just past the seam was 3.4e-12 off
-        # at nu = 6, where the compensated series now holds
+        # one split x = 10 for every order and both rows: the series below it
+        # (its rounding grows like e^x to 1.6e-13 at x = 10), Miller past it
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
-        seam = max(12.0, 2.0 * nu + 2.0)
-        x = np.linspace(seam - 1.0, seam + 8.0, 181)
+        x = np.linspace(9.0, 18.0, 181)
         for row, o in zip(bessel_j_pair(nu, x), (nu, nu + 1.0)):
             exact = np.array([float(mp.besselj(mp.mpf(o), mp.mpf(float(v)))) for v in x])
             assert np.abs(row - exact).max() <= 2e-13, o
@@ -187,8 +195,8 @@ class TestBesselZeros:
                 assert abs(bessel_j(nu, bessel_j_zero(nu, n))) <= 1e-10
 
     def test_interlacing(self):
-        for nu in (0.0, 0.5, 1.0):
-            for n in range(1, 6):
+        for nu in (0.0, 0.5, 1.0, 12.5, 30.0, 49.0):
+            for n in (1, 2, 3, 4, 5, 99):
                 t_nn = bessel_j_zero(nu, n)
                 t_up = bessel_j_zero(nu + 1.0, n)
                 t_next = bessel_j_zero(nu, n + 1)
@@ -206,19 +214,27 @@ class TestBesselZeros:
     def test_bits_do_not_depend_on_request_order(self, nu):
         fresh = []
         for k in range(1, 6):
-            numerics._zero_block.cache_clear()
+            numerics._zero.cache_clear()
             fresh.append(bessel_j_zero(nu, k))
-        numerics._zero_block.cache_clear()
+        numerics._zero.cache_clear()
         bessel_j_zero(nu, 100)
         assert [bessel_j_zero(nu, k) for k in range(1, 6)] == fresh
 
-    @pytest.mark.parametrize("order,n", [(30, 3), (36, 15), (50, 7), (12.5, 1),
-                                         (0.5, 101), (0.5, 0)])
+    @pytest.mark.parametrize("order,n", [(50.5, 1), (51.5, 15), (0.5, 101), (0.5, 0)])
     def test_outside_the_window_rejected(self, order, n):
-        # past order 12 the Hankel branch is silently wrong next to its seam
-        # (36, 15 gave 92.331 for 96.061) or Newton fails (30, 3)
         with pytest.raises(ValueError, match="supported window"):
             bessel_j_zero(order, n)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 12.5, 30.0, 36.0, 49.5, 50.0])
+    def test_against_mpmath(self, nu):
+        # across the whole window, including (36, 15), which the old pi/4
+        # scan with the large-argument expansion gave as 92.331 (true
+        # 96.061), and (30, 3), where it raised
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        for n in (1, 2, 3, 5, 7, 15, 100):
+            true = float(mp.besseljzero(mp.mpf(nu), n))
+            assert abs(bessel_j_zero(nu, n) - true) <= 1e-15 * true, (nu, n)
 
     def test_against_scipy(self):
         special = pytest.importorskip("scipy.special")
@@ -245,8 +261,7 @@ class TestBesselZeros:
         assert n > 1
 
     def test_zeros_above_order_five_to_rounding(self):
-        # with the seam at max(12, 2 nu + 2) these zeros come from the
-        # compensated series, not from the Hankel branch (4e-14 before)
+        # every zero ends on one Newton step on Miller's recurrence
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
         for nu in np.arange(5.5, 12.01, 0.5):

@@ -61,6 +61,8 @@ MAX_ORDER = 50.0           # largest order of a zero, hence of a state
 MAX_ZERO_INDEX = 100       # largest n of a zero j_{order,n}
 
 _SERIES_MAX_X = 10.0
+# below it 0.5 * x is subnormal, so rounded, and (x/2)^order with it
+_HALF_SUBNORMAL_X = 2.0 ** -1021
 _SERIES_TERMS = 120
 # The first term 1/Gamma(order + 1) shrinks fast with the order, so 1e-20 on
 # the sum alone would let J's truncation error grow as (x/2)^order (3e-9 at
@@ -158,6 +160,9 @@ def _bessel(order, x, rows):
     y = half * half
     sums = _horner_series(order, y, *(order, order + 1.0)[:rows])
     pref = half ** order if order != 0.0 else 1.0
+    if order != 0.0 and xs.min(initial=_SERIES_MAX_X) < _HALF_SUBNORMAL_X:
+        tiny = xs < _HALF_SUBNORMAL_X
+        pref[tiny] = xs[tiny] ** order * 0.5 ** order
     out = [s * pref for s in sums]
     if rows == 2:
         out[1] *= half

@@ -8,7 +8,7 @@ velocity; |psi|^2 is its stationary density.  Integration is Cartesian (no
 polar drift corrections), trajectories carry their own independent variate
 streams, and runs are bit-reproducible for a fixed configuration.
 
-Step kernel.  For a separable state R(r) e^{i m theta} the drift is
+Step kernel.  For an annulus state R(r) e^{i m theta} the drift is
 b = (hbar/M) [(R'/R) e_r + (m/r) e_theta] and a proposal is valid when
 a < r < b and R^2 > RHO_FLOOR.  Both come from one lookup of the state's
 radial table (`numerics.BesselLogTable`, built on the first `simulate` of a
@@ -17,9 +17,7 @@ R'/R at the wall and at the nodes in closed form.  Against the exact series
 route (`ABState.radial_parts`) the drift agrees to 1e-9 (hbar/M)(k + |R'/R|)
 wherever that route is itself accurate to this level; next to a node where
 the series carries rounding (x = k (r-a) near 10 and beyond), the two routes
-differ by that rounding.  Any other `WaveField` takes validity and drift
-from one field sample per proposal batch (`madelung.field_sample`): rho for
-the floor test and b = (hbar/M) (Im + Re)(psi* grad psi)/rho for the drift.
+differ by that rounding.
 
 Start.  Radii are drawn from the |psi|^2 radial marginal by inverse CDF with
 the `init` stream (angles uniform from the same stream); a start point that
@@ -41,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .annulus import ABState, solenoid_potential
-from .madelung import RHO_FLOOR, decompose, field_sample
+from .madelung import RHO_FLOOR, decompose
 from .numerics import NonConvergenceError, RandomStream, bessel_log_table, chi2_sf
 
 _MAX_RETRIES = 4
@@ -73,10 +71,6 @@ class SdeConfig:
 @dataclass
 class Trajectory:
     positions: np.ndarray          # retained (post burn-in) points, (n, 2)
-    dt: float
-    seed: int
-    stream_id: int
-    retry_stream_id: int
     rejected_steps: int = 0
     aborted: bool = False
     diagnostic: str = ""
@@ -115,7 +109,8 @@ class _SeparableStepKernel:
     """Validity and drift for a separable annulus state R(r) e^{i m theta}
     from one lookup of its radial table (see the module docstring)."""
 
-    def __init__(self, state, cfg, dt):
+    def __init__(self, state, dt):
+        cfg = state.cfg
         self.table = bessel_log_table(state.nu, state.n)
         self.a, self.b, self.k = cfg.a, cfg.b, state.k
         self.log_floor = 0.5 * math.log(RHO_FLOOR) - math.log(state.norm)
@@ -133,79 +128,40 @@ class _SeparableStepKernel:
         return ok, step
 
 
-class _FieldKernel:
-    """Validity and drift for any WaveField over the annulus, from one field
-    sample of the points inside the walls."""
-
-    def __init__(self, state, cfg, dt):
-        self.state, self.a, self.b = state, cfg.a, cfg.b
-        self.coef = cfg.hbar / cfg.mass * dt
-
-    def __call__(self, z):
-        r = np.abs(z)
-        ok = (r > self.a) & (r < self.b)
-        step = np.ones(z.shape, dtype=complex)
-        if ok.any():
-            inside = np.nonzero(ok)[0]
-            pts = np.stack([z.real[inside], z.imag[inside]], axis=1)
-            _, _, rho, cross = field_sample(self.state, pts)
-            live = rho > RHO_FLOOR
-            ok[inside] = live
-            # dt (v + u) with v = (hbar/M) Im(cross)/rho, u = (hbar/M) Re(cross)/rho
-            b = self.coef * (cross.imag + cross.real)[live] / rho[live, None]
-            step[inside[live]] += (b[:, 0] + 1j * b[:, 1]) / z[inside[live]]
-        return ok, step
-
-
-def _start_radii(state, cfg, separable, stream, count):
-    """Inverse-CDF draws from the radial marginal of |psi|^2 (angle-averaged
-    on a polar grid unless the state is separable)."""
-    if separable:
-        return target_radial_sampler(state, stream, count)
-    rg = np.linspace(cfg.a, cfg.b, 1025)
-    th = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
-    pts = np.stack([np.outer(rg, np.cos(th)), np.outer(rg, np.sin(th))], axis=-1)
-    cdf = _trapezoid_cdf(rg, rg * state.density(pts).mean(axis=1))
-    return np.interp(stream.uniforms(count), cdf / cdf[-1], rg)
-
-
-def _start_positions(state, cfg, separable, kernel, stream, count):
-    """Uniform angles and marginal radii from `stream`; a point the kernel
-    finds invalid (on a node, or r = a) is redrawn from the same stream."""
+def _start_positions(state, kernel, stream, count):
+    """Uniform angles and radial-marginal radii from `stream`; a point the
+    kernel finds invalid (on a node, or r = a) is redrawn from the same
+    stream."""
     theta = 2.0 * np.pi * stream.uniforms(count)
-    z = _start_radii(state, cfg, separable, stream, count) * np.exp(1j * theta)
+    z = target_radial_sampler(state, stream, count) * np.exp(1j * theta)
     for _ in range(_START_REDRAWS):
         ok, _ = kernel(z)
         if ok.all():
             return z
         bad = np.nonzero(~ok)[0]
-        z[bad] = (_start_radii(state, cfg, separable, stream, bad.size)
+        z[bad] = (target_radial_sampler(state, stream, bad.size)
                   * np.exp(1j * theta[bad]))
     raise NonConvergenceError(
         f"no valid start point after {_START_REDRAWS} redraws")
 
 
-def simulate(state, sde_cfg, geometry=None):
-    """Euler-Maruyama sampling of the stationary state's diffusion process.
+def simulate(state, sde_cfg):
+    """Euler-Maruyama sampling of the annulus state's diffusion process.
 
     Proposals landing outside the annulus or below the density floor are
     resampled with fresh noise up to _MAX_RETRIES times, after which the step
     size is halved (cascade depth 64) before the trajectory is declared
-    aborted.  Only an `ABState` takes the tabulated separable kernel.
-    Every trajectory owns two variate streams (main and retry), so results
-    are reproducible and independent of how the work is scheduled.
-
-    `geometry` (constants plus annulus walls) defaults to the state's own
-    configuration; pass it explicitly for a bare WaveField over the annulus.
+    aborted.  Every trajectory owns two variate streams (main and retry), so
+    results are reproducible and independent of how the work is scheduled.
     The trajectories' retained positions are views into one
     (n_trajectories, retained, 2) array.
     """
-    cfg = geometry if geometry is not None else state.cfg
+    if not isinstance(state, ABState):
+        raise TypeError(f"simulate samples an ABState, got {type(state).__name__}")
     n_traj = sde_cfg.n_trajectories
     dt = sde_cfg.dt
-    sigma = np.sqrt(2.0 * cfg.beta_sq * dt)
-    separable = isinstance(state, ABState)
-    kernel = (_SeparableStepKernel if separable else _FieldKernel)(state, cfg, dt)
+    sigma = np.sqrt(2.0 * state.cfg.beta_sq * dt)
+    kernel = _SeparableStepKernel(state, dt)
 
     main = [RandomStream(sde_cfg.seed, 2 * i) for i in range(n_traj)]
     retry = [RandomStream(sde_cfg.seed, 2 * i + 1) for i in range(n_traj)]
@@ -255,7 +211,7 @@ def simulate(state, sde_cfg, geometry=None):
     # outside the annulus x = k (r - a) can be negative and log|J| or R'/R
     # undefined; such points are invalid whatever those values are
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        z = _start_positions(state, cfg, separable, kernel, init, n_traj)
+        z = _start_positions(state, kernel, init, n_traj)
         _, step = kernel(z)
         frozen = False                  # any trajectory aborted so far
         for lo in range(0, sde_cfg.steps, _NOISE_CHUNK):
@@ -279,10 +235,8 @@ def simulate(state, sde_cfg, geometry=None):
                     kept[:, lo + s - sde_cfg.burn_in] = z
 
     positions = kept.view(np.float64).reshape(n_traj, -1, 2)
-    return [Trajectory(positions=positions[i], dt=dt, seed=sde_cfg.seed,
-                       stream_id=2 * i, retry_stream_id=2 * i + 1,
-                       rejected_steps=int(rejected[i]), aborted=bool(aborted[i]),
-                       diagnostic=diagnostics[i])
+    return [Trajectory(positions=positions[i], rejected_steps=int(rejected[i]),
+                       aborted=bool(aborted[i]), diagnostic=diagnostics[i])
             for i in range(n_traj)]
 
 

@@ -20,9 +20,6 @@ from abtool.sde import (SdeConfig, Trajectory, angular_uniformity_test,
 CFG = AnnulusConfig()
 STATE = eigenstate(CFG, 1, 1)
 A_SPEC = solenoid_potential(CFG)
-# the same state as a bare WaveField, which takes the generic field kernel
-FIELD = WaveField(STATE.amplitude, STATE.gradient, dimension=2,
-                  density=STATE.density)
 
 
 def small_run(seed=7, steps=4000, n_traj=8, burn_in=500):
@@ -116,11 +113,29 @@ class TestSimulate:
                         seed=2)
         out = simulate(STATE, cfg)
         assert len(out) == 3
-        for i, t in enumerate(out):
+        for t in out:
             assert isinstance(t, Trajectory)
             assert t.positions.shape == (2400, 2)
-            assert t.stream_id == 2 * i
             assert not t.aborted
+
+    def test_trajectory_independent_of_ensemble_size(self, monkeypatch):
+        # starts next to the inner wall make every trajectory draw from its
+        # retry stream, so both of its streams are compared
+        z0 = (CFG.a + 1e-12) * np.exp(2j * np.pi * np.arange(4) / 4)
+        runs = []
+        for n_traj in (3, 4):
+            start_at(monkeypatch, z0[:n_traj])
+            runs.append(simulate(STATE, SdeConfig(
+                dt=1e-3, steps=3000, burn_in=600, n_trajectories=n_traj, seed=9)))
+        for three, four in zip(*runs):
+            assert three.rejected_steps > 0
+            assert np.array_equal(three.positions, four.positions)
+            assert three.rejected_steps == four.rejected_steps
+
+    def test_rejects_a_bare_wave_field(self):
+        field = WaveField(STATE.amplitude, STATE.gradient, dimension=2)
+        with pytest.raises(TypeError, match="ABState"):
+            simulate(field, SdeConfig(steps=10, burn_in=0, n_trajectories=1))
 
     def test_zero_mean_angular_displacement_without_drift(self):
         # B = 0, m = 0: no angular drift, displacement sums to zero in law
@@ -299,7 +314,7 @@ class TestSeparableKernel:
         r = r[(r > cfg.a) & (r < cfg.b)]
         r = r[np.abs(r[:, None] - nodes).min(axis=1) > 1e-6 * cfg.d]
         z = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, r.size))
-        kernel = sde._SeparableStepKernel(state, cfg, dt=1.0)
+        kernel = sde._SeparableStepKernel(state, dt=1.0)
         ok, step = kernel(z)
         rr, drr = state.radial_parts(r)
         valid = rr * rr > 10.0 * RHO_FLOOR    # nu = 7/2 dips below it at the wall
@@ -323,7 +338,7 @@ class TestSeparableKernel:
         rng = np.random.default_rng(int(40 * nu) + n + 100)
         r, _ = near_wall_and_nodes(state, np.logspace(-16, -1, 46), rng)
         r = r[(r > cfg.a - 0.1) & (r < cfg.b + 0.1)]
-        kernel = sde._SeparableStepKernel(state, cfg, dt=1e-3)
+        kernel = sde._SeparableStepKernel(state, dt=1e-3)
         with np.errstate(divide="ignore", invalid="ignore"):
             ok, _ = kernel(r.astype(complex))
         rho = state.radial(r) ** 2
@@ -342,39 +357,22 @@ class TestSeparableKernel:
             # (r - a)^{7/2} falls below the floor well inside the annulus
             assert np.count_nonzero(inside & ~exact & decided) >= 5
 
-    def test_generic_kernel_agrees(self):
+    def test_drift_matches_decompose_route(self):
+        # b = v + u from `drifts`, the decompose route, which reads no table
         rng = np.random.default_rng(3)
         r = rng.uniform(CFG.a + 1e-3 * CFG.d, CFG.b - 1e-3 * CFG.d, 300)
         z = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, r.size))
-        ok_t, step_t = sde._SeparableStepKernel(STATE, CFG, 1e-3)(z)
-        ok_f, step_f = sde._FieldKernel(FIELD, CFG, 1e-3)(z)
-        assert ok_t.all() and ok_f.all()
-        assert np.abs(step_t - step_f).max() <= 1e-9 * np.abs(step_t - 1.0).max()
+        ok, step = sde._SeparableStepKernel(STATE, 1e-3)(z)
+        b = drifts(STATE, A_SPEC, CFG, np.stack([z.real, z.imag], axis=1))["forward"]
+        step_d = 1.0 + 1e-3 * (b[:, 0] + 1j * b[:, 1]) / z
+        assert ok.all()
+        assert np.abs(step - step_d).max() <= 1e-9 * np.abs(step - 1.0).max()
 
 
 def start_at(monkeypatch, z0):
     """Make simulate start from the complex points z0 instead of its draws."""
     monkeypatch.setattr(sde, "_start_positions",
                         lambda *args: np.array(z0, dtype=complex))
-
-
-class TestGenericPath:
-    def test_wavefield_run_follows_table_run(self, monkeypatch):
-        cfg = SdeConfig(dt=1e-3, steps=600, burn_in=100, n_trajectories=4, seed=13)
-        start_at(monkeypatch, 1.9 * np.exp(2j * np.pi * np.arange(4) / 4))
-        field = simulate(FIELD, cfg, geometry=CFG)
-        table = simulate(STATE, cfg)
-        for f, t in zip(field, table):
-            assert not f.aborted
-            assert np.abs(f.positions - t.positions).max() <= 1e-8
-
-    def test_wavefield_default_start(self):
-        cfg = SdeConfig(dt=1e-3, steps=400, burn_in=100, n_trajectories=4, seed=14)
-        out = simulate(FIELD, cfg, geometry=CFG)
-        for t in out:
-            assert not t.aborted
-            r = t.radii()
-            assert np.all((r > CFG.a) & (r < CFG.b))
 
 
 class TestStartAndCascade:

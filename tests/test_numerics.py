@@ -249,8 +249,10 @@ class TestBesselZeros:
 
     @pytest.mark.parametrize("nu", [0.0, 0.25, 1.5, 3.5, 11.5])
     def test_series_window_zeros_are_true_zeros(self, nu):
-        # inside x <= max(12, 2 nu) a zero is the true one to rounding, though
-        # the float series of nu = 0 is 1e-12 off next to x = 12
+        # up to x = max(12, 2 nu), on both sides of the split at x = 10, a
+        # zero is the true one to rounding: its last Newton step reads
+        # Miller's recurrence, so the series' rounding, up to 1.6e-13 just
+        # below x = 10, does not reach it
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
         seam, n = max(12.0, 2.0 * nu), 1

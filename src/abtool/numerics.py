@@ -290,14 +290,13 @@ def bessel_j_zero(order, n):
 
 
 # ---------------------------------------------------------------------------
-# log|J_nu| and J_nu'/J_nu from one table lookup (the sampler's radial kernel).
+# J_nu'/J_nu from one table lookup (the sampler's radial drift).
 #
 # From J_nu(x) = (x/2)^nu / Gamma(nu+1) prod_k (1 - x^2/j_k^2) (DLMF 10.21.15):
 #   J'/J    = nu/x + sum_{k<=n} 2x/(x^2 - j_k^2) + S(x)
-#   log|J|  = nu log x + sum_{k<=n} log|x^2 - j_k^2| + L(x)
 # The poles (x = 0 and the first n zeros) come back in closed form at every
-# lookup; S and L = integral of S carry only the zeros beyond j_n and are
-# smooth on [0, j_n], so they are tabulated once as cubic Hermite pieces.
+# lookup; S carries only the zeros beyond j_n and is smooth on [0, j_n], so
+# it is tabulated once as cubic Hermite pieces.
 # Near a zero the table values come from the Taylor series of J about the
 # zero (the Bessel equation gives every coefficient), not from the direct
 # quotient, which loses digits there.
@@ -330,38 +329,28 @@ def _zero_taylor(order, z):
 
 
 def _pole_sums(x, zsq):
-    """sum over the zeros j (zsq = j^2) of 2x/(x^2 - j^2), of its derivative
-    -2(x^2 + j^2)/(x^2 - j^2)^2, and of log|x^2 - j^2|; one zero at a time,
-    so memory stays at the size of x for any number of zeros."""
+    """sum over the zeros j (zsq = j^2) of 2x/(x^2 - j^2) and of its
+    derivative -2(x^2 + j^2)/(x^2 - j^2)^2; one zero at a time, so memory
+    stays at the size of x for any number of zeros."""
     x2 = x * x
-    pole, dpole, log_d = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
+    pole, dpole = np.zeros_like(x), np.zeros_like(x)
     for q in zsq:
         d = x2 - q
         pole += 2.0 * x / d
         dpole -= 2.0 * (x2 + q) / (d * d)
-        log_d += np.log(np.abs(d))
-    return pole, dpole, log_d
-
-
-def _hermite_cells(f, df, h):
-    """Per-cell cubic coefficients (c0..c3 in t = (x - x_i)/h) from node
-    values and derivatives."""
-    f0, f1 = f[:-1], f[1:]
-    d0, d1 = df[:-1] * h, df[1:] * h
-    return np.stack([f0, d0, 3.0 * (f1 - f0) - 2.0 * d0 - d1,
-                     2.0 * (f0 - f1) + d0 + d1], axis=1)
+    return pole, dpole
 
 
 class BesselLogTable:
-    """log|J_order(x)| and J_order'(x)/J_order(x) on 0 <= x <= j_n.
+    """J_order'(x)/J_order(x) on 0 <= x <= j_n.
 
     Built once from `bessel_j_pair` (the series up to x = 10, Miller's
     recurrence past it); a lookup is a fixed handful of numpy calls whatever
-    the order.  Against that exact route the
-    log-derivative agrees to about 1e-11 (1 + |J'/J|) away from the zeros;
-    next to a zero both routes carry the exact route's own rounding, which
-    the table inherits through the zero's position.  Arguments outside
-    [0, j_n] give meaningless values (no error is raised).
+    the order.  Against that exact route the log-derivative agrees to about
+    1e-11 (1 + |J'/J|) away from the zeros; next to a zero both routes carry
+    the exact route's own rounding, which the table inherits through the
+    zero's position.  Arguments outside [0, j_n] give meaningless values (no
+    error is raised).
     """
 
     def __init__(self, order, n):
@@ -376,16 +365,12 @@ class BesselLogTable:
         jv, jv1 = bessel_j_pair(order, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = -jv1 / jv                                  # J'/J - nu/x
-            pole, dpole, log_d = _pole_sums(x, zsq)
+            pole, dpole = _pole_sums(x, zsq)
             s = w - pole
             ds = -(2.0 * order + 1.0) * w / x - 1.0 - w * w - dpole
-            el = np.log(np.abs(jv)) - log_d
-            if order > 0.0:
-                el -= order * np.log(x)
-        # x = 0: J'/J - nu/x -> -x/(2 nu + 2) and J ~ (x/2)^nu / Gamma(nu+1)
+        # x = 0: J'/J - nu/x -> -x/(2 nu + 2)
         s[0] = 0.0
         ds[0] = -1.0 / (2.0 * order + 2.0) + (2.0 / zsq).sum()
-        el[0] = -order * math.log(2.0) - math.lgamma(order + 1.0) - np.log(zsq).sum()
         for k, z in enumerate(zeros):
             near = np.abs(x - z) < _ZERO_TAYLOR_REACH
             xn = x[near]
@@ -396,51 +381,37 @@ class BesselLogTable:
             a0 = np.polyval(c[::-1], t)
             reg = np.polyval(c1[::-1], t) / a0             # J'/J - 1/t
             dreg = np.polyval(c2[::-1], t) / a0 - reg * reg
-            pole, dpole, log_d = _pole_sums(xn, np.delete(zsq, k))
-            jp = abs(bessel_j_pair(order, np.array([z]))[1][0])   # |J'(z)|
+            pole, dpole = _pole_sums(xn, np.delete(zsq, k))
             s[near] = reg - order / xn - 1.0 / (xn + z) - pole
             ds[near] = dreg + order / xn ** 2 + 1.0 / (xn + z) ** 2 - dpole
-            el[near] = math.log(jp) + np.log(np.abs(a0)) - np.log(xn + z) - log_d
-            if order > 0.0:
-                el[near] -= order * np.log(xn)
         self.order = order
         self.zeros = zeros
         # one pole term or a row of them: a 1-d subtraction avoids a
-        # broadcast and two reductions per lookup in the common n = 1 case
+        # broadcast and a reduction per lookup in the common n = 1 case
         self._zsq = zsq[0] if n == 1 else zsq
         self._inv_h = 1.0 / h
-        # (power, [S, L], node): one gather along the last axis and one
-        # Horner pass serve both functions
-        self._coef = np.ascontiguousarray(np.stack(
-            [_hermite_cells(s, ds, h), _hermite_cells(el, s, h)]).transpose(2, 0, 1))
+        # cubic Hermite cells, one row per power of t = (x - x_i) / h
+        s0, s1, d0, d1 = s[:-1], s[1:], ds[:-1] * h, ds[1:] * h
+        self._coef = np.stack([s0, d0, 3.0 * (s1 - s0) - 2.0 * d0 - d1,
+                               2.0 * (s0 - s1) + d0 + d1])
 
     def __call__(self, x):
-        """(log|J(x)|, J'(x)/J(x)) for a 1-d array x in [0, j_n]."""
+        """J'(x)/J(x) for a 1-d array x in [0, j_n]."""
         u = x * self._inv_h
         i = u.astype(np.intp)
         t = u - i
-        c = self._coef.take(i, axis=2, mode="clip")
-        acc = c[3] * t
-        acc += c[2]
-        acc *= t
-        acc += c[1]
-        acc *= t
-        acc += c[0]
-        smooth_dlog, smooth_log = acc
+        c = self._coef.take(i, axis=1, mode="clip")
+        dlog_j = c[3]
+        for row in c[2::-1]:
+            dlog_j = dlog_j * t + row
         if np.ndim(self._zsq):
-            d = np.subtract.outer(x * x, self._zsq)
-            log_d = np.log(np.abs(d)).sum(axis=1)
-            inv_d = np.reciprocal(d).sum(axis=1)
+            inv_d = np.reciprocal(np.subtract.outer(x * x, self._zsq)).sum(axis=1)
         else:
-            d = x * x - self._zsq
-            log_d = np.log(np.abs(d))
-            inv_d = np.reciprocal(d)
-        log_j = smooth_log + log_d
-        dlog_j = smooth_dlog + 2.0 * x * inv_d
+            inv_d = np.reciprocal(x * x - self._zsq)
+        dlog_j += 2.0 * x * inv_d
         if self.order > 0.0:
-            log_j += self.order * np.log(x)
             dlog_j += self.order / x
-        return log_j, dlog_j
+        return dlog_j
 
 
 @lru_cache(maxsize=64)

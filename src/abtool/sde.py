@@ -10,14 +10,14 @@ streams, and runs are bit-reproducible for a fixed configuration.
 
 Step kernel.  For an annulus state R(r) e^{i m theta} the drift is
 b = (hbar/M) [(R'/R) e_r + (m/r) e_theta] and a proposal is valid when
-a < r < b and R^2 > RHO_FLOOR.  Both come from one lookup of the state's
-radial table (`numerics.BesselLogTable`, built on the first `simulate` of a
-state): log|R| decides validity and R'/R gives the drift, with the poles of
-R'/R at the wall and at the nodes in closed form.  Against the exact series
-route (`ABState.radial_parts`) the drift agrees to 1e-9 (hbar/M)(k + |R'/R|)
+a < r < b and R^2 > RHO_FLOOR.  Validity is one `searchsorted` on the
+state's cached valid-interval edges (`_valid_edges`); the drift is one lookup
+of its J'/J table (`numerics.BesselLogTable`), with the poles of R'/R at the
+wall and at the nodes in closed form.  Against the exact series route
+(`ABState.radial_parts`) the drift agrees to 1e-9 (hbar/M)(k + |R'/R|)
 wherever that route is itself accurate to this level; next to a node where
-the series carries rounding (x = k (r-a) near 10 and beyond), the two routes
-differ by that rounding.
+the series carries rounding (x = k (r-a) near 10), the two routes differ by
+that rounding.
 
 Start.  Radii are drawn from the |psi|^2 radial marginal by inverse CDF with
 the `init` stream (angles uniform from the same stream); a start point that
@@ -32,7 +32,6 @@ step out of the annulus, recover.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -107,25 +106,51 @@ def drifts(psi, A, cfg, p):
 
 class _SeparableStepKernel:
     """Validity and drift for a separable annulus state R(r) e^{i m theta}
-    from one lookup of its radial table (see the module docstring)."""
+    (see the module docstring)."""
 
     def __init__(self, state, dt):
-        cfg = state.cfg
         self.table = bessel_log_table(state.nu, state.n)
-        self.a, self.b, self.k = cfg.a, cfg.b, state.k
-        self.log_floor = 0.5 * math.log(RHO_FLOOR) - math.log(state.norm)
-        coef = cfg.hbar / cfg.mass * dt
+        self.edges = _valid_edges(state)
+        self.in_lobe = np.arange(self.edges.size + 1) % 2 == 1  # by edges <= r
+        self.a, self.k = state.cfg.a, state.k
+        coef = state.cfg.hbar / state.cfg.mass * dt
         self.radial = coef * state.k     # dt u_r = radial * J'/J
         self.angular = coef * state.m    # dt v_theta = angular / r
 
     def __call__(self, z):
         r = np.abs(z)
-        log_j, dlog_j = self.table((r - self.a) * self.k)
-        ok = (r > self.a) & (r < self.b) & (log_j > self.log_floor)
+        ok = self.in_lobe.take(self.edges.searchsorted(r, side="right"))
+        dlog_j = self.table((r - self.a) * self.k)
         inv_r = 1.0 / r
-        step = (self.radial * dlog_j + 1j * self.angular * inv_r) * inv_r
-        step += 1.0
+        # (radial J'/J + i angular / r) / r + 1 part by part, in the order the
+        # complex expression takes, so every step keeps its bits
+        step = np.empty(r.shape, dtype=complex)
+        step.real = self.radial * dlog_j * inv_r + 1.0
+        step.imag = self.angular * inv_r * inv_r
         return ok, step
+
+
+@lru_cache(maxsize=64)
+def _valid_edges(state):
+    """Sorted radii e: a < r < b and R(r)^2 > RHO_FLOOR exactly when
+    e[2i] <= r < e[2i+1] for some i.  Built once per state by bisection on
+    the floats' bit patterns from each pole (wall, node or b) to its lobe's
+    middle; where J's rounding makes the test flicker next to a node, an
+    edge is one of its switches."""
+    cfg = state.cfg
+    nodes = cfg.a + bessel_log_table(state.nu, state.n).zeros[:-1] / state.k
+    poles = np.concatenate([[cfg.a], nodes, [cfg.b]])
+    fail = np.repeat(poles, 2)[1:-1].view(np.int64)
+    hold = np.repeat(0.5 * (poles[:-1] + poles[1:]), 2).view(np.int64)
+    while (open_ := np.abs(hold - fail) > 1).any():
+        mid = fail + (hold - fail) // 2   # an open search probes inside (a, b)
+        ok = state.radial_density(mid.view(np.float64)) > RHO_FLOOR
+        hold = np.where(open_ & ok, mid, hold)
+        fail = np.where(open_ & ~ok, mid, fail)
+    # a lobe runs from its first valid float to its first invalid one
+    edges = np.where(np.arange(2 * state.n) % 2 == 0, hold, fail).view(np.float64)
+    edges.flags.writeable = False
+    return edges
 
 
 def _start_positions(state, kernel, stream, count):
@@ -208,8 +233,8 @@ def simulate(state, sde_cfg):
             ok[good] = True
             new_step[good] = step_b[ok_b]
 
-    # outside the annulus x = k (r - a) can be negative and log|J| or R'/R
-    # undefined; such points are invalid whatever those values are
+    # outside the annulus x = k (r - a) can be negative and R'/R undefined;
+    # such points are invalid whatever that value is
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         z = _start_positions(state, kernel, init, n_traj)
         _, step = kernel(z)

@@ -254,8 +254,10 @@ class TestErgodicAverage:
 
 # (m, B) giving each order nu = |m + lambda| with lambda = -B/2 (a = 1)
 ORDER_STATES = {0.0: (0, 0.0), 0.25: (1, 1.5), 0.5: (1, 1.0), 1.5: (2, 1.0),
-                3.5: (-3, 1.0)}
-TABLE_CASES = [(nu, n) for nu in ORDER_STATES for n in (1, 2, 5)]
+                3.5: (-3, 1.0), 12.5: (-12, 1.0)}
+TABLE_CASES = [(nu, n) for nu in (0.0, 0.25, 0.5, 1.5, 3.5) for n in (1, 2, 5)]
+# (r - a)^{25/2} keeps R^2 below the floor over a band 0.08 wide at the wall
+EDGE_CASES = TABLE_CASES + [(12.5, 1)]
 
 
 def order_state(nu, n):
@@ -265,6 +267,14 @@ def order_state(nu, n):
     return state
 
 
+def series_error(nu, x):
+    """|bessel_j(nu, x) - J_nu(x)| with J_nu from mpmath."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    exact = np.array([float(mp.besselj(nu, mp.mpf(float(v)))) for v in x])
+    return np.abs(bessel_j(nu, x) - exact)
+
+
 def series_rounding(state, r, zeros):
     """Rounding of |R| that either route inherits from the series J.
 
@@ -272,22 +282,15 @@ def series_rounding(state, r, zeros):
     table puts its pole at the series' zero j, which sits e(j) / |J'(j)|
     from the true one, so its |J| is off by |J(x)| e(j) / (|J'(j)| |x - j|)
     (e(j) next to the node).  e is measured against mpmath."""
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 30
-
-    def err(x):
-        exact = np.array([float(mp.besselj(state.nu, mp.mpf(float(v)))) for v in x])
-        return np.abs(bessel_j(state.nu, x) - exact)
-
     x = np.clip(state.k * (r - state.cfg.a), 0.0, state.tau)
     j = zeros[np.abs(x[:, None] - zeros).argmin(axis=1)]
     slope = np.abs(bessel_j(state.nu + 1.0, j))          # |J'(j)|
     gap = np.abs(x - j)
     shift = np.full_like(x, np.inf)       # on the series' zero: no bound
     off = gap > 0.0
-    shift[off] = (np.abs(bessel_j(state.nu, x[off])) * err(j[off])
-                  / (slope[off] * gap[off]))
-    return state.norm * (err(x) + shift)
+    shift[off] = (np.abs(bessel_j(state.nu, x[off]))
+                  * series_error(state.nu, j[off]) / (slope[off] * gap[off]))
+    return state.norm * (series_error(state.nu, x) + shift)
 
 
 def near_wall_and_nodes(state, rel_offsets, rng, uniform=200):
@@ -356,6 +359,43 @@ class TestSeparableKernel:
         if nu == 3.5:
             # (r - a)^{7/2} falls below the floor well inside the annulus
             assert np.count_nonzero(inside & ~exact & decided) >= 5
+
+    @pytest.mark.parametrize("nu,n", EDGE_CASES)
+    def test_validity_edges_match_the_exact_test(self, nu, n):
+        state = order_state(nu, n)
+        cfg = state.cfg
+        kernel = sde._SeparableStepKernel(state, dt=1e-3)
+        bits = kernel.edges.view(np.int64)
+        around = (bits[:, None] + np.arange(-64, 65)).ravel().view(np.float64)
+        r = np.concatenate([around, np.linspace(cfg.a - 0.1, cfg.b + 0.1, 20_001)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok, _ = kernel(r.astype(complex))
+        exact = (r > cfg.a) & (r < cfg.b) & (state.radial(r) ** 2 > RHO_FLOOR)
+        ulps = np.abs(r.view(np.int64)[:, None] - bits).min(axis=1)
+        differ = (ok != exact) & (ulps > 8)
+        # past 8 ulps from an edge the two differ only where the exact test
+        # flickers: next to a node at x = k (r - a) of 7 to 10, J's own
+        # rounding (twice, as above) reaches the floor's R
+        rr = state.radial(r[differ])
+        err = 2.0 * state.norm * series_error(nu, state.k * (r[differ] - cfg.a))
+        assert np.all(np.abs(rr * rr - RHO_FLOOR) <= err * (2.0 * np.abs(rr) + err))
+
+    @pytest.mark.parametrize("nu,n", [(0.5, 1), (3.5, 5)])
+    def test_step_keeps_the_complex_evaluation_order(self, nu, n):
+        # the fused step is bit for bit the complex expression it replaced,
+        # which is what keeps every trajectory's bits
+        state = order_state(nu, n)
+        cfg = state.cfg
+        rng = np.random.default_rng(9)
+        r = rng.uniform(cfg.a + 0.05 * cfg.d, cfg.b, 300)
+        z = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, r.size))
+        kernel = sde._SeparableStepKernel(state, dt=1e-3)
+        ok, step = kernel(z)
+        assert ok.all()
+        dlog = kernel.table((np.abs(z) - cfg.a) * state.k)
+        inv_r = 1.0 / np.abs(z)
+        expected = (kernel.radial * dlog + 1j * kernel.angular * inv_r) * inv_r + 1.0
+        assert np.array_equal(step.view(np.int64), expected.view(np.int64))
 
     def test_drift_matches_decompose_route(self):
         # b = v + u from `drifts`, the decompose route, which reads no table

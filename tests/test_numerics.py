@@ -86,20 +86,20 @@ class TestBesselJ:
         assert np.abs(mine - ref).max() <= 1e-12
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.5, 2.5, 4.0])
-    def test_seam_agreement(self, nu):
+    def test_series_and_miller_agree_at_the_split(self, nu):
         # the router's series at the split x = 10 against Miller's recurrence
         # one rounding unit past it, for both rows of the pair
         for a, b in _bessel(nu, np.array([10.0, np.nextafter(10.0, np.inf)]), 2):
             assert abs(a - b) <= 1e-10
 
-    def test_value_past_the_seam_depends_on_its_argument_alone(self):
+    def test_miller_value_depends_on_its_argument_alone(self):
         x = np.array([14.93, 40.0])
         assert bessel_j(0, x)[0] == bessel_j(0, 14.93)
         for row, alone in zip(bessel_j_pair(0, x), bessel_j_pair(0, 14.93)):
             assert row[0] == alone
 
     @pytest.mark.parametrize("nu", [0, 1, 3, 5, 6])
-    def test_hankel_branch_batched_against_mpmath(self, nu):
+    def test_miller_batched_against_mpmath(self, nu):
         # the large-argument branch, Miller's recurrence, batched: each
         # element starts its own recurrence, so a batch spanning 10 < x <= 20
         # is as accurate as its points taken one at a time
@@ -170,7 +170,7 @@ class TestBesselJ:
         assert np.abs(j1 - exact[1]).max() <= 1e-15
 
     @pytest.mark.parametrize("nu", [5.5, 6.0, 6.25, 6.75, 7.0])
-    def test_pair_rows_around_the_seam_against_mpmath(self, nu):
+    def test_pair_rows_across_the_split_against_mpmath(self, nu):
         # one split x = 10 for every order and both rows: the series below it
         # (its rounding grows like e^x to 1.6e-13 at x = 10), Miller past it
         mp = pytest.importorskip("mpmath")

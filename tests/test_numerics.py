@@ -170,9 +170,10 @@ class TestBesselJ:
         assert np.abs(j1 - exact[1]).max() <= 1e-15
 
     @pytest.mark.parametrize("nu", [5.5, 6.0, 6.25, 6.75, 7.0])
-    def test_pair_rows_across_the_split_against_mpmath(self, nu):
-        # one split x = 10 for every order and both rows: the series below it
-        # (its rounding grows like e^x to 1.6e-13 at x = 10), Miller past it
+    def test_pair_rows_around_the_seam_against_mpmath(self, nu):
+        # the seam is the one split x = 10 for every order and both rows: the
+        # series below it (its rounding grows like e^x to 1.6e-13 at x = 10),
+        # Miller past it
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
         x = np.linspace(9.0, 18.0, 181)

@@ -52,7 +52,7 @@ print(f"  Q = {qf['Q']:+.5f}, F_r = {qf['F_r']:+.5f}, "
 
 print("\nideal-solenoid current probe (curl curl of A, gauge invariant):")
 for p in (np.array([0.4, 0.2]), np.array([1.7, 1.0])):
-    val = solenoid_current_check(cfg, None, p, h=5e-3)
+    val = solenoid_current_check(cfg, None, p)
     print(f"  at {p}: {val}")
 
 print("\nscalar-potential twin system (printed forms evaluated literally):")

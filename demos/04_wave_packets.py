@@ -23,7 +23,7 @@ for mult in (0.5, 1.0, 3.0):
     t = mult * g.T
     eps = float(g.epsilon(t))
     grid = np.linspace(g.u0 * t - 4 * eps, g.u0 * t + 4 * eps, 200)
-    res = gaussian_consistency(g, grid, t, h=1e-4)
+    res = gaussian_consistency(g, grid, t)
     print(f"{mult:5.1f} {eps:8.4f} {res['continuity_residual']:12.2e} "
           f"{res['phase_relation_residual']:12.2e} "
           f"{res['decomposition_residual']:14.2e}")

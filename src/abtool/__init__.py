@@ -15,9 +15,9 @@ from .madelung import (Constants, DensityFloorError, VelocityDecomposition,
 from .models import (HydrogenState, ScalingModel, box_energy,
                      half_harmonic_energy, hydrogen_fields, linear_airy_model,
                      mass_scaling_fit)
-from .numerics import (NonConvergenceError, QuadratureSpec, RandomStream,
-                       airy_ai, airy_ai_zero, assoc_laguerre, assoc_legendre,
-                       bessel_j, bessel_j_zero, central_diff, central_diff_2nd,
+from .numerics import (NonConvergenceError, RandomStream, airy_ai,
+                       airy_ai_zero, assoc_laguerre, assoc_legendre, bessel_j,
+                       bessel_j_zero, central_diff, central_diff_2nd,
                        integrate_1d)
 from .sde import (SdeConfig, Trajectory, drifts, ergodic_angular_momentum,
                   simulate, stationarity_test, target_radial_sampler)

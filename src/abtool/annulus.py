@@ -84,13 +84,17 @@ def diffusion_velocity(cfg, p):
     return -(cfg.charge / (cfg.mass * cfg.c)) * vector_potential(cfg, p)
 
 
-def solenoid_current_check(cfg, lam, p, h=1e-2):
-    """Finite-difference curl(curl(A + grad Lambda)) at p.
+_CURL_STEP = 5e-3
+
+
+def solenoid_current_check(cfg, lam, p):
+    """Finite-difference curl(curl(A + grad Lambda)) at p, step 5e-3.
 
     Gauge invariant (grad Lambda drops out up to finite-difference error)
     and zero in both open regions for the ideal solenoid.  The stencil must
     not straddle r = 0 or r = a.
     """
+    h = _CURL_STEP
     p = np.asarray(p, dtype=float)
     r = float(np.hypot(p[0], p[1]))
     reach = 9.0 * h     # nested Richardson stencils reach +-6h per axis

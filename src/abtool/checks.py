@@ -170,7 +170,7 @@ def check_gaussian_packet():
     for t in (cfg.T / 2.0, cfg.T, 3.0 * cfg.T):
         eps = float(cfg.epsilon(t))
         grid = np.linspace(cfg.u0 * t - 4.0 * eps, cfg.u0 * t + 4.0 * eps, 200)
-        res = gaussian_consistency(cfg, grid, t, h=1e-4)
+        res = gaussian_consistency(cfg, grid, t)
         for k in worst:
             worst[k] = max(worst[k], res[k])
     passed = (worst["continuity_residual"] <= 1e-6
@@ -304,8 +304,8 @@ def check_gauge_invariance():
     eq_gap = float(np.abs(dec_gauged.eta - recomposed).max())
 
     p0 = np.array([1.5, 1.2])
-    j_none = solenoid_current_check(cfg, None, p0, h=5e-3)
-    j_gauge = solenoid_current_check(cfg, lam_fn, p0, h=5e-3)
+    j_none = solenoid_current_check(cfg, None, p0)
+    j_gauge = solenoid_current_check(cfg, lam_fn, p0)
     lam_gap = float(np.abs(j_none - j_gauge).max())
 
     passed = (rho_gap == 0.0 and xi_gap <= 1e-8 and eq_gap <= 1e-10

@@ -282,7 +282,7 @@ def run_packets(cfg, out_dir, want_svg):
             rows.append(["gaussian", float(t), float(grid[i]), float(f["rho"][i]),
                          float(f["eta"][i]), float(f["xi"][i]), float(f["F_Q"][i]),
                          float(f["delta"][i])])
-        res = wavepackets.gaussian_consistency(g, grid, t, h=1e-4)
+        res = wavepackets.gaussian_consistency(g, grid, t)
         residuals[f"gaussian_t={t:g}"] = res
     xs = wavepackets.airy_force_probe_points(a, 0.7)
     fa = wavepackets.airy_fields(a, xs, 0.7)
@@ -377,11 +377,11 @@ def main(argv=None):
             cfg = replace(cfg, sde=replace(cfg.sde, seed=args.seed))
         if args.format is not None:
             cfg = replace(cfg, out_format=args.format)
+        os.makedirs(args.out, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"abtool: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    os.makedirs(args.out, exist_ok=True)
     started = time.perf_counter()
     try:
         manifest = _SUBCOMMANDS[args.subcommand](cfg, args.out, args.svg)

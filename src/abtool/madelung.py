@@ -26,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (QuadratureSpec, gradient_fd, integrate_1d,
-                       integrate_periodic, laplacian_fd)
+from .numerics import (gradient_fd, integrate_1d, integrate_periodic,
+                       laplacian_fd)
 
 RHO_FLOOR = 1e-30
+_QUANTUM_STEP = 5e-3
 
 
 class DensityFloorError(ValueError):
@@ -198,20 +199,22 @@ def quasi_currents(psi, A, cfg, p):
     return gamma, delta
 
 
-def quantum_potential(psi, cfg, p, h=1e-3):
+def quantum_potential(psi, cfg, p):
     """Bohm quantum potential Q = -(hbar^2/2M) laplacian(sqrt rho)/sqrt rho,
-    second derivatives by Richardson-extrapolated central differences."""
+    second derivatives by Richardson-extrapolated central differences of
+    step 5e-3."""
     p = np.asarray(p, dtype=float)
     rho0 = psi.density(p)
     _check_floor(rho0)
-    lap = laplacian_fd(lambda q: np.sqrt(psi.density(q)), p, h)
+    lap = laplacian_fd(lambda q: np.sqrt(psi.density(q)), p, _QUANTUM_STEP)
     return -(cfg.hbar ** 2 / (2.0 * cfg.mass)) * lap / np.sqrt(rho0)
 
 
-def quantum_force(psi, cfg, p, h=1e-3):
-    """Quantum force -grad Q by central differences (step 10 h) of
-    quantum_potential (step h)."""
-    return -gradient_fd(lambda q: quantum_potential(psi, cfg, q, h=h), p, 10.0 * h)
+def quantum_force(psi, cfg, p):
+    """Quantum force -grad Q by central differences of quantum_potential,
+    at ten times its step."""
+    return -gradient_fd(lambda q: quantum_potential(psi, cfg, q), p,
+                        10.0 * _QUANTUM_STEP)
 
 
 def gauge_transform(psi, lam, cfg, grad_lam=None):
@@ -253,8 +256,8 @@ class LineDomain:
     lo: float
     hi: float
 
-    def integrate(self, g, spec=QuadratureSpec()):
-        return integrate_1d(lambda x: g(x[:, None]), self.lo, self.hi, spec)
+    def integrate(self, g):
+        return integrate_1d(lambda x: g(x[:, None]), self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -262,7 +265,7 @@ class AnnulusDomain:
     a: float
     b: float
 
-    def integrate(self, g, spec=QuadratureSpec()):
+    def integrate(self, g):
         """Integral of g, (M, 2) points -> (M,) or (M, k) values, in the
         measure r dr dtheta: GK15 in r (`integrate_1d`), and per radial panel
         the periodic trapezoid in theta on its whole 15 x N_theta node grid,
@@ -273,12 +276,12 @@ class AnnulusDomain:
                                 np.multiply.outer(np.sin(th), rv)], axis=-1)
                 vals = np.asarray(g(pts.reshape(-1, 2)), dtype=float)
                 return vals.reshape(th.size, rv.size, *vals.shape[1:])
-            return (integrate_periodic(rings, spec).T * rv).T
+            return (integrate_periodic(rings).T * rv).T
 
-        return integrate_1d(radial, self.a, self.b, spec)
+        return integrate_1d(radial, self.a, self.b)
 
 
-def osmotic_expectation(psi, A, cfg, domain, spec=QuadratureSpec()):
+def osmotic_expectation(psi, A, cfg, domain):
     """Mean osmotic velocity over a normalized state.
 
     The real part integrates grad(rho) and vanishes for boundary-vanishing
@@ -297,7 +300,7 @@ def osmotic_expectation(psi, A, cfg, domain, spec=QuadratureSpec()):
             cols.append((rho * a_theta)[..., None])
         return np.concatenate(cols, axis=-1)
 
-    out = domain.integrate(g, spec)
+    out = domain.integrate(g)
     directional = (0.0 if A is None
                    else (cfg.charge / (cfg.mass * cfg.c)) * float(out[dim]))
     return {"real_part": out[:dim], "directional_theta": directional}

@@ -2,6 +2,9 @@
 bound-model zoo (linear potential / Airy levels, half-harmonic well, box)
 with mass-scaling exponents.
 
+Units are atomic, a0 = hbar = M = 1; the one-dimensional models keep the
+mass m as an argument, for the mass-scaling fits.
+
 Hydrogen conventions: R_{n,l} normalized with integral R^2 r^2 dr = 1,
 Theta_l^m with integral Theta^2 sin(theta) dtheta = 1, azimuthal factor
 1/sqrt(2 pi), so rho = R^2 Theta^2 / (2 pi) and the probability current is
@@ -24,9 +27,6 @@ class HydrogenState:
     n: int
     l: int
     m_l: int
-    a0: float = 1.0
-    mass: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self):
         if self.n < 1 or not (0 <= self.l < self.n) or abs(self.m_l) > self.l:
@@ -36,8 +36,8 @@ class HydrogenState:
 
 
 def _radial_norm(state):
-    n, l, a0 = state.n, state.l, state.a0
-    return math.sqrt((2.0 / (n * a0)) ** 3
+    n, l = state.n, state.l
+    return math.sqrt((2.0 / n) ** 3
                      * math.factorial(n - l - 1)
                      / (2.0 * n * math.factorial(n + l)))
 
@@ -46,7 +46,7 @@ def hydrogen_radial(state, r):
     """R_{n,l}(r), physics normalization."""
     r = np.asarray(r, dtype=float)
     n, l = state.n, state.l
-    rho_t = 2.0 * r / (n * state.a0)
+    rho_t = 2.0 * r / n
     lag = assoc_laguerre(n - l - 1, 2 * l + 1, rho_t)
     return _radial_norm(state) * np.exp(-rho_t / 2.0) * rho_t ** l * lag
 
@@ -55,7 +55,7 @@ def hydrogen_radial_deriv(state, r):
     """dR/dr via dL_p^q(x)/dx = -L_{p-1}^{q+1}(x)."""
     r = np.asarray(r, dtype=float)
     n, l = state.n, state.l
-    s = 2.0 / (n * state.a0)
+    s = 2.0 / n
     x = s * r
     p = n - l - 1
     lag = assoc_laguerre(p, 2 * l + 1, x)
@@ -108,7 +108,6 @@ def hydrogen_fields(state, r, theta):
     sin_t = np.sin(theta)
     if state.m_l != 0 and np.any(sin_t == 0.0):
         raise ValueError("J diverges on the polar axis for m_l != 0")
-    hbar, mass = state.hbar, state.mass
     rr = hydrogen_radial(state, r)
     drr = hydrogen_radial_deriv(state, r)
     th = hydrogen_theta(state, theta)
@@ -119,12 +118,12 @@ def hydrogen_fields(state, r, theta):
     j_vec = np.zeros(shape + (3,))
     d_vec = np.zeros(shape + (3,))
     eta_vec = np.zeros(shape + (3,))
-    coef = -hbar / (4.0 * math.pi * mass)
+    coef = -1.0 / (4.0 * math.pi)
     d_vec[..., 0] = coef * (2.0 * rr * drr) * th * th
     d_vec[..., 1] = coef * (1.0 / r) * rr * rr * (2.0 * th * dth)
     if state.m_l != 0:
-        j_vec[..., 2] = state.m_l * hbar / (mass * r * sin_t) * rho
-        eta_vec[..., 2] = state.m_l * hbar / (mass * r * sin_t)
+        j_vec[..., 2] = state.m_l / (r * sin_t) * rho
+        eta_vec[..., 2] = state.m_l / (r * sin_t)
     return {"rho": rho, "J": j_vec, "D": d_vec, "eta": eta_vec}
 
 
@@ -149,18 +148,18 @@ def hydrogen_grad_rho(state, r, theta):
 # Bound models with closed-form levels, and their mass-scaling exponents.
 # ---------------------------------------------------------------------------
 
-def linear_airy_model(k, m, n, hbar=1.0):
+def linear_airy_model(k, m, n):
     """Linear potential on x > 0 with an infinite wall at the origin.
 
     rho_n(x) = c (pi / sqrt(-z_n)) Ai(c x + z_n)^2 with c the packet scale
-    (2 m k)^(1/3)/hbar^(2/3) included so the density integrates to ~1 (the
-    sqrt(-z_n) normalization is asymptotic in n, ~1% off at n = 1); the
-    level is E_n = -z_n (hbar^2 k^2 / 2m)^(1/3), exact.
+    (2 m k)^(1/3) included so the density integrates to ~1 (the sqrt(-z_n)
+    normalization is asymptotic in n, ~1% off at n = 1); the level is
+    E_n = -z_n (k^2 / 2m)^(1/3), exact.
     """
     if n < 1 or n > 20:
         raise ValueError("n must be in 1..20")
     z_n = airy_ai_zero(n)
-    c = (2.0 * m * k) ** (1.0 / 3.0) / hbar ** (2.0 / 3.0)
+    c = (2.0 * m * k) ** (1.0 / 3.0)
 
     def rho(x):
         x = np.asarray(x, dtype=float)
@@ -168,23 +167,23 @@ def linear_airy_model(k, m, n, hbar=1.0):
             raise ValueError("density is defined on x >= 0")
         return c * math.pi / math.sqrt(-z_n) * airy_ai(c * x + z_n) ** 2
 
-    energy = -z_n * (hbar ** 2 * k ** 2 / (2.0 * m)) ** (1.0 / 3.0)
+    energy = -z_n * (k ** 2 / (2.0 * m)) ** (1.0 / 3.0)
     return {"rho": rho, "E_n": energy, "z_n": z_n, "scale": c}
 
 
-def half_harmonic_energy(k, m, n, hbar=1.0):
+def half_harmonic_energy(k, m, n):
     """Half-oscillator (V = k x^2 / 2 on x > 0, wall at 0):
-    E_n = (2n + 3/2) hbar sqrt(k/m), n = 0, 1, 2, ..."""
+    E_n = (2n + 3/2) sqrt(k/m), n = 0, 1, 2, ..."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return (2.0 * n + 1.5) * hbar * math.sqrt(k / m)
+    return (2.0 * n + 1.5) * math.sqrt(k / m)
 
 
-def box_energy(box_length, m, n, hbar=1.0):
-    """Infinite box of length L: E_n = n^2 pi^2 hbar^2 / (2 m L^2), n >= 1."""
+def box_energy(box_length, m, n):
+    """Infinite box of length L: E_n = n^2 pi^2 / (2 m L^2), n >= 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return n ** 2 * math.pi ** 2 * hbar ** 2 / (2.0 * m * box_length ** 2)
+    return n ** 2 * math.pi ** 2 / (2.0 * m * box_length ** 2)
 
 
 @dataclass(frozen=True)
@@ -193,7 +192,6 @@ class ScalingModel:
     kind: str               # linear_airy | half_harmonic | box
     parameter: float        # force constant k, or box length L
     level: int
-    hbar: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("linear_airy", "half_harmonic", "box"):
@@ -203,15 +201,14 @@ class ScalingModel:
 
     def energy(self, mass):
         if self.kind == "linear_airy":
-            return linear_airy_model(self.parameter, mass, self.level, self.hbar)["E_n"]
+            return linear_airy_model(self.parameter, mass, self.level)["E_n"]
         if self.kind == "half_harmonic":
-            return half_harmonic_energy(self.parameter, mass, self.level, self.hbar)
-        return box_energy(self.parameter, mass, self.level, self.hbar)
+            return half_harmonic_energy(self.parameter, mass, self.level)
+        return box_energy(self.parameter, mass, self.level)
 
 
 def mass_scaling_fit(model_kind, n, masses):
-    """Least-squares slope of log E_n against log m, at model parameter 1
-    and hbar = 1.
+    """Least-squares slope of log E_n against log m, at model parameter 1.
 
     The closed-form levels are exact power laws in the mass, so the fit
     recovers -1/3 (linear/Airy), -1/2 (half-harmonic) or -1 (box) to

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -620,23 +619,14 @@ def assoc_legendre_deriv(l, m, x):
 # trapezoid.  Vector integrands converge when every component does.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_depth: int = 48
+_REL_TOL = 1e-10
+_ABS_TOL = 1e-14
+_MAX_DEPTH = 48
 
-    def __post_init__(self):
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be > 0")
-        if self.abs_tol < 0.0:
-            raise ValueError("abs_tol must be >= 0")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
 
-    def tolerance(self, estimate):
-        """max(abs_tol, rel_tol |estimate|), per component."""
-        return np.maximum(self.abs_tol, self.rel_tol * np.abs(estimate))
+def _tolerance(estimate):
+    """max(1e-14, 1e-10 |estimate|), per component."""
+    return np.maximum(_ABS_TOL, _REL_TOL * np.abs(estimate))
 
 
 _XGK = np.array([
@@ -672,7 +662,7 @@ def _gk15(f, a, b):
     return kron, np.abs(kron - h * (_GK_WG @ fv))
 
 
-def integrate_1d(f, lo, hi, spec=QuadratureSpec()):
+def integrate_1d(f, lo, hi):
     """Integral of f over [lo, hi].
 
     The integrand is called with node arrays (shape (15,)) and returns values
@@ -687,10 +677,10 @@ def integrate_1d(f, lo, hi, spec=QuadratureSpec()):
     total, toterr = val, err
     count = 1
     while True:
-        if np.all(toterr <= spec.tolerance(total)):
+        if np.all(toterr <= _tolerance(total)):
             return float(total) if np.ndim(total) == 0 else total
         neg, a, b, v, e, depth = heapq.heappop(heap)
-        if depth >= spec.max_depth or count >= _MAX_INTERVALS:
+        if depth >= _MAX_DEPTH or count >= _MAX_INTERVALS:
             raise NonConvergenceError(
                 f"integrate_1d: tolerance not met (estimate {total}, "
                 f"error bound {np.max(toterr):.3e})",
@@ -709,12 +699,12 @@ _PERIODIC_START_NODES = 16
 _PERIODIC_MAX_NODES = 8192
 
 
-def integrate_periodic(f, spec=QuadratureSpec()):
+def integrate_periodic(f):
     """Integral over [0, 2 pi) of a 2 pi-periodic f by the trapezoid rule,
     exponentially convergent for smooth f (Trefethen & Weideman, SIAM Review
     56, 2014).  f maps N angles to values of shape (N, ...); the node count
     doubles (f sees only the new midpoints) until two successive estimates
-    agree within spec's tolerance in every element, else NonConvergenceError.
+    agree within the quadrature tolerance in every element, else NonConvergenceError.
     """
     n, step = _PERIODIC_START_NODES, 2.0 * np.pi / _PERIODIC_START_NODES
     est = step * np.asarray(f(step * np.arange(n)), dtype=float).sum(axis=0)
@@ -722,7 +712,7 @@ def integrate_periodic(f, spec=QuadratureSpec()):
         mids = step * (np.arange(n) + 0.5)
         new = 0.5 * (est + step * np.asarray(f(mids), dtype=float).sum(axis=0))
         gap, est, n, step = np.abs(new - est), new, 2 * n, 0.5 * step
-        if np.all(gap <= spec.tolerance(est)):
+        if np.all(gap <= _tolerance(est)):
             return est
     raise NonConvergenceError(
         f"integrate_periodic: estimates still differ by {float(np.max(gap)):.3e} "

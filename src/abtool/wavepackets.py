@@ -93,16 +93,20 @@ def gaussian_wavefield(cfg, t):
     return WaveField(amplitude, gradient, dimension=1)
 
 
-def gaussian_consistency(cfg, grid, t, h=1e-4):
+_CONTINUITY_STEP = 1e-4
+
+
+def gaussian_consistency(cfg, grid, t):
     """Residuals of the printed identities over a spatial grid at time t:
 
-    continuity_residual       max |d rho/dt + d(rho eta)/dx| (central diffs);
+    continuity_residual       max |d rho/dt + d(rho eta)/dx| (step 1e-4);
     phase_relation_residual   max |xi - (hbar T / m t) d delta/dx|;
     decomposition_residual    max |eta - u0 - (m t / T) xi|.
     """
     if t == 0.0:
         raise ValueError("phase relation needs t != 0")
     grid = np.asarray(grid, dtype=float)
+    h = _CONTINUITY_STEP
 
     def rho_of(xv, tv):
         return gaussian_fields(cfg, xv, tv)["rho"]
@@ -179,7 +183,7 @@ def airy_fields(cfg, x, t):
     rho = (psi * np.conj(psi)).real
     eta = np.full_like(x, cfg.k * t / cfg.mass)
     consts = Constants(hbar=cfg.hbar, mass=cfg.mass)
-    f_q = np.array([quantum_force(field, consts, np.array([xi]), h=5e-3)[0]
+    f_q = np.array([quantum_force(field, consts, np.array([xi]))[0]
                     for xi in x])
     return {"psi": psi, "rho": rho, "eta": eta, "F_Q": f_q}
 

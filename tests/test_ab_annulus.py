@@ -17,7 +17,7 @@ from abtool.annulus import (MAX_ORDER, ABState, AnnulusConfig, CircleLoop,
                             vortex_fields)
 from abtool.madelung import decompose
 from abtool.checks import _grid_states
-from abtool.numerics import QuadratureSpec, bessel_j, bessel_j_zero
+from abtool.numerics import bessel_j, bessel_j_zero
 
 CFG = AnnulusConfig()                    # natural units, a=1, b=3, B=1
 STATE = eigenstate(CFG, 1, 1)
@@ -94,15 +94,14 @@ class TestSolenoidCurrentCheck:
         assert np.abs(val).max() <= 1e-6
 
     def test_zero_inside(self):
-        val = solenoid_current_check(CFG, None, np.array([0.35, 0.2]), h=5e-3)
+        val = solenoid_current_check(CFG, None, np.array([0.35, 0.2]))
         assert np.abs(val).max() <= 1e-6
 
     def test_gauge_independent(self):
         p = np.array([1.5, 1.2])
-        v0 = solenoid_current_check(CFG, None, p, h=5e-3)
-        v1 = solenoid_current_check(CFG,
-                                    lambda q: 0.7 * math.atan2(q[1], q[0]),
-                                    p, h=5e-3)
+        v0 = solenoid_current_check(CFG, None, p)
+        v1 = solenoid_current_check(
+            CFG, lambda q: 0.7 * math.atan2(q[1], q[0]), p)
         assert np.abs(v0 - v1).max() <= 1e-8
 
     def test_domain_guards(self):
@@ -110,6 +109,14 @@ class TestSolenoidCurrentCheck:
             solenoid_current_check(CFG, None, np.array([CFG.a, 0.0]))
         with pytest.raises(ValueError):
             solenoid_current_check(CFG, None, np.array([0.01, 0.0]))
+        # the stencil reaches 9 h = 0.045 at its fixed step h = 5e-3
+        for side in (-1.0, 1.0):
+            with pytest.raises(ValueError):
+                solenoid_current_check(CFG, None,
+                                       np.array([CFG.a + side * 0.04, 0.0]))
+            val = solenoid_current_check(CFG, None,
+                                         np.array([CFG.a + side * 0.05, 0.0]))
+            assert val.shape == (2,) and np.all(np.isfinite(val))
 
 
 class TestEigenstate:
@@ -130,8 +137,7 @@ class TestEigenstate:
         for (m, n) in ((1, 1), (0, 1), (2, 2), (-1, 1)):
             state = eigenstate(CFG, m, n)
             val = CFG.domain().integrate(
-                lambda pts: state.radial_density(np.hypot(pts[..., 0], pts[..., 1])),
-                QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
+                lambda pts: state.radial_density(np.hypot(pts[..., 0], pts[..., 1])))
             assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_walls(self):
@@ -423,8 +429,7 @@ class TestGaugeFamily:
     def test_members_normalized(self):
         fam = gauge_family(STATE, (0.2,))
         for member in fam["members"][0.2]:
-            val = CFG.domain().integrate(
-                member.density, QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
+            val = CFG.domain().integrate(member.density)
             assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_members_are_states_of_the_shifted_order(self):

@@ -264,6 +264,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "density below floor" in err
 
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_unusable_out_directory_is_2(self, tmp_path, capsys, out):
+        # --out names an existing file, or a directory below one
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        assert main(["spectrum", "--out", str(tmp_path / out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("abtool: configuration error:")
+
     def test_unknown_subcommand_is_argparse_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["rotate", "--out", str(tmp_path)])

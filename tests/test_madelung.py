@@ -13,7 +13,7 @@ from abtool.madelung import (RHO_FLOOR, AnnulusDomain, Constants,
                              osmotic_expectation, phase_winding, quantum_force,
                              quantum_potential, quasi_currents)
 from abtool import numerics
-from abtool.numerics import NonConvergenceError, QuadratureSpec
+from abtool.numerics import NonConvergenceError
 from abtool.wavepackets import GaussianPacketConfig, gaussian_wavefield
 
 CONSTS = Constants()
@@ -185,26 +185,26 @@ class TestQuantumPotential:
     def test_gaussian_force_example(self):
         cfg = GaussianPacketConfig(alpha=1.0, k0=0.0)
         field = gaussian_wavefield(cfg, 0.0)
-        f = quantum_force(field, CONSTS, np.array([0.3]), h=1e-3)
+        f = quantum_force(field, CONSTS, np.array([0.3]))
         assert f[0] == pytest.approx(1.2, rel=1e-6)
 
     def test_force_is_minus_grad_potential(self):
         p = np.array([1.8, 0.7])
-        f = quantum_force(STATE, CFG, p, h=1e-3)
+        f = quantum_force(STATE, CFG, p)
         h = 1e-2
         grad = np.empty(2)
         for ax in range(2):
             def q_along(t, ax=ax):
                 q = p.copy()
                 q[ax] = t
-                return quantum_potential(STATE, CFG, q, h=1e-3)
+                return quantum_potential(STATE, CFG, q)
             grad[ax] = (q_along(p[ax] + h) - q_along(p[ax] - h)) / (2 * h)
         assert np.abs(f + grad).max() <= 1e-4 * max(1.0, np.abs(f).max())
 
     def test_annulus_against_plain_fd_oracle(self):
         # independent plain second differences of sqrt(rho), no Richardson
         p = np.array([0.0, 2.2])
-        got = quantum_potential(STATE, CFG, p, h=1e-3)
+        got = quantum_potential(STATE, CFG, p)
 
         def sq(x, y):
             return math.sqrt(float(STATE.density(np.array([x, y]))))
@@ -255,8 +255,7 @@ class TestGaugeTransform:
 
 class TestOsmoticExpectation:
     def test_reference_state(self):
-        spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-10)
-        out = osmotic_expectation(STATE, A_SPEC, CFG, CFG.domain(), spec)
+        out = osmotic_expectation(STATE, A_SPEC, CFG, CFG.domain())
         assert np.abs(out["real_part"]).max() <= 1e-8
         # directional part equals (q/Mc) <B a^2 / (2 r)> by an independent
         # radial trapezoid
@@ -271,8 +270,7 @@ class TestOsmoticExpectation:
         cfg0 = AnnulusConfig(B=0.0)
         state0 = eigenstate(cfg0, 1, 1)
         out = osmotic_expectation(state0, solenoid_potential(cfg0), cfg0,
-                                  cfg0.domain(), QuadratureSpec(rel_tol=1e-9,
-                                                                abs_tol=1e-10))
+                                  cfg0.domain())
         assert np.abs(out["real_part"]).max() <= 1e-8
         assert out["directional_theta"] == pytest.approx(0.0, abs=1e-12)
 

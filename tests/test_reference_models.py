@@ -9,7 +9,7 @@ from abtool.models import (HydrogenState, ScalingModel, box_energy,
                            hydrogen_fields, hydrogen_grad_rho,
                            hydrogen_radial, hydrogen_theta, linear_airy_model,
                            mass_scaling_fit)
-from abtool.numerics import QuadratureSpec, integrate_1d
+from abtool.numerics import integrate_1d
 
 # first negative Airy zero from an independent bisection oracle
 Z1 = -2.338107410459767
@@ -40,15 +40,14 @@ class TestHydrogenState:
     def test_radial_normalization_by_quadrature(self):
         for st in all_states(3):
             val = integrate_1d(lambda r: hydrogen_radial(st, r) ** 2 * r ** 2,
-                               0.0, 80.0, QuadratureSpec(rel_tol=1e-10,
-                                                         abs_tol=1e-13))
+                               0.0, 80.0)
             assert val == pytest.approx(1.0, abs=1e-8), (st.n, st.l)
 
     def test_theta_normalization_by_quadrature(self):
         for st in all_states(3):
             val = integrate_1d(
                 lambda th: hydrogen_theta(st, th) ** 2 * np.sin(th),
-                0.0, math.pi, QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13))
+                0.0, math.pi)
             assert val == pytest.approx(1.0, abs=1e-10), (st.n, st.l, st.m_l)
 
     def test_full_density_normalization(self):
@@ -93,7 +92,7 @@ class TestHydrogenFields:
         r = 0.5 + 9.0 * rng.random(50)
         th = 0.2 + (math.pi - 0.4) * rng.random(50)
         f = hydrogen_fields(st, r, th)
-        recon = f["eta"][..., 2] * st.mass * r * np.sin(th) / st.hbar
+        recon = f["eta"][..., 2] * r * np.sin(th)        # M / hbar = 1
         assert np.abs(recon - st.m_l).max() <= 1e-12
 
     def test_printed_diffusion_current_equals_density_gradient(self):
@@ -102,7 +101,7 @@ class TestHydrogenFields:
             r = 0.4 + 10.0 * rng.random(200)
             th = 0.2 + (math.pi - 0.4) * rng.random(200)
             d_printed = hydrogen_fields(st, r, th)["D"]
-            d_gradient = -(st.hbar / (2.0 * st.mass)) * hydrogen_grad_rho(st, r, th)
+            d_gradient = -0.5 * hydrogen_grad_rho(st, r, th)   # -hbar / 2M
             scale = np.abs(d_printed).max()
             assert np.abs(d_printed - d_gradient).max() <= 1e-10 * scale
 

@@ -104,7 +104,7 @@ class TestGaussianConsistency:
         eps = float(cfg.epsilon(cfg.T))
         grid = np.linspace(cfg.u0 * cfg.T - 4 * eps, cfg.u0 * cfg.T + 4 * eps,
                            200)
-        res = gaussian_consistency(cfg, grid, cfg.T, h=1e-4)
+        res = gaussian_consistency(cfg, grid, cfg.T)
         assert res["continuity_residual"] <= 1e-6
         assert res["phase_relation_residual"] <= 1e-10
         assert res["decomposition_residual"] <= 1e-12
@@ -114,7 +114,7 @@ class TestGaussianConsistency:
         for t in (cfg.T / 2.0, cfg.T, 3.0 * cfg.T):
             eps = float(cfg.epsilon(t))
             grid = np.linspace(cfg.u0 * t - 4 * eps, cfg.u0 * t + 4 * eps, 200)
-            res = gaussian_consistency(cfg, grid, t, h=1e-4)
+            res = gaussian_consistency(cfg, grid, t)
             assert res["continuity_residual"] <= 1e-6
 
     def test_time_zero_rejected(self):

@@ -10,10 +10,10 @@ the magnetic force is numerically identical to the classical vortex force
 import numpy as np
 
 from abtool import AnnulusConfig, eigenstate, flux_parameter
-from abtool.annulus import (CircleLoop, circulation, closed_form_q_and_force,
-                            diffusion_velocity, magnetic_force,
-                            solenoid_current_check, system_b_equivalence,
-                            vortex_fields)
+from abtool.annulus import (closed_form_q_and_force, diffusion_velocity,
+                            magnetic_force, solenoid_current_check,
+                            system_b_equivalence, vortex_fields)
+from abtool.madelung import circulation
 
 cfg = AnnulusConfig()
 lam = flux_parameter(cfg)
@@ -26,11 +26,9 @@ print(f"vortex pressure analogue at r=2: {vf['pressure_analogue']:+.5f}")
 print("\ncirculation of the diffusion velocity (target 2 pi lambda = "
       f"{2*np.pi*lam:+.6f}):")
 for rad in (1.3, 2.0, 2.8):
-    got = circulation(lambda pts: diffusion_velocity(cfg, pts),
-                      CircleLoop((0.0, 0.0), rad))
+    got = circulation(lambda pts: diffusion_velocity(cfg, pts), (0.0, 0.0), rad)
     print(f"  loop radius {rad:4.1f}: {got:+.9f}")
-off = circulation(lambda pts: diffusion_velocity(cfg, pts),
-                  CircleLoop((2.0, 0.0), 0.35))
+off = circulation(lambda pts: diffusion_velocity(cfg, pts), (2.0, 0.0), 0.35)
 print(f"  off-center loop not enclosing the tube: {off:+.2e}")
 
 print("\nmagnetic force, two routes ((q/c) v x B vs -M v x omega):")

@@ -5,14 +5,16 @@ The spreading Gaussian shows how a diffusion term enters the current
 velocity (eta = u0 + (t/T)-weighted dispersive part) and how the extra
 phase delta encodes it.  The Berry-Balazs Airy packet is the opposite
 extreme: a rigidly translating density whose quantum force is exactly the
-constant k, so it self-accelerates without spreading.
+constant k, so it self-accelerates without spreading.  Units are natural,
+hbar = M = 1.
 """
 import numpy as np
 
 from abtool import (AiryPacketConfig, GaussianPacketConfig, airy_fields,
                     free_particle_fields, gaussian_consistency,
                     gaussian_fields)
-from abtool.wavepackets import airy_force_probe_points, airy_wavefield
+from abtool.wavepackets import (AIRY_WINDOW, airy_force_probe_points,
+                                airy_wavefield)
 
 g = GaussianPacketConfig(alpha=1.0, k0=1.0)
 print(f"gaussian packet: alpha = {g.alpha}, k0 = {g.k0}, spreading time "
@@ -45,10 +47,10 @@ fa = airy_fields(a, pts, 0.7)
 for x, fq in zip(pts, fa["F_Q"]):
     print(f"  x = {x:+7.3f}: F_Q = {fq:.8f}")
 
-print("\nnon-spreading translation check |rho(x,t) - rho(x - k t^2/2m, 0)|:")
-xs = np.linspace(a.window[0], a.window[1], 400)
+print("\nnon-spreading translation check |rho(x,t) - rho(x - k t^2/2, 0)|:")
+xs = np.linspace(*AIRY_WINDOW, 400)
 for t in (0.5, 1.0, 1.5):
-    shift = a.k * t ** 2 / (2 * a.mass)
+    shift = a.k * t ** 2 / 2
     rho_t = np.abs(airy_wavefield(a, t).amplitude(xs[:, None])) ** 2
     rho_0 = np.abs(airy_wavefield(a, 0.0).amplitude((xs - shift)[:, None])) ** 2
     print(f"  t = {t:3.1f}: max deviation {np.abs(rho_t - rho_0).max():.2e} "
@@ -56,6 +58,6 @@ for t in (0.5, 1.0, 1.5):
 
 wide = GaussianPacketConfig(alpha=1e3, k0=1.0)
 eta_wide = gaussian_fields(wide, 0.3, 1.0)["eta"]
-eta_free = free_particle_fields(1.0, 1.0, 1.0, 0.3, 1.0)["eta"]
+eta_free = free_particle_fields(1.0, 0.3, 1.0)["eta"]
 print(f"\nwide-packet limit: eta(alpha=1e3) = {eta_wide:.8f} vs plane wave "
       f"{float(eta_free):.8f} (the diffusion term dies with the gradient)")

@@ -4,17 +4,15 @@ whose stationary statistics reproduce |psi|^2."""
 
 __version__ = "0.1.0"
 
-from .annulus import (ABState, AnnulusConfig, CircleLoop, circulation,
-                      diffusion_velocity, eigenstate, flux_parameter,
-                      gauge_family, magnetic_force, solenoid_current_check,
-                      solenoid_potential, system_b_equivalence,
-                      vector_potential, vortex_fields)
+from .annulus import (ABState, AnnulusConfig, diffusion_velocity, eigenstate,
+                      flux_parameter, gauge_family, magnetic_force,
+                      solenoid_current_check, solenoid_potential,
+                      system_b_equivalence, vector_potential, vortex_fields)
 from .madelung import (Constants, DensityFloorError, VelocityDecomposition,
-                       WaveField, decompose, gauge_transform, quantum_force,
-                       quantum_potential, quasi_currents)
-from .models import (HydrogenState, ScalingModel, box_energy,
-                     half_harmonic_energy, hydrogen_fields, linear_airy_model,
-                     mass_scaling_fit)
+                       WaveField, circulation, decompose, gauge_transform,
+                       quantum_force, quantum_potential, quasi_currents)
+from .models import (HydrogenState, box_energy, half_harmonic_energy,
+                     hydrogen_fields, linear_airy_model, mass_scaling_fit)
 from .numerics import (NonConvergenceError, RandomStream, airy_ai,
                        airy_ai_zero, assoc_laguerre, assoc_legendre, bessel_j,
                        bessel_j_zero, central_diff, central_diff_2nd,

@@ -21,7 +21,7 @@ from .madelung import (AnnulusDomain, _moment_z,
                        decompose)  # noqa: F401 (benchmark/spans.py wraps it here)
 from .numerics import (MAX_ORDER,  # noqa: F401 (the state window, read here too)
                        bessel_j, bessel_j_pair, bessel_j_zero, curl_z_fd,
-                       gradient_fd, integrate_1d, integrate_periodic)
+                       gradient_fd, integrate_1d)
 
 
 @dataclass(frozen=True)
@@ -192,6 +192,9 @@ def _radial_profile(cfg, nu, n):
     k = tau / cfg.d
     radial_int = integrate_1d(lambda r: bessel_j(nu, k * (r - cfg.a)) ** 2 * r,
                               cfg.a, cfg.b)
+    if not 0.0 < radial_int < math.inf:
+        raise ValueError(f"the radial normalization integral is {float(radial_int)}, "
+                         f"not a positive finite number (a = {cfg.a!r}, b = {cfg.b!r})")
     return tau, k, 1.0 / math.sqrt(2.0 * math.pi * radial_int)
 
 
@@ -339,24 +342,6 @@ def magnetic_force(cfg, v, p):
     lorentz = (cfg.charge / cfg.c) * np.cross(v3, b_vec)
     vortex = -cfg.mass * np.cross(v3, omega_vec)
     return lorentz, vortex
-
-
-@dataclass(frozen=True)
-class CircleLoop:
-    center: tuple
-    radius: float
-
-
-def circulation(field, loop):
-    """Line integral of a vector field counter-clockwise around a circle, by
-    the periodic trapezoid rule (`numerics.integrate_periodic`)."""
-    center = np.asarray(loop.center, dtype=float)
-
-    def tangential(th):
-        arm = loop.radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
-        return _moment_z(np.asarray(field(center + arm), dtype=float), arm)
-
-    return float(integrate_periodic(tangential))
 
 
 def system_b_equivalence(cfg, m):

@@ -12,16 +12,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import annulus, madelung, models, sde, wavepackets
-from .annulus import (AnnulusConfig, CircleLoop, circulation,
-                      diffusion_velocity, eigenstate, flux_parameter,
-                      gauge_family, magnetic_force, solenoid_current_check,
-                      solenoid_potential)
-from .madelung import decompose, gauge_transform
+from .annulus import (AnnulusConfig, diffusion_velocity, eigenstate,
+                      flux_parameter, gauge_family, magnetic_force,
+                      solenoid_current_check, solenoid_potential)
+from .madelung import circulation, decompose, gauge_transform
 from .numerics import RandomStream, bessel_j_zero, curl_z_fd, integrate_1d
 from .sde import (SdeConfig, angular_uniformity_test,
                   ergodic_angular_momentum, simulate, stationarity_test)
-from .wavepackets import (AiryPacketConfig, GaussianPacketConfig, airy_fields,
-                          airy_wavefield, gaussian_consistency)
+from .wavepackets import (AIRY_WINDOW, AiryPacketConfig, GaussianPacketConfig,
+                          airy_fields, airy_wavefield, gaussian_consistency)
 
 GRID_M = (-2, -1, 0, 1, 2)
 GRID_N = (1, 2)
@@ -119,10 +118,10 @@ def check_circulation_vorticity():
     dv = lambda pts: diffusion_velocity(cfg, pts)
     circ_errs = []
     for rad in (1.5, 2.0, 2.75):
-        got = circulation(dv, CircleLoop((0.0, 0.0), rad))
+        got = circulation(dv, (0.0, 0.0), rad)
         circ_errs.append(abs(got - target))
     spread = max(circ_errs)
-    non_enclosing = abs(circulation(dv, CircleLoop((2.0, 0.0), 0.3)))
+    non_enclosing = abs(circulation(dv, (2.0, 0.0), 0.3))
 
     omega = -cfg.charge * cfg.B / (cfg.mass * cfg.c)
     curl_out = abs(curl_z_fd(dv, np.array([1.3, 1.1]), 1e-2))
@@ -184,10 +183,10 @@ def check_airy_packet():
     """Non-spreading translation identity (1e-10) and numerically computed
     quantum force equal to the force constant within 1e-4 relative."""
     cfg = AiryPacketConfig()
-    xs = np.linspace(cfg.window[0], cfg.window[1], 160)
+    xs = np.linspace(*AIRY_WINDOW, 160)
     worst_shape = 0.0
     for t in (0.4, 1.0, 1.7):
-        shift = cfg.k * t ** 2 / (2.0 * cfg.mass)
+        shift = cfg.k * t ** 2 / 2.0
         rho_t = np.abs(airy_wavefield(cfg, t).amplitude(xs[:, None])) ** 2
         rho_0 = np.abs(airy_wavefield(cfg, 0.0).amplitude((xs - shift)[:, None])) ** 2
         worst_shape = max(worst_shape, float(np.abs(rho_t - rho_0).max()))

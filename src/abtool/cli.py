@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -80,7 +81,13 @@ def _coerce(block, key, value, kind):
     if kind is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{where}: expected a number, got {value!r}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:       # an integer past the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{where}: expected a finite number")
+        return number
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{where}: expected an integer, got {value!r}")

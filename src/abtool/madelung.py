@@ -363,12 +363,22 @@ def integrated_energy_identity(psi, A, cfg, domain):
             "residual": residual}
 
 
+def circulation(field, center, radius):
+    """Line integral of a vector field p -> v(p) counter-clockwise around the
+    circle of the given center and radius, by the periodic trapezoid rule
+    (`numerics.integrate_periodic`)."""
+    center = np.asarray(center, dtype=float)
+
+    def tangential(th):
+        arm = radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
+        return _moment_z(np.asarray(field(center + arm), dtype=float), arm)
+
+    return float(integrate_periodic(tangential))
+
+
 def phase_winding(psi, cfg, radius):
     """Loop integral of eta . dl / (hbar/M) around the circle of the given
     radius about the origin: 2 pi times the integer phase winding for any
     curve avoiding nodes."""
-    def tangential(th):
-        pts = radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
-        return _moment_z(decompose(psi, None, cfg, pts).eta, pts)
-
-    return float(integrate_periodic(tangential)) / (cfg.hbar / cfg.mass)
+    eta = lambda pts: decompose(psi, None, cfg, pts).eta
+    return circulation(eta, (0.0, 0.0), radius) / (cfg.hbar / cfg.mass)

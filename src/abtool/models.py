@@ -186,25 +186,12 @@ def box_energy(box_length, m, n):
     return n ** 2 * math.pi ** 2 / (2.0 * m * box_length ** 2)
 
 
-@dataclass(frozen=True)
-class ScalingModel:
-    """One bound model at a fixed level, exposing E(mass)."""
-    kind: str               # linear_airy | half_harmonic | box
-    parameter: float        # force constant k, or box length L
-    level: int
-
-    def __post_init__(self):
-        if self.kind not in ("linear_airy", "half_harmonic", "box"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.parameter <= 0.0:
-            raise ValueError("model parameter must be > 0")
-
-    def energy(self, mass):
-        if self.kind == "linear_airy":
-            return linear_airy_model(self.parameter, mass, self.level)["E_n"]
-        if self.kind == "half_harmonic":
-            return half_harmonic_energy(self.parameter, mass, self.level)
-        return box_energy(self.parameter, mass, self.level)
+# E_n(mass) of each bound model at parameter (k or L) 1
+_LEVELS = {
+    "linear_airy": lambda mass, n: linear_airy_model(1.0, mass, n)["E_n"],
+    "half_harmonic": lambda mass, n: half_harmonic_energy(1.0, mass, n),
+    "box": lambda mass, n: box_energy(1.0, mass, n),
+}
 
 
 def mass_scaling_fit(model_kind, n, masses):
@@ -219,8 +206,9 @@ def mass_scaling_fit(model_kind, n, masses):
         raise ValueError("need at least 3 masses")
     if np.unique(masses).size < 2:
         raise ValueError("degenerate mass list")
-    model = ScalingModel(kind=model_kind, parameter=1.0, level=n)
+    if model_kind not in _LEVELS:
+        raise ValueError(f"unknown model kind {model_kind!r}")
     log_m = np.log(masses)
-    log_e = np.log([model.energy(m) for m in masses])
+    log_e = np.log([_LEVELS[model_kind](m, n) for m in masses])
     lm = log_m - log_m.mean()
     return float(np.dot(lm, log_e - log_e.mean()) / np.dot(lm, lm))

@@ -39,7 +39,7 @@ class NonConvergenceError(RuntimeError):
 # MAX_ORDER) and its zeros for order <= MAX_ORDER.
 #
 # One router, `_bessel`, serves J and the pair J_order, J_{order+1} with one
-# split, x <= 10 for every order:
+# split, x <= 9.25 for every order:
 # - at or below it, the ascending series (coefficients cached per order, one
 #   Horner pass over the rows, truncated at the batch's largest argument);
 # - past it, Miller's backward recurrence (Gautschi, SIAM Review 9 (1967) 24),
@@ -47,10 +47,11 @@ class NonConvergenceError(RuntimeError):
 #   pass; each element starts at its own order and rescales on its own, so its
 #   bits do not depend on the rest of the batch.
 # Largest error of either row against mpmath, 0 <= order <= 51:
-#   0 < x <= 5      series  8.9e-16
-#   5 < x <= 9.5    series  9.2e-14   (rounding: the terms cancel by ~e^x)
-#   9.5 < x <= 10   series  1.6e-13
-#   10 < x <= 400   Miller  7.3e-16
+#   0 < x <= 5       series  8.9e-16
+#   5 < x <= 9.25    series  7.4e-14   (rounding: the terms cancel by ~e^x)
+#   9.25 < x <= 400  Miller  7.3e-16
+# The split sits where the series' rounding stays below 1e-13 (it reaches
+# 1.6e-13 at x = 10); on (9.25, 10] Miller's recurrence holds 3.3e-16.
 # Cost per 1e5 points (a 2-core machine): the series 7-11 ms; Miller 60 ms on
 # (10, 40] and 240 ms on (10, 400], since its passes grow with x.  Every hot
 # path reads x <= 9.1 and stays on the series.
@@ -59,7 +60,7 @@ class NonConvergenceError(RuntimeError):
 MAX_ORDER = 50.0           # largest order of a zero, hence of a state
 MAX_ZERO_INDEX = 100       # largest n of a zero j_{order,n}
 
-_SERIES_MAX_X = 10.0
+_SERIES_MAX_X = 9.25
 # below it 0.5 * x is subnormal, so rounded, and (x/2)^order with it
 _HALF_SUBNORMAL_X = 2.0 ** -1021
 _SERIES_TERMS = 120
@@ -67,7 +68,7 @@ _SERIES_TERMS = 120
 # the sum alone would let J's truncation error grow as (x/2)^order (3e-9 at
 # order 18, x = 10).  The bound relative to the first term equals 1e-20 at
 # order 12, so up to order 12 the absolute bound alone decides; J is then
-# truncated to within 7.8e-14 at x <= 10 for every order.
+# truncated to within 7.8e-14 at x <= 10, past the split, for every order.
 _SERIES_REL_TOL = 1e-20 * math.gamma(13.0)
 _series_coeff_cache: dict[float, np.ndarray] = {}
 _MILLER_BIG = 2.0 ** 600   # an element past it is scaled down by exactly 2^-600
@@ -149,7 +150,7 @@ def _miller(order, x):
 
 def _bessel(order, x, rows):
     """[J_order(x)] (rows = 1) or [J_order(x), J_{order+1}(x)] (rows = 2) for
-    a 1-d array x >= 0: one Horner pass over the rows where x <= 10, Miller's
+    a 1-d array x >= 0: one Horner pass over the rows where x <= 9.25, Miller's
     recurrence past it."""
     inner = None if x.max(initial=0.0) <= _SERIES_MAX_X else x <= _SERIES_MAX_X
     xs = x if inner is None else x[inner]
@@ -343,7 +344,7 @@ def _pole_sums(x, zsq):
 class BesselLogTable:
     """J_order'(x)/J_order(x) on 0 <= x <= j_n.
 
-    Built once from `bessel_j_pair` (the series up to x = 10, Miller's
+    Built once from `bessel_j_pair` (the series up to x = 9.25, Miller's
     recurrence past it); a lookup is a fixed handful of numpy calls whatever
     the order.  Against that exact route the log-derivative agrees to about
     1e-11 (1 + |J'/J|) away from the zeros; next to a zero both routes carry

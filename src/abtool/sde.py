@@ -16,7 +16,7 @@ of its J'/J table (`numerics.BesselLogTable`), with the poles of R'/R at the
 wall and at the nodes in closed form.  Against the exact series route
 (`ABState.radial_parts`) the drift agrees to 1e-9 (hbar/M)(k + |R'/R|)
 wherever that route is itself accurate to this level; next to a node where
-the series carries rounding (x = k (r-a) near 10), the two routes differ by
+the series carries rounding (x = k (r-a) near 9.25), the two routes differ by
 that rounding.
 
 Start.  Radii are drawn from the |psi|^2 radial marginal by inverse CDF with

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from abtool.annulus import (MAX_ORDER, ABState, AnnulusConfig, CircleLoop,
-                            circulation,
+from abtool.annulus import (MAX_ORDER, ABState, AnnulusConfig,
                             closed_form_q_and_force, diffusion_velocity,
                             eigenstate, energy_decomposition, flux_parameter,
                             _energy_domain,
@@ -15,7 +14,7 @@ from abtool.annulus import (MAX_ORDER, ABState, AnnulusConfig, CircleLoop,
                             solenoid_current_check, solenoid_potential,
                             system_b_equivalence, vector_potential,
                             vortex_fields)
-from abtool.madelung import decompose
+from abtool.madelung import circulation, decompose
 from abtool.checks import _grid_states
 from abtool.numerics import bessel_j, bessel_j_zero
 
@@ -361,26 +360,26 @@ class TestCirculation:
         lam = flux_parameter(CFG)
         target = 2.0 * math.pi * lam * CFG.hbar / CFG.mass
         got = circulation(lambda pts: diffusion_velocity(CFG, pts),
-                          CircleLoop((0.0, 0.0), 2.0))
+                          (0.0, 0.0), 2.0)
         assert got == pytest.approx(target, abs=1e-9)
         assert got == pytest.approx(-math.pi, abs=1e-9)
 
     def test_radius_independence(self):
         vals = [circulation(lambda pts: diffusion_velocity(CFG, pts),
-                            CircleLoop((0.0, 0.0), rad))
+                            (0.0, 0.0), rad)
                 for rad in (1.5, 2.0, 2.75)]
         assert max(vals) - min(vals) <= 1e-9
 
     def test_non_enclosing_loop(self):
         got = circulation(lambda pts: diffusion_velocity(CFG, pts),
-                          CircleLoop((2.0, 0.0), 0.3))
+                          (2.0, 0.0), 0.3)
         assert abs(got) <= 1e-9
 
     def test_current_velocity_winding(self):
         def eta_field(pts):
             return decompose(STATE, None, CFG, pts).eta
 
-        got = circulation(eta_field, CircleLoop((0.0, 0.0), 2.0))
+        got = circulation(eta_field, (0.0, 0.0), 2.0)
         assert got == pytest.approx(2.0 * math.pi * STATE.m * CFG.hbar
                                     / CFG.mass, abs=1e-9)
 

@@ -17,8 +17,9 @@ from pathlib import Path
 import pytest
 
 from abtool import checks
-from abtool.annulus import (AnnulusConfig, CircleLoop, circulation,
-                            diffusion_velocity, eigenstate, angular_momenta)
+from abtool.annulus import (AnnulusConfig, diffusion_velocity, eigenstate,
+                            angular_momenta)
+from abtool.madelung import circulation
 from abtool.numerics import bessel_j_zero
 
 CFG = AnnulusConfig()
@@ -49,7 +50,7 @@ class TestAcceptance:
     def test_03_circulation_and_vorticity(self):
         # anchor: enclosing-loop circulation is 2 pi lambda hbar / M = -pi
         got = circulation(lambda pts: diffusion_velocity(CFG, pts),
-                          CircleLoop((0.0, 0.0), 2.0))
+                          (0.0, 0.0), 2.0)
         assert got == pytest.approx(-math.pi, abs=1e-9)
         report(checks.check_circulation_vorticity())
 

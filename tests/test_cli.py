@@ -130,7 +130,7 @@ class TestSpectrum:
             assert abs(float(entry["Lz_total"]) - (int(entry["m"]) - 0.5)) <= 1e-8
 
     def test_orders_up_to_twenty(self, tmp_path):
-        # rows m = -20..20 reach nu = 20.5, with zeros past the split x = 10
+        # rows m = -20..20 reach nu = 20.5, with zeros past the split x = 9.25
         code = run_cli(["spectrum"], tmp_path, config={"state": {"m": 20}})
         assert code == EXIT_OK
         rows = (tmp_path / "spectrum.csv").read_text().strip().split("\n")
@@ -271,6 +271,25 @@ class TestExitCodes:
         assert main(["spectrum", "--out", str(tmp_path / out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("abtool: configuration error:")
+
+    @pytest.mark.parametrize("subcommand,config", [
+        ("trajectories", {"sde": {"dt": math.nan}}),
+        ("fields", {"constants": {"hbar": math.inf}}),
+        ("trajectories", {"constants": {"hbar": math.inf}}),
+        ("spectrum", {"geometry": {"B": math.nan}}),
+        ("spectrum", {"geometry": {"b": 10 ** 400}}),
+        ("spectrum", {"geometry": {"a": 1e-300, "b": 2e-300}}),
+        ("fields", {"geometry": {"a": 1e-200, "b": 2e-200}}),
+    ])
+    def test_unusable_numbers_exit_with_one_line(self, tmp_path, capsys,
+                                                 subcommand, config):
+        # non-finite config numbers (JSON's NaN and Infinity, or an integer
+        # past the float range), and a geometry so small that the radial
+        # normalization integral underflows to 0
+        assert run_cli([subcommand], tmp_path, config=config) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("abtool: configuration error:")
 
     def test_unknown_subcommand_is_argparse_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -321,8 +321,8 @@ class TestEnergyIdentity:
         cfg = GaussianPacketConfig(alpha=1.0, k0=1.0)
         field = gaussian_wavefield(cfg, 0.0)
         out = integrated_energy_identity(field, None, CONSTS, LineDomain(-5.8, 5.8))
-        expected = cfg.hbar ** 2 / (2 * cfg.mass * cfg.alpha ** 2) \
-            * (1.0 + cfg.k0 ** 2 * cfg.alpha ** 2)
+        # hbar = M = 1
+        expected = (1.0 + cfg.k0 ** 2 * cfg.alpha ** 2) / (2 * cfg.alpha ** 2)
         assert out["residual"] <= 1e-12
         assert out["total"] == pytest.approx(expected, rel=1e-10)
 

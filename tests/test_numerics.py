@@ -87,9 +87,9 @@ class TestBesselJ:
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.5, 2.5, 4.0])
     def test_series_and_miller_agree_at_the_split(self, nu):
-        # the router's series at the split x = 10 against Miller's recurrence
-        # one rounding unit past it, for both rows of the pair
-        for a, b in _bessel(nu, np.array([10.0, np.nextafter(10.0, np.inf)]), 2):
+        # the router's series at the split x = 9.25 against Miller's
+        # recurrence one rounding unit past it, for both rows of the pair
+        for a, b in _bessel(nu, np.array([9.25, np.nextafter(9.25, np.inf)]), 2):
             assert abs(a - b) <= 1e-10
 
     def test_miller_value_depends_on_its_argument_alone(self):
@@ -101,11 +101,11 @@ class TestBesselJ:
     @pytest.mark.parametrize("nu", [0, 1, 3, 5, 6])
     def test_miller_batched_against_mpmath(self, nu):
         # the large-argument branch, Miller's recurrence, batched: each
-        # element starts its own recurrence, so a batch spanning 10 < x <= 20
+        # element starts its own recurrence, so a batch spanning 9.25 < x <= 20
         # is as accurate as its points taken one at a time
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
-        x = np.linspace(10.0001, 20.0, 200)
+        x = np.linspace(9.2501, 20.0, 200)
         exact = np.array([float(mp.besselj(nu, mp.mpf(float(v)))) for v in x])
         assert np.abs(bessel_j(nu, x) - exact).max() <= 1e-15
 
@@ -156,12 +156,12 @@ class TestBesselJ:
 
     @pytest.mark.parametrize("nu", [6.5, 8.0, 10.0, 11.5, 12.0])
     def test_compensated_window_against_mpmath(self, nu):
-        # from the split to x = 10 + 2 nu, where a series of these orders
+        # from the split to x = 9.25 + 2 nu, where a series of these orders
         # cancels by up to 1e9, J and both rows of the pair come from Miller's
         # recurrence and are right to rounding
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
-        x = np.linspace(10.0, 10.0 + 2.0 * nu, 97)[1:]
+        x = np.linspace(9.25, 9.25 + 2.0 * nu, 97)[1:]
         exact = [np.array([float(mp.besselj(mp.mpf(o), mp.mpf(float(v)))) for v in x])
                  for o in (nu, nu + 1.0)]
         j0, j1 = bessel_j_pair(nu, x)
@@ -171,8 +171,8 @@ class TestBesselJ:
 
     @pytest.mark.parametrize("nu", [5.5, 6.0, 6.25, 6.75, 7.0])
     def test_pair_rows_around_the_split_against_mpmath(self, nu):
-        # the split is x = 10 for every order and both rows: the series
-        # below it (its rounding grows like e^x to 1.6e-13 at x = 10),
+        # the split is x = 9.25 for every order and both rows: the series
+        # below it (its rounding grows like e^x to 7.4e-14 at x = 9.25),
         # Miller past it
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
@@ -250,10 +250,10 @@ class TestBesselZeros:
 
     @pytest.mark.parametrize("nu", [0.0, 0.25, 1.5, 3.5, 11.5])
     def test_series_window_zeros_are_true_zeros(self, nu):
-        # up to x = max(12, 2 nu), on both sides of the split at x = 10, a
+        # up to x = max(12, 2 nu), on both sides of the split at x = 9.25, a
         # zero is the true one to rounding: its last Newton step reads
-        # Miller's recurrence, so the series' rounding, up to 1.6e-13 just
-        # below x = 10, does not reach it
+        # Miller's recurrence, so the series' rounding, up to 7.4e-14 just
+        # below x = 9.25, does not reach it
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
         seam, n = max(12.0, 2.0 * nu), 1

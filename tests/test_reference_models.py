@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from abtool.models import (HydrogenState, ScalingModel, box_energy,
+from abtool.models import (HydrogenState, box_energy,
                            half_harmonic_energy, hydrogen_density,
                            hydrogen_fields, hydrogen_grad_rho,
                            hydrogen_radial, hydrogen_theta, linear_airy_model,
@@ -162,6 +162,8 @@ class TestLinearAiryModel:
 class TestClosedFormLevels:
     def test_half_harmonic_ground(self):
         assert half_harmonic_energy(1.0, 1.0, 0) == 1.5
+        assert half_harmonic_energy(2.0, 1.0, 0) == pytest.approx(
+            1.5 * math.sqrt(2.0), rel=1e-14)
 
     def test_box_level(self):
         assert box_energy(1.0, 1.0, 2) == pytest.approx(2.0 * math.pi ** 2,
@@ -202,9 +204,6 @@ class TestMassScaling:
         with pytest.raises(ValueError):
             mass_scaling_fit("box", 1, [1.0, 2.0])
 
-    def test_scaling_model_validation(self):
-        with pytest.raises(ValueError):
-            ScalingModel(kind="quartic", parameter=1.0, level=1)
-        model = ScalingModel(kind="half_harmonic", parameter=2.0, level=0)
-        assert model.energy(1.0) == pytest.approx(1.5 * math.sqrt(2.0),
-                                                  rel=1e-14)
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown model kind 'quartic'"):
+            mass_scaling_fit("quartic", 1, [1.0, 2.0, 4.0])

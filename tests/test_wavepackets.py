@@ -1,11 +1,13 @@
-"""Gaussian and Airy packets and the free plane wave."""
+"""Gaussian and Airy packets and the free plane wave, in natural units
+(hbar = M = 1)."""
 import math
 
 import numpy as np
 import pytest
 
 from abtool.madelung import Constants, decompose
-from abtool.wavepackets import (AiryPacketConfig, GaussianPacketConfig,
+from abtool.wavepackets import (AIRY_WINDOW, AiryPacketConfig,
+                                GaussianPacketConfig,
                                 airy_fields, airy_force_probe_points,
                                 airy_wavefield, free_particle_fields,
                                 gaussian_consistency, gaussian_delta_gradient,
@@ -19,9 +21,9 @@ def fd(f, x, h=1e-6):
 
 class TestGaussianConfig:
     def test_derived_quantities(self):
-        cfg = GaussianPacketConfig(alpha=2.0, k0=0.5, mass=1.5, hbar=1.0)
-        assert cfg.T == pytest.approx(1.5 * 4.0 / 2.0, rel=1e-15)
-        assert cfg.u0 == pytest.approx(0.5 / 1.5, rel=1e-15)
+        cfg = GaussianPacketConfig(alpha=2.0, k0=0.5)
+        assert cfg.T == pytest.approx(4.0 / 2.0, rel=1e-15)
+        assert cfg.u0 == pytest.approx(0.5, rel=1e-15)
         assert cfg.epsilon(0.0) == 2.0
         # eps(T) = alpha sqrt(2)
         assert cfg.epsilon(cfg.T) == pytest.approx(2.0 * math.sqrt(2.0),
@@ -49,7 +51,7 @@ class TestGaussianFields:
         def rho(x):
             return gaussian_fields(cfg, x, t)["rho"]
 
-        expected = -(cfg.hbar / (2 * cfg.mass)) * fd(rho, x0) / rho(x0)
+        expected = -0.5 * fd(rho, x0) / rho(x0)
         assert gaussian_fields(cfg, x0, t)["xi"] == pytest.approx(expected,
                                                                   rel=1e-8)
 
@@ -63,7 +65,7 @@ class TestGaussianFields:
         h = 3e-4
         def q_of(x):
             lap = (sqrt_rho(x + h) - 2 * sqrt_rho(x) + sqrt_rho(x - h)) / h ** 2
-            return -(cfg.hbar ** 2 / (2 * cfg.mass)) * lap / sqrt_rho(x)
+            return -0.5 * lap / sqrt_rho(x)
 
         oracle = -fd(q_of, x0, 3e-3)
         assert gaussian_fields(cfg, x0, t)["F_Q"] == pytest.approx(oracle,
@@ -88,13 +90,13 @@ class TestGaussianFields:
             assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_xi_linear_relation(self):
-        # xi * m eps^2 / (2 hbar) recovers the displacement exactly
-        cfg = GaussianPacketConfig(alpha=0.8, k0=1.0, mass=1.0)
+        # xi * eps^2 / 2 recovers the displacement exactly
+        cfg = GaussianPacketConfig(alpha=0.8, k0=1.0)
         t = 1.3
         xs = np.linspace(-3.0, 4.0, 41)
         f = gaussian_fields(cfg, xs, t)
         eps = cfg.epsilon(t)
-        recon = f["xi"] * cfg.mass * eps ** 2 / (2.0 * cfg.hbar)
+        recon = f["xi"] * eps ** 2 / 2.0
         assert np.abs(recon - (xs - cfg.u0 * t)).max() <= 1e-12
 
 
@@ -144,7 +146,7 @@ class TestGaussianWaveField:
         assert np.abs(rho_field - rho_closed).max() <= 1e-14
 
     def test_eta_from_decomposition_in_natural_units(self):
-        cfg = GaussianPacketConfig(alpha=1.0, k0=1.0, mass=1.0)
+        cfg = GaussianPacketConfig(alpha=1.0, k0=1.0)
         t = 0.6
         field = gaussian_wavefield(cfg, t)
         x0 = 0.9
@@ -169,9 +171,9 @@ class TestAiry:
 
     def test_translation_identity(self):
         cfg = AiryPacketConfig()
-        xs = np.linspace(cfg.window[0], cfg.window[1], 200)
+        xs = np.linspace(*AIRY_WINDOW, 200)
         for t in (0.5, 1.2):
-            shift = cfg.k * t ** 2 / (2.0 * cfg.mass)
+            shift = cfg.k * t ** 2 / 2.0
             rho_t = np.abs(airy_wavefield(cfg, t).amplitude(xs[:, None])) ** 2
             rho_0 = np.abs(airy_wavefield(cfg, 0.0).amplitude(
                 (xs - shift)[:, None])) ** 2
@@ -190,20 +192,20 @@ class TestAiry:
         assert np.abs(f["F_Q"] - 2.0).max() <= 1e-4 * 2.0
 
     def test_eta_is_kt_over_m(self):
-        cfg = AiryPacketConfig(k=1.3, mass=0.7)
+        # m = 1
+        cfg = AiryPacketConfig(k=1.3)
         f = airy_fields(cfg, np.array([0.2]), 1.1)
-        assert f["eta"][0] == pytest.approx(1.3 * 1.1 / 0.7, rel=1e-14)
+        assert f["eta"][0] == pytest.approx(1.3 * 1.1, rel=1e-14)
 
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            AiryPacketConfig(window=(2.0, -2.0))
-        with pytest.raises(ValueError):
-            AiryPacketConfig(k=0.0)
+    def test_force_constant_validation(self):
+        for k in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                AiryPacketConfig(k=k)
 
 
 class TestFreeParticle:
     def test_values(self):
-        f = free_particle_fields(2.0, 1.0, 1.0, np.linspace(-1, 1, 5), 0.3)
+        f = free_particle_fields(2.0, np.linspace(-1, 1, 5), 0.3)
         assert np.all(f["eta"] == 2.0)
         assert np.all(f["xi"] == 0.0)
 
@@ -211,5 +213,5 @@ class TestFreeParticle:
         # eta of a very wide packet approaches the free value pointwise
         cfg = GaussianPacketConfig(alpha=1e3, k0=1.0)
         got = gaussian_fields(cfg, 0.3, 1.0)["eta"]
-        free = free_particle_fields(1.0, 1.0, 1.0, 0.3, 1.0)["eta"]
+        free = free_particle_fields(1.0, 0.3, 1.0)["eta"]
         assert abs(got - float(free)) <= 1e-4

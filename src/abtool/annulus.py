@@ -19,8 +19,7 @@ import numpy as np
 from . import madelung
 from .madelung import (AnnulusDomain, _moment_z,
                        decompose)  # noqa: F401 (benchmark/spans.py wraps it here)
-from .numerics import (MAX_ORDER,  # noqa: F401 (the state window, read here too)
-                       bessel_j, bessel_j_pair, bessel_j_zero, curl_z_fd,
+from .numerics import (bessel_j, bessel_j_pair, bessel_j_zero, curl_z_fd,
                        gradient_fd, integrate_1d)
 
 
@@ -36,15 +35,18 @@ class AnnulusConfig(madelung.Constants):
         super().__post_init__()
         if not (0.0 < self.a < self.b):
             raise ValueError("need 0 < a < b")
+        try:
+            finite = math.isfinite(flux_parameter(self))
+        except OverflowError:       # a ** 2 past the float range
+            finite = False
+        if not finite:
+            raise ValueError("the flux parameter -q B a^2 / (2 hbar c) is not a "
+                             f"finite number (B = {self.B!r}, a = {self.a!r}, "
+                             f"b = {self.b!r})")
 
     @property
     def d(self):
         return self.b - self.a
-
-    @property
-    def flux(self):
-        """Magnetic flux through the solenoid, B pi a^2."""
-        return self.B * math.pi * self.a ** 2
 
     def domain(self):
         return AnnulusDomain(self.a, self.b)
@@ -126,8 +128,6 @@ class ABState:
     k: float
     norm: float
 
-    dimension = 2
-
     @property
     def energy(self):
         """hbar^2 k^2 / 2M from the Helmholtz form of the radial problem."""
@@ -190,11 +190,22 @@ def _radial_profile(cfg, nu, n):
     N^2 J^2 to one (the angular factor contributes 2 pi exactly)."""
     tau = bessel_j_zero(nu, n)
     k = tau / cfg.d
-    radial_int = integrate_1d(lambda r: bessel_j(nu, k * (r - cfg.a)) ** 2 * r,
-                              cfg.a, cfg.b)
+
+    def unusable(what):
+        return ValueError(f"the radial normalization integral {what} "
+                          f"(a = {cfg.a!r}, b = {cfg.b!r})")
+
+    def weight(r):
+        s = r - cfg.a
+        if s.min() < 0.0:
+            # an annulus a few ulps thick: a node of a bisected panel rounded
+            # below a, where J_nu has no value
+            raise unusable("has a node below a")
+        return bessel_j(nu, k * s) ** 2 * r
+
+    radial_int = integrate_1d(weight, cfg.a, cfg.b)
     if not 0.0 < radial_int < math.inf:
-        raise ValueError(f"the radial normalization integral is {float(radial_int)}, "
-                         f"not a positive finite number (a = {cfg.a!r}, b = {cfg.b!r})")
+        raise unusable(f"is {float(radial_int)}, not a positive finite number")
     return tau, k, 1.0 / math.sqrt(2.0 * math.pi * radial_int)
 
 
@@ -202,28 +213,12 @@ def _radial_profile(cfg, nu, n):
 def eigenstate(cfg, m, n):
     """Bound state (m, n): nu = |m + lambda| and tau the n-th zero of J_nu.
     `bessel_j_zero` raises ValueError outside its supported window,
-    nu <= MAX_ORDER and 1 <= n <= 100."""
+    nu <= numerics.MAX_ORDER and 1 <= n <= 100."""
     lam = flux_parameter(cfg)
     nu = abs(m + lam)
     tau, k, norm = _radial_profile(cfg, nu, n)
     return ABState(cfg=cfg, m=int(m), n=int(n), lam=lam, nu=nu, tau=tau,
                    k=k, norm=norm)
-
-
-def helmholtz_residual(state, r):
-    """Pointwise residual of (covariant laplacian + k^2) applied to the
-    bound-state ansatz, divided by the angular phase, for a < r < b.
-
-    The ansatz J_nu(k (r-a)) is not an exact eigenfunction of the radial
-    operator with the nu^2/r^2 centrifugal term, so this is nonzero; the
-    integrated identities used elsewhere hold regardless.  Diagnostic only.
-    With R, R' from `radial_parts` and s = r - a, Bessel's equation for
-    J_nu(k s) leaves R' (1/r - 1/s) + nu^2 R (1/s^2 - 1/r^2).
-    """
-    r = np.asarray(r, dtype=float)
-    rr, drr = state.radial_parts(r)
-    s = r - state.cfg.a
-    return drr * (1.0 / r - 1.0 / s) + state.nu ** 2 * rr * (1.0 / s ** 2 - 1.0 / r ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +279,6 @@ def energy_decomposition(state):
     cfg = state.cfg
     return madelung.integrated_energy_identity(
         state, solenoid_potential(cfg), cfg, _energy_domain(cfg))
-
-
-def rotational_energy_density_profile(state, r):
-    """T_{m,lambda}(r) = (lambda^2 + 2 m lambda) hbar^2 rho(r) / (2 M r^2),
-    the flux-induced part of the rotational energy density."""
-    cfg = state.cfg
-    lam, m = state.lam, state.m
-    rho = state.radial_density(r)
-    return (lam ** 2 + 2.0 * m * lam) * cfg.hbar ** 2 * rho / (2.0 * cfg.mass * r ** 2)
 
 
 def closed_form_q_and_force(state, r):
@@ -398,7 +384,7 @@ def gauge_family(state, deltas):
     pair of ABStates of order nu +- delta with the base state's m, n and
     lambda, so nu != |m + lambda| for them: only their radial parts
     (radial_density, radial_parts) are meaningful.  An order past
-    MAX_ORDER raises ValueError from `bessel_j_zero`.
+    numerics.MAX_ORDER raises ValueError from `bessel_j_zero`.
     """
     cfg = state.cfg
     for d in deltas:

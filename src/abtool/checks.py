@@ -289,8 +289,7 @@ def check_gauge_invariance():
 
     rho_gap = float(np.abs(gauged.density(pts) - state.density(pts)).max())
 
-    fd_field = madelung.WaveField(gauged.amplitude, None, dimension=2,
-                                  fd_step=1e-6)
+    fd_field = madelung.WaveField(gauged.amplitude, None, fd_step=1e-6)
     probe = pts[:64]
     dec_fd = decompose(fd_field, None, cfg, probe)
     dec_base = decompose(state, None, cfg, probe)

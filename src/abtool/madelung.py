@@ -64,18 +64,17 @@ class Constants:
 class WaveField:
     """A complex-valued wavefunction with point evaluation and gradient.
 
-    `amplitude` maps points to complex values; `gradient`, when omitted, is
+    `amplitude` maps points to complex values; its spatial dimension is the
+    last axis of the points it is given.  `gradient`, when omitted, is
     `numerics.gradient_fd` of `amplitude` with step `fd_step`.
     `density` defaults to |amplitude|^2 but may be supplied separately (a
     gauge transform reuses the base field's density, which is unchanged by
     construction).
     """
 
-    def __init__(self, amplitude, gradient=None, dimension=2, density=None,
-                 fd_step=1e-6):
+    def __init__(self, amplitude, gradient=None, density=None, fd_step=1e-6):
         self._amp = amplitude
         self._grad = gradient
-        self.dimension = int(dimension)
         self._rho = density
         self.fd_step = float(fd_step)
 
@@ -119,14 +118,6 @@ class VelocityDecomposition:
     delta: np.ndarray
     v_quasi: np.ndarray
     w_quasi: np.ndarray
-
-    @property
-    def zeta_real(self):
-        return -self.xi_real
-
-    @property
-    def zeta_imag(self):
-        return -self.xi_imag
 
 
 def _check_floor(rho):
@@ -217,19 +208,14 @@ def quantum_force(psi, cfg, p):
                         10.0 * _QUANTUM_STEP)
 
 
-def gauge_transform(psi, lam, cfg, grad_lam=None):
-    """psi -> e^{i q Lambda / (hbar c)} psi.
+def gauge_transform(psi, lam, cfg, grad_lam):
+    """psi -> e^{i q Lambda / (hbar c)} psi, for the gauge function
+    lam = Lambda and its gradient grad_lam, both callables on point arrays.
 
     The density callable of the base field is passed through, so rho is
-    preserved exactly.  The gradient picks up i (q / hbar c) grad(Lambda) psi;
-    grad(Lambda) is computed by central differences when not supplied.
+    preserved exactly.  The gradient picks up i (q / hbar c) grad(Lambda) psi.
     """
     coef = cfg.charge / (cfg.hbar * cfg.c)
-
-    def grad_of_lambda(p):
-        if grad_lam is not None:
-            return grad_lam(p)
-        return gradient_fd(lam, p, 1e-6)
 
     def amplitude(p):
         return np.exp(1j * coef * np.asarray(lam(p))) * psi.amplitude(p)
@@ -238,27 +224,17 @@ def gauge_transform(psi, lam, cfg, grad_lam=None):
         phase = np.asarray(np.exp(1j * coef * np.asarray(lam(p))))
         amp, base = psi.value_and_gradient(p)
         amp, base = np.asarray(amp), np.asarray(base)
-        gl = np.asarray(grad_of_lambda(p), dtype=float)
+        gl = np.asarray(grad_lam(p), dtype=float)
         extra = 1j * coef * gl * (amp[..., None] if amp.ndim else amp)
         return (phase[..., None] if phase.ndim else phase) * (base + extra)
 
-    return WaveField(amplitude, gradient, dimension=psi.dimension,
-                     density=psi.density)
+    return WaveField(amplitude, gradient, density=psi.density)
 
 
 # ---------------------------------------------------------------------------
-# Integration domains: a line segment (1-d fields) or an annulus (2-d polar
-# measure r dr dtheta).  Integrands take Cartesian point batches.
+# Integration domain: an annulus in the 2-d polar measure r dr dtheta.
+# Integrands take Cartesian point batches.
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LineDomain:
-    lo: float
-    hi: float
-
-    def integrate(self, g):
-        return integrate_1d(lambda x: g(x[:, None]), self.lo, self.hi)
-
 
 @dataclass(frozen=True)
 class AnnulusDomain:
@@ -279,37 +255,6 @@ class AnnulusDomain:
             return (integrate_periodic(rings).T * rv).T
 
         return integrate_1d(radial, self.a, self.b)
-
-
-def osmotic_expectation(psi, A, cfg, domain):
-    """Mean osmotic velocity over a normalized state.
-
-    The real part integrates grad(rho) and vanishes for boundary-vanishing
-    states (returned as a Cartesian vector for verification); the imaginary
-    part has a net direction along the local e_theta, returned as the scalar
-    (q/Mc) * integral of rho * A_theta, the "directional osmotic mean".
-    """
-    dim = psi.dimension
-
-    def g(pts):
-        _, _, rho, cross = field_sample(psi, pts)
-        cols = [(cfg.hbar / cfg.mass) * cross.real]      # rho Re(zeta)
-        if A is not None:
-            r = np.hypot(pts[..., 0], pts[..., 1])
-            a_theta = _moment_z(np.asarray(A(pts), dtype=float), pts) / r
-            cols.append((rho * a_theta)[..., None])
-        return np.concatenate(cols, axis=-1)
-
-    out = domain.integrate(g)
-    directional = (0.0 if A is None
-                   else (cfg.charge / (cfg.mass * cfg.c)) * float(out[dim]))
-    return {"real_part": out[:dim], "directional_theta": directional}
-
-
-def kinetic_energy_density(psi, A, cfg, p):
-    """(1/2) M rho (v_quasi^2 + w_quasi^2) at p."""
-    cols = _energy_densities(psi, A, cfg, np.asarray(p, dtype=float))
-    return cols[..., 0] + cols[..., 1]
 
 
 def _momentum_density(amp, grad, A, cfg, pts):
@@ -375,10 +320,3 @@ def circulation(field, center, radius):
 
     return float(integrate_periodic(tangential))
 
-
-def phase_winding(psi, cfg, radius):
-    """Loop integral of eta . dl / (hbar/M) around the circle of the given
-    radius about the origin: 2 pi times the integer phase winding for any
-    curve avoiding nodes."""
-    eta = lambda pts: decompose(psi, None, cfg, pts).eta
-    return circulation(eta, (0.0, 0.0), radius) / (cfg.hbar / cfg.mass)

@@ -326,13 +326,6 @@ def _chi2_on_counts(samples, bins, thin, edges):
             int(thinned.size))
 
 
-def ks_distance(samples, state):
-    """Kolmogorov-Smirnov sup distance between the sample radii and the
-    radial target CDF (the state's cached `radial_target`)."""
-    rg, _, cdf = radial_target(state)
-    return _ks_sup(samples, rg, cdf)
-
-
 def _ks_sup(samples, rg, cdf):
     """KS sup distance of the samples from the CDF tabulated on rg."""
     xs = np.sort(np.asarray(samples, dtype=float))

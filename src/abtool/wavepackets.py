@@ -86,7 +86,7 @@ def gaussian_wavefield(cfg, t):
         d = amplitude(p) * (-2.0 * y / eps ** 2 + 1j * (cfg.k0 + ddelta))
         return d[..., None]
 
-    return WaveField(amplitude, gradient, dimension=1)
+    return WaveField(amplitude, gradient)
 
 
 _CONTINUITY_STEP = 1e-4
@@ -152,7 +152,7 @@ def airy_wavefield(cfg, t):
         phase = (cfg.k * t) * (xv - cfg.k * t ** 2 / 3.0)
         return env * np.exp(1j * phase)
 
-    return WaveField(amplitude, None, dimension=1, fd_step=1e-5)
+    return WaveField(amplitude, None, fd_step=1e-5)
 
 
 def airy_force_probe_points(cfg, t, count=20):

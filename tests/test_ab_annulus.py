@@ -5,18 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from abtool.annulus import (MAX_ORDER, ABState, AnnulusConfig,
+from abtool.annulus import (ABState, AnnulusConfig,
                             closed_form_q_and_force, diffusion_velocity,
                             eigenstate, energy_decomposition, flux_parameter,
-                            _energy_domain,
-                            gauge_family, helmholtz_residual, magnetic_force,
-                            angular_momenta, rotational_energy_density_profile,
-                            solenoid_current_check, solenoid_potential,
+                            _energy_domain, gauge_family, magnetic_force,
+                            angular_momenta, solenoid_current_check,
+                            solenoid_potential,
                             system_b_equivalence, vector_potential,
                             vortex_fields)
 from abtool.madelung import circulation, decompose
 from abtool.checks import _grid_states
-from abtool.numerics import bessel_j, bessel_j_zero
+from abtool.numerics import MAX_ORDER, bessel_j_zero
 
 CFG = AnnulusConfig()                    # natural units, a=1, b=3, B=1
 STATE = eigenstate(CFG, 1, 1)
@@ -44,7 +43,6 @@ class TestConfig:
 
     def test_derived(self):
         assert CFG.d == 2.0
-        assert CFG.flux == pytest.approx(math.pi, rel=1e-15)
 
 
 class TestFluxParameter:
@@ -188,28 +186,6 @@ class TestEigenstate:
             fd = (STATE.amplitude(q_plus) - STATE.amplitude(q_minus)) / (2 * h)
             assert g[ax] == pytest.approx(fd, rel=1e-6)
 
-    def test_helmholtz_residual_diagnostic(self):
-        # the printed ansatz is not an exact radial eigenfunction; the
-        # residual is finite, nonzero, and small relative to k^2 |psi|
-        rg = np.linspace(1.2, 2.8, 9)
-        res = helmholtz_residual(STATE, rg)
-        assert np.all(np.isfinite(res))
-        assert np.abs(res).max() > 0.0
-
-    @pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (0, 1), (5, 3)])
-    def test_helmholtz_residual_against_the_bessel_route(self, m, n):
-        # k^2 J'' + k J'/r - nu^2 J/r^2 + k^2 J with J'' from Bessel's equation
-        state = eigenstate(CFG, m, n)
-        r = np.linspace(1.05, 2.95, 9)
-        nu, k = state.nu, state.k
-        x = k * (r - CFG.a)
-        j = bessel_j(nu, x)
-        jp = (nu / x) * j - bessel_j(nu + 1.0, x)
-        jpp = -jp / x + (nu ** 2 / x ** 2 - 1.0) * j
-        ref = state.norm * (k ** 2 * (jpp + j) + k * jp / r - (nu ** 2 / r ** 2) * j)
-        res = helmholtz_residual(state, r)
-        assert np.abs(res - ref).max() <= 1e-12 * np.abs(ref).max()
-
 
 class TestAngularMomenta:
     def test_reference_state(self):
@@ -258,19 +234,6 @@ class TestEnergyDecomposition:
             / (2.0 * CFG.mass) * np.trapezoid(state.radial_density(rg) / rg, rg)
         got = energy_decomposition(state)["rotational"]
         assert got == pytest.approx(expected, rel=1e-8)
-
-    def test_flux_profile_integral(self):
-        # integral of T_{m,lambda} equals (lambda^2 + 2 m lambda) hbar^2/(2M)
-        # times <1/r^2>, by an independent trapezoid
-        rg = np.linspace(CFG.a, CFG.b, 200_001)
-        rho = STATE.radial_density(rg)
-        t_vals = rotational_energy_density_profile(STATE, rg)
-        integral = 2.0 * math.pi * np.trapezoid(t_vals * rg, rg)
-        inv_r2 = 2.0 * math.pi * np.trapezoid(rho / rg ** 2 * rg, rg)
-        lam, m = STATE.lam, STATE.m
-        expected = (lam ** 2 + 2.0 * m * lam) * CFG.hbar ** 2 \
-            / (2.0 * CFG.mass) * inv_r2
-        assert integral == pytest.approx(expected, rel=1e-10)
 
 
 class TestClosedFormQ:

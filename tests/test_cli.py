@@ -280,16 +280,26 @@ class TestExitCodes:
         ("spectrum", {"geometry": {"b": 10 ** 400}}),
         ("spectrum", {"geometry": {"a": 1e-300, "b": 2e-300}}),
         ("fields", {"geometry": {"a": 1e-200, "b": 2e-200}}),
+        ("spectrum", {"geometry": {"a": 1e200, "b": 2e200}}),
+        ("spectrum", {"geometry": {"a": 1.0, "b": 1.0 + 2.2e-16}}),
+        ("spectrum", {"geometry": {"a": 1.0, "b": 1.0 + 1e-14}}),
     ])
     def test_unusable_numbers_exit_with_one_line(self, tmp_path, capsys,
                                                  subcommand, config):
         # non-finite config numbers (JSON's NaN and Infinity, or an integer
-        # past the float range), and a geometry so small that the radial
-        # normalization integral underflows to 0
+        # past the float range), a geometry so small that the radial
+        # normalization integral underflows to 0, one so large that a^2
+        # overflows in the flux parameter, and an annulus so thin that a
+        # quadrature node rounds below a
         assert run_cli([subcommand], tmp_path, config=config) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("abtool: configuration error:")
+        # the line names the unusable key, or the geometry it rejects
+        block, values = next(iter(config.items()))
+        names = (f"a = {values['a']!r}, b = {values['b']!r}" if "a" in values
+                 else f"{block}.{next(iter(values))}")
+        assert names in err
 
     def test_unknown_subcommand_is_argparse_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -13,9 +13,9 @@ from abtool.annulus import AnnulusConfig, eigenstate, solenoid_potential
 from abtool.madelung import RHO_FLOOR, WaveField
 from abtool.numerics import RandomStream, bessel_j, bessel_j_zero, bessel_log_table
 from abtool.sde import (SdeConfig, Trajectory, angular_uniformity_test,
-                        drifts, ergodic_angular_momentum, ks_distance,
-                        radial_target, rejection_fraction, simulate,
-                        stationarity_test, target_radial_sampler)
+                        drifts, ergodic_angular_momentum, radial_target,
+                        rejection_fraction, simulate, stationarity_test,
+                        target_radial_sampler)
 
 CFG = AnnulusConfig()
 STATE = eigenstate(CFG, 1, 1)
@@ -47,7 +47,7 @@ class TestDrifts:
         def gradient(p):
             return (1j * k0 * amplitude(p))[..., None]
 
-        pw = WaveField(amplitude, gradient, dimension=1)
+        pw = WaveField(amplitude, gradient)
         out = drifts(pw, None, CFG, np.array([0.3]))
         assert out["forward"][0] == pytest.approx(k0, rel=1e-12)
         assert out["backward"][0] == pytest.approx(k0, rel=1e-12)
@@ -133,7 +133,7 @@ class TestSimulate:
             assert three.rejected_steps == four.rejected_steps
 
     def test_rejects_a_bare_wave_field(self):
-        field = WaveField(STATE.amplitude, STATE.gradient, dimension=2)
+        field = WaveField(STATE.amplitude, STATE.gradient)
         with pytest.raises(TypeError, match="ABState"):
             simulate(field, SdeConfig(steps=10, burn_in=0, n_trajectories=1))
 
@@ -173,7 +173,7 @@ class TestRadialTarget:
 
     def test_ks_of_oracle_samples_is_small(self):
         samples = target_radial_sampler(STATE, RandomStream(22), 100_000)
-        assert ks_distance(samples, STATE) <= 0.01
+        assert stationarity_test(samples, STATE)["ks_distance"] <= 0.01
 
 
 class TestStationarityStatistics:
@@ -212,8 +212,8 @@ class TestStationarityStatistics:
         for rep in range(10):
             s1 = target_radial_sampler(STATE, RandomStream(300 + rep), 20_000)
             s2 = target_radial_sampler(STATE, RandomStream(400 + rep), 80_000)
-            small.append(ks_distance(s1, STATE))
-            large.append(ks_distance(s2, STATE))
+            small.append(stationarity_test(s1, STATE)["ks_distance"])
+            large.append(stationarity_test(s2, STATE)["ks_distance"])
         assert np.median(small) / np.median(large) >= 1.5
 
     def test_angular_uniformity_calibrated(self):
@@ -471,8 +471,12 @@ class TestStationaritySingleTarget:
         monkeypatch.undo()
         assert len(builds) == 1
         # the same figures from targets built separately for each statistic
-        assert out["ks_distance"] == ks_distance(samples, STATE)
         rg, _, cdf = radial_target(STATE)
+        xs = np.sort(samples)
+        f = np.interp(xs, rg, cdf)
+        n = xs.size
+        assert out["ks_distance"] == max(np.abs(np.arange(1, n + 1) / n - f).max(),
+                                         np.abs(f - np.arange(0, n) / n).max())
         thinned = samples[::3]
         edges = np.interp(np.linspace(0.0, 1.0, 41), cdf, rg)
         counts, _ = np.histogram(thinned, bins=edges)

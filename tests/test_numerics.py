@@ -250,14 +250,14 @@ class TestBesselZeros:
 
     @pytest.mark.parametrize("nu", [0.0, 0.25, 1.5, 3.5, 11.5])
     def test_series_window_zeros_are_true_zeros(self, nu):
-        # up to x = max(12, 2 nu), on both sides of the split at x = 9.25, a
-        # zero is the true one to rounding: its last Newton step reads
-        # Miller's recurrence, so the series' rounding, up to 7.4e-14 just
-        # below x = 9.25, does not reach it
+        # every zero up to x = max(12, 2 nu), which takes in both sides of
+        # the split at x = 9.25, is the true one to rounding: its last Newton
+        # step reads Miller's recurrence, so the series' rounding, up to
+        # 7.4e-14 just below x = 9.25, does not reach it
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
-        seam, n = max(12.0, 2.0 * nu), 1
-        while (z := bessel_j_zero(nu, n)) <= seam:
+        zeros_extent, n = max(12.0, 2.0 * nu), 1
+        while (z := bessel_j_zero(nu, n)) <= zeros_extent:
             true = float(mp.besseljzero(mp.mpf(nu), n))
             assert abs(z - true) <= np.spacing(true), (nu, n)
             n += 1

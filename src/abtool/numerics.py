@@ -1,5 +1,5 @@
-"""Low-level numerics: special functions, root finding, quadrature,
-finite differences and reproducible random streams.
+"""Low-level numerics: special functions, root finding, quadrature and
+finite differences; the reproducible random streams live in `variates`.
 
 Everything here is plain numpy and deterministic: same inputs, same bits.
 Scalar arguments return scalars, array arguments return arrays.
@@ -18,7 +18,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from numpy.random import Generator, Philox
+
+from .variates import RandomStream  # noqa: F401 (callers and benchmark/spans.py use it here)
 
 
 class NonConvergenceError(RuntimeError):
@@ -397,21 +398,43 @@ class BesselLogTable:
 
     def __call__(self, x):
         """J'(x)/J(x) for a 1-d array x in [0, j_n]."""
-        u = x * self._inv_h
-        i = u.astype(np.intp)
-        t = u - i
-        c = self._coef.take(i, axis=1, mode="clip")
-        dlog_j = c[3]
-        for row in c[2::-1]:
-            dlog_j = dlog_j * t + row
-        if np.ndim(self._zsq):
-            inv_d = np.reciprocal(np.subtract.outer(x * x, self._zsq)).sum(axis=1)
+        n = x.size
+        return self.lookup(x, np.empty(n), np.empty(n), np.empty(n, dtype=np.intp),
+                           np.empty((4, n)))
+
+    def lookup(self, x, out, t, i, c):
+        """J'(x)/J(x) written into `out` for a 1-d array x in [0, j_n].
+
+        t (floats), i (np.intp) and c (4 rows of floats) are scratch of x's
+        length, so a caller that keeps them allocates nothing for n = 1;
+        their contents on return are unspecified.  Every operation takes
+        its operands in a fixed order, so the bits do not depend on where
+        the scratch lives.
+        """
+        np.multiply(x, self._inv_h, t)
+        np.copyto(i, t, casting="unsafe")
+        np.subtract(t, i, t)
+        self._coef.take(i, 1, c, "clip")
+        np.multiply(c[3], t, out)            # Horner on the cell's cubic
+        np.add(out, c[2], out)
+        np.multiply(out, t, out)
+        np.add(out, c[1], out)
+        np.multiply(out, t, out)
+        np.add(out, c[0], out)
+        if self._zsq.ndim:
+            inv_d = np.subtract.outer(np.multiply(x, x, t), self._zsq)
+            np.reciprocal(inv_d, inv_d).sum(axis=1, out=t)
         else:
-            inv_d = np.reciprocal(x * x - self._zsq)
-        dlog_j += 2.0 * x * inv_d
+            np.multiply(x, x, t)
+            np.subtract(t, self._zsq, t)
+            np.reciprocal(t, t)
+        np.multiply(2.0, x, c[0])
+        np.multiply(c[0], t, c[0])
+        np.add(out, c[0], out)
         if self.order > 0.0:
-            dlog_j += self.order / x
-        return dlog_j
+            np.divide(self.order, x, t)
+            np.add(out, t, out)
+        return out
 
 
 @lru_cache(maxsize=64)
@@ -778,63 +801,6 @@ def curl_z_fd(field, p, h):
     from its `gradient_fd` Jacobian."""
     jac = gradient_fd(field, p, h)
     return jac[..., 1, 0] - jac[..., 0, 1]
-
-
-# ---------------------------------------------------------------------------
-# Reproducible random streams: counter-based Philox keyed by (seed, stream_id)
-# supplies uniforms; normals come from a Box-Muller transform on top, so the
-# variate construction is fixed by this module, not by numpy internals.
-# ---------------------------------------------------------------------------
-
-class RandomStream:
-    """Deterministic stream of variates identified by (seed, stream_id).
-
-    Streams with the same key always reproduce the same sequence; distinct
-    stream_ids are statistically independent.  Each worker should own its
-    own instance (value semantics, nothing shared).
-    """
-
-    def __init__(self, seed, stream_id=0):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        self._gen = Generator(Philox(key=[self.seed & (2**64 - 1),
-                                          self.stream_id & (2**64 - 1)]))
-        self._spare = None
-
-    def normals(self, count):
-        """`count` standard normal variates (Box-Muller over Philox uniforms)."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        out = np.empty(count)
-        k = 0
-        if self._spare is not None:
-            out[0] = self._spare
-            self._spare = None
-            k = 1
-        need = count - k
-        if need > 0:
-            pairs = (need + 1) // 2
-            # consecutive uniforms form one pair, so the emitted sequence
-            # does not depend on how draws are batched across calls
-            u = self._gen.random(2 * pairs)
-            u1 = 1.0 - u[0::2]                   # (0, 1]; log never sees zero
-            u2 = u[1::2]
-            radius = np.sqrt(-2.0 * np.log(u1))
-            z0 = radius * np.cos(2.0 * np.pi * u2)
-            z1 = radius * np.sin(2.0 * np.pi * u2)
-            z = np.empty(2 * pairs)
-            z[0::2] = z0
-            z[1::2] = z1
-            out[k:] = z[:need]
-            if 2 * pairs > need:
-                self._spare = float(z[need])
-        return out
-
-    def uniforms(self, count):
-        """`count` uniforms on [0, 1)."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        return self._gen.random(count)
 
 
 # ---------------------------------------------------------------------------

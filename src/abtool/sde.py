@@ -17,18 +17,27 @@ wall and at the nodes in closed form.  Against the exact series route
 (`ABState.radial_parts`) the drift agrees to 1e-9 (hbar/M)(k + |R'/R|)
 wherever that route is itself accurate to this level; next to a node where
 the series carries rounding (x = k (r-a) near 9.25), the two routes differ by
-that rounding.
+that rounding.  A step's one allocation is the `searchsorted` index (numpy
+gives it no out argument): the kernel writes validity and the step factor
+into arrays the caller passes and keeps its own scratch (the table is shared
+through its cache), and `simulate` double-buffers positions and step factors.
+
+Noise.  Trajectory i's Gaussian increments come from its main stream
+(stream id 2i), _NOISE_CHUNK steps at a time: `variates.NormalBlock` fills
+one row of uniforms per stream from that stream's Philox generator and runs
+one Box-Muller pass over all rows, bit for bit each stream's own `normals`.
 
 Start.  Radii are drawn from the |psi|^2 radial marginal by inverse CDF with
 the `init` stream (angles uniform from the same stream); a start point that
 fails the validity test is redrawn from that stream.
 
 Cascade.  A proposal that fails validity is redrawn from the trajectory's
-retry stream up to _MAX_RETRIES = 4 times, then the step is halved and the
-retries start again.  After 64 halvings (dt 2^-64 ~ 5e-20 dt) the trajectory
-is declared aborted and frozen; that depth lets a proposal one rounding unit
-from the inner wall, where the osmotic drift ~ nu/(r-a) throws any longer
-step out of the annulus, recover.
+retry stream (stream id 2i + 1, built at the trajectory's first rejection,
+so a run without rejections builds none) up to _MAX_RETRIES = 4 times, then
+the step is halved and the retries start again.  After 64 halvings (dt 2^-64
+~ 5e-20 dt) the trajectory is declared aborted and frozen; that depth lets a
+proposal one rounding unit from the inner wall, where the osmotic drift
+~ nu/(r-a) throws any longer step out of the annulus, recover.
 """
 from __future__ import annotations
 
@@ -39,11 +48,12 @@ import numpy as np
 
 from .annulus import ABState, solenoid_potential
 from .madelung import RHO_FLOOR, decompose
-from .numerics import NonConvergenceError, RandomStream, bessel_log_table, chi2_sf
+from .numerics import NonConvergenceError, bessel_log_table, chi2_sf
+from .variates import NormalBlock, RandomStream
 
 _MAX_RETRIES = 4
 _HALVING_LIMIT = 64
-_NOISE_CHUNK = 256
+_NOISE_CHUNK = 128
 _START_REDRAWS = 100
 # points per decompose call in the L_z average: decompose holds about 240
 # bytes a point, so a chunk stays far below the retained positions' size
@@ -106,7 +116,13 @@ def drifts(psi, A, cfg, p):
 
 class _SeparableStepKernel:
     """Validity and drift for a separable annulus state R(r) e^{i m theta}
-    (see the module docstring)."""
+    (see the module docstring).
+
+    `kernel(z, ok, step)` writes into the caller's arrays; without them it
+    allocates and returns new ones.  The scratch for r, x = k (r - a), the
+    table's Hermite parameter t, the cell index and the 4 x N coefficient
+    rows lives here, one set per point count, since the table is shared
+    through its cache."""
 
     def __init__(self, state, dt):
         self.table = bessel_log_table(state.nu, state.n)
@@ -116,17 +132,35 @@ class _SeparableStepKernel:
         coef = state.cfg.hbar / state.cfg.mass * dt
         self.radial = coef * state.k     # dt u_r = radial * J'/J
         self.angular = coef * state.m    # dt v_theta = angular / r
+        self._scratch = {}
 
-    def __call__(self, z):
-        r = np.abs(z)
-        ok = self.in_lobe.take(self.edges.searchsorted(r, side="right"))
-        dlog_j = self.table((r - self.a) * self.k)
-        inv_r = 1.0 / r
+    def __call__(self, z, ok=None, step=None):
+        n = z.size
+        if ok is None:
+            ok, step = np.empty(n, dtype=bool), np.empty(n, dtype=complex)
+        scratch = self._scratch.get(n)
+        if scratch is None:
+            scratch = self._scratch[n] = (
+                np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=np.intp),
+                np.empty((4, n)))
+        r, x, t, i, c = scratch
+        np.abs(z, r)
+        # the interval index of each point: a rule that keeps a step inside
+        # its lobe compares it with the current point's
+        lobe = self.edges.searchsorted(r, side="right")
+        self.in_lobe.take(lobe, 0, ok, "clip")
+        np.subtract(r, self.a, x)
+        np.multiply(x, self.k, x)
+        re, im = step.real, step.imag
+        self.table.lookup(x, re, t, i, c)
+        inv_r = np.divide(1.0, r, r)
         # (radial J'/J + i angular / r) / r + 1 part by part, in the order the
         # complex expression takes, so every step keeps its bits
-        step = np.empty(r.shape, dtype=complex)
-        step.real = self.radial * dlog_j * inv_r + 1.0
-        step.imag = self.angular * inv_r * inv_r
+        np.multiply(self.radial, re, re)
+        np.multiply(re, inv_r, re)
+        np.add(re, 1.0, re)
+        np.multiply(self.angular, inv_r, im)
+        np.multiply(im, inv_r, im)
         return ok, step
 
 
@@ -188,14 +222,18 @@ def simulate(state, sde_cfg):
     sigma = np.sqrt(2.0 * state.cfg.beta_sq * dt)
     kernel = _SeparableStepKernel(state, dt)
 
-    main = [RandomStream(sde_cfg.seed, 2 * i) for i in range(n_traj)]
-    retry = [RandomStream(sde_cfg.seed, 2 * i + 1) for i in range(n_traj)]
+    retry = [None] * n_traj     # trajectory i's stream 2i + 1, built when needed
     init = RandomStream(sde_cfg.seed, 2 * n_traj)
 
     kept = np.empty((n_traj, sde_cfg.steps - sde_cfg.burn_in), dtype=complex)
     rejected = np.zeros(n_traj, dtype=int)
     aborted = np.zeros(n_traj, dtype=bool)
     diagnostics = [""] * n_traj
+
+    def retry_xi(i):
+        if retry[i] is None:
+            retry[i] = RandomStream(sde_cfg.seed, 2 * i + 1)
+        return retry[i].normals(2).view(complex)[0]
 
     def resample(step_no, z, step, prop, new_step, ok):
         """Redraw the invalid proposals in place from the retry stream: after
@@ -224,7 +262,7 @@ def simulate(state, sde_cfg):
                 bad, level = bad[~dead], level[~dead]
                 if bad.size == 0:
                     break
-            xi = np.array([retry[i].normals(2).view(complex)[0] for i in bad])
+            xi = np.array([retry_xi(i) for i in bad])
             fb = 0.5 ** level
             prop[bad] = (z[bad] * (1.0 + (step[bad] - 1.0) * fb)
                          + sigma * np.sqrt(fb) * xi)
@@ -238,24 +276,32 @@ def simulate(state, sde_cfg):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         z = _start_positions(state, kernel, init, n_traj)
         _, step = kernel(z)
+        # built after the start, whose radial target is the run's other
+        # large transient, so the two do not add up in the peak
+        normals = NormalBlock(
+            [RandomStream(sde_cfg.seed, 2 * i) for i in range(n_traj)], 2 * _NOISE_CHUNK)
+        # each step writes the proposal and its step factor into these
+        # spares, then swaps them with z and step
+        prop, new_step = np.empty_like(z), np.empty_like(step)
+        ok = np.empty(n_traj, dtype=bool)
         frozen = False                  # any trajectory aborted so far
         for lo in range(0, sde_cfg.steps, _NOISE_CHUNK):
             block = min(_NOISE_CHUNK, sde_cfg.steps - lo)
-            noise = np.empty((block, n_traj), dtype=complex)
-            for i, stream in enumerate(main):
-                noise[:, i] = stream.normals(2 * block).view(complex)
+            noise = normals.draw(2 * block)     # (n_traj, block)
             noise *= sigma
             for s in range(block):
-                prop = z * step + noise[s]
-                ok, new_step = kernel(prop)
+                np.multiply(z, step, prop)
+                np.add(prop, noise[:, s], prop)
+                kernel(prop, ok, new_step)
                 if frozen:
                     ok[aborted] = True
                     prop[aborted] = z[aborted]
                     new_step[aborted] = step[aborted]
-                if not ok.all():
+                if np.count_nonzero(ok) < n_traj:
                     resample(lo + s, z, step, prop, new_step, ok)
                     frozen = bool(aborted.any())
-                z, step = prop, new_step
+                z, prop = prop, z
+                step, new_step = new_step, step
                 if lo + s >= sde_cfg.burn_in:
                     kept[:, lo + s - sde_cfg.burn_in] = z
 

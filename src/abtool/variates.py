@@ -1,0 +1,110 @@
+"""Reproducible random variates: counter-based Philox keyed by
+(seed, stream_id) supplies uniforms; normals come from a Box-Muller transform
+on top, so the variate construction is fixed by this module, not by numpy
+internals.  `NormalBlock` draws the normals of many streams at once, bit for
+bit what each stream's `normals` would give.
+"""
+from __future__ import annotations
+
+import numpy as np
+from numpy.random import Generator, Philox
+
+
+class RandomStream:
+    """Deterministic stream of variates identified by (seed, stream_id).
+
+    Streams with the same key always reproduce the same sequence; distinct
+    stream_ids are statistically independent.  Each worker should own its
+    own instance (value semantics, nothing shared).
+    """
+
+    def __init__(self, seed, stream_id=0):
+        self.seed = int(seed)
+        self.stream_id = int(stream_id)
+        self._gen = Generator(Philox(key=[self.seed & (2**64 - 1),
+                                          self.stream_id & (2**64 - 1)]))
+        self._spare = None
+
+    def normals(self, count):
+        """`count` standard normal variates (Box-Muller over Philox uniforms)."""
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        out = np.empty(count)
+        k = 0
+        if self._spare is not None:
+            out[0] = self._spare
+            self._spare = None
+            k = 1
+        need = count - k
+        if need > 0:
+            pairs = (need + 1) // 2
+            z = self._gen.random(2 * pairs)
+            _box_muller(z, z.view(complex), *np.empty((3, pairs)))
+            out[k:] = z[:need]
+            if 2 * pairs > need:
+                self._spare = float(z[need])
+        return out
+
+    def uniforms(self, count):
+        """`count` uniforms on [0, 1)."""
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        return self._gen.random(count)
+
+
+def _box_muller(u, out, radius, angle, cos):
+    """Box-Muller on pairs of consecutive uniforms along u's last axis:
+    out[..., j] = z0 + 1j z1 from u[..., 2j] and u[..., 2j + 1].
+
+    Pairing consecutive uniforms makes a stream's normals independent of how
+    its draws are batched.  u is read in full before out is written, so out
+    may be u's own memory viewed as complex.  radius, angle and cos are
+    contiguous scratch of out's shape: log, cos and sin see contiguous
+    operands, so they take the same numpy loops, and give the same bits, for
+    a single stream and for a block of them."""
+    np.subtract(1.0, u[..., 0::2], radius)   # (0, 1]; log never sees zero
+    np.log(radius, radius)
+    np.multiply(-2.0, radius, radius)
+    np.sqrt(radius, radius)
+    np.multiply(2.0 * np.pi, u[..., 1::2], angle)
+    np.cos(angle, cos)
+    np.multiply(radius, cos, out.real)
+    np.sin(angle, angle)
+    np.multiply(radius, angle, out.imag)
+
+
+class NormalBlock:
+    """Standard normals from several RandomStreams at once, one row per
+    stream.
+
+    `draw(count)` returns the next `count` normals x of stream i as row i
+    of pairs x[2j] + 1j x[2j + 1], bit for bit the x of that stream's
+    `normals(count)`: each row's uniforms come from its stream's Philox
+    generator, and one Box-Muller pass covers every row, writing the
+    normals over the uniforms.  That buffer and the transform's scratch, up
+    to `max_count` normals a row, are kept from call to call.
+    """
+
+    def __init__(self, streams, max_count):
+        self.streams = list(streams)
+        self._max = int(max_count)
+        rows = len(self.streams)
+        self._u = np.empty(rows * self._max)
+        self._work = np.empty((3, rows * (self._max // 2)))
+
+    def draw(self, count):
+        """Complex normals of shape (streams, count / 2); a view of the
+        block's buffer, overwritten by the next draw."""
+        if count % 2 or not 0 < count <= self._max:
+            raise ValueError(f"count must be even and in (0, {self._max}]")
+        if any(s._spare is not None for s in self.streams):
+            raise ValueError("a stream holds a Box-Muller spare; its next "
+                             "normal is not the first of a pair")
+        rows, pairs = len(self.streams), count // 2
+        u = self._u[:rows * count].reshape(rows, count)
+        for row, stream in zip(u, self.streams):
+            stream._gen.random(out=row)
+        out = u.view(complex)
+        _box_muller(u, out, *(w[:rows * pairs].reshape(rows, pairs)
+                              for w in self._work))
+        return out

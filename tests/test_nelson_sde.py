@@ -2,6 +2,7 @@
 statistics.  Full-budget sampling lives in the acceptance suite; these runs
 are sized for seconds, with the statistics calibrated on iid draws from the
 inverse-CDF oracle sampler."""
+import hashlib
 import math
 import tracemalloc
 
@@ -156,6 +157,59 @@ class TestSimulate:
                         seed=7)
         out = simulate(STATE, cfg)
         assert rejection_fraction(out, cfg) < 0.01
+
+
+def trajectory_digest(trajectories):
+    """SHA-256 of every trajectory's retained positions and rejection count."""
+    h = hashlib.sha256()
+    for t in trajectories:
+        h.update(t.positions.tobytes())
+        h.update(np.int64(t.rejected_steps).tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedBits:
+    """Sampler output pinned bit for bit.  Each run crosses two 128- and
+    256-step noise chunks and ends on a short one; the digests were computed
+    before the step kernel and the noise draw were rewritten to reuse their
+    buffers, which must not move a bit."""
+
+    # (m, n), n_trajectories, seed, rejected steps per trajectory, digest
+    CASES = [
+        ((1, 1), 5, 11, [0] * 5,
+         "88ac233493b0da8918d67632337cca1525ffab51e4f79c63b110d0ca0332e064"),
+        ((1, 1), 4, 12, [0] * 4,
+         "475bbede9ca284bee8daf78b231742ff4a69866e2d5c66c5cbae2eed8129b88a"),
+        ((1, 1), 4, 13, [0] * 4,
+         "bacd8bbecabbae5336aaf337617587a1886492d19163504a6a978068111570cf"),
+        ((1, 2), 6, 3, [0, 0, 0, 0, 0, 1],
+         "0165b4c6b69fcb31a8a50cdffe8668ed0b1c6e4f53a5cf794e557150eb9efd3c"),
+        ((0, 1), 6, 4, [0, 0, 0, 0, 1, 0],
+         "5352f2092d46cc135c142256dfb3742f9b3838d9e2dce7c4e425e292ab76a2c2"),
+        ((1, 5), 7, 5, [0, 1, 2, 2, 6, 0, 1],
+         "94049edc9c8422e7e1b7688e33cf739a7d4b1623e7edcab40248716739fc4d9b"),
+        ((2, 1), 6, 6, [0] * 6,
+         "6e46c3422b226e9e16531be79ad7f4b6080564b316b592bc8cf711d7cc56d947"),
+    ]
+
+    @pytest.mark.parametrize("mn,n_traj,seed,rejected,digest", CASES)
+    def test_short_runs(self, mn, n_traj, seed, rejected, digest):
+        state = eigenstate(CFG, *mn)
+        out = simulate(state, SdeConfig(dt=1e-3, steps=600, burn_in=100,
+                                        n_trajectories=n_traj, seed=seed))
+        assert [t.rejected_steps for t in out] == rejected
+        assert trajectory_digest(out) == digest
+
+    def test_halving_cascade_from_the_inner_wall(self, monkeypatch):
+        # one rounding unit above r = a: every trajectory redraws from its
+        # retry stream through several halvings on its first steps
+        r0 = np.nextafter(CFG.a, np.inf)
+        start_at(monkeypatch, r0 * np.exp(2j * np.pi * np.arange(5) / 5))
+        out = simulate(STATE, SdeConfig(dt=1e-3, steps=300, burn_in=0,
+                                        n_trajectories=5, seed=8))
+        assert [t.rejected_steps for t in out] == [205, 205, 205, 200, 205]
+        assert trajectory_digest(out) == (
+            "4f7ea76e90e2a44dce790d85a8243fa1d3a5c39cf949e73b4789a03482f03236")
 
 
 class TestRadialTarget:
@@ -396,6 +450,36 @@ class TestSeparableKernel:
         inv_r = 1.0 / np.abs(z)
         expected = (kernel.radial * dlog + 1j * kernel.angular * inv_r) * inv_r + 1.0
         assert np.array_equal(step.view(np.int64), expected.view(np.int64))
+
+    # sha256 of ok and of step where ok, for 97 points on both sides of
+    # the annulus; computed before the kernel kept its scratch
+    STEP_DIGESTS = {
+        (1, 1): "d4a199498a04bd147165fb9e1e4ebe2e7b42f75a414eaff53c4314384552e647",
+        (1, 5): "682aea7734b0abccf678a0e208e83bd786be6082bcbe4f53180c2504ff2326ea",
+    }
+
+    @pytest.mark.parametrize("mn", sorted(STEP_DIGESTS))
+    def test_interleaved_kernels_keep_their_steps(self, mn):
+        # two kernels on one state share its cached table; each one's
+        # scratch must stay its own, whatever the other, or a call of
+        # another size, does in between
+        state = eigenstate(CFG, *mn)
+        rng = np.random.default_rng(17)
+        r = rng.uniform(CFG.a - 0.1, CFG.b + 0.1, 97)
+        z = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, r.size))
+        first = sde._SeparableStepKernel(state, 1e-3)
+        second = sde._SeparableStepKernel(state, 1e-3)
+        ok, step = np.empty(z.size, dtype=bool), np.empty(z.size, dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fresh = first(z)
+            second(z[::-1].copy(), ok, step)
+            first(z[:40].copy())
+            first(z, ok, step)
+            second(z[::-1].copy())
+        for ok, step in (fresh, (ok, step)):
+            h = hashlib.sha256(ok.tobytes())
+            h.update(step[ok].tobytes())
+            assert h.hexdigest() == self.STEP_DIGESTS[mn]
 
     def test_drift_matches_decompose_route(self):
         # b = v + u from `drifts`, the decompose route, which reads no table

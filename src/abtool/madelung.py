@@ -243,9 +243,10 @@ class AnnulusDomain:
 
     def integrate(self, g):
         """Integral of g, (M, 2) points -> (M,) or (M, k) values, in the
-        measure r dr dtheta: GK15 in r (`integrate_1d`), and per radial panel
-        the periodic trapezoid in theta on its whole 15 x N_theta node grid,
-        one g call per theta level."""
+        measure r dr dtheta: GK15 in r (`integrate_1d`) and the periodic
+        trapezoid in theta on the whole node grid of its radial nodes, one g
+        call per theta level: 15 radii (the first panel) or 30 (both halves
+        of a bisected one), at first 32 angles, then each level's midpoints."""
         def radial(rv):
             def rings(th):
                 pts = np.stack([np.multiply.outer(np.cos(th), rv),
@@ -257,11 +258,11 @@ class AnnulusDomain:
         return integrate_1d(radial, self.a, self.b)
 
 
-def _momentum_density(amp, grad, A, cfg, pts):
-    """|(P - (q/c)A) psi|^2 from the amplitude and gradient at pts."""
+def _momentum_density(amp, grad, a_val, cfg):
+    """|(P - (q/c)A) psi|^2 from the amplitude, gradient and vector potential
+    (None: no field) at the same points."""
     pop = -1j * cfg.hbar * grad
-    if A is not None:
-        a_val = np.asarray(A(pts), dtype=float)
+    if a_val is not None:
         pop = pop - (cfg.charge / cfg.c) * a_val * (amp[..., None] if amp.ndim else amp)
     return np.sum((pop * np.conj(pop)).real, axis=-1)
 
@@ -276,6 +277,7 @@ def _energy_densities(psi, A, cfg, pts):
     column is a separate route through the momentum operator.
     """
     amp, grad, _, cross = field_sample(psi, pts)
+    a_val = None if A is None else np.asarray(A(pts), dtype=float)
     modulus = np.abs(amp)[..., None]
     # u grad psi; where psi is exactly 0, its limit across the nodal line:
     # real, with components |d psi / dx_i|
@@ -284,13 +286,13 @@ def _energy_densities(psi, A, cfg, pts):
     if node.any():
         u_grad = np.where(node, np.abs(grad), u_grad)
     rotation = u_grad.imag
-    if A is not None:
+    if a_val is not None:
         coef = cfg.charge / (cfg.hbar * cfg.c)
-        rotation = rotation - coef * np.asarray(A(pts), dtype=float) * modulus
+        rotation = rotation - coef * a_val * modulus
     scale = cfg.hbar ** 2 / (2.0 * cfg.mass)
     return np.stack([scale * np.sum(rotation ** 2, axis=-1),
                      scale * np.sum(u_grad.real ** 2, axis=-1),
-                     _momentum_density(amp, grad, A, cfg, pts) / (2.0 * cfg.mass)],
+                     _momentum_density(amp, grad, a_val, cfg) / (2.0 * cfg.mass)],
                     axis=-1)
 
 

@@ -152,7 +152,8 @@ def _miller(order, x):
 def _bessel(order, x, rows):
     """[J_order(x)] (rows = 1) or [J_order(x), J_{order+1}(x)] (rows = 2) for
     a 1-d array x >= 0: one Horner pass over the rows where x <= 9.25, Miller's
-    recurrence past it."""
+    recurrence past it.  A point past the split has the same bits in any
+    batch; one below it may not, as the Horner truncation follows max(x)."""
     inner = None if x.max(initial=0.0) <= _SERIES_MAX_X else x <= _SERIES_MAX_X
     xs = x if inner is None else x[inner]
     half = 0.5 * xs
@@ -663,10 +664,8 @@ _WGK = np.array([
     0.140653259715525, 0.169004726639267, 0.190350578064785,
     0.204432940075298, 0.209482141084728,
 ])
-_WG7 = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-])
+_WG7 = np.array([0.129484966168870, 0.279705391489277, 0.381830050505119,
+                 0.417959183673469])
 
 _GK_NODES = np.concatenate([-_XGK, [0.0], _XGK[::-1]])           # 15 ascending
 _GK_WK = np.concatenate([_WGK[:-1], [_WGK[-1]], _WGK[-2::-1]])
@@ -676,27 +675,34 @@ _GK_WG[1::2] = np.concatenate([_WG7[:-1], [_WG7[-1]], _WG7[-2::-1]])
 _MAX_INTERVALS = 20000
 
 
-def _gk15(f, a, b):
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fv = np.asarray(f(c + h * _GK_NODES), dtype=float)
-    if fv.ndim not in (1, 2) or fv.shape[0] != 15:
-        raise ValueError("quadrature integrand must map 15 nodes to (15,) or (15, k)")
-    kron = h * (_GK_WK @ fv)
-    return kron, np.abs(kron - h * (_GK_WG @ fv))
+def _gk15(f, edges):
+    """[(value, error)] of GK15 on each panel between successive edges, from
+    one integrand call; each panel's nodes and sums are computed as alone."""
+    edges = np.asarray(edges, dtype=float)
+    c = 0.5 * (edges[:-1] + edges[1:])
+    h = 0.5 * (edges[1:] - edges[:-1])
+    fv = np.asarray(f((c[:, None] + h[:, None] * _GK_NODES).ravel()), dtype=float)
+    if fv.ndim not in (1, 2) or fv.shape[0] != 15 * h.size:
+        raise ValueError("quadrature integrand must map n nodes to (n,) or (n, k)")
+    out = []
+    for hp, fp in zip(h, np.split(fv, h.size)):
+        kron = hp * (_GK_WK @ fp)
+        out.append((kron, np.abs(kron - hp * (_GK_WG @ fp))))
+    return out
 
 
 def integrate_1d(f, lo, hi):
     """Integral of f over [lo, hi].
 
-    The integrand is called with node arrays (shape (15,)) and returns values
-    of shape (15,) (a float result) or (15, k) (a length-k array, converged
-    when every component is within its own tolerance); endpoint values are
-    never requested, so integrable endpoint behaviour is tolerated.
+    The integrand is called with node arrays, shape (15,) for the first
+    panel and (30,) for the two halves of each bisected panel, and returns
+    values of shape (n,) (a float result) or (n, k) (a length-k array,
+    converged when every component is within its own tolerance); endpoint
+    values are never requested, so integrable endpoint behaviour is tolerated.
     """
     if hi == lo:
         return 0.0
-    val, err = _gk15(f, lo, hi)
+    [(val, err)] = _gk15(f, [lo, hi])
     heap = [(-np.max(err), lo, hi, val, err, 0)]       # worst component first
     total, toterr = val, err
     count = 1
@@ -710,8 +716,7 @@ def integrate_1d(f, lo, hi):
                 f"error bound {np.max(toterr):.3e})",
                 best_estimate=total, error_bound=toterr)
         m = 0.5 * (a + b)
-        v1, e1 = _gk15(f, a, m)
-        v2, e2 = _gk15(f, m, b)
+        (v1, e1), (v2, e2) = _gk15(f, [a, m, b])
         total = total + (v1 + v2 - v)
         toterr = toterr + (e1 + e2 - e)
         heapq.heappush(heap, (-np.max(e1), a, m, v1, e1, depth + 1))
@@ -727,20 +732,25 @@ def integrate_periodic(f):
     """Integral over [0, 2 pi) of a 2 pi-periodic f by the trapezoid rule,
     exponentially convergent for smooth f (Trefethen & Weideman, SIAM Review
     56, 2014).  f maps N angles to values of shape (N, ...); the node count
-    doubles (f sees only the new midpoints) until two successive estimates
-    agree within the quadrature tolerance in every element, else NonConvergenceError.
+    doubles until two successive estimates agree within the quadrature
+    tolerance in every element, else NonConvergenceError.  f first sees the
+    16 start angles and their midpoints (no estimate settles sooner), then
+    only the new midpoints.
     """
     n, step = _PERIODIC_START_NODES, 2.0 * np.pi / _PERIODIC_START_NODES
-    est = step * np.asarray(f(step * np.arange(n)), dtype=float).sum(axis=0)
-    while n < _PERIODIC_MAX_NODES:
-        mids = step * (np.arange(n) + 0.5)
-        new = 0.5 * (est + step * np.asarray(f(mids), dtype=float).sum(axis=0))
+    first = np.asarray(f(np.concatenate([step * np.arange(n),
+                                         step * (np.arange(n) + 0.5)])), dtype=float)
+    est, mid_sum = step * first[:n].sum(axis=0), first[n:].sum(axis=0)
+    while True:
+        new = 0.5 * (est + step * mid_sum)
         gap, est, n, step = np.abs(new - est), new, 2 * n, 0.5 * step
         if np.all(gap <= _tolerance(est)):
             return est
-    raise NonConvergenceError(
-        f"integrate_periodic: estimates still differ by {float(np.max(gap)):.3e} "
-        f"at {n} nodes", best_estimate=est, error_bound=gap)
+        if n >= _PERIODIC_MAX_NODES:
+            raise NonConvergenceError(
+                f"integrate_periodic: estimates still differ by {float(np.max(gap)):.3e} "
+                f"at {n} nodes", best_estimate=est, error_bound=gap)
+        mid_sum = np.asarray(f(step * (np.arange(n) + 0.5)), dtype=float).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

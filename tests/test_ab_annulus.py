@@ -1,5 +1,6 @@
 """Flux parameter, solenoid potential, bound states, observables, vortex
 identities, the scalar-potential twin system, and gauge families."""
+import hashlib
 import math
 
 import numpy as np
@@ -234,6 +235,37 @@ class TestEnergyDecomposition:
             / (2.0 * CFG.mass) * np.trapezoid(state.radial_density(rg) / rg, rg)
         got = energy_decomposition(state)["rotational"]
         assert got == pytest.approx(expected, rel=1e-8)
+
+
+def observables_digest(states):
+    """SHA-256 of each state's normalization and its 7 quadrature
+    observables (angular momenta and energy split), as float64 bits."""
+    h = hashlib.sha256()
+    for state in states:
+        mom, dec = angular_momenta(state), energy_decomposition(state)
+        h.update(np.array([state.norm, mom["total"], mom["canonical"],
+                           mom["osmotic"], dec["rotational"], dec["radial"],
+                           dec["total"], dec["residual"]]).tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedObservables:
+    """Quadrature observables pinned bit for bit.  The digests were computed
+    before the quadrature batched a bisected panel's two halves into one
+    integrand call; the two wide states reach Miller's recurrence past
+    x = 9.25, and a batch that mixes nodes below the split changes the
+    series truncation, so these digests guard the batching."""
+
+    def test_acceptance_grid(self):
+        assert observables_digest(_grid_states()) == (
+            "7666a2936addaf1965ad47df5d0f54dc70611616af39c0b0d354082d1ecb8344")
+
+    @pytest.mark.parametrize("mn,digest", [
+        ((12, 2), "a1cd61bbdf5bf6ed8ccf9886b3a29bcf9e03df76a73a7429b1da6f3a9bbab5aa"),
+        ((50, 5), "01068d4a597946161b473e58f8f377f28bf85a903ae4ddf26a3e201c1814ab84"),
+    ], ids=["m12-n2", "m50-n5"])
+    def test_wide_states(self, mn, digest):
+        assert observables_digest([eigenstate(CFG, *mn)]) == digest
 
 
 class TestClosedFormQ:

@@ -346,6 +346,12 @@ class TestWaveField:
         assert np.allclose(dec.xi_imag, 3.0 / (2.0 * 0.5) * 0.5 * p, rtol=1e-15)
 
 
+def gk15_nodes(*edges):
+    """GK15 nodes of each panel between successive edges, panel by panel."""
+    return np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * numerics._GK_NODES
+                           for lo, hi in zip(edges[:-1], edges[1:])])
+
+
 class TestDomains:
     def test_annulus_domain_area(self):
         dom = AnnulusDomain(1.0, 3.0)
@@ -369,20 +375,32 @@ class TestDomains:
         assert abs(first) <= 1e-12
 
     def test_annulus_one_batch_per_theta_level(self):
-        # a theta-independent integrand: every call is a whole 15 x N_theta
-        # node grid of one radial panel, at most two calls (two theta
-        # levels) per panel
-        radii = []
+        # a theta-independent integrand settles at the trapezoid's second
+        # level, which each panel's one call holds (32 angles): the first
+        # call is the first panel's 15 radii, each later call one bisection,
+        # the 30 radii of both halves of a panel not yet split
+        calls = []
 
         def g(pts):
-            r = np.hypot(pts[:, 0], pts[:, 1])
-            radii.append(r)
-            return np.sqrt(r - 1.0)
+            calls.append(pts.copy())
+            return np.sqrt(np.hypot(pts[:, 0], pts[:, 1]) - 1.0)
         AnnulusDomain(1.0, 3.0).integrate(g)
-        panels = {tuple(np.unique(np.round(r, 9))) for r in radii}
-        assert all(len(p) == 15 for p in panels)
-        assert min(r.size for r in radii) >= 15 * numerics._PERIODIC_START_NODES
-        assert len(radii) <= 2 * len(panels)
+        radii = []
+        for pts in calls:
+            angles = np.unique(np.round(np.arctan2(pts[:, 1], pts[:, 0]), 9))
+            radii.append(np.unique(np.round(np.hypot(pts[:, 0], pts[:, 1]), 12)))
+            assert angles.size == 2 * numerics._PERIODIC_START_NODES
+            assert len(pts) == angles.size * radii[-1].size
+        assert np.allclose(radii[0], gk15_nodes(1.0, 3.0), rtol=0.0, atol=1e-12)
+        assert len(calls) > 1
+        leaves = {(1.0, 3.0)}
+        for r in radii[1:]:
+            split = [(a, b) for a, b in leaves if r.size == 30 and np.allclose(
+                r, gk15_nodes(a, 0.5 * (a + b), b), rtol=0.0, atol=1e-12)]
+            assert len(split) == 1
+            (a, b), = split
+            leaves -= {(a, b)}
+            leaves |= {(a, 0.5 * (a + b)), (0.5 * (a + b), b)}
 
     def test_annulus_theta_discontinuity_raises(self):
         with pytest.raises(NonConvergenceError) as err:

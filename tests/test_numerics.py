@@ -407,6 +407,61 @@ class TestQuadrature:
         assert err.value.best_estimate == pytest.approx(2.0, abs=1e-6)
         assert err.value.error_bound > 0.0
 
+    def test_one_call_per_bisection(self):
+        # 15 nodes for the first panel, then one call per bisection: the
+        # GK15 nodes of both halves (a, m) and (m, b) of a panel not yet split
+        calls = []
+
+        def f(x):
+            calls.append(x.copy())
+            return np.sqrt(x)
+        assert integrate_1d(f, 0.0, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-10)
+        assert np.array_equal(calls[0], gk15_nodes(0.0, 1.0))
+        assert len(calls) > 1
+        leaves = {(0.0, 1.0)}
+        for x in calls[1:]:
+            split = [(a, b) for a, b in leaves
+                     if np.array_equal(x, gk15_nodes(a, 0.5 * (a + b), b))]
+            assert len(split) == 1
+            (a, b), = split
+            leaves -= {(a, b)}
+            leaves |= {(a, 0.5 * (a + b)), (0.5 * (a + b), b)}
+
+    def test_wrong_shape_raises_on_first_panel_and_on_bisection(self):
+        with pytest.raises(ValueError, match="must map n nodes"):
+            integrate_1d(lambda x: np.ones(x.size - 1), 0.0, 1.0)
+        with pytest.raises(ValueError, match="must map n nodes"):
+            integrate_1d(lambda x: np.ones((x.size, 1, 1)), 0.0, 1.0)
+        # right on the first panel, one half short on the first bisection
+        with pytest.raises(ValueError, match="must map n nodes"):
+            integrate_1d(lambda x: np.sqrt(x[:15]), 0.0, 1.0)
+
+    def test_periodic_first_call_holds_two_levels(self):
+        # no estimate settles before the second level: the first call is
+        # the 16 start angles then their 16 midpoints, later calls take the
+        # new midpoints only
+        calls = []
+
+        def f(t):
+            calls.append(t.copy())
+            return 1.0 / (1.2 - np.cos(t))
+        assert integrate_periodic(f) == pytest.approx(2.0 * math.pi / math.sqrt(0.44),
+                                                      rel=1e-12)
+        step = 2.0 * np.pi / 16
+        assert np.array_equal(calls[0], np.concatenate(
+            [step * np.arange(16), step * (np.arange(16) + 0.5)]))
+        assert len(calls) > 1
+        assert [t.size for t in calls[1:]] == [32 * 2 ** k for k in range(len(calls) - 1)]
+        calls.clear()
+        assert integrate_periodic(lambda t: f(t) ** 0) == pytest.approx(2.0 * math.pi)
+        assert [t.size for t in calls] == [32]
+
+
+def gk15_nodes(*edges):
+    """GK15 nodes of each panel between successive edges, panel by panel."""
+    return np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * numerics._GK_NODES
+                           for lo, hi in zip(edges[:-1], edges[1:])])
+
 
 class TestCentralDiff:
     def test_sin(self):

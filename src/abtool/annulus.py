@@ -169,9 +169,6 @@ class ABState:
         gy = (drr * sin_t + im_over_r * cos_t) * phase
         return rr * phase, np.stack([gx, gy], axis=-1)
 
-    def gradient(self, p):
-        return self.value_and_gradient(p)[1]
-
     def sample_density(self, p, amp):
         """rho at p from the amplitude amp there: |amp|^2."""
         return (amp * np.conj(amp)).real

@@ -208,8 +208,7 @@ def check_nelson_sampler(sde_cfg=None):
     state = eigenstate(cfg, 1, 1)
     run_cfg = sde_cfg if sde_cfg is not None else SdeConfig()
     trajectories = simulate(state, run_cfg)
-    # thin the chain to ~20 time units between chi-square samples
-    thin = max(1, int(round(20.0 / run_cfg.dt)))
+    thin = sde.chi2_thin(run_cfg)
     stat = stationarity_test(trajectories, state, bins=40, thin=thin)
     ang = angular_uniformity_test(trajectories, bins=16, thin=thin)
     erg = ergodic_angular_momentum(trajectories, state, thin=8)

@@ -242,9 +242,7 @@ def run_trajectories(cfg, out_dir, want_svg):
     state = eigenstate(ann, cfg.m, cfg.n)
     trajectories = sde.simulate(state, cfg.sde)
     pooled = sum(len(t.positions) for t in trajectories)
-    # ~20 time units between chi-square samples, but keep enough of them
-    # for the binning on short runs (where the p-value is descriptive only)
-    thin = max(1, min(int(round(20.0 / cfg.sde.dt)), pooled // 400))
+    thin = sde.chi2_thin(cfg.sde)
     if pooled >= 10_000:
         stat = sde.stationarity_test(trajectories, state, bins=40, thin=thin)
         ang = sde.angular_uniformity_test(trajectories, bins=16, thin=thin)

@@ -45,8 +45,10 @@ class NonConvergenceError(RuntimeError):
 #   Horner pass over the rows, truncated at the batch's largest argument);
 # - past it, Miller's backward recurrence (Gautschi, SIAM Review 9 (1967) 24),
 #   normalized by the Neumann sum (A&S 9.1.87), which gives both rows from one
-#   pass; each element starts at its own order and rescales on its own, so its
-#   bits do not depend on the rest of the batch.
+#   pass; each element starts at its own order, so its bits do not depend on
+#   the rest of the batch.  It is only called at x >= j_{0,1} = 2.405 (past
+#   the split, and at a settled zero); there, for order <= 51 and x <= 400, the
+#   largest iterate or Neumann sum measured 7.9e97, so it needs no rescaling.
 # Largest error of either row against mpmath, 0 <= order <= 51:
 #   0 < x <= 5       series  8.9e-16
 #   5 < x <= 9.25    series  7.4e-14   (rounding: the terms cancel by ~e^x)
@@ -72,7 +74,6 @@ _SERIES_TERMS = 120
 # truncated to within 7.8e-14 at x <= 10, past the split, for every order.
 _SERIES_REL_TOL = 1e-20 * math.gamma(13.0)
 _series_coeff_cache: dict[float, np.ndarray] = {}
-_MILLER_BIG = 2.0 ** 600   # an element past it is scaled down by exactly 2^-600
 
 
 def _series_coeffs(order):
@@ -125,7 +126,9 @@ def _miller(order, x):
         a_0 = 1, a_j = (order + 2j) Gamma(order + j) / (j! Gamma(order + 1)).
     Before its start an element holds f = 0, which the recurrence and the sum
     keep exactly.  The coefficient is divided afresh at every step: with 2/x
-    rounded once, the whole pass follows a shifted x (2e-15 off at x = 400)."""
+    rounded once, the whole pass follows a shifted x (2e-15 off at x = 400).
+    Callers pass x >= j_{0,1}; on [2.40, 400] at orders 0 to 51 no iterate or
+    sum grows past 7.9e97, far from overflow, so nothing is rescaled."""
     start = 2.0 * np.ceil(0.5 * (x + 12.0 * np.cbrt(x) + 30.0))
     starts = set(start.tolist())
     top = int(start.max())
@@ -138,11 +141,6 @@ def _miller(order, x):
             if k in starts:
                 f[start == k] = 1.0
             s += a[k // 2] * f
-            if np.abs(f).max() > _MILLER_BIG:
-                scale = np.where(np.abs(f) > _MILLER_BIG, 1.0 / _MILLER_BIG, 1.0)
-                f *= scale
-                f_up *= scale
-                s *= scale
         f, f_up = (2.0 * (order + k)) / x * f - f_up, f
     s += f
     norm = _series_coeffs(order)[0] * (0.5 * x) ** order / s
@@ -397,12 +395,6 @@ class BesselLogTable:
         self._coef = np.stack([s0, d0, 3.0 * (s1 - s0) - 2.0 * d0 - d1,
                                2.0 * (s0 - s1) + d0 + d1])
 
-    def __call__(self, x):
-        """J'(x)/J(x) for a 1-d array x in [0, j_n]."""
-        n = x.size
-        return self.lookup(x, np.empty(n), np.empty(n), np.empty(n, dtype=np.intp),
-                           np.empty((4, n)))
-
     def lookup(self, x, out, t, i, c):
         """J'(x)/J(x) written into `out` for a 1-d array x in [0, j_n].
 
@@ -541,7 +533,7 @@ def _bisect(f, a, b):
     if fb == 0.0:
         return b
     if fa * fb > 0.0:
-        raise ValueError("bisect: endpoints do not bracket a root")
+        raise NonConvergenceError(f"bisect: [{a}, {b}] does not bracket a root")
     for _ in range(200):
         m = 0.5 * (a + b)
         if (b - a) <= 1e-13:
@@ -568,18 +560,8 @@ def airy_ai_zero(n):
     if z is not None:
         return z
     guess = -((3.0 * np.pi * (4 * n - 1) / 8.0) ** (2.0 / 3.0))
-    width = 0.35 if n < 3 else 0.2
-    a, b = guess - width, guess + width
-    fa, fb = airy_ai(a), airy_ai(b)
-    grow = 0
-    while fa * fb > 0.0:
-        grow += 1
-        if grow > 8:
-            raise NonConvergenceError(f"airy_ai_zero: no bracket near n={n}")
-        a -= width
-        b += width
-        fa, fb = airy_ai(a), airy_ai(b)
-    z = _bisect(airy_ai, a, b)
+    width = 0.35 if n < 3 else 0.2      # holds z_n for every n <= 200 measured
+    z = _bisect(airy_ai, guess - width, guess + width)
     _airy_zero_cache[n] = z
     return z
 
@@ -814,53 +796,29 @@ def curl_z_fd(field, p, h):
 
 
 # ---------------------------------------------------------------------------
-# Regularized incomplete gamma (for chi-square tail probabilities).
+# Chi-square tail probabilities.
 # ---------------------------------------------------------------------------
 
-def gammainc_upper(a, x):
-    """Regularized upper incomplete gamma Q(a, x), a > 0, x >= 0."""
-    if a <= 0.0:
-        raise ValueError("a must be > 0")
-    if x < 0.0:
-        raise ValueError("x must be >= 0")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        # series for P(a, x), then Q = 1 - P
-        ap = a
-        s = 1.0 / a
-        term = s
-        for _ in range(500):
-            ap += 1.0
-            term *= x / ap
-            s += term
-            if abs(term) < abs(s) * 1e-16:
-                break
-        p = s * math.exp(-x + a * math.log(x) - math.lgamma(a))
-        return 1.0 - p
-    # Lentz continued fraction for Q(a, x)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
 def chi2_sf(x, dof):
-    """Survival function of the chi-square distribution."""
-    return gammainc_upper(0.5 * dof, 0.5 * x)
+    """Survival function Q(dof/2, x/2) of the chi-square distribution, for an
+    integer dof >= 1 and x >= 0.
+
+    At integer and half-integer order Q has a finite closed form (DLMF 8.4):
+    with h = x/2 it is erfc(sqrt(h)) for odd dof (0 for even dof) plus the
+    positive terms e^{-h} h^k / Gamma(k + 1), k = 0 or 1/2, ..., dof/2 - 1.
+    Relative error below 1e-12 while e^{-h} is a normal float (x < 1416).
+    """
+    if dof < 1 or dof != int(dof) or x < 0.0:
+        raise ValueError(f"chi2_sf: need an integer dof >= 1 and x >= 0, "
+                         f"got dof={dof}, x={x}")
+    h = 0.5 * x
+    if dof % 2:
+        r = math.sqrt(h)
+        q, k, term = math.erfc(r), 0.5, math.exp(-h) * r / math.gamma(1.5)
+    else:
+        q, k, term = 0.0, 0.0, math.exp(-h)
+    while k < 0.5 * dof:
+        q += term
+        k += 1.0
+        term *= h / k
+    return q

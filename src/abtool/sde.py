@@ -348,12 +348,12 @@ def target_radial_sampler(state, stream, count):
     return np.interp(u, cdf, rg)
 
 
-def _pooled(trajectories, per_trajectory):
-    """Samples pooled over trajectories: an ndarray is the samples
-    themselves, otherwise per_trajectory(t) of each Trajectory, concatenated."""
-    if isinstance(trajectories, np.ndarray):
-        return np.asarray(trajectories, dtype=float).ravel()
-    return np.concatenate([per_trajectory(t) for t in trajectories])
+def chi2_thin(sde_cfg):
+    """Stride between chi-square samples: about 20 time units, so they are
+    near independent, but short runs keep at least 400 of their pooled
+    samples, enough to bin (their p-values are descriptive only)."""
+    pooled = sde_cfg.n_trajectories * (sde_cfg.steps - sde_cfg.burn_in)
+    return max(1, min(int(round(20.0 / sde_cfg.dt)), pooled // 400))
 
 
 def _chi2_on_counts(samples, bins, thin, edges):
@@ -390,7 +390,7 @@ def stationarity_test(trajectories, state, bins=40, thin=1):
     thinned by `thin`; for Markov-chain input choose `thin` near the chain's
     correlation time, otherwise the chi-square calibration is meaningless.
     """
-    radii = _pooled(trajectories, Trajectory.radii)
+    radii = np.concatenate([t.radii() for t in trajectories])
     if radii.size < 10_000:
         raise ValueError("need at least 1e4 pooled samples")
     rg, _, cdf = radial_target(state)
@@ -405,7 +405,7 @@ def stationarity_test(trajectories, state, bins=40, thin=1):
 def angular_uniformity_test(trajectories, bins=16, thin=1):
     """Chi-square of the pooled (thinned) angles against the uniform law."""
     chi2, n = _chi2_on_counts(
-        _pooled(trajectories, Trajectory.angles), bins, thin,
+        np.concatenate([t.angles() for t in trajectories]), bins, thin,
         lambda nbins: np.linspace(-np.pi, np.pi, nbins + 1))
     return {**chi2, "n_samples": n}
 

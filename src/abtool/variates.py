@@ -1,8 +1,9 @@
 """Reproducible random variates: counter-based Philox keyed by
 (seed, stream_id) supplies uniforms; normals come from a Box-Muller transform
-on top, so the variate construction is fixed by this module, not by numpy
-internals.  `NormalBlock` draws the normals of many streams at once, bit for
-bit what each stream's `normals` would give.
+on top, one pair per pair of uniforms (so `normals` takes even counts), and
+the variate construction is fixed by this module, not by numpy internals.
+`NormalBlock` draws the normals of many streams at once, bit for bit what
+each stream's `normals` would give.
 """
 from __future__ import annotations
 
@@ -23,27 +24,15 @@ class RandomStream:
         self.stream_id = int(stream_id)
         self._gen = Generator(Philox(key=[self.seed & (2**64 - 1),
                                           self.stream_id & (2**64 - 1)]))
-        self._spare = None
 
     def normals(self, count):
-        """`count` standard normal variates (Box-Muller over Philox uniforms)."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        out = np.empty(count)
-        k = 0
-        if self._spare is not None:
-            out[0] = self._spare
-            self._spare = None
-            k = 1
-        need = count - k
-        if need > 0:
-            pairs = (need + 1) // 2
-            z = self._gen.random(2 * pairs)
-            _box_muller(z, z.view(complex), *np.empty((3, pairs)))
-            out[k:] = z[:need]
-            if 2 * pairs > need:
-                self._spare = float(z[need])
-        return out
+        """`count` standard normal variates, count even: Box-Muller on
+        consecutive pairs of Philox uniforms."""
+        if count < 2 or count % 2:
+            raise ValueError(f"count must be even and >= 2, got {count}")
+        z = self._gen.random(count)
+        _box_muller(z, z.view(complex), *np.empty((3, count // 2)))
+        return z
 
     def uniforms(self, count):
         """`count` uniforms on [0, 1)."""
@@ -97,9 +86,6 @@ class NormalBlock:
         block's buffer, overwritten by the next draw."""
         if count % 2 or not 0 < count <= self._max:
             raise ValueError(f"count must be even and in (0, {self._max}]")
-        if any(s._spare is not None for s in self.streams):
-            raise ValueError("a stream holds a Box-Muller spare; its next "
-                             "normal is not the first of a pair")
         rows, pairs = len(self.streams), count // 2
         u = self._u[:rows * count].reshape(rows, count)
         for row, stream in zip(u, self.streams):

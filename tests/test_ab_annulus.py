@@ -179,7 +179,7 @@ class TestEigenstate:
     def test_gradient_matches_finite_differences(self):
         p = np.array([1.9, 0.8])
         h = 1e-6
-        g = STATE.gradient(p)
+        g = STATE.value_and_gradient(p)[1]
         for ax in range(2):
             q_plus, q_minus = p.copy(), p.copy()
             q_plus[ax] += h

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from abtool.cli import (_DEFAULTS, EXIT_CONFIG, EXIT_NUMERICS, EXIT_OK,
-                        ConfigError, main, parse_config)
+from abtool.cli import (_DEFAULTS, EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERICS,
+                        EXIT_OK, ConfigError, main, parse_config)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -228,6 +228,16 @@ class TestTrajectories:
             (tmp_path / "manifest_trajectories.json").read_text())
         assert manifest["seed"] == 99
         assert manifest["config"]["sde"]["seed"] == 99
+
+
+class TestCheck:
+    def test_reduced_sampler_budget_writes_its_manifest(self, tmp_path):
+        # check 8 thins its chi-square samples by the rule `trajectories`
+        # uses, which keeps enough of them to bin on a short run
+        config = {"sde": {"steps": 3000, "burn_in": 500, "n_trajectories": 16}}
+        assert run_cli(["check"], tmp_path, config=config) in (EXIT_OK, EXIT_CHECK)
+        manifest = json.loads((tmp_path / "manifest_check.json").read_text())
+        assert len(manifest["checks"]) == 11
 
 
 class TestExitCodes:

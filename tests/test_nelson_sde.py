@@ -23,6 +23,17 @@ STATE = eigenstate(CFG, 1, 1)
 A_SPEC = solenoid_potential(CFG)
 
 
+def on_x_axis(r):
+    """Radii r as one trajectory on the positive x axis; its radii are r bit
+    for bit, since hypot(r, 0) == r."""
+    return [Trajectory(positions=np.column_stack([r, 0 * r]))]
+
+
+def on_unit_circle(theta):
+    """Angles theta as one trajectory of points on the unit circle."""
+    return [Trajectory(positions=np.column_stack([np.cos(theta), np.sin(theta)]))]
+
+
 def small_run(seed=7, steps=4000, n_traj=8, burn_in=500):
     return simulate(STATE, SdeConfig(dt=1e-3, steps=steps, burn_in=burn_in,
                                      n_trajectories=n_traj, seed=seed))
@@ -134,7 +145,7 @@ class TestSimulate:
             assert three.rejected_steps == four.rejected_steps
 
     def test_rejects_a_bare_wave_field(self):
-        field = WaveField(STATE.amplitude, STATE.gradient)
+        field = WaveField(STATE.amplitude, lambda p: STATE.value_and_gradient(p)[1])
         with pytest.raises(TypeError, match="ABState"):
             simulate(field, SdeConfig(steps=10, burn_in=0, n_trajectories=1))
 
@@ -227,7 +238,7 @@ class TestRadialTarget:
 
     def test_ks_of_oracle_samples_is_small(self):
         samples = target_radial_sampler(STATE, RandomStream(22), 100_000)
-        assert stationarity_test(samples, STATE)["ks_distance"] <= 0.01
+        assert stationarity_test(on_x_axis(samples), STATE)["ks_distance"] <= 0.01
 
 
 class TestStationarityStatistics:
@@ -237,7 +248,7 @@ class TestStationarityStatistics:
         for rep in range(100):
             samples = target_radial_sampler(STATE, RandomStream(1000 + rep),
                                             20_000)
-            out = stationarity_test(samples, STATE, bins=40)
+            out = stationarity_test(on_x_axis(samples), STATE, bins=40)
             if out["p_value"] > 0.01:
                 hits += 1
         assert hits >= 98
@@ -245,19 +256,19 @@ class TestStationarityStatistics:
     def test_power_against_wrong_target(self):
         wrong = eigenstate(CFG, 1, 2)     # n = 2 radial profile
         samples = target_radial_sampler(STATE, RandomStream(77), 20_000)
-        out = stationarity_test(samples, wrong, bins=40)
+        out = stationarity_test(on_x_axis(samples), wrong, bins=40)
         assert out["p_value"] < 1e-6
         assert out["ks_distance"] > 0.05
 
     def test_expected_counts_enforced(self):
         samples = target_radial_sampler(STATE, RandomStream(5), 10_000)
-        out = stationarity_test(samples, STATE, bins=4000)
+        out = stationarity_test(on_x_axis(samples), STATE, bins=4000)
         # bins shrink so each keeps >= 20 expected
         assert out["dof"] + 1 <= 10_000 // 20
 
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError):
-            stationarity_test(np.ones(100), STATE)
+            stationarity_test(on_x_axis(np.ones(100)), STATE)
 
     def test_ks_shrinks_with_sample_size(self):
         # KS of iid samples scales like 1/sqrt(N): median over 10 seeds
@@ -266,20 +277,20 @@ class TestStationarityStatistics:
         for rep in range(10):
             s1 = target_radial_sampler(STATE, RandomStream(300 + rep), 20_000)
             s2 = target_radial_sampler(STATE, RandomStream(400 + rep), 80_000)
-            small.append(stationarity_test(s1, STATE)["ks_distance"])
-            large.append(stationarity_test(s2, STATE)["ks_distance"])
+            small.append(stationarity_test(on_x_axis(s1), STATE)["ks_distance"])
+            large.append(stationarity_test(on_x_axis(s2), STATE)["ks_distance"])
         assert np.median(small) / np.median(large) >= 1.5
 
     def test_angular_uniformity_calibrated(self):
         rng = RandomStream(55)
         angles = (rng.uniforms(20_000) * 2.0 - 1.0) * np.pi
-        out = angular_uniformity_test(angles, bins=16)
+        out = angular_uniformity_test(on_unit_circle(angles), bins=16)
         assert out["p_value"] > 0.01
 
     def test_angular_uniformity_detects_clustering(self):
         rng = RandomStream(56)
         angles = (rng.uniforms(20_000) - 0.5) * np.pi   # half circle only
-        out = angular_uniformity_test(angles, bins=16)
+        out = angular_uniformity_test(on_unit_circle(angles), bins=16)
         assert out["p_value"] < 1e-10
 
 
@@ -446,7 +457,9 @@ class TestSeparableKernel:
         kernel = sde._SeparableStepKernel(state, dt=1e-3)
         ok, step = kernel(z)
         assert ok.all()
-        dlog = kernel.table((np.abs(z) - cfg.a) * state.k)
+        x, n = (np.abs(z) - cfg.a) * state.k, z.size
+        dlog = kernel.table.lookup(x, np.empty(n), np.empty(n),
+                                   np.empty(n, dtype=np.intp), np.empty((4, n)))
         inv_r = 1.0 / np.abs(z)
         expected = (kernel.radial * dlog + 1j * kernel.angular * inv_r) * inv_r + 1.0
         assert np.array_equal(step.view(np.int64), expected.view(np.int64))
@@ -555,7 +568,7 @@ class TestStationaritySingleTarget:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sde, "radial_target", counting)
-        out = stationarity_test(samples, STATE, bins=40, thin=3)
+        out = stationarity_test(on_x_axis(samples), STATE, bins=40, thin=3)
         monkeypatch.undo()
         assert len(builds) == 1
         # the same figures from targets built separately for each statistic

@@ -111,15 +111,17 @@ class TestBesselJ:
         exact = np.array([float(mp.besselj(nu, mp.mpf(float(v)))) for v in x])
         assert np.abs(bessel_j(nu, x) - exact).max() <= 1e-15
 
-    def test_miller_rescales_each_element_alone(self):
-        # at x = 1e-9 the recurrence grows past 1e308 on its way down and is
-        # rescaled; x = 20 in the same batch is not, and keeps its bits
-        x = np.array([1e-9, 20.0])
-        rows = numerics._miller(0.5, x)
-        for row, series in zip(rows, _bessel(0.5, x[:1], 2)):
-            assert row[0] == pytest.approx(series[0], rel=1e-15)
-        for row, alone in zip(rows, numerics._miller(0.5, x[1:])):
-            assert row[1] == alone[0]
+    @pytest.mark.parametrize("nu", [0.0, 25.5, 51.0])
+    def test_miller_at_the_corners_of_its_window(self, nu):
+        # the program calls Miller's recurrence only at x >= j_{0,1} (at a
+        # settled zero, and past the split), up to x = 400 and order 51;
+        # it keeps no rescaling, which this window never needs
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        x = np.array([bessel_j_zero(0, 1), np.nextafter(9.25, np.inf), 400.0])
+        for k, row in enumerate(numerics._miller(nu, x)):
+            exact = np.array([float(mp.besselj(nu + k, mp.mpf(float(v)))) for v in x])
+            assert np.abs(row - exact).max() <= 1e-15
 
     @pytest.mark.parametrize("fn,order", [(bessel_j, 51.5), (bessel_j_pair, 51.5)])
     def test_order_past_the_window_rejected(self, fn, order):
@@ -540,7 +542,7 @@ class TestRandomStream:
     def test_call_pattern_invariance(self):
         s1 = RandomStream(9, 0)
         s2 = RandomStream(9, 0)
-        left = np.concatenate([s1.normals(3), s1.normals(3)])
+        left = np.concatenate([s1.normals(4), s1.normals(2)])
         right = s2.normals(6)
         assert np.array_equal(left, right)
 
@@ -563,12 +565,12 @@ class TestRandomStream:
             RandomStream(1, 0).normals(0)
 
     def test_pinned_bits(self):
-        # odd counts, so the Box-Muller spare is carried between calls;
-        # digest computed before the transform moved into a shared routine
+        # digest computed while normals still took odd counts, which leaves
+        # the bits of even ones unchanged
         s = RandomStream(123, 5)
-        z = np.concatenate([s.normals(c) for c in (1001, 3, 2, 7)])
+        z = np.concatenate([s.normals(c) for c in (1000, 4, 2, 8)])
         assert hashlib.sha256(z.tobytes()).hexdigest() == (
-            "2a97e7b34108560e92315ff1b6557cebd0c8506db7bb8b50dc9a8756bf4c8bb4")
+            "da2c0512abafcb6fbd81e3045776408a58f4156de621d636ab1d39dc63921ca6")
 
 
 class TestNormalBlock:
@@ -594,11 +596,13 @@ class TestNormalBlock:
             with pytest.raises(ValueError, match="even"):
                 block.draw(count)
 
-    def test_refuses_a_stream_holding_a_spare(self):
-        streams = self.streams(3)
-        streams[1].normals(1)
-        with pytest.raises(ValueError, match="spare"):
-            NormalBlock(streams, 8).draw(8)
+    def test_streams_refuse_an_odd_count(self):
+        # normals come in Box-Muller pairs, so no stream holds half of one
+        # and a block's rows always start on a pair
+        stream = self.streams(1)[0]
+        for count in (1, 3, 1001):
+            with pytest.raises(ValueError, match="even"):
+                stream.normals(count)
 
 
 class TestChiSquareTail:
@@ -612,5 +616,23 @@ class TestChiSquareTail:
         assert vals == sorted(vals, reverse=True)
 
     def test_bounds(self):
-        assert chi2_sf(0.0, 3) == 1.0
+        for dof in (1, 2, 3, 40):
+            assert chi2_sf(0.0, dof) == 1.0
         assert 0.0 < chi2_sf(60.0, 3) < 1e-11
+
+    def test_against_mpmath(self):
+        # the closed form at integer and half-integer order, for every dof
+        # the statistics use and far past them
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        xs = np.concatenate([[1e-3, 0.5], np.linspace(0.0, 1400.0, 29)[1:]])
+        for dof in [*range(1, 81), 1000]:
+            for x in xs:
+                exact = mp.gammainc(mp.mpf(dof) / 2, mp.mpf(float(x)) / 2,
+                                    regularized=True)
+                assert chi2_sf(x, dof) == pytest.approx(float(exact), rel=1e-12)
+
+    @pytest.mark.parametrize("x,dof", [(-1.0, 3), (1.0, 0), (1.0, 2.5)])
+    def test_rejects_what_has_no_closed_form(self, x, dof):
+        with pytest.raises(ValueError):
+            chi2_sf(x, dof)

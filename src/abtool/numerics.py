@@ -806,11 +806,11 @@ def chi2_sf(x, dof):
     At integer and half-integer order Q has a finite closed form (DLMF 8.4):
     with h = x/2 it is erfc(sqrt(h)) for odd dof (0 for even dof) plus the
     positive terms e^{-h} h^k / Gamma(k + 1), k = 0 or 1/2, ..., dof/2 - 1.
-    Relative error below 1e-12 while e^{-h} is a normal float (x < 1416).
+    Relative error below 1e-12 while e^{-h} is a normal float (x < 1416);
+    past that the terms underflow and the result falls short of Q.
     """
     if dof < 1 or dof != int(dof) or x < 0.0:
-        raise ValueError(f"chi2_sf: need an integer dof >= 1 and x >= 0, "
-                         f"got dof={dof}, x={x}")
+        raise ValueError(f"chi2_sf: need an integer dof >= 1 and x >= 0, got {dof}, {x}")
     h = 0.5 * x
     if dof % 2:
         r = math.sqrt(h)

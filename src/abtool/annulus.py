@@ -229,8 +229,8 @@ def angular_momenta(state):
              = (hbar/M) Im(psi* grad psi) - (q/Mc) A rho;
     osmotic = integral of M r rho Im(-xi)_theta = M r rho (-(q/Mc) A)_theta;
     canonical = total - osmotic.  No formula substitution: the integrands
-    come pointwise from one field sample and never divide by rho.
-    """
+    come pointwise from one field sample and never divide by rho.  They are
+    rotation invariant, so their theta factor is exactly 2 pi."""
     cfg = state.cfg
     A = solenoid_potential(cfg)
 
@@ -272,7 +272,8 @@ def energy_decomposition(state):
     nu <= 1/2 the ansatz's radial energy is not integrable up to the inner
     wall, so only the identity between the routes is contractual.  The
     split never divides by rho, so it holds where rho underflows next to
-    the walls."""
+    the walls.  Its densities, sums of squared components, are rotation
+    invariant: one radial rule integrates them (`AnnulusDomain.integrate`)."""
     cfg = state.cfg
     return madelung.integrated_energy_identity(
         state, solenoid_potential(cfg), cfg, _energy_domain(cfg))

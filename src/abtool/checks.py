@@ -1,7 +1,7 @@
 """Self-verification suite: every release-gating property of the package,
 each evaluated at its stated tolerance with fixed seeds.
 
-`run_all()` returns one CheckResult per criterion; the CLI `check`
+`run_all(sde_cfg)` returns one CheckResult per criterion; the CLI `check`
 subcommand turns them into a manifest and an exit code, and the test suite
 asserts each one individually.  Everything here is deterministic.
 """
@@ -17,8 +17,8 @@ from .annulus import (AnnulusConfig, diffusion_velocity, eigenstate,
                       solenoid_current_check, solenoid_potential)
 from .madelung import circulation, decompose, gauge_transform
 from .numerics import RandomStream, bessel_j_zero, curl_z_fd, integrate_1d
-from .sde import (SdeConfig, angular_uniformity_test,
-                  ergodic_angular_momentum, simulate, stationarity_test)
+from .sde import (angular_uniformity_test, ergodic_angular_momentum,
+                  simulate, stationarity_test)
 from .wavepackets import (AIRY_WINDOW, AiryPacketConfig, GaussianPacketConfig,
                           airy_fields, airy_wavefield, gaussian_consistency)
 
@@ -200,21 +200,20 @@ def check_airy_packet():
                         "tolerances": [1e-10, 1e-4]})
 
 
-def check_nelson_sampler(sde_cfg=None):
-    """Full-budget diffusion sampling of the reference state: radial KS
-    distance <= 0.02, angular uniformity chi-square p > 0.01, ergodic
-    angular momentum within 2% of hbar (m + lambda)."""
+def check_nelson_sampler(sde_cfg):
+    """Diffusion sampling of the reference state at the sde_cfg budget:
+    radial KS distance <= 0.02, angular uniformity chi-square p > 0.01,
+    ergodic angular momentum within 2% of hbar (m + lambda)."""
     cfg = AnnulusConfig()       # lambda = -1/2
     state = eigenstate(cfg, 1, 1)
-    run_cfg = sde_cfg if sde_cfg is not None else SdeConfig()
-    trajectories = simulate(state, run_cfg)
-    thin = sde.chi2_thin(run_cfg)
+    trajectories = simulate(state, sde_cfg)
+    thin = sde.chi2_thin(sde_cfg)
     stat = stationarity_test(trajectories, state, bins=40, thin=thin)
     ang = angular_uniformity_test(trajectories, bins=16, thin=thin)
     erg = ergodic_angular_momentum(trajectories, state, thin=8)
     target = cfg.hbar * (state.m + state.lam)
     erg_rel = abs(erg["value"] - target) / abs(target)
-    rej = sde.rejection_fraction(trajectories, run_cfg)
+    rej = sde.rejection_fraction(trajectories, sde_cfg)
     passed = (stat["ks_distance"] <= 0.02 and ang["p_value"] > 0.01
               and erg_rel <= 0.02 and not any(t.aborted for t in trajectories))
     return CheckResult("nelson diffusion sampler", passed,
@@ -314,7 +313,7 @@ def check_gauge_invariance():
                         "tolerances": [0.0, 1e-8, 1e-10, 1e-8]})
 
 
-def run_all(sde_cfg=None):
+def run_all(sde_cfg):
     """All checks in criterion order (determinism is exercised by running
     the CLI twice, not by a function here)."""
     return [

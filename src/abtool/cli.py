@@ -19,14 +19,14 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import __version__, annulus, checks, models, sde, wavepackets
 from ._svg import line_chart
 from .annulus import AnnulusConfig, eigenstate, flux_parameter, solenoid_potential
-from .madelung import DensityFloorError, decompose
+from .madelung import Constants, DensityFloorError, decompose
 from .numerics import NonConvergenceError, RandomStream
 from .sde import SdeConfig
 
@@ -52,10 +52,7 @@ class RunConfig:
 
     def echo(self):
         return {
-            "constants": {"hbar": self.annulus.hbar, "mass": self.annulus.mass,
-                          "charge": self.annulus.charge, "c": self.annulus.c},
-            "geometry": {"a": self.annulus.a, "b": self.annulus.b,
-                         "B": self.annulus.B},
+            **_annulus_blocks(self.annulus),
             "state": {"m": self.m, "n": self.n},
             "grid": {"nr": self.nr, "ntheta": self.ntheta},
             "sde": asdict(self.sde),
@@ -63,15 +60,20 @@ class RunConfig:
         }
 
 
+def _annulus_blocks(ann):
+    """An AnnulusConfig's constants (madelung.Constants) and geometry blocks."""
+    geometry = asdict(ann)
+    constants = {f.name: geometry.pop(f.name) for f in fields(Constants)}
+    return {"constants": constants, "geometry": geometry}
+
+
 # every configuration key with its default; the default's type (float, int
 # or str) is the type the key accepts
 _DEFAULTS = {
-    "constants": {"hbar": 1.0, "mass": 1.0, "charge": 1.0, "c": 1.0},
-    "geometry": {"a": 1.0, "b": 3.0, "B": 1.0},
+    **_annulus_blocks(AnnulusConfig()),
     "state": {"m": 1, "n": 1},
     "grid": {"nr": 64, "ntheta": 16},
-    "sde": {"dt": 1e-3, "steps": 200_000, "burn_in": 20_000,
-            "n_trajectories": 64, "seed": 20240801},
+    "sde": asdict(SdeConfig()),
     "output": {"format": "csv"},
 }
 

@@ -243,17 +243,13 @@ class AnnulusDomain:
 
     def integrate(self, g):
         """Integral of g, (M, 2) points -> (M,) or (M, k) values, in the
-        measure r dr dtheta: GK15 in r (`integrate_1d`) and the periodic
-        trapezoid in theta on the whole node grid of its radial nodes, one g
-        call per theta level: 15 radii (the first panel) or 30 (both halves
-        of a bisected one), at first 32 angles, then each level's midpoints."""
+        measure r dr dtheta.  Precondition: g is rotation invariant, as every
+        annulus observable of a state R(r) e^{i m theta} is, so its theta
+        factor is exactly 2 pi: GK15 (`integrate_1d`) of 2 pi r g(r, 0), one
+        g call per refinement on the ray y = 0 (15 radii, then 30 per split)."""
         def radial(rv):
-            def rings(th):
-                pts = np.stack([np.multiply.outer(np.cos(th), rv),
-                                np.multiply.outer(np.sin(th), rv)], axis=-1)
-                vals = np.asarray(g(pts.reshape(-1, 2)), dtype=float)
-                return vals.reshape(th.size, rv.size, *vals.shape[1:])
-            return (integrate_periodic(rings).T * rv).T
+            pts = np.stack([rv, np.zeros_like(rv)], axis=-1)
+            return (np.asarray(g(pts), dtype=float).T * (2.0 * np.pi * rv)).T
 
         return integrate_1d(radial, self.a, self.b)
 

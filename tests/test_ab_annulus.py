@@ -14,7 +14,7 @@ from abtool.annulus import (ABState, AnnulusConfig,
                             solenoid_potential,
                             system_b_equivalence, vector_potential,
                             vortex_fields)
-from abtool.madelung import circulation, decompose
+from abtool.madelung import AnnulusDomain, circulation, decompose
 from abtool.checks import _grid_states
 from abtool.numerics import MAX_ORDER, bessel_j_zero
 
@@ -249,20 +249,50 @@ def observables_digest(states):
     return h.hexdigest()
 
 
+class TestRotationInvariantIntegrands:
+    """`AnnulusDomain.integrate` samples its integrand on the ray y = 0 only,
+    so every integrand the observables pass must be rotation invariant:
+    at random radii and angles, the rotated values equal the ray values
+    within 1e-12 of each column's largest magnitude."""
+
+    def test_observable_integrands(self, monkeypatch):
+        seen = []
+        original = AnnulusDomain.integrate
+
+        def spy(domain, g):
+            seen.append((domain, g))
+            return original(domain, g)
+        monkeypatch.setattr(AnnulusDomain, "integrate", spy)
+        states = [*_grid_states(), eigenstate(CFG, 12, 2), eigenstate(CFG, 50, 5)]
+        for state in states:
+            angular_momenta(state)
+            energy_decomposition(state)
+        assert len(seen) == 2 * len(states)
+        rng = np.random.default_rng(20)
+        for domain, g in seen:
+            r = rng.uniform(domain.a, domain.b, 64)
+            ray = np.asarray(g(np.stack([r, np.zeros_like(r)], axis=-1)))
+            scale = np.abs(ray).max(axis=0)
+            for th in rng.uniform(0.0, 2.0 * math.pi, 4):
+                turned = np.asarray(g(np.stack([r * math.cos(th), r * math.sin(th)],
+                                               axis=-1)))
+                assert np.all(np.abs(turned - ray) <= 1e-12 * scale)
+
+
 class TestPinnedObservables:
-    """Quadrature observables pinned bit for bit.  The digests were computed
-    before the quadrature batched a bisected panel's two halves into one
-    integrand call; the two wide states reach Miller's recurrence past
-    x = 9.25, and a batch that mixes nodes below the split changes the
-    series truncation, so these digests guard the batching."""
+    """Quadrature observables pinned bit for bit: one radial GK15 rule on
+    the ray y = 0 (`AnnulusDomain.integrate`).  The two wide states reach
+    Miller's recurrence past x = 9.25, and a batch that mixes nodes below
+    the split changes the series truncation, so these digests also guard
+    the batching of a bisected panel's two halves into one integrand call."""
 
     def test_acceptance_grid(self):
         assert observables_digest(_grid_states()) == (
-            "7666a2936addaf1965ad47df5d0f54dc70611616af39c0b0d354082d1ecb8344")
+            "4fd0f542b9281d0d8c959e8be107cdd0313746aa7b6035cd9fc697df6485e4c3")
 
     @pytest.mark.parametrize("mn,digest", [
-        ((12, 2), "a1cd61bbdf5bf6ed8ccf9886b3a29bcf9e03df76a73a7429b1da6f3a9bbab5aa"),
-        ((50, 5), "01068d4a597946161b473e58f8f377f28bf85a903ae4ddf26a3e201c1814ab84"),
+        ((12, 2), "93cb1d2dcfbaec706e6fba91f50962fe8df6d58e496a8dc67f47730aefd67624"),
+        ((50, 5), "0772577b55b23535240b213ba03c61a928fc9242f90da5039bf436f75efc9418"),
     ], ids=["m12-n2", "m50-n5"])
     def test_wide_states(self, mn, digest):
         assert observables_digest([eigenstate(CFG, *mn)]) == digest

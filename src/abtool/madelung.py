@@ -10,11 +10,13 @@ Bohm quantum potential/force.  Phase is never unwrapped: every phase-derived
 quantity comes from Im(psi* grad psi)/rho, so multivalued e^{i m theta}
 phases are handled without branch cuts.
 
-Every field quantity starts from one field sample (`field_sample`): the
-amplitude, its gradient, rho and psi* grad psi from a single
-`value_and_gradient` call.  The field decides how rho is formed: |psi|^2 of
-the sampled amplitude, unless a WaveField was given its own density (a gauge
-transform passes the base field's density through unchanged).
+Every velocity field starts from one field sample: rho and psi* grad psi at
+float point arrays, as the field forms them (`density_and_cross`).  A
+WaveField takes conj(psi) grad psi and |psi|^2 (or the density it was given:
+a gauge transform passes the base field's through) from one
+`value_and_gradient` call; an annulus state R(r) e^{i m theta} takes them
+from R and R' in the polar frame, where its phase cancels, and never forms
+it.
 
 Points are numpy arrays whose last axis is the spatial dimension: shape
 (dim,) for one point or (N, dim) for a batch.  All returned vectors follow
@@ -93,14 +95,15 @@ class WaveField:
     def density(self, p):
         if self._rho is not None:
             return self._rho(np.asarray(p, dtype=float))
-        return self.sample_density(p, self.amplitude(p))
-
-    def sample_density(self, p, amp):
-        """rho at p, where amp is the amplitude at p: the density given at
-        construction, else |amp|^2."""
-        if self._rho is not None:
-            return self._rho(np.asarray(p, dtype=float))
+        amp = self.amplitude(p)
         return (amp * np.conj(amp)).real
+
+    def density_and_cross(self, p):
+        """(rho, psi* grad psi) at p from one `value_and_gradient` call: rho
+        is the density given at construction, else |psi|^2."""
+        amp, grad = map(np.asarray, self.value_and_gradient(p))
+        rho = (amp * np.conj(amp)).real if self._rho is None else self._rho(p)
+        return np.asarray(rho), np.conj(amp)[..., None] * grad
 
 
 @dataclass(frozen=True)
@@ -128,20 +131,6 @@ def _check_floor(rho):
             "exclude near-nodal points before decomposing")
 
 
-def field_sample(psi, p):
-    """(amp, grad, rho, psi* grad psi) of the field psi at point(s) p.
-
-    One `psi.value_and_gradient(p)` call; rho comes from
-    `psi.sample_density`, so the field decides how it is formed.
-    """
-    p = np.asarray(p, dtype=float)
-    amp, grad = psi.value_and_gradient(p)
-    amp, grad = np.asarray(amp), np.asarray(grad)
-    rho = np.asarray(psi.sample_density(p, amp))
-    cross = np.conj(amp)[..., None] * grad
-    return amp, grad, rho, cross
-
-
 def decompose(psi, A, cfg, p):
     """Full velocity decomposition of psi at point(s) p.
 
@@ -149,7 +138,7 @@ def decompose(psi, A, cfg, p):
     dispersive fields.  Raises DensityFloorError at near-nodal points.
     """
     p = np.asarray(p, dtype=float)
-    _, _, rho, cross = field_sample(psi, p)
+    rho, cross = psi.density_and_cross(p)
     _check_floor(rho)
     hbar, m = cfg.hbar, cfg.mass
     rho_col = rho[..., None] if rho.ndim else rho
@@ -180,7 +169,7 @@ def quasi_currents(psi, A, cfg, p):
     computed directly from the gauge-covariant momentum density
     (i hbar / 2M)(psi grad psi* - psi* grad psi) - (q/Mc) A rho."""
     p = np.asarray(p, dtype=float)
-    _, _, rho, cross = field_sample(psi, p)
+    rho, cross = psi.density_and_cross(p)
     hbar, m = cfg.hbar, cfg.mass
     rho_col = rho[..., None] if rho.ndim else rho
     gamma = (hbar / m) * cross.imag                      # (i hbar/2M)(psi grad psi* - c.c.)
@@ -265,14 +254,15 @@ def _momentum_density(amp, grad, a_val, cfg):
 
 def _energy_densities(psi, A, cfg, pts):
     """Columns (1/2) M rho v_quasi^2, (1/2) M rho w_quasi^2 and the raw
-    |P' psi|^2 / 2M at pts from one field sample.
+    |P' psi|^2 / 2M at pts from one `value_and_gradient` call.
 
     The split uses the unit phase u = psi*/|psi|, so nothing divides by rho:
     (1/2) M rho v_quasi^2 = (hbar^2/2M) |Im(u grad psi) - (q/hbar c) A |psi||^2
     and (1/2) M rho w_quasi^2 = (hbar^2/2M) (Re u grad psi)^2.  The raw
     column is a separate route through the momentum operator.
     """
-    amp, grad, _, cross = field_sample(psi, pts)
+    amp, grad = map(np.asarray, psi.value_and_gradient(pts))
+    cross = np.conj(amp)[..., None] * grad
     a_val = None if A is None else np.asarray(A(pts), dtype=float)
     modulus = np.abs(amp)[..., None]
     # u grad psi; where psi is exactly 0, its limit across the nodal line:

@@ -807,16 +807,18 @@ def chi2_sf(x, dof):
     with h = x/2 it is erfc(sqrt(h)) for odd dof (0 for even dof) plus the
     positive terms e^{-h} h^k / Gamma(k + 1), k = 0 or 1/2, ..., dof/2 - 1.
     Relative error below 1e-12 while e^{-h} is a normal float (x < 1416);
-    past that the terms underflow and the result falls short of Q.
+    past that each term comes from its logarithm, which holds 1e-12
+    wherever Q is a normal float.
     """
     if dof < 1 or dof != int(dof) or x < 0.0:
         raise ValueError(f"chi2_sf: need an integer dof >= 1 and x >= 0, got {dof}, {x}")
     h = 0.5 * x
-    if dof % 2:
-        r = math.sqrt(h)
-        q, k, term = math.erfc(r), 0.5, math.exp(-h) * r / math.gamma(1.5)
-    else:
-        q, k, term = 0.0, 0.0, math.exp(-h)
+    k = 0.5 if dof % 2 else 0.0
+    q = math.erfc(math.sqrt(h)) if dof % 2 else 0.0
+    if h > 708.0:       # e^{-h} is no normal float
+        return q + math.fsum(math.exp(j * math.log(h) - h - math.lgamma(j + 1.0))
+                             for j in np.arange(k, 0.5 * dof))
+    term = math.exp(-h) * math.sqrt(h) / math.gamma(1.5) if dof % 2 else math.exp(-h)
     while k < 0.5 * dof:
         q += term
         k += 1.0

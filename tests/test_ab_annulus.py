@@ -14,7 +14,8 @@ from abtool.annulus import (ABState, AnnulusConfig,
                             solenoid_potential,
                             system_b_equivalence, vector_potential,
                             vortex_fields)
-from abtool.madelung import AnnulusDomain, circulation, decompose
+from abtool.madelung import (RHO_FLOOR, AnnulusDomain, DensityFloorError,
+                             circulation, decompose)
 from abtool.checks import _grid_states
 from abtool.numerics import MAX_ORDER, bessel_j_zero
 
@@ -188,6 +189,100 @@ class TestEigenstate:
             assert g[ax] == pytest.approx(fd, rel=1e-6)
 
 
+def grid_and_wide_states():
+    """The 30 acceptance-grid states, then (12, 2) and (50, 5) at B = 1."""
+    return [*_grid_states(), eigenstate(CFG, 12, 2), eigenstate(CFG, 50, 5)]
+
+
+def node_radii(state):
+    """The interior nodes of R, then the walls a and b."""
+    cfg = state.cfg
+    return [*(cfg.a + bessel_j_zero(state.nu, j) / state.k
+              for j in range(1, state.n)), cfg.a, cfg.b]
+
+
+def polar_test_radii(state, rng):
+    """64 random radii in the annulus, then radii 1e-6 and 1e-8 on either
+    side of every node and wall that lie inside it."""
+    cfg = state.cfg
+    near = [r + side * gap for r in node_radii(state)
+            for side in (-1.0, 1.0) for gap in (1e-6, 1e-8)]
+    return np.concatenate([rng.uniform(cfg.a, cfg.b, 64),
+                           [r for r in near if cfg.a < r < cfg.b]])
+
+
+def generic_sample(state, pts):
+    """rho and psi* grad psi through the complex amplitude and gradient."""
+    amp, grad = state.value_and_gradient(pts)
+    return (amp * np.conj(amp)).real, np.conj(amp)[:, None] * grad
+
+
+class TestPolarFieldSample:
+    """An annulus state forms rho and psi* grad psi from R and R' in the
+    polar frame (`ABState.density_and_cross`), never through e^{i m theta}.
+    These tests check it against the generic route through
+    `value_and_gradient`, which stays the independent one."""
+
+    def test_matches_generic_route(self):
+        rng = np.random.default_rng(21)
+        for state in grid_and_wide_states():
+            r = polar_test_radii(state, rng)
+            th = rng.uniform(0.0, 2.0 * math.pi, r.size)
+            pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+            rho, cross = state.density_and_cross(pts)
+            rho_g, cross_g = generic_sample(state, pts)
+            assert np.all(np.abs(rho - rho_g) <= 1e-14 * rho_g.max())
+            for part, part_g in ((cross.real, cross_g.real),
+                                 (cross.imag, cross_g.imag)):
+                scale = np.abs(part_g).max(axis=0)
+                assert np.all(np.abs(part - part_g) <= 1e-14 * scale)
+
+    def test_ray_bits(self):
+        # on y = 0 the polar route rounds as the generic one does, so the
+        # observables' ray quadrature keeps its bits
+        rng = np.random.default_rng(22)
+        for state in grid_and_wide_states():
+            r = polar_test_radii(state, rng)
+            pts = np.stack([r, np.zeros_like(r)], axis=-1)
+            rho, cross = state.density_and_cross(pts)
+            rho_g, cross_g = generic_sample(state, pts)
+            assert np.array_equal(rho, rho_g)
+            assert np.array_equal(cross.real, cross_g.real)
+            assert np.array_equal(cross.imag, cross_g.imag)
+
+    def test_angular_momentum_next_to_nodes(self):
+        # M r v_quasi,theta = hbar (m + lambda) at every point: the imaginary
+        # part of psi* grad psi carries no rounding of the radial part R R'
+        rng = np.random.default_rng(23)
+        for state in grid_and_wide_states():
+            cfg = state.cfg
+            r = polar_test_radii(state, rng)
+            th = rng.uniform(0.0, 2.0 * math.pi, r.size)
+            pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+            pts = pts[state.density(pts) > RHO_FLOOR]
+            dec = decompose(state, solenoid_potential(cfg), cfg, pts)
+            v = dec.v_quasi
+            lz = cfg.mass * (pts[:, 0] * v[:, 1] - pts[:, 1] * v[:, 0])
+            assert np.abs(lz - cfg.hbar * (state.m + state.lam)).max() <= 1e-13
+
+    def test_density_floor(self):
+        # at a node of a grid state (R at its rounded radius is one rounding
+        # of R' away from 0; at (50, 5) R' is steep enough to leave rho
+        # there near 1e-29), at r = a where J_nu(0) = 0 for nu > 0, and
+        # outside
+        grid = list(_grid_states())
+        for state in grid_and_wide_states():
+            cfg = state.cfg
+            nodes = node_radii(state)[:-2] if state in grid else []
+            radii = [*nodes, cfg.b, cfg.b + 0.5, 0.5 * cfg.a]
+            if state.nu > 0.0:
+                radii.append(cfg.a)
+            for r in radii:
+                for p in ([r, 0.0], [0.0, r], [-r, 0.0], [0.0, -r]):
+                    with pytest.raises(DensityFloorError):
+                        decompose(state, None, cfg, np.array(p))
+
+
 class TestAngularMomenta:
     def test_reference_state(self):
         mom = angular_momenta(STATE)
@@ -263,7 +358,7 @@ class TestRotationInvariantIntegrands:
             seen.append((domain, g))
             return original(domain, g)
         monkeypatch.setattr(AnnulusDomain, "integrate", spy)
-        states = [*_grid_states(), eigenstate(CFG, 12, 2), eigenstate(CFG, 50, 5)]
+        states = grid_and_wide_states()
         for state in states:
             angular_momenta(state)
             energy_decomposition(state)

@@ -107,10 +107,15 @@ class TestDecompose:
         dec = decompose(STATE, A_SPEC, CFG, pts)
         assert points == {"bessel_j": 0, "bessel_j_pair": 400}
 
-        # the fields are the explicit psi* grad psi formulas, bit for bit
-        amp, grad = STATE.value_and_gradient(pts)
-        rho = (amp * np.conj(amp)).real
-        cross = np.conj(amp)[:, None] * grad
+        # the fields are the explicit polar psi* grad psi formulas, bit for
+        # bit: R R' r_hat + i (m R^2 / r) theta_hat and rho = R^2
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        rr, drr = STATE.radial_parts(r)
+        unit = pts / r[:, None]
+        theta_hat = np.stack([-unit[:, 1], unit[:, 0]], axis=-1)
+        rho = rr * rr
+        cross = ((rr * drr)[:, None] * unit
+                 + 1j * (rr * ((STATE.m * rr) * (1.0 / r)))[:, None] * theta_hat)
         hbar, m = CFG.hbar, CFG.mass
         assert np.array_equal(dec.rho, rho)
         assert np.array_equal(dec.eta, (hbar / m) * cross.imag / rho[:, None])
@@ -155,12 +160,16 @@ class TestQuasiCurrents:
         assert np.all((0.0 < rho) & (rho < RHO_FLOOR))
         cross = np.conj(amp)[:, None] * grad
         gamma, delta = quasi_currents(state, A_SPEC, CFG, p)
-        np.testing.assert_allclose(
-            gamma, (CFG.hbar / CFG.mass) * cross.imag
-            - (CFG.charge / (CFG.mass * CFG.c)) * A_SPEC(p) * rho[:, None],
-            rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(
-            delta, -(CFG.hbar / CFG.mass) * cross.real, rtol=1e-12, atol=0.0)
+        # to 1e-12 of each point's vector: on the axis x = 0, gamma's y
+        # component is exactly 0, and only its rounding through the phase
+        # e^{i m theta} is not
+        expected_gamma = ((CFG.hbar / CFG.mass) * cross.imag
+                          - (CFG.charge / (CFG.mass * CFG.c)) * A_SPEC(p) * rho[:, None])
+        expected_delta = -(CFG.hbar / CFG.mass) * cross.real
+        for got, want in ((gamma, expected_gamma), (delta, expected_delta)):
+            scale = np.hypot(want[:, 0], want[:, 1])[:, None]
+            assert np.all(scale > 0.0)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
     def test_two_routes_agree_over_sample(self):
         rng = np.random.default_rng(3)

@@ -632,6 +632,18 @@ class TestChiSquareTail:
                                     regularized=True)
                 assert chi2_sf(x, dof) == pytest.approx(float(exact), rel=1e-12)
 
+    def test_past_the_normal_exponential(self):
+        # e^{-x/2} underflows past x = 1416, yet Q(1000, 750) is about 1
+        assert chi2_sf(1500.0, 2000) == pytest.approx(1.0, rel=1e-12)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        for x in (1417.0, 1500.0, 3000.0):
+            for dof in (3, 40, 1001, 2000, 5000):
+                exact = mp.gammainc(mp.mpf(dof) / 2, mp.mpf(x) / 2,
+                                    regularized=True)
+                if exact > 1e-300:
+                    assert chi2_sf(x, dof) == pytest.approx(float(exact), rel=1e-12)
+
     @pytest.mark.parametrize("x,dof", [(-1.0, 3), (1.0, 0), (1.0, 2.5)])
     def test_rejects_what_has_no_closed_form(self, x, dof):
         with pytest.raises(ValueError):

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (gradient_fd, integrate_1d, integrate_periodic,
-                       laplacian_fd)
+from .numerics import gradient_fd, integrate_1d, laplacian_fd
 
 RHO_FLOOR = 1e-30
 _QUANTUM_STEP = 5e-3
@@ -298,13 +297,13 @@ def integrated_energy_identity(psi, A, cfg, domain):
 
 def circulation(field, center, radius):
     """Line integral of a vector field p -> v(p) counter-clockwise around the
-    circle of the given center and radius, by the periodic trapezoid rule
-    (`numerics.integrate_periodic`)."""
+    circle of the given center and radius: the adaptive GK15 rule
+    (`numerics.integrate_1d`) over the angle on [0, 2 pi]."""
     center = np.asarray(center, dtype=float)
 
     def tangential(th):
         arm = radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
         return _moment_z(np.asarray(field(center + arm), dtype=float), arm)
 
-    return float(integrate_periodic(tangential))
+    return integrate_1d(tangential, 0.0, 2.0 * np.pi)
 

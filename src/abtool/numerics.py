@@ -549,21 +549,14 @@ def _bisect(f, a, b):
                               error_bound=0.5 * (b - a))
 
 
-_airy_zero_cache: dict[int, float] = {}
-
-
+@lru_cache(maxsize=None)
 def airy_ai_zero(n):
     """n-th negative zero z_n of Ai (z_1 ~ -2.338), n >= 1."""
     if n < 1:
         raise ValueError("airy_ai_zero: n must be >= 1")
-    z = _airy_zero_cache.get(n)
-    if z is not None:
-        return z
     guess = -((3.0 * np.pi * (4 * n - 1) / 8.0) ** (2.0 / 3.0))
     width = 0.35 if n < 3 else 0.2      # holds z_n for every n <= 200 measured
-    z = _bisect(airy_ai, guess - width, guess + width)
-    _airy_zero_cache[n] = z
-    return z
+    return _bisect(airy_ai, guess - width, guess + width)
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +614,9 @@ def assoc_legendre_deriv(l, m, x):
 
 
 # ---------------------------------------------------------------------------
-# Quadrature: Gauss(7)/Kronrod(15) pairs refined worst-first until a global
-# tolerance is met (QUADPACK-style heap strategy), and a doubling periodic
-# trapezoid.  Vector integrands converge when every component does.
+# Quadrature: the package's one rule, Gauss(7)/Kronrod(15) pairs refined
+# worst-first until a global tolerance is met (QUADPACK-style heap strategy).
+# Vector integrands converge when every component does.
 # ---------------------------------------------------------------------------
 
 _REL_TOL = 1e-10
@@ -704,35 +697,6 @@ def integrate_1d(f, lo, hi):
         heapq.heappush(heap, (-np.max(e1), a, m, v1, e1, depth + 1))
         heapq.heappush(heap, (-np.max(e2), m, b, v2, e2, depth + 1))
         count += 1
-
-
-_PERIODIC_START_NODES = 16
-_PERIODIC_MAX_NODES = 8192
-
-
-def integrate_periodic(f):
-    """Integral over [0, 2 pi) of a 2 pi-periodic f by the trapezoid rule,
-    exponentially convergent for smooth f (Trefethen & Weideman, SIAM Review
-    56, 2014).  f maps N angles to values of shape (N, ...); the node count
-    doubles until two successive estimates agree within the quadrature
-    tolerance in every element, else NonConvergenceError.  f first sees the
-    16 start angles and their midpoints (no estimate settles sooner), then
-    only the new midpoints.
-    """
-    n, step = _PERIODIC_START_NODES, 2.0 * np.pi / _PERIODIC_START_NODES
-    first = np.asarray(f(np.concatenate([step * np.arange(n),
-                                         step * (np.arange(n) + 0.5)])), dtype=float)
-    est, mid_sum = step * first[:n].sum(axis=0), first[n:].sum(axis=0)
-    while True:
-        new = 0.5 * (est + step * mid_sum)
-        gap, est, n, step = np.abs(new - est), new, 2 * n, 0.5 * step
-        if np.all(gap <= _tolerance(est)):
-            return est
-        if n >= _PERIODIC_MAX_NODES:
-            raise NonConvergenceError(
-                f"integrate_periodic: estimates still differ by {float(np.max(gap)):.3e} "
-                f"at {n} nodes", best_estimate=est, error_bound=gap)
-        mid_sum = np.asarray(f(step * (np.arange(n) + 0.5)), dtype=float).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

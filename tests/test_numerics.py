@@ -15,9 +15,9 @@ from abtool.numerics import (NonConvergenceError, RandomStream,
                              assoc_legendre, bessel_j, bessel_j_zero,
                              bessel_j_pair, bessel_log_table, central_diff,
                              central_diff_2nd, chi2_sf, curl_z_fd, gradient_fd,
-                             integrate_1d, integrate_periodic)
+                             integrate_1d)
 from abtool import numerics
-from abtool.madelung import AnnulusDomain
+from abtool.madelung import AnnulusDomain, circulation
 from abtool.numerics import _bessel
 from abtool.variates import NormalBlock
 
@@ -320,6 +320,13 @@ class TestAiry:
             assert abs(airy_ai(z)) <= 1e-8
             prev = z
 
+    def test_zero_bits_do_not_depend_on_the_cache(self):
+        cached = [airy_ai_zero(n) for n in (1, 2, 3, 7, 50)]
+        numerics.airy_ai_zero.cache_clear()
+        assert [airy_ai_zero(n) for n in (50, 7, 3, 2, 1)] == cached[::-1]
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            airy_ai_zero(0)
+
 
 class TestOrthogonalPolynomials:
     def test_laguerre_order_zero(self):
@@ -375,32 +382,29 @@ class TestQuadrature:
         assert isinstance(integrate_1d(lambda x: x, 0.0, 1.0), float)
 
     def test_periodic_closed_form(self):
-        # integral of exp(cos t) over a period is 2 pi I_0(1)
+        # loop integrals on the unit circle of a field with e_theta component
+        # g(cos t): exp(cos t) gives 2 pi I_0(1), 1 / (1.2 - cos t) gives
+        # 2 pi / sqrt(1.2^2 - 1)
         i0_1 = sum(0.25 ** k / math.factorial(k) ** 2 for k in range(30))
-        got = integrate_periodic(lambda t: np.exp(np.cos(t)))
-        assert got == pytest.approx(2.0 * math.pi * i0_1, rel=1e-14)
+        assert circulation(lambda p: loop_field(p, np.exp(p[:, 0])),
+                           (0.0, 0.0), 1.0) == pytest.approx(
+            2.0 * math.pi * i0_1, rel=1e-12)
+        assert circulation(lambda p: loop_field(p, 1.0 / (1.2 - p[:, 0])),
+                           (0.0, 0.0), 1.0) == pytest.approx(
+            2.0 * math.pi / math.sqrt(0.44), rel=1e-12)
 
-    def test_periodic_rows_and_components(self):
-        # values (N, 2, 2): each of the four entries is its own integral
-        def f(t):
-            c = np.cos(t)
-            return np.stack([np.stack([c * c, np.ones_like(c)], axis=-1),
-                             np.stack([np.exp(c), c], axis=-1)], axis=1)
-        got = integrate_periodic(f)
-        i0_1 = sum(0.25 ** k / math.factorial(k) ** 2 for k in range(30))
-        assert got.shape == (2, 2)
-        assert got[0, 0] == pytest.approx(math.pi, rel=1e-14)
-        assert got[0, 1] == pytest.approx(2.0 * math.pi, rel=1e-14)
-        assert got[1, 0] == pytest.approx(2.0 * math.pi * i0_1, rel=1e-14)
-        assert abs(got[1, 1]) <= 1e-14
+    def test_loop_discontinuity_settles(self):
+        # v_theta = 1 on 0 < theta < 1, else 0: bisection isolates the jump
+        got = circulation(lambda p: loop_field(p, loop_angle(p) < 1.0),
+                          (0.0, 0.0), 1.0)
+        assert got == pytest.approx(1.0, abs=1e-9)
 
-    def test_periodic_discontinuity_does_not_settle(self):
-        # t itself jumps by 2 pi where the period wraps: the trapezoid
-        # estimates 2 pi^2 (1 - 1/N) never agree to 1e-10
+    def test_loop_singularity_does_not_settle(self):
+        # v_theta = 1 / theta is not integrable at theta = 0
         with pytest.raises(NonConvergenceError) as err:
-            integrate_periodic(lambda t: t)
-        assert err.value.best_estimate == pytest.approx(2.0 * math.pi ** 2,
-                                                        rel=1e-3)
+            circulation(lambda p: loop_field(p, 1.0 / loop_angle(p)),
+                        (0.0, 0.0), 1.0)
+        assert err.value.best_estimate > 0.0
         assert err.value.error_bound > 0.0
 
     def test_nonconvergence_carries_best_estimate(self):
@@ -438,25 +442,17 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="must map n nodes"):
             integrate_1d(lambda x: np.sqrt(x[:15]), 0.0, 1.0)
 
-    def test_periodic_first_call_holds_two_levels(self):
-        # no estimate settles before the second level: the first call is
-        # the 16 start angles then their 16 midpoints, later calls take the
-        # new midpoints only
-        calls = []
 
-        def f(t):
-            calls.append(t.copy())
-            return 1.0 / (1.2 - np.cos(t))
-        assert integrate_periodic(f) == pytest.approx(2.0 * math.pi / math.sqrt(0.44),
-                                                      rel=1e-12)
-        step = 2.0 * np.pi / 16
-        assert np.array_equal(calls[0], np.concatenate(
-            [step * np.arange(16), step * (np.arange(16) + 0.5)]))
-        assert len(calls) > 1
-        assert [t.size for t in calls[1:]] == [32 * 2 ** k for k in range(len(calls) - 1)]
-        calls.clear()
-        assert integrate_periodic(lambda t: f(t) ** 0) == pytest.approx(2.0 * math.pi)
-        assert [t.size for t in calls] == [32]
+def loop_angle(p):
+    """Polar angle of each point of a batch, in [0, 2 pi)."""
+    return np.mod(np.arctan2(p[:, 1], p[:, 0]), 2.0 * math.pi)
+
+
+def loop_field(p, v_theta):
+    """Field with e_theta component v_theta (about the origin) on the unit
+    circle, no radial component."""
+    return np.asarray(v_theta, dtype=float)[:, None] * np.stack(
+        [-p[:, 1], p[:, 0]], axis=-1)
 
 
 def gk15_nodes(*edges):

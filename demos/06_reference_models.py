@@ -30,18 +30,18 @@ print("  J .  D = 0 identically: the probability flow circles the axis "
       "while diffusion pushes along the density gradient.\n")
 
 print("linear potential on x > 0 (wall at the origin): Airy levels")
-model1 = linear_airy_model(k=1.0, m=0.5, n=1)
+model1 = linear_airy_model(m=0.5, n=1)
 print(f"  E_1 = {model1['E_n']:.6f} (= -z_1 in these units)")
 norm = integrate_1d(model1["rho"], 0.0, 20.0)
 print(f"  asymptotic normalization of rho_1: integral = {norm:.4f} "
       "(about 1% off at n = 1, sharpening with n)")
 for n in (2, 5):
-    val = integrate_1d(linear_airy_model(1.0, 0.5, n)["rho"], 0.0, 30.0)
+    val = integrate_1d(linear_airy_model(0.5, n)["rho"], 0.0, 30.0)
     print(f"  n = {n}: integral = {val:.5f}")
 
 print("\nclosed-form levels (hbar = k = L = 1, m = 1):")
-print(f"  half-harmonic: E_0 = {half_harmonic_energy(1.0, 1.0, 0)}")
-print(f"  box:           E_2 = {box_energy(1.0, 1.0, 2):.6f} (= 2 pi^2)")
+print(f"  half-harmonic: E_0 = {half_harmonic_energy(1.0, 0)}")
+print(f"  box:           E_2 = {box_energy(1.0, 2):.6f} (= 2 pi^2)")
 
 masses = [0.5, 1.0, 2.0, 4.0, 8.0]
 print("\nmass-scaling exponents d log E / d log m:")
@@ -54,7 +54,7 @@ print("  the more confining the potential, the stronger the mass "
 
 print("gauge family of fluid densities around the m = 1 annulus state:")
 state = eigenstate(AnnulusConfig(), 1, 1)
-fam = gauge_family(state, (0.2, 0.1, 0.05))
+fam = gauge_family(state)
 for d, dev in zip(fam["deltas"], fam["deviations"]):
     print(f"  delta nu = {d:5.2f}: max |mean(rho_+, rho_-) - rho| = {dev:.6f}")
 print(f"  shrink ratios across halved deltas: "

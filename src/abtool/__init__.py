@@ -19,6 +19,6 @@ from .numerics import (NonConvergenceError, RandomStream, airy_ai,
                        integrate_1d)
 from .sde import (SdeConfig, Trajectory, drifts, ergodic_angular_momentum,
                   simulate, stationarity_test, target_radial_sampler)
-from .wavepackets import (AiryPacketConfig, GaussianPacketConfig, airy_fields,
+from .wavepackets import (GaussianPacketConfig, airy_fields,
                           free_particle_fields, gaussian_consistency,
                           gaussian_fields)

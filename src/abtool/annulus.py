@@ -391,19 +391,23 @@ def system_b_equivalence(cfg, m):
             "F_velocity_form": f_velocity_form, "report": report}
 
 
-def gauge_family(state, deltas):
-    """Densities rho_{nu +- delta, n}(r) for each delta, each normalized,
-    with the mean-deviation report max_r |(rho_+ + rho_-)/2 - rho_nu| and
-    the deviation ratios across successive deltas.  members[delta] is the
-    pair of ABStates of order nu +- delta with the base state's m, n and
-    lambda, so nu != |m + lambda| for them: only their radial parts
-    (radial_density, radial_parts) are meaningful.  An order past
-    numerics.MAX_ORDER raises ValueError from `bessel_j_zero`.
+# the order offsets of the gauge family, halved from one to the next
+GAUGE_DELTAS = (0.2, 0.1, 0.05)
+
+
+def gauge_family(state):
+    """Densities rho_{nu +- delta, n}(r) for each delta of GAUGE_DELTAS,
+    each normalized, with the mean-deviation report
+    max_r |(rho_+ + rho_-)/2 - rho_nu| and the deviation ratios across
+    successive deltas.  members[delta] is the pair of ABStates of order
+    nu +- delta with the base state's m, n and lambda, so nu != |m + lambda|
+    for them: only their radial parts (radial_density, radial_parts) are
+    meaningful.  An order past numerics.MAX_ORDER raises ValueError from
+    `bessel_j_zero`.
     """
     cfg = state.cfg
-    for d in deltas:
-        if d < 0.0 or state.nu - d < 0.0:
-            raise ValueError(f"delta {d} drives the order negative")
+    if state.nu < max(GAUGE_DELTAS):
+        raise ValueError(f"delta {max(GAUGE_DELTAS)} drives the order negative")
     rg = np.linspace(cfg.a, cfg.b, 801)
     base = state.radial_density(rg)
 
@@ -413,15 +417,11 @@ def gauge_family(state, deltas):
 
     members = {}
     deviations = []
-    for d in deltas:
-        if d == 0.0:
-            plus = minus = state
-        else:
-            plus, minus = member(state.nu + d), member(state.nu - d)
+    for d in GAUGE_DELTAS:
+        plus, minus = member(state.nu + d), member(state.nu - d)
         members[d] = (plus, minus)
         mean = 0.5 * (plus.radial_density(rg) + minus.radial_density(rg))
         deviations.append(float(np.abs(mean - base).max()))
-    ratios = [deviations[i] / deviations[i + 1] if deviations[i + 1] > 0 else math.inf
-              for i in range(len(deltas) - 1)]
-    return {"deltas": list(deltas), "members": members,
+    ratios = [a / b for a, b in zip(deviations, deviations[1:])]
+    return {"deltas": list(GAUGE_DELTAS), "members": members,
             "deviations": deviations, "ratios": ratios}

@@ -19,8 +19,8 @@ from .madelung import circulation, decompose, gauge_transform
 from .numerics import RandomStream, bessel_j_zero, curl_z_fd, integrate_1d
 from .sde import (angular_uniformity_test, ergodic_angular_momentum,
                   simulate, stationarity_test)
-from .wavepackets import (AIRY_WINDOW, AiryPacketConfig, GaussianPacketConfig,
-                          airy_fields, airy_wavefield, gaussian_consistency)
+from .wavepackets import (AIRY_WINDOW, GaussianPacketConfig, airy_fields,
+                          airy_wavefield, gaussian_consistency)
 
 GRID_M = (-2, -1, 0, 1, 2)
 GRID_N = (1, 2)
@@ -163,12 +163,12 @@ def check_magnetic_force():
 def check_gaussian_packet():
     """Continuity (1e-6, h=1e-4, 200-point grid), phase relation (1e-10)
     and current-velocity decomposition (1e-12) for the Gaussian packet."""
-    cfg = GaussianPacketConfig(alpha=1.0, k0=1.0)
+    cfg = GaussianPacketConfig(alpha=1.0)
     worst = {"continuity_residual": 0.0, "phase_relation_residual": 0.0,
              "decomposition_residual": 0.0}
     for t in (cfg.T / 2.0, cfg.T, 3.0 * cfg.T):
         eps = float(cfg.epsilon(t))
-        grid = np.linspace(cfg.u0 * t - 4.0 * eps, cfg.u0 * t + 4.0 * eps, 200)
+        grid = np.linspace(t - 4.0 * eps, t + 4.0 * eps, 200)
         res = gaussian_consistency(cfg, grid, t)
         for k in worst:
             worst[k] = max(worst[k], res[k])
@@ -182,17 +182,16 @@ def check_gaussian_packet():
 def check_airy_packet():
     """Non-spreading translation identity (1e-10) and numerically computed
     quantum force equal to the force constant within 1e-4 relative."""
-    cfg = AiryPacketConfig()
     xs = np.linspace(*AIRY_WINDOW, 160)
     worst_shape = 0.0
     for t in (0.4, 1.0, 1.7):
-        shift = cfg.k * t ** 2 / 2.0
-        rho_t = np.abs(airy_wavefield(cfg, t).amplitude(xs[:, None])) ** 2
-        rho_0 = np.abs(airy_wavefield(cfg, 0.0).amplitude((xs - shift)[:, None])) ** 2
+        shift = t ** 2 / 2.0
+        rho_t = np.abs(airy_wavefield(t).amplitude(xs[:, None])) ** 2
+        rho_0 = np.abs(airy_wavefield(0.0).amplitude((xs - shift)[:, None])) ** 2
         worst_shape = max(worst_shape, float(np.abs(rho_t - rho_0).max()))
-    pts = wavepackets.airy_force_probe_points(cfg, 0.7)
-    f = airy_fields(cfg, pts, 0.7)
-    worst_force = float(np.abs(f["F_Q"] - cfg.k).max() / cfg.k)
+    pts = wavepackets.airy_force_probe_points(0.7)
+    f = airy_fields(pts, 0.7)
+    worst_force = float(np.abs(f["F_Q"] - 1.0).max())     # k = 1
     passed = worst_shape <= 1e-10 and worst_force <= 1e-4
     return CheckResult("airy packet", passed,
                        {"translation_identity": worst_shape,
@@ -230,7 +229,7 @@ def check_gauge_family():
     deviation(delta)/deviation(delta/2) in [3, 5] for delta = 0.2, 0.1."""
     cfg = AnnulusConfig()
     state = eigenstate(cfg, 1, 1)   # nu = 1/2
-    fam = gauge_family(state, (0.2, 0.1, 0.05))
+    fam = gauge_family(state)
     ratios = fam["ratios"]
     passed = all(3.0 <= r <= 5.0 for r in ratios)
     return CheckResult("gauge family quadratic mean-density deviation", passed,
@@ -243,7 +242,7 @@ def check_special_functions():
     ground density integrating to 1 within 2%, and the mass-scaling slopes
     at exactly {-1/3, -1/2, -1} (1e-10)."""
     worst_zero = max(abs(bessel_j_zero(0.5, n) - n * np.pi) for n in range(1, 11))
-    model = models.linear_airy_model(k=1.0, m=0.5, n=1)
+    model = models.linear_airy_model(m=0.5, n=1)
     mass_grid = [1.0, 2.0, 4.0, 8.0]
     norm = integrate_1d(model["rho"], 0.0, 20.0)
     slopes = {

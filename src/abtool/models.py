@@ -2,8 +2,10 @@
 bound-model zoo (linear potential / Airy levels, half-harmonic well, box)
 with mass-scaling exponents.
 
-Units are atomic, a0 = hbar = M = 1; the one-dimensional models keep the
-mass m as an argument, for the mass-scaling fits.
+Units are atomic, a0 = hbar = M = 1.  The one-dimensional models keep the
+mass m as an argument, for the mass-scaling fits, and fix their own unit of
+length so that their parameter is 1: the linear potential's force constant
+k, the half-oscillator's spring constant k and the box length L.
 
 Hydrogen conventions: R_{n,l} normalized with integral R^2 r^2 dr = 1,
 Theta_l^m with integral Theta^2 sin(theta) dtheta = 1, azimuthal factor
@@ -148,8 +150,9 @@ def hydrogen_grad_rho(state, r, theta):
 # Bound models with closed-form levels, and their mass-scaling exponents.
 # ---------------------------------------------------------------------------
 
-def linear_airy_model(k, m, n):
-    """Linear potential on x > 0 with an infinite wall at the origin.
+def linear_airy_model(m, n):
+    """Linear potential V = k x on x > 0, k = 1, with an infinite wall at
+    the origin.
 
     rho_n(x) = c (pi / sqrt(-z_n)) Ai(c x + z_n)^2 with c the packet scale
     (2 m k)^(1/3) included so the density integrates to ~1 (the sqrt(-z_n)
@@ -159,7 +162,7 @@ def linear_airy_model(k, m, n):
     if n < 1 or n > 20:
         raise ValueError("n must be in 1..20")
     z_n = airy_ai_zero(n)
-    c = (2.0 * m * k) ** (1.0 / 3.0)
+    c = (2.0 * m) ** (1.0 / 3.0)
 
     def rho(x):
         x = np.asarray(x, dtype=float)
@@ -167,35 +170,35 @@ def linear_airy_model(k, m, n):
             raise ValueError("density is defined on x >= 0")
         return c * math.pi / math.sqrt(-z_n) * airy_ai(c * x + z_n) ** 2
 
-    energy = -z_n * (k ** 2 / (2.0 * m)) ** (1.0 / 3.0)
+    energy = -z_n * (1.0 / (2.0 * m)) ** (1.0 / 3.0)
     return {"rho": rho, "E_n": energy, "z_n": z_n, "scale": c}
 
 
-def half_harmonic_energy(k, m, n):
-    """Half-oscillator (V = k x^2 / 2 on x > 0, wall at 0):
+def half_harmonic_energy(m, n):
+    """Half-oscillator (V = k x^2 / 2 on x > 0, k = 1, wall at 0):
     E_n = (2n + 3/2) sqrt(k/m), n = 0, 1, 2, ..."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return (2.0 * n + 1.5) * math.sqrt(k / m)
+    return (2.0 * n + 1.5) * math.sqrt(1.0 / m)
 
 
-def box_energy(box_length, m, n):
-    """Infinite box of length L: E_n = n^2 pi^2 / (2 m L^2), n >= 1."""
+def box_energy(m, n):
+    """Infinite box of length L = 1: E_n = n^2 pi^2 / (2 m L^2), n >= 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return n ** 2 * math.pi ** 2 / (2.0 * m * box_length ** 2)
+    return n ** 2 * math.pi ** 2 / (2.0 * m)
 
 
-# E_n(mass) of each bound model at parameter (k or L) 1
+# E_n(mass, n) of each bound model
 _LEVELS = {
-    "linear_airy": lambda mass, n: linear_airy_model(1.0, mass, n)["E_n"],
-    "half_harmonic": lambda mass, n: half_harmonic_energy(1.0, mass, n),
-    "box": lambda mass, n: box_energy(1.0, mass, n),
+    "linear_airy": lambda mass, n: linear_airy_model(mass, n)["E_n"],
+    "half_harmonic": half_harmonic_energy,
+    "box": box_energy,
 }
 
 
 def mass_scaling_fit(model_kind, n, masses):
-    """Least-squares slope of log E_n against log m, at model parameter 1.
+    """Least-squares slope of log E_n against log m.
 
     The closed-form levels are exact power laws in the mass, so the fit
     recovers -1/3 (linear/Airy), -1/2 (half-harmonic) or -1 (box) to

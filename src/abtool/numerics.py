@@ -73,18 +73,15 @@ _SERIES_TERMS = 120
 # order 12, so up to order 12 the absolute bound alone decides; J is then
 # truncated to within 7.8e-14 at x <= 10, past the split, for every order.
 _SERIES_REL_TOL = 1e-20 * math.gamma(13.0)
-_series_coeff_cache: dict[float, np.ndarray] = {}
 
 
+@lru_cache(maxsize=None)
 def _series_coeffs(order):
     """c[k] = (-1)^k / (k! Gamma(order + k + 1)) by the float recurrence."""
-    c = _series_coeff_cache.get(order)
-    if c is None:
-        c = np.empty(_SERIES_TERMS)
-        c[0] = 1.0 / math.gamma(order + 1.0)
-        for k in range(1, _SERIES_TERMS):
-            c[k] = -c[k - 1] / (k * (order + k))
-        _series_coeff_cache[order] = c
+    c = np.empty(_SERIES_TERMS)
+    c[0] = 1.0 / math.gamma(order + 1.0)
+    for k in range(1, _SERIES_TERMS):
+        c[k] = -c[k - 1] / (k * (order + k))
     return c
 
 
@@ -473,35 +470,24 @@ def _airy_series(x):
     return AIRY_AI_0 * f + AIRY_AI_PRIME_0 * g
 
 
+# Past the seam zeta >= 13.69, where successive terms of either expansion
+# shrink by a factor of at most 0.877 up to the last coefficient, so all 26
+# are summed.
 def _airy_asym_right(x):
-    if x.size == 0:
-        return x.copy()
     zeta = (2.0 / 3.0) * x ** 1.5
     s = np.ones_like(x)
-    term = np.ones_like(x)
     for k in range(1, len(_AIRY_U)):
-        new = (-1.0) ** k * _AIRY_U[k] / zeta ** k
-        if k > 2 and np.all(np.abs(new) >= np.abs(term)):
-            break
-        s += new
-        term = new
+        s += (-1.0) ** k * _AIRY_U[k] / zeta ** k
     return np.exp(-zeta) / (2.0 * np.sqrt(np.pi) * x ** 0.25) * s
 
 
 def _airy_asym_left(x):
     t = -x
-    if t.size == 0:
-        return t.copy()
     zeta = (2.0 / 3.0) * t ** 1.5
     p = np.ones_like(t)
     q = np.zeros_like(t)
-    prev = np.inf
     for k in range(1, len(_AIRY_U)):
         c = _AIRY_U[k] / zeta ** k
-        worst = float(np.abs(c).max())
-        if k > 2 and worst > prev:
-            break
-        prev = worst
         if k % 2 == 0:
             p += c * (-1.0) ** (k // 2)
         else:
@@ -516,12 +502,13 @@ def airy_ai(x):
     scalar = xa.ndim == 0
     xv = np.atleast_1d(xa).astype(float)
     out = np.empty_like(xv)
-    mid = np.abs(xv) <= _AIRY_SEAM
-    out[mid] = _airy_series(xv[mid])
-    hi = xv > _AIRY_SEAM
-    out[hi] = _airy_asym_right(xv[hi])
-    lo = xv < -_AIRY_SEAM
-    out[lo] = _airy_asym_left(xv[lo])
+    # a branch costs tens of numpy calls even on no points, so only the
+    # branches that have points run
+    for branch, sel in ((_airy_series, np.abs(xv) <= _AIRY_SEAM),
+                        (_airy_asym_right, xv > _AIRY_SEAM),
+                        (_airy_asym_left, xv < -_AIRY_SEAM)):
+        if sel.any():
+            out[sel] = branch(xv[sel])
     return float(out[0]) if scalar else out.reshape(xa.shape)
 
 

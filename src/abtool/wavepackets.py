@@ -3,7 +3,12 @@ spreading Gaussian packet, the non-spreading self-accelerating Airy packet,
 and the free plane wave.
 
 Units are natural, hbar = M = 1, as for hydrogen and the annulus defaults.
-The Gaussian density is rho(x,t) = sqrt(2/pi) (1/eps) exp(-2 (x-u0 t)^2 /
+Each system also fixes its unit of length: the Gaussian's is 1/k0, so its
+wave number k0 and group velocity u0 = hbar k0 / M are 1; the Airy packet's
+is (hbar^2 / (M k))^(1/3), so its force constant k is 1; the plane wave
+shares the Gaussian's k0 = 1.
+
+The Gaussian density is rho(x,t) = sqrt(2/pi) (1/eps) exp(-2 (x - t)^2 /
 eps^2) with eps(t) = alpha sqrt(1 + 4 t^2 / alpha^4); it integrates to one
 at all times.  The printed current velocity u0 + (2 t / eps^2 T)(x - u0 t)
 is implemented verbatim and is the continuity-equation flow velocity of
@@ -24,15 +29,10 @@ from .numerics import airy_ai, central_diff
 @dataclass(frozen=True)
 class GaussianPacketConfig:
     alpha: float = 1.0
-    k0: float = 1.0
 
     def __post_init__(self):
         if self.alpha <= 0.0:
             raise ValueError("alpha must be > 0")
-
-    @property
-    def u0(self):
-        return self.k0
 
     @property
     def T(self):
@@ -48,9 +48,9 @@ def gaussian_fields(cfg, x, t):
     """Closed-form {rho, eta, xi, F_Q, delta} for the Gaussian packet."""
     x = np.asarray(x, dtype=float)
     eps = cfg.epsilon(t)
-    y = x - cfg.u0 * t
+    y = x - t       # the co-moving coordinate x - u0 t
     rho = math.sqrt(2.0 / math.pi) / eps * np.exp(-2.0 * y ** 2 / eps ** 2)
-    eta = cfg.u0 + (2.0 * t / (eps ** 2 * cfg.T)) * y
+    eta = 1.0 + (2.0 * t / (eps ** 2 * cfg.T)) * y
     xi = 2.0 * y / eps ** 2
     f_q = 4.0 * y / eps ** 4
     delta = (y ** 2 / eps ** 2) * (t / cfg.T) - 0.5 * np.arctan(t / cfg.T)
@@ -58,9 +58,9 @@ def gaussian_fields(cfg, x, t):
 
 
 def gaussian_delta_gradient(cfg, x, t):
-    """d delta / dx = 2 (x - u0 t) t / (eps^2 T), closed form."""
+    """d delta / dx = 2 (x - t) t / (eps^2 T), closed form."""
     eps = cfg.epsilon(t)
-    return 2.0 * (np.asarray(x, float) - cfg.u0 * t) * t / (eps ** 2 * cfg.T)
+    return 2.0 * (np.asarray(x, float) - t) * t / (eps ** 2 * cfg.T)
 
 
 def gaussian_wavefield(cfg, t):
@@ -68,22 +68,22 @@ def gaussian_wavefield(cfg, t):
 
     The modulus carries the sqrt(alpha/eps)-style prefactor required for
     unit norm (the density above is the contract); phase is
-    k0 x - k0^2 t / 2 + delta(x, t).
+    x - t / 2 + delta(x, t).
     """
     eps = float(cfg.epsilon(t))
     pref = (2.0 / math.pi) ** 0.25 / math.sqrt(eps)
 
     def amplitude(p):
         xv = np.asarray(p, dtype=float)[..., 0]
-        y = xv - cfg.u0 * t
-        phase = cfg.k0 * xv - cfg.k0 ** 2 * t / 2.0 + gaussian_fields(cfg, xv, t)["delta"]
+        y = xv - t
+        phase = xv - t / 2.0 + gaussian_fields(cfg, xv, t)["delta"]
         return pref * np.exp(-y ** 2 / eps ** 2) * np.exp(1j * phase)
 
     def gradient(p):
         xv = np.asarray(p, dtype=float)[..., 0]
-        y = xv - cfg.u0 * t
+        y = xv - t
         ddelta = gaussian_delta_gradient(cfg, xv, t)
-        d = amplitude(p) * (-2.0 * y / eps ** 2 + 1j * (cfg.k0 + ddelta))
+        d = amplitude(p) * (-2.0 * y / eps ** 2 + 1j * (1.0 + ddelta))
         return d[..., None]
 
     return WaveField(amplitude, gradient)
@@ -98,7 +98,7 @@ def gaussian_consistency(cfg, grid, t):
     continuity_residual       max |d rho/dt + d(rho eta)/dx|
                               (`numerics.central_diff`, step 1e-4);
     phase_relation_residual   max |xi - (T / t) d delta/dx|;
-    decomposition_residual    max |eta - u0 - (t / T) xi|.
+    decomposition_residual    max |eta - 1 - (t / T) xi|.
     """
     if t == 0.0:
         raise ValueError("phase relation needs t != 0")
@@ -116,7 +116,7 @@ def gaussian_consistency(cfg, grid, t):
     f = gaussian_fields(cfg, grid, t)
     ddelta = gaussian_delta_gradient(cfg, grid, t)
     phase_rel = np.abs(f["xi"] - (cfg.T / t) * ddelta).max()
-    decomp = np.abs(f["eta"] - cfg.u0 - (t / cfg.T) * f["xi"]).max()
+    decomp = np.abs(f["eta"] - 1.0 - (t / cfg.T) * f["xi"]).max()
     return {"continuity_residual": float(continuity),
             "phase_relation_residual": float(phase_rel),
             "decomposition_residual": float(decomp)}
@@ -125,64 +125,51 @@ def gaussian_consistency(cfg, grid, t):
 # the x range over which the translation identity of the Airy packet is
 # checked
 AIRY_WINDOW = (-8.0, 4.0)
+# (2 M k / hbar^2)^(1/3), the argument scale of the Airy envelope
+_AIRY_SCALE = 2.0 ** (1.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class AiryPacketConfig:
-    k: float = 1.0
-
-    def __post_init__(self):
-        if self.k <= 0.0:
-            raise ValueError("k must be > 0")
-
-    @property
-    def scale(self):
-        """(2 k)^(1/3), the argument scale of the packet."""
-        return (2.0 * self.k) ** (1.0 / 3.0)
-
-
-def airy_wavefield(cfg, t):
-    """Berry-Balazs packet Ai[c (x - k t^2 / 2)] e^{i k t (x - k t^2/3)}
+def airy_wavefield(t):
+    """Berry-Balazs packet Ai[c (x - t^2 / 2)] e^{i t (x - t^2/3)}, c = 2^(1/3),
     as a (non-normalizable) 1-d WaveField snapshot."""
-    c = cfg.scale
 
     def amplitude(p):
         xv = np.asarray(p, dtype=float)[..., 0]
-        env = airy_ai(c * (xv - cfg.k * t ** 2 / 2.0))
-        phase = (cfg.k * t) * (xv - cfg.k * t ** 2 / 3.0)
+        env = airy_ai(_AIRY_SCALE * (xv - t ** 2 / 2.0))
+        phase = t * (xv - t ** 2 / 3.0)
         return env * np.exp(1j * phase)
 
     return WaveField(amplitude, None, fd_step=1e-5)
 
 
-def airy_force_probe_points(cfg, t, count=20):
+def airy_force_probe_points(t, count=20):
     """Points x whose scaled envelope argument stays in [-1.8, 3.8], clear
     of the envelope zeros (the leftmost zero sits at about -2.338); quantum
     force stencils need that clearance because |Ai| has kinks at its zeros."""
     u = np.linspace(-1.8, 3.8, count)
-    return u / cfg.scale + cfg.k * t ** 2 / 2.0
+    return u / _AIRY_SCALE + t ** 2 / 2.0
 
 
-def airy_fields(cfg, x, t):
+def airy_fields(x, t):
     """{psi, rho, eta, F_Q} for the Airy packet at (x, t).
 
-    eta = k t is the exact phase-gradient velocity; F_Q is evaluated
+    eta = k t (k = 1) is the exact phase-gradient velocity; F_Q is evaluated
     numerically from the Bohm form (not from its known constant value), so
     the constancy of the quantum force is a genuine check.  Points must
     stay clear of the envelope zeros (see airy_force_probe_points).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    field = airy_wavefield(cfg, t)
+    field = airy_wavefield(t)
     psi = field.amplitude(x[:, None])
     rho = (psi * np.conj(psi)).real
-    eta = np.full_like(x, cfg.k * t)
+    eta = np.full_like(x, t)
     f_q = np.array([quantum_force(field, Constants(), np.array([xi]))[0]
                     for xi in x])
     return {"psi": psi, "rho": rho, "eta": eta, "F_Q": f_q}
 
 
-def free_particle_fields(k0, x, t):
-    """Plane wave A e^{i(k0 x - k0^2 t / 2)}: eta = k0, xi = 0.
+def free_particle_fields(x, t):
+    """Plane wave A e^{i(x - t / 2)}: eta = 1, xi = 0.
     Non-normalizable; returned fields are position-independent."""
     x = np.asarray(x, dtype=float)
-    return {"eta": np.full_like(x, k0), "xi": np.zeros_like(x)}
+    return {"eta": np.full_like(x, 1.0), "xi": np.zeros_like(x)}

@@ -536,24 +536,19 @@ class TestSystemB:
 
 
 class TestGaugeFamily:
-    def test_zero_delta(self):
-        fam = gauge_family(STATE, (0.0,))
-        assert fam["deviations"] == [0.0]
-
     def test_quadratic_shrinkage(self):
-        fam = gauge_family(STATE, (0.2, 0.1, 0.05))
+        fam = gauge_family(STATE)
         for ratio in fam["ratios"]:
             assert 3.0 <= ratio <= 5.0
 
     def test_members_normalized(self):
-        fam = gauge_family(STATE, (0.2,))
+        fam = gauge_family(STATE)
         for member in fam["members"][0.2]:
             val = CFG.domain().integrate(member.density)
             assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_members_are_states_of_the_shifted_order(self):
-        fam = gauge_family(STATE, (0.0, 0.2))
-        assert fam["members"][0.0] == (STATE, STATE)
+        fam = gauge_family(STATE)
         for member, nu in zip(fam["members"][0.2], (0.7, 0.3)):
             assert isinstance(member, ABState)
             assert (member.m, member.n, member.lam) == (STATE.m, STATE.n, STATE.lam)
@@ -561,9 +556,11 @@ class TestGaugeFamily:
             assert member.tau == bessel_j_zero(member.nu, STATE.n)
 
     def test_negative_order_rejected(self):
+        # lambda = -0.9, so nu = |1 + lambda| = 0.1 < 0.2
+        state = eigenstate(AnnulusConfig(B=1.8), 1, 1)
         with pytest.raises(ValueError):
-            gauge_family(STATE, (0.6,))
+            gauge_family(state)
 
     def test_order_past_the_window_rejected(self):
         with pytest.raises(ValueError, match="past nu = 50"):
-            gauge_family(eigenstate(AnnulusConfig(B=0.0), 50, 1), (0.5,))
+            gauge_family(eigenstate(AnnulusConfig(B=0.0), 50, 1))

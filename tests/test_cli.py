@@ -1,4 +1,5 @@
 """Configuration parsing, subcommand outputs, manifests and exit codes."""
+import csv
 import json
 import math
 import re
@@ -194,6 +195,18 @@ class TestPacketsAndModels:
         assert slopes["half_harmonic"] == pytest.approx(-0.5, abs=1e-10)
         assert slopes["box"] == pytest.approx(-1.0, abs=1e-10)
 
+    def test_models_csv_rows_match_the_header(self, tmp_path):
+        # the hydrogen labels hold commas, so they must come back as one field
+        assert run_cli(["models"], tmp_path) == EXIT_OK
+        with open(tmp_path / "models.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["model", "level", "quantity", "value"]
+        assert len(rows) == 14 + 9 + 3     # hydrogen states, levels, slopes
+        assert all(len(row) == 4 for row in rows)
+        assert [row[0] for row in rows[:4]] == [
+            "hydrogen(1,0,0)", "hydrogen(2,0,0)", "hydrogen(2,1,-1)",
+            "hydrogen(2,1,0)"]
+
 
 class TestTrajectories:
     def test_small_run_stats(self, tmp_path):
@@ -310,6 +323,15 @@ class TestExitCodes:
         names = (f"a = {values['a']!r}, b = {values['b']!r}" if "a" in values
                  else f"{block}.{next(iter(values))}")
         assert names in err
+
+    def test_unallocatable_budget_is_2(self, tmp_path, capsys):
+        # 64 trajectories of 1e13 retained steps ask for 9 PiB, which fails
+        # at once without allocating anything
+        config = {"sde": {"steps": 10_000_000_000_000, "burn_in": 0}}
+        assert run_cli(["trajectories"], tmp_path, config=config) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("abtool: configuration error: cannot allocate")
 
     def test_unknown_subcommand_is_argparse_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

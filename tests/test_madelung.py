@@ -189,7 +189,7 @@ class TestQuantumPotential:
         assert np.abs(quantum_force(pw, CONSTS, np.array([0.1]))).max() <= 1e-8
 
     def test_gaussian_force_example(self):
-        cfg = GaussianPacketConfig(alpha=1.0, k0=0.0)
+        cfg = GaussianPacketConfig(alpha=1.0)
         field = gaussian_wavefield(cfg, 0.0)
         f = quantum_force(field, CONSTS, np.array([0.3]))
         assert f[0] == pytest.approx(1.2, rel=1e-6)
@@ -308,14 +308,14 @@ class TestEnergyIdentity:
         assert cols[1, 0] + cols[1, 1] == pytest.approx(cols[1, 2], rel=1e-14)
 
     def test_gaussian_moment_oracle(self):
-        cfg = GaussianPacketConfig(alpha=1.0, k0=1.0)
+        cfg = GaussianPacketConfig(alpha=1.0)
         field = gaussian_wavefield(cfg, 0.0)
         # the 1-d domain [-5.8, 5.8]: integrands take (N, 1) point batches
         segment = SimpleNamespace(integrate=lambda g: numerics.integrate_1d(
             lambda x: g(x[:, None]), -5.8, 5.8))
         out = integrated_energy_identity(field, None, CONSTS, segment)
-        # hbar = M = 1
-        expected = (1.0 + cfg.k0 ** 2 * cfg.alpha ** 2) / (2 * cfg.alpha ** 2)
+        # hbar = M = k0 = 1
+        expected = (1.0 + cfg.alpha ** 2) / (2 * cfg.alpha ** 2)
         assert out["residual"] <= 1e-12
         assert out["total"] == pytest.approx(expected, rel=1e-10)
 

@@ -129,57 +129,55 @@ class TestHydrogenFields:
 class TestLinearAiryModel:
     def test_energy_in_reduced_units(self):
         # hbar = k = 1, m = 1/2 collapses the energy scale to -z_n
-        out = linear_airy_model(k=1.0, m=0.5, n=1)
+        out = linear_airy_model(m=0.5, n=1)
         assert out["E_n"] == pytest.approx(-Z1, abs=1e-10)
 
     def test_wall_node(self):
-        out = linear_airy_model(k=1.0, m=0.5, n=1)
+        out = linear_airy_model(m=0.5, n=1)
         assert out["rho"](0.0) <= 1e-20
 
     def test_normalization_within_two_percent(self):
-        out = linear_airy_model(k=1.0, m=0.5, n=1)
+        out = linear_airy_model(m=0.5, n=1)
         val = integrate_1d(out["rho"], 0.0, 20.0)
         assert abs(val - 1.0) <= 0.02
         # the asymptotic normalization sharpens with n
-        out5 = linear_airy_model(k=1.0, m=0.5, n=5)
+        out5 = linear_airy_model(m=0.5, n=5)
         val5 = integrate_1d(out5["rho"], 0.0, 30.0)
         assert abs(val5 - 1.0) < abs(val - 1.0)
 
     def test_monotone_decay_past_last_oscillation(self):
-        out = linear_airy_model(k=1.0, m=0.5, n=1)
+        out = linear_airy_model(m=0.5, n=1)
         xs = np.linspace(-Z1 + 0.5, -Z1 + 6.0, 50)
         vals = out["rho"](xs)
         assert np.all(np.diff(vals) < 0.0)
 
     def test_domain(self):
-        out = linear_airy_model(k=1.0, m=0.5, n=1)
+        out = linear_airy_model(m=0.5, n=1)
         with pytest.raises(ValueError):
             out["rho"](-0.5)
         with pytest.raises(ValueError):
-            linear_airy_model(1.0, 1.0, 0)
+            linear_airy_model(1.0, 0)
 
 
 class TestClosedFormLevels:
     def test_half_harmonic_ground(self):
-        assert half_harmonic_energy(1.0, 1.0, 0) == 1.5
-        assert half_harmonic_energy(2.0, 1.0, 0) == pytest.approx(
-            1.5 * math.sqrt(2.0), rel=1e-14)
+        assert half_harmonic_energy(1.0, 0) == 1.5
 
     def test_box_level(self):
-        assert box_energy(1.0, 1.0, 2) == pytest.approx(2.0 * math.pi ** 2,
+        assert box_energy(1.0, 2) == pytest.approx(2.0 * math.pi ** 2,
                                                         rel=1e-15)
 
     def test_box_ratios(self):
-        e1 = box_energy(1.0, 1.0, 1)
+        e1 = box_energy(1.0, 1)
         for n in (2, 3, 5):
-            assert box_energy(1.0, 1.0, n) / e1 == pytest.approx(n ** 2,
+            assert box_energy(1.0, n) / e1 == pytest.approx(n ** 2,
                                                                  rel=1e-14)
 
     def test_level_validation(self):
         with pytest.raises(ValueError):
-            half_harmonic_energy(1.0, 1.0, -1)
+            half_harmonic_energy(1.0, -1)
         with pytest.raises(ValueError):
-            box_energy(1.0, 1.0, 0)
+            box_energy(1.0, 0)
 
 
 class TestMassScaling:

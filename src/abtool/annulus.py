@@ -48,9 +48,6 @@ class AnnulusConfig(madelung.Constants):
     def d(self):
         return self.b - self.a
 
-    def domain(self):
-        return AnnulusDomain(self.a, self.b)
-
 
 def flux_parameter(cfg):
     """lambda = -q B a^2 / (2 hbar c)."""
@@ -135,14 +132,10 @@ class ABState:
         """hbar^2 k^2 / 2M from the Helmholtz form of the radial problem."""
         return self.cfg.hbar ** 2 * self.k ** 2 / (2.0 * self.cfg.mass)
 
-    def radial(self, r):
-        """Normalized radial profile R(r); identically zero at r = b and
-        outside the walls (the state is confined)."""
-        return self.radial_parts(r)[0]
-
     def radial_parts(self, r):
-        """(R, R') sharing the Bessel evaluations; J' = (nu/x) J - J_{nu+1}.
-        Both vanish outside [a, b] (the state is confined)."""
+        """(R, R'): the normalized radial profile and its derivative, sharing
+        the Bessel evaluations; J' = (nu/x) J - J_{nu+1}.  Both are zero at
+        r = b and outside the walls (the state is confined)."""
         r = np.asarray(r, dtype=float)
         inside = (r >= self.cfg.a) & (r < self.cfg.b)
         x = np.where(inside, self.k * (r - self.cfg.a), 0.0)
@@ -157,7 +150,7 @@ class ABState:
         p = np.asarray(p, dtype=float)
         r = np.hypot(p[..., 0], p[..., 1])
         theta = np.arctan2(p[..., 1], p[..., 0])
-        return self.radial(r) * np.exp(1j * self.m * theta)
+        return self.radial_parts(r)[0] * np.exp(1j * self.m * theta)
 
     def value_and_gradient(self, p):
         p = np.asarray(p, dtype=float)
@@ -194,7 +187,7 @@ class ABState:
         return self.radial_density(np.hypot(p[..., 0], p[..., 1]))
 
     def radial_density(self, r):
-        rr = self.radial(r)
+        rr = self.radial_parts(r)[0]
         return rr * rr
 
 
@@ -257,7 +250,7 @@ def angular_momenta(state):
         return cfg.mass * np.stack([_moment_z(gamma, pts),
                                     _moment_z(diffusion, pts)], axis=-1)
 
-    total, osmotic = map(float, cfg.domain().integrate(moments))
+    total, osmotic = map(float, AnnulusDomain(cfg.a, cfg.b).integrate(moments))
     return {"total": total, "canonical": total - osmotic, "osmotic": osmotic}
 
 

@@ -17,8 +17,6 @@ from .annulus import (AnnulusConfig, diffusion_velocity, eigenstate,
                       solenoid_current_check, solenoid_potential)
 from .madelung import circulation, decompose, gauge_transform
 from .numerics import RandomStream, bessel_j_zero, curl_z_fd, integrate_1d
-from .sde import (angular_uniformity_test, ergodic_angular_momentum,
-                  simulate, stationarity_test)
 from .wavepackets import (AIRY_WINDOW, GaussianPacketConfig, airy_fields,
                           airy_wavefield, gaussian_consistency)
 
@@ -202,25 +200,24 @@ def check_airy_packet():
 def check_nelson_sampler(sde_cfg):
     """Diffusion sampling of the reference state at the sde_cfg budget:
     radial KS distance <= 0.02, angular uniformity chi-square p > 0.01,
-    ergodic angular momentum within 2% of hbar (m + lambda)."""
+    ergodic angular momentum within 2% of hbar (m + lambda), no trajectory
+    aborted (`sde.run_statistics`)."""
     cfg = AnnulusConfig()       # lambda = -1/2
     state = eigenstate(cfg, 1, 1)
-    trajectories = simulate(state, sde_cfg)
-    thin = sde.chi2_thin(sde_cfg)
-    stat = stationarity_test(trajectories, state, bins=40, thin=thin)
-    ang = angular_uniformity_test(trajectories, bins=16, thin=thin)
-    erg = ergodic_angular_momentum(trajectories, state, thin=8)
+    stats = sde.run_statistics(sde.simulate(state, sde_cfg), state, sde_cfg)
+    if "skipped" in stats:
+        raise ValueError(stats["skipped"])
     target = cfg.hbar * (state.m + state.lam)
-    erg_rel = abs(erg["value"] - target) / abs(target)
-    rej = sde.rejection_fraction(trajectories, sde_cfg)
-    passed = (stat["ks_distance"] <= 0.02 and ang["p_value"] > 0.01
-              and erg_rel <= 0.02 and not any(t.aborted for t in trajectories))
+    erg_rel = abs(stats["ergodic_Lz"] - target) / abs(target)
+    passed = (stats["ks_distance"] <= 0.02
+              and stats["angular_chi2_p_value"] > 0.01
+              and erg_rel <= 0.02 and stats["aborted"] == 0)
     return CheckResult("nelson diffusion sampler", passed,
-                       {"ks_distance": stat["ks_distance"],
-                        "angular_p_value": ang["p_value"],
-                        "ergodic_Lz": erg["value"],
+                       {"ks_distance": stats["ks_distance"],
+                        "angular_p_value": stats["angular_chi2_p_value"],
+                        "ergodic_Lz": stats["ergodic_Lz"],
                         "ergodic_rel_error": erg_rel,
-                        "rejection_fraction": rej,
+                        "rejection_fraction": stats["rejection_fraction"],
                         "tolerances": [0.02, 0.01, 0.02]})
 
 

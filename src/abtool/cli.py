@@ -44,17 +44,22 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    annulus: AnnulusConfig
-    m: int
-    n: int
-    nr: int
-    ntheta: int
-    sde: SdeConfig
-    out_format: str
+    annulus: AnnulusConfig = AnnulusConfig()
+    m: int = 1
+    n: int = 1
+    nr: int = 64
+    ntheta: int = 16
+    sde: SdeConfig = SdeConfig()
+    out_format: str = "csv"
 
     def echo(self):
+        """The configuration blocks; `Constants`' fields of the annulus form
+        the constants block, the rest of it the geometry block."""
+        geometry = asdict(self.annulus)
+        constants = {f.name: geometry.pop(f.name) for f in fields(Constants)}
         return {
-            **_annulus_blocks(self.annulus),
+            "constants": constants,
+            "geometry": geometry,
             "state": {"m": self.m, "n": self.n},
             "grid": {"nr": self.nr, "ntheta": self.ntheta},
             "sde": asdict(self.sde),
@@ -62,22 +67,9 @@ class RunConfig:
         }
 
 
-def _annulus_blocks(ann):
-    """An AnnulusConfig's constants (madelung.Constants) and geometry blocks."""
-    geometry = asdict(ann)
-    constants = {f.name: geometry.pop(f.name) for f in fields(Constants)}
-    return {"constants": constants, "geometry": geometry}
-
-
 # every configuration key with its default; the default's type (float, int
 # or str) is the type the key accepts
-_DEFAULTS = {
-    **_annulus_blocks(AnnulusConfig()),
-    "state": {"m": 1, "n": 1},
-    "grid": {"nr": 64, "ntheta": 16},
-    "sde": asdict(SdeConfig()),
-    "output": {"format": "csv"},
-}
+_DEFAULTS = RunConfig().echo()
 
 
 def _coerce(block, key, value, kind):
@@ -241,17 +233,8 @@ def run_fields(cfg, out_dir, want_svg):
 
 
 def run_trajectories(cfg, out_dir, want_svg):
-    ann = cfg.annulus
-    state = eigenstate(ann, cfg.m, cfg.n)
+    state = eigenstate(cfg.annulus, cfg.m, cfg.n)
     trajectories = sde.simulate(state, cfg.sde)
-    pooled = sum(len(t.positions) for t in trajectories)
-    thin = sde.chi2_thin(cfg.sde)
-    if pooled >= 10_000:
-        stat = sde.stationarity_test(trajectories, state, bins=40, thin=thin)
-        ang = sde.angular_uniformity_test(trajectories, bins=16, thin=thin)
-    else:
-        stat = ang = None
-    erg = sde.ergodic_angular_momentum(trajectories, state)
     stride = max(1, len(trajectories[0].positions) // 1000)
     header = ["trajectory", "step", "x", "y"]
     rows = []
@@ -259,20 +242,7 @@ def run_trajectories(cfg, out_dir, want_svg):
         for s in range(0, len(t.positions), stride):
             rows.append([i, s, float(t.positions[s, 0]), float(t.positions[s, 1])])
     manifest = _table_run("trajectories", cfg, out_dir, header, rows)
-    manifest["stationarity"] = {
-        "ergodic_Lz": erg["value"], "ergodic_Lz_stderr": erg["stderr"],
-        "rejection_fraction": sde.rejection_fraction(trajectories, cfg.sde),
-        "aborted": sum(t.aborted for t in trajectories),
-    }
-    if stat is not None:
-        manifest["stationarity"].update({
-            "ks_distance": stat["ks_distance"], "chi2": stat["chi2"],
-            "chi2_p_value": stat["p_value"],
-            "angular_chi2_p_value": ang["p_value"],
-        })
-    else:
-        manifest["stationarity"]["skipped"] = \
-            "fewer than 1e4 pooled samples; goodness-of-fit not meaningful"
+    manifest["stationarity"] = sde.run_statistics(trajectories, state, cfg.sde)
     return manifest
 
 

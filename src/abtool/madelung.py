@@ -140,7 +140,7 @@ def decompose(psi, A, cfg, p):
     rho, cross = psi.density_and_cross(p)
     _check_floor(rho)
     hbar, m = cfg.hbar, cfg.mass
-    rho_col = rho[..., None] if rho.ndim else rho
+    rho_col = rho[..., None]
     eta = (hbar / m) * cross.imag / rho_col
     grad_rho = 2.0 * cross.real
     xi_real = -(hbar / (2.0 * m)) * grad_rho / rho_col
@@ -170,7 +170,7 @@ def quasi_currents(psi, A, cfg, p):
     p = np.asarray(p, dtype=float)
     rho, cross = psi.density_and_cross(p)
     hbar, m = cfg.hbar, cfg.mass
-    rho_col = rho[..., None] if rho.ndim else rho
+    rho_col = rho[..., None]
     gamma = (hbar / m) * cross.imag                      # (i hbar/2M)(psi grad psi* - c.c.)
     if A is not None:
         gamma = gamma - (cfg.charge / (m * cfg.c)) * np.asarray(A(p), dtype=float) * rho_col
@@ -213,8 +213,8 @@ def gauge_transform(psi, lam, cfg, grad_lam):
         amp, base = psi.value_and_gradient(p)
         amp, base = np.asarray(amp), np.asarray(base)
         gl = np.asarray(grad_lam(p), dtype=float)
-        extra = 1j * coef * gl * (amp[..., None] if amp.ndim else amp)
-        return (phase[..., None] if phase.ndim else phase) * (base + extra)
+        extra = 1j * coef * gl * amp[..., None]
+        return phase[..., None] * (base + extra)
 
     return WaveField(amplitude, gradient, density=psi.density)
 
@@ -247,7 +247,7 @@ def _momentum_density(amp, grad, a_val, cfg):
     (None: no field) at the same points."""
     pop = -1j * cfg.hbar * grad
     if a_val is not None:
-        pop = pop - (cfg.charge / cfg.c) * a_val * (amp[..., None] if amp.ndim else amp)
+        pop = pop - (cfg.charge / cfg.c) * a_val * amp[..., None]
     return np.sum((pop * np.conj(pop)).real, axis=-1)
 
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (airy_ai, airy_ai_zero, assoc_laguerre, assoc_legendre,
-                       assoc_legendre_deriv)
+from .numerics import airy_ai, airy_ai_zero, assoc_laguerre, assoc_legendre
 
 
 @dataclass(frozen=True)
@@ -44,28 +43,20 @@ def _radial_norm(state):
                      / (2.0 * n * math.factorial(n + l)))
 
 
-def hydrogen_radial(state, r):
-    """R_{n,l}(r), physics normalization."""
+def hydrogen_radial_parts(state, r):
+    """(R_{n,l}(r), dR/dr), physics normalization, sharing one Laguerre
+    evaluation at x = 2r/n; dL_p^q(x)/dx = -L_{p-1}^{q+1}(x)."""
     r = np.asarray(r, dtype=float)
     n, l = state.n, state.l
-    rho_t = 2.0 * r / n
-    lag = assoc_laguerre(n - l - 1, 2 * l + 1, rho_t)
-    return _radial_norm(state) * np.exp(-rho_t / 2.0) * rho_t ** l * lag
-
-
-def hydrogen_radial_deriv(state, r):
-    """dR/dr via dL_p^q(x)/dx = -L_{p-1}^{q+1}(x)."""
-    r = np.asarray(r, dtype=float)
-    n, l = state.n, state.l
-    s = 2.0 / n
-    x = s * r
+    x = 2.0 * r / n
     p = n - l - 1
     lag = assoc_laguerre(p, 2 * l + 1, x)
     dlag = -assoc_laguerre(p - 1, 2 * l + 2, x) if p >= 1 else np.zeros_like(x)
+    scale = _radial_norm(state) * np.exp(-x / 2.0)
     core = (-0.5 * x ** l * lag
             + (l * x ** (l - 1) * lag if l >= 1 else 0.0)
             + x ** l * dlag)
-    return _radial_norm(state) * s * np.exp(-x / 2.0) * core
+    return scale * x ** l * lag, (2.0 / n) * scale * core
 
 
 def _theta_norm(l, m):
@@ -73,28 +64,27 @@ def _theta_norm(l, m):
                      * math.factorial(l - m) / math.factorial(l + m))
 
 
-def hydrogen_theta(state, theta):
-    """Theta_l^{|m_l|}(theta), normalized against sin(theta) d theta."""
+def hydrogen_theta_parts(state, theta):
+    """(Theta_l^{|m_l|}(theta), dTheta/dtheta), normalized against
+    sin(theta) d theta.  dP_l^m/dx = (l x P_l^m - (l + m) P_{l-1}^m) / (x^2 - 1)
+    at x = cos(theta), away from x = +-1."""
     theta = np.asarray(theta, dtype=float)
-    m = abs(state.m_l)
-    return _theta_norm(state.l, m) * assoc_legendre(state.l, m, np.cos(theta))
-
-
-def hydrogen_theta_deriv(state, theta):
-    theta = np.asarray(theta, dtype=float)
-    m = abs(state.m_l)
+    l, m = state.l, abs(state.m_l)
     x = np.cos(theta)
     sin_t = np.sin(theta)
+    norm = _theta_norm(l, m)
+    plm = assoc_legendre(l, m, x)
+    plm1 = assoc_legendre(l - 1, m, x) if m <= l - 1 else 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = _theta_norm(state.l, m) * assoc_legendre_deriv(state.l, m, x) * (-sin_t)
+        dval = norm * ((l * x * plm - (l + m) * plm1) / (x * x - 1.0)) * (-sin_t)
     # on the polar axis the theta derivative vanishes for the m = 0 states
     # (m != 0 states are rejected there before reaching this)
-    return np.where(sin_t == 0.0, 0.0, val)
+    return norm * plm, np.where(sin_t == 0.0, 0.0, dval)
 
 
 def hydrogen_density(state, r, theta):
-    rr = hydrogen_radial(state, r)
-    th = hydrogen_theta(state, theta)
+    rr = hydrogen_radial_parts(state, r)[0]
+    th = hydrogen_theta_parts(state, theta)[0]
     return rr * rr * th * th / (2.0 * math.pi)
 
 
@@ -110,10 +100,8 @@ def hydrogen_fields(state, r, theta):
     sin_t = np.sin(theta)
     if state.m_l != 0 and np.any(sin_t == 0.0):
         raise ValueError("J diverges on the polar axis for m_l != 0")
-    rr = hydrogen_radial(state, r)
-    drr = hydrogen_radial_deriv(state, r)
-    th = hydrogen_theta(state, theta)
-    dth = hydrogen_theta_deriv(state, theta)
+    rr, drr = hydrogen_radial_parts(state, r)
+    th, dth = hydrogen_theta_parts(state, theta)
     rho = rr * rr * th * th / (2.0 * math.pi)
 
     shape = np.broadcast(r, theta).shape
@@ -135,10 +123,8 @@ def hydrogen_grad_rho(state, r, theta):
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     rho = hydrogen_density(state, r, theta)
-    rr = hydrogen_radial(state, r)
-    drr = hydrogen_radial_deriv(state, r)
-    th = hydrogen_theta(state, theta)
-    dth = hydrogen_theta_deriv(state, theta)
+    rr, drr = hydrogen_radial_parts(state, r)
+    th, dth = hydrogen_theta_parts(state, theta)
     shape = np.broadcast(r, theta).shape
     out = np.zeros(shape + (3,))
     out[..., 0] = rho * 2.0 * drr / rr

@@ -590,16 +590,6 @@ def assoc_legendre(l, m, x):
     return float(pmmp1) if np.ndim(pmmp1) == 0 else pmmp1
 
 
-def assoc_legendre_deriv(l, m, x):
-    """d/dx P_l^m(x) away from x = +-1, via the standard l-step identity."""
-    x = np.asarray(x, dtype=float)
-    plm = assoc_legendre(l, m, x)
-    if l == 0:
-        return np.zeros_like(x) if x.ndim else 0.0
-    plm1 = assoc_legendre(l - 1, m, x) if m <= l - 1 else 0.0
-    return (l * x * plm - (l + m) * plm1) / (x * x - 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Quadrature: the package's one rule, Gauss(7)/Kronrod(15) pairs refined
 # worst-first until a global tolerance is met (QUADPACK-style heap strategy).

@@ -55,6 +55,8 @@ _MAX_RETRIES = 4
 _HALVING_LIMIT = 64
 _NOISE_CHUNK = 128
 _START_REDRAWS = 100
+# the goodness-of-fit statistics need this many pooled samples
+_MIN_POOLED = 10_000
 # points per decompose call in the L_z average: decompose holds about 240
 # bytes a point, so a chunk stays far below the retained positions' size
 _ERGODIC_CHUNK = 1_024
@@ -391,7 +393,7 @@ def stationarity_test(trajectories, state, bins=40, thin=1):
     correlation time, otherwise the chi-square calibration is meaningless.
     """
     radii = np.concatenate([t.radii() for t in trajectories])
-    if radii.size < 10_000:
+    if radii.size < _MIN_POOLED:
         raise ValueError("need at least 1e4 pooled samples")
     rg, _, cdf = radial_target(state)
     ks = _ks_sup(radii, rg, cdf)
@@ -440,3 +442,27 @@ def ergodic_angular_momentum(trajectories, state, thin=1):
     value = float(means.mean())
     stderr = float(means.std(ddof=1) / np.sqrt(len(means))) if len(means) > 1 else 0.0
     return {"value": value, "stderr": stderr}
+
+
+def run_statistics(trajectories, state, sde_cfg):
+    """What a sampler run reports, `check` and `trajectories` alike: the
+    ergodic L_z over every 8th retained sample with its stderr, the
+    rejection fraction and the aborted count; with at least 1e4 pooled
+    samples, the radial KS distance and chi-square (40 bins) and the angular
+    chi-square p-value (16 bins), both thinned by `chi2_thin`; with fewer,
+    a `skipped` note."""
+    erg = ergodic_angular_momentum(trajectories, state, thin=8)
+    out = {"ergodic_Lz": erg["value"], "ergodic_Lz_stderr": erg["stderr"],
+           "rejection_fraction": rejection_fraction(trajectories, sde_cfg),
+           "aborted": sum(t.aborted for t in trajectories)}
+    if sum(len(t.positions) for t in trajectories) < _MIN_POOLED:
+        out["skipped"] = ("fewer than 1e4 pooled samples; goodness-of-fit "
+                          "not meaningful")
+        return out
+    thin = chi2_thin(sde_cfg)
+    stat = stationarity_test(trajectories, state, bins=40, thin=thin)
+    ang = angular_uniformity_test(trajectories, bins=16, thin=thin)
+    out.update({"ks_distance": stat["ks_distance"], "chi2": stat["chi2"],
+                "chi2_p_value": stat["p_value"],
+                "angular_chi2_p_value": ang["p_value"]})
+    return out

@@ -163,8 +163,7 @@ def airy_fields(x, t):
     psi = field.amplitude(x[:, None])
     rho = (psi * np.conj(psi)).real
     eta = np.full_like(x, t)
-    f_q = np.array([quantum_force(field, Constants(), np.array([xi]))[0]
-                    for xi in x])
+    f_q = quantum_force(field, Constants(), x[:, None])[:, 0]
     return {"psi": psi, "rho": rho, "eta": eta, "F_Q": f_q}
 
 

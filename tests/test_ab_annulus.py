@@ -135,7 +135,7 @@ class TestEigenstate:
     def test_normalization_round_trip_by_annulus_quadrature(self):
         for (m, n) in ((1, 1), (0, 1), (2, 2), (-1, 1)):
             state = eigenstate(CFG, m, n)
-            val = CFG.domain().integrate(
+            val = AnnulusDomain(CFG.a, CFG.b).integrate(
                 lambda pts: state.radial_density(np.hypot(pts[..., 0], pts[..., 1])))
             assert val == pytest.approx(1.0, abs=1e-8)
 
@@ -544,7 +544,7 @@ class TestGaugeFamily:
     def test_members_normalized(self):
         fam = gauge_family(STATE)
         for member in fam["members"][0.2]:
-            val = CFG.domain().integrate(member.density)
+            val = AnnulusDomain(CFG.a, CFG.b).integrate(member.density)
             assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_members_are_states_of_the_shifted_order(self):

@@ -1,5 +1,6 @@
 """Configuration parsing, subcommand outputs, manifests and exit codes."""
 import csv
+import hashlib
 import json
 import math
 import re
@@ -7,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from abtool import checks
 from abtool.cli import (_DEFAULTS, EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERICS,
                         EXIT_OK, ConfigError, main, parse_config)
+from abtool.sde import SdeConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -241,6 +244,79 @@ class TestTrajectories:
             (tmp_path / "manifest_trajectories.json").read_text())
         assert manifest["seed"] == 99
         assert manifest["config"]["sde"]["seed"] == 99
+
+
+class TestSamplerStatistics:
+    """`trajectories` writes, and check 8 reads, one `sde.run_statistics`."""
+
+    # 4 x 500 retained steps: 2000 pooled samples, below the 1e4 needed
+    SHORT = {"steps": 600, "burn_in": 100, "n_trajectories": 4}
+
+    def test_short_run_writes_skipped_with_the_other_entries(self, tmp_path):
+        assert run_cli(["trajectories"], tmp_path,
+                       config={"sde": self.SHORT}) == EXIT_OK
+        stats = json.loads(
+            (tmp_path / "manifest_trajectories.json").read_text())["stationarity"]
+        assert set(stats) == {"ergodic_Lz", "ergodic_Lz_stderr",
+                              "rejection_fraction", "aborted", "skipped"}
+        assert stats["aborted"] == 0
+
+    def test_short_check_is_2_with_one_line(self, tmp_path, capsys):
+        assert run_cli(["check"], tmp_path,
+                       config={"sde": self.SHORT}) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("abtool: configuration error:")
+        assert "1e4 pooled samples" in err
+
+    def test_check_8_reports_the_trajectories_statistics(self, tmp_path):
+        # both run state (1, 1) of the default annulus
+        block = {"steps": 3000, "burn_in": 500, "n_trajectories": 16}
+        assert run_cli(["trajectories"], tmp_path,
+                       config={"sde": block}) == EXIT_OK
+        stats = json.loads(
+            (tmp_path / "manifest_trajectories.json").read_text())["stationarity"]
+        details = checks.check_nelson_sampler(SdeConfig(**block)).details
+        assert details["ks_distance"] == stats["ks_distance"]
+        assert details["angular_p_value"] == stats["angular_chi2_p_value"]
+        assert details["ergodic_Lz"] == stats["ergodic_Lz"]
+        assert details["rejection_fraction"] == stats["rejection_fraction"]
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedOutputs:
+    """Output files pinned bit for bit (SHA-256): the four tables at the
+    default configuration, and `trajectories.csv` and the check manifest at
+    a reduced sampler budget."""
+
+    @pytest.mark.parametrize("subcommand,digest", [
+        ("spectrum",
+         "51064e35cfb86def8d3490a254ab4f1ca1f39cece2b6928a2d6f12f40c8690f6"),
+        ("fields",
+         "32b37cd27bc5f964e6b489ac2c7d4a5fd2cfd2037c2c349f9a2eb2c91e83ec1a"),
+        ("packets",
+         "02db56a4ebd60998b9a0f13fa021d9e915e9d73ab070ded93ec8f51449629200"),
+        ("models",
+         "bb168cc069ddb80d5c38a10eed94f442607211a3cb6ff227371521fbab2129ff"),
+    ])
+    def test_default_tables(self, tmp_path, subcommand, digest):
+        assert run_cli([subcommand], tmp_path) == EXIT_OK
+        assert sha256_of(tmp_path / f"{subcommand}.csv") == digest
+
+    @pytest.mark.parametrize("subcommand,output,digest", [
+        ("trajectories", "trajectories.csv",
+         "4df3e93e64dc558c3273818fca144c91c1e42386e2e77f1bdb490565e986f7d0"),
+        ("check", "manifest_check.json",
+         "dd1587500276ddd10956a83f8dc492fec8227323cfed77c1b642bc6768f747da"),
+    ])
+    def test_reduced_sampler_budget(self, tmp_path, subcommand, output, digest):
+        config = {"sde": {"steps": 3000, "burn_in": 500, "n_trajectories": 16}}
+        assert run_cli([subcommand], tmp_path, config=config) in (EXIT_OK,
+                                                                  EXIT_CHECK)
+        assert sha256_of(tmp_path / output) == digest
 
 
 class TestCheck:

@@ -409,7 +409,7 @@ class TestSeparableKernel:
         kernel = sde._SeparableStepKernel(state, dt=1e-3)
         with np.errstate(divide="ignore", invalid="ignore"):
             ok, _ = kernel(r.astype(complex))
-        rho = state.radial(r) ** 2
+        rho = state.radial_parts(r)[0] ** 2
         inside = (r > cfg.a) & (r < cfg.b)
         exact = inside & (rho > RHO_FLOOR)
         # where the exact rho is within 1e-6 of the floor, or within the
@@ -435,13 +435,13 @@ class TestSeparableKernel:
         r = np.concatenate([around, np.linspace(cfg.a - 0.1, cfg.b + 0.1, 20_001)])
         with np.errstate(divide="ignore", invalid="ignore"):
             ok, _ = kernel(r.astype(complex))
-        exact = (r > cfg.a) & (r < cfg.b) & (state.radial(r) ** 2 > RHO_FLOOR)
+        exact = (r > cfg.a) & (r < cfg.b) & (state.radial_parts(r)[0] ** 2 > RHO_FLOOR)
         ulps = np.abs(r.view(np.int64)[:, None] - bits).min(axis=1)
         differ = (ok != exact) & (ulps > 8)
         # past 8 ulps from an edge the two differ only where the exact test
         # flickers: next to a node at x = k (r - a) of 7 to 10, J's own
         # rounding (twice, as above) reaches the floor's R
-        rr = state.radial(r[differ])
+        rr = state.radial_parts(r[differ])[0]
         err = 2.0 * state.norm * series_error(nu, state.k * (r[differ] - cfg.a))
         assert np.all(np.abs(rr * rr - RHO_FLOOR) <= err * (2.0 * np.abs(rr) + err))
 

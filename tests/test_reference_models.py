@@ -7,8 +7,8 @@ import pytest
 from abtool.models import (HydrogenState, box_energy,
                            half_harmonic_energy, hydrogen_density,
                            hydrogen_fields, hydrogen_grad_rho,
-                           hydrogen_radial, hydrogen_theta, linear_airy_model,
-                           mass_scaling_fit)
+                           hydrogen_radial_parts, hydrogen_theta_parts,
+                           linear_airy_model, mass_scaling_fit)
 from abtool.numerics import integrate_1d
 
 # first negative Airy zero from an independent bisection oracle
@@ -34,29 +34,29 @@ class TestHydrogenState:
     def test_ground_radial_closed_form(self):
         st = HydrogenState(1, 0, 0)
         rs = np.linspace(0.1, 5.0, 9)
-        assert np.allclose(hydrogen_radial(st, rs), 2.0 * np.exp(-rs),
+        assert np.allclose(hydrogen_radial_parts(st, rs)[0], 2.0 * np.exp(-rs),
                            rtol=1e-12)
 
     def test_radial_normalization_by_quadrature(self):
         for st in all_states(3):
-            val = integrate_1d(lambda r: hydrogen_radial(st, r) ** 2 * r ** 2,
+            val = integrate_1d(lambda r: hydrogen_radial_parts(st, r)[0] ** 2 * r ** 2,
                                0.0, 80.0)
             assert val == pytest.approx(1.0, abs=1e-8), (st.n, st.l)
 
     def test_theta_normalization_by_quadrature(self):
         for st in all_states(3):
             val = integrate_1d(
-                lambda th: hydrogen_theta(st, th) ** 2 * np.sin(th),
+                lambda th: hydrogen_theta_parts(st, th)[0] ** 2 * np.sin(th),
                 0.0, math.pi)
             assert val == pytest.approx(1.0, abs=1e-10), (st.n, st.l, st.m_l)
 
     def test_full_density_normalization(self):
         for st in all_states(3):
             def radial_part(r):
-                return hydrogen_radial(st, r) ** 2 * r ** 2
+                return hydrogen_radial_parts(st, r)[0] ** 2 * r ** 2
 
             def angular_part(th):
-                return hydrogen_theta(st, th) ** 2 * np.sin(th)
+                return hydrogen_theta_parts(st, th)[0] ** 2 * np.sin(th)
 
             total = (integrate_1d(radial_part, 0.0, 80.0)
                      * integrate_1d(angular_part, 0.0, math.pi))

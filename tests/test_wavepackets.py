@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from abtool.madelung import Constants, decompose
+from abtool.madelung import Constants, decompose, quantum_force
 from abtool.wavepackets import (AIRY_WINDOW, GaussianPacketConfig,
                                 airy_fields, airy_force_probe_points,
                                 airy_wavefield, free_particle_fields,
@@ -180,6 +180,17 @@ class TestAiry:
         pts = airy_force_probe_points(0.7)
         f = airy_fields(pts, 0.7)
         assert np.abs(f["F_Q"] - 1.0).max() <= 1e-4
+
+    def test_batched_force_matches_the_point_by_point_force(self):
+        # airy_fields takes F_Q in one call on all points; one call per
+        # point rounds |psi|^2 differently, and the stencils (second
+        # difference at 5e-3, first at 5e-2) amplify a rounding unit of rho
+        # by about 1e6, so the routes agree to a few 1e-10
+        pts = airy_force_probe_points(0.7)
+        field = airy_wavefield(0.7)
+        single = [quantum_force(field, Constants(), np.array([x]))[0]
+                  for x in pts]
+        assert np.abs(airy_fields(pts, 0.7)["F_Q"] - single).max() <= 1e-9
 
     def test_eta_is_kt_over_m(self):
         # k = m = 1

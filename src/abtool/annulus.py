@@ -392,11 +392,8 @@ def gauge_family(state):
     """Densities rho_{nu +- delta, n}(r) for each delta of GAUGE_DELTAS,
     each normalized, with the mean-deviation report
     max_r |(rho_+ + rho_-)/2 - rho_nu| and the deviation ratios across
-    successive deltas.  members[delta] is the pair of ABStates of order
-    nu +- delta with the base state's m, n and lambda, so nu != |m + lambda|
-    for them: only their radial parts (radial_density, radial_parts) are
-    meaningful.  An order past numerics.MAX_ORDER raises ValueError from
-    `bessel_j_zero`.
+    successive deltas.  An order past numerics.MAX_ORDER raises ValueError
+    from `bessel_j_zero`.
     """
     cfg = state.cfg
     if state.nu < max(GAUGE_DELTAS):
@@ -408,13 +405,11 @@ def gauge_family(state):
         tau, k, norm = _radial_profile(cfg, nu, state.n)
         return replace(state, nu=nu, tau=tau, k=k, norm=norm)
 
-    members = {}
     deviations = []
     for d in GAUGE_DELTAS:
         plus, minus = member(state.nu + d), member(state.nu - d)
-        members[d] = (plus, minus)
         mean = 0.5 * (plus.radial_density(rg) + minus.radial_density(rg))
         deviations.append(float(np.abs(mean - base).max()))
     ratios = [a / b for a, b in zip(deviations, deviations[1:])]
-    return {"deltas": list(GAUGE_DELTAS), "members": members,
-            "deviations": deviations, "ratios": ratios}
+    return {"deltas": list(GAUGE_DELTAS), "deviations": deviations,
+            "ratios": ratios}

@@ -17,8 +17,7 @@ from .annulus import (AnnulusConfig, diffusion_velocity, eigenstate,
                       solenoid_current_check, solenoid_potential)
 from .madelung import circulation, decompose, gauge_transform
 from .numerics import RandomStream, bessel_j_zero, curl_z_fd, integrate_1d
-from .wavepackets import (AIRY_WINDOW, GaussianPacketConfig, airy_fields,
-                          airy_wavefield, gaussian_consistency)
+from .wavepackets import AIRY_WINDOW, GaussianPacketConfig, airy_wavefield
 
 GRID_M = (-2, -1, 0, 1, 2)
 GRID_N = (1, 2)
@@ -88,18 +87,7 @@ def check_orthogonality():
         dots = np.abs(np.sum(dec.gamma * dec.delta, axis=-1))
         worst_ann = max(worst_ann, float(dots.max()))
 
-    worst_hyd = 0.0
-    stream = RandomStream(7)
-    for n in range(1, 4):
-        for l in range(n):
-            for m_l in range(-l, l + 1):
-                st = models.HydrogenState(n, l, m_l)
-                u = stream.uniforms(2000).reshape(2, 1000)
-                r = 0.2 + 14.0 * u[0]
-                th = 0.1 + (np.pi - 0.2) * u[1]
-                f = models.hydrogen_fields(st, r, th)
-                dots = np.abs(np.sum(f["J"] * f["D"], axis=-1))
-                worst_hyd = max(worst_hyd, float(dots.max()))
+    worst_hyd = max(models.hydrogen_orthogonality().values())
     passed = worst_ann <= 1e-12 and worst_hyd <= 1e-12
     return CheckResult("quasi-current / diffusion-current orthogonality", passed,
                        {"tolerance": 1e-12, "worst_annulus": worst_ann,
@@ -161,13 +149,9 @@ def check_magnetic_force():
 def check_gaussian_packet():
     """Continuity (1e-6, h=1e-4, 200-point grid), phase relation (1e-10)
     and current-velocity decomposition (1e-12) for the Gaussian packet."""
-    cfg = GaussianPacketConfig(alpha=1.0)
     worst = {"continuity_residual": 0.0, "phase_relation_residual": 0.0,
              "decomposition_residual": 0.0}
-    for t in (cfg.T / 2.0, cfg.T, 3.0 * cfg.T):
-        eps = float(cfg.epsilon(t))
-        grid = np.linspace(t - 4.0 * eps, t + 4.0 * eps, 200)
-        res = gaussian_consistency(cfg, grid, t)
+    for _, res in wavepackets.gaussian_report(GaussianPacketConfig()).values():
         for k in worst:
             worst[k] = max(worst[k], res[k])
     passed = (worst["continuity_residual"] <= 1e-6
@@ -187,9 +171,7 @@ def check_airy_packet():
         rho_t = np.abs(airy_wavefield(t).amplitude(xs[:, None])) ** 2
         rho_0 = np.abs(airy_wavefield(0.0).amplitude((xs - shift)[:, None])) ** 2
         worst_shape = max(worst_shape, float(np.abs(rho_t - rho_0).max()))
-    pts = wavepackets.airy_force_probe_points(0.7)
-    f = airy_fields(pts, 0.7)
-    worst_force = float(np.abs(f["F_Q"] - 1.0).max())     # k = 1
+    worst_force = wavepackets.airy_force_report()["max_rel_err"]
     passed = worst_shape <= 1e-10 and worst_force <= 1e-4
     return CheckResult("airy packet", passed,
                        {"translation_identity": worst_shape,
@@ -240,13 +222,8 @@ def check_special_functions():
     at exactly {-1/3, -1/2, -1} (1e-10)."""
     worst_zero = max(abs(bessel_j_zero(0.5, n) - n * np.pi) for n in range(1, 11))
     model = models.linear_airy_model(m=0.5, n=1)
-    mass_grid = [1.0, 2.0, 4.0, 8.0]
     norm = integrate_1d(model["rho"], 0.0, 20.0)
-    slopes = {
-        "linear_airy": models.mass_scaling_fit("linear_airy", 1, mass_grid),
-        "half_harmonic": models.mass_scaling_fit("half_harmonic", 1, mass_grid),
-        "box": models.mass_scaling_fit("box", 1, mass_grid),
-    }
+    slopes = models.mass_scaling_slopes()
     slope_err = max(abs(slopes["linear_airy"] + 1.0 / 3.0),
                     abs(slopes["half_harmonic"] + 0.5),
                     abs(slopes["box"] + 1.0))
@@ -283,7 +260,7 @@ def check_gauge_invariance():
 
     rho_gap = float(np.abs(gauged.density(pts) - state.density(pts)).max())
 
-    fd_field = madelung.WaveField(gauged.amplitude, None, fd_step=1e-6)
+    fd_field = madelung.WaveField(gauged.amplitude)
     probe = pts[:64]
     dec_fd = decompose(fd_field, None, cfg, probe)
     dec_base = decompose(state, None, cfg, probe)

@@ -29,7 +29,7 @@ from . import __version__, annulus, checks, models, sde, wavepackets
 from ._svg import line_chart
 from .annulus import AnnulusConfig, eigenstate, flux_parameter, solenoid_potential
 from .madelung import Constants, DensityFloorError, decompose
-from .numerics import NonConvergenceError, RandomStream
+from .numerics import NonConvergenceError
 from .sde import SdeConfig
 
 EXIT_OK = 0
@@ -195,28 +195,23 @@ def run_spectrum(cfg, out_dir, want_svg):
 def run_fields(cfg, out_dir, want_svg):
     ann = cfg.annulus
     state = eigenstate(ann, cfg.m, cfg.n)
-    a_spec = solenoid_potential(ann)
     margin = 1e-6 * ann.d
     rs = np.linspace(ann.a + margin, ann.b - margin, cfg.nr)
     ths = np.linspace(0.0, 2.0 * np.pi, cfg.ntheta, endpoint=False)
     header = ("r,theta,rho,eta_r,eta_t,xi_re_r,xi_re_t,xi_im_r,xi_im_t,"
               "gamma_r,gamma_t,delta_r,delta_t,v_r,v_t,w_r,w_t,Q,F_r").split(",")
-    e_r = np.stack([np.cos(ths), np.sin(ths)], axis=-1)
-    e_t = np.stack([-np.sin(ths), np.cos(ths)], axis=-1)
-    blocks = []
-    for r in rs:
-        pts = np.stack([r * np.cos(ths), r * np.sin(ths)], axis=-1)
-        dec = decompose(state, a_spec, ann, pts)
-        qf = annulus.closed_form_q_and_force(state, r)
-        vecs = np.stack([dec.eta, dec.xi_real, dec.xi_imag, dec.gamma,
-                         dec.delta, dec.v_quasi, dec.w_quasi])
-        # (field, r/theta component, point) -> eta_r, eta_t, xi_re_r, ...
-        comps = np.stack([np.sum(vecs * e_r, axis=-1),
-                          np.sum(vecs * e_t, axis=-1)], axis=1).reshape(14, -1)
-        ones = np.ones_like(ths)
-        blocks.append(np.column_stack([r * ones, ths, dec.rho, *comps,
-                                       qf["Q"] * ones, qf["F_r"] * ones]))
-    rows = np.concatenate(blocks).tolist()
+    # the nr x ntheta grid, radius-major
+    r, th = (g.ravel() for g in np.meshgrid(rs, ths, indexing="ij"))
+    e_r = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    e_t = np.stack([-np.sin(th), np.cos(th)], axis=-1)
+    dec = decompose(state, solenoid_potential(ann), ann, r[:, None] * e_r)
+    qf = annulus.closed_form_q_and_force(state, r)
+    vecs = np.stack([dec.eta, dec.xi_real, dec.xi_imag, dec.gamma,
+                     dec.delta, dec.v_quasi, dec.w_quasi])
+    # (field, r/theta component, point) -> eta_r, eta_t, xi_re_r, ...
+    comps = np.stack([np.sum(vecs * e_r, axis=-1),
+                      np.sum(vecs * e_t, axis=-1)], axis=1).reshape(14, -1)
+    rows = np.column_stack([r, th, dec.rho, *comps, qf["Q"], qf["F_r"]]).tolist()
     manifest = _table_run("fields", cfg, out_dir, header, rows)
     if want_svg:
         rho_line = state.radial_density(rs)
@@ -251,23 +246,19 @@ def run_packets(cfg, out_dir, want_svg):
     header = ["system", "t", "x", "rho", "eta", "xi", "F_Q", "delta"]
     rows = []
     residuals = {}
-    for t in (g.T / 2.0, g.T, 3.0 * g.T):
-        eps = float(g.epsilon(t))
-        grid = np.linspace(t - 4.0 * eps, t + 4.0 * eps, 200)
+    for t, (grid, res) in wavepackets.gaussian_report(g).items():
         f = wavepackets.gaussian_fields(g, grid, t)
         for i in range(0, len(grid), 10):
             rows.append(["gaussian", float(t), float(grid[i]), float(f["rho"][i]),
                          float(f["eta"][i]), float(f["xi"][i]), float(f["F_Q"][i]),
                          float(f["delta"][i])])
-        res = wavepackets.gaussian_consistency(g, grid, t)
         residuals[f"gaussian_t={t:g}"] = res
-    xs = wavepackets.airy_force_probe_points(0.7)
-    fa = wavepackets.airy_fields(xs, 0.7)
-    for i, x in enumerate(xs):
-        rows.append(["airy", 0.7, float(x), float(fa["rho"][i]),
+    airy = wavepackets.airy_force_report()
+    fa = airy["fields"]
+    for i, x in enumerate(airy["x"]):
+        rows.append(["airy", airy["t"], float(x), float(fa["rho"][i]),
                      float(fa["eta"][i]), "", float(fa["F_Q"][i]), ""])
-    # the force constant is 1, so the relative error is the absolute one
-    residuals["airy_force_max_rel_err"] = float(np.abs(fa["F_Q"] - 1.0).max())
+    residuals["airy_force_max_rel_err"] = airy["max_rel_err"]
     manifest = _table_run("packets", cfg, out_dir, header, rows)
     manifest["residuals"] = residuals
     return manifest
@@ -275,32 +266,20 @@ def run_packets(cfg, out_dir, want_svg):
 
 def run_models(cfg, out_dir, want_svg):
     header = ["model", "level", "quantity", "value"]
-    rows = []
-    worst_jd = 0.0
-    stream = RandomStream(3)
-    for n in range(1, 4):
-        for l in range(n):
-            for m_l in range(-l, l + 1):
-                st = models.HydrogenState(n, l, m_l)
-                u = stream.uniforms(200).reshape(2, 100)
-                r = 0.3 + 12.0 * u[0]
-                th = 0.15 + (np.pi - 0.3) * u[1]
-                f = models.hydrogen_fields(st, r, th)
-                dots = float(np.abs(np.sum(f["J"] * f["D"], axis=-1)).max())
-                worst_jd = max(worst_jd, dots)
-                rows.append([f"hydrogen({n},{l},{m_l})", n, "max|J.D|", dots])
+    jd = models.hydrogen_orthogonality()
+    rows = [[f"hydrogen({st.n},{st.l},{st.m_l})", st.n, "max|J.D|", dots]
+            for st, dots in jd.items()]
     for n in (1, 2, 3):
         am = models.linear_airy_model(1.0, n)
         rows.append(["linear_airy", n, "E_n", float(am["E_n"])])
         rows.append(["half_harmonic", n, "E_n",
                      float(models.half_harmonic_energy(1.0, n))])
         rows.append(["box", n, "E_n", float(models.box_energy(1.0, n))])
-    slopes = {kind: models.mass_scaling_fit(kind, 1, [1.0, 2.0, 4.0, 8.0])
-              for kind in ("linear_airy", "half_harmonic", "box")}
+    slopes = models.mass_scaling_slopes()
     for kind, slope in slopes.items():
         rows.append([kind, 1, "mass_scaling_slope", float(slope)])
     manifest = _table_run("models", cfg, out_dir, header, rows)
-    manifest["hydrogen_max_JdotD"] = worst_jd
+    manifest["hydrogen_max_JdotD"] = max(jd.values())
     manifest["mass_scaling_slopes"] = slopes
     return manifest
 

@@ -32,6 +32,8 @@ from .numerics import gradient_fd, integrate_1d, laplacian_fd
 
 RHO_FLOOR = 1e-30
 _QUANTUM_STEP = 5e-3
+# the step of a WaveField's gradient when none is given
+_FD_STEP = 1e-6
 
 
 class DensityFloorError(ValueError):
@@ -67,29 +69,25 @@ class WaveField:
 
     `amplitude` maps points to complex values; its spatial dimension is the
     last axis of the points it is given.  `gradient`, when omitted, is
-    `numerics.gradient_fd` of `amplitude` with step `fd_step`.
+    `numerics.gradient_fd` of `amplitude` with step 1e-6.
     `density` defaults to |amplitude|^2 but may be supplied separately (a
     gauge transform reuses the base field's density, which is unchanged by
     construction).
     """
 
-    def __init__(self, amplitude, gradient=None, density=None, fd_step=1e-6):
+    def __init__(self, amplitude, gradient=None, density=None):
         self._amp = amplitude
         self._grad = gradient
         self._rho = density
-        self.fd_step = float(fd_step)
 
     def amplitude(self, p):
         return self._amp(np.asarray(p, dtype=float))
 
-    def gradient(self, p):
-        p = np.asarray(p, dtype=float)
-        if self._grad is not None:
-            return self._grad(p)
-        return gradient_fd(self._amp, p, self.fd_step)
-
     def value_and_gradient(self, p):
-        return self.amplitude(p), self.gradient(p)
+        p = np.asarray(p, dtype=float)
+        if self._grad is None:
+            return self._amp(p), gradient_fd(self._amp, p, _FD_STEP)
+        return self._amp(p), self._grad(p)
 
     def density(self, p):
         if self._rho is not None:

@@ -39,10 +39,10 @@ class NonConvergenceError(RuntimeError):
 # Bessel J of real order 0 <= order <= MAX_ORDER + 1 (the pair's upper row at
 # MAX_ORDER) and its zeros for order <= MAX_ORDER.
 #
-# One router, `_bessel`, serves J and the pair J_order, J_{order+1} with one
-# split, x <= 9.25 for every order:
+# One router, `_bessel`, gives the pair J_order, J_{order+1} (J alone is its
+# first row) with one split, x <= 9.25 for every order:
 # - at or below it, the ascending series (coefficients cached per order, one
-#   Horner pass over the rows, truncated at the batch's largest argument);
+#   Horner pass over both rows, truncated at the batch's largest argument);
 # - past it, Miller's backward recurrence (Gautschi, SIAM Review 9 (1967) 24),
 #   normalized by the Neumann sum (A&S 9.1.87), which gives both rows from one
 #   pass; each element starts at its own order, so its bits do not depend on
@@ -100,11 +100,11 @@ def _series_terms(order, ymax):
     return nterms
 
 
-def _horner_series(order, y, *orders):
-    """J_o(x) / (x/2)^o for each order o of `orders`: sum_k c_o[k] y^k by
-    Horner at y = (x/2)^2, truncated where the series of J_order is.  y is
-    the caller's: freeing it here raised peak RSS 1 MB on 1e5-point batches."""
-    coeffs = [_series_coeffs(o) for o in orders]
+def _horner_series(order, y):
+    """J_o(x) / (x/2)^o for o = order, order + 1: sum_k c_o[k] y^k by Horner
+    at y = (x/2)^2, truncated where the series of J_order is.  y is the
+    caller's: freeing it here raised peak RSS 1 MB on 1e5-point batches."""
+    coeffs = [_series_coeffs(order), _series_coeffs(order + 1.0)]
     nterms = _series_terms(order, float(y.max()) if y.size else 0.0)
     sums = [np.full_like(y, c[nterms]) for c in coeffs]
     for k in range(nterms - 1, -1, -1):
@@ -144,25 +144,24 @@ def _miller(order, x):
     return [f * norm, f_up * norm]
 
 
-def _bessel(order, x, rows):
-    """[J_order(x)] (rows = 1) or [J_order(x), J_{order+1}(x)] (rows = 2) for
-    a 1-d array x >= 0: one Horner pass over the rows where x <= 9.25, Miller's
-    recurrence past it.  A point past the split has the same bits in any
-    batch; one below it may not, as the Horner truncation follows max(x)."""
+def _bessel(order, x):
+    """[J_order(x), J_{order+1}(x)] for a 1-d array x >= 0: one Horner pass
+    over both rows where x <= 9.25, Miller's recurrence past it.  A point past
+    the split has the same bits in any batch; one below it may not, as the
+    Horner truncation follows max(x)."""
     inner = None if x.max(initial=0.0) <= _SERIES_MAX_X else x <= _SERIES_MAX_X
     xs = x if inner is None else x[inner]
     half = 0.5 * xs
     # y lives to the return: freed right after Horner, it raised the peak RSS
     # of 1e5-point batches by 0.8 MB (the allocator's reuse changes)
     y = half * half
-    sums = _horner_series(order, y, *(order, order + 1.0)[:rows])
+    sums = _horner_series(order, y)
     pref = half ** order if order != 0.0 else 1.0
     if order != 0.0 and xs.min(initial=_SERIES_MAX_X) < _HALF_SUBNORMAL_X:
         tiny = xs < _HALF_SUBNORMAL_X
         pref[tiny] = xs[tiny] ** order * 0.5 ** order
     out = [s * pref for s in sums]
-    if rows == 2:
-        out[1] *= half
+    out[1] *= half
     if inner is None:
         return out
     past = ~inner
@@ -181,27 +180,27 @@ def _check_order(name, order, top):
                          f"outside the supported window")
 
 
-def _bessel_call(name, order, x, rows):
+def _bessel_call(name, order, x):
     """`_bessel` for any x: scalars give floats, arrays keep their shape."""
     _check_order(name, order, MAX_ORDER + 1.0)
     xa = np.asarray(x, dtype=float)
-    out = _bessel(float(order), xa.ravel(), rows)
+    out = _bessel(float(order), xa.ravel())
     return [float(j[0]) if xa.ndim == 0 else j.reshape(xa.shape) for j in out]
 
 
 def bessel_j(order, x):
     """Bessel function of the first kind J_order(x), 0 <= order <= 51
-    (MAX_ORDER + 1), x >= 0."""
+    (MAX_ORDER + 1), x >= 0: the first row of the pair."""
     if np.min(x, initial=0.0) < 0.0:
         raise ValueError("bessel_j: x must be >= 0")
-    return _bessel_call("bessel_j", order, x, 1)[0]
+    return _bessel_call("bessel_j", order, x)[0]
 
 
 def bessel_j_pair(order, x):
     """(J_order(x), J_{order+1}(x)) from one pass over both rows, for the
     value/derivative pair J' = (v/x) J - J_{v+1} of the hot loops, whose
     x >= 0 is not checked again; J_order is `bessel_j`'s, bit for bit."""
-    return tuple(_bessel_call("bessel_j_pair", order, x, 2))
+    return tuple(_bessel_call("bessel_j_pair", order, x))
 
 
 # Zeros: one scalar Newton solve per (order, n), cached.  It starts from
@@ -260,7 +259,7 @@ def _zero(order, n):
     lo, hi = z - _ZERO_REACH, z + _ZERO_REACH
     left = 1.0 if n % 2 else -1.0
     for _ in range(_ZERO_MAX_ITER):
-        jv, jv1 = (float(r[0]) for r in _bessel(order, np.array([z]), 2))
+        jv, jv1 = (float(r[0]) for r in _bessel(order, np.array([z])))
         step = jv / (order / z * jv - jv1)
         if abs(step) <= _ZERO_STEP_TOL * z:
             z -= step

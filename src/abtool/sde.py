@@ -47,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .annulus import ABState, solenoid_potential
-from .madelung import RHO_FLOOR, decompose
+from .madelung import RHO_FLOOR, _moment_z, decompose
 from .numerics import NonConvergenceError, bessel_log_table, chi2_sf
 from .variates import NormalBlock, RandomStream
 
@@ -431,11 +431,7 @@ def ergodic_angular_momentum(trajectories, state, thin=1):
     for lo in range(0, len(pts), _ERGODIC_CHUNK):
         chunk = pts[lo:lo + _ERGODIC_CHUNK]
         dec = decompose(state, A, cfg, chunk)
-        r = np.hypot(chunk[:, 0], chunk[:, 1])
-        e_th_x = -chunk[:, 1] / r
-        e_th_y = chunk[:, 0] / r
-        v_th = dec.v_quasi[:, 0] * e_th_x + dec.v_quasi[:, 1] * e_th_y
-        lz[lo:lo + len(chunk)] = cfg.mass * r * v_th
+        lz[lo:lo + len(chunk)] = cfg.mass * _moment_z(dec.v_quasi, chunk)
     bounds = np.cumsum([0] + [len(x) for x in thinned])
     means = np.array([float(np.sum(lz[lo:hi])) / (hi - lo)
                       for lo, hi in zip(bounds[:-1], bounds[1:])])

@@ -122,6 +122,17 @@ def gaussian_consistency(cfg, grid, t):
             "decomposition_residual": float(decomp)}
 
 
+def gaussian_report(cfg):
+    """`gaussian_consistency` at t = T/2, T and 3T, each on 200 points over
+    t +- 4 eps(t): {t: (grid, residuals)}."""
+    report = {}
+    for t in (cfg.T / 2.0, cfg.T, 3.0 * cfg.T):
+        eps = float(cfg.epsilon(t))
+        grid = np.linspace(t - 4.0 * eps, t + 4.0 * eps, 200)
+        report[t] = grid, gaussian_consistency(cfg, grid, t)
+    return report
+
+
 # the x range over which the translation identity of the Airy packet is
 # checked
 AIRY_WINDOW = (-8.0, 4.0)
@@ -139,7 +150,7 @@ def airy_wavefield(t):
         phase = t * (xv - t ** 2 / 3.0)
         return env * np.exp(1j * phase)
 
-    return WaveField(amplitude, None, fd_step=1e-5)
+    return WaveField(amplitude)
 
 
 def airy_force_probe_points(t, count=20):
@@ -165,6 +176,17 @@ def airy_fields(x, t):
     eta = np.full_like(x, t)
     f_q = quantum_force(field, Constants(), x[:, None])[:, 0]
     return {"psi": psi, "rho": rho, "eta": eta, "F_Q": f_q}
+
+
+def airy_force_report():
+    """`airy_fields` at the 20 `airy_force_probe_points` of t = 0.7, with
+    max |F_Q - 1|, the force's relative error (its constant k is 1):
+    {t, x, fields, max_rel_err}."""
+    t = 0.7
+    x = airy_force_probe_points(t)
+    fields = airy_fields(x, t)
+    return {"t": t, "x": x, "fields": fields,
+            "max_rel_err": float(np.abs(fields["F_Q"] - 1.0).max())}
 
 
 def free_particle_fields(x, t):

@@ -198,6 +198,26 @@ class TestPacketsAndModels:
         assert slopes["half_harmonic"] == pytest.approx(-0.5, abs=1e-10)
         assert slopes["box"] == pytest.approx(-1.0, abs=1e-10)
 
+    def test_checks_report_the_manifests_numbers(self, tmp_path):
+        # checks 2, 6, 7 and 10 take the report `packets` or `models` writes
+        assert run_cli(["packets"], tmp_path) == EXIT_OK
+        assert run_cli(["models"], tmp_path) == EXIT_OK
+        packets = json.loads((tmp_path / "manifest_packets.json").read_text())
+        models = json.loads((tmp_path / "manifest_models.json").read_text())
+        residuals = packets["residuals"]
+        gaussian = [block for key, block in residuals.items()
+                    if key.startswith("gaussian_t=")]
+        assert len(gaussian) == 3
+        details = checks.check_gaussian_packet().details
+        for key in gaussian[0]:
+            assert details[key] == max(block[key] for block in gaussian)
+        assert checks.check_airy_packet().details["force_rel_error"] == \
+            residuals["airy_force_max_rel_err"]
+        assert checks.check_special_functions().details["slopes"] == \
+            models["mass_scaling_slopes"]
+        assert checks.check_orthogonality().details["worst_hydrogen"] == \
+            models["hydrogen_max_JdotD"]
+
     def test_models_csv_rows_match_the_header(self, tmp_path):
         # the hydrogen labels hold commas, so they must come back as one field
         assert run_cli(["models"], tmp_path) == EXIT_OK

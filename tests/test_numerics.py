@@ -91,7 +91,7 @@ class TestBesselJ:
     def test_series_and_miller_agree_at_the_split(self, nu):
         # the router's series at the split x = 9.25 against Miller's
         # recurrence one rounding unit past it, for both rows of the pair
-        for a, b in _bessel(nu, np.array([9.25, np.nextafter(9.25, np.inf)]), 2):
+        for a, b in _bessel(nu, np.array([9.25, np.nextafter(9.25, np.inf)])):
             assert abs(a - b) <= 1e-10
 
     def test_miller_value_depends_on_its_argument_alone(self):

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from abtool.models import (HydrogenState, box_energy,
-                           half_harmonic_energy, hydrogen_density,
-                           hydrogen_fields, hydrogen_grad_rho,
+                           half_harmonic_energy, hydrogen_fields, hydrogen_grad_rho,
                            hydrogen_radial_parts, hydrogen_theta_parts,
                            linear_airy_model, mass_scaling_fit)
 from abtool.numerics import integrate_1d
@@ -110,10 +109,9 @@ class TestHydrogenFields:
         r0, th0 = 3.1, 1.2
         grad = hydrogen_grad_rho(st, r0, th0)
         h = 1e-5
-        dr = (hydrogen_density(st, r0 + h, th0)
-              - hydrogen_density(st, r0 - h, th0)) / (2 * h)
-        dth = (hydrogen_density(st, r0, th0 + h)
-               - hydrogen_density(st, r0, th0 - h)) / (2 * h) / r0
+        rho = lambda r, th: hydrogen_fields(st, r, th)["rho"]
+        dr = (rho(r0 + h, th0) - rho(r0 - h, th0)) / (2 * h)
+        dth = (rho(r0, th0 + h) - rho(r0, th0 - h)) / (2 * h) / r0
         assert grad[0] == pytest.approx(dr, rel=1e-8)
         assert grad[1] == pytest.approx(dth, rel=1e-8)
 

@@ -7,7 +7,9 @@ and properties of those classes.  Readers are the `ast.Name`,
 whose re-exports are not uses), in `demos` and in `benchmark` (outside
 `benchmark/tests`), each outside the definition's own body.  Strings and
 comments are not readers.  Tests are not readers either: a definition that
-only tests call is dead library surface.
+only tests call is dead library surface.  Nor are the bodies of the oracle
+routes (`ORACLE_ROUTES`), the second routes that only tests call: what only
+an oracle reads, only tests reach.
 
 A method is resolved through its owner class.  Only attribute reads name
 it.  Where the receiver is known (`self` or `cls` inside a class, a class
@@ -129,18 +131,23 @@ def _hierarchy(trees):
     return {name: lineage[name] | up[name] for name in bases}, lineage
 
 
-def unread_definitions(modules, program_trees):
+def unread_definitions(modules, program_trees, oracles=()):
     """Qualified names of the public definitions no program code reads.
 
     modules maps a module name to the AST scanned for definitions; every
-    tree in modules and in program_trees is a reader."""
+    tree in modules and in program_trees is a reader, outside the bodies of
+    the definitions named in oracles."""
     trees = [*modules.values(), *program_trees]
     family, lineage = _hierarchy(trees)
+    definitions = [d for module, tree in modules.items()
+                   for d in _definitions(module, tree)]
+    oracle_ids = {id(node) for qualified, node, _ in definitions
+                  if qualified in oracles}
     reads = []
     for tree in trees:
         visitor = _Reads(family)
         visitor.visit(tree)
-        reads += visitor.reads
+        reads += [r for r in visitor.reads if oracle_ids.isdisjoint(r[3])]
 
     def is_read(node, owner):
         outside = [(kind, by) for name, kind, by, inside in reads
@@ -150,8 +157,6 @@ def unread_definitions(modules, program_trees):
         return any(kind == "attr" and (by is None or by in family[owner])
                    for kind, by in outside)
 
-    definitions = [d for module, tree in modules.items()
-                   for d in _definitions(module, tree)]
     classes = {node.name: node for _, node, owner in definitions
                if owner is None and isinstance(node, ast.ClassDef)}
     unread = []
@@ -176,7 +181,8 @@ def program_unread():
     others = sorted((ROOT / "demos").glob("*.py")) + [
         p for p in sorted((ROOT / "benchmark").rglob("*.py"))
         if "tests" not in p.relative_to(ROOT / "benchmark").parts]
-    return unread_definitions(modules, [_parse(p) for p in others])
+    return unread_definitions(modules, [_parse(p) for p in others],
+                              ORACLE_ROUTES)
 
 
 def test_every_public_definition_has_a_program_reader():
@@ -242,3 +248,28 @@ def test_methods_resolve_through_their_owner_class():
     # type is unknown; Base.__post_init__ runs when Derived is built
     unread = unread_definitions({"m": ast.parse(SCANNED)}, [])
     assert sorted(unread) == ["m.State", "m.State.__call__", "m.State.gradient", "m.use"]
+
+
+ORACLE_SCANNED = """
+def program(p):
+    return shared(p)
+
+
+def shared(p):
+    return p
+
+
+def helper(p):
+    return p
+
+
+def oracle(p):
+    return helper(p) + shared(p)
+"""
+
+
+def test_an_oracle_is_not_a_reader():
+    # helper's one reader is the oracle's body; shared has a program reader
+    unread = unread_definitions({"m": ast.parse(ORACLE_SCANNED)}, [],
+                                oracles={"m.oracle"})
+    assert sorted(unread) == ["m.helper", "m.oracle", "m.program"]

@@ -10,7 +10,7 @@ from .annulus import (ABState, AnnulusConfig, diffusion_velocity, eigenstate,
                       system_b_equivalence, vector_potential, vortex_fields)
 from .madelung import (Constants, DensityFloorError, VelocityDecomposition,
                        WaveField, circulation, decompose, gauge_transform,
-                       quantum_force, quantum_potential, quasi_currents)
+                       quantum_force, quantum_potential)
 from .models import (HydrogenState, box_energy, half_harmonic_energy,
                      hydrogen_fields, linear_airy_model, mass_scaling_fit)
 from .numerics import (NonConvergenceError, RandomStream, airy_ai,

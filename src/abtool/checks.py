@@ -78,7 +78,13 @@ def _annulus_sample_points(cfg, count, seed):
 
 def check_orthogonality():
     """Gamma . Delta = 0 at 1e4 points per annulus state and hydrogen
-    J . D = 0 at 1e3 points per state with n <= 3, both to 1e-12."""
+    J . D = 0 at 1e3 points per state with n <= 3, both to 1e-12.
+
+    An identity for separable states: for R(r) e^{i m theta} (and the
+    hydrogen R Theta e^{i m phi}) Gamma and J point along the angle and
+    Delta and D have no angular component, whatever R, Theta, m, the flux
+    or the normalization.  So a fault in R, in the order nu, in the energy
+    or in the sign or size of A leaves this check passing."""
     worst_ann = 0.0
     for state in _grid_states():
         cfg = state.cfg
@@ -133,7 +139,12 @@ def check_energy_identity():
 
 
 def check_magnetic_force():
-    """(q/c) v x B and -M v x omega agree to 1e-12 on 100 random vectors."""
+    """(q/c) v x B and -M v x omega agree to 1e-12 on 100 random vectors.
+
+    An identity for omega = -(q B / M c) e_z, the vorticity
+    `magnetic_force` forms: -M v x omega is (q/c) v x B term by term, so the
+    two routes differ by rounding only, and no fault outside
+    `magnetic_force`'s own two lines makes this check fail."""
     cfg = AnnulusConfig(mass=1.7, charge=0.8, c=2.1, B=1.3)
     stream = RandomStream(11)
     vs = stream.normals(300).reshape(100, 3)

@@ -334,7 +334,7 @@ def main(argv=None):
         if args.format is not None:
             cfg = replace(cfg, out_format=args.format)
         os.makedirs(args.out, exist_ok=True)
-    except (ConfigError, OSError) as exc:
+    except (ValueError, OSError) as exc:     # ConfigError, or a --seed SdeConfig rejects
         print(f"abtool: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

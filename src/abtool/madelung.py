@@ -161,21 +161,6 @@ def _moment_z(vec, arm):
     return arm[..., 0] * vec[..., 1] - arm[..., 1] * vec[..., 0]
 
 
-def quasi_currents(psi, A, cfg, p):
-    """Quasi-probability and quasi-diffusion currents (Gamma, Delta) at p,
-    computed directly from the gauge-covariant momentum density
-    (i hbar / 2M)(psi grad psi* - psi* grad psi) - (q/Mc) A rho."""
-    p = np.asarray(p, dtype=float)
-    rho, cross = psi.density_and_cross(p)
-    hbar, m = cfg.hbar, cfg.mass
-    rho_col = rho[..., None]
-    gamma = (hbar / m) * cross.imag                      # (i hbar/2M)(psi grad psi* - c.c.)
-    if A is not None:
-        gamma = gamma - (cfg.charge / (m * cfg.c)) * np.asarray(A(p), dtype=float) * rho_col
-    delta = -(hbar / (2.0 * m)) * (2.0 * cross.real)
-    return gamma, delta
-
-
 def quantum_potential(psi, cfg, p):
     """Bohm quantum potential Q = -(hbar^2/2M) laplacian(sqrt rho)/sqrt rho,
     second derivatives by Richardson-extrapolated central differences of

@@ -112,21 +112,6 @@ def hydrogen_fields(state, r, theta):
     return {"rho": rho, "J": j_vec, "D": d_vec, "eta": eta_vec}
 
 
-def hydrogen_grad_rho(state, r, theta):
-    """grad(rho) in the spherical basis via log-derivatives of the factors,
-    an independent assembly used to cross-check the printed D."""
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    rr, drr = hydrogen_radial_parts(state, r)
-    th, dth = hydrogen_theta_parts(state, theta)
-    rho = rr * rr * th * th / (2.0 * math.pi)
-    shape = np.broadcast(r, theta).shape
-    out = np.zeros(shape + (3,))
-    out[..., 0] = rho * 2.0 * drr / rr
-    out[..., 1] = rho * 2.0 * dth / th / r
-    return out
-
-
 def hydrogen_orthogonality():
     """max |J . D| of each state with n <= 3 over 1000 points drawn from
     stream 7 in 0.2 <= r <= 14.2, 0.1 <= theta <= pi - 0.1: {state: value}.
@@ -169,7 +154,7 @@ def linear_airy_model(m, n):
         return c * math.pi / math.sqrt(-z_n) * airy_ai(c * x + z_n) ** 2
 
     energy = -z_n * (1.0 / (2.0 * m)) ** (1.0 / 3.0)
-    return {"rho": rho, "E_n": energy, "z_n": z_n, "scale": c}
+    return {"rho": rho, "E_n": energy}
 
 
 def half_harmonic_energy(m, n):

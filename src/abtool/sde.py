@@ -77,6 +77,8 @@ class SdeConfig:
             raise ValueError("need 0 <= burn_in < steps")
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be >= 1")
+        if not 0 <= self.seed < 2 ** 64:    # the Philox key word
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass
@@ -84,7 +86,6 @@ class Trajectory:
     positions: np.ndarray          # retained (post burn-in) points, (n, 2)
     rejected_steps: int = 0
     aborted: bool = False
-    diagnostic: str = ""
 
     def radii(self):
         return np.hypot(self.positions[:, 0], self.positions[:, 1])
@@ -94,22 +95,15 @@ class Trajectory:
 
 
 def drifts(psi, A, cfg, p):
-    """Forward/backward drifts and mean derivatives at p.
+    """Forward/backward drifts at p.
 
     u = (hbar/2M) grad(rho)/rho (osmotic), v = eta (current velocity);
-    b = v + u, b* = v - u; the mean derivatives are the complex combinations
-    D+- = eta +- i xi built from the momentum density with the plain
-    momentum operator.
+    b = v + u, b* = v - u.
     """
     dec = decompose(psi, A, cfg, p)
     u = -dec.xi_real
     v = dec.eta
-    return {
-        "forward": v + u,
-        "backward": v - u,
-        "mean_forward": dec.eta + 1j * dec.xi_real,
-        "mean_backward": dec.eta - 1j * dec.xi_real,
-    }
+    return {"forward": v + u, "backward": v - u}
 
 
 # A kernel maps complex positions z = x + i y to (ok, step): ok is the
@@ -230,14 +224,13 @@ def simulate(state, sde_cfg):
     kept = np.empty((n_traj, sde_cfg.steps - sde_cfg.burn_in), dtype=complex)
     rejected = np.zeros(n_traj, dtype=int)
     aborted = np.zeros(n_traj, dtype=bool)
-    diagnostics = [""] * n_traj
 
     def retry_xi(i):
         if retry[i] is None:
             retry[i] = RandomStream(sde_cfg.seed, 2 * i + 1)
         return retry[i].normals(2).view(complex)[0]
 
-    def resample(step_no, z, step, prop, new_step, ok):
+    def resample(z, step, prop, new_step, ok):
         """Redraw the invalid proposals in place from the retry stream: after
         `fails` failures in this step a trajectory redraws at the step
         fraction 0.5 ** (fails // (_MAX_RETRIES + 1)), so each halving gets
@@ -252,12 +245,7 @@ def simulate(state, sde_cfg):
             dead = level > _HALVING_LIMIT
             if dead.any():
                 gone = bad[dead]
-                for i in gone:
-                    aborted[i] = True
-                    diagnostics[i] = (
-                        f"step {step_no}: no valid proposal after "
-                        f"{_MAX_RETRIES} retries and "
-                        f"{_HALVING_LIMIT} halvings")
+                aborted[gone] = True
                 ok[gone] = True
                 prop[gone] = z[gone]
                 new_step[gone] = step[gone]
@@ -300,7 +288,7 @@ def simulate(state, sde_cfg):
                     prop[aborted] = z[aborted]
                     new_step[aborted] = step[aborted]
                 if np.count_nonzero(ok) < n_traj:
-                    resample(lo + s, z, step, prop, new_step, ok)
+                    resample(z, step, prop, new_step, ok)
                     frozen = bool(aborted.any())
                 z, prop = prop, z
                 step, new_step = new_step, step
@@ -309,7 +297,7 @@ def simulate(state, sde_cfg):
 
     positions = kept.view(np.float64).reshape(n_traj, -1, 2)
     return [Trajectory(positions=positions[i], rejected_steps=int(rejected[i]),
-                       aborted=bool(aborted[i]), diagnostic=diagnostics[i])
+                       aborted=bool(aborted[i]))
             for i in range(n_traj)]
 
 
@@ -355,13 +343,13 @@ def chi2_thin(sde_cfg):
     near independent, but short runs keep at least 400 of their pooled
     samples, enough to bin (their p-values are descriptive only)."""
     pooled = sde_cfg.n_trajectories * (sde_cfg.steps - sde_cfg.burn_in)
-    return max(1, min(int(round(20.0 / sde_cfg.dt)), pooled // 400))
+    return max(1, int(round(min(20.0 / sde_cfg.dt, pooled // 400))))
 
 
 def _chi2_on_counts(samples, bins, thin, edges):
-    """({chi2, p_value, dof}, sample count) of the samples thinned by `thin`
-    against equal expected counts in the bins edges(nbins) delimits, where
-    nbins is `bins` shrunk until every bin expects at least 20 samples."""
+    """{chi2, p_value, dof} of the samples thinned by `thin` against equal
+    expected counts in the bins edges(nbins) delimits, where nbins is `bins`
+    shrunk until every bin expects at least 20 samples."""
     thinned = samples[::thin]
     nbins = int(min(bins, thinned.size // 20))
     if nbins < 2:
@@ -370,8 +358,7 @@ def _chi2_on_counts(samples, bins, thin, edges):
     expected = thinned.size / nbins
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     dof = nbins - 1
-    return ({"chi2": chi2, "p_value": chi2_sf(chi2, dof), "dof": dof},
-            int(thinned.size))
+    return {"chi2": chi2, "p_value": chi2_sf(chi2, dof), "dof": dof}
 
 
 def _ks_sup(samples, rg, cdf):
@@ -385,7 +372,7 @@ def _ks_sup(samples, rg, cdf):
 
 
 def stationarity_test(trajectories, state, bins=40, thin=1):
-    """{ks_distance, chi2, p_value, dof, n_samples} for the radial marginal.
+    """{ks_distance, chi2, p_value, dof} for the radial marginal.
 
     KS uses every pooled sample.  The chi-square uses equal-probability bins
     (expected count >= 20 enforced by shrinking the bin count) on samples
@@ -397,19 +384,17 @@ def stationarity_test(trajectories, state, bins=40, thin=1):
         raise ValueError("need at least 1e4 pooled samples")
     rg, _, cdf = radial_target(state)
     ks = _ks_sup(radii, rg, cdf)
-    chi2, n_chi2 = _chi2_on_counts(
+    chi2 = _chi2_on_counts(
         radii, bins, thin,
         lambda nbins: np.interp(np.linspace(0.0, 1.0, nbins + 1), cdf, rg))
-    return {"ks_distance": ks, **chi2, "n_samples": int(radii.size),
-            "n_chi2_samples": n_chi2}
+    return {"ks_distance": ks, **chi2}
 
 
 def angular_uniformity_test(trajectories, bins=16, thin=1):
     """Chi-square of the pooled (thinned) angles against the uniform law."""
-    chi2, n = _chi2_on_counts(
+    return _chi2_on_counts(
         np.concatenate([t.angles() for t in trajectories]), bins, thin,
         lambda nbins: np.linspace(-np.pi, np.pi, nbins + 1))
-    return {**chi2, "n_samples": n}
 
 
 def ergodic_angular_momentum(trajectories, state, thin=1):

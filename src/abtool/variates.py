@@ -14,16 +14,18 @@ from numpy.random import Generator, Philox
 class RandomStream:
     """Deterministic stream of variates identified by (seed, stream_id).
 
-    Streams with the same key always reproduce the same sequence; distinct
-    stream_ids are statistically independent.  Each worker should own its
-    own instance (value semantics, nothing shared).
+    seed and stream_id are integers in [0, 2**64).  Streams with the same
+    key always reproduce the same sequence; distinct stream_ids are
+    statistically independent.  Each worker should own its own instance
+    (value semantics, nothing shared).
     """
 
     def __init__(self, seed, stream_id=0):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        self._gen = Generator(Philox(key=[self.seed & (2**64 - 1),
-                                          self.stream_id & (2**64 - 1)]))
+        # one uint64 word each; a list would hold an int >= 2**63 as float64
+        self._gen = Generator(Philox(key=np.array([self.seed, self.stream_id],
+                                                  dtype=np.uint64)))
 
     def normals(self, count):
         """`count` standard normal variates, count even: Box-Muller on

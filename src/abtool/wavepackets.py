@@ -63,32 +63,6 @@ def gaussian_delta_gradient(cfg, x, t):
     return 2.0 * (np.asarray(x, float) - t) * t / (eps ** 2 * cfg.T)
 
 
-def gaussian_wavefield(cfg, t):
-    """Snapshot of the normalized packet as a 1-d WaveField.
-
-    The modulus carries the sqrt(alpha/eps)-style prefactor required for
-    unit norm (the density above is the contract); phase is
-    x - t / 2 + delta(x, t).
-    """
-    eps = float(cfg.epsilon(t))
-    pref = (2.0 / math.pi) ** 0.25 / math.sqrt(eps)
-
-    def amplitude(p):
-        xv = np.asarray(p, dtype=float)[..., 0]
-        y = xv - t
-        phase = xv - t / 2.0 + gaussian_fields(cfg, xv, t)["delta"]
-        return pref * np.exp(-y ** 2 / eps ** 2) * np.exp(1j * phase)
-
-    def gradient(p):
-        xv = np.asarray(p, dtype=float)[..., 0]
-        y = xv - t
-        ddelta = gaussian_delta_gradient(cfg, xv, t)
-        d = amplitude(p) * (-2.0 * y / eps ** 2 + 1j * (1.0 + ddelta))
-        return d[..., None]
-
-    return WaveField(amplitude, gradient)
-
-
 _CONTINUITY_STEP = 1e-4
 
 

@@ -360,6 +360,14 @@ class TestExitCodes:
         assert main(["spectrum", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    def test_config_file_that_is_not_utf8_is_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main(["spectrum", "--config", str(bad),
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_state_outside_window_is_2(self, tmp_path, capsys):
         # nu = |m + lambda| = 59.5 > 50
         assert run_cli(["fields"], tmp_path,
@@ -419,6 +427,27 @@ class TestExitCodes:
         names = (f"a = {values['a']!r}, b = {values['b']!r}" if "a" in values
                  else f"{block}.{next(iter(values))}")
         assert names in err
+
+    @pytest.mark.parametrize("subcommand", ["spectrum", "fields"])
+    def test_overflowing_hbar_is_2(self, tmp_path, capsys, subcommand):
+        # hbar^2, in the energy and the closed-form quantum potential, is
+        # past the float range
+        config = {"constants": {"hbar": 1e300}}
+        assert run_cli([subcommand], tmp_path, config=config) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("abtool: configuration error: hbar^2")
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_the_key_range_is_2(self, tmp_path, capsys, seed):
+        # the --seed override and the sde.seed key exit alike, before a run
+        assert main(["trajectories", "--seed", str(seed),
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert run_cli(["trajectories"], tmp_path,
+                       config={"sde": {"seed": seed}}) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 2 and "Traceback" not in err
+        assert err == f"abtool: configuration error: seed must be in [0, 2**64), got {seed}\n" * 2
 
     def test_unallocatable_budget_is_2(self, tmp_path, capsys):
         # 64 trajectories of 1e13 retained steps ask for 9 PiB, which fails

@@ -11,9 +11,10 @@ from abtool.madelung import (RHO_FLOOR, AnnulusDomain, Constants,
                              DensityFloorError, WaveField, _energy_densities,
                              circulation, decompose, gauge_transform,
                              integrated_energy_identity, quantum_force,
-                             quantum_potential, quasi_currents)
+                             quantum_potential)
 from abtool import numerics
-from abtool.wavepackets import GaussianPacketConfig, gaussian_wavefield
+from abtool.wavepackets import GaussianPacketConfig
+from oracles import gaussian_wavefield, quasi_currents
 
 CONSTS = Constants()
 CFG = AnnulusConfig()                  # natural units, a=1, b=3, B=1

@@ -47,6 +47,19 @@ class TestSdeConfig:
             SdeConfig(burn_in=10, steps=10)
         with pytest.raises(ValueError):
             SdeConfig(n_trajectories=0)
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError):
+                SdeConfig(seed=seed)
+        assert SdeConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
+    @pytest.mark.parametrize("dt,stride", [
+        (0.9, 22),          # about 20 time units
+        (0.1, 38),          # capped at a 400th of the 15200 pooled samples
+        (5e-324, 38),       # capped, where 20 / dt is inf
+    ])
+    def test_chi2_thin(self, dt, stride):
+        cfg = SdeConfig(dt=dt, steps=2000, burn_in=100, n_trajectories=8)
+        assert sde.chi2_thin(cfg) == stride
 
 
 class TestDrifts:
@@ -76,16 +89,6 @@ class TestDrifts:
         assert abs(b[0]) <= 1e-4
         assert b[1] == pytest.approx(STATE.m * CFG.hbar / (CFG.mass * r_star),
                                      rel=1e-6)
-
-    def test_mean_derivative_combinations(self):
-        p = np.array([1.8, 0.6])
-        out = drifts(STATE, A_SPEC, CFG, p)
-        from abtool.madelung import decompose
-        dec = decompose(STATE, A_SPEC, CFG, p)
-        eta_rec = 0.5 * (out["mean_forward"] + out["mean_backward"])
-        osm_rec = (0.5j * (out["mean_forward"] - out["mean_backward"])).real
-        assert np.abs(eta_rec.real - dec.eta).max() <= 1e-12
-        assert np.abs(osm_rec - (-dec.xi_real)).max() <= 1e-12
 
     def test_forward_backward_identities(self):
         pts = [np.array([1.3, 0.2]), np.array([2.6, -0.9]),

@@ -6,6 +6,7 @@ those series, and dense trapezoid sums.
 """
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -559,6 +560,16 @@ class TestRandomStream:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             RandomStream(1, 0).normals(0)
+
+    @pytest.mark.parametrize("seed", [2 ** 63, 2 ** 64 - 2])
+    def test_seeds_past_the_int64_range_are_distinct(self, seed):
+        # each key word is a uint64; neighbouring seeds at the top of the
+        # range draw different streams, without a cast warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = RandomStream(seed, 0).uniforms(8)
+            b = RandomStream(seed + 1, 0).uniforms(8)
+        assert not np.array_equal(a, b)
 
     def test_pinned_bits(self):
         # digest computed while normals still took odd counts, which leaves

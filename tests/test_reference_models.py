@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from abtool.models import (HydrogenState, box_energy,
-                           half_harmonic_energy, hydrogen_fields, hydrogen_grad_rho,
+                           half_harmonic_energy, hydrogen_fields,
                            hydrogen_radial_parts, hydrogen_theta_parts,
                            linear_airy_model, mass_scaling_fit)
 from abtool.numerics import integrate_1d
+from oracles import hydrogen_grad_rho
 
 # first negative Airy zero from an independent bisection oracle
 Z1 = -2.338107410459767

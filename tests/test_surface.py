@@ -7,9 +7,8 @@ and properties of those classes.  Readers are the `ast.Name`,
 whose re-exports are not uses), in `demos` and in `benchmark` (outside
 `benchmark/tests`), each outside the definition's own body.  Strings and
 comments are not readers.  Tests are not readers either: a definition that
-only tests call is dead library surface.  Nor are the bodies of the oracle
-routes (`ORACLE_ROUTES`), the second routes that only tests call: what only
-an oracle reads, only tests reach.
+only tests call is dead library surface, and a second route that tests check
+a program path against lives in `tests/oracles.py`.
 
 A method is resolved through its owner class.  Only attribute reads name
 it.  Where the receiver is known (`self` or `cls` inside a class, a class
@@ -28,16 +27,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "abtool"
 CONSTRUCTION_HOOKS = {"__init__", "__new__", "__post_init__"}
-
-# Independent second routes that tests check a program path against.
-ORACLE_ROUTES = {
-    "madelung.quasi_currents":
-        "Gamma and Delta from the momentum density, checked against decompose",
-    "models.hydrogen_grad_rho":
-        "closed-form grad rho of hydrogen, checked against the printed D",
-    "wavepackets.gaussian_wavefield":
-        "the Gaussian packet as a WaveField, checked against its closed forms",
-}
 
 
 def _is_dunder(name):
@@ -131,23 +120,20 @@ def _hierarchy(trees):
     return {name: lineage[name] | up[name] for name in bases}, lineage
 
 
-def unread_definitions(modules, program_trees, oracles=()):
+def unread_definitions(modules, program_trees):
     """Qualified names of the public definitions no program code reads.
 
     modules maps a module name to the AST scanned for definitions; every
-    tree in modules and in program_trees is a reader, outside the bodies of
-    the definitions named in oracles."""
+    tree in modules and in program_trees is a reader."""
     trees = [*modules.values(), *program_trees]
     family, lineage = _hierarchy(trees)
     definitions = [d for module, tree in modules.items()
                    for d in _definitions(module, tree)]
-    oracle_ids = {id(node) for qualified, node, _ in definitions
-                  if qualified in oracles}
     reads = []
     for tree in trees:
         visitor = _Reads(family)
         visitor.visit(tree)
-        reads += [r for r in visitor.reads if oracle_ids.isdisjoint(r[3])]
+        reads += visitor.reads
 
     def is_read(node, owner):
         outside = [(kind, by) for name, kind, by, inside in reads
@@ -174,28 +160,16 @@ def _parse(path):
     return ast.parse(path.read_text(), str(path))
 
 
-def program_unread():
-    """`unread_definitions` of `src/abtool` against the program's readers."""
+def test_every_public_definition_has_a_program_reader():
     modules = {p.stem: _parse(p) for p in sorted(SRC.glob("*.py"))
                if p.stem != "__init__"}
     others = sorted((ROOT / "demos").glob("*.py")) + [
         p for p in sorted((ROOT / "benchmark").rglob("*.py"))
         if "tests" not in p.relative_to(ROOT / "benchmark").parts]
-    return unread_definitions(modules, [_parse(p) for p in others],
-                              ORACLE_ROUTES)
-
-
-def test_every_public_definition_has_a_program_reader():
-    unread = [name for name in program_unread() if name not in ORACLE_ROUTES]
+    unread = unread_definitions(modules, [_parse(p) for p in others])
     assert unread == [], (
         "public definitions that only tests read; delete them, or add a "
         f"program reader: {unread}")
-
-
-def test_the_oracle_routes_exist_and_have_no_program_reader():
-    # an allow-list entry that gains a program reader, or whose definition
-    # is gone, no longer needs its exemption
-    assert set(ORACLE_ROUTES) <= set(program_unread())
 
 
 SCANNED = """
@@ -250,26 +224,13 @@ def test_methods_resolve_through_their_owner_class():
     assert sorted(unread) == ["m.State", "m.State.__call__", "m.State.gradient", "m.use"]
 
 
-ORACLE_SCANNED = """
-def program(p):
-    return shared(p)
-
-
-def shared(p):
-    return p
-
-
-def helper(p):
-    return p
-
-
-def oracle(p):
-    return helper(p) + shared(p)
-"""
-
-
-def test_an_oracle_is_not_a_reader():
-    # helper's one reader is the oracle's body; shared has a program reader
-    unread = unread_definitions({"m": ast.parse(ORACLE_SCANNED)}, [],
-                                oracles={"m.oracle"})
-    assert sorted(unread) == ["m.helper", "m.oracle", "m.program"]
+def test_the_oracles_import_only_public_names():
+    # an oracle is a second route through the package's public surface
+    tree = _parse(ROOT / "tests" / "oracles.py")
+    imported = [part for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in [getattr(node, "module", None) or "",
+                             *(alias.name for alias in node.names)]
+                for part in name.split(".") if part]
+    assert "abtool" in imported
+    assert [part for part in imported if part.startswith("_")] == []

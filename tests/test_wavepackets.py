@@ -10,8 +10,9 @@ from abtool.wavepackets import (AIRY_WINDOW, GaussianPacketConfig,
                                 airy_fields, airy_force_probe_points,
                                 airy_wavefield, free_particle_fields,
                                 gaussian_consistency, gaussian_delta_gradient,
-                                gaussian_fields, gaussian_wavefield)
+                                gaussian_fields)
 from abtool.numerics import integrate_1d
+from oracles import gaussian_wavefield
 
 
 def fd(f, x, h=1e-6):

@@ -59,18 +59,24 @@ def flux_parameter(cfg):
     return -cfg.charge * cfg.B * cfg.a ** 2 / (2.0 * cfg.hbar * cfg.c)
 
 
+def _a_theta_over_r(cfg, r):
+    """A_theta / r of the solenoid at radii r: B a^2 / (2 r^2) outside
+    (r >= a), B / 2 inside; the two branches agree at r = a."""
+    return np.where(r >= cfg.a, cfg.B * cfg.a ** 2 / (2.0 * r * r), cfg.B / 2.0)
+
+
 def vector_potential(cfg, p):
     """Solenoid vector potential at Cartesian point(s) p.
 
-    A = (B a^2 / 2r) e_theta outside (r >= a), (B r / 2) e_theta inside;
-    the two branches agree at r = a.  r = 0 is rejected.
+    A = (B a^2 / 2r) e_theta outside (r >= a), (B r / 2) e_theta inside.
+    r = 0 is rejected.
     """
     p = np.asarray(p, dtype=float)
     x, y = p[..., 0], p[..., 1]
     r = np.hypot(x, y)
     if np.any(r == 0.0):
         raise ValueError("vector potential is ambiguous at r = 0")
-    coef = np.where(r >= cfg.a, cfg.B * cfg.a ** 2 / (2.0 * r * r), cfg.B / 2.0)
+    coef = _a_theta_over_r(cfg, r)
     # A_theta * e_theta written as coef * (-y, x)
     return np.stack([-coef * y, coef * x], axis=-1)
 
@@ -157,18 +163,6 @@ class ABState:
         theta = np.arctan2(p[..., 1], p[..., 0])
         return self.radial_parts(r)[0] * np.exp(1j * self.m * theta)
 
-    def value_and_gradient(self, p):
-        p = np.asarray(p, dtype=float)
-        x, y = p[..., 0], p[..., 1]
-        r = np.hypot(x, y)
-        cos_t, sin_t = x / r, y / r
-        rr, drr = self.radial_parts(r)
-        phase = np.exp(1j * self.m * np.arctan2(y, x))
-        im_over_r = 1j * self.m * rr / r
-        gx = (drr * cos_t - im_over_r * sin_t) * phase
-        gy = (drr * sin_t + im_over_r * cos_t) * phase
-        return rr * phase, np.stack([gx, gy], axis=-1)
-
     def density_and_cross(self, p):
         """(R^2, R R' r_hat + i (m R^2 / r) theta_hat) at point array(s) p
         from one `radial_parts` call, so the imaginary part holds no rounding
@@ -228,8 +222,16 @@ def eigenstate(cfg, m, n):
     lam = flux_parameter(cfg)
     nu = abs(m + lam)
     tau, k, norm = _radial_profile(cfg, nu, n)
-    return ABState(cfg=cfg, m=int(m), n=int(n), lam=lam, nu=nu, tau=tau,
-                   k=k, norm=norm)
+    state = ABState(cfg=cfg, m=int(m), n=int(n), lam=lam, nu=nu, tau=tau,
+                    k=k, norm=norm)
+    try:
+        finite = math.isfinite(state.energy)
+    except OverflowError:       # a square past the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"the energy hbar^2 k^2 / 2M of state ({m}, {n}) is not "
+                         f"finite (hbar = {cfg.hbar!r}, mass = {cfg.mass!r})")
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +279,45 @@ def _energy_domain(cfg):
 
 
 def energy_decomposition(state):
-    """{rotational, radial, total, residual}: kinetic energy split into the
-    quasi-current (rotational) and dispersive (radial) parts, with the total
-    from the raw momentum density as an independent route
-    (`madelung.integrated_energy_identity`).
+    """{rotational, radial, total, residual}: the kinetic energy split into
+    its quasi-current (rotational) and dispersive (radial) parts, the total
+    |(P - qA/c) psi|^2 / 2M, and the residual |total - rotational - radial|
+    / |total|.
 
-    Integrals run over the wall-inset annulus (see _energy_domain): for
-    nu <= 1/2 the ansatz's radial energy is not integrable up to the inner
-    wall, so only the identity between the routes is contractual.  The
-    split never divides by rho, so it holds where rho underflows next to
-    the walls.  Its densities, sums of squared components, are rotation
-    invariant: one radial rule integrates them (`AnnulusDomain.integrate`)."""
-    cfg = state.cfg
-    return madelung.integrated_energy_identity(
-        state, solenoid_potential(cfg), cfg, _energy_domain(cfg))
+    The densities are functions of r from one `radial_parts` call, so one
+    radial rule integrates them (`AnnulusDomain.integrate`).  The split uses
+    the unit phase u = psi*/|psi|, so nothing divides by rho: in the polar
+    frame u grad psi = (R R', i m R^2 / r) / |R|, and across a node (|R| is
+    0, or so small that 1/|R| overflows) its limit |R'| r_hat.  The total
+    squares the polar components of (P - qA/c) psi, hbar R' and
+    hbar (m R)/r - (q/c) A_theta R.  Integrals run over the wall-inset
+    annulus (see _energy_domain): for nu <= 1/2 the radial energy is not
+    integrable up to the inner wall, so only the identity between the
+    columns is contractual."""
+    cfg, m = state.cfg, state.m
+    flux = cfg.charge / (cfg.hbar * cfg.c)
+    scale = cfg.hbar ** 2 / (2.0 * cfg.mass)
+
+    def densities(pts):
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        rr, drr = state.radial_parts(r)
+        a_theta = _a_theta_over_r(cfg, r) * r
+        m_r = (m * rr) * (1.0 / r)
+        modulus = np.abs(rr)
+        node = modulus < np.finfo(float).tiny     # 1/|R| would overflow
+        inv = 1.0 / np.where(node, 1.0, modulus)
+        # (R R') (1/|R|) rather than |R'|: the rounding the pinned
+        # observables hold
+        radial = np.where(node, np.abs(drr), (rr * drr) * inv)
+        rotation = (rr * m_r) * inv - flux * a_theta * modulus
+        azimuthal = cfg.hbar * m_r - (cfg.charge / cfg.c) * a_theta * rr
+        return np.stack([scale * rotation ** 2, scale * radial ** 2,
+                         ((cfg.hbar * drr) ** 2 + azimuthal ** 2)
+                         / (2.0 * cfg.mass)], axis=-1)
+
+    rotational, radial, total = map(float, _energy_domain(cfg).integrate(densities))
+    return {"rotational": rotational, "radial": radial, "total": total,
+            "residual": abs(total - rotational - radial) / abs(total)}
 
 
 def closed_form_q_and_force(state, r):

@@ -129,7 +129,13 @@ def check_circulation_vorticity():
 
 def check_energy_identity():
     """Integrated |P' psi|^2 / 2M equals the integral of
-    (1/2) M rho (v^2 + w^2) within 1e-6 relative on the whole grid."""
+    (1/2) M rho (v^2 + w^2) within 1e-6 relative on the whole grid.
+
+    Like checks 2 and 5, an identity, here of one polar sample: the
+    momentum density |(P - qA/c) psi|^2 is the rotational square plus the
+    radial square term by term, so the columns differ by rounding only, and
+    no fault outside `energy_decomposition`'s own arithmetic makes this
+    check fail."""
     worst = 0.0
     for state in _grid_states():
         dec = annulus.energy_decomposition(state)

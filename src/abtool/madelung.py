@@ -12,11 +12,11 @@ phases are handled without branch cuts.
 
 Every velocity field starts from one field sample: rho and psi* grad psi at
 float point arrays, as the field forms them (`density_and_cross`).  A
-WaveField takes conj(psi) grad psi and |psi|^2 (or the density it was given:
-a gauge transform passes the base field's through) from one
-`value_and_gradient` call; an annulus state R(r) e^{i m theta} takes them
-from R and R' in the polar frame, where its phase cancels, and never forms
-it.
+WaveField forms |psi|^2 and conj(psi) grad psi from its amplitude and the
+amplitude's difference gradient, or takes the sample it was given (a gauge
+transform shifts the base field's); an annulus state R(r) e^{i m theta}
+takes them from R and R' in the polar frame, where its phase cancels, and
+never forms it.
 
 Points are numpy arrays whose last axis is the spatial dimension: shape
 (dim,) for one point or (N, dim) for a batch.  All returned vectors follow
@@ -65,42 +65,37 @@ class Constants:
 
 
 class WaveField:
-    """A complex-valued wavefunction with point evaluation and gradient.
+    """A complex-valued wavefunction with point evaluation and field sample.
 
     `amplitude` maps points to complex values; its spatial dimension is the
-    last axis of the points it is given.  `gradient`, when omitted, is
-    `numerics.gradient_fd` of `amplitude` with step 1e-6.
-    `density` defaults to |amplitude|^2 but may be supplied separately (a
-    gauge transform reuses the base field's density, which is unchanged by
-    construction).
+    last axis of the points it is given.  `density_and_cross`, when given,
+    maps points to the sample (rho, psi* grad psi); when omitted, the sample
+    is |psi|^2 and conj(psi) times `numerics.gradient_fd` of `amplitude` at
+    step 1e-6.
     """
 
-    def __init__(self, amplitude, gradient=None, density=None):
+    def __init__(self, amplitude, density_and_cross=None):
         self._amp = amplitude
-        self._grad = gradient
-        self._rho = density
+        self._sample = density_and_cross
 
     def amplitude(self, p):
         return self._amp(np.asarray(p, dtype=float))
 
-    def value_and_gradient(self, p):
-        p = np.asarray(p, dtype=float)
-        if self._grad is None:
-            return self._amp(p), gradient_fd(self._amp, p, _FD_STEP)
-        return self._amp(p), self._grad(p)
-
     def density(self, p):
-        if self._rho is not None:
-            return self._rho(np.asarray(p, dtype=float))
+        if self._sample is not None:
+            return self.density_and_cross(p)[0]
         amp = self.amplitude(p)
         return (amp * np.conj(amp)).real
 
     def density_and_cross(self, p):
-        """(rho, psi* grad psi) at p from one `value_and_gradient` call: rho
-        is the density given at construction, else |psi|^2."""
-        amp, grad = map(np.asarray, self.value_and_gradient(p))
-        rho = (amp * np.conj(amp)).real if self._rho is None else self._rho(p)
-        return np.asarray(rho), np.conj(amp)[..., None] * grad
+        """(rho, psi* grad psi) at p: the sample given at construction, else
+        formed from the amplitude and its difference gradient."""
+        p = np.asarray(p, dtype=float)
+        if self._sample is not None:
+            return self._sample(p)
+        amp = np.asarray(self._amp(p))
+        grad = gradient_fd(self._amp, p, _FD_STEP)
+        return (amp * np.conj(amp)).real, np.conj(amp)[..., None] * grad
 
 
 @dataclass(frozen=True)
@@ -183,23 +178,20 @@ def gauge_transform(psi, lam, cfg, grad_lam):
     """psi -> e^{i q Lambda / (hbar c)} psi, for the gauge function
     lam = Lambda and its gradient grad_lam, both callables on point arrays.
 
-    The density callable of the base field is passed through, so rho is
-    preserved exactly.  The gradient picks up i (q / hbar c) grad(Lambda) psi.
+    The field sample is the base field's, shifted: rho is unchanged, and
+    psi* grad psi gains i (q / hbar c) grad(Lambda) rho.
     """
     coef = cfg.charge / (cfg.hbar * cfg.c)
 
     def amplitude(p):
         return np.exp(1j * coef * np.asarray(lam(p))) * psi.amplitude(p)
 
-    def gradient(p):
-        phase = np.asarray(np.exp(1j * coef * np.asarray(lam(p))))
-        amp, base = psi.value_and_gradient(p)
-        amp, base = np.asarray(amp), np.asarray(base)
+    def density_and_cross(p):
+        rho, cross = psi.density_and_cross(p)
         gl = np.asarray(grad_lam(p), dtype=float)
-        extra = 1j * coef * gl * amp[..., None]
-        return phase[..., None] * (base + extra)
+        return rho, cross + 1j * (coef * gl * rho[..., None])
 
-    return WaveField(amplitude, gradient, density=psi.density)
+    return WaveField(amplitude, density_and_cross)
 
 
 # ---------------------------------------------------------------------------
@@ -223,59 +215,6 @@ class AnnulusDomain:
             return (np.asarray(g(pts), dtype=float).T * (2.0 * np.pi * rv)).T
 
         return integrate_1d(radial, self.a, self.b)
-
-
-def _momentum_density(amp, grad, a_val, cfg):
-    """|(P - (q/c)A) psi|^2 from the amplitude, gradient and vector potential
-    (None: no field) at the same points."""
-    pop = -1j * cfg.hbar * grad
-    if a_val is not None:
-        pop = pop - (cfg.charge / cfg.c) * a_val * amp[..., None]
-    return np.sum((pop * np.conj(pop)).real, axis=-1)
-
-
-def _energy_densities(psi, A, cfg, pts):
-    """Columns (1/2) M rho v_quasi^2, (1/2) M rho w_quasi^2 and the raw
-    |P' psi|^2 / 2M at pts from one `value_and_gradient` call.
-
-    The split uses the unit phase u = psi*/|psi|, so nothing divides by rho:
-    (1/2) M rho v_quasi^2 = (hbar^2/2M) |Im(u grad psi) - (q/hbar c) A |psi||^2
-    and (1/2) M rho w_quasi^2 = (hbar^2/2M) (Re u grad psi)^2.  The raw
-    column is a separate route through the momentum operator.
-    """
-    amp, grad = map(np.asarray, psi.value_and_gradient(pts))
-    cross = np.conj(amp)[..., None] * grad
-    a_val = None if A is None else np.asarray(A(pts), dtype=float)
-    modulus = np.abs(amp)[..., None]
-    # u grad psi; where psi is exactly 0, its limit across the nodal line:
-    # real, with components |d psi / dx_i|
-    node = modulus == 0.0
-    u_grad = cross / np.where(node, 1.0, modulus)
-    if node.any():
-        u_grad = np.where(node, np.abs(grad), u_grad)
-    rotation = u_grad.imag
-    if a_val is not None:
-        coef = cfg.charge / (cfg.hbar * cfg.c)
-        rotation = rotation - coef * a_val * modulus
-    scale = cfg.hbar ** 2 / (2.0 * cfg.mass)
-    return np.stack([scale * np.sum(rotation ** 2, axis=-1),
-                     scale * np.sum(u_grad.real ** 2, axis=-1),
-                     _momentum_density(amp, grad, a_val, cfg) / (2.0 * cfg.mass)],
-                    axis=-1)
-
-
-def integrated_energy_identity(psi, A, cfg, domain):
-    """{rotational, radial, total, residual}: the kinetic energy over the
-    domain split into its quasi-current (rotational) and dispersive (radial)
-    parts, the total from the raw momentum density |P' psi|^2 / 2M, and the
-    relative residual |total - rotational - radial| / |total|.  The identity
-    holds pointwise; the split and the total follow independent code paths.
-    """
-    rotational, radial, total = map(float, domain.integrate(
-        lambda pts: _energy_densities(psi, A, cfg, pts)))
-    residual = abs(total - rotational - radial) / abs(total)
-    return {"rotational": rotational, "radial": radial, "total": total,
-            "residual": residual}
 
 
 def circulation(field, center, radius):

@@ -5,11 +5,17 @@ assembly, from the package's public surface only:
 
 quasi_currents       Gamma and Delta from the momentum density, checked
                      against `madelung.decompose`;
+annulus_value_and_gradient
+                     psi = R(r) e^{i m theta} and its Cartesian gradient
+                     through the phase, checked against the polar sample
+                     `ABState.density_and_cross`;
 hydrogen_grad_rho    grad rho of hydrogen from the log-derivatives of its
                      factors, checked against the printed D of
                      `models.hydrogen_fields`;
 gaussian_wavefield   the Gaussian packet as a `madelung.WaveField`, checked
                      against the closed forms of `wavepackets.gaussian_fields`.
+
+`analytic_field` builds a `madelung.WaveField` from a closed-form gradient.
 
 The file is not a test module (pytest collects only `test_*.py`); tests
 import it by name.
@@ -36,6 +42,31 @@ def quasi_currents(psi, A, cfg, p):
         gamma = gamma - (cfg.charge / (m * cfg.c)) * np.asarray(A(p), dtype=float) * rho_col
     delta = -(hbar / (2.0 * m)) * (2.0 * cross.real)
     return gamma, delta
+
+
+def annulus_value_and_gradient(state, p):
+    """(psi, grad psi) of an annulus state at Cartesian point(s) p, through
+    the phase e^{i m theta} that the polar sample never forms."""
+    p = np.asarray(p, dtype=float)
+    x, y = p[..., 0], p[..., 1]
+    r = np.hypot(x, y)
+    cos_t, sin_t = x / r, y / r
+    rr, drr = state.radial_parts(r)
+    phase = np.exp(1j * state.m * np.arctan2(y, x))
+    im_over_r = 1j * state.m * rr / r
+    gx = (drr * cos_t - im_over_r * sin_t) * phase
+    gy = (drr * sin_t + im_over_r * cos_t) * phase
+    return rr * phase, np.stack([gx, gy], axis=-1)
+
+
+def analytic_field(amplitude, gradient):
+    """A WaveField whose sample is |psi|^2 and conj(psi) grad psi from the
+    callables `amplitude` and `gradient` (the closed-form grad psi)."""
+    def density_and_cross(p):
+        amp, grad = np.asarray(amplitude(p)), np.asarray(gradient(p))
+        return (amp * np.conj(amp)).real, np.conj(amp)[..., None] * grad
+
+    return WaveField(amplitude, density_and_cross)
 
 
 def hydrogen_grad_rho(state, r, theta):
@@ -76,4 +107,4 @@ def gaussian_wavefield(cfg, t):
         d = amplitude(p) * (-2.0 * y / eps ** 2 + 1j * (1.0 + ddelta))
         return d[..., None]
 
-    return WaveField(amplitude, gradient)
+    return analytic_field(amplitude, gradient)

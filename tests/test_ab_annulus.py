@@ -18,6 +18,7 @@ from abtool.madelung import (RHO_FLOOR, AnnulusDomain, DensityFloorError,
                              circulation, decompose)
 from abtool.checks import _grid_states
 from abtool.numerics import MAX_ORDER, bessel_j_zero
+from oracles import annulus_value_and_gradient
 
 CFG = AnnulusConfig()                    # natural units, a=1, b=3, B=1
 STATE = eigenstate(CFG, 1, 1)
@@ -184,7 +185,7 @@ class TestEigenstate:
     def test_gradient_matches_finite_differences(self):
         p = np.array([1.9, 0.8])
         h = 1e-6
-        g = STATE.value_and_gradient(p)[1]
+        g = annulus_value_and_gradient(STATE, p)[1]
         for ax in range(2):
             q_plus, q_minus = p.copy(), p.copy()
             q_plus[ax] += h
@@ -217,15 +218,15 @@ def polar_test_radii(state, rng):
 
 def generic_sample(state, pts):
     """rho and psi* grad psi through the complex amplitude and gradient."""
-    amp, grad = state.value_and_gradient(pts)
+    amp, grad = annulus_value_and_gradient(state, pts)
     return (amp * np.conj(amp)).real, np.conj(amp)[:, None] * grad
 
 
 class TestPolarFieldSample:
     """An annulus state forms rho and psi* grad psi from R and R' in the
     polar frame (`ABState.density_and_cross`), never through e^{i m theta}.
-    These tests check it against the generic route through
-    `value_and_gradient`, which stays the independent one."""
+    These tests check it against the generic route through the phase
+    (`oracles.annulus_value_and_gradient`)."""
 
     def test_matches_generic_route(self):
         rng = np.random.default_rng(21)
@@ -325,15 +326,43 @@ class TestEnergyDecomposition:
 
     @pytest.mark.parametrize("m", [6, 10])
     def test_rotational_closed_form(self, m):
-        # integral of hbar^2 (m + lambda)^2 rho / (2 M r^2) dA over the same
-        # inset annulus, by an independent trapezoid in r
+        # over the same inset annulus, by an independent trapezoid in r: the
+        # integrals of hbar^2 (m + lambda)^2 rho / (2 M r^2) dA and of
+        # hbar^2 R'^2 / 2M dA, and the total is their sum
         state = eigenstate(CFG, m, 1)
         dom = _energy_domain(CFG)
         rg = np.linspace(dom.a, dom.b, 200_001)
-        expected = 2.0 * math.pi * CFG.hbar ** 2 * (m + state.lam) ** 2 \
-            / (2.0 * CFG.mass) * np.trapezoid(state.radial_density(rg) / rg, rg)
-        got = energy_decomposition(state)["rotational"]
-        assert got == pytest.approx(expected, rel=1e-8)
+        scale = 2.0 * math.pi * CFG.hbar ** 2 / (2.0 * CFG.mass)
+        rotational = scale * (m + state.lam) ** 2 \
+            * np.trapezoid(state.radial_density(rg) / rg, rg)
+        radial = scale * np.trapezoid(state.radial_parts(rg)[1] ** 2 * rg, rg)
+        got = energy_decomposition(state)
+        assert got["rotational"] == pytest.approx(rotational, rel=1e-8)
+        assert got["radial"] == pytest.approx(radial, rel=1e-8)
+        assert got["total"] == pytest.approx(rotational + radial, rel=1e-8)
+
+    def test_exact_nodes_next_to_the_inner_wall(self, monkeypatch):
+        # at (50, 5), nu = 49.5: R ~ (r - a)^nu underflows to exactly 0 at
+        # the inset inner wall, and to subnormals just past it, where 1/|R|
+        # would overflow; the split takes the node limit |R'| r_hat there
+        seen = []
+        original = AnnulusDomain.integrate
+
+        def spy(domain, g):
+            seen.append((domain, g))
+            return original(domain, g)
+        monkeypatch.setattr(AnnulusDomain, "integrate", spy)
+        state = eigenstate(CFG, 50, 5)
+        energy_decomposition(state)
+        (domain, g), = seen
+        r = domain.a + np.linspace(0.0, 1e-6, 1001)
+        rows = g(np.stack([r, np.zeros_like(r)], axis=-1))
+        modulus = np.abs(state.radial_parts(r)[0])
+        node = modulus == 0.0
+        subnormal = (0.0 < modulus) & (modulus < np.finfo(float).tiny)
+        assert node[0] and subnormal.any() and not (node | subnormal).all()
+        assert np.all(np.isfinite(rows))
+        assert np.all(rows[node] == 0.0)
 
 
 def observables_digest(states):

@@ -330,7 +330,7 @@ class TestPinnedOutputs:
         ("trajectories", "trajectories.csv",
          "4df3e93e64dc558c3273818fca144c91c1e42386e2e77f1bdb490565e986f7d0"),
         ("check", "manifest_check.json",
-         "dd1587500276ddd10956a83f8dc492fec8227323cfed77c1b642bc6768f747da"),
+         "6d7107b62ce85b00c1665f19c907aaa540479f1c54b406eaf07ecbf679b541e6"),
     ])
     def test_reduced_sampler_budget(self, tmp_path, subcommand, output, digest):
         config = {"sde": {"steps": 3000, "burn_in": 500, "n_trajectories": 16}}
@@ -437,6 +437,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("abtool: configuration error: hbar^2")
+
+    @pytest.mark.parametrize("subcommand", ["spectrum", "fields"])
+    def test_overflowing_energy_is_2(self, tmp_path, capsys, subcommand):
+        # hbar^2 is finite, but hbar^2 k^2 / 2M is past the float range: no
+        # table of inf, no manifest with JSON's Infinity
+        config = {"constants": {"hbar": 1.3e154}}
+        assert run_cli([subcommand], tmp_path, config=config) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("abtool: configuration error: the energy")
+        assert not (tmp_path / f"manifest_{subcommand}.json").exists()
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_seed_outside_the_key_range_is_2(self, tmp_path, capsys, seed):

@@ -1,20 +1,19 @@
 """Velocity-field decomposition, quasi-currents, quantum potential/force,
-gauge transforms and integrated identities."""
+gauge transforms, loop integrals and the annulus domain."""
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from abtool.annulus import AnnulusConfig, eigenstate, solenoid_potential
 from abtool.madelung import (RHO_FLOOR, AnnulusDomain, Constants,
-                             DensityFloorError, WaveField, _energy_densities,
-                             circulation, decompose, gauge_transform,
-                             integrated_energy_identity, quantum_force,
+                             DensityFloorError, WaveField, circulation,
+                             decompose, gauge_transform, quantum_force,
                              quantum_potential)
 from abtool import numerics
 from abtool.wavepackets import GaussianPacketConfig
-from oracles import gaussian_wavefield, quasi_currents
+from oracles import (analytic_field, annulus_value_and_gradient,
+                     gaussian_wavefield, quasi_currents)
 
 CONSTS = Constants()
 CFG = AnnulusConfig()                  # natural units, a=1, b=3, B=1
@@ -29,7 +28,7 @@ def plane_wave(k0):
     def gradient(p):
         return (1j * k0 * amplitude(p))[..., None]
 
-    return WaveField(amplitude, gradient)
+    return analytic_field(amplitude, gradient)
 
 
 def fd_derivative(f, x, h=1e-5):
@@ -156,7 +155,7 @@ class TestQuasiCurrents:
         # underflows the decomposition's floor next to the inner wall
         state = eigenstate(CFG, 6, 1)
         p = np.array([[1.0 + 1e-4, 0.0], [0.0, -1.0 - 2e-4]])
-        amp, grad = state.value_and_gradient(p)
+        amp, grad = annulus_value_and_gradient(state, p)
         rho = np.abs(amp) ** 2
         assert np.all((0.0 < rho) & (rho < RHO_FLOOR))
         cross = np.conj(amp)[:, None] * grad
@@ -265,67 +264,6 @@ class TestGaugeTransform:
         assert np.array_equal(gauged.density(pts), STATE.density(pts))
 
 
-class TestEnergyIdentity:
-    def test_ring_phase_wave_density(self):
-        # constant-modulus angular wave: kinetic density is purely rotational
-        m = 2
-
-        def amplitude(p):
-            th = np.arctan2(p[..., 1], p[..., 0])
-            return np.exp(1j * m * th)
-
-        def gradient(p):
-            x, y = p[..., 0], p[..., 1]
-            r2 = x * x + y * y
-            amp = amplitude(p)
-            return np.stack([-1j * m * y / r2 * amp, 1j * m * x / r2 * amp],
-                            axis=-1)
-
-        ring = WaveField(amplitude, gradient)
-        p = np.array([1.4, -0.9])
-        r2 = float(p @ p)
-        cols = _energy_densities(ring, None, CONSTS, p)
-        got = cols[0] + cols[1]
-        assert got == pytest.approx(CONSTS.hbar ** 2 * m ** 2 / (2 * CONSTS.mass * r2),
-                                    rel=1e-12)
-
-    def test_exact_node(self):
-        # psi = x e^{i y} vanishes on x = 0; across that line u grad psi is
-        # real, so the density is all radial and equals the raw route
-        def amplitude(p):
-            return p[..., 0] * np.exp(1j * p[..., 1])
-
-        def gradient(p):
-            x, y = p[..., 0], p[..., 1]
-            return np.stack([np.exp(1j * y), 1j * x * np.exp(1j * y)], axis=-1)
-
-        line = WaveField(amplitude, gradient)
-        p = np.array([[0.0, 0.7], [0.3, 0.7]])
-        cols = _energy_densities(line, None, CONSTS, p)
-        assert np.all(np.isfinite(cols))
-        assert cols[0, 0] == 0.0
-        assert cols[0, 1] == pytest.approx(cols[0, 2], rel=1e-15)
-        assert cols[0, 1] == pytest.approx(CONSTS.hbar ** 2 / (2 * CONSTS.mass), rel=1e-15)
-        assert cols[1, 0] + cols[1, 1] == pytest.approx(cols[1, 2], rel=1e-14)
-
-    def test_gaussian_moment_oracle(self):
-        cfg = GaussianPacketConfig(alpha=1.0)
-        field = gaussian_wavefield(cfg, 0.0)
-        # the 1-d domain [-5.8, 5.8]: integrands take (N, 1) point batches
-        segment = SimpleNamespace(integrate=lambda g: numerics.integrate_1d(
-            lambda x: g(x[:, None]), -5.8, 5.8))
-        out = integrated_energy_identity(field, None, CONSTS, segment)
-        # hbar = M = k0 = 1
-        expected = (1.0 + cfg.alpha ** 2) / (2 * cfg.alpha ** 2)
-        assert out["residual"] <= 1e-12
-        assert out["total"] == pytest.approx(expected, rel=1e-10)
-
-    def test_annulus_state(self):
-        from abtool.annulus import _energy_domain
-        out = integrated_energy_identity(STATE, A_SPEC, CFG, _energy_domain(CFG))
-        assert out["residual"] <= 1e-6
-
-
 class TestPhaseWinding:
     def test_integer_winding(self):
         # loop integral of eta . dl over hbar/M: 2 pi times the winding
@@ -336,11 +274,13 @@ class TestPhaseWinding:
 
 class TestWaveField:
     def test_fd_gradient_matches_analytic(self):
+        # a field given without a sample differences its amplitude
         pts = np.array([[1.7, 0.5], [2.3, -1.1], [0.2, 2.1]])
-        g_fd = WaveField(STATE.amplitude).value_and_gradient(pts)[1]
-        g_an = STATE.value_and_gradient(pts)[1]
-        scale = np.abs(g_an).max()
-        assert np.abs(g_fd - g_an).max() <= 1e-6 * scale
+        rho_fd, cross_fd = WaveField(STATE.amplitude).density_and_cross(pts)
+        amp, grad = annulus_value_and_gradient(STATE, pts)
+        cross = np.conj(amp)[:, None] * grad
+        assert np.array_equal(rho_fd, (amp * np.conj(amp)).real)
+        assert np.abs(cross_fd - cross).max() <= 1e-6 * np.abs(cross).max()
 
     def test_invalid_constants(self):
         with pytest.raises(ValueError):

@@ -11,12 +11,13 @@ import pytest
 
 from abtool import sde
 from abtool.annulus import AnnulusConfig, eigenstate, solenoid_potential
-from abtool.madelung import RHO_FLOOR, WaveField
+from abtool.madelung import RHO_FLOOR
 from abtool.numerics import RandomStream, bessel_j, bessel_j_zero, bessel_log_table
 from abtool.sde import (SdeConfig, Trajectory, angular_uniformity_test,
                         drifts, ergodic_angular_momentum, radial_target,
                         rejection_fraction, simulate, stationarity_test,
                         target_radial_sampler)
+from oracles import analytic_field, annulus_value_and_gradient
 
 CFG = AnnulusConfig()
 STATE = eigenstate(CFG, 1, 1)
@@ -72,7 +73,7 @@ class TestDrifts:
         def gradient(p):
             return (1j * k0 * amplitude(p))[..., None]
 
-        pw = WaveField(amplitude, gradient)
+        pw = analytic_field(amplitude, gradient)
         out = drifts(pw, None, CFG, np.array([0.3]))
         assert out["forward"][0] == pytest.approx(k0, rel=1e-12)
         assert out["backward"][0] == pytest.approx(k0, rel=1e-12)
@@ -148,7 +149,8 @@ class TestSimulate:
             assert three.rejected_steps == four.rejected_steps
 
     def test_rejects_a_bare_wave_field(self):
-        field = WaveField(STATE.amplitude, lambda p: STATE.value_and_gradient(p)[1])
+        field = analytic_field(STATE.amplitude,
+                               lambda p: annulus_value_and_gradient(STATE, p)[1])
         with pytest.raises(TypeError, match="ABState"):
             simulate(field, SdeConfig(steps=10, burn_in=0, n_trajectories=1))
 

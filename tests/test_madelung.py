@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from abtool.annulus import AnnulusConfig, eigenstate, solenoid_potential
+from abtool.annulus import (AnnulusConfig, eigenstate, energy_decomposition,
+                            solenoid_potential)
 from abtool.madelung import (RHO_FLOOR, AnnulusDomain, Constants,
                              DensityFloorError, WaveField, circulation,
                              decompose, gauge_transform, quantum_force,
@@ -262,6 +263,28 @@ class TestGaugeTransform:
         gauged = gauge_transform(STATE, lambda p: 0.31 * p[..., 0], CFG,
                                  lambda p: np.broadcast_to([0.31, 0.0], np.shape(p)))
         assert np.array_equal(gauged.density(pts), STATE.density(pts))
+
+
+class TestEnergyIdentity:
+    def test_annulus_state(self):
+        # the Madelung split (M/2) rho |v_quasi|^2 + (M/2) rho |w_quasi|^2,
+        # built from decompose's Cartesian fields, against the polar split
+        # of energy_decomposition over the same inset annulus
+        from abtool.annulus import _energy_domain
+
+        def densities(pts):
+            dec = decompose(STATE, A_SPEC, CFG, pts)
+            half_rho = 0.5 * CFG.mass * dec.rho
+            return np.stack([half_rho * np.sum(dec.v_quasi ** 2, axis=-1),
+                             half_rho * np.sum(dec.w_quasi ** 2, axis=-1)],
+                            axis=-1)
+
+        rotational, radial = map(float, _energy_domain(CFG).integrate(densities))
+        out = energy_decomposition(STATE)
+        assert out["residual"] <= 1e-6
+        assert rotational == pytest.approx(out["rotational"], rel=1e-10)
+        assert radial == pytest.approx(out["radial"], rel=1e-10)
+        assert rotational + radial == pytest.approx(out["total"], rel=1e-10)
 
 
 class TestPhaseWinding:

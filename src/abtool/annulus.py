@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -65,6 +65,16 @@ def _a_theta_over_r(cfg, r):
     return np.where(r >= cfg.a, cfg.B * cfg.a ** 2 / (2.0 * r * r), cfg.B / 2.0)
 
 
+def _solenoid_at(cfg, p, r):
+    """The solenoid A at Cartesian point(s) p of radii r = hypot(x, y),
+    written as (A_theta / r) (-y, x)."""
+    coef = _a_theta_over_r(cfg, r)
+    out = np.empty(p.shape)
+    np.multiply(-coef, p[..., 1], out=out[..., 0])
+    np.multiply(coef, p[..., 0], out=out[..., 1])
+    return out
+
+
 def vector_potential(cfg, p):
     """Solenoid vector potential at Cartesian point(s) p.
 
@@ -72,18 +82,15 @@ def vector_potential(cfg, p):
     r = 0 is rejected.
     """
     p = np.asarray(p, dtype=float)
-    x, y = p[..., 0], p[..., 1]
-    r = np.hypot(x, y)
+    r = np.hypot(p[..., 0], p[..., 1])
     if np.any(r == 0.0):
         raise ValueError("vector potential is ambiguous at r = 0")
-    coef = _a_theta_over_r(cfg, r)
-    # A_theta * e_theta written as coef * (-y, x)
-    return np.stack([-coef * y, coef * x], axis=-1)
+    return _solenoid_at(cfg, p, r)
 
 
 def solenoid_potential(cfg):
-    """The solenoid A as a callable p -> A(p) (`vector_potential` of cfg)."""
-    return lambda p: vector_potential(cfg, p)
+    """The solenoid A as a callable p -> A(p): `vector_potential` of cfg."""
+    return partial(vector_potential, cfg)
 
 
 def diffusion_velocity(cfg, p):
@@ -128,7 +135,7 @@ def solenoid_current_check(cfg, lam, p):
 class ABState:
     """One bound state of the annulus, usable as a WaveField.  It forms rho
     and psi* grad psi from R and R' in the polar frame, where the phase
-    e^{i m theta} cancels (`density_and_cross`)."""
+    e^{i m theta} cancels (`sample`)."""
     cfg: AnnulusConfig
     m: int
     n: int
@@ -163,12 +170,13 @@ class ABState:
         theta = np.arctan2(p[..., 1], p[..., 0])
         return self.radial_parts(r)[0] * np.exp(1j * self.m * theta)
 
-    def density_and_cross(self, p):
-        """(R^2, R R' r_hat + i (m R^2 / r) theta_hat) at point array(s) p
-        from one `radial_parts` call, so the imaginary part holds no rounding
-        of the radial one.  r_hat = (x/r, y/r), and m R^2 / r is rounded as
-        complex division by r rounds it, R ((m R) (1/r)): on y = 0 the
-        result is conj(psi) grad psi bit for bit."""
+    def sample(self, p, A):
+        """(R^2, R R' r_hat + i (m R^2 / r) theta_hat, A(p) or None) at point
+        array(s) p from one `radial_parts` call, so the imaginary part holds
+        no rounding of the radial one.  r_hat = (x/r, y/r), and m R^2 / r is
+        rounded as complex division by r rounds it, R ((m R) (1/r)): on
+        y = 0 the result is conj(psi) grad psi bit for bit.  A solenoid
+        potential is evaluated at this r, any other A at p."""
         x, y = p[..., 0], p[..., 1]
         r = np.hypot(x, y)
         rr, drr = self.radial_parts(r)
@@ -179,7 +187,11 @@ class ABState:
         np.multiply(radial, sin_t, out=cross.real[..., 1])
         np.multiply(-azimuthal, sin_t, out=cross.imag[..., 0])
         np.multiply(azimuthal, cos_t, out=cross.imag[..., 1])
-        return rr * rr, cross
+        rho = rr * rr
+        del rr, drr, cos_t, sin_t, radial, azimuthal    # before A is built
+        if getattr(A, "func", None) is vector_potential:
+            return rho, cross, _solenoid_at(*A.args, p, r)
+        return rho, cross, None if A is None else A(p)
 
     def density(self, p):
         p = np.asarray(p, dtype=float)
@@ -248,11 +260,10 @@ def angular_momenta(state):
     come pointwise from one field sample and never divide by rho.  They are
     rotation invariant, so their theta factor is exactly 2 pi."""
     cfg = state.cfg
-    A = solenoid_potential(cfg)
 
     def moments(pts):
-        rho, cross = state.density_and_cross(pts)
-        diffusion = -(cfg.charge / (cfg.mass * cfg.c)) * A(pts) * rho[:, None]
+        rho, cross, a_val = state.sample(pts, solenoid_potential(cfg))
+        diffusion = -(cfg.charge / (cfg.mass * cfg.c)) * a_val * rho[:, None]
         gamma = (cfg.hbar / cfg.mass) * cross.imag + diffusion
         return cfg.mass * np.stack([_moment_z(gamma, pts),
                                     _moment_z(diffusion, pts)], axis=-1)
@@ -330,7 +341,7 @@ def closed_form_q_and_force(state, r):
     q_pot = -cfg.hbar ** 2 * ml ** 2 / (2.0 * cfg.mass * r ** 2)
     f_r = -cfg.hbar ** 2 * ml ** 2 / (cfg.mass * r ** 3)
     v = ml * cfg.hbar / (cfg.mass * r)
-    centripetal = -cfg.mass * v ** 2 / r
+    centripetal = -(cfg.mass * v) * (v / r)     # M v^2 / r overflows on v^2
     return {"Q": q_pot, "F_r": f_r, "centripetal": centripetal}
 
 

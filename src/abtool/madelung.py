@@ -10,13 +10,13 @@ Bohm quantum potential/force.  Phase is never unwrapped: every phase-derived
 quantity comes from Im(psi* grad psi)/rho, so multivalued e^{i m theta}
 phases are handled without branch cuts.
 
-Every velocity field starts from one field sample: rho and psi* grad psi at
-float point arrays, as the field forms them (`density_and_cross`).  A
+Every velocity field starts from one field sample, `sample(p, A)`: rho,
+psi* grad psi and A(p) at float point arrays, as the field forms them.  A
 WaveField forms |psi|^2 and conj(psi) grad psi from its amplitude and the
 amplitude's difference gradient, or takes the sample it was given (a gauge
-transform shifts the base field's); an annulus state R(r) e^{i m theta}
-takes them from R and R' in the polar frame, where its phase cancels, and
-never forms it.
+transform shifts the base field's), and calls A at p.  An annulus state
+R(r) e^{i m theta} takes them from R and R' in the polar frame, where its
+phase cancels, and evaluates the solenoid potential at the r it formed.
 
 Points are numpy arrays whose last axis is the spatial dimension: shape
 (dim,) for one point or (N, dim) for a batch.  All returned vectors follow
@@ -83,19 +83,20 @@ class WaveField:
 
     def density(self, p):
         if self._sample is not None:
-            return self.density_and_cross(p)[0]
+            return self.sample(p, None)[0]
         amp = self.amplitude(p)
         return (amp * np.conj(amp)).real
 
-    def density_and_cross(self, p):
-        """(rho, psi* grad psi) at p: the sample given at construction, else
-        formed from the amplitude and its difference gradient."""
+    def sample(self, p, A):
+        """(rho, psi* grad psi, A(p) or None) at p: the sample given at
+        construction, else formed from the amplitude and its gradient."""
         p = np.asarray(p, dtype=float)
+        a_val = None if A is None else A(p)
         if self._sample is not None:
-            return self._sample(p)
+            return (*self._sample(p), a_val)
         amp = np.asarray(self._amp(p))
         grad = gradient_fd(self._amp, p, _FD_STEP)
-        return (amp * np.conj(amp)).real, np.conj(amp)[..., None] * grad
+        return (amp * np.conj(amp)).real, np.conj(amp)[..., None] * grad, a_val
 
 
 @dataclass(frozen=True)
@@ -130,25 +131,28 @@ def decompose(psi, A, cfg, p):
     dispersive fields.  Raises DensityFloorError at near-nodal points.
     """
     p = np.asarray(p, dtype=float)
-    rho, cross = psi.density_and_cross(p)
+    rho, cross, a_val = psi.sample(p, A)
     _check_floor(rho)
     hbar, m = cfg.hbar, cfg.mass
-    rho_col = rho[..., None]
-    eta = (hbar / m) * cross.imag / rho_col
-    grad_rho = 2.0 * cross.real
-    xi_real = -(hbar / (2.0 * m)) * grad_rho / rho_col
-    if A is not None:
-        a_val = np.asarray(A(p), dtype=float)
-        xi_imag = (cfg.charge / (m * cfg.c)) * a_val
-    else:
-        xi_imag = np.zeros_like(eta)
+    # each vector is written once, and scaled by rho a column at a time: an
+    # (N, 2) op (N, 1) broadcast runs numpy's inner loop on two elements
+    eta = (hbar / m) * cross.imag
+    xi_real = 2.0 * cross.real                           # grad rho
+    np.multiply(-(hbar / (2.0 * m)), xi_real, out=xi_real)
+    xi_imag = (np.zeros_like(eta) if a_val is None
+               else (cfg.charge / (m * cfg.c)) * np.asarray(a_val, dtype=float))
+    del cross, a_val                     # freed before the outputs are built
+    gamma, delta = np.empty_like(eta), np.empty_like(eta)
+    for k in range(eta.shape[-1]):
+        np.divide(eta[..., k], rho, out=eta[..., k])
+        np.divide(xi_real[..., k], rho, out=xi_real[..., k])
     v_quasi = eta - xi_imag                              # eta + Im(-xi)
-    w_quasi = xi_real
-    gamma = rho_col * v_quasi
-    delta = rho_col * w_quasi
+    for k in range(eta.shape[-1]):
+        np.multiply(rho, v_quasi[..., k], out=gamma[..., k])
+        np.multiply(rho, xi_real[..., k], out=delta[..., k])
     return VelocityDecomposition(rho=rho, eta=eta, xi_real=xi_real,
                                  xi_imag=xi_imag, gamma=gamma, delta=delta,
-                                 v_quasi=v_quasi, w_quasi=w_quasi)
+                                 v_quasi=v_quasi, w_quasi=xi_real)
 
 
 def _moment_z(vec, arm):
@@ -187,7 +191,7 @@ def gauge_transform(psi, lam, cfg, grad_lam):
         return np.exp(1j * coef * np.asarray(lam(p))) * psi.amplitude(p)
 
     def density_and_cross(p):
-        rho, cross = psi.density_and_cross(p)
+        rho, cross, _ = psi.sample(p, None)
         gl = np.asarray(grad_lam(p), dtype=float)
         return rho, cross + 1j * (coef * gl * rho[..., None])
 

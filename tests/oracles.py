@@ -8,7 +8,7 @@ quasi_currents       Gamma and Delta from the momentum density, checked
 annulus_value_and_gradient
                      psi = R(r) e^{i m theta} and its Cartesian gradient
                      through the phase, checked against the polar sample
-                     `ABState.density_and_cross`;
+                     `ABState.sample`;
 hydrogen_grad_rho    grad rho of hydrogen from the log-derivatives of its
                      factors, checked against the printed D of
                      `models.hydrogen_fields`;
@@ -34,7 +34,7 @@ def quasi_currents(psi, A, cfg, p):
     computed directly from the gauge-covariant momentum density
     (i hbar / 2M)(psi grad psi* - psi* grad psi) - (q/Mc) A rho."""
     p = np.asarray(p, dtype=float)
-    rho, cross = psi.density_and_cross(p)
+    rho, cross, _ = psi.sample(p, None)
     hbar, m = cfg.hbar, cfg.mass
     rho_col = rho[..., None]
     gamma = (hbar / m) * cross.imag                      # (i hbar/2M)(psi grad psi* - c.c.)

@@ -224,7 +224,7 @@ def generic_sample(state, pts):
 
 class TestPolarFieldSample:
     """An annulus state forms rho and psi* grad psi from R and R' in the
-    polar frame (`ABState.density_and_cross`), never through e^{i m theta}.
+    polar frame (`ABState.sample`), never through e^{i m theta}.
     These tests check it against the generic route through the phase
     (`oracles.annulus_value_and_gradient`)."""
 
@@ -234,7 +234,7 @@ class TestPolarFieldSample:
             r = polar_test_radii(state, rng)
             th = rng.uniform(0.0, 2.0 * math.pi, r.size)
             pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
-            rho, cross = state.density_and_cross(pts)
+            rho, cross = state.sample(pts, None)[:2]
             rho_g, cross_g = generic_sample(state, pts)
             assert np.all(np.abs(rho - rho_g) <= 1e-14 * rho_g.max())
             for part, part_g in ((cross.real, cross_g.real),
@@ -249,7 +249,7 @@ class TestPolarFieldSample:
         for state in grid_and_wide_states():
             r = polar_test_radii(state, rng)
             pts = np.stack([r, np.zeros_like(r)], axis=-1)
-            rho, cross = state.density_and_cross(pts)
+            rho, cross = state.sample(pts, None)[:2]
             rho_g, cross_g = generic_sample(state, pts)
             assert np.array_equal(rho, rho_g)
             assert np.array_equal(cross.real, cross_g.real)
@@ -443,6 +443,14 @@ class TestClosedFormQ:
         rs = np.linspace(1.05, 2.95, 100)
         out = closed_form_q_and_force(STATE, rs)
         assert np.abs(out["F_r"] - out["centripetal"]).max() <= 1e-15
+
+    def test_centripetal_at_tiny_mass(self):
+        # v is near 1e300 and v^2 past the float range; -(M v)(v / r) is not
+        state = eigenstate(AnnulusConfig(mass=1e-300), 1, 1)
+        out = closed_form_q_and_force(state, np.linspace(1.05, 2.95, 100))
+        assert np.all(np.isfinite(out["centripetal"]))
+        assert np.all(np.abs(out["F_r"] - out["centripetal"])
+                      <= 1e-15 * np.abs(out["F_r"]))
 
 
 class TestVortexFields:

@@ -178,6 +178,14 @@ class TestFields:
         assert len(payload) == 8
         assert set(payload[0]) == set(FIELDS_HEADER.split(","))
 
+    def test_tiny_mass_overflows_nothing(self, tmp_path, capsys):
+        # M = 1e-300 puts v = (m + lambda) hbar / (M r) near 1e300: every
+        # value is finite, and the closed-form centripetal check must not
+        # overflow on v^2 (this suite turns warnings into errors)
+        config = {"constants": {"mass": 1e-300}, "grid": {"nr": 4, "ntheta": 2}}
+        assert run_cli(["fields"], tmp_path, config=config) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
 
 class TestPacketsAndModels:
     def test_packets_manifest_residuals(self, tmp_path):

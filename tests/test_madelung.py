@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from abtool.annulus import (AnnulusConfig, eigenstate, energy_decomposition,
-                            solenoid_potential)
+                            solenoid_potential, vector_potential)
 from abtool.madelung import (RHO_FLOOR, AnnulusDomain, Constants,
                              DensityFloorError, WaveField, circulation,
                              decompose, gauge_transform, quantum_force,
@@ -80,6 +80,11 @@ class TestDecompose:
     def test_density_floor(self):
         with pytest.raises(DensityFloorError):
             decompose(STATE, A_SPEC, CFG, np.array([1.0, 0.0]))   # on the wall
+        # at the origin, where the potential is ambiguous, the floor is
+        # what rejects the point (x / r there is 0 / 0)
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(DensityFloorError):
+            decompose(STATE, A_SPEC, CFG, np.array([[0.0, 0.0], [2.0, 0.0]]))
 
     def test_batch_shapes(self):
         pts = np.array([[2.0, 0.0], [0.0, 2.0]])
@@ -101,12 +106,21 @@ class TestDecompose:
 
         for name in points:
             monkeypatch.setattr(annulus, name, counted(name))
+        # the radii that reach R and R' and those that reach the solenoid
+        # rule are one array: r = hypot(x, y) is formed once
+        radii = []
+        rule, parts = annulus._a_theta_over_r, annulus.ABState.radial_parts
+        monkeypatch.setattr(annulus, "_a_theta_over_r",
+                            lambda cfg, r: radii.append(r) or rule(cfg, r))
+        monkeypatch.setattr(annulus.ABState, "radial_parts",
+                            lambda state, r: radii.append(r) or parts(state, r))
         rng = np.random.default_rng(11)
         r = 1.05 + 1.9 * rng.random(400)
         th = 2 * np.pi * rng.random(400)
         pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
         dec = decompose(STATE, A_SPEC, CFG, pts)
         assert points == {"bessel_j": 0, "bessel_j_pair": 400}
+        assert len(radii) == 2 and radii[0] is radii[1]
 
         # the fields are the explicit polar psi* grad psi formulas, bit for
         # bit: R R' r_hat + i (m R^2 / r) theta_hat and rho = R^2
@@ -123,6 +137,27 @@ class TestDecompose:
         assert np.array_equal(dec.xi_real,
                               -(hbar / (2.0 * m)) * (2.0 * cross.real) / rho[:, None])
         assert np.array_equal(dec.gamma, rho[:, None] * dec.v_quasi)
+
+    def test_potential_at_the_sample_radii(self):
+        # a solenoid potential evaluated at the sample's radii is
+        # vector_potential at p bit for bit, for a batch and for one point,
+        # and for a solenoid other than the state's; any other callable is
+        # called at p
+        coef = CFG.charge / (CFG.mass * CFG.c)
+        rng = np.random.default_rng(12)
+        r = 1.05 + 1.9 * rng.random(50)
+        th = 2 * np.pi * rng.random(50)
+        pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+        other = AnnulusConfig(B=3.0, a=1.5)
+        for p in (pts, pts[0]):
+            for cfg in (CFG, other):
+                dec = decompose(STATE, solenoid_potential(cfg), CFG, p)
+                assert dec.xi_imag.shape == p.shape
+                assert np.array_equal(dec.xi_imag, coef * vector_potential(cfg, p))
+            seen = []
+            dec = decompose(STATE, lambda q: seen.append(q) or 0.5 * q, CFG, p)
+            assert len(seen) == 1 and np.array_equal(seen[0], p)
+            assert np.array_equal(dec.xi_imag, coef * (0.5 * p))
 
 
 class TestQuasiCurrents:
@@ -299,7 +334,7 @@ class TestWaveField:
     def test_fd_gradient_matches_analytic(self):
         # a field given without a sample differences its amplitude
         pts = np.array([[1.7, 0.5], [2.3, -1.1], [0.2, 2.1]])
-        rho_fd, cross_fd = WaveField(STATE.amplitude).density_and_cross(pts)
+        rho_fd, cross_fd = WaveField(STATE.amplitude).sample(pts, None)[:2]
         amp, grad = annulus_value_and_gradient(STATE, pts)
         cross = np.conj(amp)[:, None] * grad
         assert np.array_equal(rho_fd, (amp * np.conj(amp)).real)

@@ -17,7 +17,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import madelung
-from .madelung import (AnnulusDomain, _moment_z,
+from .madelung import (AnnulusDomain,
                        decompose)  # noqa: F401 (benchmark/spans.py wraps it here)
 from .numerics import (bessel_j, bessel_j_pair, bessel_j_zero, curl_z_fd,
                        gradient_fd, integrate_1d)
@@ -176,21 +176,24 @@ class ABState:
         no rounding of the radial one.  r_hat = (x/r, y/r), and m R^2 / r is
         rounded as complex division by r rounds it, R ((m R) (1/r)): on
         y = 0 the result is conj(psi) grad psi bit for bit.  A solenoid
-        potential is evaluated at this r, any other A at p."""
+        potential is evaluated at this r, any other A at p.  At r = 0,
+        outside the annulus, the divisions give nan quietly: R = 0 there, so
+        the density floor rejects the point."""
         x, y = p[..., 0], p[..., 1]
-        r = np.hypot(x, y)
-        rr, drr = self.radial_parts(r)
-        cos_t, sin_t = x / r, y / r
-        radial, azimuthal = rr * drr, rr * ((self.m * rr) * (1.0 / r))
-        cross = np.empty(p.shape, dtype=complex)
-        np.multiply(radial, cos_t, out=cross.real[..., 0])
-        np.multiply(radial, sin_t, out=cross.real[..., 1])
-        np.multiply(-azimuthal, sin_t, out=cross.imag[..., 0])
-        np.multiply(azimuthal, cos_t, out=cross.imag[..., 1])
-        rho = rr * rr
-        del rr, drr, cos_t, sin_t, radial, azimuthal    # before A is built
-        if getattr(A, "func", None) is vector_potential:
-            return rho, cross, _solenoid_at(*A.args, p, r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.hypot(x, y)
+            rr, drr = self.radial_parts(r)
+            cos_t, sin_t = x / r, y / r
+            radial, azimuthal = rr * drr, rr * ((self.m * rr) * (1.0 / r))
+            cross = np.empty(p.shape, dtype=complex)
+            np.multiply(radial, cos_t, out=cross.real[..., 0])
+            np.multiply(radial, sin_t, out=cross.real[..., 1])
+            np.multiply(-azimuthal, sin_t, out=cross.imag[..., 0])
+            np.multiply(azimuthal, cos_t, out=cross.imag[..., 1])
+            rho = rr * rr
+            del rr, drr, cos_t, sin_t, radial, azimuthal    # before A is built
+            if getattr(A, "func", None) is vector_potential:
+                return rho, cross, _solenoid_at(*A.args, p, r)
         return rho, cross, None if A is None else A(p)
 
     def density(self, p):
@@ -253,20 +256,20 @@ def eigenstate(cfg, m, n):
 def angular_momenta(state):
     """{total, canonical, osmotic} z angular momenta by quadrature.
 
-    total  = integral of M r Gamma_theta, Gamma = rho v_quasi
-             = (hbar/M) Im(psi* grad psi) - (q/Mc) A rho;
-    osmotic = integral of M r rho Im(-xi)_theta = M r rho (-(q/Mc) A)_theta;
+    total  = integral of M r Gamma_theta, Gamma = rho v_quasi, whose theta
+             component is (hbar/M) m R^2 / r - (q/Mc) A_theta R^2;
+    osmotic = integral of M r rho Im(-xi)_theta = M r (-(q/Mc) A_theta) R^2;
     canonical = total - osmotic.  No formula substitution: the integrands
-    come pointwise from one field sample and never divide by rho.  They are
-    rotation invariant, so their theta factor is exactly 2 pi."""
+    are functions of r from one `radial_parts` call, and never divide by
+    rho."""
     cfg = state.cfg
 
-    def moments(pts):
-        rho, cross, a_val = state.sample(pts, solenoid_potential(cfg))
-        diffusion = -(cfg.charge / (cfg.mass * cfg.c)) * a_val * rho[:, None]
-        gamma = (cfg.hbar / cfg.mass) * cross.imag + diffusion
-        return cfg.mass * np.stack([_moment_z(gamma, pts),
-                                    _moment_z(diffusion, pts)], axis=-1)
+    def moments(r):
+        rr = state.radial_parts(r)[0]
+        diffusion = (-(cfg.charge / (cfg.mass * cfg.c))
+                     * (_a_theta_over_r(cfg, r) * r) * (rr * rr))
+        gamma = (cfg.hbar / cfg.mass) * (rr * ((state.m * rr) * (1.0 / r))) + diffusion
+        return cfg.mass * np.stack([r * gamma, r * diffusion], axis=-1)
 
     total, osmotic = map(float, AnnulusDomain(cfg.a, cfg.b).integrate(moments))
     return {"total": total, "canonical": total - osmotic, "osmotic": osmotic}
@@ -296,33 +299,27 @@ def energy_decomposition(state):
     / |total|.
 
     The densities are functions of r from one `radial_parts` call, so one
-    radial rule integrates them (`AnnulusDomain.integrate`).  The split uses
-    the unit phase u = psi*/|psi|, so nothing divides by rho: in the polar
-    frame u grad psi = (R R', i m R^2 / r) / |R|, and across a node (|R| is
-    0, or so small that 1/|R| overflows) its limit |R'| r_hat.  The total
-    squares the polar components of (P - qA/c) psi, hbar R' and
-    hbar (m R)/r - (q/c) A_theta R.  Integrals run over the wall-inset
-    annulus (see _energy_domain): for nu <= 1/2 the radial energy is not
-    integrable up to the inner wall, so only the identity between the
-    columns is contractual."""
+    radial rule integrates them (`AnnulusDomain.integrate`).  In the polar
+    frame the split is its definition, (M/2) rho |v_quasi|^2 and
+    (M/2) rho |w_quasi|^2 with rho = R^2: rotational
+    (hbar^2/2M) (R (m/r - (q/hbar c) A_theta))^2 and radial
+    (hbar^2/2M) R'^2, so nothing divides by rho and a node is no special
+    point.  The total is written apart: it squares the polar components of
+    (P - qA/c) psi, hbar R' and hbar (m R)/r - (q/c) A_theta R.  Integrals
+    run over the wall-inset annulus (see _energy_domain): for nu <= 1/2 the
+    radial energy is not integrable up to the inner wall, so only the
+    identity between the columns is contractual."""
     cfg, m = state.cfg, state.m
     flux = cfg.charge / (cfg.hbar * cfg.c)
     scale = cfg.hbar ** 2 / (2.0 * cfg.mass)
 
-    def densities(pts):
-        r = np.hypot(pts[:, 0], pts[:, 1])
+    def densities(r):
         rr, drr = state.radial_parts(r)
         a_theta = _a_theta_over_r(cfg, r) * r
-        m_r = (m * rr) * (1.0 / r)
-        modulus = np.abs(rr)
-        node = modulus < np.finfo(float).tiny     # 1/|R| would overflow
-        inv = 1.0 / np.where(node, 1.0, modulus)
-        # (R R') (1/|R|) rather than |R'|: the rounding the pinned
-        # observables hold
-        radial = np.where(node, np.abs(drr), (rr * drr) * inv)
-        rotation = (rr * m_r) * inv - flux * a_theta * modulus
-        azimuthal = cfg.hbar * m_r - (cfg.charge / cfg.c) * a_theta * rr
-        return np.stack([scale * rotation ** 2, scale * radial ** 2,
+        rotation = rr * (m / r - flux * a_theta)
+        azimuthal = (cfg.hbar * ((m * rr) * (1.0 / r))
+                     - (cfg.charge / cfg.c) * a_theta * rr)
+        return np.stack([scale * rotation ** 2, scale * drr ** 2,
                          ((cfg.hbar * drr) ** 2 + azimuthal ** 2)
                          / (2.0 * cfg.mass)], axis=-1)
 

@@ -20,7 +20,8 @@ phase cancels, and evaluates the solenoid potential at the r it formed.
 
 Points are numpy arrays whose last axis is the spatial dimension: shape
 (dim,) for one point or (N, dim) for a batch.  All returned vectors follow
-the shape of the input.
+the shape of the input.  The one exception is `AnnulusDomain.integrate`,
+whose integrand is a function of r alone and takes an array of radii.
 """
 from __future__ import annotations
 
@@ -200,7 +201,6 @@ def gauge_transform(psi, lam, cfg, grad_lam):
 
 # ---------------------------------------------------------------------------
 # Integration domain: an annulus in the 2-d polar measure r dr dtheta.
-# Integrands take Cartesian point batches.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -209,14 +209,13 @@ class AnnulusDomain:
     b: float
 
     def integrate(self, g):
-        """Integral of g, (M, 2) points -> (M,) or (M, k) values, in the
-        measure r dr dtheta.  Precondition: g is rotation invariant, as every
-        annulus observable of a state R(r) e^{i m theta} is, so its theta
-        factor is exactly 2 pi: GK15 (`integrate_1d`) of 2 pi r g(r, 0), one
-        g call per refinement on the ray y = 0 (15 radii, then 30 per split)."""
-        def radial(rv):
-            pts = np.stack([rv, np.zeros_like(rv)], axis=-1)
-            return (np.asarray(g(pts), dtype=float).T * (2.0 * np.pi * rv)).T
+        """Integral over the annulus of a function of r alone, g: radii
+        (M,) -> (M,) or (M, k) values, in the measure r dr dtheta: its theta
+        factor is exactly 2 pi, so this is GK15 (`integrate_1d`) of
+        2 pi r g(r), one g call per refinement (15 radii, then 30 per
+        split)."""
+        def radial(r):
+            return (np.asarray(g(r), dtype=float).T * (2.0 * np.pi * r)).T
 
         return integrate_1d(radial, self.a, self.b)
 

@@ -140,8 +140,7 @@ class TestEigenstate:
                             (AnnulusConfig(B=0.6), 1, 1),
                             (AnnulusConfig(B=1.4), 1, 1)):
             state = eigenstate(cfg, m, n)
-            val = AnnulusDomain(CFG.a, CFG.b).integrate(
-                lambda pts: state.radial_density(np.hypot(pts[..., 0], pts[..., 1])))
+            val = AnnulusDomain(CFG.a, CFG.b).integrate(state.radial_density)
             assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_walls(self):
@@ -243,8 +242,8 @@ class TestPolarFieldSample:
                 assert np.all(np.abs(part - part_g) <= 1e-14 * scale)
 
     def test_ray_bits(self):
-        # on y = 0 the polar route rounds as the generic one does, so the
-        # observables' ray quadrature keeps its bits
+        # on y = 0 the polar route rounds as the generic one does: m R^2 / r
+        # is rounded as complex division by r rounds it, R ((m R) (1/r))
         rng = np.random.default_rng(22)
         for state in grid_and_wide_states():
             r = polar_test_radii(state, rng)
@@ -343,8 +342,8 @@ class TestEnergyDecomposition:
 
     def test_exact_nodes_next_to_the_inner_wall(self, monkeypatch):
         # at (50, 5), nu = 49.5: R ~ (r - a)^nu underflows to exactly 0 at
-        # the inset inner wall, and to subnormals just past it, where 1/|R|
-        # would overflow; the split takes the node limit |R'| r_hat there
+        # the inset inner wall, and to subnormals just past it; the split
+        # divides by neither R nor rho, so its densities stay finite there
         seen = []
         original = AnnulusDomain.integrate
 
@@ -356,7 +355,7 @@ class TestEnergyDecomposition:
         energy_decomposition(state)
         (domain, g), = seen
         r = domain.a + np.linspace(0.0, 1e-6, 1001)
-        rows = g(np.stack([r, np.zeros_like(r)], axis=-1))
+        rows = g(r)
         modulus = np.abs(state.radial_parts(r)[0])
         node = modulus == 0.0
         subnormal = (0.0 < modulus) & (modulus < np.finfo(float).tiny)
@@ -377,11 +376,31 @@ def observables_digest(states):
     return h.hexdigest()
 
 
-class TestRotationInvariantIntegrands:
-    """`AnnulusDomain.integrate` samples its integrand on the ray y = 0 only,
-    so every integrand the observables pass must be rotation invariant:
-    at random radii and angles, the rotated values equal the ray values
-    within 1e-12 of each column's largest magnitude."""
+def moment_z(vec, pts):
+    """(pts x vec)_z: r times vec's theta component."""
+    return pts[:, 0] * vec[:, 1] - pts[:, 1] * vec[:, 0]
+
+
+def angular_columns(cfg, pts, dec):
+    """M r Gamma_theta and M r rho Im(-xi)_theta from Cartesian fields."""
+    diffusion = -dec.rho[:, None] * dec.xi_imag
+    return cfg.mass * np.stack([moment_z(dec.gamma, pts),
+                                moment_z(diffusion, pts)], axis=-1)
+
+
+def energy_columns(cfg, pts, dec):
+    """(M/2) rho |v_quasi|^2, (M/2) rho |w_quasi|^2 and their sum."""
+    half_rho = 0.5 * cfg.mass * dec.rho
+    rotational = half_rho * np.sum(dec.v_quasi ** 2, axis=-1)
+    radial = half_rho * np.sum(dec.w_quasi ** 2, axis=-1)
+    return np.stack([rotational, radial, rotational + radial], axis=-1)
+
+
+class TestRadialIntegrands:
+    """The observables integrate functions of r written in the polar frame
+    (`AnnulusDomain.integrate`).  At random radii and angles where
+    rho > RHO_FLOOR, each equals the density built from `decompose`'s
+    Cartesian fields within 1e-12 of each column's largest magnitude."""
 
     def test_observable_integrands(self, monkeypatch):
         seen = []
@@ -397,29 +416,36 @@ class TestRotationInvariantIntegrands:
             energy_decomposition(state)
         assert len(seen) == 2 * len(states)
         rng = np.random.default_rng(20)
-        for domain, g in seen:
-            r = rng.uniform(domain.a, domain.b, 64)
-            ray = np.asarray(g(np.stack([r, np.zeros_like(r)], axis=-1)))
-            scale = np.abs(ray).max(axis=0)
-            for th in rng.uniform(0.0, 2.0 * math.pi, 4):
-                turned = np.asarray(g(np.stack([r * math.cos(th), r * math.sin(th)],
-                                               axis=-1)))
-                assert np.all(np.abs(turned - ray) <= 1e-12 * scale)
+        for k, (domain, g) in enumerate(seen):
+            state, cartesian = states[k // 2], (angular_columns, energy_columns)[k % 2]
+            cfg = state.cfg
+            r = rng.uniform(domain.a, domain.b, 256)
+            th = rng.uniform(0.0, 2.0 * math.pi, r.size)
+            pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+            keep = state.density(pts) > RHO_FLOOR
+            assert keep.sum() >= 64
+            r, pts = r[keep], pts[keep]
+            want = cartesian(cfg, pts,
+                             decompose(state, solenoid_potential(cfg), cfg, pts))
+            got = np.asarray(g(r))
+            assert got.shape == want.shape
+            scale = np.abs(want).max(axis=0)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 class TestPinnedObservables:
-    """Quadrature observables pinned bit for bit: one radial GK15 rule on
-    the ray y = 0 (`AnnulusDomain.integrate`).  The two wide states reach
+    """Quadrature observables pinned bit for bit: one radial GK15 rule of
+    functions of r (`AnnulusDomain.integrate`).  The two wide states reach
     Miller's recurrence past x = 9.25, and a batch that mixes nodes below
     the split changes the series truncation, so these digests also guard
     the batching of a bisected panel's two halves into one integrand call."""
 
     def test_acceptance_grid(self):
         assert observables_digest(_grid_states()) == (
-            "4fd0f542b9281d0d8c959e8be107cdd0313746aa7b6035cd9fc697df6485e4c3")
+            "48738b4c83409b248c84692c9520893b041e118ccce17a912a21fb148bd4ac5b")
 
     @pytest.mark.parametrize("mn,digest", [
-        ((12, 2), "93cb1d2dcfbaec706e6fba91f50962fe8df6d58e496a8dc67f47730aefd67624"),
+        ((12, 2), "382e77c6f244d90f7dc54bdd42200932db5f39d9ff9d13a0af4959d374f08ec0"),
         ((50, 5), "0772577b55b23535240b213ba03c61a928fc9242f90da5039bf436f75efc9418"),
     ], ids=["m12-n2", "m50-n5"])
     def test_wide_states(self, mn, digest):

@@ -338,7 +338,7 @@ class TestPinnedOutputs:
         ("trajectories", "trajectories.csv",
          "4df3e93e64dc558c3273818fca144c91c1e42386e2e77f1bdb490565e986f7d0"),
         ("check", "manifest_check.json",
-         "6d7107b62ce85b00c1665f19c907aaa540479f1c54b406eaf07ecbf679b541e6"),
+         "5a7f548a7365892d106a01297186d5df086e959a74777d549929875b8ffdbaaa"),
     ])
     def test_reduced_sampler_budget(self, tmp_path, subcommand, output, digest):
         config = {"sde": {"steps": 3000, "burn_in": 500, "n_trajectories": 16}}

@@ -153,16 +153,17 @@ class ABState:
     def radial_parts(self, r):
         """(R, R'): the normalized radial profile and its derivative, sharing
         the Bessel evaluations; J' = (nu/x) J - J_{nu+1}.  Both are zero at
-        r = b and outside the walls (the state is confined)."""
+        r = b and outside the walls, where x = 0: R is masked (J_0(0) = 1), R'
+        is not (nu J_nu(0) and J_{nu+1}(0) are +0.0).  R'(a) is returned as 0,
+        not N k / 2 (nu = 1) or infinite (nu < 1); no caller reads it, as the
+        density floor rejects r = a for nu > 0 and quadrature nodes never
+        reach a wall."""
         r = np.asarray(r, dtype=float)
         inside = (r >= self.cfg.a) & (r < self.cfg.b)
         x = np.where(inside, self.k * (r - self.cfg.a), 0.0)
         j, jp1 = bessel_j_pair(self.nu, x)
-        ratio = self.nu / np.where(x > 0.0, x, 1.0)
-        jp = np.where(x > 0.0, ratio * j, 0.0) - jp1
-        j = np.where(inside, j, 0.0)
-        jp = np.where(inside, jp, 0.0)
-        return self.norm * j, self.norm * self.k * jp
+        jp = self.nu / np.where(x > 0.0, x, 1.0) * j - jp1
+        return self.norm * np.where(inside, j, 0.0), self.norm * self.k * jp
 
     def amplitude(self, p):
         p = np.asarray(p, dtype=float)
@@ -268,8 +269,12 @@ def angular_momenta(state):
         rr = state.radial_parts(r)[0]
         diffusion = (-(cfg.charge / (cfg.mass * cfg.c))
                      * (_a_theta_over_r(cfg, r) * r) * (rr * rr))
-        gamma = (cfg.hbar / cfg.mass) * (rr * ((state.m * rr) * (1.0 / r))) + diffusion
-        return cfg.mass * np.stack([r * gamma, r * diffusion], axis=-1)
+        out = np.empty((r.size, 2))
+        np.add((cfg.hbar / cfg.mass) * (rr * ((state.m * rr) * (1.0 / r))),
+               diffusion, out=out[:, 0])                        # Gamma_theta
+        out[:, 1] = diffusion
+        out *= r[:, None]
+        return np.multiply(cfg.mass, out, out=out)
 
     total, osmotic = map(float, AnnulusDomain(cfg.a, cfg.b).integrate(moments))
     return {"total": total, "canonical": total - osmotic, "osmotic": osmotic}
@@ -316,12 +321,15 @@ def energy_decomposition(state):
     def densities(r):
         rr, drr = state.radial_parts(r)
         a_theta = _a_theta_over_r(cfg, r) * r
-        rotation = rr * (m / r - flux * a_theta)
         azimuthal = (cfg.hbar * ((m * rr) * (1.0 / r))
                      - (cfg.charge / cfg.c) * a_theta * rr)
-        return np.stack([scale * rotation ** 2, scale * drr ** 2,
-                         ((cfg.hbar * drr) ** 2 + azimuthal ** 2)
-                         / (2.0 * cfg.mass)], axis=-1)
+        out = np.empty((r.size, 3))
+        np.square(rr * (m / r - flux * a_theta), out=out[:, 0])
+        np.square(drr, out=out[:, 1])
+        out[:, :2] *= scale
+        np.divide((cfg.hbar * drr) ** 2 + azimuthal ** 2, 2.0 * cfg.mass,
+                  out=out[:, 2])
+        return out
 
     rotational, radial, total = map(float, _energy_domain(cfg).integrate(densities))
     return {"rotational": rotational, "radial": radial, "total": total,

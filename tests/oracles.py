@@ -13,7 +13,14 @@ hydrogen_grad_rho    grad rho of hydrogen from the log-derivatives of its
                      factors, checked against the printed D of
                      `models.hydrogen_fields`;
 gaussian_wavefield   the Gaussian packet as a `madelung.WaveField`, checked
-                     against the closed forms of `wavepackets.gaussian_fields`.
+                     against the closed forms of `wavepackets.gaussian_fields`;
+bessel_pair_reference
+                     (J_nu, J_{nu+1}) by the list-form series router that
+                     preceded the in-place Horner pass, checked bit for bit
+                     against `numerics.bessel_j_pair`: it restates the
+                     series' split and truncation rule, and takes the rows
+                     past the split from `bessel_j_pair` itself (a point
+                     there has the same bits in any batch).
 
 `analytic_field` builds a `madelung.WaveField` from a closed-form gradient.
 
@@ -26,6 +33,7 @@ import numpy as np
 
 from abtool.madelung import WaveField
 from abtool.models import hydrogen_radial_parts, hydrogen_theta_parts
+from abtool.numerics import bessel_j_pair
 from abtool.wavepackets import gaussian_delta_gradient, gaussian_fields
 
 
@@ -108,3 +116,70 @@ def gaussian_wavefield(cfg, t):
         return d[..., None]
 
     return analytic_field(amplitude, gradient)
+
+
+# numerics' series window and truncation rule, restated for the reference
+_SERIES_MAX_X = 9.25
+_HALF_SUBNORMAL_X = 2.0 ** -1021
+_SERIES_TERMS = 120
+_SERIES_REL_TOL = 1e-20 * math.gamma(13.0)
+
+
+def _series_coeffs_reference(order):
+    """c[k] = (-1)^k / (k! Gamma(order + k + 1)) as one float array."""
+    c = np.empty(_SERIES_TERMS)
+    c[0] = 1.0 / math.gamma(order + 1.0)
+    for k in range(1, _SERIES_TERMS):
+        c[k] = -c[k - 1] / (k * (order + k))
+    return c
+
+
+def _series_terms_reference(order, ymax):
+    """The terms kept for y <= ymax: the next term is below 1e-20 and below
+    _SERIES_REL_TOL times the first, and at least eight are kept."""
+    c = _series_coeffs_reference(order)
+    tol = min(1e-20, _SERIES_REL_TOL * c[0])
+    nterms = 8
+    t = abs(c[nterms]) * ymax ** nterms if ymax > 0 else 0.0
+    while nterms < _SERIES_TERMS - 1 and t > tol:
+        nterms += 1
+        t *= ymax / (nterms * (order + nterms))
+    return nterms
+
+
+def _horner_series_reference(order, y):
+    """Both rows' series sums by Horner, one in-place operator pair per row
+    and term, truncated where the series of J_order is."""
+    coeffs = [_series_coeffs_reference(order), _series_coeffs_reference(order + 1.0)]
+    nterms = _series_terms_reference(order, float(y.max()) if y.size else 0.0)
+    sums = [np.full_like(y, c[nterms]) for c in coeffs]
+    for k in range(nterms - 1, -1, -1):
+        for s, c in zip(sums, coeffs):
+            s *= y
+            s += c[k]
+    return sums
+
+
+def bessel_pair_reference(order, x):
+    """[J_order(x), J_{order+1}(x)] for a 1-d array x >= 0: the series at or
+    below x = 9.25, scaled into new arrays; past it, `bessel_j_pair`'s
+    Miller rows."""
+    inner = None if x.max(initial=0.0) <= _SERIES_MAX_X else x <= _SERIES_MAX_X
+    xs = x if inner is None else x[inner]
+    half = 0.5 * xs
+    y = half * half
+    sums = _horner_series_reference(order, y)
+    pref = half ** order if order != 0.0 else 1.0
+    if order != 0.0 and xs.min(initial=_SERIES_MAX_X) < _HALF_SUBNORMAL_X:
+        tiny = xs < _HALF_SUBNORMAL_X
+        pref[tiny] = xs[tiny] ** order * 0.5 ** order
+    out = [s * pref for s in sums]
+    out[1] *= half
+    if inner is None:
+        return out
+    past = ~inner
+    full = [np.empty_like(x) for _ in out]
+    for j, series, miller in zip(full, out, bessel_j_pair(order, x[past])):
+        j[inner] = series
+        j[past] = miller
+    return full

@@ -149,6 +149,20 @@ class TestEigenstate:
         assert STATE.amplitude(np.array([CFG.b, 0.0])) == 0.0
         assert STATE.amplitude(np.array([CFG.b + 0.5, 0.0])) == 0.0
 
+    @pytest.mark.parametrize("cfg, m", [(AnnulusConfig(B=0.0), 0), (CFG, 1),
+                                        (AnnulusConfig(B=0.0), 1)])
+    def test_radial_parts_at_and_outside_the_walls(self, cfg, m):
+        # nu = 0, 1/2, 1: R and R' are +0.0 at r = b and outside [a, b), even
+        # where the unmasked series would give J_0(0) = 1; at r = a, R is
+        # N J_nu(0) and R' is returned as 0 whatever the order
+        state = eigenstate(cfg, m, 1)
+        rr, drr = state.radial_parts(np.array([cfg.b, 0.0, cfg.a / 2, cfg.b + 1.0]))
+        for v in (*rr, *drr):
+            assert v == 0.0 and math.copysign(1.0, v) == 1.0
+        r_a, dr_a = state.radial_parts(np.array([cfg.a]))
+        assert r_a[0] == (state.norm if state.nu == 0.0 else 0.0)
+        assert dr_a[0] == 0.0
+
     def test_invalid_indices(self):
         with pytest.raises(ValueError):
             eigenstate(CFG, 1, 0)

@@ -21,6 +21,7 @@ from abtool import numerics
 from abtool.madelung import AnnulusDomain, circulation
 from abtool.numerics import _bessel
 from abtool.variates import NormalBlock
+from oracles import bessel_pair_reference
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +159,21 @@ class TestBesselJ:
         assert j0.shape == j1.shape == x.shape
         assert np.array_equal(j0, bessel_j(nu, x))
         assert np.all(np.abs(j1 - bessel_j(nu + 1.0, x)) <= 1e-15 * np.exp(x))
+
+    @pytest.mark.parametrize("top", [9.25, 12.0])
+    @pytest.mark.parametrize("size", [15, 30, 100_000])
+    @pytest.mark.parametrize("nu", [0.0, 0.25, 2.5, 12.0, 50.5])
+    def test_pair_bits_match_the_list_form_reference(self, nu, size, top):
+        # the in-place Horner pass and scaling round as the list form does,
+        # on the quadrature's batch sizes and a large one; top = 9.25 keeps
+        # the batch on the series, 12 straddles the split.  x = 0 and a
+        # subnormal x / 2 take the prefactor's special cases
+        rng = np.random.default_rng([size, int(4 * nu), int(top)])
+        x = top * rng.random(size)
+        x[:3] = [0.0, 1e-310, top]
+        pair, ref = bessel_j_pair(nu, x), bessel_pair_reference(nu, x)
+        for got, want in zip(pair, ref):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("nu", [6.5, 8.0, 10.0, 11.5, 12.0])
     def test_compensated_window_against_mpmath(self, nu):

@@ -32,7 +32,8 @@ run = SdeConfig(dt=1e-3, steps=40_000, burn_in=5_000, n_trajectories=16,
 print(f"sampling: {run.n_trajectories} trajectories x {run.steps} steps, "
       f"dt = {run.dt}, seed = {run.seed}")
 trajectories = simulate(state, run)
-print(f"rejected-step fraction: {rejection_fraction(trajectories, run):.5f}")
+print(f"rejected proposals per trajectory-step: "
+      f"{rejection_fraction(trajectories, run):.5f}")
 
 radii = np.concatenate([t.radii() for t in trajectories])
 rg, pdf, _ = radial_target(state)

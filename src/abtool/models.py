@@ -84,7 +84,7 @@ def hydrogen_theta_parts(state, theta):
 
 
 def hydrogen_fields(state, r, theta):
-    """{rho, J, D, eta} at (r, theta); J, D, eta in the spherical basis.
+    """{J, D} at (r, theta), in the spherical basis.
 
     J and D follow the printed bound-current expressions; D is built from
     the derivative of R^2 and Theta^2 with the -hbar/(4 pi m) prefactor,
@@ -102,14 +102,12 @@ def hydrogen_fields(state, r, theta):
     shape = np.broadcast(r, theta).shape
     j_vec = np.zeros(shape + (3,))
     d_vec = np.zeros(shape + (3,))
-    eta_vec = np.zeros(shape + (3,))
     coef = -1.0 / (4.0 * math.pi)
     d_vec[..., 0] = coef * (2.0 * rr * drr) * th * th
     d_vec[..., 1] = coef * (1.0 / r) * rr * rr * (2.0 * th * dth)
     if state.m_l != 0:
         j_vec[..., 2] = state.m_l / (r * sin_t) * rho
-        eta_vec[..., 2] = state.m_l / (r * sin_t)
-    return {"rho": rho, "J": j_vec, "D": d_vec, "eta": eta_vec}
+    return {"J": j_vec, "D": d_vec}
 
 
 def hydrogen_orthogonality():

@@ -67,7 +67,8 @@ MAX_ZERO_INDEX = 100       # largest n of a zero j_{order,n}
 _SERIES_MAX_X = 9.25
 # below it 0.5 * x is subnormal, so rounded, and (x/2)^order with it
 _HALF_SUBNORMAL_X = 2.0 ** -1021
-_SERIES_TERMS = 120
+# Horner reads c[0] to c[nterms]; at x <= 9.25 nterms <= 27 for every order
+_SERIES_TERMS = 28
 # The first term 1/Gamma(order + 1) shrinks fast with the order, so 1e-20 on
 # the sum alone would let J's truncation error grow as (x/2)^order (3e-9 at
 # order 18, x = 10).  The bound relative to the first term equals 1e-20 at

@@ -302,6 +302,8 @@ def simulate(state, sde_cfg):
 
 
 def rejection_fraction(trajectories, sde_cfg):
+    """Rejected proposals per trajectory-step: each redraw counts, so it can
+    exceed 1 (156 on the annulus 1 < r < 1.000001)."""
     total = sum(t.rejected_steps for t in trajectories)
     return total / (sde_cfg.steps * sde_cfg.n_trajectories)
 
@@ -347,7 +349,7 @@ def chi2_thin(sde_cfg):
 
 
 def _chi2_on_counts(samples, bins, thin, edges):
-    """{chi2, p_value, dof} of the samples thinned by `thin` against equal
+    """{chi2, p_value} of the samples thinned by `thin` against equal
     expected counts in the bins edges(nbins) delimits, where nbins is `bins`
     shrunk until every bin expects at least 20 samples."""
     thinned = samples[::thin]
@@ -357,8 +359,7 @@ def _chi2_on_counts(samples, bins, thin, edges):
     counts, _ = np.histogram(thinned, bins=edges(nbins))
     expected = thinned.size / nbins
     chi2 = float(((counts - expected) ** 2 / expected).sum())
-    dof = nbins - 1
-    return {"chi2": chi2, "p_value": chi2_sf(chi2, dof), "dof": dof}
+    return {"chi2": chi2, "p_value": chi2_sf(chi2, nbins - 1)}
 
 
 def _ks_sup(samples, rg, cdf):
@@ -372,7 +373,7 @@ def _ks_sup(samples, rg, cdf):
 
 
 def stationarity_test(trajectories, state, bins=40, thin=1):
-    """{ks_distance, chi2, p_value, dof} for the radial marginal.
+    """{ks_distance, chi2, p_value} for the radial marginal.
 
     KS uses every pooled sample.  The chi-square uses equal-probability bins
     (expected count >= 20 enforced by shrinking the bin count) on samples

@@ -136,7 +136,7 @@ def airy_force_probe_points(t, count=20):
 
 
 def airy_fields(x, t):
-    """{psi, rho, eta, F_Q} for the Airy packet at (x, t).
+    """{rho, eta, F_Q} for the Airy packet at (x, t).
 
     eta = k t (k = 1) is the exact phase-gradient velocity; F_Q is evaluated
     numerically from the Bohm form (not from its known constant value), so
@@ -149,7 +149,7 @@ def airy_fields(x, t):
     rho = (psi * np.conj(psi)).real
     eta = np.full_like(x, t)
     f_q = quantum_force(field, Constants(), x[:, None])[:, 0]
-    return {"psi": psi, "rho": rho, "eta": eta, "F_Q": f_q}
+    return {"rho": rho, "eta": eta, "F_Q": f_q}
 
 
 def airy_force_report():
@@ -164,7 +164,6 @@ def airy_force_report():
 
 
 def free_particle_fields(x, t):
-    """Plane wave A e^{i(x - t / 2)}: eta = 1, xi = 0.
-    Non-normalizable; returned fields are position-independent."""
-    x = np.asarray(x, dtype=float)
-    return {"eta": np.full_like(x, 1.0), "xi": np.zeros_like(x)}
+    """{eta} of the plane wave A e^{i(x - t / 2)}: eta = 1 everywhere (its
+    dispersive velocity xi is 0).  Non-normalizable."""
+    return {"eta": np.full_like(np.asarray(x, dtype=float), 1.0)}

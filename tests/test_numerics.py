@@ -21,7 +21,7 @@ from abtool import numerics
 from abtool.madelung import AnnulusDomain, circulation
 from abtool.numerics import _bessel
 from abtool.variates import NormalBlock
-from oracles import bessel_pair_reference
+from oracles import _series_terms_reference, bessel_pair_reference
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +174,16 @@ class TestBesselJ:
         pair, ref = bessel_j_pair(nu, x), bessel_pair_reference(nu, x)
         for got, want in zip(pair, ref):
             assert got.tobytes() == want.tobytes()
+
+    def test_series_cache_holds_every_kept_term(self):
+        # at the split, the largest y a series sees, each order's truncation
+        # is the one the reference's 120 cached terms give, so the tolerance
+        # is met before the cache ends; the order + 1 row has that many terms
+        ymax = (numerics._SERIES_MAX_X / 2.0) ** 2
+        for order in np.arange(0.0, 52.0, 0.25):
+            nterms = numerics._series_terms(order, ymax)
+            assert nterms == _series_terms_reference(order, ymax)
+            assert nterms < len(numerics._series_coeffs(order + 1.0))
 
     @pytest.mark.parametrize("nu", [6.5, 8.0, 10.0, 11.5, 12.0])
     def test_compensated_window_against_mpmath(self, nu):

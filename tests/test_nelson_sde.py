@@ -478,20 +478,26 @@ class TestSeparableKernel:
         assert np.array_equal(step.view(np.int64), expected.view(np.int64))
 
     # sha256 of ok and of step where ok, for 97 points on both sides of
-    # the annulus; computed before the kernel kept its scratch
+    # the annulus, by (nu, n) of `order_state`; the nu = 1/2 digests were
+    # computed before the kernel kept its scratch.  nu = 0 takes the branch
+    # without the order / x term, and (1/4, 2) the row of pole terms at an
+    # order that is not a half-integer
     STEP_DIGESTS = {
-        (1, 1): "d4a199498a04bd147165fb9e1e4ebe2e7b42f75a414eaff53c4314384552e647",
-        (1, 5): "682aea7734b0abccf678a0e208e83bd786be6082bcbe4f53180c2504ff2326ea",
+        (0.5, 1): "d4a199498a04bd147165fb9e1e4ebe2e7b42f75a414eaff53c4314384552e647",
+        (0.5, 5): "682aea7734b0abccf678a0e208e83bd786be6082bcbe4f53180c2504ff2326ea",
+        (0.0, 1): "a82ba82f78b1d2d853146f4a9e290b0b57392df49dc8c99e9f095dc4574fed99",
+        (0.25, 2): "ce8eb8f4140431ec0c22e9e4b6aa41b50938f30522a62ed415b36b2164977cf8",
     }
 
-    @pytest.mark.parametrize("mn", sorted(STEP_DIGESTS))
-    def test_interleaved_kernels_keep_their_steps(self, mn):
+    @pytest.mark.parametrize("nu,n", list(STEP_DIGESTS))
+    def test_interleaved_kernels_keep_their_steps(self, nu, n):
         # two kernels on one state share its cached table; each one's
         # scratch must stay its own, whatever the other, or a call of
         # another size, does in between
-        state = eigenstate(CFG, *mn)
+        state = order_state(nu, n)
+        cfg = state.cfg
         rng = np.random.default_rng(17)
-        r = rng.uniform(CFG.a - 0.1, CFG.b + 0.1, 97)
+        r = rng.uniform(cfg.a - 0.1, cfg.b + 0.1, 97)
         z = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, r.size))
         first = sde._SeparableStepKernel(state, 1e-3)
         second = sde._SeparableStepKernel(state, 1e-3)
@@ -505,7 +511,7 @@ class TestSeparableKernel:
         for ok, step in (fresh, (ok, step)):
             h = hashlib.sha256(ok.tobytes())
             h.update(step[ok].tobytes())
-            assert h.hexdigest() == self.STEP_DIGESTS[mn]
+            assert h.hexdigest() == self.STEP_DIGESTS[nu, n]
 
     def test_drift_matches_decompose_route(self):
         # b = v + u from `drifts`, the decompose route, which reads no table

@@ -342,7 +342,11 @@ def main(argv=None):
     try:
         manifest = _SUBCOMMANDS[args.subcommand](cfg, args.out, args.svg)
     except NonConvergenceError as exc:
-        print(f"abtool: numerical non-convergence: {exc}", file=sys.stderr)
+        found = [f"{name} {np.asarray(value).tolist()}" for name, value in
+                 (("best estimate", exc.best_estimate), ("error bound", exc.error_bound))
+                 if value is not None]
+        print(f"abtool: numerical non-convergence: {exc}"
+              + (f" ({', '.join(found)})" if found else ""), file=sys.stderr)
         return EXIT_NUMERICS
     except DensityFloorError as exc:      # a ValueError: caught before it
         print(f"abtool: numerical failure: {exc}", file=sys.stderr)

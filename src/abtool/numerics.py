@@ -383,48 +383,55 @@ class BesselLogTable:
             pole, dpole = _pole_sums(xn, np.delete(zsq, k))
             s[near] = reg - order / xn - 1.0 / (xn + z) - pole
             ds[near] = dreg + order / xn ** 2 + 1.0 / (xn + z) ** 2 - dpole
-        self.order = order
         self.zeros = zeros
+        # a lookup's scalar operands are 0-d arrays: a ufunc converts a
+        # Python float or numpy scalar on every call
+        self._order, self._two = np.array(order), np.array(2.0)
+        self._order_term = order > 0.0
         # one pole term or a row of them: a 1-d subtraction avoids a
         # broadcast and a reduction per lookup in the common n = 1 case
-        self._zsq = zsq[0] if n == 1 else zsq
-        self._inv_h = 1.0 / h
+        self._pole_row = n > 1
+        self._zsq = zsq if self._pole_row else np.array(zsq[0])
+        self._inv_h = np.array(1.0 / h)
         # cubic Hermite cells, one row per power of t = (x - x_i) / h
         s0, s1, d0, d1 = s[:-1], s[1:], ds[:-1] * h, ds[1:] * h
         self._coef = np.stack([s0, d0, 3.0 * (s1 - s0) - 2.0 * d0 - d1,
                                2.0 * (s0 - s1) + d0 + d1])
 
-    def lookup(self, x, out, t, i, c):
+    def lookup(self, x, out, t, i, c, rows=None):
         """J'(x)/J(x) written into `out` for a 1-d array x in [0, j_n].
 
         t (floats), i (np.intp) and c (4 rows of floats) are scratch of x's
         length, so a caller that keeps them allocates nothing for n = 1;
-        their contents on return are unspecified.  Every operation takes
-        its operands in a fixed order, so the bits do not depend on where
-        the scratch lives.
+        their contents on return are unspecified.  `rows` are c's rows as
+        views, c[0] to c[3]: a caller that keeps its scratch makes them once
+        and spares a lookup indexing c.  Every operation takes its operands
+        in a fixed order, so the bits do not depend on where the scratch
+        lives.
         """
+        c0, c1, c2, c3 = c if rows is None else rows
         np.multiply(x, self._inv_h, t)
         np.copyto(i, t, casting="unsafe")
         np.subtract(t, i, t)
         self._coef.take(i, 1, c, "clip")
-        np.multiply(c[3], t, out)            # Horner on the cell's cubic
-        np.add(out, c[2], out)
+        np.multiply(c3, t, out)              # Horner on the cell's cubic
+        np.add(out, c2, out)
         np.multiply(out, t, out)
-        np.add(out, c[1], out)
+        np.add(out, c1, out)
         np.multiply(out, t, out)
-        np.add(out, c[0], out)
-        if self._zsq.ndim:
+        np.add(out, c0, out)
+        if self._pole_row:
             inv_d = np.subtract.outer(np.multiply(x, x, t), self._zsq)
             np.reciprocal(inv_d, inv_d).sum(axis=1, out=t)
         else:
             np.multiply(x, x, t)
             np.subtract(t, self._zsq, t)
             np.reciprocal(t, t)
-        np.multiply(2.0, x, c[0])
-        np.multiply(c[0], t, c[0])
-        np.add(out, c[0], out)
-        if self.order > 0.0:
-            np.divide(self.order, x, t)
+        np.multiply(self._two, x, c0)
+        np.multiply(c0, t, c0)
+        np.add(out, c0, out)
+        if self._order_term:
+            np.divide(self._order, x, t)
             np.add(out, t, out)
         return out
 
@@ -665,10 +672,8 @@ def integrate_1d(f, lo, hi):
             return float(total) if np.ndim(total) == 0 else total
         neg, a, b, v, e, depth = heapq.heappop(heap)
         if depth >= _MAX_DEPTH or count >= _MAX_INTERVALS:
-            raise NonConvergenceError(
-                f"integrate_1d: tolerance not met (estimate {total}, "
-                f"error bound {np.max(toterr):.3e})",
-                best_estimate=total, error_bound=toterr)
+            raise NonConvergenceError("integrate_1d: tolerance not met",
+                                      best_estimate=total, error_bound=toterr)
         m = 0.5 * (a + b)
         (v1, e1), (v2, e2) = _gk15(f, [a, m, b])
         total = total + (v1 + v2 - v)

@@ -6,11 +6,13 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from abtool import checks
+from abtool import checks, cli
 from abtool.cli import (_DEFAULTS, EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERICS,
                         EXIT_OK, ConfigError, main, parse_config)
+from abtool.numerics import NonConvergenceError
 from abtool.sde import SdeConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -398,6 +400,21 @@ class TestExitCodes:
                        config={"state": {"m": 4}}) == EXIT_NUMERICS
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "density below floor" in err
+
+    @pytest.mark.parametrize("best,bound,text", [
+        (2.25, 0.0625, "(best estimate 2.25, error bound 0.0625)"),
+        (np.array([1.5, -0.5]), np.array([3e-9, 4e-9]),
+         "(best estimate [1.5, -0.5], error bound [3e-09, 4e-09])")])
+    def test_nonconvergence_is_3_with_its_estimate(self, tmp_path, capsys,
+                                                   monkeypatch, best, bound, text):
+        def fail(*args):
+            raise NonConvergenceError("integrate_1d: tolerance not met",
+                                      best_estimate=best, error_bound=bound)
+        monkeypatch.setitem(cli._SUBCOMMANDS, "spectrum", fail)
+        assert run_cli(["spectrum"], tmp_path) == EXIT_NUMERICS
+        err = capsys.readouterr().err
+        assert err == ("abtool: numerical non-convergence: integrate_1d: "
+                       f"tolerance not met {text}\n")
 
     @pytest.mark.parametrize("out", ["file", "file/sub"])
     def test_unusable_out_directory_is_2(self, tmp_path, capsys, out):

@@ -227,6 +227,26 @@ class TestPinnedBits:
         assert trajectory_digest(out) == (
             "4f7ea76e90e2a44dce790d85a8243fa1d3a5c39cf949e73b4789a03482f03236")
 
+    def test_retry_blocks_keep_the_bits(self, monkeypatch):
+        # one redraw per refill against the default block: the (1, 5) run
+        # and the inner-wall cascade, whose 205 redraws a trajectory cross
+        # several default refills
+        runs = []
+        for block in (sde._RETRY_BLOCK, 2):
+            monkeypatch.setattr(sde, "_RETRY_BLOCK", block)
+            state = eigenstate(CFG, 1, 5)
+            short = simulate(state, SdeConfig(dt=1e-3, steps=600, burn_in=100,
+                                              n_trajectories=7, seed=5))
+            with monkeypatch.context() as m:
+                start_at(m, np.nextafter(CFG.a, np.inf)
+                         * np.exp(2j * np.pi * np.arange(5) / 5))
+                wall = simulate(STATE, SdeConfig(dt=1e-3, steps=300, burn_in=0,
+                                                 n_trajectories=5, seed=8))
+            runs.append([([t.rejected_steps for t in out], trajectory_digest(out))
+                         for out in (short, wall)])
+        assert runs[0] == runs[1]
+        assert runs[0][1][0] == [205, 205, 205, 200, 205]
+
 
 class TestRadialTarget:
     def test_cdf_monotone_normalized(self):

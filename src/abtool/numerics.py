@@ -26,7 +26,8 @@ class NonConvergenceError(RuntimeError):
     """An iterative routine ran out of budget.
 
     Carries the best estimate and an error bound so callers can decide
-    whether the partial result is still usable.
+    whether the partial result is still usable; `abtool` prints both on its
+    exit-3 line.
     """
 
     def __init__(self, message, best_estimate=None, error_bound=None):
@@ -390,8 +391,7 @@ class BesselLogTable:
         self._order_term = order > 0.0
         # one pole term or a row of them: a 1-d subtraction avoids a
         # broadcast and a reduction per lookup in the common n = 1 case
-        self._pole_row = n > 1
-        self._zsq = zsq if self._pole_row else np.array(zsq[0])
+        self._zsq = np.array(zsq[0]) if n == 1 else zsq
         self._inv_h = np.array(1.0 / h)
         # cubic Hermite cells, one row per power of t = (x - x_i) / h
         s0, s1, d0, d1 = s[:-1], s[1:], ds[:-1] * h, ds[1:] * h
@@ -420,7 +420,7 @@ class BesselLogTable:
         np.add(out, c1, out)
         np.multiply(out, t, out)
         np.add(out, c0, out)
-        if self._pole_row:
+        if self._zsq.ndim:
             inv_d = np.subtract.outer(np.multiply(x, x, t), self._zsq)
             np.reciprocal(inv_d, inv_d).sum(axis=1, out=t)
         else:

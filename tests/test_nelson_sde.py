@@ -227,6 +227,29 @@ class TestPinnedBits:
         assert trajectory_digest(out) == (
             "4f7ea76e90e2a44dce790d85a8243fa1d3a5c39cf949e73b4789a03482f03236")
 
+    @pytest.mark.parametrize("mn,seed,digest", [
+        ((1, 1), 8, "5132de07bac7854f4191ce7b5b70cf3a0647945f5ee7acdc21442e5a2599099e"),
+        ((1, 5), 5, "0eb432d370cd3cb9ec83b82c954ceca8ec978d228e1090df949536427fa40fee"),
+    ])
+    def test_aborted_trajectories_freeze(self, monkeypatch, mn, seed, digest):
+        # 20 halvings are too few to recover one rounding unit above r = a,
+        # so the wall starts abort on their first step (21 levels of 5
+        # draws) and stay where they are, while the mid-annulus starts
+        # between them run on
+        monkeypatch.setattr(sde, "_HALVING_LIMIT", 20)
+        angles = np.exp(1j * np.array([0.0, 0.5 * np.pi, np.pi]))
+        z0 = np.empty(6, dtype=complex)
+        z0[0::2] = np.nextafter(CFG.a, np.inf) * angles
+        z0[1::2] = 0.5 * (CFG.a + CFG.b) * angles
+        start_at(monkeypatch, z0)
+        out = simulate(eigenstate(CFG, *mn), SdeConfig(
+            dt=1e-3, steps=400, burn_in=0, n_trajectories=6, seed=seed))
+        assert [t.aborted for t in out] == [True, False] * 3
+        assert [t.rejected_steps for t in out] == [105, 0] * 3
+        for t, z in zip(out[0::2], z0[0::2]):
+            assert np.all(t.positions == [z.real, z.imag])
+        assert trajectory_digest(out) == digest
+
     def test_retry_blocks_keep_the_bits(self, monkeypatch):
         # one redraw per refill against the default block: the (1, 5) run
         # and the inner-wall cascade, whose 205 redraws a trajectory cross

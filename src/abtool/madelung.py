@@ -56,8 +56,11 @@ class Constants:
 
     def __post_init__(self):
         for name in ("hbar", "mass", "c"):
-            if getattr(self, name) <= 0.0:
+            value = getattr(self, name)
+            if value <= 0.0:
                 raise ValueError(f"{name} must be > 0")
+            if not value < np.inf:      # nan or inf
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     @property
     def beta_sq(self):

@@ -398,18 +398,22 @@ class BesselLogTable:
         self._coef = np.stack([s0, d0, 3.0 * (s1 - s0) - 2.0 * d0 - d1,
                                2.0 * (s0 - s1) + d0 + d1])
 
-    def lookup(self, x, out, t, i, c, rows=None):
+    def scratch(self, n):
+        """A lookup's scratch for n points, (t, i, c, rows): the Hermite
+        parameter, the cell index, the cells' 4 x n coefficients and c's rows
+        as views, made once so a lookup indexes nothing."""
+        c = np.empty((4, n))
+        return np.empty(n), np.empty(n, dtype=np.intp), c, tuple(c)
+
+    def lookup(self, x, out, scratch):
         """J'(x)/J(x) written into `out` for a 1-d array x in [0, j_n].
 
-        t (floats), i (np.intp) and c (4 rows of floats) are scratch of x's
-        length, so a caller that keeps them allocates nothing for n = 1;
-        their contents on return are unspecified.  `rows` are c's rows as
-        views, c[0] to c[3]: a caller that keeps its scratch makes them once
-        and spares a lookup indexing c.  Every operation takes its operands
-        in a fixed order, so the bits do not depend on where the scratch
-        lives.
+        `scratch` is `self.scratch(x.size)`: a caller that keeps it allocates
+        nothing on a one-zero table.  Its contents on return are unspecified.
+        Every operation takes its operands in a fixed order, so a point's
+        bits do not depend on the other points of the call.
         """
-        c0, c1, c2, c3 = c if rows is None else rows
+        t, i, c, (c0, c1, c2, c3) = scratch
         np.multiply(x, self._inv_h, t)
         np.copyto(i, t, casting="unsafe")
         np.subtract(t, i, t)

@@ -17,14 +17,16 @@ wall and at the nodes in closed form.  Against the exact series route
 (`ABState.radial_parts`) the drift agrees to 1e-9 (hbar/M)(k + |R'/R|)
 wherever that route is itself accurate to this level; next to a node where
 the series carries rounding (x = k (r-a) near 9.25), the two routes differ by
-that rounding.  A step's one allocation is the `searchsorted` index (numpy
-gives it no out argument): the kernel writes validity and the step factor
-into arrays the caller passes and keeps its own scratch (the table is shared
-through its cache), and `simulate` double-buffers positions and step factors.
-Every scalar ufunc operand of a step is a 0-d float64 array made once per
-kernel or table, since a ufunc converts a Python float on every call: on 64
-points a kernel call takes about 9.0 us (11.4 us with float operands) and a
-step 13.6 us (16.2 us; 2-core Xeon, numpy 2.4), with the same bits.
+that rounding.  The kernel has one call form, `kernel(z, ok, step)`, on the
+number of points it was made for: it writes validity and the step factor
+into the caller's arrays, and its scratch, with the table's lookup scratch,
+is made once (the table is shared through its cache).  A point's bits do
+not depend on the other points of its call.  A step's one allocation is the
+`searchsorted` index (numpy gives it no out argument), and `simulate`
+double-buffers positions and step factors.  Every scalar ufunc operand of a
+step is a 0-d float64 array made once per kernel or table, since a ufunc
+converts a Python float on every call: on 64 points a kernel call takes
+about 9.0 us and a step 13.6 us (2-core Xeon, numpy 2.4).
 
 Noise.  Trajectory i's Gaussian increments come from its main stream
 (stream id 2i), _NOISE_CHUNK steps at a time: `variates.NormalBlock` fills
@@ -33,17 +35,21 @@ one Box-Muller pass over all rows, bit for bit each stream's own `normals`.
 
 Start.  Radii are drawn from the |psi|^2 radial marginal by inverse CDF with
 the `init` stream (angles uniform from the same stream); a start point that
-fails the validity test is redrawn from that stream.
+fails the validity test is redrawn from that stream.  The start's last
+kernel call leaves the first step factors.
 
 Cascade.  A proposal that fails validity is redrawn from the trajectory's
 retry stream (stream id 2i + 1, built at the trajectory's first rejection,
 so a run without rejections builds none) up to _MAX_RETRIES = 4 times, then
-the step is halved and the retries start again.  After 64 halvings (dt 2^-64
-~ 5e-20 dt) the trajectory is declared aborted and frozen; that depth lets a
-proposal one rounding unit from the inner wall, where the osmotic drift
-~ nu/(r-a) throws any longer step out of the annulus, recover.  A retry
-stream draws _RETRY_BLOCK = 64 normals at a time and hands out one complex
-pair a redraw, the bits of one `normals(2)` call a redraw.
+the step is halved and the retries start again; every redraw round tests
+all proposals again in one kernel call.  After 64 halvings (dt 2^-64
+~ 5e-20 dt) the trajectory is declared aborted; that depth lets a proposal
+one rounding unit from the inner wall, where the osmotic drift ~ nu/(r-a)
+throws any longer step out of the annulus, recover.  An aborted trajectory
+proposes its own position, which is valid, so it stays frozen with no
+further rejection.  A retry stream draws _RETRY_BLOCK = 64 normals at a
+time and hands out one complex pair a redraw, the bits of one `normals(2)`
+call a redraw.
 """
 from __future__ import annotations
 
@@ -80,6 +86,8 @@ class SdeConfig:
     def __post_init__(self):
         if self.dt <= 0.0:
             raise ValueError("dt must be > 0")
+        if not self.dt < np.inf:        # nan or inf
+            raise ValueError(f"dt must be finite, got {self.dt!r}")
         if not (0 <= self.burn_in < self.steps):
             raise ValueError("need 0 <= burn_in < steps")
         if self.n_trajectories < 1:
@@ -121,13 +129,12 @@ class _SeparableStepKernel:
     """Validity and drift for a separable annulus state R(r) e^{i m theta}
     (see the module docstring).
 
-    `kernel(z, ok, step)` writes into the caller's arrays; without them it
-    allocates and returns new ones.  The scratch for r, x = k (r - a), the
-    table's Hermite parameter t, the cell index and the 4 x N coefficient
-    rows lives here, one set per point count, since the table is shared
-    through its cache."""
+    `kernel(z, ok, step)` writes the validity and step factor of `size`
+    points z into the caller's arrays.  Its scratch for r, x = k (r - a) and
+    the table lookup is made once, for `size` points, and is its own, since
+    the table is shared through its cache."""
 
-    def __init__(self, state, dt):
+    def __init__(self, state, dt, size):
         self.table = bessel_log_table(state.nu, state.n)
         self.edges = _valid_edges(state)
         self.in_lobe = np.arange(self.edges.size + 1) % 2 == 1  # by edges <= r
@@ -136,19 +143,11 @@ class _SeparableStepKernel:
         coef = state.cfg.hbar / state.cfg.mass * dt
         self.radial = np.array(coef * state.k)     # dt u_r = radial * J'/J
         self.angular = np.array(coef * state.m)    # dt v_theta = angular / r
-        self._scratch = {}
+        self._r, self._x = np.empty(size), np.empty(size)
+        self._lookup = self.table.scratch(size)
 
-    def __call__(self, z, ok=None, step=None):
-        n = z.size
-        if ok is None:
-            ok, step = np.empty(n, dtype=bool), np.empty(n, dtype=complex)
-        scratch = self._scratch.get(n)
-        if scratch is None:
-            c = np.empty((4, n))
-            scratch = self._scratch[n] = (
-                np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=np.intp),
-                c, (c[0], c[1], c[2], c[3]))
-        r, x, t, i, c, rows = scratch
+    def __call__(self, z, ok, step):
+        r, x = self._r, self._x
         np.abs(z, r)
         # the interval index of each point: a rule that keeps a step inside
         # its lobe compares it with the current point's
@@ -157,7 +156,7 @@ class _SeparableStepKernel:
         np.subtract(r, self.a, x)
         np.multiply(x, self.k, x)
         re, im = step.real, step.imag
-        self.table.lookup(x, re, t, i, c, rows)
+        self.table.lookup(x, re, self._lookup)
         inv_r = np.divide(self.one, r, r)
         # (radial J'/J + i angular / r) / r + 1 part by part, in the order the
         # complex expression takes, so every step keeps its bits
@@ -166,7 +165,6 @@ class _SeparableStepKernel:
         np.add(re, self.one, re)
         np.multiply(self.angular, inv_r, im)
         np.multiply(im, inv_r, im)
-        return ok, step
 
 
 @lru_cache(maxsize=64)
@@ -192,14 +190,16 @@ def _valid_edges(state):
     return edges
 
 
-def _start_positions(state, kernel, stream, count):
-    """Uniform angles and radial-marginal radii from `stream`; a point the
-    kernel finds invalid (on a node, or r = a) is redrawn from the same
-    stream."""
+def _start_positions(state, kernel, stream, ok, step):
+    """ok.size start points: uniform angles and radial-marginal radii from
+    `stream`; a point the kernel finds invalid (on a node, or r = a) is
+    redrawn from the same stream.  The kernel's ok and step of the returned
+    points are left in ok and step."""
+    count = ok.size
     theta = 2.0 * np.pi * stream.uniforms(count)
     z = target_radial_sampler(state, stream, count) * np.exp(1j * theta)
     for _ in range(_START_REDRAWS):
-        ok, _ = kernel(z)
+        kernel(z, ok, step)
         if ok.all():
             return z
         bad = np.nonzero(~ok)[0]
@@ -234,7 +234,7 @@ def simulate(state, sde_cfg):
     n_traj = sde_cfg.n_trajectories
     dt = sde_cfg.dt
     sigma = np.sqrt(2.0 * state.cfg.beta_sq * dt)
-    kernel = _SeparableStepKernel(state, dt)
+    kernel = _SeparableStepKernel(state, dt, n_traj)
 
     retry = [_retry_noise(sde_cfg.seed, 2 * i + 1) for i in range(n_traj)]
     init = RandomStream(sde_cfg.seed, 2 * n_traj)
@@ -244,41 +244,31 @@ def simulate(state, sde_cfg):
     aborted = np.zeros(n_traj, dtype=bool)
 
     def resample(z, step, prop, new_step, ok):
-        """Redraw the invalid proposals in place from the retry stream: after
-        `fails` failures in this step a trajectory redraws at the step
-        fraction 0.5 ** (fails // (_MAX_RETRIES + 1)), so each halving gets
-        _MAX_RETRIES redraws; past _HALVING_LIMIT halvings it is frozen at z
-        and marked aborted."""
+        """Redraw the invalid proposals in place from the retry stream and
+        test every proposal again: after `fails` failures in this step a
+        trajectory redraws at the step fraction
+        0.5 ** (fails // (_MAX_RETRIES + 1)), so each halving gets
+        _MAX_RETRIES redraws; past _HALVING_LIMIT halvings it is marked
+        aborted and, like every aborted trajectory, proposes z."""
         fails = np.zeros(n_traj, dtype=int)
         while not ok.all():
             bad = np.nonzero(~ok)[0]
             rejected[bad] += 1
             fails[bad] += 1
             level = fails[bad] // (_MAX_RETRIES + 1)
-            dead = level > _HALVING_LIMIT
-            if dead.any():
-                gone = bad[dead]
-                aborted[gone] = True
-                ok[gone] = True
-                prop[gone] = z[gone]
-                new_step[gone] = step[gone]
-                bad, level = bad[~dead], level[~dead]
-                if bad.size == 0:
-                    break
+            aborted[bad[level > _HALVING_LIMIT]] = True
             xi = np.array([next(retry[i]) for i in bad])
             fb = 0.5 ** level
             prop[bad] = (z[bad] * (1.0 + (step[bad] - 1.0) * fb)
                          + sigma * np.sqrt(fb) * xi)
-            ok_b, step_b = kernel(prop[bad])
-            good = bad[ok_b]
-            ok[good] = True
-            new_step[good] = step_b[ok_b]
+            prop[aborted] = z[aborted]
+            kernel(prop, ok, new_step)
 
+    ok, step = np.empty(n_traj, dtype=bool), np.empty(n_traj, dtype=complex)
     # outside the annulus x = k (r - a) can be negative and R'/R undefined;
     # such points are invalid whatever that value is
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        z = _start_positions(state, kernel, init, n_traj)
-        _, step = kernel(z)
+        z = _start_positions(state, kernel, init, ok, step)
         # built after the start, whose radial target is the run's other
         # large transient, so the two do not add up in the peak
         normals = NormalBlock(
@@ -286,7 +276,6 @@ def simulate(state, sde_cfg):
         # each step writes the proposal and its step factor into these
         # spares, then swaps them with z and step
         prop, new_step = np.empty_like(z), np.empty_like(step)
-        ok = np.empty(n_traj, dtype=bool)
         frozen = False                  # any trajectory aborted so far
         for lo in range(0, sde_cfg.steps, _NOISE_CHUNK):
             block = min(_NOISE_CHUNK, sde_cfg.steps - lo)
@@ -295,11 +284,9 @@ def simulate(state, sde_cfg):
             for s in range(block):
                 np.multiply(z, step, prop)
                 np.add(prop, noise[:, s], prop)
-                kernel(prop, ok, new_step)
                 if frozen:
-                    ok[aborted] = True
                     prop[aborted] = z[aborted]
-                    new_step[aborted] = step[aborted]
+                kernel(prop, ok, new_step)
                 if np.count_nonzero(ok) < n_traj:
                     resample(z, step, prop, new_step, ok)
                     frozen = bool(aborted.any())

@@ -350,6 +350,12 @@ class TestWaveField:
         with pytest.raises(ValueError):
             Constants(hbar=0.0)
 
+    @pytest.mark.parametrize("name", ["hbar", "mass", "c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_constants(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            Constants(**{name: value})
+
     def test_vector_potential_spec_callable(self):
         # a vector potential is any callable p -> A(p); xi_imag = (q/Mc) A
         cfg = Constants(mass=2.0, charge=3.0, c=0.5)

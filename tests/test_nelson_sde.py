@@ -53,6 +53,12 @@ class TestSdeConfig:
                 SdeConfig(seed=seed)
         assert SdeConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_dt(self, dt):
+        # accepted, such a step would abort every trajectory without an error
+        with pytest.raises(ValueError, match="^dt must be finite"):
+            SdeConfig(dt=dt)
+
     @pytest.mark.parametrize("dt,stride", [
         (0.9, 22),          # about 20 time units
         (0.1, 38),          # capped at a 400th of the 15200 pooled samples
@@ -426,6 +432,22 @@ def near_wall_and_nodes(state, rel_offsets, rng, uniform=200):
     return r, nodes
 
 
+def kernel_on(state, dt, z):
+    """A step kernel sized for the points z, with its (ok, step) on them."""
+    kernel = sde._SeparableStepKernel(state, dt, z.size)
+    ok, step = np.empty(z.size, dtype=bool), np.empty(z.size, dtype=complex)
+    kernel(z, ok, step)
+    return kernel, ok, step
+
+
+def both_sides_of_the_annulus(state):
+    """97 points on both sides of the annulus, fixed by a seed."""
+    cfg = state.cfg
+    rng = np.random.default_rng(17)
+    r = rng.uniform(cfg.a - 0.1, cfg.b + 0.1, 97)
+    return r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, r.size))
+
+
 class TestSeparableKernel:
     """The table kernel against the exact series route `radial_parts`."""
 
@@ -438,8 +460,7 @@ class TestSeparableKernel:
         r = r[(r > cfg.a) & (r < cfg.b)]
         r = r[np.abs(r[:, None] - nodes).min(axis=1) > 1e-6 * cfg.d]
         z = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, r.size))
-        kernel = sde._SeparableStepKernel(state, dt=1.0)
-        ok, step = kernel(z)
+        kernel, ok, step = kernel_on(state, 1.0, z)
         rr, drr = state.radial_parts(r)
         valid = rr * rr > 10.0 * RHO_FLOOR    # nu = 7/2 dips below it at the wall
         assert ok[valid].all()
@@ -462,9 +483,8 @@ class TestSeparableKernel:
         rng = np.random.default_rng(int(40 * nu) + n + 100)
         r, _ = near_wall_and_nodes(state, np.logspace(-16, -1, 46), rng)
         r = r[(r > cfg.a - 0.1) & (r < cfg.b + 0.1)]
-        kernel = sde._SeparableStepKernel(state, dt=1e-3)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ok, _ = kernel(r.astype(complex))
+            kernel, ok, _ = kernel_on(state, 1e-3, r.astype(complex))
         rho = state.radial_parts(r)[0] ** 2
         inside = (r > cfg.a) & (r < cfg.b)
         exact = inside & (rho > RHO_FLOOR)
@@ -485,12 +505,11 @@ class TestSeparableKernel:
     def test_validity_edges_match_the_exact_test(self, nu, n):
         state = order_state(nu, n)
         cfg = state.cfg
-        kernel = sde._SeparableStepKernel(state, dt=1e-3)
-        bits = kernel.edges.view(np.int64)
+        bits = sde._valid_edges(state).view(np.int64)
         around = (bits[:, None] + np.arange(-64, 65)).ravel().view(np.float64)
         r = np.concatenate([around, np.linspace(cfg.a - 0.1, cfg.b + 0.1, 20_001)])
         with np.errstate(divide="ignore", invalid="ignore"):
-            ok, _ = kernel(r.astype(complex))
+            _, ok, _ = kernel_on(state, 1e-3, r.astype(complex))
         exact = (r > cfg.a) & (r < cfg.b) & (state.radial_parts(r)[0] ** 2 > RHO_FLOOR)
         ulps = np.abs(r.view(np.int64)[:, None] - bits).min(axis=1)
         differ = (ok != exact) & (ulps > 8)
@@ -510,12 +529,10 @@ class TestSeparableKernel:
         rng = np.random.default_rng(9)
         r = rng.uniform(cfg.a + 0.05 * cfg.d, cfg.b, 300)
         z = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, r.size))
-        kernel = sde._SeparableStepKernel(state, dt=1e-3)
-        ok, step = kernel(z)
+        kernel, ok, step = kernel_on(state, 1e-3, z)
         assert ok.all()
-        x, n = (np.abs(z) - cfg.a) * state.k, z.size
-        dlog = kernel.table.lookup(x, np.empty(n), np.empty(n),
-                                   np.empty(n, dtype=np.intp), np.empty((4, n)))
+        x = (np.abs(z) - cfg.a) * state.k
+        dlog = kernel.table.lookup(x, np.empty(z.size), kernel.table.scratch(z.size))
         inv_r = 1.0 / np.abs(z)
         expected = (kernel.radial * dlog + 1j * kernel.angular * inv_r) * inv_r + 1.0
         assert np.array_equal(step.view(np.int64), expected.view(np.int64))
@@ -532,36 +549,52 @@ class TestSeparableKernel:
         (0.25, 2): "ce8eb8f4140431ec0c22e9e4b6aa41b50938f30522a62ed415b36b2164977cf8",
     }
 
+    @staticmethod
+    def step_digest(ok, step):
+        h = hashlib.sha256(ok.tobytes())
+        h.update(step[ok].tobytes())
+        return h.hexdigest()
+
     @pytest.mark.parametrize("nu,n", list(STEP_DIGESTS))
     def test_interleaved_kernels_keep_their_steps(self, nu, n):
         # two kernels on one state share its cached table; each one's
-        # scratch must stay its own, whatever the other, or a call of
-        # another size, does in between
+        # scratch must stay its own, whatever the other does in between
         state = order_state(nu, n)
-        cfg = state.cfg
-        rng = np.random.default_rng(17)
-        r = rng.uniform(cfg.a - 0.1, cfg.b + 0.1, 97)
-        z = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, r.size))
-        first = sde._SeparableStepKernel(state, 1e-3)
-        second = sde._SeparableStepKernel(state, 1e-3)
-        ok, step = np.empty(z.size, dtype=bool), np.empty(z.size, dtype=complex)
+        z = both_sides_of_the_annulus(state)
+        first = sde._SeparableStepKernel(state, 1e-3, z.size)
+        second = sde._SeparableStepKernel(state, 1e-3, z.size)
+        out = [(np.empty(z.size, dtype=bool), np.empty(z.size, dtype=complex))
+               for _ in range(3)]
         with np.errstate(divide="ignore", invalid="ignore"):
-            fresh = first(z)
-            second(z[::-1].copy(), ok, step)
-            first(z[:40].copy())
-            first(z, ok, step)
-            second(z[::-1].copy())
-        for ok, step in (fresh, (ok, step)):
-            h = hashlib.sha256(ok.tobytes())
-            h.update(step[ok].tobytes())
-            assert h.hexdigest() == self.STEP_DIGESTS[nu, n]
+            first(z, *out[0])
+            second(z[::-1].copy(), *out[1])
+            first(z, *out[1])
+            second(z[::-1].copy(), *out[2])
+        for ok, step in out[:2]:
+            assert self.step_digest(ok, step) == self.STEP_DIGESTS[nu, n]
+
+    @pytest.mark.parametrize("nu,n", list(STEP_DIGESTS))
+    def test_a_point_keeps_its_bits_in_any_call(self, nu, n):
+        # simulate tests valid proposals and frozen positions again in calls
+        # on the whole ensemble, so a point's ok and step must not depend on
+        # the other points of its call; at n > 1 they pass the row of poles
+        state = order_state(nu, n)
+        z = both_sides_of_the_annulus(state)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, ok, step = kernel_on(state, 1e-3, z)
+            assert self.step_digest(ok, step) == self.STEP_DIGESTS[nu, n]
+            for size in (1, 40):
+                for lo in [*range(0, z.size - size, size), z.size - size]:
+                    _, ok_c, step_c = kernel_on(state, 1e-3, z[lo:lo + size])
+                    assert ok_c.tobytes() == ok[lo:lo + size].tobytes()
+                    assert step_c.tobytes() == step[lo:lo + size].tobytes()
 
     def test_drift_matches_decompose_route(self):
         # b = v + u from `drifts`, the decompose route, which reads no table
         rng = np.random.default_rng(3)
         r = rng.uniform(CFG.a + 1e-3 * CFG.d, CFG.b - 1e-3 * CFG.d, 300)
         z = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, r.size))
-        ok, step = sde._SeparableStepKernel(STATE, 1e-3)(z)
+        _, ok, step = kernel_on(STATE, 1e-3, z)
         b = drifts(STATE, A_SPEC, CFG, np.stack([z.real, z.imag], axis=1))["forward"]
         step_d = 1.0 + 1e-3 * (b[:, 0] + 1j * b[:, 1]) / z
         assert ok.all()
@@ -569,9 +602,14 @@ class TestSeparableKernel:
 
 
 def start_at(monkeypatch, z0):
-    """Make simulate start from the complex points z0 instead of its draws."""
-    monkeypatch.setattr(sde, "_start_positions",
-                        lambda *args: np.array(z0, dtype=complex))
+    """Make simulate start from the complex points z0 instead of its draws,
+    with the kernel's ok and step of them filled in as a start leaves them."""
+    def start(state, kernel, stream, ok, step):
+        z = np.array(z0, dtype=complex)
+        kernel(z, ok, step)
+        return z
+
+    monkeypatch.setattr(sde, "_start_positions", start)
 
 
 class TestStartAndCascade:

@@ -25,6 +25,7 @@ whose integrand is a function of r alone and takes an array of radii.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +60,8 @@ class Constants:
             value = getattr(self, name)
             if value <= 0.0:
                 raise ValueError(f"{name} must be > 0")
-            if not value < np.inf:      # nan or inf
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            if not value <= sys.float_info.max:   # nan, inf or past the floats
+                raise ValueError(f"{name} must be finite")
 
     @property
     def beta_sq(self):

@@ -53,6 +53,7 @@ call a redraw.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -86,8 +87,8 @@ class SdeConfig:
     def __post_init__(self):
         if self.dt <= 0.0:
             raise ValueError("dt must be > 0")
-        if not self.dt < np.inf:        # nan or inf
-            raise ValueError(f"dt must be finite, got {self.dt!r}")
+        if not self.dt <= sys.float_info.max:     # nan, inf or past the floats
+            raise ValueError("dt must be finite")
         if not (0 <= self.burn_in < self.steps):
             raise ValueError("need 0 <= burn_in < steps")
         if self.n_trajectories < 1:

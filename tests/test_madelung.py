@@ -350,11 +350,14 @@ class TestWaveField:
         with pytest.raises(ValueError):
             Constants(hbar=0.0)
 
+    @pytest.mark.parametrize("kind", [Constants, AnnulusConfig])
     @pytest.mark.parametrize("name", ["hbar", "mass", "c"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_constants(self, name, value):
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 10 ** 400])
+    def test_non_finite_constants(self, kind, name, value):
+        # a non-finite mass made beta^2 = hbar / 2M nan or 0, unseen by any
+        # other check, and an integer past the float range overflowed there
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            Constants(**{name: value})
+            kind(**{name: value})
 
     def test_vector_potential_spec_callable(self):
         # a vector potential is any callable p -> A(p); xi_imag = (q/Mc) A

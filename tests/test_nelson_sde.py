@@ -53,9 +53,10 @@ class TestSdeConfig:
                 SdeConfig(seed=seed)
         assert SdeConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
-    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 10 ** 400])
     def test_non_finite_dt(self, dt):
-        # accepted, such a step would abort every trajectory without an error
+        # accepted, nan or inf aborted every trajectory without an error, and
+        # an integer past the float range overflowed in simulate
         with pytest.raises(ValueError, match="^dt must be finite"):
             SdeConfig(dt=dt)
 

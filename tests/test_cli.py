@@ -318,9 +318,9 @@ def sha256_of(path):
 
 
 class TestPinnedOutputs:
-    """Output files pinned bit for bit (SHA-256): the four tables at the
-    default configuration, and `trajectories.csv` and the check manifest at
-    a reduced sampler budget."""
+    """Output files pinned bit for bit (SHA-256): the four tables and
+    `fields.svg` at the default configuration, and `trajectories.csv` and
+    the check manifest at a reduced sampler budget."""
 
     @pytest.mark.parametrize("subcommand,digest", [
         ("spectrum",
@@ -335,6 +335,11 @@ class TestPinnedOutputs:
     def test_default_tables(self, tmp_path, subcommand, digest):
         assert run_cli([subcommand], tmp_path) == EXIT_OK
         assert sha256_of(tmp_path / f"{subcommand}.csv") == digest
+
+    def test_fields_svg(self, tmp_path):
+        assert run_cli(["fields", "--svg"], tmp_path) == EXIT_OK
+        assert sha256_of(tmp_path / "fields.svg") == (
+            "12d5f5aba94115235db36488c86b1065535ffc286122c85ffee356ca3367f029")
 
     @pytest.mark.parametrize("subcommand,output,digest", [
         ("trajectories", "trajectories.csv",

@@ -223,6 +223,17 @@ class TestPinnedBits:
         assert [t.rejected_steps for t in out] == rejected
         assert trajectory_digest(out) == digest
 
+    def test_order_zero_run(self):
+        # nu = 0, (m, n) = (0, 1) without flux: the Bessel kernels and the
+        # table lookup at order 0, over enough steps to reject near r = a
+        state = eigenstate(AnnulusConfig(B=0.0), 0, 1)
+        out = simulate(state, SdeConfig(dt=1e-3, steps=2000, burn_in=200,
+                                        n_trajectories=16, seed=21))
+        assert [t.rejected_steps for t in out] == [
+            29, 0, 21, 26, 27, 43, 43, 31, 12, 3, 1, 68, 21, 28, 34, 0]
+        assert trajectory_digest(out) == (
+            "ebeebbd1c43802bb370aab6395af7760d6caf64dfd93e62429ec1edf068da543")
+
     def test_halving_cascade_from_the_inner_wall(self, monkeypatch):
         # one rounding unit above r = a: every trajectory redraws from its
         # retry stream through several halvings on its first steps

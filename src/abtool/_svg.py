@@ -6,18 +6,18 @@ import numpy as np
 _PANEL_W = 640
 _PANEL_H = 220
 _MARGIN = 52
-_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+_COLOR = "#1f77b4"
 
 
 def _fmt(v):
     return f"{v:.6g}"
 
 
-def _panel(x, ys, labels, title, y_offset):
+def _panel(x, y, label, title, y_offset):
     x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     lo_x, hi_x = float(x.min()), float(x.max())
-    all_y = np.concatenate([np.asarray(y, dtype=float) for y in ys])
-    lo_y, hi_y = float(all_y.min()), float(all_y.max())
+    lo_y, hi_y = float(y.min()), float(y.max())
     if hi_y == lo_y:
         hi_y = lo_y + 1.0
     pad = 0.05 * (hi_y - lo_y)
@@ -32,7 +32,8 @@ def _panel(x, ys, labels, title, y_offset):
     def sy(v):
         return y_offset + _PANEL_H - _MARGIN - (v - lo_y) / (hi_y - lo_y) * h
 
-    parts = [
+    pts = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x, y))
+    return "\n".join([
         f'<rect x="{_MARGIN}" y="{y_offset + _MARGIN}" width="{w}" height="{h}" '
         'fill="none" stroke="#444" stroke-width="1"/>',
         f'<text x="{_PANEL_W / 2}" y="{y_offset + _MARGIN - 8}" '
@@ -46,26 +47,21 @@ def _panel(x, ys, labels, title, y_offset):
         f'text-anchor="middle" font-size="10" font-family="monospace">{_fmt(lo_x)}</text>',
         f'<text x="{_MARGIN + w}" y="{y_offset + _PANEL_H - _MARGIN + 16}" '
         f'text-anchor="middle" font-size="10" font-family="monospace">{_fmt(hi_x)}</text>',
-    ]
-    for i, (y, label) in enumerate(zip(ys, labels)):
-        color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x, y))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                     'stroke-width="1.4"/>')
-        parts.append(f'<text x="{_MARGIN + w - 6}" y="{y_offset + _MARGIN + 14 + 13 * i}" '
-                     f'text-anchor="end" font-size="11" font-family="monospace" '
-                     f'fill="{color}">{label}</text>')
-    return "\n".join(parts)
+        f'<polyline points="{pts}" fill="none" stroke="{_COLOR}" stroke-width="1.4"/>',
+        f'<text x="{_MARGIN + w - 6}" y="{y_offset + _MARGIN + 14}" text-anchor="end" '
+        f'font-size="11" font-family="monospace" fill="{_COLOR}">{label}</text>',
+    ])
 
 
 def line_chart(path, x, panels):
-    """Write an SVG with one stacked panel per (ys, labels, title) entry."""
+    """Write an SVG with one stacked panel per (y, label, title) entry: one
+    line of y against x under the title."""
     height = _PANEL_H * len(panels)
     body = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_PANEL_W}" '
             f'height="{height}" viewBox="0 0 {_PANEL_W} {height}">',
             f'<rect width="{_PANEL_W}" height="{height}" fill="white"/>']
-    for i, (ys, labels, title) in enumerate(panels):
-        body.append(_panel(x, ys, labels, title, i * _PANEL_H))
+    for i, (y, label, title) in enumerate(panels):
+        body.append(_panel(x, y, label, title, i * _PANEL_H))
     body.append("</svg>\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(body))

@@ -6,11 +6,12 @@
 
 Every run writes a machine-readable manifest next to its outputs; re-running
 with the manifest's echoed configuration reproduces all numbers exactly.
-Exit codes: 0 success, 2 configuration error (including a state outside the
-supported window, or a budget whose arrays cannot be allocated), 3 numerical
-failure (non-convergence, or a density below the floor where a velocity
-field divides by it, as `fields` does next to a wall), 4 verification
-failure.
+Exit codes: 0 success, 2 usage or configuration error (including a state
+outside the supported window, a budget whose arrays cannot be allocated, or
+an output that cannot be written), 3 numerical failure (non-convergence, or
+a density below the floor where a velocity field divides by it, as `fields`
+does next to a wall), 4 verification failure.  Every failure prints one
+line on stderr.
 """
 from __future__ import annotations
 
@@ -218,9 +219,9 @@ def run_fields(cfg, out_dir, want_svg):
         v_line = (state.m + state.lam) * ann.hbar / (ann.mass * rs)
         q_line = annulus.closed_form_q_and_force(state, rs)["Q"]
         line_chart(os.path.join(out_dir, "fields.svg"), rs, [
-            ([rho_line], ["rho(r)"], "probability density"),
-            ([v_line], ["v_quasi_theta(r)"], "quasi-current velocity"),
-            ([q_line], ["Q(r)"], "quantum potential"),
+            (rho_line, "rho(r)", "probability density"),
+            (v_line, "v_quasi_theta(r)", "quasi-current velocity"),
+            (q_line, "Q(r)", "quantum potential"),
         ])
         manifest["outputs"].append("fields.svg")
     manifest["state"] = {"nu": state.nu, "tau": state.tau, "E": state.energy}
@@ -307,8 +308,13 @@ _SUBCOMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):       # a usage error exits 2 with one line
+        raise ConfigError(message)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="abtool",
         description="Flux-threaded annulus bound states, velocity-field "
                     "decompositions and diffusion-process sampling.")
@@ -321,9 +327,9 @@ def main(argv=None):
                         help="override the output format")
     parser.add_argument("--svg", action="store_true",
                         help="also render SVG line plots where supported")
-    args = parser.parse_args(argv)
 
     try:
+        args = parser.parse_args(argv)
         text = "{}"
         if args.config is not None:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -334,13 +340,14 @@ def main(argv=None):
         if args.format is not None:
             cfg = replace(cfg, out_format=args.format)
         os.makedirs(args.out, exist_ok=True)
-    except (ValueError, OSError) as exc:     # ConfigError, or a --seed SdeConfig rejects
-        print(f"abtool: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    started = time.perf_counter()
-    try:
+        started = time.perf_counter()
         manifest = _SUBCOMMANDS[args.subcommand](cfg, args.out, args.svg)
+        # the check manifest is the determinism contract (two runs with the
+        # same seed are byte-identical), so it carries no timing
+        manifest["wall_clock_seconds"] = (None if args.subcommand == "check" else
+                                          round(time.perf_counter() - started, 3))
+        _write_json(os.path.join(args.out, f"manifest_{args.subcommand}.json"),
+                    manifest)
     except NonConvergenceError as exc:
         found = [f"{name} {np.asarray(value).tolist()}" for name, value in
                  (("best estimate", exc.best_estimate), ("error bound", exc.error_bound))
@@ -351,9 +358,9 @@ def main(argv=None):
     except DensityFloorError as exc:      # a ValueError: caught before it
         print(f"abtool: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
-    except ValueError as exc:
-        # arguments the configuration chose, e.g. a state outside the
-        # supported window of eigenstate
+    except (ValueError, OSError) as exc:
+        # ConfigError (usage too), a --seed SdeConfig rejects, a state outside
+        # eigenstate's window, a file that cannot be read or written
         print(f"abtool: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:
@@ -361,14 +368,6 @@ def main(argv=None):
         print(f"abtool: configuration error: cannot allocate the configured "
               f"budget: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    elapsed = time.perf_counter() - started
-
-    # The check manifest is the determinism contract (two runs with the same
-    # seed must be byte-identical), so it carries no timing; other runs do.
-    manifest["wall_clock_seconds"] = (None if args.subcommand == "check"
-                                      else round(elapsed, 3))
-    _write_json(os.path.join(args.out, f"manifest_{args.subcommand}.json"),
-                manifest)
 
     if args.subcommand == "check" and not manifest["all_passed"]:
         return EXIT_CHECK

@@ -97,7 +97,7 @@ def _series_terms(order, ymax):
     c = _series_coeffs(order)
     tol = min(1e-20, _SERIES_REL_TOL * float(c[0]))
     nterms = 8
-    t = abs(float(c[nterms])) * ymax ** nterms if ymax > 0 else 0.0
+    t = abs(float(c[nterms])) * ymax ** nterms
     while nterms < _SERIES_TERMS - 1 and t > tol:
         nterms += 1
         t *= ymax / (nterms * (order + nterms))
@@ -109,7 +109,7 @@ def _horner_series(order, y):
     at y = (x/2)^2, truncated where the series of J_order is.  y is the
     caller's: freeing it here raised peak RSS 1 MB on 1e5-point batches."""
     c0, c1 = _series_coeffs(order), _series_coeffs(order + 1.0)
-    nterms = _series_terms(order, float(y.max()) if y.size else 0.0)
+    nterms = _series_terms(order, float(y.max(initial=0.0)))
     s0, s1 = np.full_like(y, c0[nterms]), np.full_like(y, c1[nterms])
     for c0k, c1k in zip(c0[nterms - 1::-1], c1[nterms - 1::-1]):
         np.multiply(s0, y, s0)      # four positional in-place calls a
@@ -151,17 +151,18 @@ def _miller(order, x):
 
 def _bessel(order, x):
     """[J_order(x), J_{order+1}(x)] for a 1-d array x >= 0: one Horner pass
-    over both rows where x <= 9.25, Miller's recurrence past it.  A point past
-    the split has the same bits in any batch; one below it may not, as the
-    Horner truncation follows max(x)."""
+    over both rows where x <= 9.25, scaled by (x/2)^order (x^order 2^-order
+    where x/2 is subnormal; both are 1.0 at order 0), Miller's past it.
+    A point past the split has the same bits in any batch; one below it may
+    not, as the Horner truncation follows max(x)."""
     inner = None if x.max(initial=0.0) <= _SERIES_MAX_X else x <= _SERIES_MAX_X
     xs = x if inner is None else x[inner]
     half = 0.5 * xs
     # y lives to the return: freed right after Horner, it raised the peak RSS
     # of 1e5-point batches by 0.8 MB (the allocator's reuse changes)
     y = half * half
-    pref = half ** order if order != 0.0 else 1.0
-    if order != 0.0 and xs.min(initial=_SERIES_MAX_X) < _HALF_SUBNORMAL_X:
+    pref = half ** order
+    if xs.min(initial=_SERIES_MAX_X) < _HALF_SUBNORMAL_X:
         tiny = xs < _HALF_SUBNORMAL_X
         pref[tiny] = xs[tiny] ** order * 0.5 ** order
     out = [np.multiply(s, pref, s) for s in _horner_series(order, y)]
@@ -295,8 +296,9 @@ def bessel_j_zero(order, n):
 # From J_nu(x) = (x/2)^nu / Gamma(nu+1) prod_k (1 - x^2/j_k^2) (DLMF 10.21.15):
 #   J'/J    = nu/x + sum_{k<=n} 2x/(x^2 - j_k^2) + S(x)
 # The poles (x = 0 and the first n zeros) come back in closed form at every
-# lookup; S carries only the zeros beyond j_n and is smooth on [0, j_n], so
-# it is tabulated once as cubic Hermite pieces.
+# lookup, nu/x at every order (at nu = 0 it adds +0.0 wherever x > 0); S
+# carries only the zeros beyond j_n and is smooth on [0, j_n], so it is
+# tabulated once as cubic Hermite pieces.
 # Near a zero the table values come from the Taylor series of J about the
 # zero (the Bessel equation gives every coefficient), not from the direct
 # quotient, which loses digits there.
@@ -388,7 +390,6 @@ class BesselLogTable:
         # a lookup's scalar operands are 0-d arrays: a ufunc converts a
         # Python float or numpy scalar on every call
         self._order, self._two = np.array(order), np.array(2.0)
-        self._order_term = order > 0.0
         # one pole term or a row of them: a 1-d subtraction avoids a
         # broadcast and a reduction per lookup in the common n = 1 case
         self._zsq = np.array(zsq[0]) if n == 1 else zsq
@@ -408,6 +409,8 @@ class BesselLogTable:
     def lookup(self, x, out, scratch):
         """J'(x)/J(x) written into `out` for a 1-d array x in [0, j_n].
 
+        It is not finite at the poles, x = 0 (nu/x is inf, or NaN at
+        nu = 0) and the zeros, none of which the sampler takes as valid.
         `scratch` is `self.scratch(x.size)`: a caller that keeps it allocates
         nothing on a one-zero table.  Its contents on return are unspecified.
         Every operation takes its operands in a fixed order, so a point's
@@ -434,9 +437,8 @@ class BesselLogTable:
         np.multiply(self._two, x, c0)
         np.multiply(c0, t, c0)
         np.add(out, c0, out)
-        if self._order_term:
-            np.divide(self._order, x, t)
-            np.add(out, t, out)
+        np.divide(self._order, x, t)
+        np.add(out, t, out)
         return out
 
 
@@ -596,8 +598,6 @@ def assoc_legendre(l, m, x):
     if l == m:
         return float(pmm) if pmm.ndim == 0 else pmm
     pmmp1 = x * (2.0 * m + 1.0) * pmm
-    if l == m + 1:
-        return float(pmmp1) if np.ndim(pmmp1) == 0 else pmmp1
     for ll in range(m + 2, l + 1):
         pmm, pmmp1 = pmmp1, ((2.0 * ll - 1.0) * x * pmmp1 - (ll + m - 1.0) * pmm) / (ll - m)
     return float(pmmp1) if np.ndim(pmmp1) == 0 else pmmp1

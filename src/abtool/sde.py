@@ -277,7 +277,6 @@ def simulate(state, sde_cfg):
         # each step writes the proposal and its step factor into these
         # spares, then swaps them with z and step
         prop, new_step = np.empty_like(z), np.empty_like(step)
-        frozen = False                  # any trajectory aborted so far
         for lo in range(0, sde_cfg.steps, _NOISE_CHUNK):
             block = min(_NOISE_CHUNK, sde_cfg.steps - lo)
             noise = normals.draw(2 * block)     # (n_traj, block)
@@ -285,12 +284,10 @@ def simulate(state, sde_cfg):
             for s in range(block):
                 np.multiply(z, step, prop)
                 np.add(prop, noise[:, s], prop)
-                if frozen:
-                    prop[aborted] = z[aborted]
+                prop[aborted] = z[aborted]
                 kernel(prop, ok, new_step)
                 if np.count_nonzero(ok) < n_traj:
                     resample(z, step, prop, new_step, ok)
-                    frozen = bool(aborted.any())
                 z, prop = prop, z
                 step, new_step = new_step, step
                 if lo + s >= sde_cfg.burn_in:

@@ -499,10 +499,43 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("abtool: configuration error: cannot allocate")
 
-    def test_unknown_subcommand_is_argparse_error(self, tmp_path):
+    def test_unknown_subcommand_is_argparse_error(self, tmp_path, capsys):
+        # argparse's usage error exits through main's handler: one line,
+        # no usage block
+        assert main(["rotate", "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("abtool: ")
+        assert "invalid choice: 'rotate'" in err
+
+    @pytest.mark.parametrize("argv,text", [
+        ([], "required: subcommand"),
+        (["spectrum", "--format", "xml"], "invalid choice: 'xml'"),
+        (["spectrum", "--seed", "abc"], "invalid int value: 'abc'"),
+    ], ids=["no-subcommand", "format-xml", "seed-abc"])
+    def test_usage_error_is_2_with_one_line(self, tmp_path, capsys, argv, text):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("abtool: ")
+        assert text in err
+
+    def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["rotate", "--out", str(tmp_path)])
-        assert exc.value.code == 2
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: abtool")
+
+    @pytest.mark.parametrize("argv,output", [
+        (["spectrum"], "spectrum.csv"),
+        (["fields", "--svg"], "fields.svg"),
+        (["models"], "manifest_models.json"),
+    ], ids=["table", "svg", "manifest"])
+    def test_unwritable_output_is_2(self, tmp_path, capsys, argv, output):
+        # the table, the chart or the manifest is a directory in --out
+        (tmp_path / output).mkdir()
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("abtool: configuration error:") and output in err
 
 
 class TestManifestDeterminism:

@@ -551,9 +551,9 @@ class TestSeparableKernel:
 
     # sha256 of ok and of step where ok, for 97 points on both sides of
     # the annulus, by (nu, n) of `order_state`; the nu = 1/2 digests were
-    # computed before the kernel kept its scratch.  nu = 0 takes the branch
-    # without the order / x term, and (1/4, 2) the row of pole terms at an
-    # order that is not a half-integer
+    # computed before the kernel kept its scratch.  At nu = 0 the order / x
+    # term adds +0.0, and (1/4, 2) takes the row of pole terms at an order
+    # that is not a half-integer
     STEP_DIGESTS = {
         (0.5, 1): "d4a199498a04bd147165fb9e1e4ebe2e7b42f75a414eaff53c4314384552e647",
         (0.5, 5): "682aea7734b0abccf678a0e208e83bd786be6082bcbe4f53180c2504ff2326ea",

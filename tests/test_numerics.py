@@ -681,3 +681,54 @@ class TestChiSquareTail:
     def test_rejects_what_has_no_closed_form(self, x, dof):
         with pytest.raises(ValueError):
             chi2_sf(x, dof)
+
+
+class TestPinnedSpecialFunctionBits:
+    @staticmethod
+    def digest(values):
+        h = hashlib.sha256()
+        for v in values:
+            h.update(np.asarray(v, dtype=float).tobytes())
+        return h.hexdigest()
+
+    def test_recurrences_and_expansions(self):
+        # the bits of every routine that runs a recurrence or an expansion
+        # from its first terms: both Airy expansions (|x| > 7.5) and the
+        # zeros they give, Legendre up to l = 5 at and inside x = +-1,
+        # Laguerre up to p = 7, chi2_sf for both parities of dof and past
+        # e^{-x/2}'s underflow (x > 1416), the drift table's Hermite cells
+        # (the zero Taylor series sets those near a zero) and the GK15
+        # weights; scalar calls return floats
+        scalars = [assoc_legendre(2, 1, 0.5), assoc_laguerre(3, 0.5, 1.5),
+                   assoc_laguerre(0, 0.5, 1.5), airy_ai(-20.0)]
+        assert all(type(v) is float for v in scalars)
+        legendre_x = np.linspace(-1.0, 1.0, 999)
+        digests = {
+            "airy": self.digest([
+                airy_ai(np.linspace(-40.0, 40.0, 40001)),
+                *(airy_ai(x) for x in (-40.0, -7.6, 7.6, 40.0)),
+                *(airy_ai_zero(n) for n in range(1, 60))]),
+            "legendre": self.digest([
+                assoc_legendre(l, m, x) for l in range(6) for m in range(l + 1)
+                for x in (legendre_x, -1.0, -0.3, 0.0, 0.7, 1.0)]),
+            "laguerre": self.digest([
+                assoc_laguerre(p, q, x) for p in range(8)
+                for q in (0.0, 0.5, 1.0, 2.0, 3.5, 7.0, 12.25)
+                for x in (np.linspace(0.0, 40.0, 401), 0.0, 1.5, 17.0)]),
+            "chi2_sf": self.digest([
+                chi2_sf(x, dof) for dof in range(1, 60)
+                for x in np.linspace(0.0, 3000.0, 1201)]),
+            "log_table": self.digest([
+                numerics.BesselLogTable(order, n)._coef
+                for order in (0.0, 0.5, 1.0, 2.25, 10.0, 25.5, 49.5)
+                for n in (1, 2, 5)]),
+            "gk15": self.digest([numerics._GK_WK, numerics._GK_WG]),
+        }
+        assert digests == {
+            "airy": "3ad92ce9debe5c5e72f778179047833df0890bde5868b7571cfe309dfcdc00bd",
+            "legendre": "c3c7e32aca4ba7f67a7aa7422ac6a913face744796ef6d347e605665db246dc1",
+            "laguerre": "634ba780f698e9eb42c0fa2e6edf4b392cb0609a6157004fd72a9a1774ee419e",
+            "chi2_sf": "01fa9dd29884a31722ef6ca46da6a5bba0b11a9a20ef59d0386de1235d89f918",
+            "log_table": "7298a2a6fc9064d5db38f00b8ce0da43fd3019983768f915981d5af865802115",
+            "gk15": "02a33129916a56e8421937d5dc59f39e4f9bbc893b0e5baa01cef55af5a15dc4",
+        }

@@ -7,8 +7,8 @@ coefficient beta^2 = hbar/2M, then checks that the pooled samples reproduce
 KS distance, an angular uniformity chi-square, and the ergodic estimate of
 the total angular momentum.
 
-This demo uses a reduced budget (~8 s); the verification suite runs the
-full one (64 trajectories x 2e5 steps).
+This demo uses a reduced budget (0.7 s on a 2-core machine); the
+verification suite runs the full one (64 trajectories x 2e5 steps).
 """
 import numpy as np
 

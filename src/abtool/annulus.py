@@ -176,8 +176,8 @@ class ABState:
         array(s) p from one `radial_parts` call, so the imaginary part holds
         no rounding of the radial one.  r_hat = (x/r, y/r), and m R^2 / r is
         rounded as complex division by r rounds it, R ((m R) (1/r)): on
-        y = 0 the result is conj(psi) grad psi bit for bit.  A solenoid
-        potential is evaluated at this r, any other A at p.  At r = 0,
+        y = 0 the result is conj(psi) grad psi bit for bit.  A
+        `solenoid_potential` is evaluated at this r, any other A at p.  At r = 0,
         outside the annulus, the divisions give nan quietly: R = 0 there, so
         the density floor rejects the point."""
         x, y = p[..., 0], p[..., 1]
@@ -193,7 +193,8 @@ class ABState:
             np.multiply(azimuthal, cos_t, out=cross.imag[..., 1])
             rho = rr * rr
             del rr, drr, cos_t, sin_t, radial, azimuthal    # before A is built
-            if getattr(A, "func", None) is vector_potential:
+            if isinstance(A, partial) and A.func is vector_potential \
+                    and len(A.args) == 1 and not A.keywords:
                 return rho, cross, _solenoid_at(*A.args, p, r)
         return rho, cross, None if A is None else A(p)
 
@@ -233,8 +234,11 @@ def _radial_profile(cfg, nu, n):
 @lru_cache(maxsize=256)
 def eigenstate(cfg, m, n):
     """Bound state (m, n): nu = |m + lambda| and tau the n-th zero of J_nu.
-    `bessel_j_zero` raises ValueError outside its supported window,
-    nu <= numerics.MAX_ORDER and 1 <= n <= 100."""
+    m and n are integral (2.0 is the state 2); `bessel_j_zero` raises
+    ValueError outside its supported window, nu <= numerics.MAX_ORDER and
+    1 <= n <= 100."""
+    if not (float(m).is_integer() and float(n).is_integer()):
+        raise ValueError(f"state ({m!r}, {n!r}): m and n must be integers")
     lam = flux_parameter(cfg)
     nu = abs(m + lam)
     tau, k, norm = _radial_profile(cfg, nu, n)

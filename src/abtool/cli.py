@@ -313,6 +313,12 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# the characters str.splitlines breaks at, each as its escape: a failure
+# prints one line even where argparse quotes an argument as it was given
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in
+                              "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
 def main(argv=None):
     parser = _ArgumentParser(
         prog="abtool",
@@ -352,26 +358,23 @@ def main(argv=None):
         found = [f"{name} {np.asarray(value).tolist()}" for name, value in
                  (("best estimate", exc.best_estimate), ("error bound", exc.error_bound))
                  if value is not None]
-        print(f"abtool: numerical non-convergence: {exc}"
-              + (f" ({', '.join(found)})" if found else ""), file=sys.stderr)
-        return EXIT_NUMERICS
+        code, message = EXIT_NUMERICS, f"numerical non-convergence: {exc}" + (
+            f" ({', '.join(found)})" if found else "")
     except DensityFloorError as exc:      # a ValueError: caught before it
-        print(f"abtool: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICS
+        code, message = EXIT_NUMERICS, f"numerical failure: {exc}"
     except (ValueError, OSError) as exc:
         # ConfigError (usage too), a --seed SdeConfig rejects, a state outside
         # eigenstate's window, a file that cannot be read or written
-        print(f"abtool: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, message = EXIT_CONFIG, f"configuration error: {exc}"
     except MemoryError as exc:
         # a budget (sde.steps, grid.nr, ...) too large to allocate
-        print(f"abtool: configuration error: cannot allocate the configured "
-              f"budget: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    if args.subcommand == "check" and not manifest["all_passed"]:
-        return EXIT_CHECK
-    return EXIT_OK
+        code, message = EXIT_CONFIG, ("configuration error: cannot allocate "
+                                      f"the configured budget: {exc}")
+    else:
+        return EXIT_CHECK if args.subcommand == "check" and not manifest["all_passed"] \
+            else EXIT_OK
+    print(f"abtool: {message}".translate(_LINE_BREAKS), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -315,19 +315,16 @@ def _zero_taylor(order, z):
 
     From x^2 J'' + x J' + (x^2 - nu^2) J = 0 about x = z with J(z) = 0:
     z^2 (m+2)(m+1) a_{m+2} = -z (m+1)(2m+1) a_{m+1} - (m^2 + z^2 - nu^2) a_m
-                             - 2z a_{m-1} - a_{m-2}.
+                             - 2z a_{m-1} - a_{m-2},
+    run from a_{-2} = a_{-1} = a_0 = 0, a_1 = 1; a[m + 2] holds a_m.
     """
-    a = np.zeros(_ZERO_TAYLOR_TERMS + 2)
-    a[1] = 1.0
+    a = np.zeros(_ZERO_TAYLOR_TERMS + 4)
+    a[3] = 1.0
     for m in range(_ZERO_TAYLOR_TERMS):
-        s = (-z * (m + 1) * (2 * m + 1) * a[m + 1]
-             - (m * m + z * z - order * order) * a[m])
-        if m >= 1:
-            s -= 2.0 * z * a[m - 1]
-        if m >= 2:
-            s -= a[m - 2]
-        a[m + 2] = s / (z * z * (m + 2) * (m + 1))
-    return a[1:_ZERO_TAYLOR_TERMS + 1]
+        a[m + 4] = (-z * (m + 1) * (2 * m + 1) * a[m + 3]
+                    - (m * m + z * z - order * order) * a[m + 2]
+                    - 2.0 * z * a[m + 1] - a[m]) / (z * z * (m + 2) * (m + 1))
+    return a[3:_ZERO_TAYLOR_TERMS + 3]
 
 
 def _pole_sums(x, zsq):
@@ -459,22 +456,21 @@ _AIRY_SEAM = 7.5
 
 
 def _airy_u_coeffs():
-    u = np.empty(26)
-    u[0] = 1.0
+    u = np.ones(26)
     for k in range(1, u.size):
         u[k] = u[k - 1] * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
     return u
 
 
 _AIRY_U = _airy_u_coeffs()
+# each expansion's signed coefficients: (-1)^k u_k right, (-1)^floor(k/2) u_k left
+_AIRY_U_RIGHT = (-1.0) ** np.arange(_AIRY_U.size) * _AIRY_U
+_AIRY_U_LEFT = (-1.0) ** (np.arange(_AIRY_U.size) // 2) * _AIRY_U
 
 
 def _airy_series(x):
     x3 = x ** 3
-    f = np.ones_like(x)
-    g = x.copy()
-    cf = np.ones_like(x)
-    cg = x.copy()
+    f, g, cf, cg = np.ones_like(x), x.copy(), np.ones_like(x), x.copy()
     for k in range(140):
         cf = cf * x3 / ((3 * k + 2.0) * (3 * k + 3.0))
         cg = cg * x3 / ((3 * k + 3.0) * (3 * k + 4.0))
@@ -489,24 +485,23 @@ def _airy_series(x):
 # shrink by a factor of at most 0.877 up to the last coefficient, so all 26
 # are summed.
 def _airy_asym_right(x):
+    """Ai(x), x > 0, from s = 1 + sum_{k>=1} (-1)^k u_k / zeta^k (DLMF 9.7.5)."""
     zeta = (2.0 / 3.0) * x ** 1.5
     s = np.ones_like(x)
-    for k in range(1, len(_AIRY_U)):
-        s += (-1.0) ** k * _AIRY_U[k] / zeta ** k
+    for k in range(1, _AIRY_U.size):
+        s += _AIRY_U_RIGHT[k] / zeta ** k
     return np.exp(-zeta) / (2.0 * np.sqrt(np.pi) * x ** 0.25) * s
 
 
 def _airy_asym_left(x):
+    """Ai(x), x < 0, from p and q (DLMF 9.7.9), the sums of the even and of
+    the odd terms (-1)^floor(k/2) u_k / zeta^k, summed from p = 1, q = 0."""
     t = -x
     zeta = (2.0 / 3.0) * t ** 1.5
-    p = np.ones_like(t)
-    q = np.zeros_like(t)
-    for k in range(1, len(_AIRY_U)):
-        c = _AIRY_U[k] / zeta ** k
-        if k % 2 == 0:
-            p += c * (-1.0) ** (k // 2)
-        else:
-            q += c * (-1.0) ** ((k - 1) // 2)
+    pq = [np.ones_like(t), np.zeros_like(t)]
+    for k in range(1, _AIRY_U.size):
+        pq[k % 2] += _AIRY_U_LEFT[k] / zeta ** k
+    p, q = pq
     arg = zeta + 0.25 * np.pi
     return (np.sin(arg) * p - np.cos(arg) * q) / (np.sqrt(np.pi) * t ** 0.25)
 
@@ -566,41 +561,34 @@ def airy_ai_zero(n):
 # ---------------------------------------------------------------------------
 
 def assoc_laguerre(p, q, x):
-    """Generalized Laguerre L_p^{(q)}(x), integer p >= 0, real q."""
+    """Generalized Laguerre L_p^{(q)}(x), integer p >= 0, real q, from
+    (k + 1) L_{k+1} = (2k + 1 + q - x) L_k - (k + q) L_{k-1} (DLMF 18.9.13)
+    run up from L_{-1} = 0, L_0 = 1."""
     if p < 0 or p != int(p):
         raise ValueError("assoc_laguerre: p must be a non-negative integer")
-    p = int(p)
     x = np.asarray(x, dtype=float)
-    l0 = np.ones_like(x)
-    if p == 0:
-        return float(l0) if l0.ndim == 0 else l0
-    l1 = 1.0 + q - x
-    for k in range(1, p):
+    l0, l1 = np.zeros_like(x), np.ones_like(x)
+    for k in range(int(p)):
         l0, l1 = l1, ((2 * k + 1 + q - x) * l1 - (k + q) * l0) / (k + 1.0)
     return float(l1) if np.ndim(l1) == 0 else l1
 
 
 def assoc_legendre(l, m, x):
-    """Associated Legendre P_l^m(x) with Condon-Shortley phase, 0 <= m <= l."""
+    """Associated Legendre P_l^m(x) with Condon-Shortley phase, 0 <= m <= l:
+    from P_{m-1}^m = 0 and P_m^m = (-1)^m (2m-1)!! (1-x^2)^{m/2}, up in l by
+    (l - m) P_l^m = (2l - 1) x P_{l-1}^m - (l + m - 1) P_{l-2}^m (DLMF 14.10.3)."""
     if not (0 <= m <= l):
         raise ValueError("assoc_legendre requires 0 <= m <= l")
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) > 1.0):
         raise ValueError("assoc_legendre: |x| must be <= 1")
-    # P_m^m = (-1)^m (2m-1)!! (1-x^2)^{m/2}
-    pmm = np.ones_like(x)
-    if m > 0:
-        somx2 = np.sqrt((1.0 - x) * (1.0 + x))
-        fact = 1.0
-        for _ in range(m):
-            pmm = -pmm * fact * somx2
-            fact += 2.0
-    if l == m:
-        return float(pmm) if pmm.ndim == 0 else pmm
-    pmmp1 = x * (2.0 * m + 1.0) * pmm
-    for ll in range(m + 2, l + 1):
-        pmm, pmmp1 = pmmp1, ((2.0 * ll - 1.0) * x * pmmp1 - (ll + m - 1.0) * pmm) / (ll - m)
-    return float(pmmp1) if np.ndim(pmmp1) == 0 else pmmp1
+    somx2 = np.sqrt((1.0 - x) * (1.0 + x))
+    p0, p1 = np.zeros_like(x), np.ones_like(x)
+    for fact in range(1, 2 * m, 2):
+        p1 = -p1 * fact * somx2
+    for ll in range(m + 1, l + 1):
+        p0, p1 = p1, ((2.0 * ll - 1.0) * x * p1 - (ll + m - 1.0) * p0) / (ll - m)
+    return float(p1) if np.ndim(p1) == 0 else p1
 
 
 # ---------------------------------------------------------------------------
@@ -633,9 +621,10 @@ _WG7 = np.array([0.129484966168870, 0.279705391489277, 0.381830050505119,
                  0.417959183673469])
 
 _GK_NODES = np.concatenate([-_XGK, [0.0], _XGK[::-1]])           # 15 ascending
-_GK_WK = np.concatenate([_WGK[:-1], [_WGK[-1]], _WGK[-2::-1]])
+# the weights mirrored about the middle node, Gauss's on the odd nodes
+_GK_WK = np.concatenate([_WGK, _WGK[-2::-1]])
 _GK_WG = np.zeros(15)
-_GK_WG[1::2] = np.concatenate([_WG7[:-1], [_WG7[-1]], _WG7[-2::-1]])
+_GK_WG[1::2] = np.concatenate([_WG7, _WG7[-2::-1]])
 
 _MAX_INTERVALS = 20000
 
@@ -765,12 +754,15 @@ def chi2_sf(x, dof):
     if dof < 1 or dof != int(dof) or x < 0.0:
         raise ValueError(f"chi2_sf: need an integer dof >= 1 and x >= 0, got {dof}, {x}")
     h = 0.5 * x
-    k = 0.5 if dof % 2 else 0.0
-    q = math.erfc(math.sqrt(h)) if dof % 2 else 0.0
+    if dof % 2:         # the first k, h^k and q
+        k, root = 0.5, math.sqrt(h)
+        q = math.erfc(root)
+    else:
+        k, root, q = 0.0, 1.0, 0.0
     if h > 708.0:       # e^{-h} is no normal float
         return q + math.fsum(math.exp(j * math.log(h) - h - math.lgamma(j + 1.0))
                              for j in np.arange(k, 0.5 * dof))
-    term = math.exp(-h) * math.sqrt(h) / math.gamma(1.5) if dof % 2 else math.exp(-h)
+    term = math.exp(-h) * root / math.gamma(k + 1.0)
     while k < 0.5 * dof:
         q += term
         k += 1.0

@@ -21,11 +21,9 @@ class RandomStream:
     """
 
     def __init__(self, seed, stream_id=0):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
         # one uint64 word each; a list would hold an int >= 2**63 as float64
-        self._gen = Generator(Philox(key=np.array([self.seed, self.stream_id],
-                                                  dtype=np.uint64)))
+        key = np.array([int(seed), int(stream_id)], dtype=np.uint64)
+        self._gen = Generator(Philox(key=key))
 
     def normals(self, count):
         """`count` standard normal variates, count even: Box-Muller on

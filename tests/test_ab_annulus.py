@@ -169,6 +169,15 @@ class TestEigenstate:
         with pytest.raises(ValueError):
             eigenstate(CFG, 1, 101)
 
+    def test_non_integral_indices(self):
+        # a non-integral index has no state (m = 1.5 would carry the order
+        # of 1.5 under the label m = 1); an integral float is that
+        # integer's state, from its cache entry
+        for m, n in ((1.5, 1), (1, 2.5), (math.nan, 1), (1, math.inf)):
+            with pytest.raises(ValueError, match=rf"state \({m}, {n}\): m and n"):
+                eigenstate(CFG, m, n)
+        assert eigenstate(CFG, 2.0, 1.0) is eigenstate(CFG, 2, 1)
+
     def test_order_window(self):
         # lambda = -1/2: nu = |m - 1/2|, so m = 50 gives 49.5, m = 51 and
         # m = -50 give 50.5; lambda = 0 reaches nu = 50 itself

@@ -511,7 +511,8 @@ class TestExitCodes:
         ([], "required: subcommand"),
         (["spectrum", "--format", "xml"], "invalid choice: 'xml'"),
         (["spectrum", "--seed", "abc"], "invalid int value: 'abc'"),
-    ], ids=["no-subcommand", "format-xml", "seed-abc"])
+        (["spectrum", "a\nb"], "unrecognized arguments: a\\nb"),
+    ], ids=["no-subcommand", "format-xml", "seed-abc", "newline-argument"])
     def test_usage_error_is_2_with_one_line(self, tmp_path, capsys, argv, text):
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err

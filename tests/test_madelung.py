@@ -1,5 +1,6 @@
 """Velocity-field decomposition, quasi-currents, quantum potential/force,
 gauge transforms, loop integrals and the annulus domain."""
+import functools
 import math
 
 import numpy as np
@@ -162,6 +163,20 @@ class TestDecompose:
             dec = decompose(STATE, lambda q: seen.append(q) or 0.5 * q, CFG, p)
             assert len(seen) == 1 and np.array_equal(seen[0], p)
             assert np.array_equal(dec.xi_imag, coef * (0.5 * p))
+
+    def test_any_other_partial_of_the_potential_is_called_at_p(self):
+        # only solenoid_potential's form, cfg bound positionally, shares the
+        # sample's radii, and gives the lambda's xi_imag; a keyword partial
+        # is called at p, which fails as calling it does (p binds to cfg),
+        # not inside the shortcut
+        pts = np.array([[1.5, 0.4], [-2.0, 1.1], [0.3, -2.6]])
+        ref = decompose(STATE, lambda q: vector_potential(CFG, q), CFG, pts)
+        dec = decompose(STATE, solenoid_potential(CFG), CFG, pts)
+        assert np.array_equal(dec.xi_imag, ref.xi_imag)
+        spec = functools.partial(vector_potential, cfg=CFG)
+        for call in (lambda: spec(pts), lambda: decompose(STATE, spec, CFG, pts)):
+            with pytest.raises(TypeError, match="multiple values for argument 'cfg'"):
+                call()
 
 
 class TestQuasiCurrents:

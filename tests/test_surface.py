@@ -1,5 +1,5 @@
-"""Every public definition, dataclass field and report key in `src/abtool`
-has a reader in the program.
+"""Every public definition, dataclass field, instance attribute and report
+key in `src/abtool` has a reader in the program.
 
 The scan walks the AST of each `src/abtool/*.py` module and collects its
 public module-level functions and classes and the public and dunder methods
@@ -26,7 +26,9 @@ The same rule holds for values.  A dataclass field is read by an attribute
 load, resolved as a method is, or wholesale by `asdict`, `astuple` or
 `fields` of its class: a class named directly, or the class a field's
 annotation names (`asdict(self.sde)`); any other argument reads every
-dataclass.
+dataclass.  An attribute a method stores on `self` is read by an attribute
+load, resolved as a method is, outside the methods that store it: one that
+only its own `__init__` reads could be a local.
 
 A literal string key of a dict in `src` is read by a constant subscript,
 `.get` or `in` on an expression that holds the dict.  `_Flow` follows each
@@ -51,7 +53,10 @@ a report iterated out of a tuple is read whole.  Two err the other way: a
 dict passed to a library method that shares its name with a function of
 the scanned code is followed into that function, and hashing a frozen
 dataclass (an `lru_cache` key) reads its fields without naming them.
-Attributes that are not dataclass fields are not scanned.
+An instance attribute shares the first miss of a method: a read through a
+receiver of unknown type (`cfg.sde.seed`) reads every attribute of that
+name.  Attributes stored on a receiver other than `self`, or read by
+`getattr` with a string, are not scanned.
 """
 import ast
 from pathlib import Path
@@ -153,6 +158,15 @@ def _hierarchy(trees):
     return {name: lineage[name] | up[name] for name in bases}, lineage
 
 
+def _all_reads(trees, family):
+    reads = []
+    for tree in trees:
+        visitor = _Reads(family)
+        visitor.visit(tree)
+        reads += visitor.reads
+    return reads
+
+
 def unread_definitions(modules, program_trees):
     """Qualified names of the public definitions no program code reads.
 
@@ -162,11 +176,7 @@ def unread_definitions(modules, program_trees):
     family, lineage = _hierarchy(trees)
     definitions = [d for module, tree in modules.items()
                    for d in _definitions(module, tree)]
-    reads = []
-    for tree in trees:
-        visitor = _Reads(family)
-        visitor.visit(tree)
-        reads += visitor.reads
+    reads = _all_reads(trees, family)
 
     def is_read(node, owner):
         outside = [(kind, by) for name, kind, by, inside in reads
@@ -213,11 +223,8 @@ def unread_fields(modules, program_trees):
     fields = [f for module, tree in modules.items() for f in _fields(module, tree)]
     typed = {name: annotated for _, name, _, annotated in fields
              if annotated in family}
-    reads, dumped = [], set()
+    reads, dumped = _all_reads(trees, family), set()
     for tree in trees:
-        visitor = _Reads(family)
-        visitor.visit(tree)
-        reads += visitor.reads
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and node.args and \
                     _base_name(node.func) in ("asdict", "astuple", "fields"):
@@ -230,6 +237,37 @@ def unread_fields(modules, program_trees):
                        and (by is None or by in family[owner])
                        for n, kind, by, _ in reads)
             and not any(c is None or owner in family[c] for c in dumped)]
+
+
+def _attributes(module, tree):
+    """(qualified name, attribute name, class name, storing method) of each
+    attribute a method stores on `self`, one per store."""
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    for cls in classes:
+        for method in cls.body:
+            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(method):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                        and isinstance(node.value, ast.Name) and node.value.id == "self":
+                    yield f"{module}.{cls.name}.{node.attr}", node.attr, cls.name, method
+
+
+def unread_attributes(modules, program_trees):
+    """Qualified names of the instance attributes no program code reads
+    outside the methods that store them."""
+    trees = [*modules.values(), *program_trees]
+    family, _ = _hierarchy(trees)
+    reads = _all_reads(trees, family)
+    stores = {}
+    for module, tree in modules.items():
+        for qualified, name, owner, method in _attributes(module, tree):
+            stores.setdefault((qualified, name, owner), set()).add(id(method))
+    return [qualified for (qualified, name, owner), methods in stores.items()
+            if not any(n == name and kind == "attr"
+                       and (by is None or by in family[owner])
+                       and not methods <= set(inside)
+                       for n, kind, by, inside in reads)]
 
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -554,6 +592,13 @@ def test_every_report_key_and_dataclass_field_has_a_program_reader():
         f"them, or add a program reader: {unread}")
 
 
+def test_every_instance_attribute_is_read_outside_its_storing_method():
+    unread = unread_attributes(*_package())
+    assert unread == [], (
+        "attributes that no program code reads outside the methods that "
+        f"store them; make them locals, or delete them: {unread}")
+
+
 SCANNED = """
 class Field:
     def __init__(self, f):
@@ -660,6 +705,30 @@ def test_a_program_reader_clears_a_value():
     scanned = {"m": ast.parse(SCANNED)}
     assert unread_keys(scanned, [reader]) == []
     assert unread_fields(scanned, [reader]) == []
+
+
+PLANTED_ATTRIBUTES = """
+class Stream:
+    def __init__(self, seed):
+        self.seed = seed
+        self.key = (self.seed, 0)
+        self.spare = None
+        self.count = 0
+
+    def draw(self):
+        self.count = self.count + 1
+        return self.key
+"""
+
+
+def test_an_attribute_needs_a_read_outside_its_storing_method():
+    # seed is read only in the method that stores it and spare nowhere;
+    # count, stored in two methods, is read in draw, outside __init__; a
+    # program reader clears spare
+    scanned = {"m": ast.parse(PLANTED_ATTRIBUTES)}
+    assert unread_attributes(scanned, []) == ["m.Stream.seed", "m.Stream.spare"]
+    reader = ast.parse("def read(stream):\n    return stream.spare")
+    assert unread_attributes(scanned, [reader]) == ["m.Stream.seed"]
 
 
 def test_the_oracles_import_only_public_names():

@@ -1,9 +1,10 @@
 """Configuration parsing, subcommand outputs, manifests and exit codes."""
 import csv
-import hashlib
 import json
 import math
 import re
+import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from abtool.cli import (_DEFAULTS, EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERICS,
                         EXIT_OK, ConfigError, main, parse_config)
 from abtool.numerics import NonConvergenceError
 from abtool.sde import SdeConfig
+import pins
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -313,45 +315,47 @@ class TestSamplerStatistics:
         assert details["rejection_fraction"] == stats["rejection_fraction"]
 
 
-def sha256_of(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+OUTPUTS = pins.PinSet("cli_outputs")
+REDUCED_SDE = {"sde": {"steps": 3000, "burn_in": 500, "n_trajectories": 16}}
+
+
+def output_of(args, output, config=None, codes=(EXIT_OK,)):
+    """The record of the file `output` that `abtool args` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        assert run_cli(args, Path(tmp), config=config) in codes
+        return pins.output_file(Path(tmp) / output)
+
+
+# a case's id is the one it had when its digest was a test parameter
+DEFAULT_TABLES = [
+    pytest.param(OUTPUTS.add(f"{subcommand}.csv", partial(
+        output_of, [subcommand], f"{subcommand}.csv")),
+        id=f"{subcommand}-{OUTPUTS.sha256(f'{subcommand}.csv')}")
+    for subcommand in ("spectrum", "fields", "packets", "models")]
+REDUCED_BUDGET = [
+    pytest.param(OUTPUTS.add(output, partial(
+        output_of, [subcommand], output, REDUCED_SDE, (EXIT_OK, EXIT_CHECK))),
+        id=f"{subcommand}-{output}-{OUTPUTS.sha256(output)}")
+    for subcommand, output in (("trajectories", "trajectories.csv"),
+                               ("check", "manifest_check.json"))]
+OUTPUTS.add("fields.svg", partial(output_of, ["fields", "--svg"], "fields.svg"))
 
 
 class TestPinnedOutputs:
-    """Output files pinned bit for bit (SHA-256): the four tables and
-    `fields.svg` at the default configuration, and `trajectories.csv` and
-    the check manifest at a reduced sampler budget."""
+    """Output files pinned bit for bit (`pins.output_file`): the four tables
+    and `fields.svg` at the default configuration, and `trajectories.csv`
+    and the check manifest at a reduced sampler budget."""
 
-    @pytest.mark.parametrize("subcommand,digest", [
-        ("spectrum",
-         "51064e35cfb86def8d3490a254ab4f1ca1f39cece2b6928a2d6f12f40c8690f6"),
-        ("fields",
-         "32b37cd27bc5f964e6b489ac2c7d4a5fd2cfd2037c2c349f9a2eb2c91e83ec1a"),
-        ("packets",
-         "02db56a4ebd60998b9a0f13fa021d9e915e9d73ab070ded93ec8f51449629200"),
-        ("models",
-         "bb168cc069ddb80d5c38a10eed94f442607211a3cb6ff227371521fbab2129ff"),
-    ])
-    def test_default_tables(self, tmp_path, subcommand, digest):
-        assert run_cli([subcommand], tmp_path) == EXIT_OK
-        assert sha256_of(tmp_path / f"{subcommand}.csv") == digest
+    @pytest.mark.parametrize("name", DEFAULT_TABLES)
+    def test_default_tables(self, name):
+        OUTPUTS.check(name)
 
-    def test_fields_svg(self, tmp_path):
-        assert run_cli(["fields", "--svg"], tmp_path) == EXIT_OK
-        assert sha256_of(tmp_path / "fields.svg") == (
-            "12d5f5aba94115235db36488c86b1065535ffc286122c85ffee356ca3367f029")
+    def test_fields_svg(self):
+        OUTPUTS.check("fields.svg")
 
-    @pytest.mark.parametrize("subcommand,output,digest", [
-        ("trajectories", "trajectories.csv",
-         "4df3e93e64dc558c3273818fca144c91c1e42386e2e77f1bdb490565e986f7d0"),
-        ("check", "manifest_check.json",
-         "5a7f548a7365892d106a01297186d5df086e959a74777d549929875b8ffdbaaa"),
-    ])
-    def test_reduced_sampler_budget(self, tmp_path, subcommand, output, digest):
-        config = {"sde": {"steps": 3000, "burn_in": 500, "n_trajectories": 16}}
-        assert run_cli([subcommand], tmp_path, config=config) in (EXIT_OK,
-                                                                  EXIT_CHECK)
-        assert sha256_of(tmp_path / output) == digest
+    @pytest.mark.parametrize("name", REDUCED_BUDGET)
+    def test_reduced_sampler_budget(self, name):
+        OUTPUTS.check(name)
 
 
 class TestCheck:

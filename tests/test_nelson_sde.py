@@ -2,9 +2,9 @@
 statistics.  Full-budget sampling lives in the acceptance suite; these runs
 are sized for seconds, with the statistics calibrated on iid draws from the
 inverse-CDF oracle sampler."""
-import hashlib
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from abtool.sde import (SdeConfig, Trajectory, angular_uniformity_test,
                         drifts, ergodic_angular_momentum, radial_target,
                         rejection_fraction, simulate, stationarity_test,
                         target_radial_sampler)
+import pins
 from oracles import analytic_field, annulus_value_and_gradient
 
 CFG = AnnulusConfig()
@@ -182,111 +183,117 @@ class TestSimulate:
         assert rejection_fraction(out, cfg) < 0.01
 
 
-def trajectory_digest(trajectories):
-    """SHA-256 of every trajectory's retained positions and rejection count."""
-    h = hashlib.sha256()
-    for t in trajectories:
-        h.update(t.positions.tobytes())
-        h.update(np.int64(t.rejected_steps).tobytes())
-    return h.hexdigest()
+TRAJECTORIES = pins.PinSet("trajectories")
+
+
+def recorded(run, *args):
+    """The producer of `run(*args)`'s trajectory record."""
+    return lambda: pins.trajectories(run(*args))
+
+
+def short_run(mn, n_traj, seed):
+    return simulate(eigenstate(CFG, *mn), SdeConfig(
+        dt=1e-3, steps=600, burn_in=100, n_trajectories=n_traj, seed=seed))
+
+
+def order_zero_run():
+    # nu = 0, (m, n) = (0, 1) without flux: the Bessel kernels and the
+    # table lookup at order 0, over enough steps to reject near r = a
+    return simulate(eigenstate(AnnulusConfig(B=0.0), 0, 1), SdeConfig(
+        dt=1e-3, steps=2000, burn_in=200, n_trajectories=16, seed=21))
+
+
+def halving_cascade_run():
+    # one rounding unit above r = a: every trajectory redraws from its
+    # retry stream through several halvings on its first steps
+    with pytest.MonkeyPatch.context() as m:
+        start_at(m, np.nextafter(CFG.a, np.inf) * np.exp(2j * np.pi * np.arange(5) / 5))
+        return simulate(STATE, SdeConfig(dt=1e-3, steps=300, burn_in=0,
+                                         n_trajectories=5, seed=8))
+
+
+WALL_ANGLES = np.exp(1j * np.array([0.0, 0.5 * np.pi, np.pi]))
+
+
+def aborted_run(mn, seed):
+    # 20 halvings are too few to recover one rounding unit above r = a,
+    # so the wall starts abort on their first step (21 levels of 5
+    # draws) and stay where they are, while the mid-annulus starts
+    # between them run on
+    z0 = np.empty(6, dtype=complex)
+    z0[0::2] = np.nextafter(CFG.a, np.inf) * WALL_ANGLES
+    z0[1::2] = 0.5 * (CFG.a + CFG.b) * WALL_ANGLES
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sde, "_HALVING_LIMIT", 20)
+        start_at(m, z0)
+        return simulate(eigenstate(CFG, *mn), SdeConfig(
+            dt=1e-3, steps=400, burn_in=0, n_trajectories=6, seed=seed))
+
+
+def short_run_cases(cases):
+    """The pins of short runs of (m, n), n_trajectories and seed; a case's
+    id is the one it had when its digest was a test parameter."""
+    params = []
+    for i, (mn, n_traj, seed) in enumerate(cases):
+        name = TRAJECTORIES.add(f"short_run_m{mn[0]}_n{mn[1]}_seed{seed}",
+                                recorded(short_run, mn, n_traj, seed))
+        params.append(pytest.param(name, id=f"mn{i}-{n_traj}-{seed}-rejected{i}-"
+                                            f"{TRAJECTORIES.sha256(name)}"))
+    return params
+
+
+def aborted_cases(cases):
+    """The pins of aborted runs of (m, n) and seed."""
+    params = []
+    for i, (mn, seed) in enumerate(cases):
+        name = TRAJECTORIES.add(f"aborted_m{mn[0]}_n{mn[1]}_seed{seed}",
+                                recorded(aborted_run, mn, seed))
+        params.append(pytest.param(name, mn, seed,
+                                   id=f"mn{i}-{seed}-{TRAJECTORIES.sha256(name)}"))
+    return params
+
+
+SHORT_RUNS = short_run_cases([((1, 1), 5, 11), ((1, 1), 4, 12), ((1, 1), 4, 13),
+                              ((1, 2), 6, 3), ((0, 1), 6, 4), ((1, 5), 7, 5),
+                              ((2, 1), 6, 6)])
+ABORTED_RUNS = aborted_cases([((1, 1), 8), ((1, 5), 5)])
+TRAJECTORIES.add("order_zero_run", recorded(order_zero_run))
+TRAJECTORIES.add("halving_cascade", recorded(halving_cascade_run))
 
 
 class TestPinnedBits:
     """Sampler output pinned bit for bit.  Each run crosses two 128- and
     256-step noise chunks and ends on a short one; the digests were computed
     before the step kernel and the noise draw were rewritten to reuse their
-    buffers, which must not move a bit."""
+    buffers, which must not move a bit.  Each trajectory's rejected count is
+    a ledger value."""
 
-    # (m, n), n_trajectories, seed, rejected steps per trajectory, digest
-    CASES = [
-        ((1, 1), 5, 11, [0] * 5,
-         "88ac233493b0da8918d67632337cca1525ffab51e4f79c63b110d0ca0332e064"),
-        ((1, 1), 4, 12, [0] * 4,
-         "475bbede9ca284bee8daf78b231742ff4a69866e2d5c66c5cbae2eed8129b88a"),
-        ((1, 1), 4, 13, [0] * 4,
-         "bacd8bbecabbae5336aaf337617587a1886492d19163504a6a978068111570cf"),
-        ((1, 2), 6, 3, [0, 0, 0, 0, 0, 1],
-         "0165b4c6b69fcb31a8a50cdffe8668ed0b1c6e4f53a5cf794e557150eb9efd3c"),
-        ((0, 1), 6, 4, [0, 0, 0, 0, 1, 0],
-         "5352f2092d46cc135c142256dfb3742f9b3838d9e2dce7c4e425e292ab76a2c2"),
-        ((1, 5), 7, 5, [0, 1, 2, 2, 6, 0, 1],
-         "94049edc9c8422e7e1b7688e33cf739a7d4b1623e7edcab40248716739fc4d9b"),
-        ((2, 1), 6, 6, [0] * 6,
-         "6e46c3422b226e9e16531be79ad7f4b6080564b316b592bc8cf711d7cc56d947"),
-    ]
-
-    @pytest.mark.parametrize("mn,n_traj,seed,rejected,digest", CASES)
-    def test_short_runs(self, mn, n_traj, seed, rejected, digest):
-        state = eigenstate(CFG, *mn)
-        out = simulate(state, SdeConfig(dt=1e-3, steps=600, burn_in=100,
-                                        n_trajectories=n_traj, seed=seed))
-        assert [t.rejected_steps for t in out] == rejected
-        assert trajectory_digest(out) == digest
+    @pytest.mark.parametrize("name", SHORT_RUNS)
+    def test_short_runs(self, name):
+        TRAJECTORIES.check(name)
 
     def test_order_zero_run(self):
-        # nu = 0, (m, n) = (0, 1) without flux: the Bessel kernels and the
-        # table lookup at order 0, over enough steps to reject near r = a
-        state = eigenstate(AnnulusConfig(B=0.0), 0, 1)
-        out = simulate(state, SdeConfig(dt=1e-3, steps=2000, burn_in=200,
-                                        n_trajectories=16, seed=21))
-        assert [t.rejected_steps for t in out] == [
-            29, 0, 21, 26, 27, 43, 43, 31, 12, 3, 1, 68, 21, 28, 34, 0]
-        assert trajectory_digest(out) == (
-            "ebeebbd1c43802bb370aab6395af7760d6caf64dfd93e62429ec1edf068da543")
+        TRAJECTORIES.check("order_zero_run")
 
-    def test_halving_cascade_from_the_inner_wall(self, monkeypatch):
-        # one rounding unit above r = a: every trajectory redraws from its
-        # retry stream through several halvings on its first steps
-        r0 = np.nextafter(CFG.a, np.inf)
-        start_at(monkeypatch, r0 * np.exp(2j * np.pi * np.arange(5) / 5))
-        out = simulate(STATE, SdeConfig(dt=1e-3, steps=300, burn_in=0,
-                                        n_trajectories=5, seed=8))
-        assert [t.rejected_steps for t in out] == [205, 205, 205, 200, 205]
-        assert trajectory_digest(out) == (
-            "4f7ea76e90e2a44dce790d85a8243fa1d3a5c39cf949e73b4789a03482f03236")
+    def test_halving_cascade_from_the_inner_wall(self):
+        TRAJECTORIES.check("halving_cascade")
 
-    @pytest.mark.parametrize("mn,seed,digest", [
-        ((1, 1), 8, "5132de07bac7854f4191ce7b5b70cf3a0647945f5ee7acdc21442e5a2599099e"),
-        ((1, 5), 5, "0eb432d370cd3cb9ec83b82c954ceca8ec978d228e1090df949536427fa40fee"),
-    ])
-    def test_aborted_trajectories_freeze(self, monkeypatch, mn, seed, digest):
-        # 20 halvings are too few to recover one rounding unit above r = a,
-        # so the wall starts abort on their first step (21 levels of 5
-        # draws) and stay where they are, while the mid-annulus starts
-        # between them run on
-        monkeypatch.setattr(sde, "_HALVING_LIMIT", 20)
-        angles = np.exp(1j * np.array([0.0, 0.5 * np.pi, np.pi]))
-        z0 = np.empty(6, dtype=complex)
-        z0[0::2] = np.nextafter(CFG.a, np.inf) * angles
-        z0[1::2] = 0.5 * (CFG.a + CFG.b) * angles
-        start_at(monkeypatch, z0)
-        out = simulate(eigenstate(CFG, *mn), SdeConfig(
-            dt=1e-3, steps=400, burn_in=0, n_trajectories=6, seed=seed))
+    @pytest.mark.parametrize("name,mn,seed", ABORTED_RUNS)
+    def test_aborted_trajectories_freeze(self, name, mn, seed):
+        out = aborted_run(mn, seed)
         assert [t.aborted for t in out] == [True, False] * 3
         assert [t.rejected_steps for t in out] == [105, 0] * 3
-        for t, z in zip(out[0::2], z0[0::2]):
+        for t, z in zip(out[0::2], np.nextafter(CFG.a, np.inf) * WALL_ANGLES):
             assert np.all(t.positions == [z.real, z.imag])
-        assert trajectory_digest(out) == digest
+        TRAJECTORIES.check(name, pins.trajectories(out))
 
     def test_retry_blocks_keep_the_bits(self, monkeypatch):
-        # one redraw per refill against the default block: the (1, 5) run
-        # and the inner-wall cascade, whose 205 redraws a trajectory cross
-        # several default refills
-        runs = []
-        for block in (sde._RETRY_BLOCK, 2):
-            monkeypatch.setattr(sde, "_RETRY_BLOCK", block)
-            state = eigenstate(CFG, 1, 5)
-            short = simulate(state, SdeConfig(dt=1e-3, steps=600, burn_in=100,
-                                              n_trajectories=7, seed=5))
-            with monkeypatch.context() as m:
-                start_at(m, np.nextafter(CFG.a, np.inf)
-                         * np.exp(2j * np.pi * np.arange(5) / 5))
-                wall = simulate(STATE, SdeConfig(dt=1e-3, steps=300, burn_in=0,
-                                                 n_trajectories=5, seed=8))
-            runs.append([([t.rejected_steps for t in out], trajectory_digest(out))
-                         for out in (short, wall)])
-        assert runs[0] == runs[1]
-        assert runs[0][1][0] == [205, 205, 205, 200, 205]
+        # one redraw per refill against the default block of the other
+        # tests: the (1, 5) run and the inner-wall cascade, whose 205
+        # redraws a trajectory cross several default refills
+        monkeypatch.setattr(sde, "_RETRY_BLOCK", 2)
+        TRAJECTORIES.check("short_run_m1_n5_seed5")
+        TRAJECTORIES.check("halving_cascade")
 
 
 class TestRadialTarget:
@@ -460,6 +467,26 @@ def both_sides_of_the_annulus(state):
     return r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, r.size))
 
 
+# ok and step where ok of `kernel_on` at the 97 points of
+# `both_sides_of_the_annulus`, by (nu, n) of `order_state`; the nu = 1/2
+# digests were computed before the kernel kept its scratch.  At nu = 0 the
+# order / x term adds +0.0, and (1/4, 2) takes the row of pole terms at an
+# order that is not a half-integer
+STEP_FACTORS = pins.PinSet("step_factors")
+STEP_CASES = [(0.5, 1), (0.5, 5), (0.0, 1), (0.25, 2)]
+
+
+def step_factors_at(nu, n):
+    state = order_state(nu, n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, ok, step = kernel_on(state, 1e-3, both_sides_of_the_annulus(state))
+    return pins.step_factors(ok, step)
+
+
+for case in STEP_CASES:
+    STEP_FACTORS.add("nu{}_n{}".format(*case), partial(step_factors_at, *case))
+
+
 class TestSeparableKernel:
     """The table kernel against the exact series route `radial_parts`."""
 
@@ -549,25 +576,7 @@ class TestSeparableKernel:
         expected = (kernel.radial * dlog + 1j * kernel.angular * inv_r) * inv_r + 1.0
         assert np.array_equal(step.view(np.int64), expected.view(np.int64))
 
-    # sha256 of ok and of step where ok, for 97 points on both sides of
-    # the annulus, by (nu, n) of `order_state`; the nu = 1/2 digests were
-    # computed before the kernel kept its scratch.  At nu = 0 the order / x
-    # term adds +0.0, and (1/4, 2) takes the row of pole terms at an order
-    # that is not a half-integer
-    STEP_DIGESTS = {
-        (0.5, 1): "d4a199498a04bd147165fb9e1e4ebe2e7b42f75a414eaff53c4314384552e647",
-        (0.5, 5): "682aea7734b0abccf678a0e208e83bd786be6082bcbe4f53180c2504ff2326ea",
-        (0.0, 1): "a82ba82f78b1d2d853146f4a9e290b0b57392df49dc8c99e9f095dc4574fed99",
-        (0.25, 2): "ce8eb8f4140431ec0c22e9e4b6aa41b50938f30522a62ed415b36b2164977cf8",
-    }
-
-    @staticmethod
-    def step_digest(ok, step):
-        h = hashlib.sha256(ok.tobytes())
-        h.update(step[ok].tobytes())
-        return h.hexdigest()
-
-    @pytest.mark.parametrize("nu,n", list(STEP_DIGESTS))
+    @pytest.mark.parametrize("nu,n", STEP_CASES)
     def test_interleaved_kernels_keep_their_steps(self, nu, n):
         # two kernels on one state share its cached table; each one's
         # scratch must stay its own, whatever the other does in between
@@ -583,9 +592,9 @@ class TestSeparableKernel:
             first(z, *out[1])
             second(z[::-1].copy(), *out[2])
         for ok, step in out[:2]:
-            assert self.step_digest(ok, step) == self.STEP_DIGESTS[nu, n]
+            STEP_FACTORS.check(f"nu{nu}_n{n}", pins.step_factors(ok, step))
 
-    @pytest.mark.parametrize("nu,n", list(STEP_DIGESTS))
+    @pytest.mark.parametrize("nu,n", STEP_CASES)
     def test_a_point_keeps_its_bits_in_any_call(self, nu, n):
         # simulate tests valid proposals and frozen positions again in calls
         # on the whole ensemble, so a point's ok and step must not depend on
@@ -594,7 +603,7 @@ class TestSeparableKernel:
         z = both_sides_of_the_annulus(state)
         with np.errstate(divide="ignore", invalid="ignore"):
             _, ok, step = kernel_on(state, 1e-3, z)
-            assert self.step_digest(ok, step) == self.STEP_DIGESTS[nu, n]
+            STEP_FACTORS.check(f"nu{nu}_n{n}", pins.step_factors(ok, step))
             for size in (1, 40):
                 for lo in [*range(0, z.size - size, size), z.size - size]:
                     _, ok_c, step_c = kernel_on(state, 1e-3, z[lo:lo + size])

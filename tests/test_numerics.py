@@ -4,7 +4,6 @@ Oracles are intentionally independent of the code under test: a direct-sum
 Bessel/Airy series built on math.gamma, stdlib closed forms, bisection on
 those series, and dense trapezoid sums.
 """
-import hashlib
 import math
 import warnings
 
@@ -22,6 +21,9 @@ from abtool.madelung import AnnulusDomain, circulation
 from abtool.numerics import _bessel
 from abtool.variates import NormalBlock
 from oracles import _series_terms_reference, bessel_pair_reference
+import pins
+
+NUMERICS = pins.PinSet("numerics")
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +558,16 @@ class TestGradientFd:
             assert curl_z_fd(field, p, 1e-3) == pytest.approx(want, abs=1e-9)
 
 
+def normals():
+    # digest computed while normals still took odd counts, which leaves the
+    # bits of even ones unchanged
+    s = RandomStream(123, 5)
+    return pins.arrays({f"normals({c})": s.normals(c) for c in (1000, 4, 2, 8)})
+
+
+NUMERICS.add("normals", normals)
+
+
 class TestRandomStream:
     def test_determinism(self):
         a = RandomStream(123, 5).normals(1000)
@@ -598,12 +610,7 @@ class TestRandomStream:
         assert not np.array_equal(a, b)
 
     def test_pinned_bits(self):
-        # digest computed while normals still took odd counts, which leaves
-        # the bits of even ones unchanged
-        s = RandomStream(123, 5)
-        z = np.concatenate([s.normals(c) for c in (1000, 4, 2, 8)])
-        assert hashlib.sha256(z.tobytes()).hexdigest() == (
-            "da2c0512abafcb6fbd81e3045776408a58f4156de621d636ab1d39dc63921ca6")
+        NUMERICS.check("normals")
 
 
 class TestNormalBlock:
@@ -683,52 +690,69 @@ class TestChiSquareTail:
             chi2_sf(x, dof)
 
 
-class TestPinnedSpecialFunctionBits:
-    @staticmethod
-    def digest(values):
-        h = hashlib.sha256()
-        for v in values:
-            h.update(np.asarray(v, dtype=float).tobytes())
-        return h.hexdigest()
+# the bits of every routine that runs a recurrence or an expansion from its
+# first terms: both Airy expansions (|x| > 7.5) and the zeros they give,
+# Legendre up to l = 5 at and inside x = +-1, Laguerre up to p = 7, chi2_sf
+# for both parities of dof and past e^{-x/2}'s underflow (x > 1416), the
+# drift table's Hermite cells (the zero Taylor series sets those near a zero)
+# and the GK15 weights
+SPECIAL_FUNCTIONS = {
+    "airy": lambda: pins.arrays({
+        "airy_ai(linspace(-40, 40, 40001))": airy_ai(np.linspace(-40.0, 40.0, 40001)),
+        **{f"airy_ai({x})": airy_ai(x) for x in (-40.0, -7.6, 7.6, 40.0)},
+        "airy_ai_zero(1..59)": [airy_ai_zero(n) for n in range(1, 60)]}),
+    "legendre": lambda: pins.arrays({
+        f"P({l},{m})({label})": assoc_legendre(l, m, x)
+        for l in range(6) for m in range(l + 1)
+        for label, x in [("linspace(-1, 1, 999)", np.linspace(-1.0, 1.0, 999)),
+                         *((x, x) for x in (-1.0, -0.3, 0.0, 0.7, 1.0))]}),
+    "laguerre": lambda: pins.arrays({
+        f"L({p},{q})({label})": assoc_laguerre(p, q, x)
+        for p in range(8) for q in (0.0, 0.5, 1.0, 2.0, 3.5, 7.0, 12.25)
+        for label, x in [("linspace(0, 40, 401)", np.linspace(0.0, 40.0, 401)),
+                         *((x, x) for x in (0.0, 1.5, 17.0))]}),
+    # one scalar call a point
+    "chi2_sf": lambda: pins.arrays({
+        f"chi2_sf(linspace(0, 3000, 1201), {dof})":
+            [chi2_sf(x, dof) for x in np.linspace(0.0, 3000.0, 1201)]
+        for dof in range(1, 60)}),
+    "log_table": lambda: pins.arrays({
+        f"BesselLogTable({order}, {n})._coef": numerics.BesselLogTable(order, n)._coef
+        for order in (0.0, 0.5, 1.0, 2.25, 10.0, 25.5, 49.5) for n in (1, 2, 5)}),
+    "gk15": lambda: pins.arrays({"_GK_WK": numerics._GK_WK, "_GK_WG": numerics._GK_WG}),
+}
+for pin_name, produce in SPECIAL_FUNCTIONS.items():
+    NUMERICS.add(pin_name, produce)
 
+
+def bessel_alone_and_in_a_batch():
+    # bessel_j(11.5, x) on 10^4 points in (0.01, 4), alone and inside a
+    # batch that also holds 200 points in (8, 9.25): the series truncation
+    # follows the batch's largest x, so some values differ; a per-point
+    # truncation would make them equal and move `differing` to 0
+    rng = np.random.default_rng(36)
+    x = rng.uniform(0.01, 4.0, 10_000)
+    alone = bessel_j(11.5, x)
+    batched = bessel_j(11.5, np.concatenate([x, rng.uniform(8.0, 9.25, 200)]))[:x.size]
+    differ = alone != batched
+    return pins.arrays({
+        "alone": alone, "in_batch": batched, "differing": np.count_nonzero(differ),
+        "max_rel_diff": np.max(np.abs(batched - alone)[differ] / np.abs(alone[differ]),
+                               initial=0.0)})
+
+
+BESSEL_BATCH = pins.PinSet("bessel_batch")
+BESSEL_BATCH.add("bessel_j_11.5", bessel_alone_and_in_a_batch)
+
+
+class TestPinnedSpecialFunctionBits:
     def test_recurrences_and_expansions(self):
-        # the bits of every routine that runs a recurrence or an expansion
-        # from its first terms: both Airy expansions (|x| > 7.5) and the
-        # zeros they give, Legendre up to l = 5 at and inside x = +-1,
-        # Laguerre up to p = 7, chi2_sf for both parities of dof and past
-        # e^{-x/2}'s underflow (x > 1416), the drift table's Hermite cells
-        # (the zero Taylor series sets those near a zero) and the GK15
-        # weights; scalar calls return floats
+        # scalar calls return floats
         scalars = [assoc_legendre(2, 1, 0.5), assoc_laguerre(3, 0.5, 1.5),
                    assoc_laguerre(0, 0.5, 1.5), airy_ai(-20.0)]
         assert all(type(v) is float for v in scalars)
-        legendre_x = np.linspace(-1.0, 1.0, 999)
-        digests = {
-            "airy": self.digest([
-                airy_ai(np.linspace(-40.0, 40.0, 40001)),
-                *(airy_ai(x) for x in (-40.0, -7.6, 7.6, 40.0)),
-                *(airy_ai_zero(n) for n in range(1, 60))]),
-            "legendre": self.digest([
-                assoc_legendre(l, m, x) for l in range(6) for m in range(l + 1)
-                for x in (legendre_x, -1.0, -0.3, 0.0, 0.7, 1.0)]),
-            "laguerre": self.digest([
-                assoc_laguerre(p, q, x) for p in range(8)
-                for q in (0.0, 0.5, 1.0, 2.0, 3.5, 7.0, 12.25)
-                for x in (np.linspace(0.0, 40.0, 401), 0.0, 1.5, 17.0)]),
-            "chi2_sf": self.digest([
-                chi2_sf(x, dof) for dof in range(1, 60)
-                for x in np.linspace(0.0, 3000.0, 1201)]),
-            "log_table": self.digest([
-                numerics.BesselLogTable(order, n)._coef
-                for order in (0.0, 0.5, 1.0, 2.25, 10.0, 25.5, 49.5)
-                for n in (1, 2, 5)]),
-            "gk15": self.digest([numerics._GK_WK, numerics._GK_WG]),
-        }
-        assert digests == {
-            "airy": "3ad92ce9debe5c5e72f778179047833df0890bde5868b7571cfe309dfcdc00bd",
-            "legendre": "c3c7e32aca4ba7f67a7aa7422ac6a913face744796ef6d347e605665db246dc1",
-            "laguerre": "634ba780f698e9eb42c0fa2e6edf4b392cb0609a6157004fd72a9a1774ee419e",
-            "chi2_sf": "01fa9dd29884a31722ef6ca46da6a5bba0b11a9a20ef59d0386de1235d89f918",
-            "log_table": "7298a2a6fc9064d5db38f00b8ce0da43fd3019983768f915981d5af865802115",
-            "gk15": "02a33129916a56e8421937d5dc59f39e4f9bbc893b0e5baa01cef55af5a15dc4",
-        }
+        for name in SPECIAL_FUNCTIONS:
+            NUMERICS.check(name)
+
+    def test_series_bits_alone_and_inside_a_batch(self):
+        BESSEL_BATCH.check("bessel_j_11.5")

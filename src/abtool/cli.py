@@ -88,6 +88,8 @@ def _coerce(block, key, value, kind):
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{where}: expected an integer, got {value!r}")
+        if abs(value) > sys.float_info.max:
+            raise ConfigError(f"{where}: expected an integer within the float range")
         return int(value)
     if not isinstance(value, str):
         raise ConfigError(f"{where}: expected a string, got {value!r}")

@@ -60,7 +60,9 @@ class PinSet:
 
     @cached_property
     def ledger(self):
-        return json.loads(self.path.read_text(encoding="utf-8")) if self.path.exists() else {}
+        if not self.path.exists():
+            return {}
+        return json.loads(self.path.read_text(encoding="utf-8"))
 
     def sha256(self, name):
         """The ledger's digest of the pin `name`."""
@@ -240,18 +242,14 @@ def pin_sets():
 
 
 def write_ledgers():
-    """Run every producer and write every ledger; delete ledgers of no set."""
-    sets = pin_sets()
+    """Run every producer and write every ledger."""
     LEDGERS.mkdir(exist_ok=True)
-    for pin_set in sets.values():
+    for pin_set in pin_sets().values():
         ledger = {}
         for name, produce in pin_set.producers.items():
             record = produce()
             ledger[name] = {"sha256": record.sha256, "values": _encoded(record.values)}
         pin_set.path.write_text(canonical(ledger), encoding="utf-8")
-    for path in LEDGERS.glob("*.json"):
-        if path.stem not in sets:
-            path.unlink()
 
 
 if __name__ == "__main__":

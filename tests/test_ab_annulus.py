@@ -408,7 +408,8 @@ def observables(states):
 
 
 OBSERVABLES.add("acceptance_grid", lambda: observables(_grid_states()))
-WIDE_STATES = [OBSERVABLES.add(f"m{m}_n{n}", lambda m=m, n=n: observables([eigenstate(CFG, m, n)]))
+WIDE_STATES = [OBSERVABLES.add(f"m{m}_n{n}",
+                               lambda m=m, n=n: observables([eigenstate(CFG, m, n)]))
                for m, n in [(12, 2), (50, 5)]]
 
 

@@ -326,7 +326,7 @@ def output_of(args, output, config=None, codes=(EXIT_OK,)):
         return pins.output_file(Path(tmp) / output)
 
 
-# a case's id is the one it had when its digest was a test parameter
+# each case keeps its test id, which ends with its digest
 DEFAULT_TABLES = [
     pytest.param(OUTPUTS.add(f"{subcommand}.csv", partial(
         output_of, [subcommand], f"{subcommand}.csv")),
@@ -439,6 +439,7 @@ class TestExitCodes:
         ("trajectories", {"constants": {"hbar": math.inf}}),
         ("spectrum", {"geometry": {"B": math.nan}}),
         ("spectrum", {"geometry": {"b": 10 ** 400}}),
+        ("spectrum", {"state": {"m": 10 ** 400}}),
         ("spectrum", {"geometry": {"a": 1e-300, "b": 2e-300}}),
         ("fields", {"geometry": {"a": 1e-200, "b": 2e-200}}),
         ("spectrum", {"geometry": {"a": 1e200, "b": 2e200}}),
@@ -448,7 +449,7 @@ class TestExitCodes:
     def test_unusable_numbers_exit_with_one_line(self, tmp_path, capsys,
                                                  subcommand, config):
         # non-finite config numbers (JSON's NaN and Infinity, or an integer
-        # past the float range), a geometry so small that the radial
+        # past the float range, for a float or an integer key), a geometry so small that the radial
         # normalization integral underflows to 0, one so large that a^2
         # overflows in the flux parameter, and an annulus so thin that a
         # quadrature node rounds below a

@@ -231,8 +231,8 @@ def aborted_run(mn, seed):
 
 
 def short_run_cases(cases):
-    """The pins of short runs of (m, n), n_trajectories and seed; a case's
-    id is the one it had when its digest was a test parameter."""
+    """The pins of short runs of (m, n), n_trajectories and seed; each case
+    keeps its test id, which ends with its digest."""
     params = []
     for i, (mn, n_traj, seed) in enumerate(cases):
         name = TRAJECTORIES.add(f"short_run_m{mn[0]}_n{mn[1]}_seed{seed}",

@@ -215,14 +215,13 @@ def _change(name, old, new):
     if old is None or new is None:
         return math.inf, name, f"{name}: {'added' if old is None else 'removed'}"
     a, b = (float.fromhex(v) if isinstance(v, str) else v for v in (old, new))
-    rel = abs(b - a) / abs(a) if a else math.inf
     if isinstance(a, float) or isinstance(b, float):
         a, b = float(a), float(b)
-        ulps = (abs(_ordered(b) - _ordered(a)) if not (math.isnan(a) or math.isnan(b))
-                else "nan")
+        ulps = abs(_ordered(b) - _ordered(a))
     else:
         ulps = abs(b - a)
-    rel = math.inf if math.isnan(rel) else rel
+    rel = abs(b - a) / abs(a) if a else math.inf
+    rel = math.inf if math.isnan(rel) else rel      # NaN would not sort
     return rel, name, f"{name}: {a!r} -> {b!r} (relative {rel:.3g}, {ulps} ulp)"
 
 

@@ -439,12 +439,12 @@ class TestExitCodes:
         ("trajectories", {"constants": {"hbar": math.inf}}),
         ("spectrum", {"geometry": {"B": math.nan}}),
         ("spectrum", {"geometry": {"b": 10 ** 400}}),
-        ("spectrum", {"state": {"m": 10 ** 400}}),
         ("spectrum", {"geometry": {"a": 1e-300, "b": 2e-300}}),
         ("fields", {"geometry": {"a": 1e-200, "b": 2e-200}}),
         ("spectrum", {"geometry": {"a": 1e200, "b": 2e200}}),
         ("spectrum", {"geometry": {"a": 1.0, "b": 1.0 + 2.2e-16}}),
         ("spectrum", {"geometry": {"a": 1.0, "b": 1.0 + 1e-14}}),
+        ("spectrum", {"state": {"m": 10 ** 400}}),
     ])
     def test_unusable_numbers_exit_with_one_line(self, tmp_path, capsys,
                                                  subcommand, config):

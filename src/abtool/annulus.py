@@ -26,13 +26,17 @@ from .numerics import (bessel_j, bessel_j_pair, bessel_j_zero, curl_z_fd,
 @dataclass(frozen=True)
 class AnnulusConfig(madelung.Constants):
     """Physical constants plus solenoid/annulus geometry (natural units by
-    default).  B may carry either sign; 0 < a < b."""
+    default).  B may carry either sign, and a zero B or charge is stored
+    as +0.0; 0 < a < b."""
     B: float = 1.0
     a: float = 1.0
     b: float = 3.0
 
     def __post_init__(self):
         super().__post_init__()
+        for name in ("charge", "B"):    # -0.0 == 0.0: one cache key, one state
+            if getattr(self, name) == 0.0:
+                object.__setattr__(self, name, 0.0)
         if not (0.0 < self.a < self.b):
             raise ValueError("need 0 < a < b")
         try:
@@ -55,8 +59,8 @@ class AnnulusConfig(madelung.Constants):
 
 
 def flux_parameter(cfg):
-    """lambda = -q B a^2 / (2 hbar c)."""
-    return -cfg.charge * cfg.B * cfg.a ** 2 / (2.0 * cfg.hbar * cfg.c)
+    """lambda = -q B a^2 / (2 hbar c); lambda = 0 is +0.0."""
+    return -cfg.charge * cfg.B * cfg.a ** 2 / (2.0 * cfg.hbar * cfg.c) + 0.0
 
 
 def _a_theta_over_r(cfg, r):

@@ -52,7 +52,7 @@ def hydrogen_radial_parts(state, r):
     x = 2.0 * r / n
     p = n - l - 1
     lag = assoc_laguerre(p, 2 * l + 1, x)
-    dlag = -assoc_laguerre(p - 1, 2 * l + 2, x) if p >= 1 else np.zeros_like(x)
+    dlag = -assoc_laguerre(p - 1, 2 * l + 2, x)
     scale = _radial_norm(state) * np.exp(-x / 2.0)
     core = (-0.5 * x ** l * lag
             + (l * x ** (l - 1) * lag if l >= 1 else 0.0)
@@ -75,7 +75,7 @@ def hydrogen_theta_parts(state, theta):
     sin_t = np.sin(theta)
     norm = _theta_norm(l, m)
     plm = assoc_legendre(l, m, x)
-    plm1 = assoc_legendre(l - 1, m, x) if m <= l - 1 else 0.0
+    plm1 = assoc_legendre(l - 1, m, x)
     with np.errstate(divide="ignore", invalid="ignore"):
         dval = norm * ((l * x * plm - (l + m) * plm1) / (x * x - 1.0)) * (-sin_t)
     # on the polar axis the theta derivative vanishes for the m = 0 states

@@ -561,34 +561,34 @@ def airy_ai_zero(n):
 # ---------------------------------------------------------------------------
 
 def assoc_laguerre(p, q, x):
-    """Generalized Laguerre L_p^{(q)}(x), integer p >= 0, real q, from
+    """Generalized Laguerre L_p^{(q)}(x), integer p >= -1, real q, from
     (k + 1) L_{k+1} = (2k + 1 + q - x) L_k - (k + q) L_{k-1} (DLMF 18.9.13)
     run up from L_{-1} = 0, L_0 = 1."""
-    if p < 0 or p != int(p):
-        raise ValueError("assoc_laguerre: p must be a non-negative integer")
+    if p < -1 or p != int(p):
+        raise ValueError("assoc_laguerre: p must be an integer >= -1")
     x = np.asarray(x, dtype=float)
-    l0, l1 = np.zeros_like(x), np.ones_like(x)
+    lag = [np.zeros_like(x), np.ones_like(x)]              # L_{-1}, L_0
     for k in range(int(p)):
-        l0, l1 = l1, ((2 * k + 1 + q - x) * l1 - (k + q) * l0) / (k + 1.0)
-    return float(l1) if np.ndim(l1) == 0 else l1
+        lag.append(((2 * k + 1 + q - x) * lag[-1] - (k + q) * lag[-2]) / (k + 1.0))
+    return float(lag[int(p) + 1]) if np.ndim(x) == 0 else lag[int(p) + 1]
 
 
 def assoc_legendre(l, m, x):
-    """Associated Legendre P_l^m(x) with Condon-Shortley phase, 0 <= m <= l:
+    """Associated Legendre P_l^m(x) with Condon-Shortley phase, 0 <= m <= l + 1:
     from P_{m-1}^m = 0 and P_m^m = (-1)^m (2m-1)!! (1-x^2)^{m/2}, up in l by
     (l - m) P_l^m = (2l - 1) x P_{l-1}^m - (l + m - 1) P_{l-2}^m (DLMF 14.10.3)."""
-    if not (0 <= m <= l):
-        raise ValueError("assoc_legendre requires 0 <= m <= l")
+    if not (0 <= m <= l + 1):
+        raise ValueError("assoc_legendre requires 0 <= m <= l + 1")
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) > 1.0):
         raise ValueError("assoc_legendre: |x| must be <= 1")
     somx2 = np.sqrt((1.0 - x) * (1.0 + x))
-    p0, p1 = np.zeros_like(x), np.ones_like(x)
+    plm = [np.zeros_like(x), np.ones_like(x)]          # P_{m-1}^m, P_m^m
     for fact in range(1, 2 * m, 2):
-        p1 = -p1 * fact * somx2
+        plm[1] = -plm[1] * fact * somx2
     for ll in range(m + 1, l + 1):
-        p0, p1 = p1, ((2.0 * ll - 1.0) * x * p1 - (ll + m - 1.0) * p0) / (ll - m)
-    return float(p1) if np.ndim(p1) == 0 else p1
+        plm.append(((2.0 * ll - 1.0) * x * plm[-1] - (ll + m - 1.0) * plm[-2]) / (ll - m))
+    return float(plm[l - m + 1]) if np.ndim(x) == 0 else plm[l - m + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -600,12 +600,7 @@ def assoc_legendre(l, m, x):
 _REL_TOL = 1e-10
 _ABS_TOL = 1e-14
 _MAX_DEPTH = 48
-
-
-def _tolerance(estimate):
-    """max(1e-14, 1e-10 |estimate|), per component."""
-    return np.maximum(_ABS_TOL, _REL_TOL * np.abs(estimate))
-
+_MAX_INTERVALS = 20000
 
 _XGK = np.array([
     0.991455371120813, 0.949107912342759, 0.864864423359769,
@@ -626,49 +621,51 @@ _GK_WK = np.concatenate([_WGK, _WGK[-2::-1]])
 _GK_WG = np.zeros(15)
 _GK_WG[1::2] = np.concatenate([_WG7, _WG7[-2::-1]])
 
-_MAX_INTERVALS = 20000
-
 
 def _gk15(f, edges):
-    """[(value, error)] of GK15 on each panel between successive edges, from
-    one integrand call; each panel's nodes and sums are computed as alone."""
-    h = [0.5 * (hi - lo) for lo, hi in zip(edges, edges[1:])]
+    """(values, errors), (panels,) or (panels, k), of GK15 on the panels
+    between successive edges from one f call, each panel's bits as alone."""
+    edges = np.asarray(edges, dtype=float)
+    h = 0.5 * (edges[1:] - edges[:-1])
     nodes = np.multiply.outer(h, _GK_NODES)        # c + h * node, c and h floats
-    nodes += [[0.5 * (lo + hi)] for lo, hi in zip(edges, edges[1:])]
+    nodes += 0.5 * (edges[:-1, None] + edges[1:, None])
     fv = np.asarray(f(nodes.ravel()), dtype=float)
     if fv.ndim not in (1, 2) or fv.shape[0] != nodes.size:
         raise ValueError("quadrature integrand must map n nodes to (n,) or (n, k)")
-    out = []
-    for hp, fp in zip(h, fv.reshape(len(h), 15, *fv.shape[1:])):
-        kron = hp * (_GK_WK @ fp)
-        out.append((kron, np.abs(kron - hp * (_GK_WG @ fp))))
-    return out
+    fp = fv.reshape(h.size, 15, -1)                 # a scalar f as k = 1
+    kron = h[:, None] * np.matmul(_GK_WK, fp)
+    err = np.abs(kron - h[:, None] * np.matmul(_GK_WG, fp))
+    return (kron, err) if fv.ndim == 2 else (kron[:, 0], err[:, 0])
 
 
-def integrate_1d(f, lo, hi):
-    """Integral of f over [lo, hi].
+def integrate_1d(f, lo, hi, points=()):
+    """Integral of f over [lo, hi] from initial panels split at `points`,
+    increasing inside (lo, hi), as QUADPACK's QAGP does.
 
-    The integrand is called with node arrays, shape (15,) for the first
-    panel and (30,) for the two halves of each bisected panel, and returns
-    values of shape (n,) (a float result) or (n, k) (a length-k array,
-    converged when every component is within its own tolerance); endpoint
-    values are never requested, so integrable endpoint behaviour is tolerated.
+    f gets the 15 nodes of every initial panel in one call, then 30 per
+    bisection (at most _MAX_DEPTH past an initial panel), and returns (n,)
+    values (a float result) or (n, k) (a length-k array); ends and break
+    points are not nodes.
     """
     if hi == lo:
         return 0.0
-    [(val, err)] = _gk15(f, [lo, hi])
-    heap = [(-err.max(), lo, hi, val, err, 0)]       # worst component first
-    total, toterr = val, err
-    count = 1
+    edges = [lo, *points, hi]
+    if len(points) and not all(a < b for a, b in zip(edges, edges[1:])):
+        raise ValueError("integrate_1d: points must increase inside (lo, hi)")
+    vals, errs = _gk15(f, edges)
+    heap = [(-e.max(), a, b, v, e, 0)                 # worst component first
+            for a, b, v, e in zip(edges, edges[1:], vals, errs)]
+    heapq.heapify(heap)
+    total, toterr, count = vals.sum(axis=0), errs.sum(axis=0), len(heap)
     while True:
-        if (toterr <= _tolerance(total)).all():
+        if (toterr <= np.maximum(_ABS_TOL, _REL_TOL * np.abs(total))).all():
             return float(total) if np.ndim(total) == 0 else total
         neg, a, b, v, e, depth = heapq.heappop(heap)
         if depth >= _MAX_DEPTH or count >= _MAX_INTERVALS:
             raise NonConvergenceError("integrate_1d: tolerance not met",
                                       best_estimate=total, error_bound=toterr)
         m = 0.5 * (a + b)
-        (v1, e1), (v2, e2) = _gk15(f, [a, m, b])
+        (v1, v2), (e1, e2) = _gk15(f, [a, m, b])
         total = total + (v1 + v2 - v)
         toterr = toterr + (e1 + e2 - e)
         heapq.heappush(heap, (-e1.max(), a, m, v1, e1, depth + 1))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from abtool.annulus import (AnnulusConfig,
+from abtool.annulus import (ABState, AnnulusConfig,
                             closed_form_q_and_force, diffusion_velocity,
                             eigenstate, energy_decomposition, flux_parameter,
                             _energy_domain, gauge_family, magnetic_force,
@@ -51,6 +51,24 @@ class TestConfig:
 class TestFluxParameter:
     def test_zero_field(self):
         assert flux_parameter(AnnulusConfig(B=0.0)) == 0.0
+
+    @pytest.mark.parametrize("field", ["B", "charge"])
+    def test_zero_flux_state_independent_of_call_order(self, field):
+        # -0.0 == 0.0, so both configs are one cache key: whichever order
+        # builds them, the cached state holds lambda = +0.0 and a +0.0 field
+        def bits(state):
+            return [math.copysign(1.0, x) for x in
+                    (state.lam, state.cfg.B, state.cfg.charge)] + [state.norm.hex()]
+        built = []
+        try:
+            for order in ((0.0, -0.0), (-0.0, 0.0)):
+                eigenstate.cache_clear()
+                built += [bits(eigenstate(AnnulusConfig(**{field: zero}), 0, 1))
+                          for zero in order]
+        finally:
+            eigenstate.cache_clear()
+        assert all(b == built[0] for b in built)
+        assert built[0][:3] == [1.0, 1.0, 1.0]
 
     def test_natural_units(self):
         assert flux_parameter(CFG) == -0.5
@@ -468,6 +486,26 @@ class TestRadialIntegrands:
             assert got.shape == want.shape
             scale = np.abs(want).max(axis=0)
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+class TestQuadratureCost:
+    def test_grid_sweep_integrand_calls(self, monkeypatch):
+        # the radial rule starts from panels graded toward the inner wall, so
+        # the (r - a)^nu states with nu <= 1 need no level-by-level bisection
+        # toward it: 96 calls for the 30 states' angular momenta and energy
+        # split (460 from one initial panel)
+        calls = []
+        original = ABState.radial_parts
+
+        def counted(state, r):
+            calls.append(r.size)
+            return original(state, r)
+        states = list(_grid_states())
+        monkeypatch.setattr(ABState, "radial_parts", counted)
+        for state in states:
+            angular_momenta(state)
+            energy_decomposition(state)
+        assert len(calls) <= 120
 
 
 class TestPinnedObservables:

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from abtool.annulus import (AnnulusConfig, eigenstate, energy_decomposition,
-                            solenoid_potential, vector_potential)
-from abtool.madelung import (RHO_FLOOR, AnnulusDomain, Constants,
+from abtool.annulus import (WALL_MARGIN_FRACTION, AnnulusConfig, eigenstate,
+                            energy_decomposition, solenoid_potential,
+                            vector_potential)
+from abtool.madelung import (RHO_FLOOR, WALL_HALVINGS, AnnulusDomain, Constants,
                              DensityFloorError, WaveField, circulation,
                              decompose, gauge_transform, quantum_force,
                              quantum_potential)
@@ -402,18 +403,21 @@ class TestDomains:
         assert second == pytest.approx(40.0 * np.pi, rel=1e-12)
 
     def test_annulus_one_batch_per_refinement(self):
-        # the integrand is a function of r alone: the first call is the first
-        # panel's 15 radii, each later call one bisection, the 30 radii of
-        # both halves of a panel not yet split
+        # the integrand is a function of r alone: the first call is the GK15
+        # nodes of the 25 initial panels graded toward r = a, ending at
+        # a + d 2^-k for k = 24 ... 1, and each later call one bisection, the
+        # 30 radii of both halves of a panel not yet split
         radii = []
 
         def g(r):
             radii.append(r.copy())
-            return np.sqrt(r - 1.0)
+            return np.sqrt(r - 1.0) * np.sin(20.0 * r)
         AnnulusDomain(1.0, 3.0).integrate(g)
-        assert np.allclose(radii[0], gk15_nodes(1.0, 3.0), rtol=0.0, atol=1e-12)
+        edges = [1.0, *(1.0 + 2.0 * 0.5 ** k for k in range(24, 0, -1)), 3.0]
+        assert radii[0].size == 25 * 15
+        assert np.allclose(radii[0], gk15_nodes(*edges), rtol=0.0, atol=1e-12)
         assert len(radii) > 1
-        leaves = {(1.0, 3.0)}
+        leaves = set(zip(edges[:-1], edges[1:]))
         for r in radii[1:]:
             split = [(a, b) for a, b in leaves if r.size == 30 and np.allclose(
                 r, gk15_nodes(a, 0.5 * (a + b), b), rtol=0.0, atol=1e-12)]
@@ -421,3 +425,15 @@ class TestDomains:
             (a, b), = split
             leaves -= {(a, b)}
             leaves |= {(a, 0.5 * (a + b)), (0.5 * (a + b), b)}
+
+    def test_finest_panel_inside_the_wall_margin(self):
+        # the energy integrals start WALL_MARGIN_FRACTION d inside the walls;
+        # the radial rule's finest initial panel is narrower than that inset
+        assert 0.5 ** WALL_HALVINGS <= WALL_MARGIN_FRACTION
+
+    def test_annulus_few_ulps_wide(self):
+        # break points that round onto a or onto each other are dropped
+        a = 1.0
+        b = a + 4.0 * math.ulp(a)
+        assert AnnulusDomain(a, b).integrate(np.ones_like) == pytest.approx(
+            math.pi * (b * b - a * a), rel=1e-12)

@@ -376,11 +376,19 @@ class TestOrthogonalPolynomials:
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            assoc_legendre(2, 3, 0.5)
+            assoc_legendre(2, 4, 0.5)
         with pytest.raises(ValueError):
             assoc_legendre(2, 1, 1.5)
         with pytest.raises(ValueError):
-            assoc_laguerre(-1, 0.0, 0.5)
+            assoc_laguerre(-2, 0.0, 0.5)
+
+    def test_order_below_the_lowest_is_plus_zero(self):
+        # the recurrences' initial values L_{-1} = 0 and P_{m-1}^m = 0
+        xs = np.linspace(-1.0, 1.0, 7)
+        for got in (assoc_laguerre(-1, 2.5, xs), assoc_legendre(1, 2, xs)):
+            assert got.shape == xs.shape
+            assert np.all(np.copysign(1.0, got) == 1.0) and not got.any()
+        assert assoc_laguerre(-1, 0.0, 0.5) == 0.0
 
 
 class TestQuadrature:
@@ -461,6 +469,43 @@ class TestQuadrature:
             (a, b), = split
             leaves -= {(a, b)}
             leaves |= {(a, 0.5 * (a + b)), (0.5 * (a + b), b)}
+
+    @pytest.mark.parametrize("columns", [None, 2, 3])
+    def test_panels_of_one_call_have_their_bits_alone(self, columns):
+        # one matmul sums all 25 panels' (15, k) blocks; each panel's value
+        # and error are those of a call on that panel alone, and those of
+        # the reference sums over one panel's block
+        def f(x):
+            cols = [np.sqrt(x), np.sin(7.0 * x), np.exp(-x)]
+            return cols[0] if columns is None else np.stack(cols[:columns], axis=-1)
+        edges = [0.0, *(0.5 ** k for k in range(24, 0, -1)), 1.0]
+        vals, errs = numerics._gk15(f, edges)
+        assert vals.shape == errs.shape == ((25,) if columns is None else (25, columns))
+        for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            alone = numerics._gk15(f, [lo, hi])
+            h, fp = 0.5 * (hi - lo), f(gk15_nodes(lo, hi))
+            kron = h * (numerics._GK_WK @ fp)
+            err = np.abs(kron - h * (numerics._GK_WG @ fp))
+            for got in ((vals[i], errs[i]), (alone[0][0], alone[1][0])):
+                assert got[0].tobytes() == np.asarray(kron).tobytes()
+                assert got[1].tobytes() == np.asarray(err).tobytes()
+
+    def test_break_points_make_the_first_call(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.copy())
+            return np.sqrt(x)
+        assert integrate_1d(f, 0.0, 1.0, [0.25, 0.5]) == pytest.approx(
+            2.0 / 3.0, rel=1e-10)
+        assert np.array_equal(calls[0], gk15_nodes(0.0, 0.25, 0.5, 1.0))
+        assert all(x.size == 30 for x in calls[1:])
+
+    @pytest.mark.parametrize("points", [[0.5, 0.25], [0.5, 0.5], [0.0, 0.5],
+                                        [0.5, 1.0], [-0.5], [1.5], [math.nan]])
+    def test_break_points_must_increase_inside(self, points):
+        with pytest.raises(ValueError, match="points must increase"):
+            integrate_1d(np.sqrt, 0.0, 1.0, points)
 
     def test_wrong_shape_raises_on_first_panel_and_on_bisection(self):
         with pytest.raises(ValueError, match="must map n nodes"):

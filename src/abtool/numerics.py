@@ -587,7 +587,8 @@ def assoc_legendre(l, m, x):
     for fact in range(1, 2 * m, 2):
         plm[1] = -plm[1] * fact * somx2
     for ll in range(m + 1, l + 1):
-        plm.append(((2.0 * ll - 1.0) * x * plm[-1] - (ll + m - 1.0) * plm[-2]) / (ll - m))
+        plm.append(((2.0 * ll - 1.0) * x * plm[-1] - (ll + m - 1.0) * plm[-2])
+                   / (ll - m))
     return float(plm[l - m + 1]) if np.ndim(x) == 0 else plm[l - m + 1]
 
 

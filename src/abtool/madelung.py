@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -230,11 +231,23 @@ class AnnulusDomain:
         def radial(r):
             return (np.asarray(g(r), dtype=float).T * (2.0 * np.pi * r)).T
 
-        points = self.a + (self.b - self.a) * 0.5 ** np.arange(WALL_HALVINGS, 0, -1)
-        # rounding keeps them in order; drop those that repeat a or each other
-        # (np.unique would import numpy.ma, 0.6 MB, on the first call)
-        points = points[(np.diff(points, prepend=self.a) > 0.0) & (points < self.b)]
-        return integrate_1d(radial, self.a, self.b, points)
+        return integrate_1d(radial, self.a, self.b, _break_points(self.a, self.b))
+
+
+@lru_cache(maxsize=256)
+def _break_points(a, b):
+    """The annulus rule's initial break points: a + d 2^-j for j =
+    WALL_HALVINGS ... 1, d = b - a, those that round strictly between a and b
+    (rounding keeps them in order; one that repeats a or its predecessor
+    is dropped)."""
+    d = b - a
+    points, last = [], a
+    for j in range(WALL_HALVINGS, 0, -1):
+        p = a + d * 0.5 ** j
+        if last < p < b:
+            points.append(p)
+            last = p
+    return tuple(points)
 
 
 def circulation(field, center, radius):

@@ -646,7 +646,8 @@ def integrate_1d(f, lo, hi, points=()):
     f gets the 15 nodes of every initial panel in one call, then 30 per
     bisection (at most _MAX_DEPTH past an initial panel), and returns (n,)
     values (a float result) or (n, k) (a length-k array); ends and break
-    points are not nodes.
+    points are not nodes of a bisected panel: one too narrow for that raises
+    NonConvergenceError.
     """
     if hi == lo:
         return 0.0
@@ -654,18 +655,25 @@ def integrate_1d(f, lo, hi, points=()):
     if len(points) and not all(a < b for a, b in zip(edges, edges[1:])):
         raise ValueError("integrate_1d: points must increase inside (lo, hi)")
     vals, errs = _gk15(f, edges)
-    heap = [(-e.max(), a, b, v, e, 0)                 # worst component first
-            for a, b, v, e in zip(edges, edges[1:], vals, errs)]
-    heapq.heapify(heap)
-    total, toterr, count = vals.sum(axis=0), errs.sum(axis=0), len(heap)
+    total, toterr, count = vals.sum(axis=0), errs.sum(axis=0), len(vals)
+    heap = None                         # made when the first panels fall short
     while True:
         if (toterr <= np.maximum(_ABS_TOL, _REL_TOL * np.abs(total))).all():
             return float(total) if np.ndim(total) == 0 else total
+        if heap is None:
+            worst = errs.reshape(count, -1).max(axis=1).tolist()
+            heap = [(-w, a, b, v, e, 0)                 # worst component first
+                    for w, a, b, v, e in zip(worst, edges, edges[1:], vals, errs)]
+            heapq.heapify(heap)
         neg, a, b, v, e, depth = heapq.heappop(heap)
-        if depth >= _MAX_DEPTH or count >= _MAX_INTERVALS:
+        m = 0.5 * (a + b)
+        # the halves' outer nodes as _gk15 rounds them: a panel some 100 ulp
+        # wide puts them on its ends, where f may have no value
+        inside = (a < 0.5 * (a + m) - 0.5 * (m - a) * _XGK[0]
+                  and 0.5 * (m + b) + 0.5 * (b - m) * _XGK[0] < b)
+        if depth >= _MAX_DEPTH or count >= _MAX_INTERVALS or not inside:
             raise NonConvergenceError("integrate_1d: tolerance not met",
                                       best_estimate=total, error_bound=toterr)
-        m = 0.5 * (a + b)
         (v1, v2), (e1, e2) = _gk15(f, [a, m, b])
         total = total + (v1 + v2 - v)
         toterr = toterr + (e1 + e2 - e)

@@ -431,6 +431,23 @@ class TestDomains:
         # the radial rule's finest initial panel is narrower than that inset
         assert 0.5 ** WALL_HALVINGS <= WALL_MARGIN_FRACTION
 
+    def test_wall_singularity_does_not_settle(self):
+        # (r - 1)^-1/2 is integrable but GK15 settles on it too slowly: the
+        # panel at r = 1 is bisected until its halves' outer nodes would round
+        # onto the wall, where the integrand divides by zero (a warning, an
+        # error under this suite), and stops there with its best estimate
+        radii = []
+
+        def g(r):
+            radii.append(r.copy())
+            return (r - 1.0) ** -0.5
+        with pytest.raises(numerics.NonConvergenceError) as err:
+            AnnulusDomain(1.0, 3.0).integrate(g)
+        assert min(r.min() for r in radii) > 1.0
+        exact = 2.0 * math.pi * (10.0 / 3.0) * math.sqrt(2.0)
+        assert err.value.best_estimate == pytest.approx(exact, rel=1e-8)
+        assert 0.0 < err.value.error_bound <= 1e-7
+
     def test_annulus_few_ulps_wide(self):
         # break points that round onto a or onto each other are dropped
         a = 1.0

@@ -284,7 +284,8 @@ def angular_momenta(state):
         out *= r[:, None]
         return np.multiply(cfg.mass, out, out=out)
 
-    total, osmotic = map(float, AnnulusDomain(cfg.a, cfg.b).integrate(moments))
+    total, osmotic = map(float, AnnulusDomain(cfg.a, cfg.b).integrate(
+        moments, state.k))
     return {"total": total, "canonical": total - osmotic, "osmotic": osmotic}
 
 
@@ -339,7 +340,8 @@ def energy_decomposition(state):
                   out=out[:, 2])
         return out
 
-    rotational, radial, total = map(float, _energy_domain(cfg).integrate(densities))
+    rotational, radial, total = map(float, _energy_domain(cfg).integrate(
+        densities, state.k))
     return {"rotational": rotational, "radial": radial, "total": total,
             "residual": abs(total - rotational - radial) / abs(total)}
 

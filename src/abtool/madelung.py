@@ -21,10 +21,13 @@ phase cancels, and evaluates the solenoid potential at the r it formed.
 Points are numpy arrays whose last axis is the spatial dimension: shape
 (dim,) for one point or (N, dim) for a batch.  All returned vectors follow
 the shape of the input.  The one exception is `AnnulusDomain.integrate`,
-whose integrand is a function of r alone and takes an array of radii.
+whose integrand is a function of r alone and takes an array of radii; its
+initial panels resolve the radial wavenumber k it is given, so a bound
+state's observables take one integrand call.
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -212,6 +215,10 @@ def gauge_transform(psi, lam, cfg, grad_lam):
 # wide, about 6e-8: below annulus.WALL_MARGIN_FRACTION, the energy integrals'
 # inset from the walls.
 WALL_HALVINGS = 24
+# The widest initial panel spans BULK_SPAN in x = k (r - a): over that, G7
+# and K15 agree on a state's J_nu(x) to the quadrature's tolerance, so no
+# panel of the bulk needs bisecting.
+BULK_SPAN = 2.0
 
 
 @dataclass(frozen=True)
@@ -219,31 +226,38 @@ class AnnulusDomain:
     a: float
     b: float
 
-    def integrate(self, g):
+    def integrate(self, g, k):
         """Integral over the annulus of a function of r alone, g: radii
-        (M,) -> (M,) or (M, k) values, in the measure r dr dtheta: its theta
+        (n,) -> (n,) or (n, c) values, in the measure r dr dtheta: its theta
         factor is exactly 2 pi, so this is GK15 (`integrate_1d`) of
-        2 pi r g(r), one g call per refinement.  A state's R goes like
-        (r - a)^nu at the inner wall, so the initial panels are graded toward
-        it: break points a + d 2^-k for k = WALL_HALVINGS ... 1 (those that
-        round strictly between a and b), 25 panels and 375 radii in the first
-        call, then 30 radii per split."""
+        2 pi r g(r), one g call per refinement.  k is g's radial wavenumber,
+        a state's k: the initial panels (`_break_points`) split the width
+        into M = ceil(k d / BULK_SPAN) equal panels, so a state's oscillation
+        is resolved, and grade the first toward the inner wall, where R goes
+        like (r - a)^nu.  A state's integrals converge in the first g call,
+        15 radii a panel; a bisection takes 30 more."""
         def radial(r):
             return (np.asarray(g(r), dtype=float).T * (2.0 * np.pi * r)).T
 
-        return integrate_1d(radial, self.a, self.b, _break_points(self.a, self.b))
+        return integrate_1d(radial, self.a, self.b,
+                            _break_points(self.a, self.b, k))
 
 
 @lru_cache(maxsize=256)
-def _break_points(a, b):
-    """The annulus rule's initial break points: a + d 2^-j for j =
-    WALL_HALVINGS ... 1, d = b - a, those that round strictly between a and b
-    (rounding keeps them in order; one that repeats a or its predecessor
-    is dropped)."""
+def _break_points(a, b, k):
+    """The annulus rule's initial break points, d = b - a: the bulk
+    a + j d / M, j = 1 ... M - 1, M = ceil(k d / BULK_SPAN) (at least 1),
+    after the wall grading a + d 2^-j, j = WALL_HALVINGS ... 1, below the
+    first of them, a + d / M.  Only those that round strictly between a and
+    b are kept (rounding keeps them in order; one that repeats a or its
+    predecessor is dropped)."""
     d = b - a
+    m = max(1, math.ceil(k * d / BULK_SPAN))
+    first = a + d / m
+    graded = (a + d * 0.5 ** j for j in range(WALL_HALVINGS, 0, -1))
     points, last = [], a
-    for j in range(WALL_HALVINGS, 0, -1):
-        p = a + d * 0.5 ** j
+    for p in [*(p for p in graded if p < first),
+              *(a + j * d / m for j in range(1, m))]:
         if last < p < b:
             points.append(p)
             last = p

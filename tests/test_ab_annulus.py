@@ -158,7 +158,7 @@ class TestEigenstate:
                             (AnnulusConfig(B=0.6), 1, 1),
                             (AnnulusConfig(B=1.4), 1, 1)):
             state = eigenstate(cfg, m, n)
-            val = AnnulusDomain(CFG.a, CFG.b).integrate(state.radial_density)
+            val = AnnulusDomain(CFG.a, CFG.b).integrate(state.radial_density, state.k)
             assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_walls(self):
@@ -388,9 +388,9 @@ class TestEnergyDecomposition:
         seen = []
         original = AnnulusDomain.integrate
 
-        def spy(domain, g):
+        def spy(domain, g, k):
             seen.append((domain, g))
-            return original(domain, g)
+            return original(domain, g, k)
         monkeypatch.setattr(AnnulusDomain, "integrate", spy)
         state = eigenstate(CFG, 50, 5)
         energy_decomposition(state)
@@ -461,9 +461,9 @@ class TestRadialIntegrands:
         seen = []
         original = AnnulusDomain.integrate
 
-        def spy(domain, g):
+        def spy(domain, g, k):
             seen.append((domain, g))
-            return original(domain, g)
+            return original(domain, g, k)
         monkeypatch.setattr(AnnulusDomain, "integrate", spy)
         states = grid_and_wide_states()
         for state in states:
@@ -490,10 +490,10 @@ class TestRadialIntegrands:
 
 class TestQuadratureCost:
     def test_grid_sweep_integrand_calls(self, monkeypatch):
-        # the radial rule starts from panels graded toward the inner wall, so
-        # the (r - a)^nu states with nu <= 1 need no level-by-level bisection
-        # toward it: 96 calls for the 30 states' angular momenta and energy
-        # split (460 from one initial panel)
+        # the radial rule starts from panels graded toward the inner wall and
+        # at most BULK_SPAN wide in k (r - a), so every integral converges in
+        # its first call: 60 calls for the 30 states' angular momenta and
+        # energy split (96 from the graded panels alone, 460 from one panel)
         calls = []
         original = ABState.radial_parts
 
@@ -505,7 +505,31 @@ class TestQuadratureCost:
         for state in states:
             angular_momenta(state)
             energy_decomposition(state)
-        assert len(calls) <= 120
+        assert len(calls) == 2 * len(states) == 60
+
+    @pytest.mark.parametrize("m, n", [(12, 2), (50, 5), (20, 100), (50, 100)])
+    def test_wide_window(self, monkeypatch, m, n):
+        # up to n = 100 the bulk panels resolve the state: each integral
+        # takes at most 2 integrand calls (one at every state measured), and
+        # the angular-momentum theorem and the energy split hold
+        state = eigenstate(CFG, m, n)
+        calls = []
+        original = ABState.radial_parts
+
+        def counted(state, r):
+            calls.append(r.size)
+            return original(state, r)
+        monkeypatch.setattr(ABState, "radial_parts", counted)
+        mom = angular_momenta(state)
+        assert len(calls) <= 2
+        calls.clear()
+        dec = energy_decomposition(state)
+        assert len(calls) <= 2
+        hbar = CFG.hbar
+        for key, want in [("total", m + state.lam), ("canonical", m),
+                          ("osmotic", state.lam)]:
+            assert mom[key] == pytest.approx(hbar * want, abs=1e-8 * hbar)
+        assert dec["residual"] <= 1e-12
 
 
 class TestPinnedObservables:

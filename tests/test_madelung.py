@@ -9,11 +9,11 @@ import pytest
 from abtool.annulus import (WALL_MARGIN_FRACTION, AnnulusConfig, eigenstate,
                             energy_decomposition, solenoid_potential,
                             vector_potential)
-from abtool.madelung import (RHO_FLOOR, WALL_HALVINGS, AnnulusDomain, Constants,
-                             DensityFloorError, WaveField, circulation,
-                             decompose, gauge_transform, quantum_force,
-                             quantum_potential)
-from abtool import numerics
+from abtool.madelung import (BULK_SPAN, RHO_FLOOR, WALL_HALVINGS, AnnulusDomain,
+                             Constants, DensityFloorError, WaveField,
+                             circulation, decompose, gauge_transform,
+                             quantum_force, quantum_potential)
+from abtool import madelung, numerics
 from abtool.wavepackets import GaussianPacketConfig
 from oracles import (analytic_field, annulus_value_and_gradient,
                      gaussian_wavefield, quasi_currents)
@@ -336,7 +336,8 @@ class TestEnergyIdentity:
                              half_rho * np.sum(dec.w_quasi ** 2, axis=-1)],
                             axis=-1)
 
-        rotational, radial = map(float, _energy_domain(CFG).integrate(densities))
+        rotational, radial = map(float, _energy_domain(CFG).integrate(densities,
+                                                                       STATE.k))
         out = energy_decomposition(STATE)
         assert out["residual"] <= 1e-6
         assert rotational == pytest.approx(out["rotational"], rel=1e-10)
@@ -392,27 +393,28 @@ def gk15_nodes(*edges):
 class TestDomains:
     def test_annulus_domain_area(self):
         dom = AnnulusDomain(1.0, 3.0)
-        val = dom.integrate(np.ones_like)
+        val = dom.integrate(np.ones_like, 0.0)
         assert val == pytest.approx(8.0 * np.pi, rel=1e-12)
 
     def test_annulus_vector_integrand(self):
         def g(r):
             return np.stack([np.ones_like(r), r ** 2], axis=-1)
-        area, second = AnnulusDomain(1.0, 3.0).integrate(g)
+        area, second = AnnulusDomain(1.0, 3.0).integrate(g, 0.0)
         assert area == pytest.approx(8.0 * np.pi, rel=1e-12)
         assert second == pytest.approx(40.0 * np.pi, rel=1e-12)
 
     def test_annulus_one_batch_per_refinement(self):
-        # the integrand is a function of r alone: the first call is the GK15
-        # nodes of the 25 initial panels graded toward r = a, ending at
-        # a + d 2^-k for k = 24 ... 1, and each later call one bisection, the
-        # 30 radii of both halves of a panel not yet split
+        # the integrand is a function of r alone: at k d = BULK_SPAN the
+        # first call is the GK15 nodes of the 25 initial panels graded toward
+        # r = a, ending at a + d 2^-k for k = 24 ... 1, and each later call
+        # one bisection, the 30 radii of both halves of a panel not yet split
+        # (sin(20 r) is not resolved by those panels)
         radii = []
 
         def g(r):
             radii.append(r.copy())
             return np.sqrt(r - 1.0) * np.sin(20.0 * r)
-        AnnulusDomain(1.0, 3.0).integrate(g)
+        AnnulusDomain(1.0, 3.0).integrate(g, BULK_SPAN / 2.0)
         edges = [1.0, *(1.0 + 2.0 * 0.5 ** k for k in range(24, 0, -1)), 3.0]
         assert radii[0].size == 25 * 15
         assert np.allclose(radii[0], gk15_nodes(*edges), rtol=0.0, atol=1e-12)
@@ -425,6 +427,32 @@ class TestDomains:
             (a, b), = split
             leaves -= {(a, b)}
             leaves |= {(a, 0.5 * (a + b)), (0.5 * (a + b), b)}
+
+    @pytest.mark.parametrize("a, b, k", [
+        (1.0, 3.0, 0.0), (1.0, 3.0, 0.7), (1.0, 3.0, 1.0),   # k d <= BULK_SPAN
+        (1.0, 3.0, 2.0), (1.0, 3.0, math.pi / 2.0 + 3.0), (1.0, 3.0, 185.3),
+        (1.0 + 2e-7, 3.0 - 2e-7, 9.0), (0.25, 0.5, 37.0), (1e-3, 1e3, 0.01)])
+    def test_break_points(self, a, b, k):
+        # strictly increasing inside (a, b); the bulk splits d into M equal
+        # panels, each at most BULK_SPAN / k wide (up to rounding); below the
+        # first bulk point the points are the wall grading a + d 2^-j,
+        # j = 24 ... 1, as the rule made it alone, and at k d <= BULK_SPAN
+        # they are all of it: 25 panels
+        points = madelung._break_points(a, b, k)
+        edges = np.array([a, *points, b])
+        assert np.all(np.diff(edges) > 0.0)
+        d = b - a
+        bulk = max(1, math.ceil(k * d / BULK_SPAN))
+        if k > 0.0:
+            assert np.diff(edges).max() <= (BULK_SPAN / k) * (1.0 + 1e-14)
+        graded = a + d * 0.5 ** np.arange(WALL_HALVINGS, 0, -1)
+        graded = graded[(np.diff(graded, prepend=a) > 0.0) & (graded < b)]
+        first = a + d / bulk
+        below = np.array([p for p in points if p < first])
+        assert np.array_equal(below, graded[graded < first])
+        assert len(points) - below.size == bulk - 1
+        if k * d <= BULK_SPAN:
+            assert np.array_equal(points, graded) and len(points) + 1 == 25
 
     def test_finest_panel_inside_the_wall_margin(self):
         # the energy integrals start WALL_MARGIN_FRACTION d inside the walls;
@@ -442,7 +470,7 @@ class TestDomains:
             radii.append(r.copy())
             return (r - 1.0) ** -0.5
         with pytest.raises(numerics.NonConvergenceError) as err:
-            AnnulusDomain(1.0, 3.0).integrate(g)
+            AnnulusDomain(1.0, 3.0).integrate(g, 0.0)
         assert min(r.min() for r in radii) > 1.0
         exact = 2.0 * math.pi * (10.0 / 3.0) * math.sqrt(2.0)
         assert err.value.best_estimate == pytest.approx(exact, rel=1e-8)
@@ -452,5 +480,5 @@ class TestDomains:
         # break points that round onto a or onto each other are dropped
         a = 1.0
         b = a + 4.0 * math.ulp(a)
-        assert AnnulusDomain(a, b).integrate(np.ones_like) == pytest.approx(
+        assert AnnulusDomain(a, b).integrate(np.ones_like, 0.0) == pytest.approx(
             math.pi * (b * b - a * a), rel=1e-12)

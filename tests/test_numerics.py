@@ -396,7 +396,7 @@ class TestQuadrature:
         assert integrate_1d(lambda x: x, 0.0, 1.0) == pytest.approx(0.5, abs=1e-14)
 
     def test_annulus_area(self):
-        val = AnnulusDomain(1.0, 3.0).integrate(np.ones_like)
+        val = AnnulusDomain(1.0, 3.0).integrate(np.ones_like, 0.0)
         assert val == pytest.approx(8.0 * math.pi, rel=1e-12)
 
     def test_airy_squared_integral_against_trapezoid_oracle(self):

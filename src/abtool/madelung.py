@@ -245,12 +245,12 @@ class AnnulusDomain:
 
 @lru_cache(maxsize=256)
 def _break_points(a, b, k):
-    """The annulus rule's initial break points, d = b - a: the bulk
-    a + j d / M, j = 1 ... M - 1, M = ceil(k d / BULK_SPAN) (at least 1),
-    after the wall grading a + d 2^-j, j = WALL_HALVINGS ... 1, below the
-    first of them, a + d / M.  Only those that round strictly between a and
-    b are kept (rounding keeps them in order; one that repeats a or its
-    predecessor is dropped)."""
+    """The annulus rule's initial break points, d = b - a: the wall grading
+    a + d 2^-j, j = WALL_HALVINGS ... 1, below a + d / M, then the bulk
+    a + j d / M, j = 1 ... M - 1, with M = ceil(k d / BULK_SPAN) (at least
+    1).  Only those that round strictly between a and b are kept (rounding
+    keeps them in order; one that repeats a or its predecessor is
+    dropped)."""
     d = b - a
     m = max(1, math.ceil(k * d / BULK_SPAN))
     first = a + d / m

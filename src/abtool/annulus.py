@@ -20,7 +20,8 @@ from . import madelung
 from .madelung import (AnnulusDomain,
                        decompose)  # noqa: F401 (benchmark/spans.py wraps it here)
 from .numerics import (bessel_j, bessel_j_pair, bessel_j_zero, curl_z_fd,
-                       gradient_fd, integrate_1d)
+                       gradient_fd,
+                       integrate_1d)  # noqa: F401 (benchmark/spans.py wraps it here)
 
 
 @dataclass(frozen=True)
@@ -212,8 +213,10 @@ class ABState:
 
 
 def _radial_profile(cfg, nu, n):
-    """(tau, k, N) for order nu: N normalizes the 2-d polar integral of
-    N^2 J^2 to one (the angular factor contributes 2 pi exactly)."""
+    """(tau, k, N) for order nu: N normalizes the annulus integral of
+    N^2 J_nu(k (r - a))^2 to one, by the rule the observables use
+    (`AnnulusDomain.integrate` at this k), so a state's normalization
+    converges in one integrand call."""
     tau = bessel_j_zero(nu, n)
     k = tau / cfg.d
 
@@ -221,18 +224,18 @@ def _radial_profile(cfg, nu, n):
         return ValueError(f"the radial normalization integral {what} "
                           f"(a = {cfg.a!r}, b = {cfg.b!r})")
 
-    def weight(r):
+    def density(r):
         s = r - cfg.a
         if s.min() < 0.0:
-            # an annulus a few ulps thick: a node of a bisected panel rounded
+            # an annulus a few ulps thick: a node of a narrow panel rounded
             # below a, where J_nu has no value
             raise unusable("has a node below a")
-        return bessel_j(nu, k * s) ** 2 * r
+        return bessel_j(nu, k * s) ** 2
 
-    radial_int = integrate_1d(weight, cfg.a, cfg.b)
-    if not 0.0 < radial_int < math.inf:
-        raise unusable(f"is {float(radial_int)}, not a positive finite number")
-    return tau, k, 1.0 / math.sqrt(2.0 * math.pi * radial_int)
+    norm_int = AnnulusDomain(cfg.a, cfg.b).integrate(density, k)
+    if not 0.0 < norm_int < math.inf:
+        raise unusable(f"is {float(norm_int)}, not a positive finite number")
+    return tau, k, 1.0 / math.sqrt(norm_int)
 
 
 @lru_cache(maxsize=256)

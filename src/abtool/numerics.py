@@ -469,14 +469,19 @@ _AIRY_U_LEFT = (-1.0) ** (np.arange(_AIRY_U.size) // 2) * _AIRY_U
 
 
 def _airy_series(x):
-    x3 = x ** 3
-    f, g, cf, cg = np.ones_like(x), x.copy(), np.ones_like(x), x.copy()
+    """Ai(x) from its Maclaurin series (DLMF 9.4.1) on a float or an array,
+    with one set of bits: x^3 is numpy's power (a float's ** rounds some x
+    differently), the rest is correctly rounded either way."""
+    scalar = isinstance(x, float)
+    x3 = float(np.power(x, 3)) if scalar else np.power(x, 3)
+    converged = bool if scalar else np.all
+    f, g, cf, cg = 1.0, x, 1.0, x
     for k in range(140):
         cf = cf * x3 / ((3 * k + 2.0) * (3 * k + 3.0))
         cg = cg * x3 / ((3 * k + 3.0) * (3 * k + 4.0))
-        f += cf
-        g += cg
-        if np.all(np.abs(cf) + np.abs(cg) < 1e-18 * (np.abs(f) + np.abs(g) + 1.0)):
+        f = f + cf
+        g = g + cg
+        if converged(abs(cf) + abs(cg) < 1e-18 * (abs(f) + abs(g) + 1.0)):
             break
     return AIRY_AI_0 * f + AIRY_AI_PRIME_0 * g
 
@@ -510,6 +515,8 @@ def airy_ai(x):
     """Airy function Ai(x) on roughly [-40, 40]."""
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
+    if scalar and abs(float(xa)) <= _AIRY_SEAM:     # a zero's bisection
+        return _airy_series(float(xa))
     xv = np.atleast_1d(xa).astype(float)
     out = np.empty_like(xv)
     # a branch costs tens of numpy calls even on no points, so only the

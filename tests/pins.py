@@ -19,8 +19,9 @@ the only one that turns a result into bytes.  Running it,
 
     python tests/pins.py
 
-imports every test module, runs every producer and rewrites every ledger;
-pytest only reads them.
+imports every test module, runs every producer and rewrites every ledger,
+printing for each how many pins and values moved against the ledger it
+replaces and the largest relative change; pytest only reads them.
 """
 import csv
 import hashlib
@@ -77,11 +78,8 @@ class PinSet:
         if name not in self.ledger:
             raise AssertionError(f"{label} is not in {self.path.name}; "
                                  "write the ledgers with `python tests/pins.py`")
-        entry, values = self.ledger[name], _encoded(record.values)
-        moved = sorted((_change(n, entry["values"].get(n), values.get(n))
-                        for n in entry["values"].keys() | values.keys()
-                        if entry["values"].get(n) != values.get(n)),
-                       key=lambda c: (-c[0], c[1]))
+        entry = self.ledger[name]
+        moved = _moved(entry["values"], _encoded(record.values))
         if record.sha256 == entry["sha256"] and not moved:
             return
         lines = [f"{label} moved:"]
@@ -225,6 +223,14 @@ def _change(name, old, new):
     return rel, name, f"{name}: {a!r} -> {b!r} (relative {rel:.3g}, {ulps} ulp)"
 
 
+def _moved(old, new):
+    """The `_change` of every value that differs between two ledger value
+    maps, largest relative change first."""
+    return sorted((_change(n, old.get(n), new.get(n))
+                   for n in old.keys() | new.keys() if old.get(n) != new.get(n)),
+                  key=lambda c: (-c[0], c[1]))
+
+
 def canonical(ledger):
     """A ledger's text: sorted keys, indent 1, a final newline."""
     return json.dumps(ledger, indent=1, sort_keys=True) + "\n"
@@ -240,14 +246,35 @@ def pin_sets():
     return sets
 
 
+def moved_summary(name, old, new):
+    """One line on what moved from the ledger `old` to `new`: the pins whose
+    digest or values differ, the values that moved and the largest relative
+    change among them."""
+    pins_moved, values_moved = 0, []
+    for pin in old.keys() | new.keys():
+        before, after = old.get(pin), new.get(pin)
+        if before != after:
+            pins_moved += 1
+            values_moved += [(rel, f"{pin} {value}") for rel, value, _ in _moved(
+                (before or {}).get("values", {}), (after or {}).get("values", {}))]
+    line = (f"{name}: {pins_moved} of {len(new)} pins and {len(values_moved)} "
+            "values moved")
+    if values_moved:
+        rel, where = max(values_moved)
+        line += f", largest relative change {rel:.3g} ({where})"
+    return line
+
+
 def write_ledgers():
-    """Run every producer and write every ledger."""
+    """Run every producer, write every ledger and print what moved in each
+    against the ledger it replaces."""
     LEDGERS.mkdir(exist_ok=True)
     for pin_set in pin_sets().values():
         ledger = {}
         for name, produce in pin_set.producers.items():
             record = produce()
             ledger[name] = {"sha256": record.sha256, "values": _encoded(record.values)}
+        print(moved_summary(pin_set.name, pin_set.ledger, ledger))
         pin_set.path.write_text(canonical(ledger), encoding="utf-8")
 
 

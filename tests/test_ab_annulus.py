@@ -161,6 +161,27 @@ class TestEigenstate:
             val = AnnulusDomain(CFG.a, CFG.b).integrate(state.radial_density, state.k)
             assert val == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("B, m, n", [(-0.5, 0, 1), (-0.5, 0, 2), (-0.5, 2, 2),
+                                         (1.0, 20, 100), (1.0, 50, 100)])
+    def test_norm_against_mpmath(self, B, m, n):
+        # B = -1/2 is lambda = 1/4.  1 / N^2 = 2 pi int_a^b J_nu(k (r - a))^2 r dr
+        # = 2 pi int_0^tau J_nu(x)^2 (a k + x) dx / k^2.  The x part is
+        # tau^2 J_{nu+1}(tau)^2 / 2 at a zero (DLMF 10.22), and
+        # int_0^tau J_nu^2 dx = tau^(2 nu + 1) / (4^nu Gamma(nu + 1)^2 (2 nu + 1))
+        # 2F3(nu + 1/2, nu + 1/2; nu + 3/2, nu + 1, 2 nu + 1; -tau^2), the
+        # termwise integral of J_nu^2's power series (DLMF 10.8)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        cfg = AnnulusConfig(B=B)
+        state = eigenstate(cfg, m, n)
+        nu, tau = mp.mpf(state.nu), mp.mpf(state.tau)
+        k = tau / cfg.d
+        j_squared = (tau ** (2 * nu + 1) / (4 ** nu * mp.gamma(nu + 1) ** 2 * (2 * nu + 1))
+                     * mp.hyp2f3(nu + 0.5, nu + 0.5, nu + 1.5, nu + 1, 2 * nu + 1, -tau ** 2))
+        x_part = tau ** 2 * mp.besselj(nu + 1, tau) ** 2 / 2
+        norm = 1 / mp.sqrt(2 * mp.pi * (cfg.a * k * j_squared + x_part) / k ** 2)
+        assert state.norm == pytest.approx(float(norm), rel=1e-14, abs=0.0)
+
     def test_walls(self):
         # psi vanishes identically at both walls for nu > 0
         assert STATE.amplitude(np.array([CFG.a, 0.0])) == 0.0

@@ -356,6 +356,31 @@ class TestAiry:
         with pytest.raises(ValueError, match="n must be >= 1"):
             airy_ai_zero(0)
 
+    def test_a_float_takes_the_bits_of_an_array(self, monkeypatch):
+        # a 0-d argument in the series branch runs on floats, an array on
+        # arrays: random points, the seam +-7.5 and its neighbours, and
+        # every point the bisection for z_1 and z_2 evaluates
+        seam = [s * x for s in (1.0, -1.0)
+                for x in (7.5, np.nextafter(7.5, 0.0), np.nextafter(7.5, 8.0))]
+        bisected = []
+
+        def recorded(x):
+            bisected.append(x)
+            return airy_ai(x)
+
+        monkeypatch.setattr(numerics, "airy_ai", recorded)
+        numerics.airy_ai_zero.cache_clear()
+        zeros = [airy_ai_zero(1), airy_ai_zero(2)]
+        monkeypatch.undo()
+        numerics.airy_ai_zero.cache_clear()
+        assert zeros == [airy_ai_zero(1), airy_ai_zero(2)] and len(bisected) > 80
+        xs = [*np.random.default_rng(39).uniform(-40.0, 7.5, 2000).tolist(),
+              *seam, *bisected]
+        floats = [airy_ai(float(x)) for x in xs]
+        assert all(type(v) is float for v in floats)
+        assert np.array(floats).tobytes() == np.array(
+            [airy_ai(np.array([x]))[0] for x in xs]).tobytes()
+
 
 class TestOrthogonalPolynomials:
     def test_laguerre_order_zero(self):

@@ -41,12 +41,15 @@ def test_a_one_ulp_step_names_its_trajectory(monkeypatch):
             step[2] = complex(np.nextafter(step[2].real, np.inf), step[2].imag)
 
     monkeypatch.setattr(sde._SeparableStepKernel, "__call__", shifted)
+    trajectories = pins.pin_sets()["trajectories"]
     with pytest.raises(AssertionError) as failure:
-        pins.pin_sets()["trajectories"].check("short_run_m1_n1_seed11")
+        trajectories.check("short_run_m1_n1_seed11")
     names, first = moved_values(failure)
     assert names and all(name.startswith("t02.") for name in names)
     assert first.startswith(f"{names[0]}: ") and first.endswith(" ulp)")
-    assert "sha256 88ac2334" in str(failure.value)
+    # the ledger's digest, from tests/pins/trajectories.json, is the old side
+    assert f"sha256 {trajectories.sha256('short_run_m1_n1_seed11')} -> " \
+        in str(failure.value)
 
 
 def test_a_one_ulp_check_detail_names_its_key_path(monkeypatch):
@@ -81,3 +84,17 @@ def test_a_report_orders_by_relative_change():
     assert "c: 2.0 -> -2.0 (relative 2, 9223372036854775808 ulp)" in text
     assert "b: 3 -> 4 (relative 0.333, 1 ulp)" in text
     assert "a: 1.0 -> 1.0000000000000002 (relative 2.22e-16, 1 ulp)" in text
+
+
+def test_the_writer_counts_what_moved():
+    old = {"same": {"sha256": "0", "values": {"x": (1.0).hex()}},
+           "moved": {"sha256": "1", "values": {"x": (1.0).hex(), "y": (2.0).hex()}},
+           "gone": {"sha256": "2", "values": {}}}
+    new = {"same": old["same"],
+           "moved": {"sha256": "3", "values": {"x": (1.0).hex(), "y": (2.5).hex()}},
+           "new": {"sha256": "4", "values": {}}}
+    assert pins.moved_summary("planted", old, new) == (
+        "planted: 3 of 3 pins and 1 values moved, largest relative change "
+        "0.25 (moved y)")
+    assert pins.moved_summary("planted", old, old) == (
+        "planted: 0 of 3 pins and 0 values moved")

@@ -43,7 +43,8 @@ class NonConvergenceError(RuntimeError):
 # One router, `_bessel`, gives the pair J_order, J_{order+1} (J alone is its
 # first row) with one split, x <= 9.25 for every order:
 # - at or below it, the ascending series (coefficients cached per order, one
-#   Horner pass over both rows, truncated at the batch's largest argument);
+#   Horner pass over both rows on every cached term, so a value's bits
+#   depend on its order and x alone);
 # - past it, Miller's backward recurrence (Gautschi, SIAM Review 9 (1967) 24),
 #   normalized by the Neumann sum (A&S 9.1.87), which gives both rows from one
 #   pass; each element starts at its own order, so its bits do not depend on
@@ -56,9 +57,10 @@ class NonConvergenceError(RuntimeError):
 #   9.25 < x <= 400  Miller  7.3e-16
 # The split sits where the series' rounding stays below 1e-13 (it reaches
 # 1.6e-13 at x = 10); on (9.25, 10] Miller's recurrence holds 3.3e-16.
-# Cost on a 2-core Xeon, numpy 2.4: per 1e5 points the series 2.0-3.4 ms,
+# Cost on a 2-core Xeon, numpy 2.4: per 1e5 points the series 3.4 ms,
 # Miller 25 ms on (10, 40] and 96 ms on (10, 400] (its passes grow with x); a
-# 15- or 30-point call of the series 17-26 us, mostly four ufunc calls a term.
+# 15- or 30-point call of the series about 26 us, mostly four ufunc calls for
+# each of its 27 Horner steps.
 # Every hot path reads x <= 9.1 and stays on the series.
 # ---------------------------------------------------------------------------
 
@@ -68,14 +70,9 @@ MAX_ZERO_INDEX = 100       # largest n of a zero j_{order,n}
 _SERIES_MAX_X = 9.25
 # below it 0.5 * x is subnormal, so rounded, and (x/2)^order with it
 _HALF_SUBNORMAL_X = 2.0 ** -1021
-# Horner reads c[0] to c[nterms]; at x <= 9.25 nterms <= 27 for every order
+# Horner reads c[0] to c[27]: at x <= 9.25 the first omitted term is below
+# 1e-20 and below 1e-20 Gamma(13) times the first for every row order <= 52
 _SERIES_TERMS = 28
-# The first term 1/Gamma(order + 1) shrinks fast with the order, so 1e-20 on
-# the sum alone would let J's truncation error grow as (x/2)^order (3e-9 at
-# order 18, x = 10).  The bound relative to the first term equals 1e-20 at
-# order 12, so up to order 12 the absolute bound alone decides; J is then
-# truncated to within 7.8e-14 at x <= 10, past the split, for every order.
-_SERIES_REL_TOL = 1e-20 * math.gamma(13.0)
 
 
 @lru_cache(maxsize=None)
@@ -89,29 +86,13 @@ def _series_coeffs(order):
     return [c[k, ...] for k in range(_SERIES_TERMS)]
 
 
-def _series_terms(order, ymax):
-    """Truncation of the ascending series for the arguments y = (x/2)^2 <=
-    ymax: the smallest where the next term is below 1e-20 and below
-    _SERIES_REL_TOL times the first at ymax (the series alternates, so the
-    next term bounds the remainder)."""
-    c = _series_coeffs(order)
-    tol = min(1e-20, _SERIES_REL_TOL * float(c[0]))
-    nterms = 8
-    t = abs(float(c[nterms])) * ymax ** nterms
-    while nterms < _SERIES_TERMS - 1 and t > tol:
-        nterms += 1
-        t *= ymax / (nterms * (order + nterms))
-    return nterms
-
-
 def _horner_series(order, y):
     """J_o(x) / (x/2)^o for o = order, order + 1: sum_k c_o[k] y^k by Horner
-    at y = (x/2)^2, truncated where the series of J_order is.  y is the
-    caller's: freeing it here raised peak RSS 1 MB on 1e5-point batches."""
+    at y = (x/2)^2 on every cached term.  y is the caller's: freeing it here
+    raised peak RSS 1 MB on 1e5-point batches."""
     c0, c1 = _series_coeffs(order), _series_coeffs(order + 1.0)
-    nterms = _series_terms(order, float(y.max(initial=0.0)))
-    s0, s1 = np.full_like(y, c0[nterms]), np.full_like(y, c1[nterms])
-    for c0k, c1k in zip(c0[nterms - 1::-1], c1[nterms - 1::-1]):
+    s0, s1 = np.full_like(y, c0[-1]), np.full_like(y, c1[-1])
+    for c0k, c1k in zip(c0[-2::-1], c1[-2::-1]):
         np.multiply(s0, y, s0)      # four positional in-place calls a
         np.add(s0, c0k, s0)         # term, one row at a time: a 2-row
         np.multiply(s1, y, s1)      # layout measured slower on 15, 30
@@ -153,8 +134,7 @@ def _bessel(order, x):
     """[J_order(x), J_{order+1}(x)] for a 1-d array x >= 0: one Horner pass
     over both rows where x <= 9.25, scaled by (x/2)^order (x^order 2^-order
     where x/2 is subnormal; both are 1.0 at order 0), Miller's past it.
-    A point past the split has the same bits in any batch; one below it may
-    not, as the Horner truncation follows max(x)."""
+    A point has the same bits in any batch."""
     inner = None if x.max(initial=0.0) <= _SERIES_MAX_X else x <= _SERIES_MAX_X
     xs = x if inner is None else x[inner]
     half = 0.5 * xs
@@ -196,7 +176,7 @@ def _bessel_call(name, order, x):
 def bessel_j(order, x):
     """Bessel function of the first kind J_order(x), 0 <= order <= 51
     (MAX_ORDER + 1), x >= 0: the first row of the pair."""
-    if np.min(x, initial=0.0) < 0.0:
+    if not np.min(x, initial=0.0) >= 0.0:      # nan fails it too
         raise ValueError("bessel_j: x must be >= 0")
     return _bessel_call("bessel_j", order, x)[0]
 
@@ -518,7 +498,7 @@ def airy_ai(x):
     if scalar and abs(float(xa)) <= _AIRY_SEAM:     # a zero's bisection
         return _airy_series(float(xa))
     xv = np.atleast_1d(xa).astype(float)
-    out = np.empty_like(xv)
+    out = np.full_like(xv, np.nan)      # nan takes no branch and stays nan
     # a branch costs tens of numpy calls even on no points, so only the
     # branches that have points run
     for branch, sel in ((_airy_series, np.abs(xv) <= _AIRY_SEAM),

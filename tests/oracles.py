@@ -18,9 +18,8 @@ bessel_pair_reference
                      (J_nu, J_{nu+1}) by the list-form series router that
                      preceded the in-place Horner pass, checked bit for bit
                      against `numerics.bessel_j_pair`: it restates the
-                     series' split and truncation rule, and takes the rows
-                     past the split from `bessel_j_pair` itself (a point
-                     there has the same bits in any batch).
+                     series' split and length, and takes the rows past the
+                     split from `bessel_j_pair` itself.
 
 `analytic_field` builds a `madelung.WaveField` from a closed-form gradient.
 
@@ -118,9 +117,11 @@ def gaussian_wavefield(cfg, t):
     return analytic_field(amplitude, gradient)
 
 
-# numerics' series window and truncation rule, restated for the reference
+# numerics' series window and length, restated for the reference, and the
+# truncation rule that length is checked against
 _SERIES_MAX_X = 9.25
 _HALF_SUBNORMAL_X = 2.0 ** -1021
+_SERIES_KEPT = 27           # Horner reads c[0] to c[27] at every x
 _SERIES_TERMS = 120
 _SERIES_REL_TOL = 1e-20 * math.gamma(13.0)
 
@@ -149,11 +150,10 @@ def _series_terms_reference(order, ymax):
 
 def _horner_series_reference(order, y):
     """Both rows' series sums by Horner, one in-place operator pair per row
-    and term, truncated where the series of J_order is."""
+    and term, on the terms up to c[_SERIES_KEPT] at every y."""
     coeffs = [_series_coeffs_reference(order), _series_coeffs_reference(order + 1.0)]
-    nterms = _series_terms_reference(order, float(y.max()) if y.size else 0.0)
-    sums = [np.full_like(y, c[nterms]) for c in coeffs]
-    for k in range(nterms - 1, -1, -1):
+    sums = [np.full_like(y, c[_SERIES_KEPT]) for c in coeffs]
+    for k in range(_SERIES_KEPT - 1, -1, -1):
         for s, c in zip(sums, coeffs):
             s *= y
             s += c[k]

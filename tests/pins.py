@@ -21,7 +21,7 @@ the only one that turns a result into bytes.  Running it,
 
 imports every test module, runs every producer and rewrites every ledger,
 printing for each how many pins and values moved against the ledger it
-replaces and the largest relative change; pytest only reads them.
+replaces and the largest finite relative change; pytest only reads them.
 """
 import csv
 import hashlib
@@ -86,8 +86,9 @@ class PinSet:
         if record.sha256 != entry["sha256"]:
             lines.append(f"  sha256 {entry['sha256']} -> {record.sha256}")
         lines.append(f"  named values moved: {len(moved)}"
-                     + (", largest relative change first" if moved else ""))
-        lines += [f"    {text}" for _, _, text in moved]
+                     + (", largest relative change first, moves off or onto 0 last"
+                        if moved else ""))
+        lines += [f"    {text}" for *_, text in moved]
         lines.append("  if the move is meant, rewrite the ledgers with "
                      "`python tests/pins.py` and cite `git diff tests/pins/`")
         raise AssertionError("\n".join(lines))
@@ -208,27 +209,34 @@ def _ordered(x):
 
 
 def _change(name, old, new):
-    """(relative change, name, report line) of a value that moved from the
-    ledger's `old` to `new`; None is a value one side lacks."""
+    """(sort key, relative change, name, report line) of a value that moved
+    from the ledger's `old` to `new`; None is a value one side lacks.  A move
+    off or onto 0 has no relative change (None) and reports its absolute
+    size.  The key puts added and removed values first, then the largest
+    relative change, then the moves off or onto 0, the largest first."""
     if old is None or new is None:
-        return math.inf, name, f"{name}: {'added' if old is None else 'removed'}"
+        return (0, 0.0), math.inf, name, f"{name}: {'added' if old is None else 'removed'}"
     a, b = (float.fromhex(v) if isinstance(v, str) else v for v in (old, new))
     if isinstance(a, float) or isinstance(b, float):
         a, b = float(a), float(b)
         ulps = abs(_ordered(b) - _ordered(a))
     else:
         ulps = abs(b - a)
-    rel = abs(b - a) / abs(a) if a else math.inf
+    if not (a and b):
+        size = abs(b - a)
+        return (2, -size), None, name, (f"{name}: {a!r} -> {b!r} "
+                                        f"(absolute {size:.3g}, {ulps} ulp)")
+    rel = abs(b - a) / abs(a)
     rel = math.inf if math.isnan(rel) else rel      # NaN would not sort
-    return rel, name, f"{name}: {a!r} -> {b!r} (relative {rel:.3g}, {ulps} ulp)"
+    return (1, -rel), rel, name, f"{name}: {a!r} -> {b!r} (relative {rel:.3g}, {ulps} ulp)"
 
 
 def _moved(old, new):
     """The `_change` of every value that differs between two ledger value
-    maps, largest relative change first."""
+    maps, in the order of their sort keys."""
     return sorted((_change(n, old.get(n), new.get(n))
                    for n in old.keys() | new.keys() if old.get(n) != new.get(n)),
-                  key=lambda c: (-c[0], c[1]))
+                  key=lambda c: (c[0], c[2]))
 
 
 def canonical(ledger):
@@ -248,19 +256,22 @@ def pin_sets():
 
 def moved_summary(name, old, new):
     """One line on what moved from the ledger `old` to `new`: the pins whose
-    digest or values differ, the values that moved and the largest relative
-    change among them."""
-    pins_moved, values_moved = 0, []
+    digest or values differ, the values that moved and the largest finite
+    relative change among them."""
+    pins_moved, values_moved, finite = 0, 0, []
     for pin in old.keys() | new.keys():
         before, after = old.get(pin), new.get(pin)
         if before != after:
             pins_moved += 1
-            values_moved += [(rel, f"{pin} {value}") for rel, value, _ in _moved(
-                (before or {}).get("values", {}), (after or {}).get("values", {}))]
-    line = (f"{name}: {pins_moved} of {len(new)} pins and {len(values_moved)} "
+            changes = _moved((before or {}).get("values", {}),
+                             (after or {}).get("values", {}))
+            values_moved += len(changes)
+            finite += [(rel, f"{pin} {value}") for _, rel, value, _ in changes
+                       if rel is not None and math.isfinite(rel)]
+    line = (f"{name}: {pins_moved} of {len(new)} pins and {values_moved} "
             "values moved")
-    if values_moved:
-        rel, where = max(values_moved)
+    if finite:
+        rel, where = max(finite)
         line += f", largest relative change {rel:.3g} ({where})"
     return line
 

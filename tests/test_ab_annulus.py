@@ -556,9 +556,7 @@ class TestQuadratureCost:
 class TestPinnedObservables:
     """Quadrature observables pinned bit for bit: one radial GK15 rule of
     functions of r (`AnnulusDomain.integrate`).  The two wide states reach
-    Miller's recurrence past x = 9.25, and a batch that mixes nodes below
-    the split changes the series truncation, so these pins also guard
-    the batching of a bisected panel's two halves into one integrand call."""
+    Miller's recurrence past x = 9.25."""
 
     def test_acceptance_grid(self):
         OBSERVABLES.check("acceptance_grid")

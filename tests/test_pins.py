@@ -98,3 +98,28 @@ def test_the_writer_counts_what_moved():
         "0.25 (moved y)")
     assert pins.moved_summary("planted", old, old) == (
         "planted: 0 of 3 pins and 0 values moved")
+
+
+def test_a_move_off_or_onto_zero_comes_after_every_relative_change():
+    # a rounding-level residual leaving 0.0 has no relative change: it is
+    # reported by its absolute size after the finite changes, and the
+    # writer's largest relative change ignores it
+    old = {"p": {"sha256": "0", "values": {
+        "residual": (0.0).hex(), "sum": (6.0).hex(), "cleared": (2.0).hex(),
+        "mean": (1.0).hex()}}}
+    new = {"p": {"sha256": "1", "values": {
+        "residual": (1.2e-16).hex(), "sum": (6.5).hex(), "cleared": (0.0).hex(),
+        "mean": np.nextafter(1.0, 2.0).hex()}}}
+    pin_set = pins.PinSet("planted")
+    pin_set.ledger = old
+    with pytest.raises(AssertionError) as failure:
+        pin_set.check("p", pins.Record("1", {k: float.fromhex(v) for k, v in
+                                             new["p"]["values"].items()}))
+    names, _ = moved_values(failure)
+    assert names == ["sum", "mean", "cleared", "residual"]
+    text = str(failure.value)
+    assert "residual: 0.0 -> 1.2e-16 (absolute 1.2e-16, " in text
+    assert "cleared: 2.0 -> 0.0 (absolute 2, " in text
+    assert pins.moved_summary("planted", old, new) == (
+        "planted: 1 of 1 pins and 4 values moved, largest relative change "
+        "0.0833 (p sum)")

@@ -30,7 +30,7 @@ from . import __version__, annulus, checks, models, sde, wavepackets
 from ._svg import line_chart
 from .annulus import AnnulusConfig, eigenstate, flux_parameter, solenoid_potential
 from .madelung import Constants, DensityFloorError, decompose
-from .numerics import NonConvergenceError
+from .numerics import MAX_ZERO_INDEX, NonConvergenceError
 from .sde import SdeConfig
 
 EXIT_OK = 0
@@ -121,6 +121,8 @@ def parse_config(text):
         raise ConfigError("output.format must be 'csv' or 'json'")
     if merged["grid"]["nr"] < 2 or merged["grid"]["ntheta"] < 1:
         raise ConfigError("grid: need nr >= 2 and ntheta >= 1")
+    if not 1 <= merged["state"]["n"] <= MAX_ZERO_INDEX:
+        raise ConfigError(f"state.n: need 1 <= n <= {MAX_ZERO_INDEX}")
     try:
         ann = AnnulusConfig(**merged["constants"], **merged["geometry"])
         sde_cfg = SdeConfig(**merged["sde"])

@@ -77,27 +77,28 @@ _SERIES_TERMS = 28
 
 @lru_cache(maxsize=None)
 def _series_coeffs(order):
-    """c[k] = (-1)^k / (k! Gamma(order + k + 1)) by the float recurrence, as
-    0-d arrays: a ufunc converts a float or numpy scalar on every call."""
-    c = np.empty(_SERIES_TERMS)
-    c[0] = 1.0 / math.gamma(order + 1.0)
-    for k in range(1, _SERIES_TERMS):
-        c[k] = -c[k - 1] / (k * (order + k))
-    return [c[k, ...] for k in range(_SERIES_TERMS)]
+    """c_order[k] + i c_{order+1}[k] as 0-d complex arrays (a ufunc converts
+    a scalar on every call), c_o[k] = (-1)^k / (k! Gamma(o + k + 1)) by the
+    float recurrence."""
+    c = np.empty((_SERIES_TERMS, 2))
+    for j, o in enumerate((order, order + 1.0)):
+        c[0, j] = 1.0 / math.gamma(o + 1.0)
+        for k in range(1, _SERIES_TERMS):
+            c[k, j] = -c[k - 1, j] / (k * (o + k))
+    return [p[...] for p in c.view(complex)[:, 0]]
 
 
 def _horner_series(order, y):
-    """J_o(x) / (x/2)^o for o = order, order + 1: sum_k c_o[k] y^k by Horner
-    at y = (x/2)^2 on every cached term.  y is the caller's: freeing it here
-    raised peak RSS 1 MB on 1e5-point batches."""
-    c0, c1 = _series_coeffs(order), _series_coeffs(order + 1.0)
-    s0, s1 = np.full_like(y, c0[-1]), np.full_like(y, c1[-1])
-    for c0k, c1k in zip(c0[-2::-1], c1[-2::-1]):
-        np.multiply(s0, y, s0)      # four positional in-place calls a
-        np.add(s0, c0k, s0)         # term, one row at a time: a 2-row
-        np.multiply(s1, y, s1)      # layout measured slower on 15, 30
-        np.add(s1, c1k, s1)         # and 1e5 points
-    return s0, s1
+    """J_o(x) / (x/2)^o for o = order, order + 1 as the real and imaginary
+    parts of sum_k c[k] y^k by Horner at y = (x/2)^2 + 0i on every cached
+    term.  Times y + 0i rounds each part once, as a real product does, so
+    each part has the bits of a real pass over its own row."""
+    c = _series_coeffs(order)
+    s = np.full_like(y, c[-1])
+    for ck in c[-2::-1]:
+        np.multiply(s, y, s)        # two positional in-place calls a term
+        np.add(s, ck, s)
+    return s
 
 
 def _miller(order, x):
@@ -126,7 +127,7 @@ def _miller(order, x):
             s += a[k // 2] * f
         f, f_up = (2.0 * (order + k)) / x * f - f_up, f
     s += f
-    norm = _series_coeffs(order)[0] * (0.5 * x) ** order / s
+    norm = _series_coeffs(order)[0].real * (0.5 * x) ** order / s
     return [f * norm, f_up * norm]
 
 
@@ -140,12 +141,13 @@ def _bessel(order, x):
     half = 0.5 * xs
     # y lives to the return: freed right after Horner, it raised the peak RSS
     # of 1e5-point batches by 0.8 MB (the allocator's reuse changes)
-    y = half * half
+    y = (half * half).astype(complex)
     pref = half ** order
     if xs.min(initial=_SERIES_MAX_X) < _HALF_SUBNORMAL_X:
         tiny = xs < _HALF_SUBNORMAL_X
         pref[tiny] = xs[tiny] ** order * 0.5 ** order
-    out = [np.multiply(s, pref, s) for s in _horner_series(order, y)]
+    s = _horner_series(order, y)
+    out = [np.multiply(s.real, pref), np.multiply(s.imag, pref)]
     out[1] *= half
     if inner is None:
         return out

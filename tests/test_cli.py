@@ -444,6 +444,8 @@ class TestExitCodes:
         ("spectrum", {"geometry": {"a": 1.0, "b": 1.0 + 2.2e-16}}),
         ("spectrum", {"geometry": {"a": 1.0, "b": 1.0 + 1e-14}}),
         ("spectrum", {"state": {"m": 10 ** 400}}),
+        ("spectrum", {"state": {"n": 0}}),
+        ("spectrum", {"state": {"n": -5}}),
     ])
     def test_unusable_numbers_exit_with_one_line(self, tmp_path, capsys,
                                                  subcommand, config):

@@ -43,8 +43,8 @@ class NonConvergenceError(RuntimeError):
 # One router, `_bessel`, gives the pair J_order, J_{order+1} (J alone is its
 # first row) with one split, x <= 9.25 for every order:
 # - at or below it, the ascending series (coefficients cached per order, one
-#   Horner pass over both rows on every cached term, so a value's bits
-#   depend on its order and x alone);
+#   complex Horner pass for both rows on every cached term, so a value's
+#   bits depend on its order and x alone);
 # - past it, Miller's backward recurrence (Gautschi, SIAM Review 9 (1967) 24),
 #   normalized by the Neumann sum (A&S 9.1.87), which gives both rows from one
 #   pass; each element starts at its own order, so its bits do not depend on
@@ -52,15 +52,16 @@ class NonConvergenceError(RuntimeError):
 #   the split, and at a settled zero); there, for order <= 51 and x <= 400, the
 #   largest iterate or Neumann sum measured 7.9e97, so it needs no rescaling.
 # Largest error of either row against mpmath, 0 <= order <= 51:
-#   0 < x <= 5       series  8.9e-16
+#   0 < x <= 5       series  2.3e-15
 #   5 < x <= 9.25    series  7.4e-14   (rounding: the terms cancel by ~e^x)
 #   9.25 < x <= 400  Miller  7.3e-16
 # The split sits where the series' rounding stays below 1e-13 (it reaches
 # 1.6e-13 at x = 10); on (9.25, 10] Miller's recurrence holds 3.3e-16.
-# Cost on a 2-core Xeon, numpy 2.4: per 1e5 points the series 3.4 ms,
-# Miller 25 ms on (10, 40] and 96 ms on (10, 400] (its passes grow with x); a
-# 15- or 30-point call of the series about 26 us, mostly four ufunc calls for
-# each of its 27 Horner steps.
+# Cost of a call on the series, 2-core Xeon, numpy 2.4: 50, 27 and 35 us at
+# 1, 30 and 405 points, mostly the floor of two ufunc calls per Horner step;
+# 6.4 ms at 1e5, where the complex pass is bound by arithmetic (two real rows
+# took 93, 47, 50 us and 4.8 ms).  Miller per 1e5 points: 25 ms on (10, 40],
+# 96 ms on (10, 400] (its passes grow with x).
 # Every hot path reads x <= 9.1 and stays on the series.
 # ---------------------------------------------------------------------------
 
@@ -132,15 +133,13 @@ def _miller(order, x):
 
 
 def _bessel(order, x):
-    """[J_order(x), J_{order+1}(x)] for a 1-d array x >= 0: one Horner pass
-    over both rows where x <= 9.25, scaled by (x/2)^order (x^order 2^-order
-    where x/2 is subnormal; both are 1.0 at order 0), Miller's past it.
-    A point has the same bits in any batch."""
+    """[J_order(x), J_{order+1}(x)] for a 1-d array x >= 0: one complex
+    Horner pass where x <= 9.25, its parts scaled by (x/2)^order (x^order
+    2^-order where x/2 is subnormal; 1.0 at order 0) into new rows, Miller's
+    past it.  A point has the same bits in any batch."""
     inner = None if x.max(initial=0.0) <= _SERIES_MAX_X else x <= _SERIES_MAX_X
     xs = x if inner is None else x[inner]
     half = 0.5 * xs
-    # y lives to the return: freed right after Horner, it raised the peak RSS
-    # of 1e5-point batches by 0.8 MB (the allocator's reuse changes)
     y = (half * half).astype(complex)
     pref = half ** order
     if xs.min(initial=_SERIES_MAX_X) < _HALF_SUBNORMAL_X:

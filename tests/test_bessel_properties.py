@@ -8,7 +8,7 @@ import pytest
 pytest.importorskip("hypothesis")
 mp = pytest.importorskip("mpmath")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from abtool.numerics import bessel_j, bessel_j_pair  # noqa: E402
 
@@ -59,8 +59,14 @@ def test_three_term_recurrence(nu, x):
 @SETTINGS
 @given(orders, st.floats(0.0, 400.0, exclude_min=True),
        st.lists(st.floats(0.0, 400.0), max_size=20), st.integers(0, 20))
+@example(nu=11.5, x=5.0, others=[8.5, 20.0], at=0)
+@example(nu=30.5, x=6.0, others=[9.2, 150.0], at=1)
+@example(nu=50.0, x=7.5, others=[400.0, 8.75], at=2)
 def test_bits_alone_and_inside_a_batch(nu, x, others, at):
-    # on either side of the split a value's bits depend on (nu, x) alone
+    # on either side of the split a value's bits depend on (nu, x) alone;
+    # each example puts a series point at order >= 11.5 beside one in
+    # (8, 9.25] and one past the split, where a series length sized to the
+    # batch would change its bits
     at = min(at, len(others))
     batch = np.array(others[:at] + [x] + others[at:])
     assert bessel_j(nu, batch)[at] == bessel_j(nu, x)

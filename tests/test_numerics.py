@@ -169,19 +169,29 @@ class TestBesselJ:
         assert np.all(np.abs(j1 - bessel_j(nu + 1.0, x)) <= 1e-15 * np.exp(x))
 
     @pytest.mark.parametrize("top", [9.25, 12.0])
-    @pytest.mark.parametrize("size", [15, 30, 100_000])
+    @pytest.mark.parametrize("size", [1, 15, 30, 405, 100_000])
     @pytest.mark.parametrize("nu", [0.0, 0.25, 2.5, 12.0, 50.5])
     def test_pair_bits_match_the_list_form_reference(self, nu, size, top):
-        # the in-place Horner pass and scaling round as the list form does,
-        # on the quadrature's batch sizes and a large one; top = 9.25 keeps
+        # the complex Horner pass and scaling round as the real list form
+        # does, on a zero's one-point Newton calls, the quadrature's batch
+        # sizes (405 is its first call) and a large one; top = 9.25 keeps
         # the batch on the series, 12 straddles the split.  x = 0 and a
         # subnormal x / 2 take the prefactor's special cases
         rng = np.random.default_rng([size, int(4 * nu), int(top)])
         x = top * rng.random(size)
-        x[:3] = [0.0, 1e-310, top]
+        if size > 3:
+            x[:3] = [0.0, 1e-310, top]
         pair, ref = bessel_j_pair(nu, x), bessel_pair_reference(nu, x)
         for got, want in zip(pair, ref):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("top", [9.25, 12.0])
+    def test_pair_rows_are_contiguous_float64(self, top):
+        # each row is an array of its own, not a strided view of the complex
+        # Horner sum; 12 puts part of the batch past the split
+        for x in (np.linspace(0.0, top, 30), np.linspace(0.0, top, 30).reshape(2, 15)):
+            for row in bessel_j_pair(1.5, x):
+                assert row.dtype == np.float64 and row.flags.c_contiguous
 
     def test_series_cache_holds_every_kept_term(self):
         # at the split, the largest y a series sees, the first term the
@@ -195,6 +205,24 @@ class TestBesselJ:
             omitted = abs(c[kept]) * ymax ** kept
             assert omitted < 1e-20 and omitted < _SERIES_REL_TOL * c[0], order
             assert _series_terms_reference(order, ymax) < kept, order
+
+    def test_series_error_up_to_5_against_mpmath(self):
+        # the error table's 0 < x <= 5 row, 2.3e-15, for either row of the
+        # pair: orders 0 to 51 on a coarse grid, plus the worst three points
+        # of a search over 1.2e6 (order, x), which read 1.9e-15 to 2.2e-15
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        worst_points = [(0.53125, float.fromhex("0x1.3ed795bb80eb2p+2")),
+                        (0.125, float.fromhex("0x1.3f0baac45a3fbp+2")),
+                        (1.125, float.fromhex("0x1.3fab4aae039a3p+2"))]
+        cases = [(nu, np.linspace(0.0, 5.0, 41)[1:]) for nu in np.arange(0.0, 52.0)]
+        cases += [(nu, np.array([x])) for nu, x in worst_points]
+        worst = 0.0
+        for nu, x in cases:
+            for row, o in zip(bessel_j_pair(nu, x), (nu, nu + 1.0)):
+                exact = np.array([float(mp.besselj(mp.mpf(o), mp.mpf(float(v)))) for v in x])
+                worst = max(worst, np.abs(row - exact).max())
+        assert worst <= 2.3e-15
 
     @pytest.mark.parametrize("nu", [6.5, 8.0, 10.0, 11.5, 12.0])
     def test_compensated_window_against_mpmath(self, nu):

@@ -510,38 +510,40 @@ def airy_ai(x):
     return float(out[0]) if scalar else out.reshape(xa.shape)
 
 
-def _bisect(f, a, b):
-    fa = f(a)
-    fb = f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise NonConvergenceError(f"bisect: [{a}, {b}] does not bracket a root")
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if (b - a) <= 1e-13:
-            return m
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    raise NonConvergenceError("bisect: max iterations", best_estimate=0.5 * (a + b),
-                              error_bound=0.5 * (b - a))
+def _bisect_floats(inside, fail, hold):
+    """(fail, hold) as adjacent floats for arrays of positive floats with
+    inside(fail) false and inside(hold) true, element by element: bisection
+    on the floats' bit patterns, which order positive floats.  inside maps
+    the array of midpoints to numpy bools.  The tests compare floats, so no
+    integer comparison loop of numpy is paged in (peak RSS)."""
+    fail, hold = np.asarray(fail, dtype=float), np.asarray(hold, dtype=float)
+    while True:
+        f, h = fail.view(np.int64), hold.view(np.int64)
+        mid = (f + (h - f) // 2).view(np.float64)
+        open_ = (mid != fail) & (mid != hold)   # a closed pair's mid is an end
+        if not open_.any():
+            return fail, hold
+        ok = inside(mid)
+        hold = np.where(open_ & ok, mid, hold)
+        fail = np.where(open_ & ~ok, mid, fail)
 
 
 @lru_cache(maxsize=None)
 def airy_ai_zero(n):
-    """n-th negative zero z_n of Ai (z_1 ~ -2.338), n >= 1."""
+    """n-th negative zero z_n of Ai (z_1 ~ -2.338), n >= 1: the last float
+    from 0 with Ai's sign at the bracket's end nearer 0, on t = -x."""
     if n < 1:
         raise ValueError("airy_ai_zero: n must be >= 1")
     guess = -((3.0 * np.pi * (4 * n - 1) / 8.0) ** (2.0 / 3.0))
     width = 0.35 if n < 3 else 0.2      # holds z_n for every n <= 200 measured
-    return _bisect(airy_ai, guess - width, guess + width)
+    near, far = guess + width, guess - width
+    sign = airy_ai(near)
+    if not airy_ai(far) * sign < 0.0:
+        raise NonConvergenceError(f"airy_ai_zero: no sign change on [{far}, {near}]")
+    # np.greater gives a numpy bool: ~ on a Python bool is an int
+    _, hold = _bisect_floats(lambda t: np.greater(airy_ai(-t.item()) * sign, 0.0),
+                             [-far], [-near])
+    return -hold.item()
 
 
 # ---------------------------------------------------------------------------

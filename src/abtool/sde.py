@@ -61,7 +61,8 @@ import numpy as np
 
 from .annulus import ABState, solenoid_potential
 from .madelung import RHO_FLOOR, _moment_z, decompose
-from .numerics import NonConvergenceError, bessel_log_table, chi2_sf
+from .numerics import (NonConvergenceError, _bisect_floats, bessel_log_table,
+                       chi2_sf)
 from .variates import NormalBlock, RandomStream
 
 _MAX_RETRIES = 4
@@ -171,22 +172,18 @@ class _SeparableStepKernel:
 @lru_cache(maxsize=64)
 def _valid_edges(state):
     """Sorted radii e: a < r < b and R(r)^2 > RHO_FLOOR exactly when
-    e[2i] <= r < e[2i+1] for some i.  Built once per state by bisection on
-    the floats' bit patterns from each pole (wall, node or b) to its lobe's
+    e[2i] <= r < e[2i+1] for some i.  Built once per state by
+    `_bisect_floats` from each pole (wall, node or b) to its lobe's
     middle; where J's rounding makes the test flicker next to a node, an
     edge is one of its switches."""
     cfg = state.cfg
     nodes = cfg.a + bessel_log_table(state.nu, state.n).zeros[:-1] / state.k
     poles = np.concatenate([[cfg.a], nodes, [cfg.b]])
-    fail = np.repeat(poles, 2)[1:-1].view(np.int64)
-    hold = np.repeat(0.5 * (poles[:-1] + poles[1:]), 2).view(np.int64)
-    while (open_ := np.abs(hold - fail) > 1).any():
-        mid = fail + (hold - fail) // 2   # an open search probes inside (a, b)
-        ok = state.radial_density(mid.view(np.float64)) > RHO_FLOOR
-        hold = np.where(open_ & ok, mid, hold)
-        fail = np.where(open_ & ~ok, mid, fail)
+    fail, hold = _bisect_floats(lambda r: state.radial_density(r) > RHO_FLOOR,
+                                np.repeat(poles, 2)[1:-1],
+                                np.repeat(0.5 * (poles[:-1] + poles[1:]), 2))
     # a lobe runs from its first valid float to its first invalid one
-    edges = np.where(np.arange(2 * state.n) % 2 == 0, hold, fail).view(np.float64)
+    edges = np.where(np.arange(2 * state.n) % 2 == 0, hold, fail)
     edges.flags.writeable = False
     return edges
 

@@ -386,6 +386,21 @@ class TestAiry:
             assert abs(airy_ai(z)) <= 1e-8
             prev = z
 
+    def test_zeros_end_on_the_sign_change(self):
+        # z_n is the last float from 0 with Ai's sign there: the next float
+        # down has the other sign
+        for n in range(1, 50):
+            z = airy_ai_zero(n)
+            assert airy_ai(z) * airy_ai(np.nextafter(z, -np.inf)) < 0.0, n
+
+    def test_a_bracket_without_a_sign_change_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "airy_ai", lambda x: 1.0)
+        numerics.airy_ai_zero.cache_clear()
+        with pytest.raises(numerics.NonConvergenceError, match="no sign change"):
+            airy_ai_zero(3)
+        monkeypatch.undo()
+        numerics.airy_ai_zero.cache_clear()
+
     def test_zero_bits_do_not_depend_on_the_cache(self):
         cached = [airy_ai_zero(n) for n in (1, 2, 3, 7, 50)]
         numerics.airy_ai_zero.cache_clear()
@@ -423,6 +438,26 @@ class TestAiry:
         assert math.isnan(airy_ai(math.nan))
         out = airy_ai(np.array([math.nan, 1.0, -10.0, 10.0]))
         assert math.isnan(out[0]) and not np.isnan(out[1:]).any()
+
+
+class TestBisectFloats:
+    def test_ends_on_the_two_floats_around_sqrt_2(self):
+        fail, hold = numerics._bisect_floats(lambda x: x * x >= 2.0, [1.0], [2.0])
+        assert hold[0] == math.sqrt(2.0) and fail[0] == np.nextafter(hold[0], 0.0)
+        assert fail[0] ** 2 < 2.0 <= hold[0] ** 2
+
+    def test_ends_on_adjacent_floats_near_1e300(self):
+        # the floats there are 1.5e284 apart: no absolute width can stop it
+        edge = 1.5e300
+        fail, hold = numerics._bisect_floats(lambda x: x >= edge, [1e300], [2e300])
+        assert fail[0] == np.nextafter(edge, 0.0) and hold[0] == edge
+
+    def test_each_element_is_its_own_search(self):
+        # fail right of hold works as well as left of it; a closed pair stays
+        inside = lambda x: (x >= 0.25) & (x <= 0.75)
+        fail, hold = numerics._bisect_floats(inside, [0.0, 1.0, 0.5], [0.5, 0.5, 0.5])
+        assert hold.tolist() == [0.25, 0.75, 0.5]
+        assert fail.tolist() == [np.nextafter(0.25, 0.0), np.nextafter(0.75, 1.0), 0.5]
 
 
 class TestOrthogonalPolynomials:

@@ -59,9 +59,8 @@ class NonConvergenceError(RuntimeError):
 # 1.6e-13 at x = 10); on (9.25, 10] Miller's recurrence holds 3.3e-16.
 # Cost of a call on the series, 2-core Xeon, numpy 2.4: 50, 27 and 35 us at
 # 1, 30 and 405 points, mostly the floor of two ufunc calls per Horner step;
-# 6.4 ms at 1e5, where the complex pass is bound by arithmetic (two real rows
-# took 93, 47, 50 us and 4.8 ms).  Miller per 1e5 points: 25 ms on (10, 40],
-# 96 ms on (10, 400] (its passes grow with x).
+# 6.4 ms at 1e5, where the complex pass is bound by arithmetic.  Miller per
+# 1e5 points: 25 ms on (10, 40], 96 ms on (10, 400] (its passes grow with x).
 # Every hot path reads x <= 9.1 and stays on the series.
 # ---------------------------------------------------------------------------
 
@@ -176,9 +175,10 @@ def _bessel_call(name, order, x):
 
 def bessel_j(order, x):
     """Bessel function of the first kind J_order(x), 0 <= order <= 51
-    (MAX_ORDER + 1), x >= 0: the first row of the pair."""
-    if not np.min(x, initial=0.0) >= 0.0:      # nan fails it too
-        raise ValueError("bessel_j: x must be >= 0")
+    (MAX_ORDER + 1), finite x >= 0: the first row of the pair."""
+    # nan fails the first test, inf the second
+    if not (np.min(x, initial=0.0) >= 0.0 and np.max(x, initial=0.0) < np.inf):
+        raise ValueError("bessel_j: x must be >= 0 and finite")
     return _bessel_call("bessel_j", order, x)[0]
 
 
@@ -268,6 +268,8 @@ def bessel_j_zero(order, n):
     if not 1 <= n <= MAX_ZERO_INDEX:
         raise ValueError(f"bessel_j_zero: n = {n} outside the supported "
                          f"window 1 <= n <= {MAX_ZERO_INDEX}")
+    if n != int(n):
+        raise ValueError(f"bessel_j_zero: n = {n} must be an integer")
     return _zero(float(order), int(n))
 
 
@@ -427,13 +429,24 @@ def bessel_log_table(order, n):
 
 
 # ---------------------------------------------------------------------------
-# Airy Ai: Maclaurin series for |x| <= 7.5, asymptotic expansions beyond.
+# Airy Ai: Maclaurin series on [-7.5, 5.5], asymptotic expansions beyond.
+#
+# The series loses digits to cancellation as x grows, so the right
+# expansion takes over at 5.5, where zeta = 8.6 (13.7 at the left seam);
+# both expansions sum all 26 terms.  Largest error against mpmath (30
+# digits, steps of 1e-3, and the float past each seam):
+#   -40 <= x < -7.5   left expansion   2.4e-14 absolute
+#   -7.5 <= x <= 0    series           5.1e-12 absolute
+#   0 < x <= 5        series           1.6e-9 relative
+#   5 < x <= 5.5      series           1.7e-8 relative (2.1e-4 at x = 7.5)
+#   5.5 < x <= 7.5    right expansion  7.5e-9 relative (5.4e-14 at x = 7.5)
+#   7.5 < x <= 40     right expansion  5.4e-14 relative
 # ---------------------------------------------------------------------------
 
 AIRY_AI_0 = 0.3550280538878172392600632  # 3^(-2/3) / Gamma(2/3)
 AIRY_AI_PRIME_0 = -0.2588194037928067984051836  # -3^(-1/3) / Gamma(1/3)
 
-_AIRY_SEAM = 7.5
+_AIRY_LEFT, _AIRY_RIGHT = -7.5, 5.5    # the series' seams
 
 
 def _airy_u_coeffs():
@@ -467,9 +480,6 @@ def _airy_series(x):
     return AIRY_AI_0 * f + AIRY_AI_PRIME_0 * g
 
 
-# Past the seam zeta >= 13.69, where successive terms of either expansion
-# shrink by a factor of at most 0.877 up to the last coefficient, so all 26
-# are summed.
 def _airy_asym_right(x):
     """Ai(x), x > 0, from s = 1 + sum_{k>=1} (-1)^k u_k / zeta^k (DLMF 9.7.5)."""
     zeta = (2.0 / 3.0) * x ** 1.5
@@ -496,15 +506,15 @@ def airy_ai(x):
     """Airy function Ai(x) on roughly [-40, 40]."""
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
-    if scalar and abs(float(xa)) <= _AIRY_SEAM:     # a zero's bisection
+    if scalar and _AIRY_LEFT <= float(xa) <= _AIRY_RIGHT:  # a zero's bisection
         return _airy_series(float(xa))
     xv = np.atleast_1d(xa).astype(float)
-    out = np.full_like(xv, np.nan)      # nan takes no branch and stays nan
+    out = np.full_like(xv, np.nan)      # nan and -inf take no branch
     # a branch costs tens of numpy calls even on no points, so only the
     # branches that have points run
-    for branch, sel in ((_airy_series, np.abs(xv) <= _AIRY_SEAM),
-                        (_airy_asym_right, xv > _AIRY_SEAM),
-                        (_airy_asym_left, xv < -_AIRY_SEAM)):
+    for branch, sel in ((_airy_series, (xv >= _AIRY_LEFT) & (xv <= _AIRY_RIGHT)),
+                        (_airy_asym_right, xv > _AIRY_RIGHT),
+                        (_airy_asym_left, (xv < _AIRY_LEFT) & (xv > -np.inf))):
         if sel.any():
             out[sel] = branch(xv[sel])
     return float(out[0]) if scalar else out.reshape(xa.shape)

@@ -146,6 +146,8 @@ class TestBesselJ:
             bessel_j(-0.5, 1.0)
         with pytest.raises(ValueError):
             bessel_j(1.0, -0.1)
+        with pytest.raises(ValueError, match="finite"):
+            bessel_j(0.0, math.inf)
 
     def test_nan_argument_is_a_domain_error(self):
         for x in (math.nan, np.array([1.0, math.nan])):
@@ -352,6 +354,8 @@ class TestBesselZeros:
             bessel_j_zero(0.5, 0)
         with pytest.raises(ValueError):
             bessel_j_zero(-1.0, 1)
+        with pytest.raises(ValueError, match="must be an integer"):
+            bessel_j_zero(0.5, 1.5)
 
 
 class TestAiry:
@@ -366,6 +370,15 @@ class TestAiry:
         mine = airy_ai(xs)
         ref = np.array([oracle_airy(x) for x in xs])
         assert np.abs(mine - ref).max() <= 1e-12
+
+    def test_right_side_relative_error(self):
+        # past x = 5.5 the series' cancellation (2e-4 at 7.5) hands over to
+        # the right expansion; the table in numerics gives 1.7e-8 as the worst
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        xs = np.concatenate([np.linspace(4.0, 7.5, 71), [np.nextafter(5.5, 6.0)]])
+        exact = np.array([float(mp.airyai(mp.mpf(float(x)))) for x in xs])
+        assert np.abs(airy_ai(xs) / exact - 1.0).max() <= 2e-8
 
     def test_positive_decay(self):
         vals = [airy_ai(x) for x in (2.0, 5.0, 10.0)]
@@ -410,10 +423,9 @@ class TestAiry:
 
     def test_a_float_takes_the_bits_of_an_array(self, monkeypatch):
         # a 0-d argument in the series branch runs on floats, an array on
-        # arrays: random points, the seam +-7.5 and its neighbours, and
-        # every point the bisection for z_1 and z_2 evaluates
-        seam = [s * x for s in (1.0, -1.0)
-                for x in (7.5, np.nextafter(7.5, 0.0), np.nextafter(7.5, 8.0))]
+        # arrays: random points, the seams -7.5 and 5.5 and their
+        # neighbours, and every point the bisection for z_1 and z_2 evaluates
+        seam = [np.nextafter(x, x + d) for x in (-7.5, 5.5) for d in (-1.0, 0.0, 1.0)]
         bisected = []
 
         def recorded(x):
@@ -434,10 +446,11 @@ class TestAiry:
             [airy_ai(np.array([x]))[0] for x in xs]).tobytes()
 
     def test_nan_gives_nan(self):
-        # nan takes none of the three branches
-        assert math.isnan(airy_ai(math.nan))
-        out = airy_ai(np.array([math.nan, 1.0, -10.0, 10.0]))
-        assert math.isnan(out[0]) and not np.isnan(out[1:]).any()
+        # nan and -inf take none of the three branches, without a warning
+        assert math.isnan(airy_ai(math.nan)) and math.isnan(airy_ai(-math.inf))
+        out = airy_ai(np.array([math.nan, 1.0, -10.0, 10.0, -math.inf]))
+        assert math.isnan(out[0]) and not np.isnan(out[1:4]).any()
+        assert math.isnan(out[4])
 
 
 class TestBisectFloats:

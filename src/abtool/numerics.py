@@ -135,8 +135,15 @@ def _bessel(order, x):
     """[J_order(x), J_{order+1}(x)] for a 1-d array x >= 0: one complex
     Horner pass where x <= 9.25, its parts scaled by (x/2)^order (x^order
     2^-order where x/2 is subnormal; 1.0 at order 0) into new rows, Miller's
-    past it.  A point has the same bits in any batch."""
-    inner = None if x.max(initial=0.0) <= _SERIES_MAX_X else x <= _SERIES_MAX_X
+    past it.  A point has the same bits in any batch.  A nan or infinite x
+    is a domain error."""
+    top = x.max(initial=0.0)
+    if top <= _SERIES_MAX_X:
+        inner = None
+    elif top < np.inf:      # nan fails this test too
+        inner = x <= _SERIES_MAX_X
+    else:
+        raise ValueError("x must be >= 0 and finite")
     xs = x if inner is None else x[inner]
     half = 0.5 * xs
     y = (half * half).astype(complex)
@@ -185,7 +192,8 @@ def bessel_j(order, x):
 def bessel_j_pair(order, x):
     """(J_order(x), J_{order+1}(x)) from one pass over both rows, for the
     value/derivative pair J' = (v/x) J - J_{v+1} of the hot loops, whose
-    x >= 0 is not checked again; J_order is `bessel_j`'s, bit for bit."""
+    x >= 0 is not checked again (a nan or infinite x is a ValueError);
+    J_order is `bessel_j`'s, bit for bit."""
     return tuple(_bessel_call("bessel_j_pair", order, x))
 
 
@@ -199,6 +207,15 @@ def bessel_j_pair(order, x):
 # and an iterate that leaves it is replaced by the bracket's midpoint.  The
 # settled zero takes one more Newton step on Miller's recurrence, which is
 # right to rounding at every x, not only past the split.
+# Every step runs on Python floats (`_pair_float`, `_miller_float`), where
+# the array routes would make about 55 numpy calls on one element a step.
+# They keep the bits of `_bessel` and `_miller` on [x]: (x/2)^order and
+# Miller's x^(1/3) come from numpy on 0-d arrays, since Python's ** and
+# math.cbrt round about 5% and half of these values differently (a cube root
+# one ulp off can move Miller's start by 2, and with it the last bits).  A
+# zero takes about 0.07 ms at n <= 2 and 0.2 ms at n = 100 (averaged over
+# order), against 0.6-0.7 and 2.4-2.7 ms on one-element arrays (2-core Xeon,
+# numpy 2.4).
 _ZERO_REACH = 1.0
 _ZERO_STEP_TOL = 1e-8      # one more Newton step is then exact to rounding
 _ZERO_MAX_ITER = 40
@@ -237,6 +254,46 @@ def _zero_start(order, n):
     return order * z + 0.5 * z * h2 * b0 / order
 
 
+@lru_cache(maxsize=None)
+def _series_floats(order):
+    """`_series_coeffs(order)` as Python complexes."""
+    return [complex(p) for p in _series_coeffs(order)]
+
+
+def _miller_float(order, x):
+    """`_miller(order, np.array([x]))` on Python floats, bit for bit: one
+    element starts at the top, so the recurrence runs from f = 1 there."""
+    top = 2 * math.ceil(0.5 * (x + 12.0 * float(np.cbrt(x)) + 30.0))
+    a, g = [1.0], 1.0
+    for j in range(1, top // 2 + 1):
+        a.append((order + 2.0 * j) * g)
+        g *= (order + j) / (j + 1.0)
+    f, f_up, s = 1.0, 0.0, 0.0
+    for k in range(top, 0, -1):
+        if k % 2 == 0:
+            s += a[k // 2] * f
+        f, f_up = (2.0 * (order + k)) / x * f - f_up, f
+    s += f
+    norm = _series_floats(order)[0].real * float(np.power(0.5 * x, order)) / s
+    return f * norm, f_up * norm
+
+
+def _pair_float(order, x):
+    """`_bessel(order, np.array([x]))` on Python floats, bit for bit, for
+    x >= 2^-1021: the Horner pass on a Python complex, Miller's past the
+    split."""
+    if x > _SERIES_MAX_X:
+        return _miller_float(order, x)
+    half = 0.5 * x
+    y = complex(half * half)
+    c = _series_floats(order)
+    s = c[-1]
+    for ck in c[-2::-1]:
+        s = s * y + ck
+    pref = float(np.power(half, order))
+    return s.real * pref, s.imag * pref * half
+
+
 @lru_cache(maxsize=4096)
 def _zero(order, n):
     """j_{order,n}; Newton takes J' = (order/x) J - J_{order+1} from the
@@ -245,11 +302,11 @@ def _zero(order, n):
     lo, hi = z - _ZERO_REACH, z + _ZERO_REACH
     left = 1.0 if n % 2 else -1.0
     for _ in range(_ZERO_MAX_ITER):
-        jv, jv1 = (float(r[0]) for r in _bessel(order, np.array([z])))
+        jv, jv1 = _pair_float(order, z)
         step = jv / (order / z * jv - jv1)
         if abs(step) <= _ZERO_STEP_TOL * z:
             z -= step
-            jv, jv1 = (float(r[0]) for r in _miller(order, np.array([z])))
+            jv, jv1 = _miller_float(order, z)
             return z - jv / (order / z * jv - jv1)
         if jv * left > 0.0:
             lo = z
@@ -548,6 +605,8 @@ def airy_ai_zero(n):
     from 0 with Ai's sign at the bracket's end nearer 0, on t = -x."""
     if n < 1:
         raise ValueError("airy_ai_zero: n must be >= 1")
+    if n != int(n):
+        raise ValueError(f"airy_ai_zero: n = {n} must be an integer")
     guess = -((3.0 * np.pi * (4 * n - 1) / 8.0) ** (2.0 / 3.0))
     width = 0.35 if n < 3 else 0.2      # holds z_n for every n <= 200 measured
     near, far = guess + width, guess - width

@@ -5,7 +5,11 @@ Bessel/Airy series built on math.gamma, stdlib closed forms, bisection on
 those series, and dense trapezoid sums.
 """
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from oracles import (_SERIES_REL_TOL, _series_coeffs_reference, _series_terms_re
 import pins
 
 NUMERICS = pins.PinSet("numerics")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +153,11 @@ class TestBesselJ:
             bessel_j(1.0, -0.1)
         with pytest.raises(ValueError, match="finite"):
             bessel_j(0.0, math.inf)
+        # the pair checks no sign, but a nan or infinite x is caught by the
+        # maximum its router takes
+        for x in (math.inf, math.nan, np.array([1.0, 12.0, math.inf])):
+            with pytest.raises(ValueError, match="x must be >= 0 and finite"):
+                bessel_j_pair(0.0, x)
 
     def test_nan_argument_is_a_domain_error(self):
         for x in (math.nan, np.array([1.0, math.nan])):
@@ -357,6 +367,40 @@ class TestBesselZeros:
         with pytest.raises(ValueError, match="must be an integer"):
             bessel_j_zero(0.5, 1.5)
 
+    @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 2.25, 12.75, 37.5, 50.0, 51.0])
+    def test_a_float_takes_the_bits_of_a_one_element_array(self, nu):
+        # a zero's Newton steps run the pair and Miller's recurrence on Python
+        # floats; they have the bits of the array routes on [x], on both
+        # sides of the split and at the floats next to it.  At the last two
+        # points numpy's cbrt starts the recurrence at 66 and 72, math.cbrt
+        # would start it at 68 and 70
+        split = [math.nextafter(9.25, 0.0), 9.25, math.nextafter(9.25, math.inf)]
+        xs = [1.5, 2.404825557695773, 5.0, 8.0, *split, 9.5, 30.0, 123.456, 400.0,
+              float.fromhex("0x1.4286a5db080bdp+3"), float.fromhex("0x1.8998a692a92eap+3")]
+        for x in xs:
+            for got, route in ((numerics._pair_float(nu, x), _bessel),
+                               (numerics._miller_float(nu, x), numerics._miller)):
+                want = [r[0] for r in route(nu, np.array([x]))]
+                assert all(type(v) is float for v in got)
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (nu, x)
+
+    def test_zeros_take_the_bits_of_one_element_arrays(self, monkeypatch):
+        # every zero of nu = k/4 <= 50 at n = 1, 2, 5, 100, solved afresh on
+        # the float route and on the array routes at [x], is one float
+        def on_arrays(route):
+            return lambda order, x: tuple(float(r[0]) for r in route(order, np.array([x])))
+
+        cases = [(k / 4, n) for k in range(201) for n in (1, 2, 5, 100)]
+        monkeypatch.setattr(numerics, "_pair_float", on_arrays(_bessel))
+        monkeypatch.setattr(numerics, "_miller_float", on_arrays(numerics._miller))
+        numerics._zero.cache_clear()
+        want = [bessel_j_zero(nu, n) for nu, n in cases]
+        monkeypatch.undo()
+        numerics._zero.cache_clear()
+        got = [bessel_j_zero(nu, n) for nu, n in cases]
+        assert all(type(z) is float for z in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
 
 class TestAiry:
     def test_value_at_zero(self):
@@ -418,6 +462,8 @@ class TestAiry:
         assert [airy_ai_zero(n) for n in (50, 7, 3, 2, 1)] == cached[::-1]
         with pytest.raises(ValueError, match="n must be >= 1"):
             airy_ai_zero(0)
+        with pytest.raises(ValueError, match="must be an integer"):
+            airy_ai_zero(1.5)
 
     def test_a_float_takes_the_bits_of_an_array(self, monkeypatch):
         # a 0-d argument in the series branch runs on floats, an array on
@@ -770,6 +816,24 @@ class TestRandomStream:
 
     def test_pinned_bits(self):
         NUMERICS.check("normals")
+
+    def test_numpy_random_loads_with_the_first_stream(self):
+        # a run that only builds states and takes their observables never
+        # imports numpy.random; sampling does
+        probe = (
+            "import sys\n"
+            "import abtool\n"
+            "from abtool import annulus, sde\n"
+            "state = annulus.eigenstate(annulus.AnnulusConfig(), 1, 1)\n"
+            "annulus.angular_momenta(state)\n"
+            "print('numpy.random' in sys.modules)\n"
+            "sde.simulate(state, sde.SdeConfig(steps=20, burn_in=10, n_trajectories=2))\n"
+            "print('numpy.random' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out.split() == ["False", "True"]
 
 
 class TestNormalBlock:

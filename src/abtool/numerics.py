@@ -48,9 +48,10 @@ class NonConvergenceError(RuntimeError):
 # - past it, Miller's backward recurrence (Gautschi, SIAM Review 9 (1967) 24),
 #   normalized by the Neumann sum (A&S 9.1.87), which gives both rows from one
 #   pass; each element starts at its own order, so its bits do not depend on
-#   the rest of the batch.  It is only called at x >= j_{0,1} = 2.405 (past
-#   the split, and at a settled zero); there, for order <= 51 and x <= 400, the
-#   largest iterate or Neumann sum measured 7.9e97, so it needs no rescaling.
+#   the rest of the batch.  It is only called past the split and on a zero's
+#   Newton steps, at x >= 2.4048250 (j_{0,1}'s start); there, for order <= 51
+#   and x <= 400, the largest iterate or Neumann sum measured 7.9e97, so it
+#   needs no rescaling.
 # Largest error of either row against mpmath, 0 <= order <= 51:
 #   0 < x <= 5       series  2.3e-15
 #   5 < x <= 9.25    series  7.4e-14   (rounding: the terms cancel by ~e^x)
@@ -111,8 +112,10 @@ def _miller(order, x):
     Before its start an element holds f = 0, which the recurrence and the sum
     keep exactly.  The coefficient is divided afresh at every step: with 2/x
     rounded once, the whole pass follows a shifted x (2e-15 off at x = 400).
-    Callers pass x >= j_{0,1}; on [2.40, 400] at orders 0 to 51 no iterate or
-    sum grows past 7.9e97, far from overflow, so nothing is rescaled."""
+    Callers pass x >= 2.4048250, the least a zero's Newton step hands it (at
+    j_{0,1}'s start, just below the zero); on [2.40, 400] at orders 0 to 51
+    no iterate or sum grows past 7.9e97, far from overflow, so nothing is
+    rescaled."""
     start = 2.0 * np.ceil(0.5 * (x + 12.0 * np.cbrt(x) + 30.0))
     starts = set(start.tolist())
     top = int(start.max())
@@ -165,7 +168,7 @@ def _bessel(order, x):
 
 
 def _check_order(name, order, top):
-    if order < 0.0:
+    if not order >= 0.0:        # nan fails it too
         raise ValueError(f"{name}: order must be >= 0, got {order}")
     if order > top:
         raise ValueError(f"{name}: order {order:g} is past nu = {top:g}, "
@@ -197,25 +200,25 @@ def bessel_j_pair(order, x):
     return tuple(_bessel_call("bessel_j_pair", order, x))
 
 
-# Zeros: one scalar Newton solve per (order, n), cached.  It starts from
-# McMahon's expansion (DLMF 10.21.19) where n >= order, and from the
-# Airy-type form order z(zeta) + f_1(zeta) / order (DLMF 10.21.43) below it;
-# on 0 <= order <= 50, n <= 100 both starts are within 2e-3 of the zero.
+# Zeros: one scalar Newton solve per (order, n), cached, every step on
+# Miller's recurrence, which is right to rounding at every x it meets: Newton
+# until a step is below 1e-8 z, then one more step.  It starts from McMahon's
+# expansion (DLMF 10.21.19) where n >= order, and from the Airy-type form
+# order z(zeta) + f_1(zeta) / order (DLMF 10.21.43) below it, with Ai's zero
+# a_n from the first four terms of -T(3 pi (4n - 1) / 8) (DLMF 9.9.6, 9.9.18).
+# Over order = k/4 <= 50 at n in 1, 2, 5, 49, 50, 100 the starts are at most
+# 1.69e-3 (Airy-type, at (50, 1)) and 1.64e-3 (McMahon's, at (0, 1)) from the
+# zero, and the least x a step hands the recurrence is 2.4048250, at (0, 1).
 # Left of j_n, J has the sign (-1)^(n-1), right of it the opposite one, so
 # every iterate narrows a bracket of half-width 1 around the start; zeros of
 # J_order are at least 3.1 apart, so the bracket holds j_n and no neighbour,
-# and an iterate that leaves it is replaced by the bracket's midpoint.  The
-# settled zero takes one more Newton step on Miller's recurrence, which is
-# right to rounding at every x, not only past the split.
-# Every step runs on Python floats (`_pair_float`, `_miller_float`), where
-# the array routes would make about 55 numpy calls on one element a step.
-# They keep the bits of `_bessel` and `_miller` on [x]: (x/2)^order and
-# Miller's x^(1/3) come from numpy on 0-d arrays, since Python's ** and
-# math.cbrt round about 5% and half of these values differently (a cube root
-# one ulp off can move Miller's start by 2, and with it the last bits).  A
-# zero takes about 0.07 ms at n <= 2 and 0.2 ms at n = 100 (averaged over
-# order), against 0.6-0.7 and 2.4-2.7 ms on one-element arrays (2-core Xeon,
-# numpy 2.4).
+# and an iterate that leaves it is replaced by the bracket's midpoint.
+# The steps run on Python floats (`_miller_float`) with the bits of `_miller`
+# on [x]: (x/2)^order and x^(1/3) come from numpy on 0-d arrays, since
+# Python's ** and math.cbrt round about 5% and half of these values
+# differently (a cube root one ulp off can move Miller's start by 2, and with
+# it the last bits).  A zero takes about 0.065 ms at n <= 2 and 0.19 ms at
+# n = 100 (averaged over order; 2-core Xeon, numpy 2.4).
 _ZERO_REACH = 1.0
 _ZERO_STEP_TOL = 1e-8      # one more Newton step is then exact to rounding
 _ZERO_MAX_ITER = 40
@@ -245,19 +248,18 @@ def _zero_start(order, n):
         return b - (mu - 1.0) * e * (1.0 + 4.0 * (7.0 * mu - 31.0) * e * e / 3.0
                                      + 32.0 * (83.0 * mu * mu - 982.0 * mu + 3779.0)
                                      * e ** 4 / 15.0)
-    zeta = order ** (-2.0 / 3.0) * airy_ai_zero(n)
+    # Ai's n-th zero from the first four terms of -T(3 pi (4n - 1) / 8)
+    # (DLMF 9.9.6, 9.9.18)
+    u = 1.0 / (3.0 * math.pi * (4 * n - 1) / 8.0) ** 2
+    a_n = -u ** (-1.0 / 3.0) * (1.0 + u * (5.0 / 48.0 + u * (-5.0 / 36.0
+                                                         + u * 77125.0 / 82944.0)))
+    zeta = order ** (-2.0 / 3.0) * a_n
     z = _airy_type_z(zeta)
     w = z * z - 1.0
     h2 = math.sqrt(4.0 * zeta / (1.0 - z * z))
     b0 = -5.0 / (48.0 * zeta * zeta) + (5.0 / (24.0 * w ** 1.5)
                                         + 1.0 / (8.0 * math.sqrt(w))) / math.sqrt(-zeta)
     return order * z + 0.5 * z * h2 * b0 / order
-
-
-@lru_cache(maxsize=None)
-def _series_floats(order):
-    """`_series_coeffs(order)` as Python complexes."""
-    return [complex(p) for p in _series_coeffs(order)]
 
 
 def _miller_float(order, x):
@@ -274,35 +276,19 @@ def _miller_float(order, x):
             s += a[k // 2] * f
         f, f_up = (2.0 * (order + k)) / x * f - f_up, f
     s += f
-    norm = _series_floats(order)[0].real * float(np.power(0.5 * x, order)) / s
+    norm = 1.0 / math.gamma(order + 1.0) * float(np.power(0.5 * x, order)) / s
     return f * norm, f_up * norm
-
-
-def _pair_float(order, x):
-    """`_bessel(order, np.array([x]))` on Python floats, bit for bit, for
-    x >= 2^-1021: the Horner pass on a Python complex, Miller's past the
-    split."""
-    if x > _SERIES_MAX_X:
-        return _miller_float(order, x)
-    half = 0.5 * x
-    y = complex(half * half)
-    c = _series_floats(order)
-    s = c[-1]
-    for ck in c[-2::-1]:
-        s = s * y + ck
-    pref = float(np.power(half, order))
-    return s.real * pref, s.imag * pref * half
 
 
 @lru_cache(maxsize=4096)
 def _zero(order, n):
-    """j_{order,n}; Newton takes J' = (order/x) J - J_{order+1} from the
-    pair."""
+    """j_{order,n}: Newton on Miller's pair, J' = (order/x) J - J_{order+1},
+    until a step is below 1e-8 z, then one more step."""
     z = _zero_start(order, n)
     lo, hi = z - _ZERO_REACH, z + _ZERO_REACH
     left = 1.0 if n % 2 else -1.0
     for _ in range(_ZERO_MAX_ITER):
-        jv, jv1 = _pair_float(order, z)
+        jv, jv1 = _miller_float(order, z)
         step = jv / (order / z * jv - jv1)
         if abs(step) <= _ZERO_STEP_TOL * z:
             z -= step
@@ -520,19 +506,15 @@ _AIRY_U_LEFT = (-1.0) ** (np.arange(_AIRY_U.size) // 2) * _AIRY_U
 
 
 def _airy_series(x):
-    """Ai(x) from its Maclaurin series (DLMF 9.4.1) on a float or an array,
-    with one set of bits: x^3 is numpy's power (a float's ** rounds some x
-    differently), the rest is correctly rounded either way."""
-    scalar = isinstance(x, float)
-    x3 = float(np.power(x, 3)) if scalar else np.power(x, 3)
-    converged = bool if scalar else np.all
+    """Ai(x) from its Maclaurin series (DLMF 9.4.1) on an array."""
+    x3 = np.power(x, 3)
     f, g, cf, cg = 1.0, x, 1.0, x
     for k in range(140):
         cf = cf * x3 / ((3 * k + 2.0) * (3 * k + 3.0))
         cg = cg * x3 / ((3 * k + 3.0) * (3 * k + 4.0))
         f = f + cf
         g = g + cg
-        if converged(abs(cf) + abs(cg) < 1e-18 * (abs(f) + abs(g) + 1.0)):
+        if np.all(abs(cf) + abs(cg) < 1e-18 * (abs(f) + abs(g) + 1.0)):
             break
     return AIRY_AI_0 * f + AIRY_AI_PRIME_0 * g
 
@@ -560,11 +542,10 @@ def _airy_asym_left(x):
 
 
 def airy_ai(x):
-    """Airy function Ai(x) on roughly [-40, 40]."""
+    """Airy function Ai(x) on roughly [-40, 40]; a scalar runs as a
+    one-element array."""
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
-    if scalar and _AIRY_LEFT <= float(xa) <= _AIRY_RIGHT:  # a zero's bisection
-        return _airy_series(float(xa))
     xv = np.atleast_1d(xa).astype(float)
     out = np.full_like(xv, np.nan)      # nan and -inf take no branch
     # a branch costs tens of numpy calls even on no points, so only the
@@ -595,17 +576,18 @@ def _bisect_floats(inside, fail, hold):
         fail = np.where(open_ & ~ok, mid, fail)
 
 
-# A zero takes 47 to 52 evaluations of Ai, on floats in the series branch:
-# z_1 and z_2 take 104 of them and about 1.8 ms (2-core Xeon, numpy 2.4).
-# For n <= 49 the zeros are a median 0.35 ulp from mpmath; the worst, 78 ulp
-# at n = 4, is the series' own rounding near x = -6.8.
+# A zero takes 47 to 52 evaluations of Ai, each on a one-element array of
+# midpoints: about 0.19 ms in the series branch (z_1 to z_3 take about 29 ms)
+# and 0.1 ms on the left expansion, n >= 5 (2-core Xeon, numpy 2.4).  For
+# n <= 49 the zeros are a median 0.35 ulp from mpmath; the worst, 78 ulp at
+# n = 4, is the series' own rounding near x = -6.8.
 @lru_cache(maxsize=None)
 def airy_ai_zero(n):
     """n-th negative zero z_n of Ai (z_1 ~ -2.338), n >= 1: the last float
     from 0 with Ai's sign at the bracket's end nearer 0, on t = -x."""
     if n < 1:
         raise ValueError("airy_ai_zero: n must be >= 1")
-    if n != int(n):
+    if not float(n).is_integer():       # nan and inf are not
         raise ValueError(f"airy_ai_zero: n = {n} must be an integer")
     guess = -((3.0 * np.pi * (4 * n - 1) / 8.0) ** (2.0 / 3.0))
     width = 0.35 if n < 3 else 0.2      # holds z_n for every n <= 200 measured
@@ -614,7 +596,7 @@ def airy_ai_zero(n):
     if not airy_ai(far) * sign < 0.0:
         raise NonConvergenceError(f"airy_ai_zero: no sign change on [{far}, {near}]")
     # np.greater gives a numpy bool: ~ on a Python bool is an int
-    _, hold = _bisect_floats(lambda t: np.greater(airy_ai(-t.item()) * sign, 0.0),
+    _, hold = _bisect_floats(lambda t: np.greater(airy_ai(-t) * sign, 0.0),
                              [-far], [-near])
     return -hold.item()
 

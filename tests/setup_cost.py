@@ -12,7 +12,10 @@ prints the best of each number over them:
 - a zero at n <= 2 and at n = 100: `bessel_j_zero(nu, n)` averaged over
   the 402 zeros nu = k/4 <= 50, n = 1, 2, then the 201 at n = 100, in a
   process whose zero cache is empty (it still holds what the grid filled in
-  the other caches, such as the first Airy zeros).
+  the other caches);
+- a fresh `bessel_log_table(50, 100)`, its 100 zeros included, with the
+  zero, Airy-zero and table caches emptied first: the set-up of a
+  wide-window drift table at the top order.
 
 Outside Tier-1: it times, it checks nothing.
 """
@@ -47,6 +50,11 @@ for label, ns in (("a zero at n <= 2", (1, 2)), ("a zero at n = 100", (100,))):
         for n in ns:
             numerics.bessel_j_zero(nu, n)
     out[label] = (time.perf_counter() - t) / (len(orders) * len(ns))
+for cache in (numerics._zero, numerics.airy_ai_zero, numerics.bessel_log_table):
+    cache.cache_clear()
+t = time.perf_counter()
+numerics.bessel_log_table(50.0, 100)
+out["table (50, 100)"] = time.perf_counter() - t
 print(json.dumps(out))
 """
 

@@ -153,6 +153,9 @@ class TestBesselJ:
             bessel_j(1.0, -0.1)
         with pytest.raises(ValueError, match="finite"):
             bessel_j(0.0, math.inf)
+        for fn in (bessel_j, bessel_j_pair):
+            with pytest.raises(ValueError, match="order must be >= 0"):
+                fn(math.nan, 1.0)
         # the pair checks no sign, but a nan or infinite x is caught by the
         # maximum its router takes
         for x in (math.inf, math.nan, np.array([1.0, 12.0, math.inf])):
@@ -366,33 +369,66 @@ class TestBesselZeros:
             bessel_j_zero(-1.0, 1)
         with pytest.raises(ValueError, match="must be an integer"):
             bessel_j_zero(0.5, 1.5)
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            bessel_j_zero(math.nan, 1)
+
+    def test_the_zero_path_reads_no_airy_function(self, monkeypatch):
+        # the Airy-type start takes Ai's zero from its asymptotic expansion
+        cases = [(2.25, 1), (12.5, 5), (50.0, 49)]
+        want = [bessel_j_zero(nu, n) for nu, n in cases]
+
+        def refuse(*args):
+            raise AssertionError("a zero read an Airy function")
+
+        monkeypatch.setattr(numerics, "airy_ai", refuse)
+        monkeypatch.setattr(numerics, "airy_ai_zero", refuse)
+        numerics._zero.cache_clear()
+        assert [bessel_j_zero(nu, n) for nu, n in cases] == want
+
+    def test_starts_and_newton_arguments_stay_in_their_bounds(self, monkeypatch):
+        # over nu = k/4 <= 50: every start is within 2e-3 of its zero (the
+        # worst are 1.69e-3 at (50, 1), Airy-type, and 1.64e-3 at (0, 1),
+        # McMahon's), and every x a Newton step hands Miller's recurrence
+        # lies in its no-rescale window [2.40, 400] (the least is 2.4048250,
+        # at (0, 1), just below j_{0,1})
+        miller, seen = numerics._miller_float, []
+
+        def recorded(order, x):
+            seen.append(x)
+            return miller(order, x)
+
+        monkeypatch.setattr(numerics, "_miller_float", recorded)
+        numerics._zero.cache_clear()
+        for k in range(201):
+            for n in (1, 2, 5, 49, 50, 100):
+                z = bessel_j_zero(k / 4, n)
+                assert abs(numerics._zero_start(k / 4, n) - z) <= 2e-3, (k / 4, n)
+        assert 2.40 <= min(seen) and max(seen) <= 400.0
 
     @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 2.25, 12.75, 37.5, 50.0, 51.0])
     def test_a_float_takes_the_bits_of_a_one_element_array(self, nu):
-        # a zero's Newton steps run the pair and Miller's recurrence on Python
-        # floats; they have the bits of the array routes on [x], on both
-        # sides of the split and at the floats next to it.  At the last two
-        # points numpy's cbrt starts the recurrence at 66 and 72, math.cbrt
-        # would start it at 68 and 70
+        # a zero's Newton steps run Miller's recurrence on Python floats; it
+        # has the bits of the array route on [x], on both sides of the
+        # series' split and at the floats next to it.  At the last two points
+        # numpy's cbrt starts the recurrence at 66 and 72, math.cbrt would
+        # start it at 68 and 70
         split = [math.nextafter(9.25, 0.0), 9.25, math.nextafter(9.25, math.inf)]
         xs = [1.5, 2.404825557695773, 5.0, 8.0, *split, 9.5, 30.0, 123.456, 400.0,
               float.fromhex("0x1.4286a5db080bdp+3"), float.fromhex("0x1.8998a692a92eap+3")]
         for x in xs:
-            for got, route in ((numerics._pair_float(nu, x), _bessel),
-                               (numerics._miller_float(nu, x), numerics._miller)):
-                want = [r[0] for r in route(nu, np.array([x]))]
-                assert all(type(v) is float for v in got)
-                assert np.array(got).tobytes() == np.array(want).tobytes(), (nu, x)
+            got = numerics._miller_float(nu, x)
+            want = [r[0] for r in numerics._miller(nu, np.array([x]))]
+            assert all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (nu, x)
 
     def test_zeros_take_the_bits_of_one_element_arrays(self, monkeypatch):
         # every zero of nu = k/4 <= 50 at n = 1, 2, 5, 100, solved afresh on
-        # the float route and on the array routes at [x], is one float
-        def on_arrays(route):
-            return lambda order, x: tuple(float(r[0]) for r in route(order, np.array([x])))
+        # the float route and on the array route at [x], is one float
+        def on_arrays(order, x):
+            return tuple(float(r[0]) for r in numerics._miller(order, np.array([x])))
 
         cases = [(k / 4, n) for k in range(201) for n in (1, 2, 5, 100)]
-        monkeypatch.setattr(numerics, "_pair_float", on_arrays(_bessel))
-        monkeypatch.setattr(numerics, "_miller_float", on_arrays(numerics._miller))
+        monkeypatch.setattr(numerics, "_miller_float", on_arrays)
         numerics._zero.cache_clear()
         want = [bessel_j_zero(nu, n) for nu, n in cases]
         monkeypatch.undo()
@@ -462,18 +498,19 @@ class TestAiry:
         assert [airy_ai_zero(n) for n in (50, 7, 3, 2, 1)] == cached[::-1]
         with pytest.raises(ValueError, match="n must be >= 1"):
             airy_ai_zero(0)
-        with pytest.raises(ValueError, match="must be an integer"):
-            airy_ai_zero(1.5)
+        for n in (1.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be an integer"):
+                airy_ai_zero(n)
 
     def test_a_float_takes_the_bits_of_an_array(self, monkeypatch):
-        # a 0-d argument in the series branch runs on floats, an array on
-        # arrays: random points, the seams -7.5 and 5.5 and their
-        # neighbours, and every point the bisection for z_1 and z_2 evaluates
+        # a float has the bits of a one-element array: random points, the
+        # seams -7.5 and 5.5 and their neighbours, and every point the
+        # bisection for z_1 and z_2 evaluates (on midpoint arrays)
         seam = [np.nextafter(x, x + d) for x in (-7.5, 5.5) for d in (-1.0, 0.0, 1.0)]
         bisected = []
 
         def recorded(x):
-            bisected.append(x)
+            bisected.extend(np.ravel(x).tolist())
             return airy_ai(x)
 
         monkeypatch.setattr(numerics, "airy_ai", recorded)

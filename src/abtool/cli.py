@@ -30,7 +30,7 @@ from . import __version__, annulus, checks, models, sde, wavepackets
 from ._svg import line_chart
 from .annulus import AnnulusConfig, eigenstate, flux_parameter, solenoid_potential
 from .madelung import Constants, DensityFloorError, decompose
-from .numerics import MAX_ZERO_INDEX, NonConvergenceError
+from .numerics import MAX_ORDER, MAX_ZERO_INDEX, NonConvergenceError
 from .sde import SdeConfig
 
 EXIT_OK = 0
@@ -181,12 +181,15 @@ def _table_run(subcommand, cfg, out_dir, header, rows):
 
 def run_spectrum(cfg, out_dir, want_svg):
     ann = cfg.annulus
+    eigenstate(ann, cfg.m, cfg.n)   # exit 2 for the state, not a mirror row
     m_span = max(2, abs(cfg.m))
     n_max = max(2, cfg.n)
     header = ["m", "n", "nu", "tau", "k", "E",
               "Lz_total", "Lz_canonical", "Lz_osmotic"]
     rows = []
     for m in range(-m_span, m_span + 1):
+        if abs(m + flux_parameter(ann)) > MAX_ORDER:
+            continue
         for n in range(1, n_max + 1):
             state = eigenstate(ann, m, n)
             mom = annulus.angular_momenta(state)

@@ -89,15 +89,15 @@ def _series_coeffs(order):
     return [p[...] for p in c.view(complex)[:, 0]]
 
 
-def _horner_series(order, y):
-    """J_o(x) / (x/2)^o for o = order, order + 1 as the real and imaginary
-    parts of sum_k c[k] y^k by Horner at y = (x/2)^2 + 0i on every cached
-    term.  Times y + 0i rounds each part once, as a real product does, so
-    each part has the bits of a real pass over its own row."""
-    c = _series_coeffs(order)
+def _horner_series(c, y):
+    """sum_k c[k] y^k by Horner over every row of c (0-d arrays), two
+    positional in-place ufunc calls a term.  A complex y with a zero part
+    (the Bessel rows' (x/2)^2 + 0i, Ai's -i/zeta) rounds each part of a
+    product once, as a real product does, so each part has the bits of a
+    real pass over its own row."""
     s = np.full_like(y, c[-1])
     for ck in c[-2::-1]:
-        np.multiply(s, y, s)        # two positional in-place calls a term
+        np.multiply(s, y, s)
         np.add(s, ck, s)
     return s
 
@@ -154,7 +154,7 @@ def _bessel(order, x):
     if xs.min(initial=_SERIES_MAX_X) < _HALF_SUBNORMAL_X:
         tiny = xs < _HALF_SUBNORMAL_X
         pref[tiny] = xs[tiny] ** order * 0.5 ** order
-    s = _horner_series(order, y)
+    s = _horner_series(_series_coeffs(order), y)
     out = [np.multiply(s.real, pref), np.multiply(s.imag, pref)]
     out[1] *= half
     if inner is None:
@@ -474,15 +474,16 @@ def bessel_log_table(order, n):
 # ---------------------------------------------------------------------------
 # Airy Ai: Maclaurin series on [-7.5, 5.5], asymptotic expansions beyond.
 #
-# The series loses digits to cancellation as x grows, so the right
-# expansion takes over at 5.5, where zeta = 8.6 (13.7 at the left seam);
-# both expansions sum all 26 terms.  Largest error against mpmath (30
-# digits, steps of 1e-3, and the float past each seam):
+# The series (a fixed 34 terms, summed forward) loses digits to cancellation
+# as x grows, so the right expansion takes over at 5.5, where zeta = 8.6
+# (13.7 at the left seam).  Both expansions are one Horner sum of u_k w^k,
+# 26 terms, at w = -1/zeta right and -i/zeta left.  Largest error against
+# mpmath (30 digits, steps of 1e-3, and the float past each seam):
 #   -40 <= x < -7.5   left expansion   2.4e-14 absolute
 #   -7.5 <= x <= 0    series           5.1e-12 absolute
 #   0 < x <= 5        series           1.6e-9 relative
 #   5 < x <= 5.5      series           1.7e-8 relative (2.1e-4 at x = 7.5)
-#   5.5 < x <= 7.5    right expansion  7.5e-9 relative (5.4e-14 at x = 7.5)
+#   5.5 < x <= 7.5    right expansion  7.53e-9 relative (5.4e-14 at x = 7.5)
 #   7.5 < x <= 40     right expansion  5.4e-14 relative
 # ---------------------------------------------------------------------------
 
@@ -496,57 +497,47 @@ def _airy_u_coeffs():
     u = np.ones(26)
     for k in range(1, u.size):
         u[k] = u[k - 1] * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
-    return u
+    return [uk[...] for uk in u]
 
 
 _AIRY_U = _airy_u_coeffs()
-# each expansion's signed coefficients: (-1)^k u_k right, (-1)^floor(k/2) u_k left
-_AIRY_U_RIGHT = (-1.0) ** np.arange(_AIRY_U.size) * _AIRY_U
-_AIRY_U_LEFT = (-1.0) ** (np.arange(_AIRY_U.size) // 2) * _AIRY_U
+# at x = -7.5 the first term left out is 8.7e-22 of |f| + |g| + 1 (33 terms
+# leave 2.3e-20); a value's bits depend on x alone
+_AIRY_SERIES_TERMS = 34
 
 
 def _airy_series(x):
     """Ai(x) from its Maclaurin series (DLMF 9.4.1) on an array."""
     x3 = np.power(x, 3)
     f, g, cf, cg = 1.0, x, 1.0, x
-    for k in range(140):
+    for k in range(_AIRY_SERIES_TERMS):
         cf = cf * x3 / ((3 * k + 2.0) * (3 * k + 3.0))
         cg = cg * x3 / ((3 * k + 3.0) * (3 * k + 4.0))
-        f = f + cf
-        g = g + cg
-        if np.all(abs(cf) + abs(cg) < 1e-18 * (abs(f) + abs(g) + 1.0)):
-            break
+        f, g = f + cf, g + cg
     return AIRY_AI_0 * f + AIRY_AI_PRIME_0 * g
 
 
 def _airy_asym_right(x):
-    """Ai(x), x > 0, from s = 1 + sum_{k>=1} (-1)^k u_k / zeta^k (DLMF 9.7.5)."""
+    """Ai(x), x > 0, from s = sum_k u_k w^k at w = -1/zeta (DLMF 9.7.5)."""
     zeta = (2.0 / 3.0) * x ** 1.5
-    s = np.ones_like(x)
-    for k in range(1, _AIRY_U.size):
-        s += _AIRY_U_RIGHT[k] / zeta ** k
+    s = _horner_series(_AIRY_U, -1.0 / zeta)
     return np.exp(-zeta) / (2.0 * np.sqrt(np.pi) * x ** 0.25) * s
 
 
 def _airy_asym_left(x):
-    """Ai(x), x < 0, from p and q (DLMF 9.7.9), the sums of the even and of
-    the odd terms (-1)^floor(k/2) u_k / zeta^k, summed from p = 1, q = 0."""
-    t = -x
-    zeta = (2.0 / 3.0) * t ** 1.5
-    pq = [np.ones_like(t), np.zeros_like(t)]
-    for k in range(1, _AIRY_U.size):
-        pq[k % 2] += _AIRY_U_LEFT[k] / zeta ** k
-    p, q = pq
+    """Ai(x), x < 0, from s = sum_k u_k w^k at w = -i/zeta, whose real and
+    imaginary parts are P and -Q of DLMF 9.7.9."""
+    zeta = (2.0 / 3.0) * (-x) ** 1.5
+    s = _horner_series(_AIRY_U, -1.0 / zeta * 1j)
     arg = zeta + 0.25 * np.pi
-    return (np.sin(arg) * p - np.cos(arg) * q) / (np.sqrt(np.pi) * t ** 0.25)
+    return (np.sin(arg) * s.real + np.cos(arg) * s.imag) / (np.sqrt(np.pi) * (-x) ** 0.25)
 
 
 def airy_ai(x):
     """Airy function Ai(x) on roughly [-40, 40]; a scalar runs as a
     one-element array."""
     xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xv = np.atleast_1d(xa).astype(float)
+    xv = xa.ravel()
     out = np.full_like(xv, np.nan)      # nan and -inf take no branch
     # a branch costs tens of numpy calls even on no points, so only the
     # branches that have points run
@@ -555,14 +546,15 @@ def airy_ai(x):
                         (_airy_asym_left, (xv < _AIRY_LEFT) & (xv > -np.inf))):
         if sel.any():
             out[sel] = branch(xv[sel])
-    return float(out[0]) if scalar else out.reshape(xa.shape)
+    return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 
 
 def _bisect_floats(inside, fail, hold):
     """(fail, hold) as adjacent floats for arrays of positive floats with
     inside(fail) false and inside(hold) true, element by element: bisection
     on the floats' bit patterns, which order positive floats.  inside maps
-    the array of midpoints to numpy bools.  The tests compare floats, so no
+    the midpoints, strictly between the ends (so an end keeps its side
+    untested), to numpy bools.  The loop's own tests compare floats, so no
     integer comparison loop of numpy is paged in (peak RSS)."""
     fail, hold = np.asarray(fail, dtype=float), np.asarray(hold, dtype=float)
     while True:

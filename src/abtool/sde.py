@@ -10,8 +10,9 @@ streams, and runs are bit-reproducible for a fixed configuration.
 
 Step kernel.  For an annulus state R(r) e^{i m theta} the drift is
 b = (hbar/M) [(R'/R) e_r + (m/r) e_theta] and a proposal is valid when
-a < r < b and R^2 > RHO_FLOOR.  Validity is one `searchsorted` on the
-state's cached valid-interval edges (`_valid_edges`); the drift is one lookup
+R^2 > RHO_FLOOR strictly between the wall, node and b floats.  Validity is
+one `searchsorted` on the state's cached valid-interval edges
+(`_valid_edges`); the drift is one lookup
 of its J'/J table (`numerics.BesselLogTable`), with the poles of R'/R at the
 wall and at the nodes in closed form.  Against the exact series route
 (`ABState.radial_parts`) the drift agrees to 1e-9 (hbar/M)(k + |R'/R|)
@@ -171,11 +172,14 @@ class _SeparableStepKernel:
 
 @lru_cache(maxsize=64)
 def _valid_edges(state):
-    """Sorted radii e: a < r < b and R(r)^2 > RHO_FLOOR exactly when
-    e[2i] <= r < e[2i+1] for some i.  Built once per state by
-    `_bisect_floats` from each pole (wall, node or b) to its lobe's
-    middle; where J's rounding makes the test flicker next to a node, an
-    edge is one of its switches."""
+    """Sorted radii e: r is valid exactly when e[2i] <= r < e[2i+1] for
+    some i.  A wall, node or b float is never valid, though at high n R^2
+    is often above RHO_FLOOR at a node float a + j_k / k (76 of 99 at
+    (m, n) = (1, 100)), where x = k (r - a) can round onto the table's zero;
+    inside a lobe the edges are the floor crossings.  Built once per state
+    by `_bisect_floats` from each pole float, which it never tests, to its
+    lobe's middle; where J's rounding makes the test flicker next to a node,
+    an edge is one of its switches."""
     cfg = state.cfg
     nodes = cfg.a + bessel_log_table(state.nu, state.n).zeros[:-1] / state.k
     poles = np.concatenate([[cfg.a], nodes, [cfg.b]])

@@ -148,6 +148,20 @@ class TestSpectrum:
             entry = dict(zip(header, line.split(",")))
             assert abs(float(entry["Lz_total"]) - (int(entry["m"]) - 0.5)) <= 1e-8
 
+    @pytest.mark.parametrize("config,ms", [
+        # lambda = -48.5: state m = 2 has nu = 46.5, the row m = -2 has 50.5
+        ({"geometry": {"B": 97}, "state": {"m": 2}}, range(-1, 3)),
+        # lambda = -1/2: state m = 50 has nu = 49.5, the row m = -50 has 50.5
+        ({"state": {"m": 50}}, range(-49, 51))], ids=["B97-m2", "m50"])
+    def test_rows_past_the_order_window_are_left_out(self, tmp_path, config, ms):
+        assert run_cli(["spectrum"], tmp_path, config=config) == EXIT_OK
+        rows = [line.split(",") for line in
+                (tmp_path / "spectrum.csv").read_text().strip().split("\n")[1:]]
+        assert [(int(r[0]), int(r[1])) for r in rows] == [(m, n) for m in ms for n in (1, 2)]
+        assert max(float(r[2]) for r in rows) <= 50.0
+        manifest = json.loads((tmp_path / "manifest_spectrum.json").read_text())
+        assert manifest["rows"] == len(rows)
+
     def test_table_reproducible(self, tmp_path):
         run_cli(["spectrum"], tmp_path / "one")
         run_cli(["spectrum"], tmp_path / "two")
@@ -393,9 +407,9 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "supported window" in err
 
-    @pytest.mark.parametrize("m", [50, 51])
+    @pytest.mark.parametrize("m", [51, -50])
     def test_spectrum_past_the_order_window_is_2(self, tmp_path, capsys, m):
-        # the spectrum's m = -50 row has nu = 50.5 > 50 (and m = 51 has 50.5)
+        # the requested state has nu = 50.5 > 50 (rows past it are left out)
         assert run_cli(["spectrum"], tmp_path,
                        config={"state": {"m": m}}) == EXIT_CONFIG
         err = capsys.readouterr().err

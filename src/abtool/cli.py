@@ -183,14 +183,15 @@ def run_spectrum(cfg, out_dir, want_svg):
     ann = cfg.annulus
     eigenstate(ann, cfg.m, cfg.n)   # exit 2 for the state, not a mirror row
     m_span = max(2, abs(cfg.m))
-    n_max = max(2, cfg.n)
+    lam = flux_parameter(ann)
+    near = round(-lam)      # every m with nu <= 50 is within 51, at any lam
     header = ["m", "n", "nu", "tau", "k", "E",
               "Lz_total", "Lz_canonical", "Lz_osmotic"]
     rows = []
-    for m in range(-m_span, m_span + 1):
-        if abs(m + flux_parameter(ann)) > MAX_ORDER:
+    for m in range(max(-m_span, near - 51), min(m_span, near + 51) + 1):
+        if abs(m + lam) > MAX_ORDER:
             continue
-        for n in range(1, n_max + 1):
+        for n in range(1, max(2, cfg.n) + 1):
             state = eigenstate(ann, m, n)
             mom = annulus.angular_momenta(state)
             rows.append([m, n, state.nu, state.tau, state.k, state.energy,

@@ -91,10 +91,10 @@ def _series_coeffs(order):
 
 def _horner_series(c, y):
     """sum_k c[k] y^k by Horner over every row of c (0-d arrays), two
-    positional in-place ufunc calls a term.  A complex y with a zero part
-    (the Bessel rows' (x/2)^2 + 0i, Ai's -i/zeta) rounds each part of a
-    product once, as a real product does, so each part has the bits of a
-    real pass over its own row."""
+    positional in-place ufunc calls a term: the Bessel pair's rows at
+    y = (x/2)^2 + 0i, Ai's one u_k table at -1/zeta and at -i/zeta.  A
+    product with a y one of whose parts is zero rounds each part once, as
+    a real product does, so each part has the bits of a real pass."""
     s = np.full_like(y, c[-1])
     for ck in c[-2::-1]:
         np.multiply(s, y, s)
@@ -569,8 +569,8 @@ def _bisect_floats(inside, fail, hold):
 
 
 # A zero takes 47 to 52 evaluations of Ai, each on a one-element array of
-# midpoints: about 0.19 ms in the series branch (z_1 to z_3 take about 29 ms)
-# and 0.1 ms on the left expansion, n >= 5 (2-core Xeon, numpy 2.4).  For
+# midpoints: about 0.12 ms in the series branch (z_1 to z_3 take 20 to 35 ms)
+# and 0.07 ms on the left expansion, n >= 5 (2-core Xeon, numpy 2.4).  For
 # n <= 49 the zeros are a median 0.35 ulp from mpmath; the worst, 78 ulp at
 # n = 4, is the series' own rounding near x = -6.8.
 @lru_cache(maxsize=None)

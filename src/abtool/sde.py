@@ -12,9 +12,9 @@ Step kernel.  For an annulus state R(r) e^{i m theta} the drift is
 b = (hbar/M) [(R'/R) e_r + (m/r) e_theta] and a proposal is valid when
 R^2 > RHO_FLOOR strictly between the wall, node and b floats.  Validity is
 one `searchsorted` on the state's cached valid-interval edges
-(`_valid_edges`); the drift is one lookup
-of its J'/J table (`numerics.BesselLogTable`), with the poles of R'/R at the
-wall and at the nodes in closed form.  Against the exact series route
+(`_valid_edges`); the drift is one lookup of its J'/J table
+(`numerics.BesselLogTable`), with the poles of R'/R at the wall and at the
+nodes in closed form.  Against the exact series route
 (`ABState.radial_parts`) the drift agrees to 1e-9 (hbar/M)(k + |R'/R|)
 wherever that route is itself accurate to this level; next to a node where
 the series carries rounding (x = k (r-a) near 9.25), the two routes differ by
@@ -173,13 +173,12 @@ class _SeparableStepKernel:
 @lru_cache(maxsize=64)
 def _valid_edges(state):
     """Sorted radii e: r is valid exactly when e[2i] <= r < e[2i+1] for
-    some i.  A wall, node or b float is never valid, though at high n R^2
-    is often above RHO_FLOOR at a node float a + j_k / k (76 of 99 at
-    (m, n) = (1, 100)), where x = k (r - a) can round onto the table's zero;
-    inside a lobe the edges are the floor crossings.  Built once per state
-    by `_bisect_floats` from each pole float, which it never tests, to its
-    lobe's middle; where J's rounding makes the test flicker next to a node,
-    an edge is one of its switches."""
+    some i.  A wall, node or b float is never valid, though at high n R^2 is
+    often above RHO_FLOOR at a node float (76 of 99 at (m, n) = (1, 100)),
+    where x = k (r - a) can round onto the table's zero; inside a lobe the
+    edges are the floor crossings.  Built by `_bisect_floats` from each pole
+    float, which it never tests, to its lobe's middle; where J's rounding
+    makes the test flicker next to a node, an edge is one of its switches."""
     cfg = state.cfg
     nodes = cfg.a + bessel_log_table(state.nu, state.n).zeros[:-1] / state.k
     poles = np.concatenate([[cfg.a], nodes, [cfg.b]])

@@ -15,7 +15,11 @@ prints the best of each number over them:
   the other caches);
 - a fresh `bessel_log_table(50, 100)`, its 100 zeros included, with the
   zero, Airy-zero and table caches emptied first: the set-up of a
-  wide-window drift table at the top order.
+  wide-window drift table at the top order;
+- `airy_ai_zero(1..3)` with the Airy-zero cache emptied first, which
+  `abtool models` and check 10 pay once a process;
+- `airy_ai` on 200 points over check 7's window `wavepackets.AIRY_WINDOW`,
+  [-8, 4] (the left expansion and the series).
 
 Outside Tier-1: it times, it checks nothing.
 """
@@ -34,7 +38,7 @@ import numpy
 t = time.perf_counter()
 import abtool
 out = {"import abtool": time.perf_counter() - t}
-from abtool import annulus, checks, numerics
+from abtool import annulus, checks, numerics, wavepackets
 t = time.perf_counter()
 for lam in checks.GRID_LAMBDA:
     cfg = annulus.AnnulusConfig(B=-2.0 * lam)
@@ -55,6 +59,15 @@ for cache in (numerics._zero, numerics.airy_ai_zero, numerics.bessel_log_table):
 t = time.perf_counter()
 numerics.bessel_log_table(50.0, 100)
 out["table (50, 100)"] = time.perf_counter() - t
+numerics.airy_ai_zero.cache_clear()
+t = time.perf_counter()
+for n in (1, 2, 3):
+    numerics.airy_ai_zero(n)
+out["Ai zeros 1..3"] = time.perf_counter() - t
+xs = numpy.linspace(*wavepackets.AIRY_WINDOW, 200)
+t = time.perf_counter()
+numerics.airy_ai(xs)
+out["Ai at 200 points"] = time.perf_counter() - t
 print(json.dumps(out))
 """
 

@@ -152,7 +152,10 @@ class TestSpectrum:
         # lambda = -48.5: state m = 2 has nu = 46.5, the row m = -2 has 50.5
         ({"geometry": {"B": 97}, "state": {"m": 2}}, range(-1, 3)),
         # lambda = -1/2: state m = 50 has nu = 49.5, the row m = -50 has 50.5
-        ({"state": {"m": 50}}, range(-49, 51))], ids=["B97-m2", "m50"])
+        ({"state": {"m": 50}}, range(-49, 51)),
+        # lambda = -100: only the rows m = 50..100 of -100..100 are inside
+        ({"geometry": {"B": 200}, "state": {"m": 100}}, range(50, 101))],
+        ids=["B97-m2", "m50", "B200-m100"])
     def test_rows_past_the_order_window_are_left_out(self, tmp_path, config, ms):
         assert run_cli(["spectrum"], tmp_path, config=config) == EXIT_OK
         rows = [line.split(",") for line in

@@ -557,6 +557,25 @@ class TestSeparableKernel:
         err = 2.0 * state.norm * series_error(nu, state.k * (r[differ] - cfg.a))
         assert np.all(np.abs(rr * rr - RHO_FLOOR) <= err * (2.0 * np.abs(rr) + err))
 
+    @pytest.mark.parametrize("m,n,above", [(1, 100, 76), (3, 30, 15)])
+    def test_pole_floats_stay_outside_the_lobes(self, m, n, above):
+        # at high n R^2 at most node floats a + j_k / k is above the floor,
+        # yet no wall, node or b float is valid: there x = k (r - a) can
+        # round onto the table's zero, where the drift divides by zero
+        state = eigenstate(AnnulusConfig(), m, n)
+        cfg = state.cfg
+        edges = sde._valid_edges(state)
+        assert edges.size == 2 * n and np.all(np.diff(edges) > 0.0)
+        nodes = cfg.a + bessel_log_table(state.nu, n).zeros[:-1] / state.k
+        assert np.count_nonzero(state.radial_density(nodes) > RHO_FLOOR) == above
+        poles = np.concatenate([[cfg.a], nodes, [cfg.b]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, ok, _ = kernel_on(state, 1e-3, poles.astype(complex))
+        assert not ok.any()
+        # inside a lobe the edges are the floor crossings
+        first, last = edges[0::2], np.nextafter(edges[1::2], 0.0)
+        assert np.all(state.radial_density(np.concatenate([first, last])) > RHO_FLOOR)
+
     @pytest.mark.parametrize("nu,n", [(0.5, 1), (3.5, 5)])
     def test_step_keeps_the_complex_evaluation_order(self, nu, n):
         # the fused step is bit for bit the complex expression it replaced,

@@ -460,6 +460,42 @@ class TestAiry:
         exact = np.array([float(mp.airyai(mp.mpf(float(x)))) for x in xs])
         assert np.abs(airy_ai(xs) / exact - 1.0).max() <= 2e-8
 
+    @pytest.mark.parametrize("side,bound", [(-1.0, 2.4e-14), (1.0, 5.4e-14)])
+    def test_expansion_rows_of_the_error_table(self, side, bound):
+        # the table in numerics: 2.4e-14 absolute on [-40, -7.5) and 5.4e-14
+        # relative on (7.5, 40], on 2000 points a row and the float past the
+        # seam, where each row is at its worst (2.35e-14 and 5.34e-14)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        xs = side * np.append(np.linspace(40.0, 7.5, 2000, endpoint=False),
+                              np.nextafter(7.5, np.inf))
+        exact = np.array([float(mp.airyai(mp.mpf(float(x)))) for x in xs])
+        err = np.abs(airy_ai(xs) - exact)
+        assert (err if side < 0.0 else err / exact).max() <= bound
+
+    def test_series_length(self):
+        # the first term the series leaves out is below 1e-20 of
+        # |f| + |g| + 1 at both seams; one term fewer is not at -7.5
+        def first_left_out(x, terms):
+            x3, f, g, cf, cg = x ** 3, 0.0, 0.0, 1.0, x
+            for k in range(terms + 1):
+                f, g = f + cf, g + cg
+                cf = cf * x3 / ((3 * k + 2.0) * (3 * k + 3.0))
+                cg = cg * x3 / ((3 * k + 3.0) * (3 * k + 4.0))
+            return (abs(cf) + abs(cg)) / (abs(f) + abs(g) + 1.0)
+
+        terms = numerics._AIRY_SERIES_TERMS
+        assert max(first_left_out(-7.5, terms), first_left_out(5.5, terms)) < 1e-20
+        assert first_left_out(-7.5, terms - 1) > 1e-20
+
+    def test_series_bits_alone_and_inside_a_batch(self):
+        # Ai on 10^4 points in (-2, 2), alone and inside a batch that also
+        # holds the seams: the series runs its fixed count of terms at every
+        # x, so no value moves
+        x = np.random.default_rng(45).uniform(-2.0, 2.0, 10_000)
+        batched = airy_ai(np.concatenate([x, [-7.5, 5.5]]))
+        assert airy_ai(x).tobytes() == batched[:x.size].tobytes()
+
     def test_positive_decay(self):
         vals = [airy_ai(x) for x in (2.0, 5.0, 10.0)]
         assert all(v > 0.0 for v in vals)

@@ -49,7 +49,7 @@ for c, h, tgt in zip(centers, hist, target):
 stats = stationarity_test(trajectories, state, bins=24, thin=4000)
 ang = angular_uniformity_test(trajectories, bins=12, thin=4000)
 erg = ergodic_angular_momentum(trajectories, state)
-target_lz = cfg.hbar * (state.m + state.lam)
+target_lz = cfg.hbar * state.s
 print(f"\nKS distance vs target: {stats['ks_distance']:.4f}")
 print(f"radial chi-square p (thinned): {stats['p_value']:.3f}")
 print(f"angular uniformity p (thinned): {ang['p_value']:.3f}")

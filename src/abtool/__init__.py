@@ -18,7 +18,7 @@ from .numerics import (NonConvergenceError, RandomStream, airy_ai,
                        bessel_j_zero, central_diff, central_diff_2nd,
                        integrate_1d)
 from .sde import (SdeConfig, Trajectory, drifts, ergodic_angular_momentum,
-                  simulate, stationarity_test, target_radial_sampler)
+                  simulate, stationarity_test)
 from .wavepackets import (GaussianPacketConfig, airy_fields,
                           free_particle_fields, gaussian_consistency,
                           gaussian_fields)

@@ -140,11 +140,14 @@ def solenoid_current_check(cfg, lam, p):
 class ABState:
     """One bound state of the annulus, usable as a WaveField.  It forms rho
     and psi* grad psi from R and R' in the polar frame, where the phase
-    e^{i m theta} cancels (`sample`)."""
+    e^{i m theta} cancels (`sample`).  The flux acts outside the solenoid
+    only through the signed order s = m + lambda, which the gauge-invariant
+    observables read."""
     cfg: AnnulusConfig
     m: int
     n: int
     lam: float
+    s: float
     nu: float
     tau: float
     k: float
@@ -240,17 +243,17 @@ def _radial_profile(cfg, nu, n):
 
 @lru_cache(maxsize=256)
 def eigenstate(cfg, m, n):
-    """Bound state (m, n): nu = |m + lambda| and tau the n-th zero of J_nu.
-    m and n are integral (2.0 is the state 2); `bessel_j_zero` raises
-    ValueError outside its supported window, nu <= numerics.MAX_ORDER and
-    1 <= n <= 100."""
+    """Bound state (m, n): s = m + lambda, nu = |s| and tau the n-th zero
+    of J_nu.  m and n are integral (2.0 is the state 2); `bessel_j_zero`
+    raises ValueError outside its supported window, nu <= numerics.MAX_ORDER
+    and 1 <= n <= 100."""
     if not (float(m).is_integer() and float(n).is_integer()):
         raise ValueError(f"state ({m!r}, {n!r}): m and n must be integers")
     lam = flux_parameter(cfg)
-    nu = abs(m + lam)
-    tau, k, norm = _radial_profile(cfg, nu, n)
-    state = ABState(cfg=cfg, m=int(m), n=int(n), lam=lam, nu=nu, tau=tau,
-                    k=k, norm=norm)
+    s = m + lam
+    tau, k, norm = _radial_profile(cfg, abs(s), n)
+    state = ABState(cfg=cfg, m=int(m), n=int(n), lam=lam, s=s, nu=abs(s),
+                    tau=tau, k=k, norm=norm)
     try:
         finite = math.isfinite(state.energy)
     except OverflowError:       # a square past the float range
@@ -266,30 +269,28 @@ def eigenstate(cfg, m, n):
 # ---------------------------------------------------------------------------
 
 def angular_momenta(state):
-    """{total, canonical, osmotic} z angular momenta by quadrature.
-
-    total  = integral of M r Gamma_theta, Gamma = rho v_quasi, whose theta
-             component is (hbar/M) m R^2 / r - (q/Mc) A_theta R^2;
-    osmotic = integral of M r rho Im(-xi)_theta = M r (-(q/Mc) A_theta) R^2;
-    canonical = total - osmotic.  No formula substitution: the integrands
-    are functions of r from one `radial_parts` call, and never divide by
-    rho."""
+    """{total, canonical, osmotic} z angular momenta by quadrature, each its
+    own column, so none is a difference of large terms.  With rho = R^2 the
+    integrands are M r Gamma_theta = hbar s rho in the signed order s
+    (outside the solenoid (q/hbar c) A_theta = -lambda / r), M r rho
+    eta_theta = hbar m rho and M r rho Im(-xi)_theta = -(q/c) r A_theta rho
+    from the solenoid's A: functions of r from one `radial_parts` call that
+    never divide by rho."""
     cfg = state.cfg
 
     def moments(r):
         rr = state.radial_parts(r)[0]
-        diffusion = (-(cfg.charge / (cfg.mass * cfg.c))
-                     * (_a_theta_over_r(cfg, r) * r) * (rr * rr))
-        out = np.empty((r.size, 2))
-        np.add((cfg.hbar / cfg.mass) * (rr * ((state.m * rr) * (1.0 / r))),
-               diffusion, out=out[:, 0])                        # Gamma_theta
-        out[:, 1] = diffusion
-        out *= r[:, None]
-        return np.multiply(cfg.mass, out, out=out)
+        rho = rr * rr
+        out = np.empty((r.size, 3))
+        np.multiply(cfg.hbar * state.s, rho, out=out[:, 0])
+        np.multiply(cfg.hbar * state.m, rho, out=out[:, 1])
+        r_a_theta = _a_theta_over_r(cfg, r) * r * r
+        np.multiply(-(cfg.charge / cfg.c) * r_a_theta, rho, out=out[:, 2])
+        return out
 
-    total, osmotic = map(float, AnnulusDomain(cfg.a, cfg.b).integrate(
-        moments, state.k))
-    return {"total": total, "canonical": total - osmotic, "osmotic": osmotic}
+    total, canonical, osmotic = AnnulusDomain(cfg.a, cfg.b).integrate(
+        moments, state.k).tolist()
+    return {"total": total, "canonical": canonical, "osmotic": osmotic}
 
 
 WALL_MARGIN_FRACTION = 1e-7
@@ -317,31 +318,23 @@ def energy_decomposition(state):
 
     The densities are functions of r from one `radial_parts` call, so one
     radial rule integrates them (`AnnulusDomain.integrate`).  In the polar
-    frame the split is its definition, (M/2) rho |v_quasi|^2 and
-    (M/2) rho |w_quasi|^2 with rho = R^2: rotational
-    (hbar^2/2M) (R (m/r - (q/hbar c) A_theta))^2 and radial
-    (hbar^2/2M) R'^2, so nothing divides by rho and a node is no special
-    point.  The total is written apart: it squares the polar components of
-    (P - qA/c) psi, hbar R' and hbar (m R)/r - (q/c) A_theta R.  Integrals
-    run over the wall-inset annulus (see _energy_domain): for nu <= 1/2 the
-    radial energy is not integrable up to the inner wall, so only the
-    identity between the columns is contractual."""
-    cfg, m = state.cfg, state.m
-    flux = cfg.charge / (cfg.hbar * cfg.c)
-    scale = cfg.hbar ** 2 / (2.0 * cfg.mass)
+    frame (P - qA/c) psi has the components hbar R' and hbar R s / r in the
+    signed order s, so the split is its definition, (M/2) rho |v_quasi|^2 =
+    (hbar R s / r)^2 / 2M and (M/2) rho |w_quasi|^2 = (hbar R')^2 / 2M:
+    nothing divides by rho and a node is no special point.  The total sums
+    the same two squares, so check 4's residual is still an identity.
+    Integrals run over the wall-inset annulus (see _energy_domain): for
+    nu <= 1/2 the radial energy is not integrable up to the inner wall, so
+    only the identity between the columns is contractual."""
+    cfg = state.cfg
 
     def densities(r):
         rr, drr = state.radial_parts(r)
-        a_theta = _a_theta_over_r(cfg, r) * r
-        azimuthal = (cfg.hbar * ((m * rr) * (1.0 / r))
-                     - (cfg.charge / cfg.c) * a_theta * rr)
         out = np.empty((r.size, 3))
-        np.square(rr * (m / r - flux * a_theta), out=out[:, 0])
-        np.square(drr, out=out[:, 1])
-        out[:, :2] *= scale
-        np.divide((cfg.hbar * drr) ** 2 + azimuthal ** 2, 2.0 * cfg.mass,
-                  out=out[:, 2])
-        return out
+        np.square(cfg.hbar * (state.s * rr / r), out=out[:, 0])
+        np.square(cfg.hbar * drr, out=out[:, 1])
+        np.add(out[:, 0], out[:, 1], out=out[:, 2])
+        return np.divide(out, 2.0 * cfg.mass, out=out)
 
     rotational, radial, total = map(float, _energy_domain(cfg).integrate(
         densities, state.k))
@@ -350,15 +343,14 @@ def energy_decomposition(state):
 
 
 def closed_form_q_and_force(state, r):
-    """Closed forms on a < r < b: quantum potential
-    Q = -hbar^2 (m+lambda)^2 / (2 M r^2), its force F_r = -hbar^2
-    (m+lambda)^2/(M r^3), and the centripetal check -M v_quasi^2 / r."""
+    """Closed forms on a < r < b in the signed order s = m + lambda:
+    quantum potential Q = -hbar^2 s^2 / (2 M r^2), its force
+    F_r = -hbar^2 s^2 / (M r^3), and the centripetal check -M v_quasi^2 / r."""
     cfg = state.cfg
     r = np.asarray(r, dtype=float)
-    ml = state.m + state.lam
-    q_pot = -cfg.hbar ** 2 * ml ** 2 / (2.0 * cfg.mass * r ** 2)
-    f_r = -cfg.hbar ** 2 * ml ** 2 / (cfg.mass * r ** 3)
-    v = ml * cfg.hbar / (cfg.mass * r)
+    q_pot = -cfg.hbar ** 2 * state.s ** 2 / (2.0 * cfg.mass * r ** 2)
+    f_r = -cfg.hbar ** 2 * state.s ** 2 / (cfg.mass * r ** 3)
+    v = state.s * cfg.hbar / (cfg.mass * r)
     centripetal = -(cfg.mass * v) * (v / r)     # M v^2 / r overflows on v^2
     return {"Q": q_pot, "F_r": f_r, "centripetal": centripetal}
 

@@ -48,19 +48,18 @@ def _grid_states():
 
 
 def check_angular_momentum():
-    """<L_z,tot> = hbar (m + lambda) and <L_z^(zeta)> = hbar lambda by
-    quadrature over the full (m, n, lambda) grid, within 1e-8 hbar."""
+    """<L_z,tot> = hbar (m + lambda), <L_z^(zeta)> = hbar lambda and the
+    canonical hbar m by quadrature over the full (m, n, lambda) grid, within
+    1e-8 hbar.  The total reads s = m + lambda and the osmotic part the
+    solenoid's A, so unlike check 4 this is no identity: a fault in R's
+    normalization or in A's sign or size fails it."""
     tol = 1e-8
     worst = {"total": 0.0, "osmotic": 0.0, "canonical": 0.0}
     for state in _grid_states():
         hbar = state.cfg.hbar
         mom = annulus.angular_momenta(state)
-        worst["total"] = max(worst["total"],
-                             abs(mom["total"] - hbar * (state.m + state.lam)) / hbar)
-        worst["osmotic"] = max(worst["osmotic"],
-                               abs(mom["osmotic"] - hbar * state.lam) / hbar)
-        worst["canonical"] = max(worst["canonical"],
-                                 abs(mom["canonical"] - hbar * state.m) / hbar)
+        for key, want in zip(worst, (state.s, state.lam, state.m)):
+            worst[key] = max(worst[key], abs(mom[key] - hbar * want) / hbar)
     passed = all(v <= tol for v in worst.values())
     return CheckResult("angular momentum theorem", passed,
                        {"tolerance": tol,
@@ -131,13 +130,12 @@ def check_energy_identity():
     """Integrated |P' psi|^2 / 2M equals the integral of
     (1/2) M rho (v^2 + w^2) within 1e-6 relative on the whole grid.
 
-    Like checks 2 and 5, an identity, here of functions of r from one
-    `radial_parts` call: the momentum density |(P - qA/c) psi|^2, written
-    apart from the split, is the rotational square
-    (hbar^2/2M) (R (m/r - (q/hbar c) A_theta))^2 plus the radial square
-    (hbar^2/2M) R'^2 term by term, so the columns differ by rounding only,
-    and no fault outside `energy_decomposition`'s own arithmetic makes this
-    check fail."""
+    Like checks 2 and 5, still an identity, here of functions of r from one
+    `radial_parts` call: the momentum density |(P - qA/c) psi|^2 / 2M is
+    the sum of the rotational square (hbar R s / r)^2 / 2M and the radial
+    square (hbar R')^2 / 2M that `energy_decomposition` integrates as the
+    split, so the columns differ by rounding only, and no fault outside its
+    own arithmetic makes this check fail."""
     worst = 0.0
     for state in _grid_states():
         dec = annulus.energy_decomposition(state)
@@ -202,19 +200,20 @@ def check_nelson_sampler(sde_cfg):
     """Diffusion sampling of the reference state at the sde_cfg budget:
     radial KS distance <= 0.02, angular uniformity chi-square p > 0.01,
     ergodic angular momentum within 2% of hbar (m + lambda), no trajectory
-    aborted (`sde.run_statistics`)."""
+    aborted (`sde.run_statistics`); the radial chi-square p is reported."""
     cfg = AnnulusConfig()       # lambda = -1/2
     state = eigenstate(cfg, 1, 1)
     stats = sde.run_statistics(sde.simulate(state, sde_cfg), state, sde_cfg)
     if "skipped" in stats:
         raise ValueError(stats["skipped"])
-    target = cfg.hbar * (state.m + state.lam)
+    target = cfg.hbar * state.s
     erg_rel = abs(stats["ergodic_Lz"] - target) / abs(target)
     passed = (stats["ks_distance"] <= 0.02
               and stats["angular_chi2_p_value"] > 0.01
               and erg_rel <= 0.02 and stats["aborted"] == 0)
     return CheckResult("nelson diffusion sampler", passed,
                        {"ks_distance": stats["ks_distance"],
+                        "radial_p_value": stats["chi2_p_value"],
                         "angular_p_value": stats["angular_chi2_p_value"],
                         "ergodic_Lz": stats["ergodic_Lz"],
                         "ergodic_rel_error": erg_rel,

@@ -224,7 +224,7 @@ def run_fields(cfg, out_dir, want_svg):
     manifest = _table_run("fields", cfg, out_dir, header, rows)
     if want_svg:
         rho_line = state.radial_density(rs)
-        v_line = (state.m + state.lam) * ann.hbar / (ann.mass * rs)
+        v_line = state.s * ann.hbar / (ann.mass * rs)
         q_line = annulus.closed_form_q_and_force(state, rs)["Q"]
         line_chart(os.path.join(out_dir, "fields.svg"), rs, [
             (rho_line, "rho(r)", "probability density"),

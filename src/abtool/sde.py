@@ -9,35 +9,34 @@ polar drift corrections), trajectories carry their own independent variate
 streams, and runs are bit-reproducible for a fixed configuration.
 
 Step kernel.  For an annulus state R(r) e^{i m theta} the drift is
-b = (hbar/M) [(R'/R) e_r + (m/r) e_theta] and a proposal is valid when
-R^2 > RHO_FLOOR strictly between the wall, node and b floats.  Validity is
-one `searchsorted` on the state's cached valid-interval edges
-(`_valid_edges`); the drift is one lookup of its J'/J table
-(`numerics.BesselLogTable`), with the poles of R'/R at the wall and at the
-nodes in closed form.  Against the exact series route
+b = (hbar/M) [(R'/R) e_r + (m/r) e_theta].  |psi|^2 is the stationary law
+only inside each lobe between nodes, which the osmotic drift makes
+unreachable (Nelson, Quantum Fluctuations, 1985), so a proposal is valid
+only in its trajectory's own lobe, lo <= r < hi, where R^2 > RHO_FLOOR and
+the drift is finite (`_valid_edges`).  The drift is one lookup of the J'/J
+table (`numerics.BesselLogTable`), with the poles of R'/R at the wall and
+at the nodes in closed form.  Against the exact series route
 (`ABState.radial_parts`) the drift agrees to 1e-9 (hbar/M)(k + |R'/R|)
 wherever that route is itself accurate to this level; next to a node where
 the series carries rounding (x = k (r-a) near 9.25), the two routes differ by
-that rounding.  The kernel has one call form, `kernel(z, ok, step)`, on the
-number of points it was made for: it writes validity and the step factor
-into the caller's arrays, and its scratch, with the table's lookup scratch,
-is made once (the table is shared through its cache).  A point's bits do
-not depend on the other points of its call.  A step's one allocation is the
-`searchsorted` index (numpy gives it no out argument), and `simulate`
-double-buffers positions and step factors.  Every scalar ufunc operand of a
-step is a 0-d float64 array made once per kernel or table, since a ufunc
-converts a Python float on every call: on 64 points a kernel call takes
-about 9.0 us and a step 13.6 us (2-core Xeon, numpy 2.4).
+that rounding.  `kernel.confine(z)` sets the lobes of the points a kernel
+was made for and `kernel(z, ok, step)` writes their validity and step
+factor into the caller's arrays, from scratch made once (the table is
+shared through its cache).  A point's bits do not depend on the other
+points of its call, and a kernel call allocates nothing.  Every scalar
+ufunc operand of a step is a 0-d float64 array made once per kernel or
+table, since a ufunc converts a Python float on every call: on 64 points a
+kernel call takes about 14 us and a step 20 us (2-core Xeon, numpy 2.4).
 
 Noise.  Trajectory i's Gaussian increments come from its main stream
 (stream id 2i), _NOISE_CHUNK steps at a time: `variates.NormalBlock` fills
 one row of uniforms per stream from that stream's Philox generator and runs
 one Box-Muller pass over all rows, bit for bit each stream's own `normals`.
 
-Start.  Radii are drawn from the |psi|^2 radial marginal by inverse CDF with
-the `init` stream (angles uniform from the same stream); a start point that
-fails the validity test is redrawn from that stream.  The start's last
-kernel call leaves the first step factors.
+Start.  Radius i of N is the |psi|^2 radial marginal's quantile at
+(i + U_i) / N, angles uniform, all from the `init` stream; a trajectory is
+confined to its start lobe, and a start point in no lobe is redrawn in its
+stratum.  The start's last kernel call leaves the first step factors.
 
 Cascade.  A proposal that fails validity is redrawn from the trajectory's
 retry stream (stream id 2i + 1, built at the trajectory's first rejection,
@@ -132,30 +131,37 @@ class _SeparableStepKernel:
     """Validity and drift for a separable annulus state R(r) e^{i m theta}
     (see the module docstring).
 
-    `kernel(z, ok, step)` writes the validity and step factor of `size`
-    points z into the caller's arrays.  Its scratch for r, x = k (r - a) and
-    the table lookup is made once, for `size` points, and is its own, since
-    the table is shared through its cache."""
+    `kernel.confine(z)` holds each of `size` points to the lobe [lo, hi) of
+    z's radius; `kernel(z, ok, step)` writes lo <= r < hi and the step
+    factor of `size` points z into the caller's arrays, from scratch of its
+    own made once (the table is shared through its cache)."""
 
     def __init__(self, state, dt, size):
         self.table = bessel_log_table(state.nu, state.n)
         self.edges = _valid_edges(state)
-        self.in_lobe = np.arange(self.edges.size + 1) % 2 == 1  # by edges <= r
+        # [lo, hi) by interval index; a gap's [inf, -inf) holds no radius
+        self.bounds = np.tile([np.inf, -np.inf], (self.edges.size + 1, 1))
+        self.bounds[1::2] = self.edges.reshape(-1, 2)
         self.a, self.k = np.array(state.cfg.a), np.array(state.k)
         self.one = np.array(1.0)
         coef = state.cfg.hbar / state.cfg.mass * dt
         self.radial = np.array(coef * state.k)     # dt u_r = radial * J'/J
         self.angular = np.array(coef * state.m)    # dt v_theta = angular / r
-        self._r, self._x = np.empty(size), np.empty(size)
+        self._r, self._x, self.lo, self.hi = np.empty((4, size))
+        self._below = np.empty(size, dtype=bool)
         self._lookup = self.table.scratch(size)
+
+    def confine(self, z):
+        """Hold each point to the lobe of z's radius (one in none to none)."""
+        lobe = self.edges.searchsorted(np.abs(z), side="right")
+        self.lo[:], self.hi[:] = self.bounds[lobe].T
 
     def __call__(self, z, ok, step):
         r, x = self._r, self._x
         np.abs(z, r)
-        # the interval index of each point: a rule that keeps a step inside
-        # its lobe compares it with the current point's
-        lobe = self.edges.searchsorted(r, side="right")
-        self.in_lobe.take(lobe, 0, ok, "clip")
+        np.greater_equal(r, self.lo, ok)
+        np.less(r, self.hi, self._below)
+        ok &= self._below
         np.subtract(r, self.a, x)
         np.multiply(x, self.k, x)
         re, im = step.real, step.imag
@@ -172,18 +178,25 @@ class _SeparableStepKernel:
 
 @lru_cache(maxsize=64)
 def _valid_edges(state):
-    """Sorted radii e: r is valid exactly when e[2i] <= r < e[2i+1] for
-    some i.  A wall, node or b float is never valid, though at high n R^2 is
-    often above RHO_FLOOR at a node float (76 of 99 at (m, n) = (1, 100)),
-    where x = k (r - a) can round onto the table's zero; inside a lobe the
-    edges are the floor crossings.  Built by `_bisect_floats` from each pole
+    """Sorted radii e: lobe i is the floats e[2i] <= r < e[2i+1], where
+    R^2 > RHO_FLOOR and x = k (r - a), as the kernel rounds it, misses every
+    zero of the drift table, so the drift is finite.  A wall, node or b
+    float is never valid, though at high n R^2 is often above RHO_FLOOR at
+    a node float (76 of 99 at (m, n) = (1, 100)), and x can round onto a
+    zero at its neighbour too.  Built by `_bisect_floats` from each pole
     float, which it never tests, to its lobe's middle; where J's rounding
     makes the test flicker next to a node, an edge is one of its switches."""
     cfg = state.cfg
-    nodes = cfg.a + bessel_log_table(state.nu, state.n).zeros[:-1] / state.k
+    zeros = bessel_log_table(state.nu, state.n).zeros
+    nodes = cfg.a + zeros[:-1] / state.k
     poles = np.concatenate([[cfg.a], nodes, [cfg.b]])
-    fail, hold = _bisect_floats(lambda r: state.radial_density(r) > RHO_FLOOR,
-                                np.repeat(poles, 2)[1:-1],
+
+    def valid(r):   # x against the zero at or above it: no integer loop
+        x = (r - cfg.a) * state.k
+        return ((state.radial_density(r) > RHO_FLOOR)
+                & (x != zeros.take(zeros.searchsorted(x), mode="clip")))
+
+    fail, hold = _bisect_floats(valid, np.repeat(poles, 2)[1:-1],
                                 np.repeat(0.5 * (poles[:-1] + poles[1:]), 2))
     # a lobe runs from its first valid float to its first invalid one
     edges = np.where(np.arange(2 * state.n) % 2 == 0, hold, fail)
@@ -192,20 +205,23 @@ def _valid_edges(state):
 
 
 def _start_positions(state, kernel, stream, ok, step):
-    """ok.size start points: uniform angles and radial-marginal radii from
-    `stream`; a point the kernel finds invalid (on a node, or r = a) is
-    redrawn from the same stream.  The kernel's ok and step of the returned
-    points are left in ok and step."""
+    """ok.size = N start points from `stream`: uniform angles, and radius i
+    the radial marginal's quantile at (i + U_i) / N.  The kernel confines
+    each point to its lobe, and one in no lobe is redrawn in its stratum.
+    The kernel's ok and step of the returned points are left in ok and
+    step."""
     count = ok.size
+    rg, _, cdf = radial_target(state)
     theta = 2.0 * np.pi * stream.uniforms(count)
-    z = target_radial_sampler(state, stream, count) * np.exp(1j * theta)
+    z, redraw = np.empty(count, dtype=complex), np.arange(count)
     for _ in range(_START_REDRAWS):
+        u = (redraw + stream.uniforms(redraw.size)) / count
+        z[redraw] = np.interp(u, cdf, rg) * np.exp(1j * theta[redraw])
+        kernel.confine(z)
         kernel(z, ok, step)
         if ok.all():
             return z
-        bad = np.nonzero(~ok)[0]
-        z[bad] = (target_radial_sampler(state, stream, bad.size)
-                  * np.exp(1j * theta[bad]))
+        redraw = np.nonzero(~ok)[0]
     raise NonConvergenceError(
         f"no valid start point after {_START_REDRAWS} redraws")
 
@@ -328,14 +344,6 @@ def radial_target(state):
     cdf = cdf / cdf[-1]
     rg.flags.writeable = pdf.flags.writeable = cdf.flags.writeable = False
     return rg, pdf, cdf
-
-
-def target_radial_sampler(state, stream, count):
-    """Direct draws from the radial marginal by inverse CDF (the oracle
-    sampler used to calibrate the goodness-of-fit statistics)."""
-    rg, _, cdf = radial_target(state)
-    u = stream.uniforms(count)
-    return np.interp(u, cdf, rg)
 
 
 def chi2_thin(sde_cfg):

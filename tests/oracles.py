@@ -19,7 +19,11 @@ bessel_pair_reference
                      preceded the in-place Horner pass, checked bit for bit
                      against `numerics.bessel_j_pair`: it restates the
                      series' split and length, and takes the rows past the
-                     split from `bessel_j_pair` itself.
+                     split from `bessel_j_pair` itself;
+target_radial_sampler
+                     i.i.d. draws from the radial marginal by inverse CDF,
+                     which calibrate the goodness-of-fit statistics of
+                     `sde` that judge the sampler.
 
 `analytic_field` builds a `madelung.WaveField` from a closed-form gradient.
 
@@ -33,6 +37,7 @@ import numpy as np
 from abtool.madelung import WaveField
 from abtool.models import hydrogen_radial_parts, hydrogen_theta_parts
 from abtool.numerics import bessel_j_pair
+from abtool.sde import radial_target
 from abtool.wavepackets import gaussian_delta_gradient, gaussian_fields
 
 
@@ -183,3 +188,10 @@ def bessel_pair_reference(order, x):
         j[inner] = series
         j[past] = miller
     return full
+
+
+def target_radial_sampler(state, stream, count):
+    """count i.i.d. draws from the radial marginal of `sde.radial_target` by
+    inverse CDF, from `stream`'s uniforms."""
+    rg, _, cdf = radial_target(state)
+    return np.interp(stream.uniforms(count), cdf, rg)

@@ -1,10 +1,12 @@
 """Flux parameter, solenoid potential, bound states, observables, vortex
 identities, the scalar-potential twin system, and gauge families."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from abtool import annulus, checks
 from abtool.annulus import (ABState, AnnulusConfig,
                             closed_form_q_and_force, diffusion_velocity,
                             eigenstate, energy_decomposition, flux_parameter,
@@ -458,9 +460,12 @@ def moment_z(vec, pts):
 
 
 def angular_columns(cfg, pts, dec):
-    """M r Gamma_theta and M r rho Im(-xi)_theta from Cartesian fields."""
+    """M r Gamma_theta, M r rho eta_theta and M r rho Im(-xi)_theta from
+    Cartesian fields."""
+    canonical = dec.rho[:, None] * dec.eta
     diffusion = -dec.rho[:, None] * dec.xi_imag
     return cfg.mass * np.stack([moment_z(dec.gamma, pts),
+                                moment_z(canonical, pts),
                                 moment_z(diffusion, pts)], axis=-1)
 
 
@@ -485,8 +490,9 @@ class TestRadialIntegrands:
         def spy(domain, g, k):
             seen.append((domain, g))
             return original(domain, g, k)
-        monkeypatch.setattr(AnnulusDomain, "integrate", spy)
+        # built first: a state not in eigenstate's cache integrates its norm
         states = grid_and_wide_states()
+        monkeypatch.setattr(AnnulusDomain, "integrate", spy)
         for state in states:
             angular_momenta(state)
             energy_decomposition(state)
@@ -564,6 +570,50 @@ class TestPinnedObservables:
     @pytest.mark.parametrize("name", WIDE_STATES, ids=["m12-n2", "m50-n5"])
     def test_wide_states(self, name):
         OBSERVABLES.check(name)
+
+
+class TestFluxQuantumSweep:
+    """(m, lambda) and (m + N, lambda - N) are one state up to the singular
+    gauge e^{i N theta} (Byers & Yang, PRL 7 (1961) 46).  The gauge-invariant
+    observables read the signed order s = m + lambda, exact in floats at
+    these fluxes, so they keep their bits; the canonical and osmotic parts
+    carry the shift."""
+
+    @pytest.mark.parametrize("N", [1, 1000, 10 ** 6, 10 ** 8])
+    def test_shifted_states(self, N):
+        for state in grid_and_wide_states():
+            cfg, m = state.cfg, state.m
+            far = eigenstate(replace(cfg, B=cfg.B + 2.0 * N), m + N, state.n)
+            assert (far.s, far.lam) == (state.s, state.lam - N)
+            mom, mom_n = angular_momenta(state), angular_momenta(far)
+            assert mom_n["total"] == mom["total"]
+            assert energy_decomposition(far) == energy_decomposition(state)
+            for key, want in [("canonical", m + N), ("osmotic", far.lam)]:
+                want *= cfg.hbar
+                assert abs(mom_n[key] - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("B", [1000.0, 2000.0])
+    def test_order_zero_at_large_flux(self, B):
+        # lambda = -500 and -1000: s = 0, where the total once came out of
+        # an integrand that cancelled a canonical part of size |lambda|
+        lam = flux_parameter(AnnulusConfig(B=B))
+        for n in (1, 2):
+            state = eigenstate(AnnulusConfig(B=B), -int(lam), n)
+            mom = angular_momenta(state)
+            assert state.nu == 0.0 and mom["total"] == 0.0
+            assert mom["canonical"] == pytest.approx(-lam, rel=1e-12)
+            assert mom["osmotic"] == pytest.approx(lam, rel=1e-12)
+            assert energy_decomposition(state)["rotational"] == 0.0
+
+    def test_check_1_sees_the_sign_of_a(self, monkeypatch):
+        # the total reads s, and the osmotic part still reads A
+        rule = annulus._a_theta_over_r
+        monkeypatch.setattr(annulus, "_a_theta_over_r",
+                            lambda cfg, r: -rule(cfg, r))
+        result = checks.check_angular_momentum()
+        assert not result.passed
+        assert result.details["worst_osmotic"] == pytest.approx(1.0, rel=1e-8)
+        assert result.details["worst_total"] <= 1e-8
 
 
 class TestClosedFormQ:

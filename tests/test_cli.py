@@ -97,6 +97,18 @@ def run_cli(args, tmp_path, config=None):
     return main(argv)
 
 
+def spectrum_rows(out_dir, config):
+    """[((m, n), {column: value})] of the spectrum.csv that `abtool
+    spectrum` writes in out_dir at config; it must exit 0."""
+    out_dir.mkdir()
+    assert run_cli(["spectrum"], out_dir, config=config) == EXIT_OK
+    with open(out_dir / "spectrum.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    return [((int(row.pop("m")), int(row.pop("n"))),
+             {key: float(value) for key, value in row.items()})
+            for row in rows]
+
+
 class TestSpectrum:
     def test_default_run(self, tmp_path):
         assert run_cli(["spectrum"], tmp_path) == EXIT_OK
@@ -164,6 +176,30 @@ class TestSpectrum:
         assert max(float(r[2]) for r in rows) <= 50.0
         manifest = json.loads((tmp_path / "manifest_spectrum.json").read_text())
         assert manifest["rows"] == len(rows)
+
+    def test_large_flux(self, tmp_path):
+        # lambda = -500: the rows m = 449..500 reach s = 0, where the
+        # integrals once failed to converge
+        rows = spectrum_rows(tmp_path / "B1000",
+                             {"geometry": {"B": 1000}, "state": {"m": 500}})
+        assert [mn for mn, _ in rows] == [(m, n) for m in range(450, 501)
+                                          for n in (1, 2)]
+        assert all(row["nu"] == abs(m - 500) for (m, _), row in rows)
+
+    def test_a_flux_quantum_shift_keeps_the_rows(self, tmp_path):
+        # (m + N, lambda - N) with N = 1e8 is (m, lambda) up to the gauge
+        # e^{i N theta}: the rows of equal s = m + lambda and n agree bit for
+        # bit in every gauge-invariant column
+        far = {(m - 100000000, n): row for (m, n), row in spectrum_rows(
+            tmp_path / "far", {"geometry": {"B": 200000001},
+                               "state": {"m": 100000000}})}
+        near = dict(spectrum_rows(tmp_path / "near",
+                                  {"geometry": {"B": 1}, "state": {"m": 1}}))
+        shared = far.keys() & near.keys()
+        assert sorted(shared) == [(m, n) for m in (-2, -1, 0) for n in (1, 2)]
+        for key in shared:
+            for column in ("nu", "tau", "k", "E", "Lz_total"):
+                assert far[key][column] == near[key][column], (key, column)
 
     def test_table_reproducible(self, tmp_path):
         run_cli(["spectrum"], tmp_path / "one")
@@ -327,6 +363,7 @@ class TestSamplerStatistics:
             (tmp_path / "manifest_trajectories.json").read_text())["stationarity"]
         details = checks.check_nelson_sampler(SdeConfig(**block)).details
         assert details["ks_distance"] == stats["ks_distance"]
+        assert details["radial_p_value"] == stats["chi2_p_value"]
         assert details["angular_p_value"] == stats["angular_chi2_p_value"]
         assert details["ergodic_Lz"] == stats["ergodic_Lz"]
         assert details["rejection_fraction"] == stats["rejection_fraction"]
